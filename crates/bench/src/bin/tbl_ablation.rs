@@ -131,7 +131,14 @@ fn a3_reclaim_threshold() -> Vec<A3Row> {
                 .create_file(&format!("/f{i:03}"), 0, Content::synthetic(i, 40_000_000))
                 .unwrap();
             let (objid, t) = h
-                .migrate_file(ino, NodeId((i % 2) as u32), DataPath::LanFree, cursor, true)
+                .migrate_file(
+                    ino,
+                    NodeId((i % 2) as u32),
+                    DataPath::LanFree,
+                    cursor,
+                    true,
+                    None,
+                )
                 .unwrap();
             cursor = t;
             all.push((ino, objid, format!("/f{i:03}")));
@@ -237,13 +244,10 @@ fn a5_collocation() -> Vec<A5Row> {
             // decoupled from the project cycle so a project's files pass
             // through different agents (the realistic mover assignment)
             let node = NodeId((i % 3) as u32);
-            let (_, t) = if collocated {
-                h.migrate_file_collocated(ino, node, DataPath::LanFree, cursor, true, project)
-                    .unwrap()
-            } else {
-                h.migrate_file(ino, node, DataPath::LanFree, cursor, true)
-                    .unwrap()
-            };
+            let group = collocated.then_some(project);
+            let (_, t) = h
+                .migrate_file(ino, node, DataPath::LanFree, cursor, true, group)
+                .unwrap();
             cursor = t;
             if project == "alpha" {
                 alpha_files.push(ino);

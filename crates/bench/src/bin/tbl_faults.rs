@@ -81,7 +81,7 @@ fn run(failed_drives: usize, fail_at: &[SimDuration]) -> Row {
         let ino = sys.archive().resolve(p).unwrap();
         let (objid, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         if p.contains("/s") {
             victims.push(objid);

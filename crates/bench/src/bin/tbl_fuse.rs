@@ -59,7 +59,14 @@ fn single_object(drives: usize) -> f64 {
         )
         .unwrap();
     let (_, end) = hsm
-        .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+        .migrate_file(
+            ino,
+            NodeId(0),
+            DataPath::LanFree,
+            SimInstant::EPOCH,
+            true,
+            None,
+        )
         .unwrap();
     end.as_secs_f64()
 }

@@ -67,7 +67,7 @@ fn run(nodes: usize, path: DataPath) -> f64 {
         let mut cursor = start;
         for &ino in inos {
             let (_, t) = hsm
-                .migrate_file(ino, NodeId(n as u32), path, cursor, true)
+                .migrate_file(ino, NodeId(n as u32), path, cursor, true, None)
                 .unwrap();
             cursor = t;
         }

@@ -59,7 +59,7 @@ fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
             )
             .unwrap();
         let (_, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
     }

@@ -97,7 +97,7 @@ fn run(sealed: usize, open: usize) -> Row {
         let ino = sys.archive().resolve(&format!("/data/f{i:04}")).unwrap();
         match sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
         {
             Ok((_, t)) => cursor = t,
             Err(HsmError::Crashed { .. }) => crashes += 1,
@@ -150,7 +150,14 @@ fn baseline() {
         .unwrap();
     let ino = sys.archive().resolve("/data/f").unwrap();
     sys.hsm()
-        .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+        .migrate_file(
+            ino,
+            NodeId(0),
+            DataPath::LanFree,
+            SimInstant::EPOCH,
+            true,
+            None,
+        )
         .unwrap();
     let m = sys.snapshot().metrics;
     assert_eq!(m.counter("journal.recovered_replayed"), 0);

@@ -86,7 +86,7 @@ fn run(libraries: usize, files: u64) -> Row {
         let ino = sys.archive().resolve(p).unwrap();
         let (_, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
     }
@@ -107,7 +107,7 @@ fn run(libraries: usize, files: u64) -> Row {
         let ino = sys.archive().resolve(p).unwrap();
         let (_, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
     }
@@ -121,7 +121,7 @@ fn run(libraries: usize, files: u64) -> Row {
         let node = NodeId((i % sys.cluster().node_count()) as u32);
         let t = sys
             .hsm()
-            .recall_file(ino, node, DataPath::LanFree, cursor)
+            .recall_file(ino, node, DataPath::LanFree, cursor, None)
             .unwrap_or_else(|e| panic!("{p}: recall failed mid-outage: {e}"));
         if outage {
             assert!(t < outage_end, "{p}: recall ran past the outage window");

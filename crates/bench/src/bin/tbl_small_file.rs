@@ -64,7 +64,7 @@ fn migrate_rate(file_size: u64, count: usize, aggregated: bool) -> f64 {
         let mut cursor = start;
         for ino in inos {
             let (_, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .expect("migration");
             cursor = t;
         }

@@ -48,7 +48,7 @@ fn run(nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64) {
             )
             .unwrap();
         let (_, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
         inos.push(ino);

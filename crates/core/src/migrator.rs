@@ -180,7 +180,7 @@ pub fn migrate_candidates(
                 if report.aborted {
                     break;
                 }
-                match hsm.migrate_file(rec.ino, *node, data_path, cursor, punch) {
+                match hsm.migrate_file(rec.ino, *node, data_path, cursor, punch, None) {
                     Ok((_, end)) => {
                         files += 1;
                         bytes += rec.size;
@@ -196,7 +196,7 @@ pub fn migrate_candidates(
             }
         } else {
             for rec in &bucket {
-                match hsm.migrate_file(rec.ino, *node, data_path, cursor, punch) {
+                match hsm.migrate_file(rec.ino, *node, data_path, cursor, punch, None) {
                     Ok((_, end)) => {
                         files += 1;
                         bytes += rec.size;

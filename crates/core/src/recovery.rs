@@ -268,7 +268,14 @@ mod tests {
             .unwrap();
         let ino = pfs.resolve("/f").unwrap();
         sys.hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
             .unwrap();
         sys.export_catalog();
         let report = sys.recover(sys.clock().now()).unwrap();
@@ -290,7 +297,14 @@ mod tests {
         sys.arm_faults(FaultPlan::new(42).crash_at("migrate.after_mark", 1));
         let err = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
             .unwrap_err();
         assert!(matches!(err, HsmError::Crashed { .. }), "{err}");
         // Torn: stub marked premigrated, object in DB, intent open.
@@ -314,7 +328,14 @@ mod tests {
         let ino = pfs.resolve("/f").unwrap();
         let (objid, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
             .unwrap();
         sys.export_catalog();
         sys.arm_faults(FaultPlan::new(42).crash_at("syncdel.after_unlink", 1));

@@ -227,7 +227,14 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(1, 2_000_000))
             .unwrap();
         let (objid, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
             .unwrap();
         hsm.server().export(&catalog);
 
@@ -253,7 +260,14 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(1, 1_000_000))
             .unwrap();
         let (old_objid, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, false)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                false,
+                None,
+            )
             .unwrap();
         // Overwrite while premigrated → old object becomes a marked orphan.
         pfs.write_at(ino, 0, Content::literal(&b"v2"[..])).unwrap();
@@ -287,7 +301,7 @@ mod tests {
                 .create_file(&path, 0, Content::synthetic(i, 1000))
                 .unwrap();
             let (_, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .unwrap();
             cursor = t;
             records.push(FileRecord {

@@ -345,9 +345,9 @@ impl ArchiveSystem {
     /// Recall through the typed request surface. With a stager configured
     /// this is a stager submit (fair-share scheduling, admission verdicts,
     /// pool hits); without one it is the historical direct recall, eagerly
-    /// executed — the verdict is always `Accepted`. Positional callers
-    /// (`Hsm::recall_file` and friends) keep working as thin shims under
-    /// this surface.
+    /// executed — the verdict is always `Accepted`. Both paths end in
+    /// `Hsm::recall_file`, the HSM's one single-file recall, which callers
+    /// holding an inode and a mover node use directly.
     pub fn recall(&self, req: RecallRequest, now: SimInstant) -> HsmResult<Admission> {
         if let Some(stager) = &self.stager {
             return stager.submit(req, now);
@@ -356,7 +356,8 @@ impl ArchiveSystem {
         if self.archive.hsm_state(ino)? == HsmState::Migrated {
             let nodes = self.cluster.node_count() as u32;
             let node = copra_cluster::NodeId((ino.0 % nodes as u64) as u32);
-            self.hsm.recall_file(ino, node, DataPath::LanFree, now)?;
+            self.hsm
+                .recall_file(ino, node, DataPath::LanFree, now, None)?;
         } else {
             let bytes = self.archive.logical_size(ino)?;
             self.archive
@@ -372,9 +373,9 @@ impl ArchiveSystem {
         let ino = self.archive.resolve(&req.path)?;
         let nodes = self.cluster.node_count() as u32;
         let node = copra_cluster::NodeId((ino.0 % nodes as u64) as u32);
-        let (_objid, end) = self
-            .hsm
-            .migrate_file(ino, node, DataPath::LanFree, now, req.punch)?;
+        let (_objid, end) =
+            self.hsm
+                .migrate_file(ino, node, DataPath::LanFree, now, req.punch, None)?;
         Ok(end)
     }
 

@@ -13,7 +13,7 @@ use copra_cluster::{FtaCluster, NodeId};
 use copra_faults::{FaultPlane, RetryPolicy};
 use copra_obs::{Counter, EventKind};
 use copra_simtime::{DataSize, SimInstant};
-use copra_tape::{DriveId, TapeError, TapeId};
+use copra_tape::{DriveId, LibraryId, TapeError, TapeId};
 use copra_vfs::Content;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -26,6 +26,21 @@ pub enum DataPath {
     Lan,
     /// Client → SAN → drive; metadata only to the server.
     LanFree,
+}
+
+/// Which volume a [`StorageAgent::store`] lands on. Every variant maps to
+/// exactly one server assignment call; only [`Volume::Agent`] is sticky.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Volume<'a> {
+    /// The agent's own streaming volume, reused while it has room — the
+    /// common migrate path.
+    Agent,
+    /// The co-location group's volume (§4 feature list item 5): restoring
+    /// a whole group then needs the fewest mounts.
+    Group(&'a str),
+    /// A volume of library `lib` other than the `avoid` volumes — replica
+    /// placement, one failure domain per copy.
+    InLibrary { lib: LibraryId, avoid: &'a [TapeId] },
 }
 
 struct AgentState {
@@ -73,11 +88,33 @@ impl StorageAgent {
         }
     }
 
-    /// Account object bytes to the LAN or LAN-free byte counter.
-    fn note_path(&self, data_path: DataPath, len: DataSize) {
+    /// Move `len` bytes between this node and a drive from `t`, counting
+    /// them to the path's byte counter. LAN-free crosses the node's SAN
+    /// link; LAN crosses the node NIC and the server NIC, in data-flow
+    /// order (`to_tape`: node first). Returns the arrival instant.
+    fn move_data(
+        &self,
+        data_path: DataPath,
+        len: DataSize,
+        t: SimInstant,
+        to_tape: bool,
+    ) -> SimInstant {
+        let (node, cluster, server) = (self.shared.node, &self.shared.cluster, &self.shared.server);
         match data_path {
-            DataPath::Lan => self.shared.metrics.lan_bytes.add(len.as_bytes()),
-            DataPath::LanFree => self.shared.metrics.lanfree_bytes.add(len.as_bytes()),
+            DataPath::Lan => {
+                self.shared.metrics.lan_bytes.add(len.as_bytes());
+                if to_tape {
+                    let t = cluster.charge_nic(node, t, len).end;
+                    server.charge_lan(t, len)
+                } else {
+                    let t = server.charge_lan(t, len);
+                    cluster.charge_nic(node, t, len).end
+                }
+            }
+            DataPath::LanFree => {
+                self.shared.metrics.lanfree_bytes.add(len.as_bytes());
+                cluster.charge_san(node, t, len).end
+            }
         }
     }
 
@@ -116,23 +153,31 @@ impl StorageAgent {
         )
     }
 
-    /// Make sure this agent has a mounted volume with room for `len`.
-    /// Returns (drive, mount-completion instant).
-    fn ensure_volume(&self, len: DataSize, ready: SimInstant) -> HsmResult<(DriveId, SimInstant)> {
+    /// Mount a volume with room for `len`, chosen by `volume`. Returns
+    /// (drive, mount-completion instant). Only [`Volume::Agent`] reuses
+    /// and records the agent's sticky current volume.
+    fn ensure_volume(
+        &self,
+        volume: Volume<'_>,
+        len: DataSize,
+        ready: SimInstant,
+    ) -> HsmResult<(DriveId, SimInstant)> {
         let server = &self.shared.server;
         let lib = server.library();
-        let mut st = self.shared.state.lock();
+        let mut sticky = (volume == Volume::Agent).then(|| self.shared.state.lock());
         // Reuse the current volume while it has space. A volume stranded
         // in an offline library is unusable, not an error: forget it and
         // place the write elsewhere.
-        if let Some((drive, tape)) = st.current {
-            if lib.tape_library_offline(tape, ready) {
-                st.current = None;
-            } else {
-                let has_space = lib.with_cartridge(tape, |c| c.remaining() >= len)?;
-                let still_ours = lib.mounted_tape(drive)? == Some(tape);
-                if has_space && still_ours {
-                    return Ok((drive, ready));
+        if let Some(st) = sticky.as_deref_mut() {
+            if let Some((drive, tape)) = st.current {
+                if lib.tape_library_offline(tape, ready) {
+                    st.current = None;
+                } else {
+                    let has_space = lib.with_cartridge(tape, |c| c.remaining() >= len)?;
+                    let still_ours = lib.mounted_tape(drive)? == Some(tape);
+                    if has_space && still_ours {
+                        return Ok((drive, ready));
+                    }
                 }
             }
         }
@@ -143,11 +188,19 @@ impl StorageAgent {
         let mut cursor = ready;
         let mut attempt = 0u32;
         loop {
-            let (tape, t) = server.assign_volume(len, cursor)?;
+            let (tape, t) = match volume {
+                Volume::Agent => server.assign_volume(len, cursor)?,
+                Volume::Group(group) => server.assign_volume_collocated(len, group, cursor)?,
+                Volume::InLibrary { lib, avoid } => {
+                    server.assign_volume_avoiding(len, Some(lib), avoid, cursor)?
+                }
+            };
             cursor = t;
             match lib.ensure_mounted(tape, cursor) {
                 Ok((drive, end)) => {
-                    st.current = Some((drive, tape));
+                    if let Some(st) = sticky.as_deref_mut() {
+                        st.current = Some((drive, tape));
+                    }
                     if attempt > 0 {
                         if let Some(p) = &plane {
                             p.note_recovery(end.saturating_since(ready));
@@ -177,8 +230,11 @@ impl StorageAgent {
     /// one (the pre-existing behavior), a fenced drive re-places the
     /// object through `ensure_volume` (which now skips it), and transient
     /// I/O errors back off and retry in place — all under the retry budget.
+    /// Re-placement goes through the same `volume`, so a group or replica
+    /// write never falls back onto the agent's sticky volume.
     fn write_with_recovery(
         &self,
+        volume: Volume<'_>,
         objid: u64,
         content: Content,
         len: DataSize,
@@ -208,10 +264,8 @@ impl StorageAgent {
                 Err(
                     TapeError::TapeFull(_) | TapeError::WrongTape { .. } | TapeError::NotMounted(_),
                 ) if attempt + 1 < budget => {
-                    self.shared.state.lock().current = None;
-                    let (d2, t2) = self.ensure_volume(len, t)?;
-                    drive = d2;
-                    t = t2;
+                    self.forget_volume(volume);
+                    (drive, t) = self.ensure_volume(volume, len, t)?;
                     attempt += 1;
                 }
                 Err(TapeError::DriveFailed(_)) if attempt + 1 < budget => {
@@ -219,10 +273,8 @@ impl StorageAgent {
                     if let Some(p) = &plane {
                         p.note_retry(delay);
                     }
-                    self.shared.state.lock().current = None;
-                    let (d2, t2) = self.ensure_volume(len, t + delay)?;
-                    drive = d2;
-                    t = t2;
+                    self.forget_volume(volume);
+                    (drive, t) = self.ensure_volume(volume, len, t + delay)?;
                     attempt += 1;
                 }
                 Err(TapeError::TransientIo(_)) if attempt + 1 < budget => {
@@ -238,7 +290,18 @@ impl StorageAgent {
         }
     }
 
-    /// Store one object (one tape transaction). Returns (objid, completion).
+    /// Drop the sticky current volume before re-placing an agent write.
+    fn forget_volume(&self, volume: Volume<'_>) {
+        if volume == Volume::Agent {
+            self.release_volume();
+        }
+    }
+
+    /// Store one object (one tape transaction) on the volume `volume`
+    /// picks. Returns (objid, completion). A
+    /// [`TapeError::LibraryOffline`] from a [`Volume::InLibrary`] target
+    /// propagates: the caller decides whether to degrade the write and
+    /// re-silver later.
     pub fn store(
         &self,
         path: &str,
@@ -246,74 +309,23 @@ impl StorageAgent {
         content: Content,
         ready: SimInstant,
         data_path: DataPath,
+        volume: Volume<'_>,
     ) -> HsmResult<(u64, SimInstant)> {
         let len = DataSize::from_bytes(content.len());
         let server = &self.shared.server;
         let objid = server.alloc_objid();
         // Open-transaction metadata hop.
         let t = server.meta_op(ready);
-        let (drive, t) = self.ensure_volume(len, t)?;
-        // Move the data to the drive.
-        self.note_path(data_path, len);
-        let t = match data_path {
-            DataPath::Lan => {
-                // node NIC → archive LAN → server NIC (no trunk crossing)
-                let t = self.shared.cluster.charge_nic(self.shared.node, t, len).end;
-                server.charge_lan(t, len)
-            }
-            DataPath::LanFree => self.shared.cluster.charge_san(self.shared.node, t, len).end,
-        };
-        // Write the tape record, recovering from volume rolls, fenced
-        // drives and transient I/O under the retry budget.
-        let stored_at = t;
-        let (addr, t) = self.write_with_recovery(objid, content, len, drive, t)?;
+        let (drive, t) = self.ensure_volume(volume, len, t)?;
+        // Move the data to the drive, then write the tape record,
+        // recovering from volume rolls, fenced drives and transient I/O
+        // under the retry budget.
+        let stored_at = self.move_data(data_path, len, t, true);
+        let (addr, t) = self.write_with_recovery(volume, objid, content, len, drive, stored_at)?;
         // Tape record written, DB row not yet registered: the torn state
         // scrub's record sweep repairs.
         server.crash_point("agent.store.after_write", t)?;
         // Close-transaction metadata hop and DB insert.
-        let t = server.meta_op(t);
-        server.register(TsmObject {
-            objid,
-            path: path.to_string(),
-            fs_ino,
-            addr,
-            len: len.as_bytes(),
-            stored_at,
-            kind: ObjectKind::Simple,
-        });
-        Ok((objid, t))
-    }
-
-    /// Store one object on the volume assigned to a **co-location group**
-    /// (§4 feature list item 5): every object of the group lands on the
-    /// same volume (rolling to a new one only when full), so restoring a
-    /// whole group touches the fewest possible cartridges.
-    pub fn store_collocated(
-        &self,
-        path: &str,
-        fs_ino: u64,
-        content: Content,
-        ready: SimInstant,
-        data_path: DataPath,
-        group: &str,
-    ) -> HsmResult<(u64, SimInstant)> {
-        let len = DataSize::from_bytes(content.len());
-        let server = &self.shared.server;
-        let objid = server.alloc_objid();
-        let (tape, t) = server.assign_volume_collocated(len, group, ready)?;
-        let (drive, t) = server.library().ensure_mounted(tape, t)?;
-        self.note_path(data_path, len);
-        let t = match data_path {
-            DataPath::Lan => {
-                let t = self.shared.cluster.charge_nic(self.shared.node, t, len).end;
-                server.charge_lan(t, len)
-            }
-            DataPath::LanFree => self.shared.cluster.charge_san(self.shared.node, t, len).end,
-        };
-        let stored_at = t;
-        let (addr, t) = server
-            .library()
-            .write_object(drive, self.agent_id(), objid, content, t)?;
         let t = server.meta_op(t);
         server.register(TsmObject {
             objid,
@@ -349,18 +361,10 @@ impl StorageAgent {
         }
         let len = DataSize::from_bytes(image.len());
         let t = server.meta_op(ready);
-        let (drive, t) = self.ensure_volume(len, t)?;
-        self.note_path(data_path, len);
-        let t = match data_path {
-            DataPath::Lan => {
-                // node NIC → archive LAN → server NIC (no trunk crossing)
-                let t = self.shared.cluster.charge_nic(self.shared.node, t, len).end;
-                server.charge_lan(t, len)
-            }
-            DataPath::LanFree => self.shared.cluster.charge_san(self.shared.node, t, len).end,
-        };
-        let stored_at = t;
-        let (addr, t) = self.write_with_recovery(container_id, image, len, drive, t)?;
+        let (drive, t) = self.ensure_volume(Volume::Agent, len, t)?;
+        let stored_at = self.move_data(data_path, len, t, true);
+        let (addr, t) =
+            self.write_with_recovery(Volume::Agent, container_id, image, len, drive, stored_at)?;
         let t = server.meta_op(t);
         server.register(TsmObject {
             objid: container_id,
@@ -398,114 +402,6 @@ impl StorageAgent {
             },
         );
         Ok((member_ids, t))
-    }
-
-    /// Store one object on a volume **other than** those in `avoid` — the
-    /// copy-group write path (the primary's volume must differ from every
-    /// copy's). No volume stickiness: copies are occasional.
-    pub fn store_copy(
-        &self,
-        path: &str,
-        fs_ino: u64,
-        content: Content,
-        ready: SimInstant,
-        data_path: DataPath,
-        avoid: &[TapeId],
-    ) -> HsmResult<(u64, SimInstant)> {
-        let server = self.shared.server.clone();
-        let avoid = avoid.to_vec();
-        self.store_with_assignment(path, fs_ino, content, ready, data_path, move |len, t| {
-            server.assign_volume_avoiding(len, &avoid, t)
-        })
-    }
-
-    /// Store one object on a volume of **library `lib`** (avoiding the
-    /// `avoid` volumes) — the replica write path: each replica of an
-    /// object lands in its own library so a whole-library outage leaves a
-    /// recallable copy elsewhere. A [`TapeError::LibraryOffline`] from the
-    /// target library propagates (no in-place retry): the caller decides
-    /// whether to degrade the write and re-silver later.
-    #[allow(clippy::too_many_arguments)]
-    pub fn store_replica(
-        &self,
-        path: &str,
-        fs_ino: u64,
-        content: Content,
-        ready: SimInstant,
-        data_path: DataPath,
-        lib: copra_tape::LibraryId,
-        avoid: &[TapeId],
-    ) -> HsmResult<(u64, SimInstant)> {
-        let server = self.shared.server.clone();
-        let avoid = avoid.to_vec();
-        self.store_with_assignment(path, fs_ino, content, ready, data_path, move |len, t| {
-            server.assign_volume_in_library(len, lib, &avoid, t)
-        })
-    }
-
-    /// Shared body of the copy/replica write paths: assignment is
-    /// delegated to `assign`, mount races retry under the budget, then one
-    /// write transaction.
-    fn store_with_assignment(
-        &self,
-        path: &str,
-        fs_ino: u64,
-        content: Content,
-        ready: SimInstant,
-        data_path: DataPath,
-        assign: impl Fn(DataSize, SimInstant) -> HsmResult<(TapeId, SimInstant)>,
-    ) -> HsmResult<(u64, SimInstant)> {
-        let len = DataSize::from_bytes(content.len());
-        let server = &self.shared.server;
-        let objid = server.alloc_objid();
-        let t = server.meta_op(ready);
-        let (plane, policy) = self.recovery();
-        let mut cursor = t;
-        let mut attempt = 0u32;
-        let (drive, t) = loop {
-            let (tape, t2) = assign(len, cursor)?;
-            cursor = t2;
-            match server.library().ensure_mounted(tape, cursor) {
-                Ok(placed) => break placed,
-                Err(ref e) if Self::mount_retryable(e) && attempt + 1 < policy.budget => {
-                    let delay = policy.delay(tape.0 as u64 ^ objid, attempt);
-                    cursor += delay;
-                    if let Some(p) = &plane {
-                        p.note_retry(delay);
-                    }
-                    attempt += 1;
-                }
-                Err(TapeError::TapeInUse { .. }) => {
-                    return Err(HsmError::OutOfVolumes {
-                        needed: len.as_bytes(),
-                    })
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        self.note_path(data_path, len);
-        let t = match data_path {
-            DataPath::Lan => {
-                let t = self.shared.cluster.charge_nic(self.shared.node, t, len).end;
-                server.charge_lan(t, len)
-            }
-            DataPath::LanFree => self.shared.cluster.charge_san(self.shared.node, t, len).end,
-        };
-        let stored_at = t;
-        let (addr, t) = server
-            .library()
-            .write_object(drive, self.agent_id(), objid, content, t)?;
-        let t = server.meta_op(t);
-        server.register(TsmObject {
-            objid,
-            path: path.to_string(),
-            fs_ino,
-            addr,
-            len: len.as_bytes(),
-            stored_at,
-            kind: ObjectKind::Simple,
-        });
-        Ok((objid, t))
     }
 
     /// Does this error mean "this replica is unreadable, try another"?
@@ -633,16 +529,8 @@ impl StorageAgent {
                 Err(e) => return Err(e.into()),
             }
         };
-        let len = DataSize::from_bytes(content.len());
         // Data travels drive → node (SAN) or drive → server → network → node.
-        self.note_path(data_path, len);
-        let t = match data_path {
-            DataPath::Lan => {
-                let t = server.charge_lan(t, len);
-                self.shared.cluster.charge_nic(self.shared.node, t, len).end
-            }
-            DataPath::LanFree => self.shared.cluster.charge_san(self.shared.node, t, len).end,
-        };
+        let t = self.move_data(data_path, DataSize::from_bytes(content.len()), t, false);
         Ok((content, t))
     }
 
@@ -665,23 +553,27 @@ mod tests {
         (cluster, server)
     }
 
+    /// Store synthetic object `i` (`bytes` long) on the agent's own volume.
+    fn put(
+        a: &StorageAgent,
+        i: u64,
+        bytes: u64,
+        ready: SimInstant,
+        dp: DataPath,
+    ) -> (u64, SimInstant) {
+        let content = Content::synthetic(i, bytes);
+        a.store(&format!("/f{i}"), i, content, ready, dp, Volume::Agent)
+            .unwrap()
+    }
+
     #[test]
     fn store_fetch_roundtrip_lanfree() {
         let (cluster, server) = setup(2, 2, 4);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
-        let content = Content::synthetic(3, 50 << 20);
-        let (objid, t1) = agent
-            .store(
-                "/f",
-                9,
-                content.clone(),
-                SimInstant::EPOCH,
-                DataPath::LanFree,
-            )
-            .unwrap();
+        let (objid, t1) = put(&agent, 3, 50 << 20, SimInstant::EPOCH, DataPath::LanFree);
         assert!(server.contains(objid));
         let (back, t2) = agent.fetch(objid, t1, DataPath::LanFree).unwrap();
-        assert!(back.eq_content(&content));
+        assert!(back.eq_content(&Content::synthetic(3, 50 << 20)));
         assert!(t2 > t1);
     }
 
@@ -691,16 +583,7 @@ mod tests {
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
         let mut cursor = SimInstant::EPOCH;
         for i in 0..3 {
-            let (_, t) = agent
-                .store(
-                    &format!("/f{i}"),
-                    i,
-                    Content::synthetic(i, 10 << 20),
-                    cursor,
-                    DataPath::LanFree,
-                )
-                .unwrap();
-            cursor = t;
+            cursor = put(&agent, i, 10 << 20, cursor, DataPath::LanFree).1;
         }
         // one mount total
         assert_eq!(server.library().stats().totals.mounts, 1);
@@ -711,22 +594,8 @@ mod tests {
         let (cluster, server) = setup(2, 2, 4);
         let a0 = StorageAgent::new(NodeId(0), cluster.clone(), server.clone());
         let a1 = StorageAgent::new(NodeId(1), cluster, server.clone());
-        a0.store(
-            "/a",
-            1,
-            Content::synthetic(1, 1 << 20),
-            SimInstant::EPOCH,
-            DataPath::LanFree,
-        )
-        .unwrap();
-        a1.store(
-            "/b",
-            2,
-            Content::synthetic(2, 1 << 20),
-            SimInstant::EPOCH,
-            DataPath::LanFree,
-        )
-        .unwrap();
+        put(&a0, 1, 1 << 20, SimInstant::EPOCH, DataPath::LanFree);
+        put(&a1, 2, 1 << 20, SimInstant::EPOCH, DataPath::LanFree);
         let objs = server.objects();
         assert_eq!(objs.len(), 2);
         assert_ne!(
@@ -746,16 +615,7 @@ mod tests {
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
         let mut cursor = SimInstant::EPOCH;
         for i in 0..4u64 {
-            let (_, t) = agent
-                .store(
-                    &format!("/f{i}"),
-                    i,
-                    Content::synthetic(i, 10 << 20),
-                    cursor,
-                    DataPath::LanFree,
-                )
-                .unwrap();
-            cursor = t;
+            cursor = put(&agent, i, 10 << 20, cursor, DataPath::LanFree).1;
         }
         let tapes: std::collections::BTreeSet<_> =
             server.objects().iter().map(|o| o.addr.tape).collect();
@@ -778,24 +638,8 @@ mod tests {
         );
         let a0 = StorageAgent::new(NodeId(0), cluster.clone(), server.clone());
         let a1 = StorageAgent::new(NodeId(1), cluster.clone(), server.clone());
-        let (_, t0) = a0
-            .store(
-                "/a",
-                1,
-                Content::synthetic(1, 1 << 30),
-                SimInstant::EPOCH,
-                DataPath::Lan,
-            )
-            .unwrap();
-        let (_, t1) = a1
-            .store(
-                "/b",
-                2,
-                Content::synthetic(2, 1 << 30),
-                SimInstant::EPOCH,
-                DataPath::Lan,
-            )
-            .unwrap();
+        let (_, t0) = put(&a0, 1, 1 << 30, SimInstant::EPOCH, DataPath::Lan);
+        let (_, t1) = put(&a1, 2, 1 << 30, SimInstant::EPOCH, DataPath::Lan);
         // Each GB takes ~8.6 s on the 1 Gbit server NIC; serialized ≈ 17 s.
         let makespan = t0.max(t1).as_secs_f64();
         assert!(makespan > 15.0, "LAN makespan {makespan}");
@@ -814,24 +658,8 @@ mod tests {
         );
         let b0 = StorageAgent::new(NodeId(0), cluster2.clone(), server2.clone());
         let b1 = StorageAgent::new(NodeId(1), cluster2, server2);
-        let (_, u0) = b0
-            .store(
-                "/a",
-                1,
-                Content::synthetic(1, 1 << 30),
-                SimInstant::EPOCH,
-                DataPath::LanFree,
-            )
-            .unwrap();
-        let (_, u1) = b1
-            .store(
-                "/b",
-                2,
-                Content::synthetic(2, 1 << 30),
-                SimInstant::EPOCH,
-                DataPath::LanFree,
-            )
-            .unwrap();
+        let (_, u0) = put(&b0, 1, 1 << 30, SimInstant::EPOCH, DataPath::LanFree);
+        let (_, u1) = put(&b1, 2, 1 << 30, SimInstant::EPOCH, DataPath::LanFree);
         let lanfree_makespan = u0.max(u1).as_secs_f64();
         assert!(
             lanfree_makespan < makespan / 2.0,
@@ -844,22 +672,16 @@ mod tests {
         use copra_faults::FaultPlan;
         let (cluster, server) = setup(1, 2, 4);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
-        let c1 = Content::synthetic(1, 20 << 20);
-        let (_, t1) = agent
-            .store("/a", 1, c1, SimInstant::EPOCH, DataPath::LanFree)
-            .unwrap();
+        let (_, t1) = put(&agent, 1, 20 << 20, SimInstant::EPOCH, DataPath::LanFree);
         // The drive streaming this agent's volume hard-fails before the
         // next store touches it.
         let lib = server.library().clone();
         lib.arm_faults(FaultPlan::new(3).fail_drive(0, t1).arm(lib.obs().clone()));
-        let c2 = Content::synthetic(2, 20 << 20);
-        let (obj2, t2) = agent
-            .store("/b", 2, c2.clone(), t1, DataPath::LanFree)
-            .unwrap();
+        let (obj2, t2) = put(&agent, 2, 20 << 20, t1, DataPath::LanFree);
         assert!(lib.is_fenced(DriveId(0)).unwrap());
         // The write landed on the healthy drive and the bytes are intact.
         let (back, _) = agent.fetch(obj2, t2, DataPath::LanFree).unwrap();
-        assert!(back.eq_content(&c2));
+        assert!(back.eq_content(&Content::synthetic(2, 20 << 20)));
         let snap = lib.obs().snapshot();
         assert_eq!(snap.counter("faults.fences"), 1);
         assert!(snap.counter("faults.retries") >= 1, "backoff retry counted");
@@ -870,15 +692,7 @@ mod tests {
         use copra_faults::FaultPlan;
         let (cluster, server) = setup(1, 1, 2);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
-        let (objid, t1) = agent
-            .store(
-                "/a",
-                1,
-                Content::synthetic(1, 4 << 20),
-                SimInstant::EPOCH,
-                DataPath::LanFree,
-            )
-            .unwrap();
+        let (objid, t1) = put(&agent, 1, 4 << 20, SimInstant::EPOCH, DataPath::LanFree);
         let lib = server.library().clone();
         // Every operation faults: the bounded budget must give up.
         lib.arm_faults(
@@ -920,25 +734,13 @@ mod tests {
         let server = TsmServer::roadrunner(fleet);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
         let content = Content::synthetic(5, 30 << 20);
-        let (primary, t1) = agent
-            .store(
-                "/f",
-                9,
-                content.clone(),
-                SimInstant::EPOCH,
-                DataPath::LanFree,
-            )
-            .unwrap();
+        let (primary, t1) = put(&agent, 5, 30 << 20, SimInstant::EPOCH, DataPath::LanFree);
+        let volume = Volume::InLibrary {
+            lib: LibraryId(1),
+            avoid: &[],
+        };
         let (replica, t2) = agent
-            .store_replica(
-                "/f",
-                9,
-                content.clone(),
-                t1,
-                DataPath::LanFree,
-                LibraryId(1),
-                &[],
-            )
+            .store("/f5", 5, content.clone(), t1, DataPath::LanFree, volume)
             .unwrap();
         server.register_copy(primary, replica);
         assert_eq!(
@@ -962,6 +764,47 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// A replica write whose drive dies between mount and write re-places
+    /// inside its own library: never onto an avoided volume, never onto
+    /// (or over) the agent's sticky volume.
+    #[test]
+    fn replica_store_re_places_within_its_library_after_a_drive_failure() {
+        use copra_faults::FaultPlan;
+        use copra_simtime::SimDuration;
+        use copra_tape::TapeFleet;
+        let cluster = FtaCluster::new(ClusterConfig::tiny(1));
+        let fleet = TapeFleet::new_uniform(2, 2, 4, TapeTiming::lto4(), copra_obs::Registry::new());
+        let server = TsmServer::roadrunner(fleet);
+        let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
+        let (_, t1) = put(&agent, 8, 20 << 20, SimInstant::EPOCH, DataPath::LanFree);
+        let sticky = agent.shared.state.lock().current;
+        assert!(sticky.is_some());
+        // Drive 2 (library 1's first) dies after the replica's mount
+        // request but before its write lands.
+        let lib = server.library().clone();
+        let plan = FaultPlan::new(11).fail_drive(2, t1 + SimDuration::from_secs(1));
+        lib.arm_faults(plan.arm(lib.obs().clone()));
+        let avoid = [TapeId(4)];
+        let volume = Volume::InLibrary {
+            lib: LibraryId(1),
+            avoid: &avoid,
+        };
+        let content = Content::synthetic(8, 20 << 20);
+        let (replica, t2) = agent
+            .store("/f8", 8, content.clone(), t1, DataPath::LanFree, volume)
+            .unwrap();
+        assert!(
+            lib.is_fenced(DriveId(2)).unwrap(),
+            "the write hit the dead drive"
+        );
+        let tape = server.get(replica).unwrap().addr.tape;
+        assert_eq!(lib.library_of_tape(tape), Some(LibraryId(1)));
+        assert!(!avoid.contains(&tape), "landed on avoided {tape}");
+        assert_eq!(agent.shared.state.lock().current, sticky);
+        let (back, _) = agent.fetch_exact(replica, t2, DataPath::LanFree).unwrap();
+        assert!(back.eq_content(&content));
     }
 
     #[test]

@@ -210,6 +210,7 @@ mod tests {
                 NodeId(1),
                 DataPath::LanFree,
                 SimInstant::from_secs(1000),
+                None,
             )
             .unwrap();
         assert!(t > SimInstant::from_secs(1000));
@@ -227,7 +228,7 @@ mod tests {
             let mut cursor = SimInstant::EPOCH;
             for &ino in &files {
                 let (_, t) = hsm
-                    .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                    .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                     .unwrap();
                 cursor = t;
             }
@@ -262,6 +263,7 @@ mod tests {
             DataPath::LanFree,
             SimInstant::EPOCH,
             false,
+            None,
         )
         .unwrap();
         assert!(migrate_aggregated(

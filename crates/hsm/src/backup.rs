@@ -8,7 +8,7 @@
 //! client already aggregates small files while migration does not — so
 //! aggregation is built into the backup path here from the start.
 
-use crate::agent::DataPath;
+use crate::agent::{DataPath, Volume};
 use crate::error::{HsmError, HsmResult};
 use crate::hsm::Hsm;
 use copra_cluster::NodeId;
@@ -59,9 +59,9 @@ impl Hsm {
         let r = self
             .pfs()
             .charge_read(ino, ready, DataSize::from_bytes(content.len()));
-        let (objid, t) = self
-            .agent(node)
-            .store(&path, ino.0, content, r.end, data_path)?;
+        let (objid, t) =
+            self.agent(node)
+                .store(&path, ino.0, content, r.end, data_path, Volume::Agent)?;
         let t = self.register_backup_version(ino, objid, t, retain)?;
         // Residency is untouched — backup is not migration.
         debug_assert_eq!(self.pfs().hsm_state(ino)?, state_before);
@@ -314,8 +314,15 @@ mod tests {
         let ino = pfs
             .create_file("/f", 0, Content::synthetic(1, 1000))
             .unwrap();
-        hsm.migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
-            .unwrap();
+        hsm.migrate_file(
+            ino,
+            NodeId(0),
+            DataPath::LanFree,
+            SimInstant::EPOCH,
+            true,
+            None,
+        )
+        .unwrap();
         assert!(matches!(
             hsm.backup_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, 3),
             Err(HsmError::WrongState { .. })

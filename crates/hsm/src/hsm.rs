@@ -1,7 +1,7 @@
 //! File-level HSM: migrate / recall against the archive file system, and
 //! the per-node recall daemons with their assignment policies (§6.2).
 
-use crate::agent::{DataPath, StorageAgent};
+use crate::agent::{DataPath, StorageAgent, Volume};
 use crate::error::{HsmError, HsmResult};
 use crate::server::TsmServer;
 use copra_cluster::{FtaCluster, NodeId};
@@ -27,8 +27,8 @@ pub enum PlacementPolicy {
     /// of an object sits in a different library when the fleet has one to
     /// spare — a whole-library outage then leaves a recallable copy.
     /// With a single library the replicas still land on distinct volumes
-    /// (classic copy groups). Collocated migrates keep their group's
-    /// volume for the primary; replicas follow the round-robin.
+    /// (classic copy groups). A collocated migrate keeps its group's
+    /// volume for the primary; its replicas follow the round-robin.
     Mirror { copies: u32 },
 }
 
@@ -169,8 +169,12 @@ impl Hsm {
     /// Migrate one file to tape via the agent on `node`: read from the
     /// archive pool, store as one TSM object, mark the file premigrated,
     /// and (optionally) punch the hole so only the stub remains.
+    /// `collocate` steers the primary to that co-location group's volume
+    /// (§4 feature list item 5); replicas follow the placement policy.
     ///
     /// One file = one tape transaction — precisely the §6.1 behaviour.
+    /// Emits `hsm.migrate` keyed by ino with `hsm.pfs.read` /
+    /// `hsm.agent.store` / `journal.intent.migrate-commit` children.
     pub fn migrate_file(
         &self,
         ino: Ino,
@@ -178,21 +182,7 @@ impl Hsm {
         data_path: DataPath,
         ready: SimInstant,
         punch: bool,
-    ) -> HsmResult<(u64, SimInstant)> {
-        self.migrate_file_ctx(ino, node, data_path, ready, punch, None)
-    }
-
-    /// [`Hsm::migrate_file`] under a caller span (the core migrator, a
-    /// policy sweep). Emits `hsm.migrate` keyed by ino with `hsm.pfs.read`
-    /// / `hsm.agent.store` / `journal.intent.migrate-commit` children.
-    pub fn migrate_file_ctx(
-        &self,
-        ino: Ino,
-        node: NodeId,
-        data_path: DataPath,
-        ready: SimInstant,
-        punch: bool,
-        parent: Option<SpanContext>,
+        collocate: Option<&str>,
     ) -> HsmResult<(u64, SimInstant)> {
         let state = self.pfs.hsm_state(ino)?;
         match state {
@@ -214,7 +204,7 @@ impl Hsm {
             }
         }
         let tracer = self.tracer();
-        let guard = tracer.span(parent, "hsm.migrate", ino.0, ready);
+        let guard = tracer.span(None, "hsm.migrate", ino.0, ready);
         let gctx = guard.as_ref().map(|g| g.ctx());
         let path = self.pfs.path_of(ino)?;
         let content = self.pfs.vfs().peek_content(ino)?;
@@ -241,9 +231,10 @@ impl Hsm {
         let r = self.pfs.charge_read(ino, ready, len);
         tracer.record_closed(gctx, "hsm.pfs.read", ino.0, ready, r.end, w0);
         let w1 = tracer.wall_now_ns();
-        let (objid, t) = self
-            .agent(node)
-            .store(&path, ino.0, content.clone(), r.end, data_path)?;
+        let volume = collocate.map_or(Volume::Agent, Volume::Group);
+        let (objid, t) =
+            self.agent(node)
+                .store(&path, ino.0, content.clone(), r.end, data_path, volume)?;
         tracer.record_closed(gctx, "hsm.agent.store", ino.0, r.end, t, w1);
         self.journal.annotate_objid(seq, objid);
         self.server.crash_point("migrate.after_store", t)?;
@@ -352,15 +343,11 @@ impl Hsm {
                 } else {
                     cursor
                 };
-                match self.agent(node).store_replica(
-                    path,
-                    ino.0,
-                    content.clone(),
-                    t0,
-                    data_path,
-                    lib,
-                    &used,
-                ) {
+                let volume = Volume::InLibrary { lib, avoid: &used };
+                match self
+                    .agent(node)
+                    .store(path, ino.0, content.clone(), t0, data_path, volume)
+                {
                     Ok((copy, t)) => {
                         cursor = t;
                         if let Some(seq) = seq {
@@ -418,104 +405,11 @@ impl Hsm {
         Ok(report)
     }
 
-    /// Like [`Hsm::migrate_file`], but the object is steered to the
-    /// co-location group's volume (§4 feature list item 5) — restoring a
-    /// whole group then needs the fewest mounts.
-    pub fn migrate_file_collocated(
-        &self,
-        ino: Ino,
-        node: NodeId,
-        data_path: DataPath,
-        ready: SimInstant,
-        punch: bool,
-        group: &str,
-    ) -> HsmResult<(u64, SimInstant)> {
-        let state = self.pfs.hsm_state(ino)?;
-        if state != HsmState::Resident {
-            return Err(HsmError::WrongState {
-                ino: ino.0,
-                state: state.to_string(),
-                needed: "resident".to_string(),
-            });
-        }
-        let path = self.pfs.path_of(ino)?;
-        let content = self.pfs.vfs().peek_content(ino)?;
-        let len = DataSize::from_bytes(content.len());
-        let r = self.pfs.charge_read(ino, ready, len);
-        let (objid, t) = self
-            .agent(node)
-            .store_collocated(&path, ino.0, content, r.end, data_path, group)?;
-        self.pfs.mark_premigrated(ino, objid)?;
-        if punch {
-            self.pfs.punch_hole(ino)?;
-        }
-        self.metrics.migrate_ops.inc();
-        self.server.obs().event(
-            t,
-            EventKind::Migrate {
-                bytes: len.as_bytes(),
-            },
-        );
-        Ok((objid, t))
-    }
-
-    /// Like [`Hsm::migrate_file`], but additionally writes `extra_copies`
-    /// copies of the object onto *distinct volumes* (§3.1-7's "multiple
-    /// copies" requirement). Recall transparently falls back to a copy if
-    /// the primary is deleted or its media fails.
-    pub fn migrate_file_with_copies(
-        &self,
-        ino: Ino,
-        node: NodeId,
-        data_path: DataPath,
-        ready: SimInstant,
-        punch: bool,
-        extra_copies: u32,
-    ) -> HsmResult<(u64, SimInstant)> {
-        let (primary, mut cursor) = self.migrate_file(ino, node, data_path, ready, false)?;
-        if extra_copies > 0 {
-            let path = self.pfs.path_of(ino)?;
-            let content = self.pfs.vfs().peek_content(ino)?;
-            let mut used = vec![self.server.get(primary)?.addr.tape];
-            for _ in 0..extra_copies {
-                let r = self
-                    .pfs
-                    .charge_read(ino, cursor, DataSize::from_bytes(content.len()));
-                let (copy, t) = self.agent(node).store_copy(
-                    &path,
-                    ino.0,
-                    content.clone(),
-                    r.end,
-                    data_path,
-                    &used,
-                )?;
-                cursor = t;
-                used.push(self.server.get(copy)?.addr.tape);
-                self.server.register_copy(primary, copy);
-            }
-        }
-        if punch {
-            self.pfs.punch_hole(ino)?;
-        }
-        Ok((primary, cursor))
-    }
-
     /// Recall one migrated file through the daemon on `node`: fetch from
-    /// tape, write back into the archive pool, restore the stub.
+    /// tape, write back into the archive pool, restore the stub. Emits
+    /// `hsm.recall` keyed by ino under `parent` (a PFTool tape restore, a
+    /// stager dispatch) with `hsm.agent.fetch` / `hsm.pfs.write` children.
     pub fn recall_file(
-        &self,
-        ino: Ino,
-        node: NodeId,
-        data_path: DataPath,
-        ready: SimInstant,
-    ) -> HsmResult<SimInstant> {
-        self.recall_file_ctx(ino, node, data_path, ready, None)
-    }
-
-    /// [`Hsm::recall_file`] under a caller span (a PFTool tape restore, a
-    /// fuse fault-in). Emits `hsm.recall` keyed by ino with
-    /// `hsm.agent.fetch` / `hsm.pfs.write` children.
-    pub fn recall_file_ctx(
         &self,
         ino: Ino,
         node: NodeId,
@@ -624,7 +518,7 @@ impl Hsm {
         let mut completions = Vec::with_capacity(resolved.len());
         let mut makespan = ready;
         for ((ino, _), node) in resolved.iter().zip(assignments) {
-            let end = self.recall_file(*ino, node, data_path, ready)?;
+            let end = self.recall_file(*ino, node, data_path, ready, None)?;
             completions.push((*ino, end));
             makespan = makespan.max(end);
         }
@@ -664,7 +558,14 @@ mod tests {
         let ino = pfs.create_file("/proj/f", 0, content.clone()).unwrap();
 
         let (objid, t1) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
             .unwrap();
         assert_eq!(pfs.hsm_state(ino).unwrap(), HsmState::Migrated);
         assert!(hsm.server().contains(objid));
@@ -674,7 +575,7 @@ mod tests {
         ));
 
         let t2 = hsm
-            .recall_file(ino, NodeId(1), DataPath::LanFree, t1)
+            .recall_file(ino, NodeId(1), DataPath::LanFree, t1, None)
             .unwrap();
         assert!(t2 > t1);
         assert_eq!(pfs.hsm_state(ino).unwrap(), HsmState::Premigrated);
@@ -692,11 +593,18 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(1, 1 << 20))
             .unwrap();
         let (objid, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, false)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                false,
+                None,
+            )
             .unwrap();
         assert_eq!(pfs.hsm_state(ino).unwrap(), HsmState::Premigrated);
         let (objid2, t2) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, t, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, t, true, None)
             .unwrap();
         assert_eq!(objid, objid2);
         assert_eq!(t2, t, "no new tape transaction");
@@ -712,7 +620,7 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(1, 100))
             .unwrap();
         assert!(matches!(
-            hsm.recall_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH),
+            hsm.recall_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, None),
             Err(HsmError::WrongState { .. })
         ));
     }
@@ -732,7 +640,7 @@ mod tests {
                     .create_file(&format!("/f{i}"), 0, Content::synthetic(i, 200 << 20))
                     .unwrap();
                 let (_, t) = hsm
-                    .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                    .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                     .unwrap();
                 cursor = t;
                 inos.push(ino);
@@ -780,7 +688,7 @@ mod tests {
                 )
                 .unwrap();
             let (_, t) = hsm
-                .migrate_file_collocated(ino, NodeId(0), DataPath::LanFree, cursor, true, group)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, Some(group))
                 .unwrap();
             cursor = t;
             by_group.entry(group).or_default().push(ino);
@@ -817,7 +725,7 @@ mod tests {
                 .create_file(&format!("/f{i}"), 0, Content::synthetic(i, 1 << 20))
                 .unwrap();
             let (_, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .unwrap();
             cursor = t;
             inos.push(ino);

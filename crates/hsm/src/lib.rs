@@ -34,7 +34,7 @@ pub mod reclaim;
 pub mod reconcile;
 pub mod server;
 
-pub use agent::{DataPath, StorageAgent};
+pub use agent::{DataPath, StorageAgent, Volume};
 pub use backup::{BackupOutcome, BackupVersion};
 pub use error::{HsmError, HsmResult};
 pub use hsm::{Hsm, PlacementPolicy, RecallPolicy, RecallRequest};

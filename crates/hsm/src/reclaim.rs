@@ -94,6 +94,7 @@ pub fn reclaim_volume(
             // Write it to a different volume.
             let (target, t) = server.assign_volume_avoiding(
                 copra_simtime::DataSize::from_bytes(len),
+                None,
                 &[tape],
                 cursor,
             )?;
@@ -104,6 +105,7 @@ pub fn reclaim_volume(
                     // someone grabbed it; ask again next iteration
                     let (target2, t2) = server.assign_volume_avoiding(
                         copra_simtime::DataSize::from_bytes(len),
+                        None,
                         &[tape],
                         cursor,
                     )?;
@@ -190,7 +192,7 @@ mod tests {
             let c = Content::synthetic(i, 3_000_000);
             let ino = pfs.create_file(&format!("/f{i}"), 0, c.clone()).unwrap();
             let (_, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .unwrap();
             cursor = t;
             inos.push(ino);
@@ -225,7 +227,7 @@ mod tests {
         let mut t = report.end;
         for (&ino, content) in inos.iter().zip(&contents).skip(6) {
             t = hsm
-                .recall_file(ino, NodeId(1), DataPath::LanFree, t)
+                .recall_file(ino, NodeId(1), DataPath::LanFree, t, None)
                 .unwrap();
             let got = pfs.vfs().peek_content(ino).unwrap();
             assert!(got.eq_content(content));
@@ -243,7 +245,14 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(1, 1_000_000))
             .unwrap();
         let (objid, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
             .unwrap();
         let addr = hsm.server().get(objid).unwrap().addr;
         hsm.server().library().damage_record(addr).unwrap();
@@ -251,23 +260,24 @@ mod tests {
         assert_eq!(report.lost_objects, vec![objid]);
         assert!(report.erased);
         assert!(matches!(
-            hsm.recall_file(ino, NodeId(0), DataPath::LanFree, report.end),
+            hsm.recall_file(ino, NodeId(0), DataPath::LanFree, report.end, None),
             Err(HsmError::NoSuchObject(_))
         ));
 
-        // With a copy group: the same damage is absorbed.
+        // With a second copy: the same damage is absorbed.
         let hsm = setup();
+        hsm.set_placement(crate::PlacementPolicy::Mirror { copies: 2 });
         let pfs = hsm.pfs().clone();
         let content = Content::synthetic(2, 1_000_000);
         let ino = pfs.create_file("/g", 0, content.clone()).unwrap();
         let (objid, t) = hsm
-            .migrate_file_with_copies(
+            .migrate_file(
                 ino,
                 NodeId(0),
                 DataPath::LanFree,
                 SimInstant::EPOCH,
                 true,
-                1,
+                None,
             )
             .unwrap();
         let addr = hsm.server().get(objid).unwrap().addr;
@@ -280,7 +290,7 @@ mod tests {
         );
         hsm.server().library().damage_record(addr).unwrap();
         let t2 = hsm
-            .recall_file(ino, NodeId(1), DataPath::LanFree, t)
+            .recall_file(ino, NodeId(1), DataPath::LanFree, t, None)
             .unwrap();
         assert!(t2 > t);
         let got = pfs.vfs().peek_content(ino).unwrap();
@@ -297,7 +307,7 @@ mod tests {
                 .create_file(&format!("/f{i}"), 0, Content::synthetic(i, 1_000_000))
                 .unwrap();
             let (objid, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .unwrap();
             cursor = t;
             if i < 3 {

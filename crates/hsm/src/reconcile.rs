@@ -547,7 +547,7 @@ mod tests {
                 .create_file(&format!("/f{i}"), 0, Content::synthetic(i, 1 << 20))
                 .unwrap();
             let (_, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .unwrap();
             cursor = t;
         }
@@ -569,7 +569,7 @@ mod tests {
                 .create_file(&format!("/f{i}"), 0, Content::synthetic(i, 1 << 20))
                 .unwrap();
             let (objid, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .unwrap();
             cursor = t;
             objids.push(objid);
@@ -601,7 +601,14 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(1, 1 << 20))
             .unwrap();
         let (objid, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, false)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                false,
+                None,
+            )
             .unwrap();
         // Overwrite while premigrated: the old tape copy becomes stale.
         pfs.write_at(ino, 0, Content::literal(&b"fresh data"[..]))
@@ -622,7 +629,7 @@ mod tests {
                 .create_file(&format!("/f{i}"), 0, Content::synthetic(i, 1 << 20))
                 .unwrap();
             let (objid, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, false)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, false, None)
                 .unwrap();
             cursor = t;
             pairs.push((ino, objid));
@@ -674,7 +681,14 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(1, 1 << 20))
             .unwrap();
         let (_, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
             .unwrap();
         let r = resilver(&hsm, NodeId(0), DataPath::LanFree, t).unwrap();
         assert_eq!(r.examined, 0);
@@ -694,7 +708,7 @@ mod tests {
                 .create_file(&format!("/ok{i}"), 0, Content::synthetic(i, 1 << 20))
                 .unwrap();
             let (_, t) = hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .unwrap();
             cursor = t;
         }
@@ -704,7 +718,7 @@ mod tests {
             .create_file("/degraded", 0, Content::synthetic(9, 1 << 20))
             .unwrap();
         let (objid, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
         assert!(
@@ -745,7 +759,14 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(3, 1 << 20))
             .unwrap();
         let (objid, t) = hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
             .unwrap();
         let copies = hsm.server().copies_of(objid);
         assert_eq!(copies.len(), 1);

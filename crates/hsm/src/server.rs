@@ -191,27 +191,34 @@ impl TsmServer {
         len: DataSize,
         ready: SimInstant,
     ) -> HsmResult<(TapeId, SimInstant)> {
-        self.assign_volume_avoiding(len, &[], ready)
+        self.assign_volume_avoiding(len, None, &[], ready)
     }
 
     /// Volume assignment that additionally refuses the `avoid` volumes —
-    /// copy-group writes must land on a different cartridge than the
-    /// primary (and reclamation must not move data onto its own source).
+    /// replicas must land on a different cartridge than the primary (and
+    /// reclamation must not move data onto its own source). `lib` pins the
+    /// choice to one library of the fleet, so each replica gets its own
+    /// failure domain. Volumes in an offline library are never picked.
+    /// Same unmounted-first preference and metadata charge as
+    /// [`TsmServer::assign_volume`].
     pub fn assign_volume_avoiding(
         &self,
         len: DataSize,
+        lib: Option<LibraryId>,
         avoid: &[TapeId],
         ready: SimInstant,
     ) -> HsmResult<(TapeId, SimInstant)> {
         let t = self.meta_op(ready);
+        let fleet = &self.shared.library;
+        let with_space = match lib {
+            Some(lib) => fleet.tapes_with_space_in(lib, len),
+            None => fleet.tapes_with_space(len),
+        };
         // An offline library's volumes are unmountable — steer the write
         // to a surviving library instead of burning the mount-retry budget.
-        let candidates: Vec<TapeId> = self
-            .shared
-            .library
-            .tapes_with_space(len)
+        let candidates: Vec<TapeId> = with_space
             .into_iter()
-            .filter(|id| !avoid.contains(id) && !self.shared.library.tape_library_offline(*id, t))
+            .filter(|id| !avoid.contains(id) && !fleet.tape_library_offline(*id, t))
             .collect();
         if candidates.is_empty() {
             return Err(HsmError::OutOfVolumes {
@@ -221,39 +228,7 @@ impl TsmServer {
         let unmounted = candidates
             .iter()
             .copied()
-            .find(|id| self.shared.library.drive_holding(*id).is_none());
-        Ok((unmounted.unwrap_or(candidates[0]), t))
-    }
-
-    /// Volume assignment constrained to one library of the fleet — replica
-    /// placement steers each copy to its own library so a whole-library
-    /// outage leaves a recallable replica elsewhere. Same unmounted-first
-    /// preference as [`TsmServer::assign_volume_avoiding`]; one metadata
-    /// transaction.
-    pub fn assign_volume_in_library(
-        &self,
-        len: DataSize,
-        lib: LibraryId,
-        avoid: &[TapeId],
-        ready: SimInstant,
-    ) -> HsmResult<(TapeId, SimInstant)> {
-        let t = self.meta_op(ready);
-        let candidates: Vec<TapeId> = self
-            .shared
-            .library
-            .tapes_with_space_in(lib, len)
-            .into_iter()
-            .filter(|id| !avoid.contains(id))
-            .collect();
-        if candidates.is_empty() {
-            return Err(HsmError::OutOfVolumes {
-                needed: len.as_bytes(),
-            });
-        }
-        let unmounted = candidates
-            .iter()
-            .copied()
-            .find(|id| self.shared.library.drive_holding(*id).is_none());
+            .find(|id| fleet.drive_holding(*id).is_none());
         Ok((unmounted.unwrap_or(candidates[0]), t))
     }
 
@@ -279,7 +254,7 @@ impl TsmServer {
             }
         }
         let avoid: Vec<TapeId> = self.shared.collocation.read().values().copied().collect();
-        let (tape, t) = match self.assign_volume_avoiding(len, &avoid, ready) {
+        let (tape, t) = match self.assign_volume_avoiding(len, None, &avoid, ready) {
             Ok(ok) => ok,
             // All volumes spoken for by other groups: share.
             Err(HsmError::OutOfVolumes { .. }) => self.assign_volume(len, ready)?,
@@ -614,13 +589,13 @@ mod tests {
     }
 
     #[test]
-    fn assign_volume_in_library_stays_inside_that_library() {
+    fn assign_volume_avoiding_stays_inside_the_given_library() {
         use copra_tape::TapeFleet;
         let fleet = TapeFleet::new_uniform(2, 2, 4, TapeTiming::lto4(), copra_obs::Registry::new());
         let s = TsmServer::roadrunner(fleet);
         for lib in [LibraryId(0), LibraryId(1)] {
             let (tape, _) = s
-                .assign_volume_in_library(DataSize::mb(1), lib, &[], SimInstant::EPOCH)
+                .assign_volume_avoiding(DataSize::mb(1), Some(lib), &[], SimInstant::EPOCH)
                 .unwrap();
             assert_eq!(
                 s.library().library_of_tape(tape),
@@ -631,7 +606,12 @@ mod tests {
         // avoid-list is honoured inside the constrained set too
         let all_lib1: Vec<TapeId> = (4..8).map(TapeId).collect();
         assert!(matches!(
-            s.assign_volume_in_library(DataSize::mb(1), LibraryId(1), &all_lib1, SimInstant::EPOCH),
+            s.assign_volume_avoiding(
+                DataSize::mb(1),
+                Some(LibraryId(1)),
+                &all_lib1,
+                SimInstant::EPOCH
+            ),
             Err(HsmError::OutOfVolumes { .. })
         ));
     }

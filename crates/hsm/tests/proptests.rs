@@ -39,7 +39,7 @@ proptest! {
             let content = Content::synthetic(i as u64 + 7, *size);
             let ino = pfs.create_file(&path, 0, content.clone()).unwrap();
             let (_, t) = hsm
-                .migrate_file(ino, NodeId(*node as u32), DataPath::LanFree, cursor, *punch)
+                .migrate_file(ino, NodeId(*node as u32), DataPath::LanFree, cursor, *punch, None)
                 .unwrap();
             cursor = t;
             let state = pfs.hsm_state(ino).unwrap();
@@ -106,7 +106,7 @@ proptest! {
         let mut cursor = out.end;
         for (i, (&ino, content)) in inos.iter().zip(&contents).enumerate() {
             if i % 2 == 0 {
-                cursor = hsm.recall_file(ino, NodeId(1), DataPath::LanFree, cursor).unwrap();
+                cursor = hsm.recall_file(ino, NodeId(1), DataPath::LanFree, cursor, None).unwrap();
                 let got = pfs.vfs().peek_content(ino).unwrap();
                 prop_assert!(got.eq_content(content), "member {i} corrupted");
             }

@@ -716,7 +716,7 @@ impl Engine<'_> {
         for (path, ino, parent) in &job.files {
             let guard = tracer.span(job.ctx, "pftool.tape_restore", ino.0, cursor);
             let ctx = guard.as_ref().map(|g| g.ctx());
-            match hsm.recall_file_ctx(*ino, node, self.config.data_path, cursor, ctx) {
+            match hsm.recall_file(*ino, node, self.config.data_path, cursor, ctx) {
                 Ok(end) => {
                     copra_trace::finish_opt(guard, end);
                     restored.push((path.clone(), end, parent.clone()));

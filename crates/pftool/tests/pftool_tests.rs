@@ -213,7 +213,7 @@ fn migrated_sources_are_restored_then_copied() {
         let ino = apfs.create_file(&path, 0, content.clone()).unwrap();
         let (_, t) = r
             .hsm
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
         originals.push((path, content));
@@ -251,7 +251,7 @@ fn tape_ordering_reduces_restore_time() {
                 .unwrap();
             let (_, t) = r
                 .hsm
-                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+                .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .unwrap();
             cursor = t;
         }
@@ -458,7 +458,14 @@ fn premigrated_sources_copy_without_recall() {
             .unwrap();
         let (_, t) = r
             .hsm
-            .migrate_file(ino, NodeId(0), copra_hsm::DataPath::LanFree, cursor, false)
+            .migrate_file(
+                ino,
+                NodeId(0),
+                copra_hsm::DataPath::LanFree,
+                cursor,
+                false,
+                None,
+            )
             .unwrap();
         cursor = t;
     }
@@ -493,6 +500,7 @@ fn pfls_shows_residency_without_recalling() {
             copra_hsm::DataPath::LanFree,
             SimInstant::EPOCH,
             true,
+            None,
         )
         .unwrap();
     apfs.create_file("/arch/hot.dat", 7, Content::synthetic(2, 1000))
@@ -535,7 +543,14 @@ fn chunked_file_with_migrated_chunks_restores() {
     for c in fuse.chunks("/arch/big.bin").unwrap() {
         let (_, t) = r
             .hsm
-            .migrate_file(c.ino, NodeId(0), copra_hsm::DataPath::LanFree, cursor, true)
+            .migrate_file(
+                c.ino,
+                NodeId(0),
+                copra_hsm::DataPath::LanFree,
+                cursor,
+                true,
+                None,
+            )
             .unwrap();
         cursor = t;
     }

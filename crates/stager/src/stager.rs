@@ -417,7 +417,7 @@ impl Stager {
             let dctx = dguard.as_ref().map(|g| g.ctx());
             let end = self
                 .hsm
-                .recall_file_ctx(item.ino, node, DataPath::LanFree, now, dctx)?;
+                .recall_file(item.ino, node, DataPath::LanFree, now, dctx)?;
             finish_opt(dguard, end);
             st.admission.launched(end);
             self.metrics.dispatched.inc();

@@ -29,7 +29,7 @@ fn archive_file(hsm: &Hsm, path: &str, seed: u64, bytes: u64, cursor: SimInstant
         .create_file(path, 0, Content::synthetic(seed, bytes))
         .unwrap();
     let (_objid, t) = hsm
-        .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+        .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
         .unwrap();
     t
 }

@@ -4,7 +4,8 @@
 //!   item: query the archive by owner / size / age / residency / volume
 //!   without recalling a single stub;
 //! * **copy storage pools** — §3.1-7's "multiple copies" requirement:
-//!   second tape copies on distinct volumes, with transparent fallback
+//!   `Mirror { copies: 2 }` placement writes a second tape copy on a
+//!   distinct volume of the single library, with transparent fallback
 //!   when the primary's media fails;
 //! * **volume reclamation** — dead space left by synchronous deletes is
 //!   consolidated and cartridges returned to scratch.
@@ -13,14 +14,17 @@
 
 use copra::cluster::NodeId;
 use copra::core::{ArchiveSearch, ArchiveSystem, Query, SystemConfig};
-use copra::hsm::{reclaim_eligible, DataPath};
+use copra::hsm::{reclaim_eligible, DataPath, PlacementPolicy};
 use copra::pfs::HsmState;
 use copra::simtime::SimInstant;
 use copra::vfs::Content;
 use copra::workloads::{mixed_tree, populate};
 
 fn main() {
-    let sys = ArchiveSystem::new(SystemConfig::test_small());
+    let sys = ArchiveSystem::new(SystemConfig {
+        placement: PlacementPolicy::Mirror { copies: 2 },
+        ..SystemConfig::test_small()
+    });
     let tree = mixed_tree(40, 5_000_000, 1.0, 4, 77);
     populate(sys.archive(), "/proj", &tree);
 
@@ -30,7 +34,7 @@ fn main() {
     for rec in &records {
         let (_, t) = sys
             .hsm()
-            .migrate_file_with_copies(rec.ino, NodeId(0), DataPath::LanFree, cursor, true, 1)
+            .migrate_file(rec.ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
     }
@@ -81,7 +85,13 @@ fn main() {
     sys.hsm().server().library().damage_record(addr).unwrap();
     let t = sys
         .hsm()
-        .recall_file(victim.ino, NodeId(1), DataPath::LanFree, sys.clock().now())
+        .recall_file(
+            victim.ino,
+            NodeId(1),
+            DataPath::LanFree,
+            sys.clock().now(),
+            None,
+        )
         .unwrap();
     sys.clock().advance_to(t);
     let back = sys.archive().vfs().peek_content(victim.ino).unwrap();

@@ -29,7 +29,7 @@ fn main() {
         let ino = sys.archive().resolve(&path).unwrap();
         let (_, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
     }

@@ -111,7 +111,7 @@ fn main() {
     assert_eq!(sys.archive().hsm_state(stub).unwrap(), HsmState::Migrated);
     let t = sys
         .hsm()
-        .recall_file(stub, NodeId(0), DataPath::LanFree, sys.clock().now())
+        .recall_file(stub, NodeId(0), DataPath::LanFree, sys.clock().now(), None)
         .unwrap();
     sys.clock().advance_to(t);
     println!(

@@ -32,7 +32,7 @@ fn main() {
     for rec in &records {
         let (_, t) = sys
             .hsm()
-            .migrate_file(rec.ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(rec.ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
     }
@@ -73,7 +73,7 @@ fn main() {
     assert_eq!(sys.archive().hsm_state(victim).unwrap(), HsmState::Migrated);
     let t = sys
         .hsm()
-        .recall_file(victim, NodeId(1), DataPath::LanFree, out.end)
+        .recall_file(victim, NodeId(1), DataPath::LanFree, out.end, None)
         .unwrap();
     let back = sys.archive().vfs().peek_content(victim).unwrap();
     println!(

@@ -34,7 +34,7 @@ fn build_migrated_archive(n: u64) -> (ArchiveSystem, Vec<copra::vfs::Ino>) {
             .unwrap();
         let (_, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
         inos.push(ino);

@@ -37,7 +37,7 @@ fn main() {
     for rec in records.iter().take(8) {
         let (_, t) = sys
             .hsm()
-            .migrate_file(rec.ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(rec.ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .expect("migrate");
         cursor = t;
     }

@@ -1,6 +1,7 @@
 //! The exhaustive crash-point sweep (the PR-5 headline test).
 //!
-//! A mixed migrate / sync-delete / trash-purge / reclaim scenario is run
+//! A mixed migrate / collocated-migrate / sync-delete / trash-purge /
+//! reclaim scenario is run
 //! once with an *empty* armed fault plan to enumerate every crash point
 //! the code path consults. Then, for every (site, occurrence) pair, a
 //! fresh system runs the same scenario, crashes there — genuinely torn
@@ -41,6 +42,9 @@ const FILES: [(&str, u64); 5] = [
     ("trash", 1_600_000),
 ];
 
+/// A sixth survivor, migrated into a co-location group after the others.
+const GROUPED: (&str, u64) = ("grouped", 1_800_000);
+
 struct Scenario {
     sys: ArchiveSystem,
     plane: Arc<FaultPlane>,
@@ -52,14 +56,15 @@ struct Scenario {
     end: SimInstant,
 }
 
-/// Run the mixed scenario: migrate everything (punching holes), trash and
-/// purge one file, sync-delete another, then space-reclaim the volume the
-/// deletes hollowed out. Stops dead at the armed crash point, if any.
+/// Run the mixed scenario: migrate everything (punching holes; the last
+/// file into a co-location group), trash and purge one file, sync-delete
+/// another, then space-reclaim the volume the deletes hollowed out. Stops
+/// dead at the armed crash point, if any.
 fn run_scenario(config: SystemConfig, crash: Option<(&str, u32)>) -> Scenario {
     let sys = ArchiveSystem::new(config);
     sys.archive().mkdir_p("/data").unwrap();
     let mut originals = BTreeMap::new();
-    for (i, (name, size)) in FILES.iter().enumerate() {
+    for (i, (name, size)) in FILES.iter().chain([&GROUPED]).enumerate() {
         let path = format!("/data/{name}");
         sys.archive()
             .create_file(&path, 0, Content::synthetic(10 + i as u64, *size))
@@ -79,12 +84,14 @@ fn run_scenario(config: SystemConfig, crash: Option<(&str, u32)>) -> Scenario {
         end: sys.clock().now(),
     };
 
-    // Phase A: migrate all five files to tape, punching the disk copies.
-    for (name, _) in FILES {
+    // Phase A: migrate all six files to tape, punching the disk copies;
+    // the sixth goes to its co-location group's volume.
+    let steps = FILES.iter().map(|(name, _)| (*name, None));
+    for (name, group) in steps.chain([(GROUPED.0, Some("project"))]) {
         let ino = sys.archive().resolve(&format!("/data/{name}")).unwrap();
         match sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, scen.end, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, scen.end, true, group)
         {
             Ok((_, t)) => scen.end = t,
             Err(HsmError::Crashed { site }) => {
@@ -220,7 +227,7 @@ fn recover_and_check(scen: &Scenario, site: &str, occurrence: u32) -> Outcome {
         }
         survivors.push(e.path.clone());
     }
-    for keep in ["/data/keep0", "/data/keep1", "/data/keep2"] {
+    for keep in ["/data/keep0", "/data/keep1", "/data/keep2", "/data/grouped"] {
         assert!(
             survivors.iter().any(|p| p == keep),
             "{ctx}: never-deleted file {keep} vanished (survivors: {survivors:?})"
@@ -284,6 +291,17 @@ fn sweep(mirrored: bool) -> (Vec<(String, u32)>, Vec<Outcome>) {
         if !points.contains(&p) {
             points.push(p);
         }
+    }
+    // The collocated migrate (the sixth) is swept like any other.
+    for site in [
+        "migrate.begin",
+        "agent.store.after_write",
+        "migrate.after_seal",
+    ] {
+        assert!(
+            points.contains(&(site.to_string(), 6)),
+            "collocated migrate never consulted {site}: {points:?}"
+        );
     }
     // The fault-free run itself must recover clean (replay-only).
     let clean = recover_and_check(&scen, "none", 0);
@@ -392,13 +410,13 @@ fn traced_crash_recovery_paints_recover_spans() {
     let ino = sys.archive().resolve("/data/a").unwrap();
     let (_, t) = sys
         .hsm()
-        .migrate_file(ino, NodeId(0), DataPath::LanFree, end, true)
+        .migrate_file(ino, NodeId(0), DataPath::LanFree, end, true, None)
         .unwrap();
     end = t;
     let ino = sys.archive().resolve("/data/b").unwrap();
     match sys
         .hsm()
-        .migrate_file(ino, NodeId(0), DataPath::LanFree, end, true)
+        .migrate_file(ino, NodeId(0), DataPath::LanFree, end, true, None)
     {
         Err(HsmError::Crashed { site }) => assert_eq!(site, "migrate.after_store"),
         other => panic!("expected the armed crash, got {other:?}"),

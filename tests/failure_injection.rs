@@ -57,7 +57,7 @@ fn reconcile_catches_out_of_band_deletes() {
     for (i, rec) in records.iter().enumerate() {
         let (objid, t) = sys
             .hsm()
-            .migrate_file(rec.ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(rec.ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
         if i % 4 == 0 {
@@ -90,12 +90,19 @@ fn recall_of_deleted_object_fails_cleanly() {
         .unwrap();
     let (objid, t) = sys
         .hsm()
-        .migrate_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, true)
+        .migrate_file(
+            ino,
+            NodeId(0),
+            DataPath::LanFree,
+            SimInstant::EPOCH,
+            true,
+            None,
+        )
         .unwrap();
     sys.hsm().server().delete_object(objid, t).unwrap();
     let err = sys
         .hsm()
-        .recall_file(ino, NodeId(0), DataPath::LanFree, t)
+        .recall_file(ino, NodeId(0), DataPath::LanFree, t, None)
         .unwrap_err();
     assert_eq!(err, HsmError::NoSuchObject(objid));
     // The stub is still a stub — not silently zeroed.
@@ -120,7 +127,7 @@ fn out_of_volumes_is_explicit() {
         let ino = pfs
             .create_file(&format!("/f{i}"), 0, Content::synthetic(i, 8_000_000))
             .unwrap();
-        match hsm.migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true) {
+        match hsm.migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None) {
             Ok((_, t)) => cursor = t,
             Err(e) => {
                 failed = Some(e);
@@ -145,7 +152,7 @@ fn stale_catalog_falls_back_to_server() {
             .unwrap();
         let (_, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
     }

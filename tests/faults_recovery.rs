@@ -85,7 +85,7 @@ fn run_campaign_with(faulty: bool, tracer: Option<Tracer>) -> (Outcome, MetricsS
         let ino = sys.archive().resolve(p).unwrap();
         let (objid, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         objids.insert(p.clone(), objid);
         cursor = t;

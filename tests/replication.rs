@@ -23,6 +23,7 @@ use copra::cluster::NodeId;
 use copra::core::{ArchiveSystem, SystemConfig};
 use copra::faults::FaultPlan;
 use copra::hsm::{resilver, scrub, DataPath, PlacementPolicy};
+use copra::journal::IntentKind;
 use copra::simtime::SimDuration;
 use copra::vfs::Content;
 
@@ -64,7 +65,7 @@ fn run_campaign() -> CampaignOutcome {
         let ino = sys.archive().resolve(path).unwrap();
         let (objid, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
         migrate_ends.push(t.as_nanos());
@@ -84,7 +85,7 @@ fn run_campaign() -> CampaignOutcome {
         let ino = sys.archive().resolve(path).unwrap();
         let (objid, t) = sys
             .hsm()
-            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true)
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
             .unwrap();
         cursor = t;
         migrate_ends.push(t.as_nanos());
@@ -102,7 +103,7 @@ fn run_campaign() -> CampaignOutcome {
         let ino = sys.archive().resolve(path).unwrap();
         let t = sys
             .hsm()
-            .recall_file(ino, NodeId(1), DataPath::LanFree, cursor)
+            .recall_file(ino, NodeId(1), DataPath::LanFree, cursor, None)
             .unwrap_or_else(|e| panic!("{path}: recall during outage failed: {e}"));
         assert!(t < outage_end, "{path}: recall ran past the outage window");
         cursor = t;
@@ -164,4 +165,45 @@ fn outage_campaign_fails_over_resilvers_and_is_deterministic() {
     // Run two: identical simulated history, to the nanosecond.
     let b = run_campaign();
     assert_eq!(a, b, "same seed must reproduce the identical campaign");
+}
+
+/// A collocated migrate is a first-class mirrored migrate: the primary
+/// lands on the group's volume, one replica lands in the other library,
+/// and the migrate's journal intent is sealed.
+#[test]
+fn collocated_migrate_is_mirrored_and_journaled() {
+    let sys = ArchiveSystem::new(SystemConfig::test_replicated(2));
+    sys.archive().mkdir_p("/data").unwrap();
+    let ino = sys
+        .archive()
+        .create_file("/data/g", 0, Content::synthetic(7, 1_500_000))
+        .unwrap();
+    let now = sys.clock().now();
+    let (objid, _) = sys
+        .hsm()
+        .migrate_file(ino, NodeId(0), DataPath::LanFree, now, true, Some("proj"))
+        .unwrap();
+    let server = sys.hsm().server();
+    let library_of = |id: u64| {
+        let tape = server.get(id).unwrap().addr.tape;
+        (tape, server.library().library_of_tape(tape).unwrap())
+    };
+    let (tape, lib) = library_of(objid);
+    assert_eq!(server.collocation_volume("proj"), Some(tape));
+    let copies = server.copies_of(objid);
+    assert_eq!(copies.len(), 1, "one replica under Mirror{{2}}");
+    assert_ne!(
+        library_of(copies[0]).1,
+        lib,
+        "replica shares the primary's library"
+    );
+    let sealed = sys.journal().sealed_intents();
+    assert!(
+        sealed.iter().any(|r| matches!(
+            r.kind,
+            IntentKind::MigrateCommit { ino: i, objid: Some(o), ref replicas, .. }
+                if i == ino.0 && o == objid && *replicas == copies
+        )),
+        "no sealed MigrateCommit for the collocated migrate: {sealed:?}"
+    );
 }
