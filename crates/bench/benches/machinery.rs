@@ -5,8 +5,8 @@
 //! cover the hot paths: content descriptor algebra, the rayon policy scan
 //! (the §4.2.1 claim), tree walking, the indexed catalog vs a full scan
 //! (the reason the paper exported TSM's DB to MySQL, §4.2.5), the TapeCQ
-//! ordering structure, migrator partitioning, and a small end-to-end
-//! `pfcp`.
+//! ordering structure, migrator partitioning, timeline reservations behind
+//! a full backfill gap list, and a small end-to-end `pfcp`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -17,7 +17,7 @@ use copra_metadb::{TsmCatalog, TsmObjectRow};
 use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
 use copra_pftool::queues::{TapeEntry, TapeQueues};
 use copra_pftool::PftoolConfig;
-use copra_simtime::{Clock, SimDuration, SimInstant};
+use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant, Timeline, TimelinePool};
 use copra_vfs::{Content, Ino};
 use copra_workloads::{mixed_tree, populate};
 
@@ -169,6 +169,52 @@ fn bench_migrator_partition(c: &mut Criterion) {
     g.finish();
 }
 
+/// Publish `n` idle gaps of 1 µs below the frontier, as a long run of
+/// out-of-order arrivals leaves behind; returns the frontier.
+fn skip_gaps(t: &Timeline, n: usize) -> SimInstant {
+    for _ in 0..n {
+        t.reserve(
+            t.next_free() + SimDuration::from_micros(1),
+            SimDuration::from_micros(9),
+        );
+    }
+    t.next_free()
+}
+
+fn bench_timeline_backfill(c: &mut Criterion) {
+    let mut g = c.benchmark_group("timeline_backfill");
+    g.sample_size(20);
+    // The gap list holds at most 1,024 gaps. Each op is ready just below
+    // the frontier and too long for any gap, so it looks for a backfill
+    // past every stale gap, then queues at the frontier and leaves the
+    // list as it was. One iteration is 1,000 ops: ms/iter reads as µs/op.
+    let t = Timeline::new("disk", Bandwidth::mb_per_sec(500), SimDuration::ZERO);
+    let ready = skip_gaps(&t, 1_024) - SimDuration::from_nanos(1);
+    g.bench_function("reserve_behind_1024_stale_gaps_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                black_box(t.reserve(black_box(ready), SimDuration::from_micros(10)));
+            }
+        })
+    });
+    // A 4-member pool probes every member, then claims on the best one.
+    let pool = TimelinePool::new("fast", 4, Bandwidth::mb_per_sec(500), SimDuration::ZERO);
+    let ready = pool
+        .members()
+        .iter()
+        .map(|m| skip_gaps(m, 1_024))
+        .min()
+        .unwrap();
+    g.bench_function("pool4_transfer_earliest_behind_stale_gaps_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                black_box(pool.transfer_earliest(black_box(ready), DataSize::mb(1)));
+            }
+        })
+    });
+    g.finish();
+}
+
 fn bench_pfcp_e2e(c: &mut Criterion) {
     let mut g = c.benchmark_group("pfcp_e2e");
     g.sample_size(10);
@@ -195,6 +241,7 @@ criterion_group!(
     bench_catalog,
     bench_tape_queues,
     bench_migrator_partition,
+    bench_timeline_backfill,
     bench_pfcp_e2e
 );
 criterion_main!(benches);

@@ -17,11 +17,15 @@
 //!   next_free`, i.e. the device is free when the op arrives) is a single
 //!   CAS — no lock at all.
 //! * Relaxed atomic counters for busy/ops/bytes accounting.
-//! * A small `Mutex`-guarded list of **free gaps** strictly below the
-//!   frontier. When a fast-path claim starts *after* the old frontier, the
-//!   skipped idle interval is published as a gap; ops whose ready time is
-//!   below the frontier backfill those gaps (the behaviour the
-//!   `backfill_uses_idle_gaps` property test pins down).
+//! * A `Mutex`-guarded deque of **free gaps** strictly below the frontier.
+//!   When a fast-path claim starts *after* the old frontier, the skipped
+//!   idle interval is published as a gap; ops whose ready time is below the
+//!   frontier backfill those gaps (the behaviour the
+//!   `backfill_uses_idle_gaps` property test pins down). The gaps are
+//!   disjoint and sorted by start, so their ends ascend too: the first fit
+//!   binary-searches past every gap that ends too early instead of
+//!   rescanning the stale ones a long run leaves behind. The deque holds at
+//!   most `MAX_GAPS`; a full list drops its earliest gap.
 //!
 //! Safety argument for no-overlap: the frontier only ever moves forward
 //! (CAS), every frontier claim occupies `[start, start+dur)` with `start >=`
@@ -38,6 +42,7 @@ use crate::rate::{Bandwidth, DataSize};
 use crate::time::{SimDuration, SimInstant};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -113,9 +118,10 @@ struct Shared {
     ops: AtomicU64,
     bytes: AtomicU64,
     /// Free intervals strictly below the frontier, sorted by start,
-    /// disjoint. Guarded by a mutex that is only touched on the
-    /// idle-skip / backfill paths, never on the contiguous FIFO fast path.
-    gaps: Mutex<Vec<(u64, u64)>>,
+    /// disjoint — hence sorted by end as well. Guarded by a mutex that is
+    /// only touched on the idle-skip / backfill paths, never on the
+    /// contiguous FIFO fast path.
+    gaps: Mutex<VecDeque<(u64, u64)>>,
 }
 
 impl fmt::Debug for Timeline {
@@ -143,7 +149,7 @@ impl Timeline {
                 busy_ns: AtomicU64::new(0),
                 ops: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
-                gaps: Mutex::new(Vec::new()),
+                gaps: Mutex::new(VecDeque::new()),
             }),
         }
     }
@@ -264,44 +270,64 @@ impl Timeline {
 
     /// Earliest `[s, s+dur)` fitting inside a free gap with `s >= ready`;
     /// carves it out of the list. Zero-duration ops fit without carving.
-    fn carve(gaps: &mut Vec<(u64, u64)>, ready: u64, dur: u64) -> Option<u64> {
-        for i in 0..gaps.len() {
-            let (a, b) = gaps[i];
-            let s = a.max(ready);
-            if s <= b && s + dur <= b {
-                if dur == 0 {
-                    return Some(s);
-                }
-                let e = s + dur;
-                match (s > a, e < b) {
-                    (true, true) => {
-                        gaps[i] = (a, s);
-                        gaps.insert(i + 1, (e, b));
-                    }
-                    (true, false) => gaps[i] = (a, s),
-                    (false, true) => gaps[i] = (e, b),
-                    (false, false) => {
-                        gaps.remove(i);
-                    }
-                }
-                return Some(s);
+    fn carve(gaps: &mut VecDeque<(u64, u64)>, ready: u64, dur: u64) -> Option<u64> {
+        let (i, s) = Self::first_fit(gaps, ready, dur)?;
+        if dur == 0 {
+            return Some(s);
+        }
+        let (a, b) = gaps[i];
+        let e = s + dur;
+        match (s > a, e < b) {
+            (true, true) => {
+                gaps[i] = (a, s);
+                gaps.insert(i + 1, (e, b));
+            }
+            (true, false) => gaps[i] = (a, s),
+            (false, true) => gaps[i] = (e, b),
+            (false, false) => {
+                gaps.remove(i);
             }
         }
-        None
+        debug_assert!(Self::ordered_near(gaps, i));
+        Some(s)
+    }
+
+    /// Index and start of the first gap that holds `[s, s+dur)` with
+    /// `s >= ready`. Gaps are disjoint and sorted by start, hence sorted by
+    /// end too, and a gap ending before `ready + dur` can never fit: the
+    /// binary search skips exactly the gaps a linear scan would reject, so
+    /// the first fit is the same. Past that point only the gap's own
+    /// length can still rule it out.
+    fn first_fit(gaps: &VecDeque<(u64, u64)>, ready: u64, dur: u64) -> Option<(usize, u64)> {
+        let need = ready.checked_add(dur)?;
+        let from = gaps.partition_point(|&(_, b)| b < need);
+        gaps.range(from..)
+            .position(|&(a, b)| dur <= b - a)
+            .map(|k| (from + k, gaps[from + k].0.max(ready)))
     }
 
     /// Insert `[start, end)` keeping the list sorted; drops the earliest
     /// gap when full (bounded memory; losing a gap is only a missed
     /// backfill opportunity).
-    fn insert_gap(gaps: &mut Vec<(u64, u64)>, start: u64, end: u64) {
+    fn insert_gap(gaps: &mut VecDeque<(u64, u64)>, start: u64, end: u64) {
         if start >= end {
             return;
         }
         if gaps.len() >= MAX_GAPS {
-            gaps.remove(0);
+            gaps.pop_front();
         }
         let pos = gaps.partition_point(|&(a, _)| a < start);
         gaps.insert(pos, (start, end));
+        debug_assert!(Self::ordered_near(gaps, pos));
+    }
+
+    /// The invariant [`Self::first_fit`] relies on — each gap ends at or
+    /// before the next one starts, so ends ascend with starts — checked
+    /// around index `i`, the only place an insert or carve changed.
+    fn ordered_near(gaps: &VecDeque<(u64, u64)>, i: usize) -> bool {
+        (i.saturating_sub(1)..i + 2)
+            .take_while(|&j| j + 1 < gaps.len())
+            .all(|j| gaps[j].1 <= gaps[j + 1].0)
     }
 
     /// Probe: when could an operation of `duration` start if ready at
@@ -309,14 +335,8 @@ impl Timeline {
     pub fn earliest_start(&self, ready: SimInstant, duration: SimDuration) -> SimInstant {
         let ready_ns = ready.as_nanos();
         let dur = duration.as_nanos();
-        {
-            let gaps = self.shared.gaps.lock();
-            for &(a, b) in gaps.iter() {
-                let s = a.max(ready_ns);
-                if s <= b && s + dur <= b {
-                    return SimInstant::from_nanos(s);
-                }
-            }
+        if let Some((_, s)) = Self::first_fit(&self.shared.gaps.lock(), ready_ns, dur) {
+            return SimInstant::from_nanos(s);
         }
         SimInstant::from_nanos(self.shared.next_free.load(Ordering::Acquire).max(ready_ns))
     }
@@ -488,6 +508,27 @@ mod tests {
         // Backfilling below the frontier must not regress it.
         t.reserve(SimInstant::EPOCH, SimDuration::from_secs(1));
         assert_eq!(t.next_free(), nf);
+    }
+
+    #[test]
+    fn full_gap_list_forgets_its_earliest_gap() {
+        let t = Timeline::new("nic", Bandwidth::mb_per_sec(100), SimDuration::ZERO);
+        let secs = SimDuration::from_secs;
+        // Gap 0 is [0, 100 s), gap 1 is [101 s, 121 s), and MAX_GAPS - 1
+        // more gaps of 5 s follow: MAX_GAPS + 1 skip-gaps in all.
+        t.reserve(SimInstant::from_secs(100), secs(1));
+        t.reserve(SimInstant::from_secs(121), secs(1));
+        for _ in 2..=MAX_GAPS {
+            t.reserve(t.next_free() + secs(5), secs(1));
+        }
+        assert_eq!(t.shared.gaps.lock().len(), MAX_GAPS);
+        let frontier = t.next_free();
+        // A 50 s op fits only gap 0, which was evicted: it queues.
+        let r = t.reserve(SimInstant::EPOCH, secs(50));
+        assert_eq!(r.start, frontier);
+        // A 20 s op fits gap 1, which survived: it still backfills.
+        let r = t.reserve(SimInstant::EPOCH, secs(20));
+        assert_eq!(r.start, SimInstant::from_secs(101));
     }
 
     impl SimInstant {

@@ -2,6 +2,8 @@
 
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant, Timeline, TimelinePool};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     /// Reservations on one timeline never overlap and never start before
@@ -94,5 +96,97 @@ proptest! {
             max = max.max(*v);
         }
         prop_assert_eq!(c.now(), SimInstant::from_nanos(max));
+    }
+}
+
+/// The first-fit backfill rule as a plain linear scan over a `Vec` that
+/// drops its first gap when full: the reference the timeline's
+/// binary-searched gap deque must agree with grant for grant.
+struct LinearFirstFit {
+    next_free: u64,
+    gaps: Vec<(u64, u64)>,
+    evicted: usize,
+}
+
+impl LinearFirstFit {
+    const MAX_GAPS: usize = 1024;
+
+    fn fit(&self, ready: u64, dur: u64) -> Option<(usize, u64)> {
+        self.gaps.iter().enumerate().find_map(|(i, &(a, b))| {
+            let s = a.max(ready);
+            (s <= b && s + dur <= b).then_some((i, s))
+        })
+    }
+
+    fn earliest_start(&self, ready: u64, dur: u64) -> u64 {
+        self.fit(ready, dur)
+            .map_or(self.next_free.max(ready), |(_, s)| s)
+    }
+
+    fn reserve(&mut self, ready: u64, dur: u64) -> u64 {
+        if ready >= self.next_free {
+            let skipped = self.next_free;
+            self.next_free = ready + dur;
+            self.insert_gap(skipped, ready);
+            return ready;
+        }
+        let Some((i, s)) = self.fit(ready, dur) else {
+            let start = self.next_free;
+            self.next_free = start + dur;
+            return start;
+        };
+        if dur > 0 {
+            let (a, b) = self.gaps.remove(i);
+            let rest = [(a, s), (s + dur, b)];
+            let rest = rest.into_iter().filter(|&(x, y)| x < y);
+            self.gaps.splice(i..i, rest);
+        }
+        s
+    }
+
+    fn insert_gap(&mut self, start: u64, end: u64) {
+        if start >= end {
+            return;
+        }
+        if self.gaps.len() >= Self::MAX_GAPS {
+            self.gaps.remove(0);
+            self.evicted += 1;
+        }
+        let pos = self.gaps.partition_point(|&(a, _)| a < start);
+        self.gaps.insert(pos, (start, end));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Thousands of ops — enough to overflow the gap list — with ready
+    /// times ahead of the frontier (publishing gaps), just behind it and
+    /// deep in the past (backfilling): every probe and every grant matches
+    /// the linear first-fit reference exactly.
+    #[test]
+    fn gap_search_matches_linear_first_fit(seed in any::<u64>(), n in 3_000usize..5_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = Timeline::new("r", Bandwidth::ZERO, SimDuration::ZERO);
+        let mut reference = LinearFirstFit { next_free: 0, gaps: Vec::new(), evicted: 0 };
+        for op in 0..n {
+            let frontier = t.next_free().as_nanos();
+            prop_assert_eq!(frontier, reference.next_free);
+            let ready = match rng.gen_range(0..10u32) {
+                0..=4 => frontier + rng.gen_range(1..2_000),
+                5 => frontier,
+                6..=7 => frontier.saturating_sub(rng.gen_range(0..5_000)),
+                _ => rng.gen_range(0..=frontier),
+            };
+            let dur = rng.gen_range(0..1_500u64);
+            let (ready_at, dur_for) = (SimInstant::from_nanos(ready), SimDuration::from_nanos(dur));
+            let probe = t.earliest_start(ready_at, dur_for).as_nanos();
+            prop_assert_eq!(probe, reference.earliest_start(ready, dur), "probe of op {}", op);
+            let granted = t.reserve(ready_at, dur_for);
+            let expected = reference.reserve(ready, dur);
+            prop_assert_eq!(granted.start.as_nanos(), expected, "grant of op {}", op);
+            prop_assert_eq!(granted.duration().as_nanos(), dur);
+        }
+        prop_assert!(reference.evicted > 0, "{} ops never filled the gap list", n);
     }
 }

@@ -19,6 +19,16 @@ struct PoolEntry {
     last_use: u64,
 }
 
+impl PoolEntry {
+    fn pinned_bytes(&self) -> u64 {
+        if self.pinned {
+            self.bytes
+        } else {
+            0
+        }
+    }
+}
+
 /// Why an insert could not place a file in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolReject {
@@ -34,6 +44,8 @@ pub enum PoolReject {
 pub struct StagerPool {
     capacity: u64,
     used: u64,
+    /// Bytes of the pinned entries, kept in step with every pin change.
+    pinned: u64,
     tick: u64,
     entries: FxHashMap<Ino, PoolEntry>,
 }
@@ -87,7 +99,9 @@ impl StagerPool {
     pub fn set_pinned(&mut self, ino: Ino, pinned: bool) -> bool {
         match self.entries.get_mut(&ino) {
             Some(e) => {
+                self.pinned -= e.pinned_bytes();
                 e.pinned = pinned;
+                self.pinned += e.pinned_bytes();
                 true
             }
             None => false,
@@ -114,20 +128,16 @@ impl StagerPool {
         }
         if let Some(e) = self.entries.get_mut(&ino) {
             // Already pooled (raced a repeat recall): refresh.
+            self.pinned -= e.pinned_bytes();
             e.pinned = e.pinned || pin;
+            self.pinned += e.pinned_bytes();
             self.tick += 1;
             e.last_use = self.tick;
             return Ok(Vec::new());
         }
         // Feasibility first, so a doomed insert evicts nothing: even with
         // every unpinned entry gone, would the file fit?
-        let pinned_bytes: u64 = self
-            .entries
-            .values()
-            .filter(|e| e.pinned)
-            .map(|e| e.bytes)
-            .sum();
-        if pinned_bytes + bytes > self.capacity {
+        if self.pinned + bytes > self.capacity {
             return Err(PoolReject::AllPinned);
         }
         let mut evicted = Vec::new();
@@ -147,6 +157,9 @@ impl StagerPool {
             },
         );
         self.used += bytes;
+        if pin {
+            self.pinned += bytes;
+        }
         Ok(evicted)
     }
 
@@ -156,6 +169,7 @@ impl StagerPool {
         match self.entries.remove(&ino) {
             Some(e) => {
                 self.used -= e.bytes;
+                self.pinned -= e.pinned_bytes();
                 true
             }
             None => false,
@@ -208,6 +222,42 @@ mod tests {
         let mut p = StagerPool::new(100);
         assert_eq!(p.insert(Ino(1), 101, false), Err(PoolReject::TooLarge));
         assert!(p.is_empty());
+    }
+
+    /// `used_bytes` and the running pinned total match a recount of the
+    /// entries themselves.
+    fn check(p: &StagerPool) {
+        let sum = |f: fn(&PoolEntry) -> u64| p.entries.values().map(f).sum::<u64>();
+        let recount = (sum(|e| e.bytes), sum(PoolEntry::pinned_bytes));
+        assert_eq!((p.used_bytes(), p.pinned), recount);
+    }
+
+    #[test]
+    fn running_totals_track_every_pin_change() {
+        let mut p = StagerPool::new(400);
+        p.insert(Ino(1), 100, true).unwrap();
+        p.insert(Ino(2), 150, false).unwrap();
+        p.insert(Ino(3), 50, false).unwrap();
+        check(&p);
+        assert!(p.set_pinned(Ino(2), true));
+        assert!(p.set_pinned(Ino(2), true)); // pinning twice counts once
+        check(&p);
+        assert!(p.set_pinned(Ino(1), false));
+        check(&p);
+        p.insert(Ino(3), 50, true).unwrap(); // refresh pins it
+        p.insert(Ino(3), 50, false).unwrap(); // refresh never unpins
+        check(&p);
+        assert!(p.evict(Ino(2)));
+        check(&p);
+        // Pinned: 3 (50). Evicting 1 makes room for 350 bytes, not 351.
+        assert_eq!(p.insert(Ino(4), 351, false), Err(PoolReject::AllPinned));
+        assert_eq!(p.insert(Ino(4), 350, true).unwrap(), vec![Ino(1)]);
+        check(&p);
+        assert_eq!(p.pinned, 400);
+        assert_eq!(p.insert(Ino(5), 1, false), Err(PoolReject::AllPinned));
+        assert!(p.evict(Ino(4)) && p.set_pinned(Ino(3), false));
+        check(&p);
+        assert_eq!(p.pinned, 0);
     }
 
     #[test]
