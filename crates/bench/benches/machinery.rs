@@ -4,20 +4,23 @@
 //! the complementary question — is the reproduction's own code fast? They
 //! cover the hot paths: content descriptor algebra, the rayon policy scan
 //! (the §4.2.1 claim), tree walking, the indexed catalog vs a full scan
-//! (the reason the paper exported TSM's DB to MySQL, §4.2.5), the TapeCQ
-//! ordering structure, migrator partitioning, timeline reservations behind
-//! a full backfill gap list, and a small end-to-end `pfcp`.
+//! (the reason the paper exported TSM's DB to MySQL, §4.2.5), the catalog
+//! export itself (full and incremental), the TapeCQ ordering structure,
+//! migrator partitioning, timeline reservations behind a full backfill gap
+//! list, and a small end-to-end `pfcp`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use copra_cluster::NodeId;
 use copra_core::{migrator, MigrationPolicy};
+use copra_hsm::{ObjectKind, TsmObject, TsmServer};
 use copra_metadb::{TsmCatalog, TsmObjectRow};
 use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
 use copra_pftool::queues::{TapeEntry, TapeQueues};
 use copra_pftool::PftoolConfig;
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant, Timeline, TimelinePool};
+use copra_tape::{TapeAddress, TapeId, TapeLibrary, TapeTiming};
 use copra_vfs::{Content, Ino};
 use copra_workloads::{mixed_tree, populate};
 
@@ -125,6 +128,50 @@ fn bench_catalog(c: &mut Criterion) {
     let ids: Vec<u64> = (0..2_000).map(|i| i * 97 % n).collect();
     g.bench_function("sort_for_recall_2k", |b| {
         b.iter(|| black_box(catalog.sort_for_recall(&ids).len()))
+    });
+    g.finish();
+}
+
+fn bench_catalog_export(c: &mut Criterion) {
+    let mut g = c.benchmark_group("catalog_export");
+    g.sample_size(10);
+    let n = 100_000u64;
+    let object = |objid: u64, seq: u32| TsmObject {
+        objid,
+        path: format!("/archive/d{}/f{objid}", objid % 512),
+        fs_ino: objid,
+        addr: TapeAddress {
+            tape: TapeId((objid % 400) as u32),
+            seq,
+        },
+        len: 1 << 20,
+        stored_at: SimInstant::EPOCH,
+        kind: ObjectKind::Simple,
+    };
+    let server = TsmServer::roadrunner(TapeLibrary::new(1, 1, TapeTiming::lto4()));
+    for objid in 1..=n {
+        server.register(object(objid, 0));
+    }
+    // A catalog the server has never synced: every object is checked and
+    // written (the fresh catalog is built and dropped inside the timing).
+    g.throughput(Throughput::Elements(n));
+    g.bench_function("first_export_100k", |b| {
+        b.iter(|| black_box(server.export(&TsmCatalog::new())))
+    });
+    // 1 % of the objects move to a new record, then the catalog synced
+    // last is exported again (the churn is inside the timing).
+    let catalog = TsmCatalog::new();
+    server.export(&catalog);
+    let mut round = 0;
+    g.throughput(Throughput::Elements(n / 100));
+    g.bench_function("reexport_after_1pct_churn_100k", |b| {
+        b.iter(|| {
+            round += 1;
+            for objid in (round..=n).step_by(100) {
+                server.register(object(objid, round as u32));
+            }
+            black_box(server.export(&catalog))
+        })
     });
     g.finish();
 }
@@ -239,6 +286,7 @@ criterion_group!(
     bench_policy_scan,
     bench_tree_walk,
     bench_catalog,
+    bench_catalog_export,
     bench_tape_queues,
     bench_migrator_partition,
     bench_timeline_backfill,

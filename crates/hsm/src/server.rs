@@ -1,10 +1,12 @@
 //! The TSM server: authoritative object database, volume assignment, the
 //! LAN bottleneck, and the export job feeding the MySQL replica.
 
+mod db;
+
 use crate::error::{HsmError, HsmResult};
 use crate::object::{ObjectKind, TsmObject};
 use copra_faults::RetryPolicy;
-use copra_metadb::{TsmCatalog, TsmObjectRow};
+use copra_metadb::TsmCatalog;
 use copra_simtime::{Bandwidth, DataSize, SimDuration, SimInstant, Timeline};
 use copra_tape::{LibraryId, TapeFleet, TapeId};
 use parking_lot::RwLock;
@@ -14,7 +16,7 @@ use std::sync::Arc;
 
 struct Shared {
     library: TapeFleet,
-    db: RwLock<FxHashMap<u64, TsmObject>>,
+    db: RwLock<db::ObjectDb>,
     /// Copy storage groups: primary object → additional tape copies
     /// (§3.1-7's "multiple copies" ILM requirement).
     copy_groups: RwLock<FxHashMap<u64, Vec<u64>>>,
@@ -53,7 +55,7 @@ impl TsmServer {
         TsmServer {
             shared: Arc::new(Shared {
                 library: library.into(),
-                db: RwLock::new(FxHashMap::default()),
+                db: RwLock::default(),
                 copy_groups: RwLock::new(FxHashMap::default()),
                 backups: RwLock::new(FxHashMap::default()),
                 collocation: RwLock::new(FxHashMap::default()),
@@ -147,20 +149,20 @@ impl TsmServer {
 
     /// Register a stored object.
     pub fn register(&self, obj: TsmObject) {
-        self.shared.db.write().insert(obj.objid, obj);
+        self.shared.db.write().insert(obj);
     }
 
     pub fn get(&self, objid: u64) -> HsmResult<TsmObject> {
         self.shared
             .db
             .read()
-            .get(&objid)
+            .get(objid)
             .cloned()
             .ok_or(HsmError::NoSuchObject(objid))
     }
 
     pub fn contains(&self, objid: u64) -> bool {
-        self.shared.db.read().contains_key(&objid)
+        self.shared.db.read().get(objid).is_some()
     }
 
     pub fn db_len(&self) -> usize {
@@ -172,7 +174,7 @@ impl TsmServer {
     /// reclamation). Returns the removed object.
     pub fn forget_object(&self, objid: u64) -> Option<TsmObject> {
         self.shared.copy_groups.write().remove(&objid);
-        self.shared.db.write().remove(&objid)
+        self.shared.db.write().remove(objid)
     }
 
     /// Snapshot of all objects (reconcile input), objid-sorted.
@@ -358,15 +360,7 @@ impl TsmServer {
     /// Move an object's record address (volume reclamation). Every object
     /// sharing the old address (a container and its members) is rebased.
     pub fn rebase_addr(&self, old: copra_tape::TapeAddress, new: copra_tape::TapeAddress) -> usize {
-        let mut db = self.shared.db.write();
-        let mut n = 0;
-        for obj in db.values_mut() {
-            if obj.addr == old {
-                obj.addr = new;
-                n += 1;
-            }
-        }
-        n
+        self.shared.db.write().rebase(old, new)
     }
 
     /// Delete an object: DB row plus, when it owns its record, the tape
@@ -390,7 +384,7 @@ impl TsmServer {
         }
         let t = self.meta_op(t);
         let mut db = self.shared.db.write();
-        let obj = db.remove(&objid).ok_or(HsmError::NoSuchObject(objid))?;
+        let obj = db.remove(objid).ok_or(HsmError::NoSuchObject(objid))?;
         // DB row gone, tape record still live: the torn state scrub's
         // record sweep repairs.
         self.crash_point("server.delete.after_db_remove", t)?;
@@ -405,7 +399,7 @@ impl TsmServer {
                     |o| matches!(o.kind, ObjectKind::Member { container, .. } if container == objid),
                 );
                 if members_remain {
-                    db.insert(objid, obj);
+                    db.insert(obj);
                     return Err(HsmError::BadMemberRange { objid });
                 }
                 self.shared.library.delete_object(obj.addr)?;
@@ -415,7 +409,7 @@ impl TsmServer {
                     |o| matches!(o.kind, ObjectKind::Member { container: c, .. } if c == container),
                 );
                 if last {
-                    if let Some(cont) = db.remove(&container) {
+                    if let Some(cont) = db.remove(container) {
                         self.shared.library.delete_object(cont.addr)?;
                     }
                 }
@@ -427,36 +421,17 @@ impl TsmServer {
     /// Export the file-visible objects (simple + members) into the indexed
     /// replica — the paper's MySQL dump job (§4.2.5). Containers are
     /// internal and not exported. Rows already identical in the replica
-    /// are left untouched (so the catalog generation counts real drift).
-    /// Returns rows written.
+    /// are left untouched (so the catalog generation counts real drift),
+    /// and rows whose objects are gone are dropped. Returns rows written.
+    ///
+    /// The result is that of a full diff, but a re-export into the catalog
+    /// this server last exported to is incremental: it checks only the
+    /// objids changed since, on the server or through
+    /// [`TsmCatalog::record`]/[`TsmCatalog::forget`]. A catalog the server
+    /// has not synced (or that another exporter synced since) gets a full
+    /// pass.
     pub fn export(&self, catalog: &TsmCatalog) -> usize {
-        let db = self.shared.db.read();
-        let mut n = 0;
-        for obj in db.values() {
-            if matches!(obj.kind, ObjectKind::Container { .. }) {
-                continue;
-            }
-            let row = TsmObjectRow {
-                objid: obj.objid,
-                path: obj.path.clone(),
-                fs_ino: obj.fs_ino,
-                tape: obj.addr.tape.0,
-                seq: obj.addr.seq,
-                len: obj.len,
-                stored_at: obj.stored_at,
-            };
-            if catalog.lookup(obj.objid).as_ref() != Some(&row) {
-                catalog.record(row);
-                n += 1;
-            }
-        }
-        // Remove replica rows whose objects no longer exist.
-        for row in catalog.dump() {
-            if !db.contains_key(&row.objid) {
-                catalog.forget(row.objid);
-            }
-        }
-        n
+        self.shared.db.write().export(catalog)
     }
 }
 
@@ -665,7 +640,7 @@ mod tests {
         let row = catalog.lookup(1).unwrap();
         assert_eq!((row.tape, row.seq), (3, 9));
         // object disappears server-side; export prunes the replica
-        s.shared.db.write().remove(&1);
+        s.forget_object(1);
         s.export(&catalog);
         assert!(catalog.lookup(1).is_none());
     }

@@ -1,13 +1,17 @@
 //! Property tests: HSM migrate/recall is an identity on file content, for
 //! arbitrary file sets, node choices and punch decisions — including
-//! aggregated containers.
+//! aggregated containers; and the incremental catalog export matches a
+//! full-pass export under arbitrary server and catalog mutations.
 
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_hsm::aggregate::migrate_aggregated;
-use copra_hsm::{DataPath, Hsm, RecallPolicy, RecallRequest, TsmServer};
+use copra_hsm::{
+    DataPath, Hsm, HsmError, ObjectKind, RecallPolicy, RecallRequest, TsmObject, TsmServer,
+};
+use copra_metadb::{TsmCatalog, TsmObjectRow};
 use copra_pfs::{HsmState, PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::{DriveId, TapeAddress, TapeId, TapeLibrary, TapeTiming};
 use copra_vfs::Content;
 use proptest::prelude::*;
 
@@ -18,6 +22,95 @@ fn setup(nodes: usize) -> Hsm {
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
     let server = TsmServer::roadrunner(TapeLibrary::new(3, 16, TapeTiming::lto4()));
     Hsm::new(pfs, server, cluster)
+}
+
+fn export_row(obj: &TsmObject) -> TsmObjectRow {
+    TsmObjectRow {
+        objid: obj.objid,
+        path: obj.path.clone(),
+        fs_ino: obj.fs_ino,
+        tape: obj.addr.tape.0,
+        seq: obj.addr.seq,
+        len: obj.len,
+        stored_at: obj.stored_at,
+    }
+}
+
+/// The full-pass export: upsert every non-container object whose row
+/// differs, then forget every row whose object is gone. Returns rows
+/// written.
+fn reference_export(server: &TsmServer, catalog: &TsmCatalog) -> usize {
+    let mut written = 0;
+    for obj in server.objects() {
+        if matches!(obj.kind, ObjectKind::Container { .. }) {
+            continue;
+        }
+        let row = export_row(&obj);
+        if catalog.lookup(obj.objid).as_ref() != Some(&row) {
+            catalog.record(row);
+            written += 1;
+        }
+    }
+    for row in catalog.dump() {
+        if !server.contains(row.objid) {
+            catalog.forget(row.objid);
+        }
+    }
+    written
+}
+
+/// A server on a one-drive library with tape 0 mounted, so every
+/// registered object owns a real tape record.
+struct ExportRig {
+    server: TsmServer,
+    cursor: SimInstant,
+}
+
+impl ExportRig {
+    fn new() -> Self {
+        let server = TsmServer::roadrunner(TapeLibrary::new(1, 2, TapeTiming::lto4()));
+        let cursor = server
+            .library()
+            .mount(DriveId(0), TapeId(0), SimInstant::EPOCH)
+            .unwrap();
+        ExportRig { server, cursor }
+    }
+
+    fn write_record(&mut self, objid: u64, len: u64) -> TapeAddress {
+        let (addr, end) = self
+            .server
+            .library()
+            .write_object(
+                DriveId(0),
+                0,
+                objid,
+                Content::synthetic(objid, len),
+                self.cursor,
+            )
+            .unwrap();
+        self.cursor = end;
+        addr
+    }
+
+    fn register(&mut self, kind: ObjectKind, addr: TapeAddress, len: u64) -> u64 {
+        let objid = self.server.alloc_objid();
+        self.server.register(TsmObject {
+            objid,
+            path: format!("/p{objid}"),
+            fs_ino: objid + 1_000,
+            addr,
+            len,
+            stored_at: self.cursor,
+            kind,
+        });
+        objid
+    }
+
+    /// The `pick`-th live object, if any.
+    fn pick(&self, pick: u64) -> Option<TsmObject> {
+        let objects = self.server.objects();
+        (!objects.is_empty()).then(|| objects[pick as usize % objects.len()].clone())
+    }
 }
 
 proptest! {
@@ -109,6 +202,122 @@ proptest! {
                 cursor = hsm.recall_file(ino, NodeId(1), DataPath::LanFree, cursor, None).unwrap();
                 let got = pfs.vfs().peek_content(ino).unwrap();
                 prop_assert!(got.eq_content(content), "member {i} corrupted");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `TsmServer::export` returns the same count and leaves the same rows
+    /// and generation as the full-pass reference after every export, for
+    /// any mix of registers (simple, containers with members, rewrites),
+    /// `forget_object`, `rebase_addr`, `delete_object` (last-member
+    /// cascade, members-remain refusal), external catalog writes, and
+    /// exports alternating between two catalogs.
+    #[test]
+    fn incremental_export_matches_full_pass(
+        ops in prop::collection::vec((0u8..20, any::<u64>(), 0u32..4), 1..80),
+    ) {
+        let mut rig = ExportRig::new();
+        // Exported by the server under test, and by the reference.
+        let catalogs = [TsmCatalog::new(), TsmCatalog::new()];
+        let references = [TsmCatalog::new(), TsmCatalog::new()];
+        for (step, &(kind, pick, arg)) in ops.iter().enumerate() {
+            let side = (arg % 2) as usize;
+            match kind {
+                0..=3 => {
+                    let addr = rig.write_record(0, 1_000);
+                    rig.register(ObjectKind::Simple, addr, 1_000);
+                }
+                4..=5 => {
+                    let members = arg + 1;
+                    let len = 1_000 * members as u64;
+                    let addr = rig.write_record(0, len);
+                    let kind = ObjectKind::Container { member_count: members };
+                    let container = rig.register(kind, addr, len);
+                    for m in 0..members {
+                        let kind = ObjectKind::Member { container, offset: 1_000 * m as u64 };
+                        rig.register(kind, addr, 1_000);
+                    }
+                }
+                6 => {
+                    // Re-register an existing objid with a changed row
+                    // (or, for arg 0, an identical one).
+                    if let Some(mut obj) = rig.pick(pick) {
+                        obj.len += arg as u64;
+                        rig.server.register(obj);
+                    }
+                }
+                7 => {
+                    if let Some(obj) = rig.pick(pick) {
+                        rig.server.forget_object(obj.objid);
+                    }
+                }
+                8 => {
+                    if let Some(obj) = rig.pick(pick) {
+                        let new = rig.write_record(obj.objid, obj.len.max(1));
+                        prop_assert!(rig.server.rebase_addr(obj.addr, new) >= 1);
+                    }
+                }
+                9..=11 => {
+                    if let Some(obj) = rig.pick(pick) {
+                        let objid = obj.objid;
+                        let member_of = |o: &TsmObject| match o.kind {
+                            ObjectKind::Member { container, .. } => container == objid,
+                            _ => false,
+                        };
+                        let members_remain = matches!(obj.kind, ObjectKind::Container { .. })
+                            && rig.server.objects().iter().any(member_of);
+                        let out = rig.server.delete_object(objid, rig.cursor);
+                        if members_remain {
+                            prop_assert_eq!(out, Err(HsmError::BadMemberRange { objid }));
+                            prop_assert!(rig.server.contains(objid));
+                        } else {
+                            prop_assert!(out.is_ok(), "step {step}: {out:?}");
+                            prop_assert!(!rig.server.contains(objid));
+                        }
+                    }
+                }
+                12..=13 => {
+                    // External drift: a row for a live, dead or unknown
+                    // objid, equal to its export (arg 0) or not.
+                    let objid = pick % (rig.server.alloc_objid() + 1);
+                    let row = match rig.server.get(objid) {
+                        Ok(obj) => TsmObjectRow { seq: obj.addr.seq + arg / 2, ..export_row(&obj) },
+                        Err(_) => TsmObjectRow {
+                            objid,
+                            path: "/stray".into(),
+                            fs_ino: 0,
+                            tape: 1,
+                            seq: arg,
+                            len: 1,
+                            stored_at: SimInstant::EPOCH,
+                        },
+                    };
+                    catalogs[side].record(row.clone());
+                    references[side].record(row);
+                }
+                14 => {
+                    let objid = pick % (rig.server.alloc_objid() + 1);
+                    prop_assert_eq!(catalogs[side].forget(objid), references[side].forget(objid));
+                }
+                _ => {
+                    let before = catalogs[side].generation();
+                    let ref_before = references[side].generation();
+                    let written = rig.server.export(&catalogs[side]);
+                    let expected = reference_export(&rig.server, &references[side]);
+                    prop_assert_eq!(written, expected, "step {step}: rows written");
+                    prop_assert_eq!(
+                        catalogs[side].generation() - before,
+                        references[side].generation() - ref_before,
+                        "step {step}: generation delta"
+                    );
+                    let (got, want) = (catalogs[side].dump(), references[side].dump());
+                    prop_assert_eq!(got, want, "step {step}: rows");
+                    prop_assert_eq!(catalogs[side].verify_indexes(), Ok(()));
+                }
             }
         }
     }

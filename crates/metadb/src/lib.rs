@@ -16,4 +16,4 @@ pub mod table;
 pub mod tsm;
 
 pub use table::{IndexKey, Table, Value};
-pub use tsm::{TsmCatalog, TsmObjectRow};
+pub use tsm::{ExportPass, TsmCatalog, TsmObjectRow};

@@ -148,8 +148,7 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
 
     /// Insert or replace a row; returns the previous row if any.
     pub fn upsert(&mut self, key: K, row: R) -> Option<R> {
-        let old = self.rows.insert(key.clone(), row.clone());
-        if let Some(ref old_row) = old {
+        if let Some(old_row) = self.rows.get(&key) {
             for idx in &mut self.indexes {
                 idx.remove(&key, old_row);
             }
@@ -157,7 +156,7 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
         for idx in &mut self.indexes {
             idx.insert(&key, &row);
         }
-        old
+        self.rows.insert(key, row)
     }
 
     /// Remove a row; returns it if present.

@@ -8,7 +8,7 @@
 
 use crate::table::{IndexKey, Table};
 use copra_simtime::SimInstant;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,9 +31,6 @@ pub struct TsmObjectRow {
     pub stored_at: SimInstant,
 }
 
-fn key_path(_: &u64, r: &TsmObjectRow) -> IndexKey {
-    vec![r.path.as_str().into()]
-}
 fn key_ino(_: &u64, r: &TsmObjectRow) -> IndexKey {
     vec![r.fs_ino.into()]
 }
@@ -41,9 +38,33 @@ fn key_tape_seq(_: &u64, r: &TsmObjectRow) -> IndexKey {
     vec![r.tape.into(), r.seq.into()]
 }
 
+/// Export-pass tokens, unique across every catalog in the process. A token
+/// names one pass over one catalog, so an exporter that presents it learns
+/// whether anyone has synced the catalog since (an address would not do:
+/// a dropped catalog's address can be reused).
+static NEXT_SYNC_TOKEN: AtomicU64 = AtomicU64::new(1);
+
+struct Replica {
+    table: Table<u64, TsmObjectRow>,
+    /// Token of the last export pass; `None` before the first.
+    synced: Option<u64>,
+    /// Objids [`TsmCatalog::record`]/[`TsmCatalog::forget`] touched since
+    /// that pass. Nothing is logged before the first pass, which checks
+    /// every row anyway.
+    drift: Vec<u64>,
+}
+
+impl Replica {
+    fn log(&mut self, objid: u64) {
+        if self.synced.is_some() {
+            self.drift.push(objid);
+        }
+    }
+}
+
 /// Thread-safe exported catalog.
 pub struct TsmCatalog {
-    table: RwLock<Table<u64, TsmObjectRow>>,
+    replica: RwLock<Replica>,
     /// Bumped on every mutation. Recovery compares generations across a
     /// re-export to tell "already consistent" from "repaired".
     generation: AtomicU64,
@@ -58,16 +79,20 @@ impl Default for TsmCatalog {
 impl TsmCatalog {
     pub fn new() -> Self {
         let mut table = Table::new("tsm_objects");
-        table.add_index("by_path", key_path);
         table.add_index("by_ino", key_ino);
         table.add_index("by_tape_seq", key_tape_seq);
         TsmCatalog {
-            table: RwLock::new(table),
+            replica: RwLock::new(Replica {
+                table,
+                synced: None,
+                drift: Vec::new(),
+            }),
             generation: AtomicU64::new(0),
         }
     }
 
-    /// Mutation counter: monotone, bumped by [`record`]/[`forget`].
+    /// Mutation counter: monotone, bumped by [`record`]/[`forget`] and by
+    /// every row an export pass writes or drops.
     ///
     /// [`record`]: TsmCatalog::record
     /// [`forget`]: TsmCatalog::forget
@@ -77,49 +102,53 @@ impl TsmCatalog {
 
     /// Insert or refresh one exported row.
     pub fn record(&self, row: TsmObjectRow) {
-        self.table.write().upsert(row.objid, row);
+        let mut r = self.replica.write();
+        r.log(row.objid);
+        r.table.upsert(row.objid, row);
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Drop a row (object deleted from TSM).
     pub fn forget(&self, objid: u64) -> Option<TsmObjectRow> {
-        let old = self.table.write().remove(&objid);
+        let mut r = self.replica.write();
+        let old = r.table.remove(&objid);
         if old.is_some() {
+            r.log(objid);
             self.generation.fetch_add(1, Ordering::AcqRel);
         }
         old
     }
 
+    /// Open an export pass: the replica stays write-locked until the pass
+    /// is finished or dropped.
+    pub fn begin_export(&self) -> ExportPass<'_> {
+        ExportPass {
+            replica: self.replica.write(),
+            generation: &self.generation,
+        }
+    }
+
     /// Run [`Table::verify_indexes`] on the replica — scrub's last step.
     pub fn verify_indexes(&self) -> Result<(), String> {
-        self.table.read().verify_indexes()
+        self.replica.read().table.verify_indexes()
     }
 
     pub fn lookup(&self, objid: u64) -> Option<TsmObjectRow> {
-        self.table.read().get(&objid).cloned()
+        self.replica.read().table.get(&objid).cloned()
     }
 
     pub fn len(&self) -> usize {
-        self.table.read().len()
+        self.replica.read().table.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.table.read().len() == 0
-    }
-
-    /// All objects recorded for a path (there can be several across
-    /// generations; newest last by objid).
-    pub fn by_path(&self, path: &str) -> Vec<TsmObjectRow> {
-        let t = self.table.read();
-        t.select("by_path", &vec![path.into()])
-            .into_iter()
-            .filter_map(|k| t.get(&k).cloned())
-            .collect()
+        self.replica.read().table.len() == 0
     }
 
     /// Objects recorded for a GPFS file id.
     pub fn by_ino(&self, fs_ino: u64) -> Vec<TsmObjectRow> {
-        let t = self.table.read();
+        let replica = self.replica.read();
+        let t = &replica.table;
         t.select("by_ino", &vec![fs_ino.into()])
             .into_iter()
             .filter_map(|k| t.get(&k).cloned())
@@ -130,7 +159,8 @@ impl TsmCatalog {
     /// ids, return their rows sorted by (tape id, sequence id) so each tape
     /// reads front-to-back. Unknown ids are skipped.
     pub fn sort_for_recall(&self, objids: &[u64]) -> Vec<TsmObjectRow> {
-        let t = self.table.read();
+        let replica = self.replica.read();
+        let t = &replica.table;
         let mut rows: Vec<TsmObjectRow> =
             objids.iter().filter_map(|id| t.get(id).cloned()).collect();
         rows.sort_by_key(|r| (r.tape, r.seq, r.objid));
@@ -139,7 +169,8 @@ impl TsmCatalog {
 
     /// Everything on one volume in tape order (volume-drain recalls).
     pub fn on_tape(&self, tape: u32) -> Vec<TsmObjectRow> {
-        let t = self.table.read();
+        let replica = self.replica.read();
+        let t = &replica.table;
         t.index_range(
             "by_tape_seq",
             &vec![tape.into(), 0u32.into()],
@@ -153,7 +184,65 @@ impl TsmCatalog {
     /// Full dump in objid order (reconcile compares this against tape and
     /// file-system truth).
     pub fn dump(&self) -> Vec<TsmObjectRow> {
-        self.table.read().scan().map(|(_, r)| r.clone()).collect()
+        self.replica
+            .read()
+            .table
+            .scan()
+            .map(|(_, r)| r.clone())
+            .collect()
+    }
+}
+
+/// One export pass over a [`TsmCatalog`], holding its write lock. The
+/// exporter asks for the rows that drifted since its own last pass, checks
+/// and repairs rows in place, then [`finish`](ExportPass::finish)es to get
+/// the token it presents next time. The pass's own writes are not logged as
+/// drift.
+pub struct ExportPass<'a> {
+    replica: RwLockWriteGuard<'a, Replica>,
+    generation: &'a AtomicU64,
+}
+
+impl ExportPass<'_> {
+    /// The objids `record`/`forget` touched since the pass that returned
+    /// `token`, deduplicated by the caller. `None` when `token` does not
+    /// name this catalog's last pass — another exporter synced it since, or
+    /// it was never synced — so the caller must check every row.
+    pub fn drift_since(&mut self, token: Option<u64>) -> Option<Vec<u64>> {
+        let synced = self.replica.synced.take();
+        let drift = std::mem::take(&mut self.replica.drift);
+        (token.is_some() && synced == token).then_some(drift)
+    }
+
+    /// Every objid with a row, in objid order.
+    pub fn objids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.replica.table.scan().map(|(&objid, _)| objid)
+    }
+
+    pub fn row(&self, objid: u64) -> Option<&TsmObjectRow> {
+        self.replica.table.get(&objid)
+    }
+
+    /// Insert or refresh one row.
+    pub fn record(&mut self, row: TsmObjectRow) {
+        self.replica.table.upsert(row.objid, row);
+        self.generation.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Drop a row if present.
+    pub fn forget(&mut self, objid: u64) {
+        if self.replica.table.remove(&objid).is_some() {
+            self.generation.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
+    /// Close the pass: the replica is in sync, so start a fresh drift log
+    /// and return the token that names this pass.
+    pub fn finish(mut self) -> u64 {
+        let token = NEXT_SYNC_TOKEN.fetch_add(1, Ordering::Relaxed);
+        self.replica.drift.clear();
+        self.replica.synced = Some(token);
+        token
     }
 }
 
@@ -199,15 +288,37 @@ mod tests {
     }
 
     #[test]
-    fn path_and_ino_lookups() {
+    fn ino_lookups() {
         let c = TsmCatalog::new();
         c.record(row(1, "/f", 10, 0, 0));
         c.record(row(2, "/f", 10, 1, 5)); // newer generation, same path/ino
         c.record(row(3, "/g", 11, 0, 1));
-        assert_eq!(c.by_path("/f").len(), 2);
         assert_eq!(c.by_ino(10).len(), 2);
         assert_eq!(c.by_ino(11)[0].objid, 3);
-        assert!(c.by_path("/nope").is_empty());
+        assert!(c.by_ino(12).is_empty());
+    }
+
+    #[test]
+    fn drift_is_logged_only_after_a_pass_and_only_for_its_token() {
+        let c = TsmCatalog::new();
+        c.record(row(1, "/a", 10, 0, 0));
+        let mut pass = c.begin_export();
+        assert_eq!(pass.drift_since(None), None, "never synced");
+        pass.record(row(2, "/b", 11, 0, 1));
+        let token = pass.finish();
+        assert_eq!(c.generation(), 2, "a pass's writes count as mutations");
+        c.record(row(3, "/c", 12, 0, 2));
+        c.forget(1);
+        c.forget(999); // no row, nothing to log
+        let mut pass = c.begin_export();
+        assert_eq!(pass.drift_since(Some(token)), Some(vec![3, 1]));
+        let next = pass.finish();
+        assert_ne!(next, token);
+        c.record(row(4, "/d", 13, 0, 3));
+        let mut pass = c.begin_export();
+        assert_eq!(pass.drift_since(Some(token)), None, "stale token");
+        assert_eq!(pass.objids().collect::<Vec<_>>(), vec![2, 3, 4]);
+        pass.finish();
     }
 
     #[test]
