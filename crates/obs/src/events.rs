@@ -34,9 +34,9 @@ pub enum EventKind {
         node: u32,
         affinity_hit: bool,
     },
-    /// A PFTool worker went busy (was dispatched a job).
+    /// An idle PFTool worker was handed a job.
     WorkerBusy { rank: u32 },
-    /// A PFTool worker went idle (asked the manager for work).
+    /// A PFTool worker finished a job and nothing was queued for it.
     WorkerIdle { rank: u32 },
     /// Manager queue depths at a sampling point.
     QueueSample {

@@ -2,31 +2,41 @@
 
 use crate::config::PftoolConfig;
 use crate::engine::{Engine, Op};
-use crate::report::{CompareReport, CopyReport, ListReport};
+use crate::report::{CompareReport, CopyReport, ListReport, RunStats};
 use crate::view::FsView;
 use copra_cluster::NodeId;
 
-fn machine_list(view: &FsView, nodes: &[NodeId]) -> Vec<NodeId> {
-    if nodes.is_empty() {
-        view.cluster.nodes().collect()
+/// Run `op` from `src_path` on `src` (to `dst` for copy and compare).
+/// `nodes` is the MPI machine list (empty = every cluster node, in id
+/// order).
+fn run(
+    op: Op,
+    src: (&FsView, &str),
+    dst: Option<(&FsView, &str)>,
+    config: &PftoolConfig,
+    nodes: &[NodeId],
+) -> (RunStats, Vec<String>) {
+    let nodes = if nodes.is_empty() {
+        src.0.cluster.nodes().collect()
     } else {
         nodes.to_vec()
+    };
+    Engine {
+        config,
+        op,
+        src: src.0,
+        dst: dst.map(|d| d.0),
+        src_root: src.1.to_string(),
+        dst_root: dst.map(|d| d.1.to_string()),
+        nodes,
     }
+    .run()
 }
 
 /// Parallel tree walk + list (`pfls`). `nodes` is the MPI machine list
 /// (empty = every cluster node, in id order).
 pub fn pfls(src: &FsView, path: &str, config: &PftoolConfig, nodes: &[NodeId]) -> ListReport {
-    let engine = Engine {
-        config,
-        op: Op::List,
-        src,
-        dst: None,
-        src_root: path.to_string(),
-        dst_root: None,
-        nodes: machine_list(src, nodes),
-    };
-    let (stats, lines) = engine.run();
+    let (stats, lines) = run(Op::List, (src, path), None, config, nodes);
     ListReport { stats, lines }
 }
 
@@ -42,16 +52,13 @@ pub fn pfcp(
     config: &PftoolConfig,
     nodes: &[NodeId],
 ) -> CopyReport {
-    let engine = Engine {
+    let (stats, _) = run(
+        Op::Copy,
+        (src, src_path),
+        Some((dst, dst_path)),
         config,
-        op: Op::Copy,
-        src,
-        dst: Some(dst),
-        src_root: src_path.to_string(),
-        dst_root: Some(dst_path.to_string()),
-        nodes: machine_list(src, nodes),
-    };
-    let (stats, _) = engine.run();
+        nodes,
+    );
     CopyReport { stats }
 }
 
@@ -65,19 +72,12 @@ pub fn pfcm(
     config: &PftoolConfig,
     nodes: &[NodeId],
 ) -> CompareReport {
-    let engine = Engine {
+    let (stats, mismatches) = run(
+        Op::Compare,
+        (src, src_path),
+        Some((dst, dst_path)),
         config,
-        op: Op::Compare,
-        src,
-        dst: Some(dst),
-        src_root: src_path.to_string(),
-        dst_root: Some(dst_path.to_string()),
-        nodes: machine_list(src, nodes),
-    };
-    let (stats, lines) = engine.run();
-    let mismatches = lines
-        .into_iter()
-        .filter_map(|l| l.strip_prefix("MISMATCH ").map(str::to_string))
-        .collect();
+        nodes,
+    );
     CompareReport { stats, mismatches }
 }

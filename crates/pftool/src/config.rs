@@ -21,11 +21,6 @@ pub struct PftoolConfig {
     pub parallel_copy_threshold: DataSize,
     /// Sub-chunk size for single-large-file parallel copy.
     pub copy_chunk: DataSize,
-    /// Upper bound on how many NameQ/CopyQ entries ride in one vectored
-    /// Manager→Worker assignment. Batching amortizes per-message overhead
-    /// on million-file walks; idle workers steal from the tail of a busy
-    /// worker's batch, so a large bound does not serialize the run.
-    pub batch_size: usize,
     /// Sort each tape's restore queue by tape sequence number (§4.1.2-2).
     /// Disabled = the unordered baseline PFTool exists to beat.
     pub tape_ordering: bool,
@@ -36,14 +31,13 @@ pub struct PftoolConfig {
     pub data_path: DataPath,
     /// Recall-daemon assignment policy for restored files.
     pub recall_policy: RecallPolicy,
-    /// WatchDog: real-time interval between progress checks.
+    /// WatchDog: simulated-time interval between progress samples (and
+    /// queue-depth samples).
     pub watchdog_interval: Duration,
-    /// WatchDog: force termination after this long without progress.
+    /// WatchDog: force termination when two progress instants (completed
+    /// jobs or restored files) lie further apart than this in simulated
+    /// time.
     pub watchdog_stall: Duration,
-    /// Failure injection: make every copy job take at least this much
-    /// *real* time (simulates a hung or glacial mover so the WatchDog
-    /// path can be exercised deterministically).
-    pub inject_copy_delay: Option<Duration>,
 }
 
 impl Default for PftoolConfig {
@@ -54,14 +48,15 @@ impl Default for PftoolConfig {
             tape_procs: 2,
             parallel_copy_threshold: DataSize::gb(10),
             copy_chunk: DataSize::gb(1),
-            batch_size: 64,
             tape_ordering: true,
             restart: false,
             data_path: DataPath::LanFree,
             recall_policy: RecallPolicy::TapeAffinity,
             watchdog_interval: Duration::from_millis(200),
-            watchdog_stall: Duration::from_secs(30),
-            inject_copy_delay: None,
+            // One simulated hour: tape mounts, drive queueing and large chunk
+            // copies put minutes between progress instants (111 s at most in
+            // the tests, bench binaries and examples).
+            watchdog_stall: Duration::from_secs(3600),
         }
     }
 }
@@ -81,9 +76,6 @@ impl PftoolConfig {
             tape_procs: 1,
             parallel_copy_threshold: DataSize::mb(64),
             copy_chunk: DataSize::mb(16),
-            // Small batches so multi-batch dispatch and tail stealing are
-            // exercised by ordinary-sized test trees.
-            batch_size: 4,
             ..PftoolConfig::default()
         }
     }
@@ -95,7 +87,6 @@ impl PftoolConfig {
             !self.copy_chunk.is_zero(),
             "copy chunk size must be positive"
         );
-        assert!(self.batch_size >= 1, "batch size must be positive");
     }
 }
 

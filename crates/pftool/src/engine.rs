@@ -1,28 +1,40 @@
-//! The PFTool execution engine: the MPI world of Figure 3.
+//! The PFTool execution engine: Figure 3's ranks on one simulated-time
+//! loop.
 //!
 //! Rank layout: 0 = Manager, 1 = OutPutProc, 2 = WatchDog, then the
-//! ReadDir processes, the Workers, and the TapeProc processes. Every
-//! process except the Manager pulls work (`RequestWork`) and blocks for an
-//! assignment; the Manager reacts to events, refills its queues, and
-//! detects termination when every queue is empty and nothing is in flight.
+//! ReadDir processes, the Workers, and the TapeProc processes (fault plans
+//! name mover ranks by these numbers). The Manager owns the four queues
+//! and simulated time. It gives one queue entry at a time to the idle rank
+//! of the right kind that is free earliest in simulated time (ties to the
+//! lowest rank), runs that rank's job in place, and commits completions in
+//! (simulated end, rank) order. No decision depends on host scheduling, so
+//! a run's simulated results are a pure function of its configuration and
+//! the state of the system it runs against.
+//!
+//! Only a Worker's copies and compares occupy it in simulated time: each
+//! starts once the previous one finished. Stats are charged on the
+//! metadata service from the moment they are ready, directory listings
+//! cost nothing, and every tape batch starts at the run's start (the
+//! drives and the tape library serialize the restores).
 
 use crate::config::PftoolConfig;
-use crate::msg::{
-    CompareJob, CopyJob, DstMode, FileMeta, MoveResult, PfMsg, StatRequest, StatResult, TapeJob,
+use crate::queues::{
+    CompareJob, CopyJob, DstMode, FileMeta, ManagerQueues, StatRequest, TapeEntry, WorkerJob,
 };
-use crate::queues::{ManagerQueues, TapeEntry, WorkerJob};
 use crate::report::RunStats;
 use crate::view::FsView;
-use crate::watchdog::StallTracker;
+use crate::watchdog::WatchDog;
 use copra_cluster::NodeId;
 use copra_faults::FaultPlane;
 use copra_fuse::{ChunkInfo, FuseRead, XATTR_CHUNKED, XATTR_FPRINT, XATTR_LOGICAL};
-use copra_mpirt::Comm;
 use copra_obs::{Counter, EventKind, Gauge, Registry};
 use copra_pfs::{HsmState, ReadOutcome};
-use copra_simtime::{DataSize, SimInstant};
+use copra_simtime::{DataSize, SimDuration, SimInstant};
 use copra_trace::{fnv64, SpanContext, Tracer};
 use copra_vfs::{Content, FsResult, Ino};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,19 +46,7 @@ pub enum Op {
     Compare,
 }
 
-/// Result a rank returns from the world.
-pub enum RankOutcome {
-    /// Manager: the run report.
-    Report(Box<(RunStats, Vec<String>)>),
-    /// OutPutProc: the collected output lines.
-    Output(Vec<String>),
-    /// WatchDog: the progress history.
-    Watch(Vec<crate::report::ProgressSample>),
-    /// Everyone else.
-    Unit,
-}
-
-/// Everything a run needs, bundled for the rank bodies.
+/// Everything a run needs.
 pub struct Engine<'a> {
     pub config: &'a PftoolConfig,
     pub op: Op,
@@ -58,22 +58,57 @@ pub struct Engine<'a> {
     pub nodes: Vec<NodeId>,
 }
 
-const MANAGER: usize = 0;
-const OUTPUT: usize = 1;
-const WATCHDOG: usize = 2;
 const FIRST_READDIR: usize = 3;
 
+/// An assignment the Manager gives to one rank.
+enum Job {
+    ReadDir {
+        path: String,
+        ready: SimInstant,
+    },
+    Stat(StatRequest),
+    Move(WorkerJob),
+    /// One whole tape's restore queue (the TapeCQ binding that prevents
+    /// §6.2 thrashing).
+    Tape {
+        tape: u32,
+        entries: Vec<TapeEntry>,
+        ctx: Option<SpanContext>,
+    },
+}
+
+/// Sub-directories, plain files and fuse-chunked files of one directory.
+type Listing = (Vec<String>, Vec<String>, Vec<String>);
+
+/// What a rank reports when its assignment completes.
+enum Outcome {
+    Dir(Result<Listing, String>),
+    Stat(Result<FileMeta, String>),
+    /// Bytes copied.
+    Copy(Result<u64, String>),
+    /// Source path, and (contents equal, bytes compared).
+    Compare(String, Result<(bool, u64), String>),
+    Tape {
+        /// (path, restore end, parent logical file) per restored file.
+        restored: Vec<(String, SimInstant, Option<String>)>,
+        /// Entries whose restore failed, with the error.
+        failed: Vec<(TapeEntry, String)>,
+    },
+}
+
 impl Engine<'_> {
-    fn first_worker(&self) -> usize {
-        FIRST_READDIR + self.config.readdir_procs
+    fn readdirs(&self) -> Range<usize> {
+        FIRST_READDIR..FIRST_READDIR + self.config.readdir_procs
     }
 
-    fn first_tapeproc(&self) -> usize {
-        self.first_worker() + self.config.workers
+    fn workers(&self) -> Range<usize> {
+        let first = self.readdirs().end;
+        first..first + self.config.workers
     }
 
-    fn world_size(&self) -> usize {
-        self.config.world_size()
+    fn tapeprocs(&self) -> Range<usize> {
+        let first = self.workers().end;
+        first..first + self.config.tape_procs
     }
 
     fn node_of(&self, rank: usize) -> NodeId {
@@ -111,197 +146,57 @@ impl Engine<'_> {
             .and_then(|h| h.server().library().armed_faults())
     }
 
-    /// Run the world and return (report, output lines).
+    /// Run the job and return (report, output lines). For `pfcm` the output
+    /// lines are the mismatching source paths.
     pub fn run(&self) -> (RunStats, Vec<String>) {
         self.config.validate();
         assert!(!self.nodes.is_empty(), "engine needs a machine list");
-        let size = self.world_size();
-        let results = copra_mpirt::run_with_results::<PfMsg, RankOutcome, _>(size, |comm| {
-            let rank = comm.rank();
-            if rank == MANAGER {
-                self.manager(comm)
-            } else if rank == OUTPUT {
-                Self::output_proc(comm)
-            } else if rank == WATCHDOG {
-                self.watchdog(comm)
-            } else if rank < self.first_worker() {
-                self.readdir_loop(comm)
-            } else if rank < self.first_tapeproc() {
-                self.worker_loop(comm)
-            } else {
-                self.tapeproc_loop(comm)
-            }
-        });
-        let mut report = None;
-        let mut lines = Vec::new();
-        let mut samples = Vec::new();
-        for r in results {
-            match r {
-                RankOutcome::Report(b) => report = Some(*b),
-                RankOutcome::Output(l) => lines = l,
-                RankOutcome::Watch(s) => samples = s,
-                RankOutcome::Unit => {}
-            }
-        }
-        let (mut stats, mismatches) = report.expect("manager returns a report");
-        let _ = mismatches;
-        stats.progress_samples = samples;
-        (stats, lines)
-    }
-
-    // ================= Manager =================
-
-    fn manager(&self, comm: Comm<PfMsg>) -> RankOutcome {
         let t0 = Instant::now();
         let run_start = self.src.pfs.clock().now();
         let tracer = self.tracer();
         // One root span covers the whole run; every request, copy and tape
-        // restore hangs below it (directly or via contexts carried in
-        // protocol messages).
+        // restore hangs below it (directly or via contexts carried in the
+        // queued jobs).
         let run_span = tracer.root("pftool.run", fnv64(self.src_root.as_bytes()), run_start);
-        let run_ctx = run_span.as_ref().map(|g| g.ctx());
-        let mut st = ManagerState {
+        let world = self.config.world_size();
+        let mut m = Manager {
             engine: self,
-            comm,
             q: ManagerQueues::new(self.config.tape_ordering),
-            idle_readdirs: Vec::new(),
-            idle_workers: Vec::new(),
-            idle_tapeprocs: Vec::new(),
-            inflight_readdir: 0,
-            inflight_stat: 0,
-            inflight_move: 0,
-            inflight_tape: 0,
+            free: vec![run_start; world],
+            held: (0..world).map(|_| None).collect(),
+            completions: BinaryHeap::new(),
+            restores: BinaryHeap::new(),
+            now: run_start,
+            committing: None,
             stats: RunStats {
                 sim_start: run_start,
                 sim_end: run_start,
                 ..RunStats::default()
             },
-            mismatch_lines: Vec::new(),
+            lines: Vec::new(),
+            watchdog: WatchDog::new(self.config, run_start),
             aborted: false,
             pending_chunks: rustc_hash::FxHashMap::default(),
             tape_attempts: rustc_hash::FxHashMap::default(),
-            pending: rustc_hash::FxHashMap::default(),
-            steal_outstanding: rustc_hash::FxHashSet::default(),
+            faults: self.faults(),
             mobs: self.obs().map(|o| ManagerObs::new(o.clone())),
+            run_ctx: run_span.as_ref().map(|g| g.ctx()),
             tracer,
-            run_ctx,
         };
-        st.seed(run_start);
-        st.sample_queues(true);
-        st.event_loop();
-        st.sample_queues(true);
+        m.seed(run_start);
+        m.event_loop();
         if let Some(g) = run_span {
-            g.finish(st.stats.sim_end);
+            g.finish(m.stats.sim_end);
         }
-        st.stats.wall_seconds = t0.elapsed().as_secs_f64();
-        st.stats.aborted = st.aborted;
-        // Mismatch paths ride in the output channel for pfcm.
-        for m in &st.mismatch_lines {
-            st.comm
-                .send(OUTPUT, PfMsg::OutputLine(format!("MISMATCH {m}")));
-        }
-        for rank in 1..self.world_size() {
-            st.comm.send(rank, PfMsg::Shutdown);
-        }
-        RankOutcome::Report(Box::new((st.stats, st.mismatch_lines)))
-    }
-
-    // ================= OutPutProc =================
-
-    fn output_proc(comm: Comm<PfMsg>) -> RankOutcome {
-        let mut lines = Vec::new();
-        while let Some((_, msg)) = comm.recv() {
-            match msg {
-                PfMsg::OutputLine(l) => lines.push(l),
-                PfMsg::Shutdown => break,
-                _ => {}
-            }
-        }
-        RankOutcome::Output(lines)
-    }
-
-    // ================= WatchDog =================
-
-    fn watchdog(&self, comm: Comm<PfMsg>) -> RankOutcome {
-        let start = Instant::now();
-        let mut stall = StallTracker::new(self.config.watchdog_stall, start);
-        let mut samples: Vec<crate::report::ProgressSample> = Vec::new();
-        loop {
-            match comm.recv_timeout(self.config.watchdog_interval) {
-                Ok(Some((_, PfMsg::Progress { files, bytes }))) => {
-                    stall.progress(Instant::now());
-                    // Keep one sample per check interval, not per message.
-                    let wall_secs = start.elapsed().as_secs_f64();
-                    let due = samples
-                        .last()
-                        .map(|s| {
-                            wall_secs - s.wall_secs >= self.config.watchdog_interval.as_secs_f64()
-                        })
-                        .unwrap_or(true);
-                    if due {
-                        samples.push(crate::report::ProgressSample {
-                            wall_secs,
-                            files,
-                            bytes,
-                        });
-                    } else if let Some(last) = samples.last_mut() {
-                        last.files = files;
-                        last.bytes = bytes;
-                    }
-                }
-                Ok(Some((_, PfMsg::WorkerDied { rank }))) => {
-                    // A mover death is detected, not a hang: escalate to
-                    // the Manager for re-dispatch, and treat the recovery
-                    // as activity so the stall clock doesn't fire while
-                    // the respawn is in flight.
-                    stall.progress(Instant::now());
-                    comm.send(MANAGER, PfMsg::WorkerDied { rank });
-                }
-                Ok(Some((_, PfMsg::Shutdown))) | Err(copra_mpirt::Disconnected) => break,
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    if stall.check(Instant::now()) {
-                        comm.send(MANAGER, PfMsg::Stalled);
-                    }
-                }
-            }
-        }
-        RankOutcome::Watch(samples)
+        m.stats.aborted = m.aborted;
+        m.stats.progress_samples = m.watchdog.into_samples();
+        m.stats.wall_seconds = t0.elapsed().as_secs_f64();
+        (m.stats, m.lines)
     }
 
     // ================= ReadDir =================
 
-    fn readdir_loop(&self, comm: Comm<PfMsg>) -> RankOutcome {
-        loop {
-            comm.send(MANAGER, PfMsg::RequestWork);
-            match comm.recv() {
-                Some((_, PfMsg::ReadDirJob { path, ready })) => {
-                    let msg = match self.expand_dir(&path) {
-                        Ok((dirs, files, chunked)) => PfMsg::DirDone {
-                            dirs,
-                            files,
-                            chunked,
-                            ready,
-                            err: None,
-                        },
-                        Err(e) => PfMsg::DirDone {
-                            dirs: vec![],
-                            files: vec![],
-                            chunked: vec![],
-                            ready,
-                            err: Some(format!("{path}: {e}")),
-                        },
-                    };
-                    comm.send(MANAGER, msg);
-                }
-                Some((_, PfMsg::Shutdown)) | None => break,
-                Some((_, other)) => unreachable!("readdir got {other:?}"),
-            }
-        }
-        RankOutcome::Unit
-    }
-
-    fn expand_dir(&self, path: &str) -> FsResult<(Vec<String>, Vec<String>, Vec<String>)> {
+    fn expand_dir(&self, path: &str) -> FsResult<Listing> {
         let mut dirs = Vec::new();
         let mut files = Vec::new();
         let mut chunked = Vec::new();
@@ -323,144 +218,39 @@ impl Engine<'_> {
 
     // ================= Worker =================
 
-    fn worker_loop(&self, comm: Comm<PfMsg>) -> RankOutcome {
-        let node = self.node_of(comm.rank());
-        let faults = self.faults();
-        let tracer = self.tracer();
-        // A mover process handles one data-movement job at a time: its
-        // next job cannot start (in simulated time) before the previous
-        // one finished. Stats are charged on the metadata service instead.
-        let mut pipeline_free = SimInstant::EPOCH;
-        'world: loop {
-            comm.send(MANAGER, PfMsg::RequestWork);
-            // A StealRequest can cross this rank's batch completion on the
-            // wire: answer it empty (nothing left to steal) WITHOUT
-            // re-requesting work — the RequestWork above is already in
-            // flight and a second one would double-count this rank idle.
-            let mut next = comm.recv();
-            while let Some((_, PfMsg::StealRequest { .. })) = next {
-                comm.send(MANAGER, PfMsg::Stolen { jobs: vec![] });
-                next = comm.recv();
-            }
-            let Some((_, msg)) = next else { break };
-            let batch_len = match &msg {
-                PfMsg::StatBatch { jobs } => jobs.len(),
-                PfMsg::MoveBatch { jobs } => jobs.len(),
-                _ => 0,
-            };
-            // The context a crash would interrupt: the first entry of the
-            // assignment just received.
-            let batch_ctx = match &msg {
-                PfMsg::StatBatch { jobs } => jobs.first().and_then(|j| j.ctx),
-                PfMsg::MoveBatch { jobs } => jobs.first().and_then(|j| match j {
-                    WorkerJob::Copy(c) => c.ctx,
-                    WorkerJob::Compare(c) => c.ctx,
-                }),
-                _ => None,
-            };
-            if batch_len > 0 {
-                // The crash fuse counts *jobs*, not messages, so a batch
-                // burns one tick per entry — but always at receipt, before
-                // anything executes: a death loses the whole assignment
-                // and the Manager re-queues all of it.
-                match self.mover_crash(&faults, &comm, batch_len, batch_ctx) {
-                    Crash::No => {}
-                    Crash::Respawned => {
-                        // Fresh mover process: its pipeline starts empty.
-                        pipeline_free = SimInstant::EPOCH;
-                        continue;
-                    }
-                    Crash::Shutdown => break,
-                }
-            }
-            match msg {
-                PfMsg::StatBatch { jobs } => {
-                    let mut results = Vec::with_capacity(jobs.len());
-                    for j in jobs {
-                        let w0 = tracer.wall_now_ns();
-                        let ready = self.src.pfs.charge_meta(j.ready).end;
-                        tracer.record_closed(
-                            j.ctx,
-                            "pftool.stat",
-                            fnv64(j.path.as_bytes()),
-                            j.ready,
-                            ready,
-                            w0,
-                        );
-                        results.push(match self.stat_file(&j.path, j.chunked) {
-                            Ok(meta) => StatResult {
-                                meta: Some(meta),
-                                ready,
-                                err: None,
-                            },
-                            Err(e) => StatResult {
-                                meta: None,
-                                ready,
-                                err: Some(format!("{}: {e}", j.path)),
-                            },
-                        });
-                    }
-                    comm.send(MANAGER, PfMsg::StatBatchDone { results });
-                }
-                PfMsg::MoveBatch { mut jobs } => {
-                    let mut results = Vec::with_capacity(jobs.len());
-                    let mut i = 0usize;
-                    while i < jobs.len() {
-                        // Between entries, poll for a steal: surrender
-                        // half of the un-started tail to a starving
-                        // colleague. The batch is only ever shortened from
-                        // the back, so `results` stays aligned with the
-                        // front of the Manager's pending copy.
-                        while let Some((_, m)) = comm.try_recv() {
-                            match m {
-                                PfMsg::StealRequest { ctx } => {
-                                    let remaining = jobs.len() - i;
-                                    let give = if remaining > 1 { remaining / 2 } else { 0 };
-                                    let stolen = jobs.split_off(jobs.len() - give);
-                                    if !stolen.is_empty() {
-                                        let now = self.src.pfs.clock().now();
-                                        tracer.record_closed(
-                                            ctx,
-                                            "pftool.surrender",
-                                            comm.rank() as u64,
-                                            now,
-                                            now,
-                                            None,
-                                        );
-                                    }
-                                    comm.send(MANAGER, PfMsg::Stolen { jobs: stolen });
-                                }
-                                PfMsg::Shutdown => break 'world,
-                                _ => {}
-                            }
-                        }
-                        let job = jobs[i].clone();
-                        results.push(self.exec_worker_job(job, node, &mut pipeline_free, &tracer));
-                        i += 1;
-                    }
-                    comm.send(MANAGER, PfMsg::MoveBatchDone { results });
-                }
-                PfMsg::Shutdown => break,
-                other => unreachable!("worker got {other:?}"),
-            }
-        }
-        RankOutcome::Unit
+    fn exec_stat(&self, job: StatRequest, tracer: &Tracer) -> (SimInstant, Outcome) {
+        let w0 = tracer.wall_now_ns();
+        let end = self.src.pfs.charge_meta(job.ready).end;
+        tracer.record_closed(
+            job.ctx,
+            "pftool.stat",
+            fnv64(job.path.as_bytes()),
+            job.ready,
+            end,
+            w0,
+        );
+        let meta = self
+            .stat_file(&job.path, job.chunked)
+            .map_err(|e| format!("{}: {e}", job.path));
+        (end, Outcome::Stat(meta))
     }
 
-    /// Execute one entry of a move batch on this mover's serial pipeline.
-    fn exec_worker_job(
+    /// Execute one CopyQ entry on a mover's serial pipeline: the job
+    /// starts once the pipeline is free, and a success occupies it until
+    /// the job's end.
+    fn exec_move(
         &self,
         job: WorkerJob,
         node: NodeId,
         pipeline_free: &mut SimInstant,
         tracer: &Tracer,
-    ) -> MoveResult {
+    ) -> (SimInstant, Outcome) {
         match job {
             WorkerJob::Copy(mut job) => {
                 job.ready = job.ready.max(*pipeline_free);
                 // Child of the manager-side request the job carries — the
-                // key is the destination identity, so a stolen or
-                // re-dispatched job keeps the same span id.
+                // key is the destination identity, so a re-queued job keeps
+                // the same span id.
                 let guard = tracer.span(
                     job.ctx,
                     "pftool.copy",
@@ -471,17 +261,12 @@ impl Engine<'_> {
                     Ok(end) => {
                         copra_trace::finish_opt(guard, end);
                         *pipeline_free = end;
-                        MoveResult::Copy {
-                            bytes: job.len,
-                            end,
-                            err: None,
-                        }
+                        (end, Outcome::Copy(Ok(job.len)))
                     }
-                    Err(e) => MoveResult::Copy {
-                        bytes: 0,
-                        end: job.ready,
-                        err: Some(format!("{}: {e}", job.src_path)),
-                    },
+                    Err(e) => (
+                        job.ready,
+                        Outcome::Copy(Err(format!("{}: {e}", job.src_path))),
+                    ),
                 }
             }
             WorkerJob::Compare(mut job) => {
@@ -496,55 +281,13 @@ impl Engine<'_> {
                     Ok((equal, end)) => {
                         copra_trace::finish_opt(guard, end);
                         *pipeline_free = end;
-                        MoveResult::Compare {
-                            path: job.src_path.clone(),
-                            equal,
-                            bytes: job.len,
-                            end,
-                            err: None,
-                        }
+                        (end, Outcome::Compare(job.src_path, Ok((equal, job.len))))
                     }
-                    Err(e) => MoveResult::Compare {
-                        path: job.src_path.clone(),
-                        equal: false,
-                        bytes: 0,
-                        end: job.ready,
-                        err: Some(format!("{}: {e}", job.src_path)),
-                    },
+                    Err(e) => {
+                        let err = format!("{}: {e}", job.src_path);
+                        (job.ready, Outcome::Compare(job.src_path, Err(err)))
+                    }
                 }
-            }
-        }
-    }
-
-    /// Consult the fault plane for a scheduled mover crash on this rank,
-    /// burning `jobs` ticks of the crash fuse (plans schedule crashes
-    /// "after N jobs"; a vectored batch carries N of them at once). A
-    /// crashing mover dies with the assignment it just received: it
-    /// reports the death to the WatchDog and stays dead until the Manager
-    /// answers with [`PfMsg::Respawn`]. Blocking here (instead of racing
-    /// back with `RequestWork`) guarantees the Manager sees the death
-    /// before this rank can hold a second assignment.
-    fn mover_crash(
-        &self,
-        faults: &Option<Arc<FaultPlane>>,
-        comm: &Comm<PfMsg>,
-        jobs: usize,
-        ctx: Option<SpanContext>,
-    ) -> Crash {
-        let Some(plane) = faults else {
-            return Crash::No;
-        };
-        let now = self.src.pfs.clock().now();
-        let rank = comm.rank() as u32;
-        if !(0..jobs).any(|_| plane.take_mover_crash_in(rank, now, ctx)) {
-            return Crash::No;
-        }
-        comm.send(WATCHDOG, PfMsg::WorkerDied { rank: comm.rank() });
-        loop {
-            match comm.recv() {
-                Some((_, PfMsg::Respawn)) => return Crash::Respawned,
-                Some((_, PfMsg::Shutdown)) | None => return Crash::Shutdown,
-                Some(_) => {}
             }
         }
     }
@@ -585,9 +328,6 @@ impl Engine<'_> {
     }
 
     fn exec_copy(&self, job: &CopyJob, node: NodeId) -> FsResult<SimInstant> {
-        if let Some(d) = self.config.inject_copy_delay {
-            std::thread::sleep(d);
-        }
         let dst = self.dst.expect("copy without destination view");
         let src_ino = self.src.pfs.resolve(&job.src_path)?;
         let data = match self.src.pfs.read(src_ino, job.src_offset, job.len)? {
@@ -677,66 +417,42 @@ impl Engine<'_> {
 
     // ================= TapeProc =================
 
-    fn tapeproc_loop(&self, comm: Comm<PfMsg>) -> RankOutcome {
-        let node = self.node_of(comm.rank());
-        let faults = self.faults();
-        loop {
-            comm.send(MANAGER, PfMsg::RequestWork);
-            match comm.recv() {
-                Some((_, PfMsg::Tape(job))) => {
-                    // One tape assignment = one fuse tick, as before
-                    // batching: TapeJobs were always vectored.
-                    match self.mover_crash(&faults, &comm, 1, job.ctx) {
-                        Crash::No => {}
-                        Crash::Respawned => continue,
-                        Crash::Shutdown => break,
-                    }
-                    let msg = self.exec_tape(&job, node);
-                    comm.send(MANAGER, msg);
-                }
-                Some((_, PfMsg::Shutdown)) | None => break,
-                Some((_, other)) => unreachable!("tapeproc got {other:?}"),
-            }
-        }
-        RankOutcome::Unit
-    }
-
-    fn exec_tape(&self, job: &TapeJob, node: NodeId) -> PfMsg {
-        let Some(hsm) = &self.src.hsm else {
-            return PfMsg::TapeDone {
-                restored: vec![],
-                failed: vec![],
-                err: Some("no HSM on source view".to_string()),
-            };
-        };
-        let tracer = self.tracer();
-        let mut restored = Vec::with_capacity(job.files.len());
+    /// Restore one tape's queue front to back from `start` on.
+    fn exec_tape(
+        &self,
+        entries: Vec<TapeEntry>,
+        ctx: Option<SpanContext>,
+        node: NodeId,
+        start: SimInstant,
+        tracer: &Tracer,
+    ) -> (SimInstant, Outcome) {
+        let mut restored = Vec::with_capacity(entries.len());
         let mut failed = Vec::new();
-        let mut cursor = job.ready;
-        for (path, ino, parent) in &job.files {
-            let guard = tracer.span(job.ctx, "pftool.tape_restore", ino.0, cursor);
-            let ctx = guard.as_ref().map(|g| g.ctx());
-            match hsm.recall_file(*ino, node, self.config.data_path, cursor, ctx) {
+        let mut cursor = start;
+        for e in entries {
+            let Some(hsm) = &self.src.hsm else {
+                failed.push((e, "no HSM on source view".to_string()));
+                continue;
+            };
+            let guard = tracer.span(ctx, "pftool.tape_restore", e.ino.0, cursor);
+            let span = guard.as_ref().map(|g| g.ctx());
+            match hsm.recall_file(e.ino, node, self.config.data_path, cursor, span) {
                 Ok(end) => {
                     copra_trace::finish_opt(guard, end);
-                    restored.push((path.clone(), end, parent.clone()));
+                    restored.push((e.path, end, e.parent));
                     cursor = end;
                 }
                 // A failed entry does not sink the batch: the rest of the
                 // tape keeps restoring and the Manager decides whether to
                 // re-queue the stragglers.
-                Err(e) => failed.push((path.clone(), *ino, parent.clone(), e.to_string())),
+                Err(err) => failed.push((e, err.to_string())),
             }
         }
-        PfMsg::TapeDone {
-            restored,
-            failed,
-            err: None,
-        }
+        (cursor, Outcome::Tape { restored, failed })
     }
 }
 
-// ================= Manager state machine =================
+// ================= Manager =================
 
 /// Cached registry handles for the manager's telemetry: the four queue
 /// depth gauges of Figure 3 plus worker busy/idle transition counters.
@@ -748,9 +464,9 @@ struct ManagerObs {
     worker_busy: Arc<Counter>,
     worker_idle: Arc<Counter>,
     obs: Arc<Registry>,
-    /// Wall-clock throttle so depth samples land on the WatchDog cadence
-    /// rather than once per manager message.
-    last_sample: Option<Instant>,
+    /// Simulated instant of the last depth sample, so samples land on the
+    /// WatchDog cadence rather than once per completion.
+    last_sample: Option<SimInstant>,
 }
 
 impl ManagerObs {
@@ -768,19 +484,29 @@ impl ManagerObs {
     }
 }
 
-struct ManagerState<'e, 'a> {
+struct Manager<'e, 'a> {
     engine: &'e Engine<'a>,
-    comm: Comm<PfMsg>,
     q: ManagerQueues,
-    idle_readdirs: Vec<usize>,
-    idle_workers: Vec<usize>,
-    idle_tapeprocs: Vec<usize>,
-    inflight_readdir: usize,
-    inflight_stat: usize,
-    inflight_move: usize,
-    inflight_tape: usize,
+    /// Per rank: the simulated instant its pipeline is free again (moved
+    /// only by a Worker's copies and compares).
+    free: Vec<SimInstant>,
+    /// Per rank: the outcome of the assignment it holds; `None` = idle.
+    held: Vec<Option<Outcome>>,
+    /// Assignments in flight, earliest (end, rank) first. A rank holds at
+    /// most one, so the commit order is total.
+    completions: BinaryHeap<Reverse<(SimInstant, usize)>>,
+    /// Restore end of every file in the tape batches in flight. A batch
+    /// commits only at its end, so these reach the WatchDog on their own.
+    restores: BinaryHeap<Reverse<SimInstant>>,
+    /// The latest committed completion: the loop's simulated present.
+    now: SimInstant,
+    /// The Worker whose completion is being committed: handing it its
+    /// next job straight away is not an idle-to-busy transition.
+    committing: Option<usize>,
     stats: RunStats,
-    mismatch_lines: Vec<String>,
+    /// OutPutProc: the run's output lines, in commit order.
+    lines: Vec<String>,
+    watchdog: WatchDog,
     aborted: bool,
     /// Logical fuse files waiting on chunk restores: path → (chunks left,
     /// latest restore end).
@@ -788,16 +514,7 @@ struct ManagerState<'e, 'a> {
     /// How many times a migrated file has been routed to tape (guards
     /// against re-queue loops when a restore keeps failing).
     tape_attempts: rustc_hash::FxHashMap<String, u32>,
-    /// The single assignment each Worker/TapeProc rank currently holds,
-    /// kept so a mover death re-queues exactly the lost work. One slot per
-    /// rank suffices: a dead rank blocks until its Respawn, so it can
-    /// never hold two assignments. A Move slot is truncated from the back
-    /// as its rank surrenders stolen tail entries.
-    pending: rustc_hash::FxHashMap<usize, PendingJob>,
-    /// Worker ranks with an un-answered StealRequest: never ask the same
-    /// victim twice before its Stolen reply, or the tail-length accounting
-    /// would double-subtract.
-    steal_outstanding: rustc_hash::FxHashSet<usize>,
+    faults: Option<Arc<FaultPlane>>,
     /// Telemetry handles; absent when the run has no registry in reach.
     mobs: Option<ManagerObs>,
     /// Span tracer (disabled unless armed) and the run root's context.
@@ -805,15 +522,7 @@ struct ManagerState<'e, 'a> {
     run_ctx: Option<SpanContext>,
 }
 
-/// What a Worker or TapeProc rank is currently executing, from the
-/// Manager's point of view.
-enum PendingJob {
-    Stat(Vec<StatRequest>),
-    Move(Vec<WorkerJob>),
-    Tape { tape: u32, entries: Vec<TapeEntry> },
-}
-
-impl ManagerState<'_, '_> {
+impl Manager<'_, '_> {
     fn seed(&mut self, run_start: SimInstant) {
         let eng = self.engine;
         let root = eng.src_root.clone();
@@ -875,18 +584,18 @@ impl ManagerState<'_, '_> {
     /// event — on the WatchDog cadence. `force` bypasses the throttle so
     /// runs shorter than one interval still leave a start and end sample.
     fn sample_queues(&mut self, force: bool) {
-        let interval = self.engine.config.watchdog_interval;
-        let now = self.engine.src.pfs.clock().now();
+        let now = self.now;
+        let interval = self.engine.config.watchdog_interval.as_nanos() as u64;
         let Some(mo) = &mut self.mobs else { return };
         let due = force
             || mo
                 .last_sample
-                .map(|t| t.elapsed() >= interval)
+                .map(|t| now.saturating_since(t) >= SimDuration::from_nanos(interval))
                 .unwrap_or(true);
         if !due {
             return;
         }
-        mo.last_sample = Some(Instant::now());
+        mo.last_sample = Some(now);
         let (dirq, nameq, copyq, tapecq) = (
             self.q.dirq.len() as u32,
             self.q.nameq.len() as u32,
@@ -908,428 +617,328 @@ impl ManagerState<'_, '_> {
         );
     }
 
-    /// A worker rank picked up a job.
-    fn note_worker_busy(&self, rank: usize) {
+    /// A Worker went from idle to busy (`busy`) or back.
+    fn note_worker(&self, rank: usize, busy: bool) {
         let Some(mo) = &self.mobs else { return };
-        mo.worker_busy.inc();
-        let now = self.engine.src.pfs.clock().now();
-        mo.obs
-            .event(now, EventKind::WorkerBusy { rank: rank as u32 });
-    }
-
-    /// A worker rank came back asking for work.
-    fn note_worker_idle(&self, rank: usize) {
-        let Some(mo) = &self.mobs else { return };
-        mo.worker_idle.inc();
-        let now = self.engine.src.pfs.clock().now();
-        mo.obs
-            .event(now, EventKind::WorkerIdle { rank: rank as u32 });
-    }
-
-    fn rank_kind(&self, rank: usize) -> RankKind {
-        if rank < self.engine.first_worker() {
-            RankKind::ReadDir
-        } else if rank < self.engine.first_tapeproc() {
-            RankKind::Worker
+        let rank = rank as u32;
+        if busy {
+            mo.worker_busy.inc();
+            mo.obs.event(self.now, EventKind::WorkerBusy { rank });
         } else {
-            RankKind::TapeProc
+            mo.worker_idle.inc();
+            mo.obs.event(self.now, EventKind::WorkerIdle { rank });
         }
     }
 
-    fn done(&self) -> bool {
-        self.q.all_empty()
-            && self.inflight_readdir == 0
-            && self.inflight_stat == 0
-            && self.inflight_move == 0
-            && self.inflight_tape == 0
+    /// Hand out queued work, then commit completions one at a time in
+    /// (end, rank) order, handing out the work each one frees or creates,
+    /// until nothing is queued or in flight.
+    fn event_loop(&mut self) {
+        self.sample_queues(true);
+        self.dispatch();
+        while let Some(Reverse((end, rank))) = self.completions.pop() {
+            self.now = self.now.max(end);
+            // Files restored up to `end` are progress even while their
+            // tape batch is still in flight.
+            while let Some(&Reverse(restored)) = self.restores.peek() {
+                if restored > end {
+                    break;
+                }
+                self.restores.pop();
+                self.progress(restored);
+            }
+            let outcome = self.held[rank].take().expect("completion of an idle rank");
+            self.commit(end, outcome);
+            self.progress(end);
+            self.committing = Some(rank);
+            self.dispatch();
+            self.committing = None;
+            if self.engine.workers().contains(&rank) && self.held[rank].is_none() {
+                self.note_worker(rank, false);
+            }
+        }
+        self.sample_queues(true);
+    }
+
+    /// Report progress at `at` to the WatchDog; abort if it saw a stall.
+    fn progress(&mut self, at: SimInstant) {
+        if self
+            .watchdog
+            .progress(at, self.stats.files, self.stats.bytes)
+        {
+            self.abort();
+        }
+    }
+
+    /// The WatchDog saw data movement stall: drop queued work and finish
+    /// once in-flight jobs return (§4.1.1 WatchDog (c)).
+    fn abort(&mut self) {
+        self.aborted = true;
+        self.q.dirq.clear();
+        self.q.nameq.clear();
+        self.q.copyq.clear();
+        while self.q.tapecq.pop_tape().is_some() {}
+    }
+
+    /// The idle rank in `ranks` that is free earliest (ties to the lowest
+    /// rank).
+    fn earliest_idle(&self, ranks: Range<usize>) -> Option<usize> {
+        ranks
+            .filter(|&r| self.held[r].is_none())
+            .min_by_key(|&r| (self.free[r], r))
     }
 
     fn discovery_done(&self) -> bool {
         self.q.dirq.is_empty()
             && self.q.nameq.is_empty()
-            && self.inflight_readdir == 0
-            && self.inflight_stat == 0
+            && !self
+                .held
+                .iter()
+                .flatten()
+                .any(|o| matches!(o, Outcome::Dir(_) | Outcome::Stat(_)))
     }
 
     fn dispatch(&mut self) {
         self.sample_queues(false);
+        let eng = self.engine;
         // ReadDirs <- DirQ
-        while !self.q.dirq.is_empty() && !self.idle_readdirs.is_empty() {
-            let (path, ready) = self.q.dirq.pop_front().unwrap();
-            let rank = self.idle_readdirs.pop().unwrap();
-            self.comm.send(rank, PfMsg::ReadDirJob { path, ready });
-            self.inflight_readdir += 1;
-        }
-        // Workers <- NameQ (stats) then CopyQ (movement), in vectored
-        // batches: one channel send covers up to `batch_size` queue
-        // entries instead of one send per file. The quota splits what is
-        // queued across the currently idle workers so a burst does not all
-        // land on the first rank.
-        while !self.idle_workers.is_empty() {
-            if !self.q.nameq.is_empty() {
-                let n = self.batch_quota(self.q.nameq.len());
-                let jobs: Vec<StatRequest> = self.q.nameq.drain(..n).collect();
-                let rank = self.idle_workers.pop().unwrap();
-                self.pending.insert(rank, PendingJob::Stat(jobs.clone()));
-                self.inflight_stat += jobs.len();
-                self.comm.send(rank, PfMsg::StatBatch { jobs });
-                self.note_worker_busy(rank);
-            } else if !self.q.copyq.is_empty() {
-                let n = self.batch_quota(self.q.copyq.len());
-                let jobs: Vec<WorkerJob> = self.q.copyq.drain(..n).collect();
-                let rank = self.idle_workers.pop().unwrap();
-                self.pending.insert(rank, PendingJob::Move(jobs.clone()));
-                self.inflight_move += jobs.len();
-                self.comm.send(rank, PfMsg::MoveBatch { jobs });
-                self.note_worker_busy(rank);
-            } else {
-                break;
-            }
-        }
-        self.maybe_steal();
-        // TapeProcs <- TapeCQ, only once discovery has finished so each
-        // tape's queue is fully "lined up" (§4.1.1 item g).
-        if self.discovery_done() {
-            while !self.q.tapecq.is_empty() && !self.idle_tapeprocs.is_empty() {
-                let (tape, entries) = self.q.tapecq.pop_tape().unwrap();
-                let rank = self.idle_tapeprocs.pop().unwrap();
-                let ready = self.stats.sim_start;
-                self.pending.insert(
-                    rank,
-                    PendingJob::Tape {
-                        tape,
-                        entries: entries.clone(),
-                    },
-                );
-                let ctx = self.tracer.record_closed(
-                    self.run_ctx,
-                    "pftool.tape_batch",
-                    tape as u64,
-                    ready,
-                    ready,
-                    None,
-                );
-                self.comm.send(
-                    rank,
-                    PfMsg::Tape(TapeJob {
-                        tape,
-                        files: entries
-                            .into_iter()
-                            .map(|e| (e.path, e.ino, e.parent))
-                            .collect(),
-                        ready,
-                        ctx,
-                    }),
-                );
-                self.inflight_tape += 1;
-            }
-        }
-    }
-
-    /// How many queue entries to pack into the next vectored assignment.
-    fn batch_quota(&self, queued: usize) -> usize {
-        let idle = self.idle_workers.len().max(1);
-        queued
-            .div_ceil(idle)
-            .min(self.engine.config.batch_size)
-            .max(1)
-    }
-
-    /// Workers are starving while a colleague sits on a multi-entry move
-    /// batch: ask the most loaded victim to surrender the un-started tail
-    /// of its batch. At most one outstanding request per victim; the tie
-    /// on batch length breaks by rank so the choice is deterministic.
-    fn maybe_steal(&mut self) {
-        if self.aborted
-            || self.idle_workers.is_empty()
-            || !self.q.nameq.is_empty()
-            || !self.q.copyq.is_empty()
-        {
-            return;
-        }
-        let victim = self
-            .pending
-            .iter()
-            .filter_map(|(rank, job)| match job {
-                PendingJob::Move(batch) if batch.len() > 1 => Some((batch.len(), *rank)),
-                _ => None,
-            })
-            .filter(|(_, rank)| !self.steal_outstanding.contains(rank))
-            .max();
-        if let Some((_, rank)) = victim {
-            self.steal_outstanding.insert(rank);
-            let now = self.engine.src.pfs.clock().now();
-            let ctx = self.tracer.record_closed(
-                self.run_ctx,
-                "pftool.steal",
-                rank as u64,
-                now,
-                now,
-                None,
-            );
-            self.comm.send(rank, PfMsg::StealRequest { ctx });
-        }
-    }
-
-    fn event_loop(&mut self) {
-        loop {
-            self.dispatch();
-            if self.done() {
-                // Everything drained; but only finish when all procs have
-                // come back idle is unnecessary — queues and inflight are
-                // the invariant.
-                break;
-            }
-            let Some((from, msg)) = self.comm.recv() else {
+        while !self.q.dirq.is_empty() {
+            let Some(rank) = self.earliest_idle(eng.readdirs()) else {
                 break;
             };
-            self.handle(from, msg);
+            let (path, ready) = self.q.dirq.pop_front().unwrap();
+            self.start(rank, Job::ReadDir { path, ready });
+        }
+        // Workers <- NameQ (stats) first, then CopyQ (movement).
+        while !self.q.nameq.is_empty() || !self.q.copyq.is_empty() {
+            let Some(rank) = self.earliest_idle(eng.workers()) else {
+                break;
+            };
+            let job = match self.q.nameq.pop_front() {
+                Some(stat) => Job::Stat(stat),
+                None => Job::Move(self.q.copyq.pop_front().unwrap()),
+            };
+            self.start(rank, job);
+        }
+        // TapeProcs <- TapeCQ, only once discovery has finished so each
+        // tape's queue is fully "lined up" (§4.1.1 item g).
+        while !self.q.tapecq.is_empty() && self.discovery_done() {
+            let Some(rank) = self.earliest_idle(eng.tapeprocs()) else {
+                break;
+            };
+            let (tape, entries) = self.q.tapecq.pop_tape().unwrap();
+            let ready = self.stats.sim_start;
+            let ctx = self.tracer.record_closed(
+                self.run_ctx,
+                "pftool.tape_batch",
+                tape as u64,
+                ready,
+                ready,
+                None,
+            );
+            self.start(rank, Job::Tape { tape, entries, ctx });
         }
     }
 
-    fn handle(&mut self, from: usize, msg: PfMsg) {
-        match msg {
-            PfMsg::RequestWork => match self.rank_kind(from) {
-                RankKind::ReadDir => self.idle_readdirs.push(from),
-                RankKind::Worker => {
-                    self.note_worker_idle(from);
-                    self.idle_workers.push(from);
+    /// Run `job` on idle `rank` in place and schedule its completion. A
+    /// mover whose scheduled crash fires dies with the job instead: the
+    /// job goes back on its queue (one crash-fuse tick per job) and the
+    /// restarted rank is idle again, its pipeline empty.
+    fn start(&mut self, rank: usize, job: Job) {
+        let eng = self.engine;
+        if self.mover_crashed(rank, &job) {
+            self.free[rank] = self.stats.sim_start;
+            self.requeue_lost(job);
+            return;
+        }
+        if eng.workers().contains(&rank) && self.committing != Some(rank) {
+            self.note_worker(rank, true);
+        }
+        let node = eng.node_of(rank);
+        let (end, outcome) = match job {
+            Job::ReadDir { path, ready } => {
+                let listing = eng.expand_dir(&path).map_err(|e| format!("{path}: {e}"));
+                (ready, Outcome::Dir(listing))
+            }
+            Job::Stat(stat) => eng.exec_stat(stat, &self.tracer),
+            Job::Move(job) => eng.exec_move(job, node, &mut self.free[rank], &self.tracer),
+            Job::Tape { entries, ctx, .. } => {
+                let start = self.stats.sim_start;
+                let (end, outcome) = eng.exec_tape(entries, ctx, node, start, &self.tracer);
+                if let Outcome::Tape { restored, .. } = &outcome {
+                    self.restores
+                        .extend(restored.iter().map(|&(_, end, _)| Reverse(end)));
                 }
-                RankKind::TapeProc => self.idle_tapeprocs.push(from),
-            },
-            PfMsg::DirDone {
-                dirs,
-                files,
-                chunked,
-                ready,
-                err,
-            } => {
-                self.inflight_readdir -= 1;
-                if let Some(e) = err {
-                    self.record_error(String::new(), e);
+                (end, outcome)
+            }
+        };
+        self.held[rank] = Some(outcome);
+        self.completions.push(Reverse((end, rank)));
+    }
+
+    /// Consult the fault plane for a scheduled crash of mover `rank`
+    /// (Workers and TapeProcs), burning one tick of its crash fuse.
+    fn mover_crashed(&self, rank: usize, job: &Job) -> bool {
+        let ctx = match job {
+            Job::ReadDir { .. } => return false,
+            Job::Stat(s) => s.ctx,
+            Job::Move(WorkerJob::Copy(c)) => c.ctx,
+            Job::Move(WorkerJob::Compare(c)) => c.ctx,
+            Job::Tape { ctx, .. } => *ctx,
+        };
+        self.faults
+            .as_ref()
+            .is_some_and(|plane| plane.take_mover_crash_in(rank as u32, self.now, ctx))
+    }
+
+    /// A mover died holding `job`: put the lost work back at the tail of
+    /// its queue.
+    fn requeue_lost(&mut self, job: Job) {
+        let requeued = match job {
+            Job::ReadDir { .. } => unreachable!("ReadDir ranks do not crash"),
+            Job::Stat(stat) => {
+                self.q.nameq.push_back(stat);
+                1
+            }
+            Job::Move(job) => {
+                self.q.copyq.push_back(job);
+                1
+            }
+            Job::Tape { tape, entries, .. } => {
+                let n = entries.len() as u64;
+                for e in entries {
+                    self.q.tapecq.push(tape, e);
                 }
+                n
+            }
+        };
+        if let Some(plane) = &self.faults {
+            plane.note_redispatch_in("worker-death", requeued, self.now, self.run_ctx);
+        }
+    }
+
+    /// Fold one completed assignment, ending at `end`, into the run.
+    fn commit(&mut self, end: SimInstant, outcome: Outcome) {
+        match outcome {
+            Outcome::Dir(Err(e)) | Outcome::Stat(Err(e)) | Outcome::Copy(Err(e)) => {
+                self.record_error(String::new(), e)
+            }
+            Outcome::Compare(path, Err(e)) => self.record_error(path, e),
+            Outcome::Dir(Ok((dirs, files, chunked))) => {
                 if !self.aborted {
-                    self.stats.dirs += dirs.len() as u64;
-                    for d in dirs {
-                        // pfcp mirrors the directory structure as it walks.
-                        if let (Op::Copy, Some(dst)) = (self.engine.op, self.engine.dst) {
-                            if let Some(dp) = self.rebase(&d) {
-                                if let Err(e) = dst.pfs.mkdir_p(&dp) {
-                                    self.record_error(dp, e.to_string());
-                                }
-                            }
-                        }
-                        if self.engine.op == Op::List {
-                            self.comm.send(OUTPUT, PfMsg::OutputLine(format!("d {d}")));
-                        }
-                        self.q.dirq.push_back((d, ready));
-                    }
-                    for f in files {
-                        self.q.nameq.push_back(StatRequest {
-                            path: f,
-                            chunked: false,
-                            ready,
-                            ctx: self.run_ctx,
-                        });
-                    }
-                    for c in chunked {
-                        self.q.nameq.push_back(StatRequest {
-                            path: c,
-                            chunked: true,
-                            ready,
-                            ctx: self.run_ctx,
-                        });
-                    }
-                }
-                self.progress();
-            }
-            PfMsg::StatBatchDone { results } => {
-                self.inflight_stat -= results.len();
-                self.pending.remove(&from);
-                for r in results {
-                    if let Some(e) = r.err {
-                        self.record_error(String::new(), e);
-                    } else if let Some(meta) = r.meta {
-                        if !self.aborted {
-                            self.route(meta, r.ready);
-                        }
-                    }
-                }
-                self.progress();
-            }
-            PfMsg::MoveBatchDone { results } => {
-                // Stolen tail entries were already subtracted when the
-                // Stolen reply arrived (channel FIFO guarantees it sorts
-                // before this message), so `results` covers exactly what
-                // is still charged against this rank.
-                self.inflight_move -= results.len();
-                self.pending.remove(&from);
-                for r in results {
-                    match r {
-                        MoveResult::Copy { bytes, end, err } => {
-                            if let Some(e) = err {
-                                self.record_error(String::new(), e);
-                            } else {
-                                self.stats.bytes += bytes;
-                                self.stats.sim_end = self.stats.sim_end.max(end);
-                            }
-                        }
-                        MoveResult::Compare {
-                            path,
-                            equal,
-                            bytes,
-                            end,
-                            err,
-                        } => match err {
-                            Some(e) => self.record_error(path, e),
-                            None => {
-                                self.stats.bytes += bytes;
-                                self.stats.sim_end = self.stats.sim_end.max(end);
-                                if !equal {
-                                    self.mismatch_lines.push(path);
-                                }
-                            }
-                        },
-                    }
-                }
-                self.progress();
-            }
-            PfMsg::Stolen { jobs } => {
-                self.steal_outstanding.remove(&from);
-                if !jobs.is_empty() {
-                    self.inflight_move -= jobs.len();
-                    self.stats.stolen_jobs += jobs.len() as u64;
-                    // The victim surrendered its batch tail: shorten the
-                    // pending copy the same way so a later death of that
-                    // rank re-queues only what it still holds.
-                    if let Some(PendingJob::Move(batch)) = self.pending.get_mut(&from) {
-                        let keep = batch.len() - jobs.len();
-                        batch.truncate(keep);
-                    }
-                    if !self.aborted {
-                        self.q.copyq.extend(jobs);
-                    }
+                    self.walked(dirs, files, chunked, end);
                 }
             }
-            PfMsg::TapeDone {
-                restored,
-                failed,
-                err,
-            } => {
-                self.inflight_tape -= 1;
-                self.pending.remove(&from);
-                if let Some(e) = err {
-                    self.record_error(String::new(), e);
-                }
+            Outcome::Stat(Ok(meta)) => {
                 if !self.aborted {
-                    for (path, ino, parent, emsg) in failed {
-                        self.requeue_failed_restore(path, ino, parent, emsg);
+                    self.route(meta, end);
+                }
+            }
+            Outcome::Copy(Ok(bytes)) => {
+                self.stats.bytes += bytes;
+                self.stats.sim_end = self.stats.sim_end.max(end);
+            }
+            Outcome::Compare(path, Ok((equal, bytes))) => {
+                self.stats.bytes += bytes;
+                self.stats.sim_end = self.stats.sim_end.max(end);
+                if !equal {
+                    self.lines.push(path);
+                }
+            }
+            Outcome::Tape { restored, failed } => {
+                if !self.aborted {
+                    for (entry, emsg) in failed {
+                        self.requeue_failed_restore(entry, emsg);
                     }
                     for (path, end, parent) in restored {
-                        self.stats.tape_restores += 1;
-                        self.stats.sim_end = self.stats.sim_end.max(end);
-                        match parent {
-                            // The restored file is readable now; re-stat it
-                            // so it flows into the copy queue ("additional
-                            // restored tape file copy request", §4.1.1 j).
-                            None => self.q.nameq.push_back(StatRequest {
-                                path,
-                                chunked: false,
-                                ready: end,
-                                ctx: self.run_ctx,
-                            }),
-                            // A fuse chunk: re-queue the logical file only
-                            // when its last chunk is back.
-                            Some(logical) => {
-                                let entry = self
-                                    .pending_chunks
-                                    .entry(logical.clone())
-                                    .or_insert((0, end));
-                                entry.0 = entry.0.saturating_sub(1);
-                                entry.1 = entry.1.max(end);
-                                if entry.0 == 0 {
-                                    let ready = entry.1;
-                                    self.pending_chunks.remove(&logical);
-                                    self.q.nameq.push_back(StatRequest {
-                                        path: logical,
-                                        chunked: true,
-                                        ready,
-                                        ctx: self.run_ctx,
-                                    });
-                                }
-                            }
-                        }
+                        self.restored(path, end, parent);
                     }
                 }
-                self.progress();
             }
-            PfMsg::Stalled => {
-                // WatchDog says the run is stuck: drop queued work and
-                // finish once in-flight jobs return (§4.1.1 WatchDog (c)).
-                self.aborted = true;
-                self.q.dirq.clear();
-                self.q.nameq.clear();
-                self.q.copyq.clear();
-                while self.q.tapecq.pop_tape().is_some() {}
-            }
-            PfMsg::WorkerDied { rank } => self.worker_died(rank),
-            other => unreachable!("manager got {other:?}"),
         }
     }
 
-    /// A mover rank died (relayed by the WatchDog). Its single in-flight
-    /// assignment died with it: re-queue that work at the back of the
-    /// right queue, fix the in-flight accounting, and tell the rank its
-    /// daemon has been restarted.
-    fn worker_died(&mut self, rank: usize) {
-        let now = self.engine.src.pfs.clock().now();
-        let mut requeued = 0u64;
-        match self.pending.remove(&rank) {
-            Some(PendingJob::Stat(jobs)) => {
-                self.inflight_stat -= jobs.len();
-                if !self.aborted {
-                    requeued = jobs.len() as u64;
-                    self.q.nameq.extend(jobs);
-                }
-            }
-            Some(PendingJob::Move(batch)) => {
-                self.inflight_move -= batch.len();
-                if !self.aborted {
-                    requeued = batch.len() as u64;
-                    self.q.copyq.extend(batch);
-                }
-            }
-            Some(PendingJob::Tape { tape, entries }) => {
-                self.inflight_tape -= 1;
-                if !self.aborted {
-                    requeued = entries.len() as u64;
-                    for e in entries {
-                        self.q.tapecq.push(tape, e);
+    /// Queue what one directory listing found.
+    fn walked(
+        &mut self,
+        dirs: Vec<String>,
+        files: Vec<String>,
+        chunked: Vec<String>,
+        ready: SimInstant,
+    ) {
+        self.stats.dirs += dirs.len() as u64;
+        for d in dirs {
+            // pfcp mirrors the directory structure as it walks.
+            if let (Op::Copy, Some(dst)) = (self.engine.op, self.engine.dst) {
+                if let Some(dp) = self.rebase(&d) {
+                    if let Err(e) = dst.pfs.mkdir_p(&dp) {
+                        self.record_error(dp, e.to_string());
                     }
                 }
             }
-            None => {}
+            if self.engine.op == Op::List {
+                self.lines.push(format!("d {d}"));
+            }
+            self.q.dirq.push_back((d, ready));
         }
-        // A dead rank never answers a StealRequest (its crash wait-loop
-        // swallows it); clear the flag or stealing stays wedged.
-        self.steal_outstanding.remove(&rank);
-        if let Some(plane) = self.engine.faults() {
-            plane.note_redispatch_in("worker-death", requeued, now, self.run_ctx);
+        let stats = files
+            .into_iter()
+            .map(|f| (f, false))
+            .chain(chunked.into_iter().map(|c| (c, true)));
+        for (path, chunked) in stats {
+            self.q.nameq.push_back(StatRequest {
+                path,
+                chunked,
+                ready,
+                ctx: self.run_ctx,
+            });
         }
-        self.comm.send(rank, PfMsg::Respawn);
-        self.progress();
+    }
+
+    /// One file came back from tape at `end`.
+    fn restored(&mut self, path: String, end: SimInstant, parent: Option<String>) {
+        self.stats.tape_restores += 1;
+        self.stats.sim_end = self.stats.sim_end.max(end);
+        match parent {
+            // The restored file is readable now; re-stat it so it flows
+            // into the copy queue ("additional restored tape file copy
+            // request", §4.1.1 j).
+            None => self.q.nameq.push_back(StatRequest {
+                path,
+                chunked: false,
+                ready: end,
+                ctx: self.run_ctx,
+            }),
+            // A fuse chunk: re-queue the logical file only when its last
+            // chunk is back.
+            Some(logical) => {
+                let entry = self
+                    .pending_chunks
+                    .entry(logical.clone())
+                    .or_insert((0, end));
+                entry.0 = entry.0.saturating_sub(1);
+                entry.1 = entry.1.max(end);
+                if entry.0 == 0 {
+                    let ready = entry.1;
+                    self.pending_chunks.remove(&logical);
+                    self.q.nameq.push_back(StatRequest {
+                        path: logical,
+                        chunked: true,
+                        ready,
+                        ctx: self.run_ctx,
+                    });
+                }
+            }
+        }
     }
 
     /// One file in a tape batch failed to restore. Charge it against the
     /// file's attempt budget and either line it back up on its tape's
     /// queue or give up with a per-file error.
-    fn requeue_failed_restore(
-        &mut self,
-        path: String,
-        ino: Ino,
-        parent: Option<String>,
-        emsg: String,
-    ) {
+    fn requeue_failed_restore(&mut self, entry: TapeEntry, emsg: String) {
+        let TapeEntry {
+            path, ino, parent, ..
+        } = entry;
         let attempts = self.tape_attempts.entry(path.clone()).or_insert(0);
         *attempts += 1;
         if *attempts > 3 {
@@ -1361,16 +970,6 @@ impl ManagerState<'_, '_> {
         }
     }
 
-    fn progress(&mut self) {
-        self.comm.send(
-            WATCHDOG,
-            PfMsg::Progress {
-                files: self.stats.files,
-                bytes: self.stats.bytes,
-            },
-        );
-    }
-
     fn rebase(&self, src_path: &str) -> Option<String> {
         copra_vfs::rebase(
             src_path,
@@ -1382,7 +981,7 @@ impl ManagerState<'_, '_> {
     /// Per-file request span, recorded at routing time and keyed by the
     /// source path: every copy, compare and re-dispatch of this file's
     /// work parents under it, so the file stays attributable across
-    /// tail-stealing and mover respawns.
+    /// mover crashes.
     fn request_ctx(&self, path: &str, ready: SimInstant) -> Option<SpanContext> {
         self.tracer.record_closed(
             self.run_ctx,
@@ -1402,13 +1001,10 @@ impl ManagerState<'_, '_> {
                 self.stats.bytes += meta.size;
                 self.stats.sim_end = self.stats.sim_end.max(ready);
                 let tag = if meta.chunked { "F" } else { "f" };
-                self.comm.send(
-                    OUTPUT,
-                    PfMsg::OutputLine(format!(
-                        "{tag} {} {} uid={} {}",
-                        meta.path, meta.size, meta.uid, meta.hsm
-                    )),
-                );
+                self.lines.push(format!(
+                    "{tag} {} {} uid={} {}",
+                    meta.path, meta.size, meta.uid, meta.hsm
+                ));
             }
             Op::Copy => self.route_copy(meta, ready),
             Op::Compare => self.route_compare(meta, ready),
@@ -1791,21 +1387,4 @@ impl ManagerState<'_, '_> {
         }
         Err(format!("object {objid} not in catalog or server DB"))
     }
-}
-
-enum RankKind {
-    ReadDir,
-    Worker,
-    TapeProc,
-}
-
-/// Outcome of a scheduled mover-crash consult.
-enum Crash {
-    /// No crash scheduled for this rank right now.
-    No,
-    /// The mover died with its assignment and the Manager restarted it;
-    /// the lost work was re-queued on the Manager side.
-    Respawned,
-    /// The world shut down while the dead mover waited for its restart.
-    Shutdown,
 }

@@ -1,11 +1,88 @@
 //! The Manager's work queues (Figure 3): DirQ, NameQ, CopyQ and the
-//! per-tape TapeCQ set.
+//! per-tape TapeCQ set, with the work items they hold.
 
-use crate::msg::StatRequest;
-pub use crate::msg::WorkerJob;
+use copra_pfs::HsmState;
 use copra_simtime::SimInstant;
+use copra_trace::SpanContext;
 use copra_vfs::Ino;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+
+/// Stat output for one file, as Workers report it back to the Manager.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FileMeta {
+    pub path: String,
+    pub ino: Ino,
+    /// Logical size (stub overlay applied).
+    pub size: u64,
+    pub uid: u32,
+    pub mtime: SimInstant,
+    pub hsm: HsmState,
+    /// True if this is a fuse-chunked logical file (reported by the walk,
+    /// not by plain stat).
+    pub chunked: bool,
+}
+
+/// How the destination of a copy sub-job is materialized.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DstMode {
+    /// Write into a pre-created file at `dst_offset` (plain-file chunk or
+    /// whole-file copy).
+    WriteAt,
+    /// Create the destination file outright (fuse chunk files); the
+    /// worker records the chunk fingerprint xattr.
+    CreateChunk { uid: u32 },
+}
+
+/// One unit of data movement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CopyJob {
+    /// Physical file to read (may be a fuse chunk file).
+    pub src_path: String,
+    pub src_offset: u64,
+    pub len: u64,
+    /// Physical file to write.
+    pub dst_path: String,
+    pub dst_offset: u64,
+    pub dst_mode: DstMode,
+    /// Simulated instant the data became available (run start, or the end
+    /// of the tape restore that produced it).
+    pub ready: SimInstant,
+    /// Manager-side request span this movement belongs to, carried per job
+    /// so a re-queued job stays attributable to its original request.
+    pub ctx: Option<SpanContext>,
+}
+
+/// One unit of comparison (`pfcm`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompareJob {
+    pub src_path: String,
+    pub dst_path: String,
+    pub offset: u64,
+    pub len: u64,
+    pub ready: SimInstant,
+    /// See [`CopyJob::ctx`].
+    pub ctx: Option<SpanContext>,
+}
+
+/// A worker-executable unit of data movement (the CopyQ element type).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WorkerJob {
+    Copy(CopyJob),
+    Compare(CompareJob),
+}
+
+/// A file awaiting stat (the NameQ element type).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StatRequest {
+    pub path: String,
+    /// True for a fuse-chunked logical file.
+    pub chunked: bool,
+    pub ready: SimInstant,
+    /// Dispatching span (the run root, or the readdir that found the
+    /// file); the worker's stat span parents under it.
+    pub ctx: Option<SpanContext>,
+}
 
 /// One entry waiting in a tape queue.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 /// in the past T minutes" (§4.1.1 WatchDog (a)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProgressSample {
-    /// Real seconds since the run started.
-    pub wall_secs: f64,
+    /// Simulated seconds since the run started.
+    pub sim_secs: f64,
     /// Cumulative files completed at this sample.
     pub files: u64,
     /// Cumulative bytes completed at this sample.
@@ -32,8 +32,9 @@ pub struct RunStats {
     pub skipped_bytes: u64,
     /// Files restored from tape before copying.
     pub tape_restores: u64,
-    /// Move jobs surrendered by busy workers to idle ones (CopyQ tail
-    /// stealing between vectored batches).
+    /// Move jobs handed from one worker to another. Always 0: the Manager
+    /// gives out one job at a time, so there is nothing to steal. Kept
+    /// for readers of earlier reports.
     pub stolen_jobs: u64,
     /// Simulated start of the run.
     pub sim_start: SimInstant,
@@ -183,12 +184,12 @@ mod tests {
             aborted: false,
             progress_samples: vec![
                 ProgressSample {
-                    wall_secs: 0.1,
+                    sim_secs: 0.1,
                     files: 1,
                     bytes: 40,
                 },
                 ProgressSample {
-                    wall_secs: 0.3,
+                    sim_secs: 0.3,
                     files: 3,
                     bytes: 123_456,
                 },

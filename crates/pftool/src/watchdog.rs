@@ -1,97 +1,107 @@
-//! WatchDog stall detection.
+//! The WatchDog (§4.1.1 item c), in simulated time.
 //!
-//! The WatchDog (§4.1.1 item c) watches the Manager's progress stream and
-//! reports when data movement has been quiet for longer than the stall
-//! budget. The tracker reports **once per stall episode**: after a report
-//! it stays silent until progress actually resumes, at which point it
-//! re-arms and a later, second stall is reported again. Without the
-//! re-arm a run that recovers from its first stall would hang silently in
-//! the next one.
+//! The Manager reports every committed completion and every restored
+//! file, in simulated-time order. The WatchDog keeps one progress sample
+//! per check interval and reports a stall when two reports lie further
+//! apart than the stall budget — data movement that went quiet for that
+//! long in the simulated archive, whatever the host's speed.
 
-use std::time::{Duration, Instant};
+use crate::config::PftoolConfig;
+use crate::report::ProgressSample;
+use copra_simtime::{SimDuration, SimInstant};
 
-/// Per-episode stall latch used by the WatchDog rank.
+/// Progress recorder and stall detector of one run.
 #[derive(Debug)]
-pub struct StallTracker {
-    stall_after: Duration,
-    last_progress: Instant,
-    reported: bool,
+pub struct WatchDog {
+    interval_secs: f64,
+    stall: SimDuration,
+    start: SimInstant,
+    last_progress: SimInstant,
+    samples: Vec<ProgressSample>,
 }
 
-impl StallTracker {
-    pub fn new(stall_after: Duration, now: Instant) -> Self {
-        StallTracker {
-            stall_after,
-            last_progress: now,
-            reported: false,
+impl WatchDog {
+    pub fn new(config: &PftoolConfig, start: SimInstant) -> Self {
+        WatchDog {
+            interval_secs: config.watchdog_interval.as_secs_f64(),
+            stall: SimDuration::from_nanos(config.watchdog_stall.as_nanos() as u64),
+            start,
+            last_progress: start,
+            samples: Vec::new(),
         }
     }
 
-    /// The Manager made progress: restart the quiet-time window and
-    /// re-arm the latch so a future stall is reported again.
-    pub fn progress(&mut self, now: Instant) {
-        self.last_progress = now;
-        self.reported = false;
+    /// Progress at `now` brought the run's totals to (`files`, `bytes`).
+    /// Returns true when the gap since the previous report exceeded the
+    /// stall budget.
+    pub fn progress(&mut self, now: SimInstant, files: u64, bytes: u64) -> bool {
+        let stalled = now.saturating_since(self.last_progress) > self.stall;
+        self.last_progress = self.last_progress.max(now);
+        let sim_secs = self
+            .last_progress
+            .saturating_since(self.start)
+            .as_secs_f64();
+        match self.samples.last_mut() {
+            Some(last) if sim_secs - last.sim_secs < self.interval_secs => {
+                last.files = files;
+                last.bytes = bytes;
+            }
+            _ => self.samples.push(ProgressSample {
+                sim_secs,
+                files,
+                bytes,
+            }),
+        }
+        stalled
     }
 
-    /// Should a stall be reported right now? Returns true at most once
-    /// per episode: the first check past the budget fires, later checks
-    /// stay quiet until [`StallTracker::progress`] re-arms.
-    pub fn check(&mut self, now: Instant) -> bool {
-        if self.reported {
-            return false;
-        }
-        if now.saturating_duration_since(self.last_progress) >= self.stall_after {
-            self.reported = true;
-            return true;
-        }
-        false
+    /// The progress history, one sample per check interval.
+    pub fn into_samples(self) -> Vec<ProgressSample> {
+        self.samples
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    const BUDGET: Duration = Duration::from_millis(100);
+    fn dog(interval_ms: u64, stall_ms: u64) -> WatchDog {
+        let config = PftoolConfig {
+            watchdog_interval: Duration::from_millis(interval_ms),
+            watchdog_stall: Duration::from_millis(stall_ms),
+            ..PftoolConfig::default()
+        };
+        WatchDog::new(&config, SimInstant::from_secs(10))
+    }
 
-    #[test]
-    fn quiet_before_the_budget_elapses() {
-        let t0 = Instant::now();
-        let mut st = StallTracker::new(BUDGET, t0);
-        assert!(!st.check(t0));
-        assert!(!st.check(t0 + Duration::from_millis(99)));
+    fn at_ms(ms: u64) -> SimInstant {
+        SimInstant::from_nanos(10_000_000_000 + ms * 1_000_000)
     }
 
     #[test]
-    fn reports_exactly_once_per_episode() {
-        let t0 = Instant::now();
-        let mut st = StallTracker::new(BUDGET, t0);
-        assert!(st.check(t0 + BUDGET));
-        // Latched: still stalled, but already reported.
-        assert!(!st.check(t0 + BUDGET * 2));
-        assert!(!st.check(t0 + BUDGET * 10));
+    fn stall_is_a_gap_between_completions() {
+        let mut d = dog(1, 100);
+        assert!(!d.progress(at_ms(100), 1, 1));
+        assert!(!d.progress(at_ms(150), 2, 2));
+        assert!(d.progress(at_ms(251), 3, 3));
+        // An out-of-order completion never moves progress backwards.
+        assert!(!d.progress(at_ms(200), 4, 4));
+        assert!(!d.progress(at_ms(300), 5, 5));
     }
 
     #[test]
-    fn progress_rearms_and_a_second_stall_fires_again() {
-        let t0 = Instant::now();
-        let mut st = StallTracker::new(BUDGET, t0);
-        assert!(st.check(t0 + BUDGET));
-        // The run recovers...
-        st.progress(t0 + BUDGET + Duration::from_millis(10));
-        assert!(!st.check(t0 + BUDGET + Duration::from_millis(50)));
-        // ...then stalls a second time: a fresh report fires.
-        assert!(st.check(t0 + BUDGET * 2 + Duration::from_millis(10)));
-        assert!(!st.check(t0 + BUDGET * 3));
-    }
-
-    #[test]
-    fn progress_before_the_deadline_postpones_the_report() {
-        let t0 = Instant::now();
-        let mut st = StallTracker::new(BUDGET, t0);
-        st.progress(t0 + Duration::from_millis(80));
-        assert!(!st.check(t0 + Duration::from_millis(120)));
-        assert!(st.check(t0 + Duration::from_millis(180)));
+    fn one_sample_per_interval_holding_the_latest_totals() {
+        let mut d = dog(100, 1_000);
+        for (ms, files) in [(0, 1), (40, 2), (99, 3), (100, 4), (350, 5)] {
+            d.progress(at_ms(ms), files, files * 10);
+        }
+        let s = d.into_samples();
+        let got: Vec<(u64, u64)> = s
+            .iter()
+            .map(|p| ((p.sim_secs * 1e3).round() as u64, p.files))
+            .collect();
+        assert_eq!(got, vec![(0, 3), (100, 4), (350, 5)]);
+        assert_eq!(s[2].bytes, 50);
     }
 }

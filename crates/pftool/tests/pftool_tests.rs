@@ -334,37 +334,109 @@ fn restart_resends_only_stale_chunks() {
     }
 }
 
-/// The WatchDog force-terminates a run whose movers hang: with copies
-/// injected to take 50 ms of real time each and a 5 ms stall budget, the
-/// dog barks during the first wave and the manager drops the queued work.
+/// One 1 MB copy's simulated duration on a fresh rig (stat included).
+fn one_copy_secs() -> f64 {
+    let r = rig();
+    r.scratch.pfs.mkdir_p("/one").unwrap();
+    r.scratch
+        .pfs
+        .create_file("/one/f", 0, Content::synthetic(1, 1_000_000))
+        .unwrap();
+    let report = pfcp(&r.scratch, "/one", &r.archive, "/dst", &cfg(), &[]);
+    assert!(report.stats.ok(), "{:?}", report.stats.errors);
+    report.stats.sim_seconds()
+}
+
+/// The WatchDog force-terminates a run whose data movement stalls: with a
+/// stall budget shorter than one copy's simulated duration, the dog barks
+/// at the first copy and the manager drops the queued work.
 #[test]
 fn watchdog_aborts_stalled_run() {
+    let copy_secs = one_copy_secs();
     let r = rig();
     r.scratch.pfs.mkdir_p("/proj").unwrap();
     for i in 0..40u64 {
         r.scratch
             .pfs
-            .create_file(&format!("/proj/f{i:04}"), 0, Content::synthetic(i, 1000))
+            .create_file(
+                &format!("/proj/f{i:04}"),
+                0,
+                Content::synthetic(i, 1_000_000),
+            )
             .unwrap();
     }
     let config = PftoolConfig {
         workers: 2,
-        watchdog_interval: std::time::Duration::from_millis(1),
-        watchdog_stall: std::time::Duration::from_millis(5),
-        inject_copy_delay: Some(std::time::Duration::from_millis(50)),
+        watchdog_stall: std::time::Duration::from_secs_f64(copy_secs / 2.0),
         ..cfg()
     };
     let report = pfcp(&r.scratch, "/proj", &r.archive, "/dst", &config, &[]);
     assert!(report.stats.aborted, "watchdog should have aborted the run");
     assert!(
-        report.stats.bytes < 40 * 1000,
+        report.stats.bytes < 40 * 1_000_000,
         "abort should have dropped queued copies"
+    );
+    // The default budget lets the same run finish.
+    let r = rig();
+    r.scratch.pfs.mkdir_p("/proj").unwrap();
+    r.scratch
+        .pfs
+        .create_file("/proj/f", 0, Content::synthetic(1, 1_000_000))
+        .unwrap();
+    let report = pfcp(&r.scratch, "/proj", &r.archive, "/dst", &cfg(), &[]);
+    assert!(report.stats.ok(), "{:?}", report.stats.errors);
+}
+
+/// A TapeProc's batch is a whole tape and commits only at its end, yet a
+/// tape that restores file after file is progress, not a stall: a batch
+/// longer than the stall budget, made of files that each restore well
+/// within it, runs to completion.
+#[test]
+fn long_tape_batch_is_not_a_stall() {
+    let r = rig();
+    let apfs = &r.archive.pfs;
+    apfs.mkdir_p("/arch").unwrap();
+    let mut cursor = SimInstant::EPOCH;
+    // 24 × 1 GB on one tape: at LTO-4's 120 MB/s the batch streams for
+    // at least 200 s, while one file restores in ~8 s (~40 s for the
+    // first, which also mounts and locates).
+    for i in 0..24u64 {
+        let ino = apfs
+            .create_file(
+                &format!("/arch/f{i:02}.dat"),
+                0,
+                Content::synthetic(i, 1 << 30),
+            )
+            .unwrap();
+        let (_, t) = r
+            .hsm
+            .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
+            .unwrap();
+        cursor = t;
+    }
+    r.clock.advance_to(cursor);
+    r.hsm.server().export(&r.catalog);
+    let stall = std::time::Duration::from_secs(60);
+    let config = PftoolConfig {
+        tape_procs: 1,
+        watchdog_stall: stall,
+        ..cfg()
+    };
+    let report = pfcp(&r.archive, "/arch", &r.scratch, "/restore", &config, &[]);
+    assert!(!report.stats.aborted, "a restoring tape is not a stall");
+    assert!(report.stats.ok(), "{:?}", report.stats.errors);
+    assert_eq!(report.stats.tape_restores, 24);
+    assert_eq!(report.stats.files, 24);
+    assert!(
+        report.stats.sim_seconds() > 3.0 * stall.as_secs_f64(),
+        "the tape batch should outlast the stall budget: {} s",
+        report.stats.sim_seconds()
     );
 }
 
-/// The WatchDog keeps one ProgressSample per check interval: with copies
-/// slowed so the run spans many intervals, the report carries several
-/// samples, spaced at least one interval apart, with monotone counters.
+/// The WatchDog keeps one ProgressSample per check interval of simulated
+/// time: a run spanning many intervals leaves several samples, spaced at
+/// least one interval apart, with monotone counters.
 #[test]
 fn watchdog_samples_progress_on_cadence() {
     let r = rig();
@@ -372,14 +444,17 @@ fn watchdog_samples_progress_on_cadence() {
     for i in 0..12u64 {
         r.scratch
             .pfs
-            .create_file(&format!("/proj/f{i:02}"), 0, Content::synthetic(i, 1000))
+            .create_file(
+                &format!("/proj/f{i:02}"),
+                0,
+                Content::synthetic(i, 1_000_000),
+            )
             .unwrap();
     }
-    let interval = std::time::Duration::from_millis(5);
+    let interval = std::time::Duration::from_secs_f64(one_copy_secs() / 2.0);
     let config = PftoolConfig {
         workers: 1,
         watchdog_interval: interval,
-        inject_copy_delay: Some(std::time::Duration::from_millis(10)),
         ..cfg()
     };
     let report = pfcp(&r.scratch, "/proj", &r.archive, "/dst", &config, &[]);
@@ -392,7 +467,7 @@ fn watchdog_samples_progress_on_cadence() {
     );
     for pair in samples.windows(2) {
         assert!(
-            pair[1].wall_secs - pair[0].wall_secs >= interval.as_secs_f64(),
+            pair[1].sim_secs - pair[0].sim_secs >= interval.as_secs_f64(),
             "samples closer than the check interval: {pair:?}"
         );
         assert!(
@@ -405,8 +480,9 @@ fn watchdog_samples_progress_on_cadence() {
         );
     }
     let last = samples.last().unwrap();
-    assert!(last.files <= report.stats.files);
-    assert!(last.bytes <= report.stats.bytes);
+    assert!(last.sim_secs <= report.stats.sim_seconds());
+    assert_eq!(last.files, report.stats.files);
+    assert_eq!(last.bytes, report.stats.bytes);
 }
 
 #[test]
@@ -564,67 +640,105 @@ fn chunked_file_with_migrated_chunks_restores() {
     assert!(got.eq_content(&content));
 }
 
-/// The batch size is a pure transport knob: packing one entry per message
-/// or sixty-four must produce the same files, bytes and destination
-/// content.
-#[test]
-fn batch_size_does_not_change_results() {
-    let mut reports = Vec::new();
-    for batch_size in [1usize, 64] {
-        let r = rig();
-        let (files, bytes) = populate_tree(&r.scratch.pfs);
-        let cfg = PftoolConfig {
-            batch_size,
-            ..PftoolConfig::test_small()
-        };
-        let report = pfcp(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg, &[]);
-        assert!(report.stats.ok(), "{:?}", report.stats.errors);
-        assert_eq!(report.stats.files as usize, files);
-        assert_eq!(report.stats.bytes, bytes);
-        let cmp = pfcm(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg, &[]);
-        assert!(cmp.identical(), "{:?}", cmp.mismatches);
-        reports.push(report);
+/// Every device timeline of a rig, named, with its accounting.
+fn device_stats(r: &Rig) -> Vec<(String, copra_simtime::TimelineStats)> {
+    let cluster = &r.scratch.cluster;
+    let mut out = Vec::new();
+    for (i, link) in cluster.trunk().members().iter().enumerate() {
+        out.push((format!("trunk{i}"), link.stats()));
     }
-    assert_eq!(reports[0].stats.files, reports[1].stats.files);
-    assert_eq!(reports[0].stats.bytes, reports[1].stats.bytes);
-    assert_eq!(reports[0].stats.dirs, reports[1].stats.dirs);
+    for node in cluster.nodes() {
+        out.push((format!("nic{}", node.0), cluster.nic(node).stats()));
+        out.push((format!("hba{}", node.0), cluster.hba(node).stats()));
+    }
+    for view in [&r.scratch, &r.archive] {
+        for pool in view.pfs.pools() {
+            for (i, dev) in pool.devices().iter().flat_map(|d| d.members()).enumerate() {
+                out.push((format!("{}.{i}", pool.name()), dev.stats()));
+            }
+        }
+    }
+    out.push(("server.nic".into(), r.hsm.server().nic_stats()));
+    for (i, drive) in r
+        .hsm
+        .server()
+        .library()
+        .drive_timeline_stats()
+        .into_iter()
+        .enumerate()
+    {
+        out.push((format!("drive{i}"), drive));
+    }
+    out
 }
 
-/// With one worker sitting on a whole chunked-copy batch and the other
-/// idle, the Manager must redistribute the un-started tail: the run ends
-/// with stolen jobs on record and an intact destination file.
+/// A run's statistics with the host-dependent wall time blanked out.
+fn sim_stats(stats: &copra_pftool::RunStats) -> String {
+    let mut stats = stats.clone();
+    stats.wall_seconds = 0.0;
+    serde_json::to_string(&stats).unwrap()
+}
+
+/// PFTool's simulated results are a pure function of the configuration
+/// and the input tree: two fresh rigs running pfcp then pfcm give equal
+/// statistics and leave every device with the same accounting, at any
+/// worker count.
 #[test]
-fn idle_worker_steals_copy_batch_tail() {
-    let clock = Clock::new();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(4));
-    let src = FsView::plain(Pfs::scratch("src", clock.clone(), 8), cluster.clone());
-    let dst = FsView::plain(Pfs::scratch("dst", clock.clone(), 8), cluster);
-    src.pfs.mkdir_p("/in").unwrap();
-    let content = Content::synthetic(77, 100_000_000); // 7 x 16 MB chunk jobs
-    src.pfs
-        .create_file("/in/huge.bin", 500, content.clone())
-        .unwrap();
-    let cfg = PftoolConfig {
-        readdir_procs: 1,
-        workers: 2,
-        tape_procs: 0,
-        parallel_copy_threshold: DataSize::mb(64),
-        copy_chunk: DataSize::mb(16),
-        // Large enough that the whole chunk fan-out lands on whichever
-        // worker asks first; the injected delay keeps it busy long enough
-        // for the other worker's starvation to trigger a steal.
-        batch_size: 64,
-        inject_copy_delay: Some(std::time::Duration::from_millis(5)),
-        ..PftoolConfig::default()
-    };
-    let report = pfcp(&src, "/in", &dst, "/out", &cfg, &[]);
-    assert!(report.stats.ok(), "{:?}", report.stats.errors);
-    assert_eq!(report.stats.files, 1);
-    assert_eq!(report.stats.bytes, 100_000_000);
-    assert!(
-        report.stats.stolen_jobs > 0,
-        "expected the idle worker to steal part of the 7-job batch"
-    );
-    let got = dst.pfs.read_resident("/out/huge.bin").unwrap();
-    assert!(got.eq_content(&content));
+fn runs_are_deterministic_at_any_worker_count() {
+    for workers in [1usize, 3, 8] {
+        let config = PftoolConfig { workers, ..cfg() };
+        let run = || {
+            let r = rig();
+            populate_tree(&r.scratch.pfs);
+            for (name, size) in [("big", 100_000_000u64), ("huge", 250_000_000)] {
+                r.scratch
+                    .pfs
+                    .create_file(
+                        &format!("/proj/{name}.dat"),
+                        0,
+                        Content::synthetic(size, size),
+                    )
+                    .unwrap();
+            }
+            let copy = pfcp(&r.scratch, "/proj", &r.archive, "/arch/proj", &config, &[]);
+            assert!(copy.stats.ok(), "{:?}", copy.stats.errors);
+            let cmp = pfcm(&r.scratch, "/proj", &r.archive, "/arch/proj", &config, &[]);
+            assert!(cmp.identical(), "{:?}", cmp.mismatches);
+            (
+                sim_stats(&copy.stats),
+                sim_stats(&cmp.stats),
+                device_stats(&r),
+            )
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.0, b.0, "pfcp stats differ at {workers} workers");
+        assert_eq!(a.1, b.1, "pfcm stats differ at {workers} workers");
+        assert_eq!(a.2, b.2, "device accounting differs at {workers} workers");
+    }
+}
+
+/// Worker busy/idle events mark idle spells, not jobs: a Worker handed
+/// its next job as its last one commits never went idle.
+#[test]
+fn worker_transitions_mark_idle_spells_not_jobs() {
+    for workers in [1usize, 3] {
+        let r = rig();
+        populate_tree(&r.scratch.pfs);
+        let obs = r.hsm.server().obs();
+        let (busy, idle) = (
+            obs.counter("pftool.worker_busy_transitions"),
+            obs.counter("pftool.worker_idle_transitions"),
+        );
+        let config = PftoolConfig { workers, ..cfg() };
+        let copy = pfcp(&r.scratch, "/proj", &r.archive, "/arch/proj", &config, &[]);
+        assert!(copy.stats.ok(), "{:?}", copy.stats.errors);
+        // Six stats and five copies (the empty file moves no data).
+        let jobs = 11;
+        assert_eq!(busy.get(), idle.get(), "at {workers} workers");
+        assert!(busy.get() >= 1 && busy.get() < jobs, "at {workers} workers");
+        if workers == 1 {
+            // The lone Worker is fed from the first stat to the last copy.
+            assert_eq!(busy.get(), 1);
+        }
+    }
 }

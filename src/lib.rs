@@ -26,7 +26,6 @@
 //! * [`cluster`] — FTA cluster nodes, LoadManager, batch launcher.
 //! * [`faults`] — seeded deterministic fault injection (drive/media/robot/
 //!   mover faults) and the retry/backoff machinery recovery paths use.
-//! * [`mpirt`] — mini message-passing runtime for PFTool's process model.
 //! * [`obs`] — metrics registry, event tracing, and the device-utilization
 //!   snapshot every subsystem reports into.
 //! * [`trace`] — causal span tracing: deterministic sim+wall-time span
@@ -44,7 +43,6 @@ pub use copra_fuse as fuse;
 pub use copra_hsm as hsm;
 pub use copra_journal as journal;
 pub use copra_metadb as metadb;
-pub use copra_mpirt as mpirt;
 pub use copra_obs as obs;
 pub use copra_pfs as pfs;
 pub use copra_pftool as pftool;

@@ -196,12 +196,10 @@ fn concurrent_jobs_contend_for_the_trunk() {
     let tree_b = mixed_tree(10, 500_000_000, 0.1, 4, 2);
     populate(sys.scratch(), "/a", &tree_a);
     populate(sys.scratch(), "/b", &tree_b);
-    // Run both jobs from the same simulated instant (threads share devices).
-    let sys2 = sys.clone();
-    let wide2 = wide.clone();
-    let h = std::thread::spawn(move || sys2.archive_tree("/b", "/arch-b", &wide2));
+    // Run both jobs from the same simulated instant, one after the other:
+    // job B reserves the devices around job A's reservations.
     let ra = sys.archive_tree("/a", "/arch-a", &wide);
-    let rb = h.join().unwrap();
+    let rb = sys.archive_tree("/b", "/arch-b", &wide);
     assert!(ra.stats.ok() && rb.stats.ok());
     let contended = ra.stats.sim_seconds().max(rb.stats.sim_seconds());
     assert!(
