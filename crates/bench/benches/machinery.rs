@@ -2,8 +2,8 @@
 //!
 //! The figure/table binaries report simulated time; these benches answer
 //! the complementary question — is the reproduction's own code fast? They
-//! cover the hot paths: content descriptor algebra, the rayon policy scan
-//! (the §4.2.1 claim), tree walking, the indexed catalog vs a full scan
+//! cover the hot paths: content descriptor algebra, the sharded policy
+//! scan (the §4.2.1 claim), tree walking, the indexed catalog vs a full scan
 //! (the reason the paper exported TSM's DB to MySQL, §4.2.5), the catalog
 //! export itself (full and incremental), the TapeCQ ordering structure,
 //! migrator partitioning, timeline reservations behind a full backfill gap

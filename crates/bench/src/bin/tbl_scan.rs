@@ -2,8 +2,8 @@
 //!
 //! Paper datum: "GPFS can scan one million inodes in ten minutes", quoted
 //! as evidence the file system scales to archive-size namespaces. We build
-//! a million-file namespace and run a real ILM policy scan over it (rayon
-//! parallel, wall-clock measured).
+//! a million-file namespace and run a real ILM policy scan over it (the
+//! sharded parallel `Vfs::par_scan`, wall-clock measured).
 
 use copra_bench::{print_table, write_json};
 use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};

@@ -7,15 +7,12 @@
 //! MOAB using a CPU-load-sorted machine list refreshed by the LoadManager
 //! (§4.1.2-1).
 //!
-//! This crate models exactly that: nodes with per-node NIC/HBA timelines, a
-//! shared trunk pool, task-count load tracking, the [`LoadManager`]'s
-//! sorted machine list, and a small blocking node allocator standing in for
-//! MOAB.
+//! This crate models the nodes with per-node NIC/HBA timelines, a shared
+//! trunk pool, task-count load tracking and the [`LoadManager`]'s sorted
+//! machine list. The batch launcher itself is not modelled.
 
 pub mod fta;
 pub mod loadmgr;
-pub mod moab;
 
 pub use fta::{ClusterConfig, FtaCluster, NodeId};
 pub use loadmgr::LoadManager;
-pub use moab::{Moab, NodeLease};

@@ -1,6 +1,6 @@
 //! The assembled archive system.
 
-use copra_cluster::{ClusterConfig, FtaCluster, LoadManager, Moab};
+use copra_cluster::{ClusterConfig, FtaCluster, LoadManager};
 use copra_faults::{FaultPlan, FaultPlane, RetryPolicy};
 use copra_fuse::ArchiveFuse;
 use copra_hsm::{DataPath, Hsm, HsmResult, PlacementPolicy, TsmServer};
@@ -188,7 +188,6 @@ pub struct ArchiveSystem {
     fuse: ArchiveFuse,
     catalog: Arc<TsmCatalog>,
     loadmgr: Arc<LoadManager>,
-    moab: Moab,
     scratch_view: FsView,
     archive_view: FsView,
     obs: Arc<Registry>,
@@ -249,7 +248,6 @@ impl ArchiveSystem {
         let fuse = ArchiveFuse::new(archive.clone(), config.fuse_threshold, config.fuse_chunk);
         let catalog = Arc::new(TsmCatalog::new());
         let loadmgr = Arc::new(LoadManager::new(cluster.clone(), config.loadmgr_refresh));
-        let moab = Moab::new(cluster.clone());
         let scratch_view = FsView::plain(scratch.clone(), cluster.clone());
         let archive_view = FsView::archive(
             archive.clone(),
@@ -269,7 +267,6 @@ impl ArchiveSystem {
             fuse,
             catalog,
             loadmgr,
-            moab,
             scratch_view,
             archive_view,
             obs,
@@ -315,9 +312,6 @@ impl ArchiveSystem {
     }
     pub fn loadmgr(&self) -> &Arc<LoadManager> {
         &self.loadmgr
-    }
-    pub fn moab(&self) -> &Moab {
-        &self.moab
     }
     pub fn scratch_view(&self) -> &FsView {
         &self.scratch_view

@@ -10,7 +10,7 @@
 //! * **Placement rules**: evaluated at create time to choose a pool.
 //! * **ILM policy engine**: GPFS-style MIGRATE/LIST rules with a predicate
 //!   language (size, mtime/atime age, uid, path globs, pool, HSM state),
-//!   evaluated by a rayon-parallel inode scan. GPFS's benchmark claim —
+//!   evaluated by a sharded parallel inode scan. GPFS's benchmark claim —
 //!   one million inodes scanned in ten minutes — is reproduced by
 //!   `bench/tbl_scan`.
 //! * **DMAPI managed regions** (§4.2.2): HSM punches holes in migrated

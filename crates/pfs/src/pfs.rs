@@ -27,9 +27,8 @@ struct PfsShared {
     pools: Vec<StoragePool>,
     pool_by_name: FxHashMap<String, PoolId>,
     placement: PolicyEngine,
-    /// Per-file pool residency, lock-striped like the inode table it
-    /// shadows: policy scans read it from every scan thread while creates
-    /// and tiering moves write disjoint inos.
+    /// Per-file pool residency, lock-striped because every policy-scan
+    /// thread reads it once per file.
     file_pools: StripedU64Map<PoolId>,
     default_pool: PoolId,
     /// The metadata service path: file create/stat/unlink transactions

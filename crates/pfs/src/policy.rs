@@ -2,9 +2,9 @@
 //!
 //! GPFS policies are SQL-ish rules (`RULE 'x' MIGRATE FROM POOL 'fast' TO
 //! POOL 'tape' WHERE FILE_SIZE < ...`). We model them as data: a [`Rule`]
-//! couples an [`Action`] with a [`Predicate`] tree. The engine evaluates all
-//! rules over a snapshot of the namespace with a rayon-parallel scan —
-//! first-matching-rule-wins per file, as in GPFS.
+//! couples an [`Action`] with a [`Predicate`] tree. The engine classifies
+//! each file during the sharded namespace scan ([`crate::Pfs::run_policy`])
+//! — first-matching-rule-wins per file, as in GPFS.
 //!
 //! §4.2.4 of the paper is explicit that the *migration* rules are used only
 //! in LIST mode by the integrated system (the custom parallel migrator does
@@ -15,10 +15,8 @@ use crate::glob::wildcard_match;
 use crate::hsmstate::HsmState;
 use copra_simtime::{SimDuration, SimInstant};
 use copra_vfs::Ino;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Everything a policy predicate can see about one file.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -251,23 +249,6 @@ impl PolicyEngine {
         report
     }
 
-    /// Evaluate the rule set over a pre-built snapshot of file records.
-    /// Parallel over records (rayon); per-record evaluation applies rules
-    /// in order and stops at the first match.
-    ///
-    /// [`crate::Pfs::run_policy`] no longer goes through this entry point —
-    /// it fuses [`PolicyEngine::classify`] into the sharded namespace scan
-    /// so unmatched files are dropped on the spot. This slice form remains
-    /// for callers that already hold records (dumps, replays, unit tests).
-    pub fn scan(&self, records: &[FileRecord], now: SimInstant) -> ScanReport {
-        let t0 = Instant::now();
-        let tagged: Vec<(usize, FileRecord)> = records
-            .par_iter()
-            .filter_map(|rec| self.classify(rec, now).map(|idx| (idx, rec.clone())))
-            .collect();
-        self.assemble(tagged, records.len(), t0.elapsed().as_secs_f64())
-    }
-
     /// Placement decision for a new file: the pool named by the first
     /// matching `Place` rule, if any. Non-`Place` rules are skipped (GPFS
     /// keeps placement and management policies separate).
@@ -294,6 +275,19 @@ mod tests {
             pool: pool.to_string(),
             hsm,
         }
+    }
+
+    /// Serial classify + assemble over a slice of records.
+    fn scan(engine: &PolicyEngine, records: &[FileRecord]) -> ScanReport {
+        let tagged = records
+            .iter()
+            .filter_map(|r| {
+                engine
+                    .classify(r, SimInstant::EPOCH)
+                    .map(|i| (i, r.clone()))
+            })
+            .collect();
+        engine.assemble(tagged, records.len(), 0.0)
     }
 
     #[test]
@@ -336,7 +330,7 @@ mod tests {
             rec("/a/small", 10, "fast", HsmState::Resident),
             rec("/a/big", 10_000, "fast", HsmState::Resident),
         ];
-        let report = engine.scan(&records, SimInstant::EPOCH);
+        let report = scan(&engine, &records);
         assert_eq!(report.scanned, 3);
         assert_eq!(report.lists["small-files"].len(), 1);
         assert_eq!(report.lists["small-files"][0].path, "/a/small");
@@ -351,7 +345,7 @@ mod tests {
             .rev()
             .map(|i| rec(&format!("/f/{i:03}"), i, "fast", HsmState::Resident))
             .collect();
-        let report = engine.scan(&records, SimInstant::EPOCH);
+        let report = scan(&engine, &records);
         let paths: Vec<_> = report.lists["all"].iter().map(|r| r.path.clone()).collect();
         let mut sorted = paths.clone();
         sorted.sort();

@@ -3,8 +3,8 @@
 //! Components that need a loose notion of "now" (the WatchDog's stall
 //! detector, the LoadManager's refresh period, job arrival processes) read
 //! and advance a [`Clock`]. The clock is monotone: `advance_to` with an
-//! earlier instant is a no-op, so concurrent workers can publish their
-//! completion times in any order.
+//! earlier instant is a no-op, so completion times may be published in any
+//! order.
 
 use crate::time::{SimDuration, SimInstant};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,20 +35,8 @@ impl Clock {
     /// Move the clock forward to `at`; never moves backwards. Returns the
     /// clock value after the call.
     pub fn advance_to(&self, at: SimInstant) -> SimInstant {
-        let target = at.as_nanos();
-        let mut cur = self.now_nanos.load(Ordering::Relaxed);
-        while cur < target {
-            match self.now_nanos.compare_exchange_weak(
-                cur,
-                target,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return at,
-                Err(observed) => cur = observed,
-            }
-        }
-        SimInstant::from_nanos(cur)
+        let prev = self.now_nanos.fetch_max(at.as_nanos(), Ordering::AcqRel);
+        SimInstant::from_nanos(prev.max(at.as_nanos()))
     }
 
     /// Advance by a delta from the current reading.

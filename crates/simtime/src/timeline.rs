@@ -6,37 +6,24 @@
 //! timeline serializes them in arrival order, which models FIFO queueing at
 //! a finite-rate resource.
 //!
-//! ## Low-contention design
+//! ## State
 //!
-//! Thousands of worker threads reserve on the same device timelines, so the
-//! grant path must not convoy on one `Mutex`. State is split three ways
-//! (see DESIGN.md §10):
+//! All mutable state sits in one `Mutex`: the **frontier** `next_free` (the
+//! first instant with no reservation at or after it), the busy/ops/bytes
+//! counters, and a deque of **free gaps** strictly below the frontier. When
+//! a grant starts *after* the frontier, the skipped idle interval is
+//! published as a gap; ops whose ready time is below the frontier backfill
+//! those gaps (the behaviour the `backfill_uses_idle_gaps` property test
+//! pins down). The gaps are disjoint and sorted by start, so their ends
+//! ascend too: the first fit binary-searches past every gap that ends too
+//! early instead of rescanning the stale ones a long run leaves behind. The
+//! deque holds at most `MAX_GAPS`; a full list drops its earliest gap.
 //!
-//! * `next_free: AtomicU64` — the **frontier**: the first instant with no
-//!   reservation at or after it. The common FIFO case (`ready >=
-//!   next_free`, i.e. the device is free when the op arrives) is a single
-//!   CAS — no lock at all.
-//! * Relaxed atomic counters for busy/ops/bytes accounting.
-//! * A `Mutex`-guarded deque of **free gaps** strictly below the frontier.
-//!   When a fast-path claim starts *after* the old frontier, the skipped
-//!   idle interval is published as a gap; ops whose ready time is below the
-//!   frontier backfill those gaps (the behaviour the
-//!   `backfill_uses_idle_gaps` property test pins down). The gaps are
-//!   disjoint and sorted by start, so their ends ascend too: the first fit
-//!   binary-searches past every gap that ends too early instead of
-//!   rescanning the stale ones a long run leaves behind. The deque holds at
-//!   most `MAX_GAPS`; a full list drops its earliest gap.
-//!
-//! Safety argument for no-overlap: the frontier only ever moves forward
-//! (CAS), every frontier claim occupies `[start, start+dur)` with `start >=`
-//! the frontier value it advanced from, and every published gap lies
-//! entirely *below* the frontier value at publication time. Hence gap
-//! claims (granted under the gap lock, carved exactly) can never collide
-//! with frontier claims, and a belatedly published gap is only a missed
-//! backfill opportunity, never a double booking.
-//!
-//! Reservations never overlap and never move backwards; both invariants are
-//! covered by property tests and a multi-threaded stress test.
+//! Simulated time is driven by one host thread (DESIGN.md §10), so the lock
+//! is uncontended; it keeps the handle `Send + Sync` and correct if several
+//! threads do reserve at once. Reservations never overlap and never move
+//! backwards; both invariants are covered by property tests and a
+//! multi-threaded stress test.
 
 use crate::rate::{Bandwidth, DataSize};
 use crate::time::{SimDuration, SimInstant};
@@ -44,7 +31,6 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The interval granted to one operation on a timeline.
@@ -111,17 +97,20 @@ struct Shared {
     name: String,
     bandwidth: Bandwidth,
     latency: SimDuration,
+    state: Mutex<State>,
+}
+
+#[derive(Default)]
+struct State {
     /// The frontier (nanoseconds): first instant with no reservation at or
     /// after it. Monotonically non-decreasing.
-    next_free: AtomicU64,
-    busy_ns: AtomicU64,
-    ops: AtomicU64,
-    bytes: AtomicU64,
+    next_free: u64,
+    busy_ns: u64,
+    ops: u64,
+    bytes: u64,
     /// Free intervals strictly below the frontier, sorted by start,
-    /// disjoint — hence sorted by end as well. Guarded by a mutex that is
-    /// only touched on the idle-skip / backfill paths, never on the
-    /// contiguous FIFO fast path.
-    gaps: Mutex<VecDeque<(u64, u64)>>,
+    /// disjoint — hence sorted by end as well.
+    gaps: VecDeque<(u64, u64)>,
 }
 
 impl fmt::Debug for Timeline {
@@ -145,11 +134,7 @@ impl Timeline {
                 name: name.into(),
                 bandwidth,
                 latency,
-                next_free: AtomicU64::new(0),
-                busy_ns: AtomicU64::new(0),
-                ops: AtomicU64::new(0),
-                bytes: AtomicU64::new(0),
-                gaps: Mutex::new(VecDeque::new()),
+                state: Mutex::new(State::default()),
             }),
         }
     }
@@ -204,68 +189,67 @@ impl Timeline {
         bytes: DataSize,
     ) -> Reservation {
         let dur = duration.as_nanos();
-        let start_ns = self.claim(ready.as_nanos(), dur);
-        self.shared.busy_ns.fetch_add(dur, Ordering::Relaxed);
-        self.shared.ops.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .bytes
-            .fetch_add(bytes.as_bytes(), Ordering::Relaxed);
+        let mut st = self.shared.state.lock();
+        let start_ns = st.claim(ready.as_nanos(), dur);
+        st.busy_ns += dur;
+        st.ops += 1;
+        st.bytes += bytes.as_bytes();
         Reservation {
             start: SimInstant::from_nanos(start_ns),
             end: SimInstant::from_nanos(start_ns + dur),
         }
     }
 
-    /// Grant `[start, start+dur)` with `start >= ready`. Fast path: one CAS
-    /// on the frontier. Slow path (`ready` below the frontier): backfill a
-    /// published gap, else queue at the frontier.
-    fn claim(&self, ready: u64, dur: u64) -> u64 {
-        // Fast path: the device is free at (or before) our ready time.
-        let mut nf = self.shared.next_free.load(Ordering::Acquire);
-        while ready >= nf {
-            match self.shared.next_free.compare_exchange_weak(
-                nf,
-                ready + dur,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    if ready > nf {
-                        // We skipped over idle time: publish it for backfill.
-                        let mut gaps = self.shared.gaps.lock();
-                        Self::insert_gap(&mut gaps, nf, ready);
-                    }
-                    return ready;
-                }
-                Err(cur) => nf = cur,
-            }
+    /// Probe: when could an operation of `duration` start if ready at
+    /// `ready`? (Used by pools to pick the best member.)
+    pub fn earliest_start(&self, ready: SimInstant, duration: SimDuration) -> SimInstant {
+        let ready_ns = ready.as_nanos();
+        let st = self.shared.state.lock();
+        let start = match State::first_fit(&st.gaps, ready_ns, duration.as_nanos()) {
+            Some((_, s)) => s,
+            None => st.next_free.max(ready_ns),
+        };
+        SimInstant::from_nanos(start)
+    }
+
+    /// Snapshot of the accounting counters.
+    pub fn stats(&self) -> TimelineStats {
+        let st = self.shared.state.lock();
+        TimelineStats {
+            busy: SimDuration::from_nanos(st.busy_ns),
+            ops: st.ops,
+            bytes: DataSize::from_bytes(st.bytes),
+            next_free: SimInstant::from_nanos(st.next_free),
         }
-        // Slow path: ready < frontier. Try to backfill an idle gap below it.
-        let mut gaps = self.shared.gaps.lock();
-        if let Some(start) = Self::carve(&mut gaps, ready, dur) {
+    }
+
+    /// The instant at which the resource next becomes free.
+    pub fn next_free(&self) -> SimInstant {
+        SimInstant::from_nanos(self.shared.state.lock().next_free)
+    }
+
+    /// Reset accounting and availability (used between benchmark runs).
+    pub fn reset(&self) {
+        *self.shared.state.lock() = State::default();
+    }
+}
+
+impl State {
+    /// Grant `[start, start+dur)` with `start >= ready`. A device free at
+    /// `ready` starts there, publishing the skipped idle time as a gap; an
+    /// op ready below the frontier backfills a gap, else queues at the
+    /// frontier.
+    fn claim(&mut self, ready: u64, dur: u64) -> u64 {
+        let start = if ready >= self.next_free {
+            Self::insert_gap(&mut self.gaps, self.next_free, ready);
+            ready
+        } else if let Some(start) = Self::carve(&mut self.gaps, ready, dur) {
             return start;
-        }
-        // No gap fits: FIFO-queue at the frontier. The frontier can only
-        // have grown since the fast-path check, so `ready < nf` still holds
-        // and no new gap is created here.
-        let mut nf = self.shared.next_free.load(Ordering::Acquire);
-        loop {
-            let start = nf.max(ready);
-            match self.shared.next_free.compare_exchange_weak(
-                nf,
-                start + dur,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    if start > nf {
-                        Self::insert_gap(&mut gaps, nf, start);
-                    }
-                    return start;
-                }
-                Err(cur) => nf = cur,
-            }
-        }
+        } else {
+            self.next_free
+        };
+        self.next_free = start + dur;
+        start
     }
 
     /// Earliest `[s, s+dur)` fitting inside a free gap with `s >= ready`;
@@ -328,42 +312,6 @@ impl Timeline {
         (i.saturating_sub(1)..i + 2)
             .take_while(|&j| j + 1 < gaps.len())
             .all(|j| gaps[j].1 <= gaps[j + 1].0)
-    }
-
-    /// Probe: when could an operation of `duration` start if ready at
-    /// `ready`? (Used by pools to pick the best member.)
-    pub fn earliest_start(&self, ready: SimInstant, duration: SimDuration) -> SimInstant {
-        let ready_ns = ready.as_nanos();
-        let dur = duration.as_nanos();
-        if let Some((_, s)) = Self::first_fit(&self.shared.gaps.lock(), ready_ns, dur) {
-            return SimInstant::from_nanos(s);
-        }
-        SimInstant::from_nanos(self.shared.next_free.load(Ordering::Acquire).max(ready_ns))
-    }
-
-    /// Snapshot of the accounting counters.
-    pub fn stats(&self) -> TimelineStats {
-        TimelineStats {
-            busy: SimDuration::from_nanos(self.shared.busy_ns.load(Ordering::Relaxed)),
-            ops: self.shared.ops.load(Ordering::Relaxed),
-            bytes: DataSize::from_bytes(self.shared.bytes.load(Ordering::Relaxed)),
-            next_free: SimInstant::from_nanos(self.shared.next_free.load(Ordering::Acquire)),
-        }
-    }
-
-    /// The instant at which the resource next becomes free.
-    pub fn next_free(&self) -> SimInstant {
-        SimInstant::from_nanos(self.shared.next_free.load(Ordering::Acquire))
-    }
-
-    /// Reset accounting and availability (used between benchmark runs; not
-    /// safe against concurrent reserves, same as the previous design).
-    pub fn reset(&self) {
-        self.shared.gaps.lock().clear();
-        self.shared.next_free.store(0, Ordering::Release);
-        self.shared.busy_ns.store(0, Ordering::Relaxed);
-        self.shared.ops.store(0, Ordering::Relaxed);
-        self.shared.bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -521,7 +469,7 @@ mod tests {
         for _ in 2..=MAX_GAPS {
             t.reserve(t.next_free() + secs(5), secs(1));
         }
-        assert_eq!(t.shared.gaps.lock().len(), MAX_GAPS);
+        assert_eq!(t.shared.state.lock().gaps.len(), MAX_GAPS);
         let frontier = t.next_free();
         // A 50 s op fits only gap 0, which was evicted: it queues.
         let r = t.reserve(SimInstant::EPOCH, secs(50));

@@ -1,9 +1,9 @@
 //! Multi-threaded stress test for the timeline invariants under contention.
 //!
-//! The lock-free frontier fast path (see `timeline.rs`) must uphold the
-//! same guarantees the sequential property tests pin down, now with 16
-//! threads hammering one timeline: reservations never overlap, the frontier
-//! never moves backwards, and the relaxed-atomic stats sum exactly.
+//! The timeline's single lock (see `timeline.rs`) must uphold the same
+//! guarantees the sequential property tests pin down, now with 16 threads
+//! hammering one timeline: reservations never overlap, the frontier never
+//! moves backwards, and the stats sum exactly.
 
 use copra_simtime::{Bandwidth, DataSize, SimDuration, SimInstant, Timeline};
 use parking_lot::Mutex;

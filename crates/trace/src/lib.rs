@@ -27,8 +27,8 @@
 //! ## Cost discipline
 //!
 //! A [`Tracer`] is either disabled (`Option::None` inner — span calls are
-//! a branch and return `None`, zero allocation) or armed around a bounded
-//! store of 64 mutex-striped per-thread buffers. Armed tracing must stay
+//! a branch and return `None`, zero allocation) or armed around one
+//! bounded, mutex-guarded span buffer. Armed tracing must stay
 //! under 5% overhead on `tbl_scale` (asserted in CI), which is why hot
 //! loops are instrumented per *shard*, not per record.
 
@@ -42,4 +42,4 @@ pub use chrome::{SIM_PID, WALL_PID};
 pub use ids::{derive_span_id, fnv64, splitmix64, SpanContext, SpanId, TraceId};
 pub use report::{PathStep, PhaseRow, TraceReport};
 pub use span::{finish_opt, Span, SpanGuard, Tracer};
-pub use store::{TraceStore, DEFAULT_SPAN_CAPACITY, STRIPES};
+pub use store::{TraceStore, DEFAULT_SPAN_CAPACITY};

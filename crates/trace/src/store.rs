@@ -1,9 +1,10 @@
-//! Bounded, lock-cheap span storage.
+//! Bounded span storage.
 //!
-//! Spans are pushed into one of 64 striped buffers chosen by a per-thread
-//! stripe index, so concurrent workers almost never contend on the same
-//! mutex. The store is bounded: past `capacity` total spans, new records
-//! are counted in `dropped` instead of growing memory without limit.
+//! Spans are pushed into one mutex-guarded buffer. Simulated time runs on
+//! one host thread, so the lock is uncontended; the parallel policy scan
+//! records only one span per shard. The store is bounded: past `capacity`
+//! total spans, new records are counted in `dropped` instead of growing
+//! memory without limit.
 
 use crate::ids::TraceId;
 use crate::span::Span;
@@ -12,14 +13,11 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
-pub const STRIPES: usize = 64;
-
 /// Default bound on stored spans (~96 bytes/span ⇒ ~100 MB worst case).
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 20;
 
 // Process-wide thread numbering: each OS thread takes one id on first use
-// and keeps it for life. The id doubles as the Chrome `tid` and as the
-// stripe selector. Thread numbering depends on spawn order, so it is
+// and keeps it for life. The id is the Chrome `tid`. Thread numbering depends on spawn order, so it is
 // excluded from the determinism digest.
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 thread_local! {
@@ -45,20 +43,19 @@ pub struct TraceStore {
     /// Wall-clock epoch captured when the tracer was armed; all wall
     /// timestamps are nanoseconds since this point.
     epoch: Instant,
-    stripes: Vec<Mutex<Vec<Span>>>,
-    per_stripe_cap: usize,
+    spans: Mutex<Vec<Span>>,
+    capacity: usize,
     dropped: AtomicU64,
 }
 
 impl TraceStore {
     pub fn new(trace: TraceId, seed: u64, capacity: usize) -> Self {
-        let per_stripe_cap = capacity.div_ceil(STRIPES).max(1);
         TraceStore {
             trace,
             seed,
             epoch: Instant::now(),
-            stripes: (0..STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
-            per_stripe_cap,
+            spans: Mutex::new(Vec::new()),
+            capacity,
             dropped: AtomicU64::new(0),
         }
     }
@@ -77,12 +74,10 @@ impl TraceStore {
     }
 
     pub fn record(&self, span: Span) {
-        let stripe = current_tid() as usize % STRIPES;
-        let mut buf = self.stripes[stripe].lock();
-        if buf.len() < self.per_stripe_cap {
+        let mut buf = self.spans.lock();
+        if buf.len() < self.capacity {
             buf.push(span);
         } else {
-            drop(buf);
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -92,7 +87,7 @@ impl TraceStore {
     }
 
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
+        self.spans.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -101,12 +96,9 @@ impl TraceStore {
 
     /// Copy out every recorded span in canonical deterministic order
     /// (sim start, then name, then key, then id) — independent of which
-    /// stripe or thread produced it.
+    /// thread recorded it first.
     pub fn snapshot(&self) -> Vec<Span> {
-        let mut all: Vec<Span> = Vec::with_capacity(self.len());
-        for s in &self.stripes {
-            all.extend(s.lock().iter().cloned());
-        }
+        let mut all = self.spans.lock().clone();
         all.sort_by(|a, b| {
             (a.sim_start, a.name, a.key, a.id.0).cmp(&(b.sim_start, b.name, b.key, b.id.0))
         });
@@ -137,13 +129,23 @@ mod tests {
 
     #[test]
     fn bounded_store_counts_drops() {
-        let st = TraceStore::new(TraceId(1), 0, STRIPES); // 1 span per stripe
+        let st = TraceStore::new(TraceId(1), 0, 1);
         for i in 0..10 {
             st.record(mk(i, i));
         }
-        // All records land on this thread's single stripe: 1 kept, 9 dropped.
         assert_eq!(st.len(), 1);
         assert_eq!(st.dropped(), 9);
+    }
+
+    #[test]
+    fn one_thread_fills_the_whole_capacity() {
+        let capacity = 1000;
+        let st = TraceStore::new(TraceId(1), 0, capacity);
+        for i in 0..capacity as u64 {
+            st.record(mk(i, i));
+        }
+        assert_eq!(st.len(), capacity);
+        assert_eq!(st.dropped(), 0);
     }
 
     #[test]

@@ -5,43 +5,31 @@
 //!
 //! ## Concurrency model
 //!
-//! The inode table is **lock-striped**: inodes live in `NSHARDS` independent
-//! shards selected by `ino & (NSHARDS-1)`, each behind its own `RwLock`, and
-//! inode numbers come from an `AtomicU64`. Operations on disjoint subtrees
-//! therefore proceed fully concurrently — there is no global lock anywhere
-//! in the VFS.
+//! The inode table sits behind **one** `RwLock` (see DESIGN.md §10).
+//! Simulated time runs on one host thread, so writers never contend; the
+//! only parallel readers are the policy-scan threads of [`Vfs::par_scan`].
+//! Inside the lock, inodes are partitioned into `NSHARDS` maps selected by
+//! `ino & (NSHARDS-1)`: a shard is the parallel scan's unit of work. Inode
+//! numbers come from an `AtomicU64`.
 //!
-//! Lock discipline (see DESIGN.md §10):
+//! Writers take the write lock once and look up every binding they change
+//! under it, so a mutation always sees the namespace it validated.
 //!
-//! * **Readers** (resolve, stat, readdir, walk, scans) hold at most ONE
-//!   shard lock at a time — each path component or tree edge is chased with
-//!   its own short-lived read lock.
-//! * **Writers** that touch multiple inodes (create/unlink/rename/rmdir)
-//!   take all needed shard write locks up front via [`Shards::write_many`],
-//!   in ascending shard-index order. A single global acquisition order plus
-//!   single-lock readers rules out deadlock.
-//! * Because resolution happens before the write locks are taken, mutation
-//!   ops re-verify the `parent[name] == child` binding under the locks and
-//!   retry if a concurrent rename moved it (the archive tools themselves
-//!   never race a rename against an unlink of the same entry; the retry is
-//!   correctness belt-and-braces).
-//!
-//! Path resolution keeps a dentry-style **resolve cache**: a striped map of
-//! `normalized path → (epoch, ino)`. Namespace-shape mutations (unlink,
-//! rmdir, rename) bump a global epoch, which invalidates every cached entry
-//! at once; entries are re-validated against the current epoch on every hit,
-//! so a stale binding can never be served.
+//! Path resolution keeps a dentry-style **resolve cache**: a map of
+//! `normalized path → (epoch, ino)` behind its own lock. Namespace-shape
+//! mutations (unlink, rmdir, rename) bump a global epoch, which invalidates
+//! every cached entry at once; entries are re-validated against the current
+//! epoch on every hit, so a stale binding can never be served.
 
 use crate::content::Content;
 use crate::error::{FsError, FsResult};
 use crate::inode::{FileType, Ino, InodeAttr};
 use crate::path::{is_normalized, is_under, join, normalize, parent_and_name, split};
 use copra_simtime::{Clock, SimInstant};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use rustc_hash::{FxHashMap, FxHasher};
+use parking_lot::{Mutex, RwLock};
+use rustc_hash::FxHashMap;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -61,7 +49,7 @@ pub struct WalkEntry {
 }
 
 /// Per-shard timing reported by [`Vfs::par_scan_observed`]: how long the
-/// under-lock snapshot took, how long the lock-free path-reconstruction
+/// under-lock snapshot took, how long the unlocked path-reconstruction
 /// walk took, and how many inodes the shard held.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardScanStats {
@@ -126,7 +114,7 @@ impl Node {
     }
 }
 
-// ----- shard plumbing -----------------------------------------------------
+// ----- inode table --------------------------------------------------------
 
 /// Number of inode shards. Power of two; 64 keeps per-shard populations
 /// around 16k even at the million-inode bench scale while staying cheap for
@@ -135,76 +123,20 @@ const NSHARDS: usize = 64;
 
 type NodeMap = FxHashMap<u64, Node>;
 
-struct Shards {
-    arr: Vec<RwLock<NodeMap>>,
-    mask: u64,
-}
+/// The inode table, partitioned by `ino & (NSHARDS-1)`.
+struct Shards(Vec<NodeMap>);
 
 impl Shards {
     fn new() -> Self {
-        Shards {
-            arr: (0..NSHARDS)
-                .map(|_| RwLock::new(NodeMap::default()))
-                .collect(),
-            mask: (NSHARDS - 1) as u64,
-        }
+        Shards((0..NSHARDS).map(|_| NodeMap::default()).collect())
     }
 
-    fn len(&self) -> usize {
-        self.arr.len()
-    }
-
-    fn index(&self, ino: u64) -> usize {
-        (ino & self.mask) as usize
-    }
-
-    fn read(&self, ino: u64) -> RwLockReadGuard<'_, NodeMap> {
-        self.arr[self.index(ino)].read()
-    }
-
-    fn write(&self, ino: u64) -> RwLockWriteGuard<'_, NodeMap> {
-        self.arr[self.index(ino)].write()
-    }
-
-    /// Write-lock every shard hosting one of `inos`, in ascending shard
-    /// index (the global acquisition order that makes multi-shard writers
-    /// deadlock-free).
-    fn write_many(&self, inos: &[u64]) -> MultiGuard<'_> {
-        let mut idx: Vec<usize> = inos.iter().map(|&i| self.index(i)).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        MultiGuard {
-            mask: self.mask,
-            guards: idx.into_iter().map(|i| (i, self.arr[i].write())).collect(),
-        }
-    }
-}
-
-/// Write guards over several shards, with lookups routed by ino.
-struct MultiGuard<'a> {
-    mask: u64,
-    guards: Vec<(usize, RwLockWriteGuard<'a, NodeMap>)>,
-}
-
-impl MultiGuard<'_> {
     fn map(&self, ino: Ino) -> &NodeMap {
-        let want = (ino.0 & self.mask) as usize;
-        &self
-            .guards
-            .iter()
-            .find(|(i, _)| *i == want)
-            .expect("ino outside locked shards")
-            .1
+        &self.0[ino.0 as usize & (NSHARDS - 1)]
     }
 
     fn map_mut(&mut self, ino: Ino) -> &mut NodeMap {
-        let want = (ino.0 & self.mask) as usize;
-        &mut self
-            .guards
-            .iter_mut()
-            .find(|(i, _)| *i == want)
-            .expect("ino outside locked shards")
-            .1
+        &mut self.0[ino.0 as usize & (NSHARDS - 1)]
     }
 
     fn get(&self, ino: Ino) -> Option<&Node> {
@@ -219,47 +151,46 @@ impl MultiGuard<'_> {
         self.map_mut(ino).insert(ino.0, node);
     }
 
-    fn remove(&mut self, ino: Ino) -> Option<Node> {
-        self.map_mut(ino).remove(&ino.0)
+    /// The inode bound to `name` in directory `parent`.
+    fn child(&self, parent: Ino, name: &str, full_path: &str) -> FsResult<Ino> {
+        let node = self.get(parent).ok_or(FsError::StaleInode(parent))?;
+        match &node.kind {
+            NodeKind::Dir { entries } => entries.get(name).copied().ok_or_else(|| {
+                FsError::NotFound(normalize(full_path).unwrap_or_else(|_| full_path.to_string()))
+            }),
+            NodeKind::File { .. } => Err(FsError::NotADirectory(full_path.to_string())),
+        }
+    }
+
+    /// Unbind `parent[name]` (bound to `target`) and drop `target`'s node.
+    fn detach(&mut self, parent: Ino, name: &str, target: Ino, now: SimInstant) -> Node {
+        let pnode = self.get_mut(parent).expect("bound above");
+        if let NodeKind::Dir { entries } = &mut pnode.kind {
+            entries.remove(name);
+        }
+        pnode.mtime = now;
+        self.map_mut(target).remove(&target.0).expect("bound above")
     }
 }
 
 // ----- resolve cache ------------------------------------------------------
 
-const CACHE_STRIPES: usize = 16;
-/// Per-stripe capacity; on overflow the stripe is simply cleared (the cache
-/// is an accelerator, not a source of truth).
-const CACHE_CAP: usize = 4096;
+/// Capacity; on overflow the map is simply cleared (the cache is an
+/// accelerator, not a source of truth).
+const CACHE_CAP: usize = 1 << 16;
 
-struct ResolveCache {
-    stripes: Vec<RwLock<FxHashMap<String, (u64, Ino)>>>,
-}
+struct ResolveCache(RwLock<FxHashMap<String, (u64, Ino)>>);
 
 impl ResolveCache {
-    fn new() -> Self {
-        ResolveCache {
-            stripes: (0..CACHE_STRIPES)
-                .map(|_| RwLock::new(FxHashMap::default()))
-                .collect(),
-        }
-    }
-
-    fn stripe(&self, path: &str) -> &RwLock<FxHashMap<String, (u64, Ino)>> {
-        let mut h = FxHasher::default();
-        h.write(path.as_bytes());
-        &self.stripes[(h.finish() as usize) % CACHE_STRIPES]
-    }
-
     fn get(&self, path: &str, epoch: u64) -> Option<Ino> {
-        let g = self.stripe(path).read();
-        match g.get(path) {
+        match self.0.read().get(path) {
             Some(&(e, ino)) if e == epoch => Some(ino),
             _ => None,
         }
     }
 
     fn put(&self, path: Cow<'_, str>, epoch: u64, ino: Ino) {
-        let mut g = self.stripe(&path).write();
+        let mut g = self.0.write();
         if g.len() >= CACHE_CAP {
             g.clear();
         }
@@ -282,7 +213,7 @@ struct Shared {
     /// Namespace epoch: bumped by unlink/rmdir/rename, validating every
     /// resolve-cache entry in O(1).
     epoch: AtomicU64,
-    shards: Shards,
+    nodes: RwLock<Shards>,
     rcache: ResolveCache,
 }
 
@@ -292,9 +223,9 @@ impl Vfs {
     /// Create an empty file system whose timestamps come from `clock`.
     pub fn new(name: impl Into<String>, clock: Clock) -> Self {
         let now = clock.now();
-        let shards = Shards::new();
-        shards.write(ROOT.0).insert(
-            ROOT.0,
+        let mut nodes = Shards::new();
+        nodes.insert(
+            ROOT,
             Node {
                 parent: None,
                 name: String::new(),
@@ -314,8 +245,8 @@ impl Vfs {
                 clock,
                 next_ino: AtomicU64::new(2),
                 epoch: AtomicU64::new(0),
-                shards,
-                rcache: ResolveCache::new(),
+                nodes: RwLock::new(nodes),
+                rcache: ResolveCache(RwLock::default()),
             }),
         }
     }
@@ -342,12 +273,12 @@ impl Vfs {
 
     // ----- resolution ---------------------------------------------------
 
-    /// Walk `norm` component by component, one shard read lock at a time.
+    /// Walk `norm` component by component under one read lock.
     fn resolve_walk(&self, norm: &str) -> FsResult<Ino> {
+        let g = self.shared.nodes.read();
         let mut cur = ROOT;
         for comp in split(norm) {
-            let g = self.shared.shards.read(cur.0);
-            let node = g.get(&cur.0).ok_or(FsError::StaleInode(cur))?;
+            let node = g.get(cur).ok_or(FsError::StaleInode(cur))?;
             match &node.kind {
                 NodeKind::Dir { entries } => {
                     cur = *entries
@@ -387,31 +318,18 @@ impl Vfs {
         self.resolve(path).is_ok()
     }
 
-    /// Look up one name in a directory (single read lock).
-    fn lookup_child(&self, parent: Ino, name: &str, full_path: &str) -> FsResult<Ino> {
-        let g = self.shared.shards.read(parent.0);
-        let node = g.get(&parent.0).ok_or(FsError::StaleInode(parent))?;
-        match &node.kind {
-            NodeKind::Dir { entries } => entries.get(name).copied().ok_or_else(|| {
-                FsError::NotFound(normalize(full_path).unwrap_or_else(|_| full_path.to_string()))
-            }),
-            NodeKind::File { .. } => Err(FsError::NotADirectory(full_path.to_string())),
-        }
-    }
-
     fn ftype_of(&self, ino: Ino) -> FsResult<FileType> {
-        let g = self.shared.shards.read(ino.0);
-        Ok(g.get(&ino.0).ok_or(FsError::StaleInode(ino))?.ftype())
+        self.with_node(ino, |node| Ok(node.ftype()))
     }
 
-    /// Reconstruct the absolute path of a live inode, chasing parent edges
-    /// one shard lock at a time.
+    /// Reconstruct the absolute path of a live inode by chasing parent
+    /// edges.
     pub fn path_of(&self, ino: Ino) -> FsResult<String> {
         let mut comps = Vec::new();
         let mut cur = ino;
+        let g = self.shared.nodes.read();
         loop {
-            let g = self.shared.shards.read(cur.0);
-            let node = g.get(&cur.0).ok_or(FsError::StaleInode(ino))?;
+            let node = g.get(cur).ok_or(FsError::StaleInode(ino))?;
             match node.parent {
                 Some(p) => {
                     comps.push(node.name.clone());
@@ -481,7 +399,7 @@ impl Vfs {
     }
 
     /// Link `node` into `parent_ino` under `name`. Allocates the ino from
-    /// the atomic counter, then locks (only) the two affected shards.
+    /// the atomic counter, then takes the write lock.
     fn insert_child(
         &self,
         parent_ino: Ino,
@@ -491,7 +409,7 @@ impl Vfs {
     ) -> FsResult<Ino> {
         let ino = Ino(self.shared.next_ino.fetch_add(1, Ordering::Relaxed));
         let ctime = node.ctime;
-        let mut g = self.shared.shards.write_many(&[parent_ino.0, ino.0]);
+        let mut g = self.shared.nodes.write();
         let parent = g
             .get_mut(parent_ino)
             .ok_or(FsError::StaleInode(parent_ino))?;
@@ -512,27 +430,21 @@ impl Vfs {
     /// List a directory in name order.
     pub fn readdir(&self, path: &str) -> FsResult<Vec<DirEntry>> {
         let ino = self.resolve(path)?;
-        let children: Vec<(String, Ino)> = {
-            let g = self.shared.shards.read(ino.0);
-            let node = g.get(&ino.0).ok_or(FsError::StaleInode(ino))?;
-            match &node.kind {
-                NodeKind::Dir { entries } => entries.iter().map(|(n, &c)| (n.clone(), c)).collect(),
-                NodeKind::File { .. } => return Err(FsError::NotADirectory(path.to_string())),
-            }
-        };
-        let mut out = Vec::with_capacity(children.len());
-        for (name, child) in children {
-            let g = self.shared.shards.read(child.0);
-            if let Some(cnode) = g.get(&child.0) {
-                out.push(DirEntry {
-                    name,
-                    ino: child,
-                    ftype: cnode.ftype(),
-                });
-            }
-            // a child unlinked between the two locks is simply omitted
+        let g = self.shared.nodes.read();
+        let node = g.get(ino).ok_or(FsError::StaleInode(ino))?;
+        match &node.kind {
+            NodeKind::Dir { entries } => Ok(entries
+                .iter()
+                .filter_map(|(name, &child)| {
+                    Some(DirEntry {
+                        name: name.clone(),
+                        ino: child,
+                        ftype: g.get(child)?.ftype(),
+                    })
+                })
+                .collect()),
+            NodeKind::File { .. } => Err(FsError::NotADirectory(path.to_string())),
         }
-        Ok(out)
     }
 
     /// Remove an empty directory.
@@ -540,57 +452,19 @@ impl Vfs {
         let (parent, name) = parent_and_name(path)?;
         let now = self.now();
         let parent_ino = self.resolve(&parent)?;
-        loop {
-            let target = self.lookup_child(parent_ino, &name, path)?;
-            let mut g = self.shared.shards.write_many(&[parent_ino.0, target.0]);
-            match Self::verify_binding(&g, parent_ino, &name, target, path)? {
-                Binding::Ok => {}
-                Binding::Retry => continue,
+        let mut g = self.shared.nodes.write();
+        let target = g.child(parent_ino, &name, path)?;
+        match &g.get(target).ok_or(FsError::StaleInode(target))?.kind {
+            NodeKind::Dir { entries } if !entries.is_empty() => {
+                return Err(FsError::DirectoryNotEmpty(path.to_string()))
             }
-            {
-                let node = g.get(target).ok_or(FsError::StaleInode(target))?;
-                match &node.kind {
-                    NodeKind::Dir { entries } => {
-                        if !entries.is_empty() {
-                            return Err(FsError::DirectoryNotEmpty(path.to_string()));
-                        }
-                    }
-                    NodeKind::File { .. } => return Err(FsError::NotADirectory(path.to_string())),
-                }
-            }
-            let parent = g.get_mut(parent_ino).expect("verified above");
-            if let NodeKind::Dir { entries } = &mut parent.kind {
-                entries.remove(&name);
-            }
-            parent.mtime = now;
-            g.remove(target);
-            drop(g);
-            self.bump_epoch();
-            return Ok(());
+            NodeKind::Dir { .. } => {}
+            NodeKind::File { .. } => return Err(FsError::NotADirectory(path.to_string())),
         }
-    }
-
-    /// Under the write locks, confirm `parent[name]` still points at
-    /// `expected` (a concurrent rename may have moved it between lookup and
-    /// lock acquisition).
-    fn verify_binding(
-        g: &MultiGuard<'_>,
-        parent: Ino,
-        name: &str,
-        expected: Ino,
-        full_path: &str,
-    ) -> FsResult<Binding> {
-        let pnode = g.get(parent).ok_or(FsError::StaleInode(parent))?;
-        match &pnode.kind {
-            NodeKind::Dir { entries } => match entries.get(name) {
-                Some(&i) if i == expected => Ok(Binding::Ok),
-                Some(_) => Ok(Binding::Retry),
-                None => Err(FsError::NotFound(
-                    normalize(full_path).unwrap_or_else(|_| full_path.to_string()),
-                )),
-            },
-            NodeKind::File { .. } => Err(FsError::NotADirectory(full_path.to_string())),
-        }
+        g.detach(parent_ino, &name, target, now);
+        drop(g);
+        self.bump_epoch();
+        Ok(())
     }
 
     // ----- file ops -----------------------------------------------------
@@ -629,17 +503,17 @@ impl Vfs {
         }
     }
 
-    /// Run `f` on the (mutable) node for `ino` under its shard write lock.
+    /// Run `f` on the (mutable) node for `ino` under the write lock.
     fn with_node_mut<R>(&self, ino: Ino, f: impl FnOnce(&mut Node) -> FsResult<R>) -> FsResult<R> {
-        let mut g = self.shared.shards.write(ino.0);
-        let node = g.get_mut(&ino.0).ok_or(FsError::StaleInode(ino))?;
+        let mut g = self.shared.nodes.write();
+        let node = g.get_mut(ino).ok_or(FsError::StaleInode(ino))?;
         f(node)
     }
 
-    /// Run `f` on the node for `ino` under its shard read lock.
+    /// Run `f` on the node for `ino` under the read lock.
     fn with_node<R>(&self, ino: Ino, f: impl FnOnce(&Node) -> FsResult<R>) -> FsResult<R> {
-        let g = self.shared.shards.read(ino.0);
-        let node = g.get(&ino.0).ok_or(FsError::StaleInode(ino))?;
+        let g = self.shared.nodes.read();
+        let node = g.get(ino).ok_or(FsError::StaleInode(ino))?;
         f(node)
     }
 
@@ -725,26 +599,15 @@ impl Vfs {
         let (parent, name) = parent_and_name(path)?;
         let now = self.now();
         let parent_ino = self.resolve(&parent)?;
-        loop {
-            let target = self.lookup_child(parent_ino, &name, path)?;
-            let mut g = self.shared.shards.write_many(&[parent_ino.0, target.0]);
-            match Self::verify_binding(&g, parent_ino, &name, target, path)? {
-                Binding::Ok => {}
-                Binding::Retry => continue,
-            }
-            if g.get(target).ok_or(FsError::StaleInode(target))?.ftype() == FileType::Directory {
-                return Err(FsError::IsADirectory(path.to_string()));
-            }
-            let parent = g.get_mut(parent_ino).expect("verified above");
-            if let NodeKind::Dir { entries } = &mut parent.kind {
-                entries.remove(&name);
-            }
-            parent.mtime = now;
-            let node = g.remove(target).expect("checked above");
-            drop(g);
-            self.bump_epoch();
-            return Ok(node.attr(target));
+        let mut g = self.shared.nodes.write();
+        let target = g.child(parent_ino, &name, path)?;
+        if g.get(target).ok_or(FsError::StaleInode(target))?.ftype() == FileType::Directory {
+            return Err(FsError::IsADirectory(path.to_string()));
         }
+        let node = g.detach(parent_ino, &name, target, now);
+        drop(g);
+        self.bump_epoch();
+        Ok(node.attr(target))
     }
 
     /// Rename a file or directory. The destination must not exist (the
@@ -763,49 +626,36 @@ impl Vfs {
         let now = self.now();
         let from_parent_ino = self.resolve(&from_parent)?;
         let to_parent_ino = self.resolve(&to_parent)?;
-        loop {
-            let target = self.lookup_child(from_parent_ino, &from_name, from)?;
-            let mut g =
-                self.shared
-                    .shards
-                    .write_many(&[from_parent_ino.0, to_parent_ino.0, target.0]);
-            match Self::verify_binding(&g, from_parent_ino, &from_name, target, from)? {
-                Binding::Ok => {}
-                Binding::Retry => continue,
+        let mut g = self.shared.nodes.write();
+        let target = g.child(from_parent_ino, &from_name, from)?;
+        match &g
+            .get(to_parent_ino)
+            .ok_or(FsError::StaleInode(to_parent_ino))?
+            .kind
+        {
+            NodeKind::Dir { entries } if entries.contains_key(&to_name) => {
+                return Err(FsError::AlreadyExists(to.to_string()))
             }
-            {
-                let tp = g
-                    .get(to_parent_ino)
-                    .ok_or(FsError::StaleInode(to_parent_ino))?;
-                match &tp.kind {
-                    NodeKind::Dir { entries } => {
-                        if entries.contains_key(&to_name) {
-                            return Err(FsError::AlreadyExists(to.to_string()));
-                        }
-                    }
-                    NodeKind::File { .. } => return Err(FsError::NotADirectory(to_parent)),
-                }
-            }
-            if let NodeKind::Dir { entries } =
-                &mut g.get_mut(from_parent_ino).expect("verified above").kind
-            {
-                entries.remove(&from_name);
-            }
-            g.get_mut(from_parent_ino).expect("verified above").mtime = now;
-            if let NodeKind::Dir { entries } =
-                &mut g.get_mut(to_parent_ino).expect("checked above").kind
-            {
-                entries.insert(to_name.clone(), target);
-            }
-            g.get_mut(to_parent_ino).expect("checked above").mtime = now;
-            let node = g.get_mut(target).expect("bound above");
-            node.parent = Some(to_parent_ino);
-            node.name = to_name;
-            node.ctime = now;
-            drop(g);
-            self.bump_epoch();
-            return Ok(());
+            NodeKind::Dir { .. } => {}
+            NodeKind::File { .. } => return Err(FsError::NotADirectory(to_parent)),
         }
+        let fp = g.get_mut(from_parent_ino).expect("bound above");
+        if let NodeKind::Dir { entries } = &mut fp.kind {
+            entries.remove(&from_name);
+        }
+        fp.mtime = now;
+        let tp = g.get_mut(to_parent_ino).expect("checked above");
+        if let NodeKind::Dir { entries } = &mut tp.kind {
+            entries.insert(to_name.clone(), target);
+        }
+        tp.mtime = now;
+        let node = g.get_mut(target).expect("bound above");
+        node.parent = Some(to_parent_ino);
+        node.name = to_name;
+        node.ctime = now;
+        drop(g);
+        self.bump_epoch();
+        Ok(())
     }
 
     // ----- attributes ---------------------------------------------------
@@ -865,16 +715,15 @@ impl Vfs {
     // ----- traversal & accounting ----------------------------------------
 
     /// Depth-first recursive walk from `path` (inclusive), entries in
-    /// deterministic name order. Holds one shard read lock at a time; nodes
-    /// unlinked mid-walk are skipped.
+    /// deterministic name order, under one read lock.
     pub fn walk(&self, path: &str) -> FsResult<Vec<WalkEntry>> {
         let root_ino = self.resolve(path)?;
         let norm = normalize(path)?;
         let mut out = Vec::new();
         let mut stack = vec![(norm, root_ino)];
+        let g = self.shared.nodes.read();
         while let Some((p, ino)) = stack.pop() {
-            let g = self.shared.shards.read(ino.0);
-            let Some(node) = g.get(&ino.0) else { continue };
+            let Some(node) = g.get(ino) else { continue };
             out.push(WalkEntry {
                 path: p.clone(),
                 attr: node.attr(ino),
@@ -892,9 +741,9 @@ impl Vfs {
     /// Stream every live inode through `f` across `threads` worker threads,
     /// shard by shard — the policy-scan hot path. Unlike [`Vfs::walk`] this
     /// never materializes the whole tree: each worker snapshots ONE shard
-    /// (≈ total/64 inodes) under its read lock, releases it, then
-    /// reconstructs paths lock-at-a-time with a per-thread directory-path
-    /// memo.
+    /// (≈ total/64 inodes) under the read lock, releases it, then
+    /// reconstructs paths one short read lock at a time with a per-thread
+    /// directory-path memo.
     ///
     /// Results are collected per shard and concatenated in shard order, so
     /// on a quiescent tree the multiset of results is independent of
@@ -920,7 +769,7 @@ impl Vfs {
         F: Fn(&str, &InodeAttr) -> Option<R> + Sync,
         O: Fn(ShardScanStats) + Sync,
     {
-        let nshards = self.shared.shards.len();
+        let nshards = NSHARDS;
         let threads = threads.max(1).min(nshards);
         let slots: Vec<Mutex<Vec<R>>> = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
         let scan_shard = |shard_idx: usize, memo: &mut FxHashMap<u64, String>| {
@@ -929,8 +778,9 @@ impl Vfs {
             // Attrs are cheap now (Arc'd xattrs), so this buffer is small
             // and bounded by the shard population, not the tree size.
             let snapshot: Vec<(Ino, Option<Ino>, String, InodeAttr)> = {
-                let g = self.shared.shards.arr[shard_idx].read();
-                g.iter()
+                let g = self.shared.nodes.read();
+                g.0[shard_idx]
+                    .iter()
                     .map(|(&raw, node)| {
                         let ino = Ino(raw);
                         (ino, node.parent, node.name.clone(), node.attr(ino))
@@ -939,8 +789,8 @@ impl Vfs {
             };
             let snapshot_ns = t0.elapsed().as_nanos() as u64;
             let visited = snapshot.len() as u64;
-            // Phase 2: lock-free over this shard; parent chains are chased
-            // one shard read lock at a time (never while holding another).
+            // Phase 2: unlocked over the snapshot; parent chains are chased
+            // with one short read lock per uncached directory.
             let mut out = Vec::new();
             for (ino, parent, name, attr) in snapshot {
                 let path = match parent {
@@ -999,8 +849,8 @@ impl Vfs {
             return Ok(p.clone());
         }
         let (parent, name) = {
-            let g = self.shared.shards.read(ino.0);
-            let node = g.get(&ino.0).ok_or(FsError::StaleInode(ino))?;
+            let g = self.shared.nodes.read();
+            let node = g.get(ino).ok_or(FsError::StaleInode(ino))?;
             (node.parent.unwrap_or(ROOT), node.name.clone())
         };
         let base = self.dir_path(parent, memo)?;
@@ -1019,31 +869,14 @@ impl Vfs {
 
     /// Number of live inodes (including directories).
     pub fn inode_count(&self) -> usize {
-        self.shared.shards.arr.iter().map(|s| s.read().len()).sum()
+        self.shared.nodes.read().0.iter().map(|m| m.len()).sum()
     }
 
     /// Total logical bytes across all regular files.
     pub fn total_bytes(&self) -> u64 {
-        self.shared
-            .shards
-            .arr
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .map(|n| match &n.kind {
-                        NodeKind::File { content } => content.len(),
-                        NodeKind::Dir { .. } => 0,
-                    })
-                    .sum::<u64>()
-            })
-            .sum()
+        let g = self.shared.nodes.read();
+        g.0.iter().flat_map(|m| m.values()).map(Node::size).sum()
     }
-}
-
-enum Binding {
-    Ok,
-    Retry,
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
 //! A lock-striped `u64 → V` map for side tables keyed by inode number.
 //!
-//! The VFS itself stripes its inode table (see [`crate::fs`]); higher layers
-//! keep auxiliary per-ino state (pool residency, HSM bookkeeping) that sits
-//! on the same scan hot paths. `StripedU64Map` gives them the same
-//! contention profile without each crate re-deriving the shard arithmetic:
-//! keys are spread over a power-of-two number of independently locked
-//! stripes, so readers and writers on different inos rarely collide.
+//! Higher layers keep auxiliary per-ino state (pool residency) that the
+//! parallel policy scan reads. `StripedU64Map` spreads keys over a
+//! power-of-two number of independently locked stripes, so scan threads
+//! reading different inos rarely collide.
 
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
