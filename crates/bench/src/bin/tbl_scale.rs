@@ -1,8 +1,8 @@
 //! T-SCALE: wall-clock scaling of the sharded-namespace hot path.
 //!
 //! Where `tbl_scan` reproduces the paper's "1M inodes in 10 minutes"
-//! datum, this bench defends the *machinery's* scaling claim: the lock
-//! striped VFS + streaming policy scan must get faster as threads are
+//! datum, this bench defends the *machinery's* scaling claim: the
+//! sharded VFS + streaming policy scan must get faster as threads are
 //! added, and the simulated results must be bit-identical at every thread
 //! count. It drives a million-file mixed namespace (varied sizes, owners,
 //! ages and residency) through `run_policy_with` and `scan_records_with`

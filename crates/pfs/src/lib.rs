@@ -29,5 +29,5 @@ pub mod pool;
 pub use glob::wildcard_match;
 pub use hsmstate::HsmState;
 pub use pfs::{Pfs, PfsBuilder, ReadOutcome};
-pub use policy::{Action, Cmp, FileRecord, PolicyEngine, Predicate, Rule, ScanReport};
+pub use policy::{Action, Cmp, FileRecord, FileView, PolicyEngine, Predicate, Rule, ScanReport};
 pub use pool::{PoolConfig, PoolId, StoragePool};

@@ -2,14 +2,15 @@
 //! storage pools, placement policy, and DMAPI-style managed regions.
 
 use crate::hsmstate::HsmState;
-use crate::policy::{FileRecord, PolicyEngine, Rule};
+use crate::policy::{FileRecord, FileView, PolicyEngine, Rule};
 use crate::pool::{PoolConfig, PoolId, StoragePool};
 use copra_simtime::{Clock, DataSize, Reservation, SimDuration, SimInstant, Timeline};
 use copra_trace::Tracer;
-use copra_vfs::{Content, FsError, FsResult, Ino, InodeAttr, StripedU64Map, Vfs, WalkEntry};
+use copra_vfs::{Content, FsError, FsResult, Ino, InodeAttr, InodeView, Vfs, WalkEntry};
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Result of reading a managed file.
@@ -27,9 +28,9 @@ struct PfsShared {
     pools: Vec<StoragePool>,
     pool_by_name: FxHashMap<String, PoolId>,
     placement: PolicyEngine,
-    /// Per-file pool residency, lock-striped because every policy-scan
-    /// thread reads it once per file.
-    file_pools: StripedU64Map<PoolId>,
+    /// Per-file pool residency (absent: the default pool). A policy scan
+    /// read-locks it once and shares the map with its threads.
+    file_pools: RwLock<FxHashMap<u64, PoolId>>,
     default_pool: PoolId,
     /// The metadata service path: file create/stat/unlink transactions
     /// serialize here in simulated time. GPFS's own benchmark claim — one
@@ -114,7 +115,7 @@ impl PfsBuilder {
                 pools,
                 pool_by_name,
                 placement: PolicyEngine::new(self.placement),
-                file_pools: StripedU64Map::new(64),
+                file_pools: RwLock::default(),
                 default_pool,
                 meta,
                 tracer: RwLock::new(Tracer::disabled()),
@@ -176,9 +177,13 @@ impl Pfs {
 
     /// Pool a file currently resides in.
     pub fn pool_of(&self, ino: Ino) -> PoolId {
-        self.shared
-            .file_pools
-            .get(ino.0)
+        self.pool_in(&self.shared.file_pools.read(), ino)
+    }
+
+    fn pool_in(&self, file_pools: &FxHashMap<u64, PoolId>, ino: Ino) -> PoolId {
+        file_pools
+            .get(&ino.0)
+            .copied()
             .unwrap_or(self.shared.default_pool)
     }
 
@@ -214,7 +219,7 @@ impl Pfs {
         let r_write = self.pool(to_id).charge_io(r_read.end, size);
         self.pool(from_id).account_remove(size);
         self.pool(to_id).account_add(size);
-        self.shared.file_pools.insert(ino.0, to_id);
+        self.shared.file_pools.write().insert(ino.0, to_id);
         Ok(r_write)
     }
 
@@ -272,10 +277,6 @@ impl Pfs {
         self.shared.vfs.set_xattr(ino, key, value)
     }
 
-    pub fn utimes(&self, ino: Ino, mtime: SimInstant, atime: SimInstant) -> FsResult<()> {
-        self.shared.vfs.utimes(ino, mtime, atime)
-    }
-
     /// Create a file, applying placement policy to choose its pool.
     pub fn create_file(&self, path: &str, uid: u32, content: Content) -> FsResult<Ino> {
         let size = content.len();
@@ -296,35 +297,37 @@ impl Pfs {
         let actual = content.len();
         let ino = self.shared.vfs.create(path, uid, content)?;
         let now = self.clock().now();
-        let rec = FileRecord {
-            path: path.to_string(),
+        let file = FileView {
+            path,
             ino,
             size: size_hint,
             uid,
             mtime: now,
             atime: now,
-            pool: String::new(),
+            pool: "",
             hsm: HsmState::Resident,
         };
         let pool_id = self
             .shared
             .placement
-            .place(&rec, now)
+            .place(&file, now)
             .and_then(|name| self.shared.pool_by_name.get(name).copied())
             .unwrap_or(self.shared.default_pool);
         self.pool(pool_id).account_add(DataSize::from_bytes(actual));
-        self.shared.file_pools.insert(ino.0, pool_id);
+        self.shared.file_pools.write().insert(ino.0, pool_id);
         Ok(ino)
     }
 
     /// HSM residency state of a file (Resident if unannotated).
     pub fn hsm_state(&self, ino: Ino) -> FsResult<HsmState> {
-        Ok(self
-            .shared
-            .vfs
-            .get_xattr(ino, HsmState::XATTR)?
+        Ok(Self::hsm_in(&self.shared.vfs.stat_ino(ino)?.xattrs))
+    }
+
+    fn hsm_in(xattrs: &BTreeMap<String, String>) -> HsmState {
+        xattrs
+            .get(HsmState::XATTR)
             .and_then(|s| s.parse().ok())
-            .unwrap_or(HsmState::Resident))
+            .unwrap_or(HsmState::Resident)
     }
 
     /// TSM object id recorded on the file, if any.
@@ -340,25 +343,27 @@ impl Pfs {
     /// otherwise.
     pub fn logical_size(&self, ino: Ino) -> FsResult<u64> {
         let attr = self.shared.vfs.stat_ino(ino)?;
-        Ok(Self::overlay_size(&attr))
+        Ok(Self::overlay_size(&attr.xattrs, attr.size))
     }
 
-    fn overlay_size(attr: &InodeAttr) -> u64 {
-        attr.xattr(HsmState::XATTR_STUB_SIZE)
+    /// The stub-size overlay: a punched stub's pre-punch size, else `size`.
+    fn overlay_size(xattrs: &BTreeMap<String, String>, size: u64) -> u64 {
+        xattrs
+            .get(HsmState::XATTR_STUB_SIZE)
             .and_then(|s| s.parse().ok())
-            .unwrap_or(attr.size)
+            .unwrap_or(size)
     }
 
     /// `stat` with the stub-size overlay applied.
     pub fn stat(&self, path: &str) -> FsResult<InodeAttr> {
         let mut attr = self.shared.vfs.stat(path)?;
-        attr.size = Self::overlay_size(&attr);
+        attr.size = Self::overlay_size(&attr.xattrs, attr.size);
         Ok(attr)
     }
 
     pub fn stat_ino(&self, ino: Ino) -> FsResult<InodeAttr> {
         let mut attr = self.shared.vfs.stat_ino(ino)?;
-        attr.size = Self::overlay_size(&attr);
+        attr.size = Self::overlay_size(&attr.xattrs, attr.size);
         Ok(attr)
     }
 
@@ -366,7 +371,7 @@ impl Pfs {
     pub fn walk(&self, path: &str) -> FsResult<Vec<WalkEntry>> {
         let mut entries = self.shared.vfs.walk(path)?;
         for e in &mut entries {
-            e.attr.size = Self::overlay_size(&e.attr);
+            e.attr.size = Self::overlay_size(&e.attr.xattrs, e.attr.size);
         }
         Ok(entries)
     }
@@ -448,7 +453,7 @@ impl Pfs {
         let ino = self.resolve(path)?;
         let pool = self.pool_of(ino);
         let mut attr = self.shared.vfs.unlink(path)?;
-        attr.size = Self::overlay_size(&attr);
+        attr.size = Self::overlay_size(&attr.xattrs, attr.size);
         // A punched stub occupies ~0 disk; account what was on disk.
         let on_disk = if attr.xattr(HsmState::XATTR_STUB_SIZE).is_some() {
             0
@@ -457,7 +462,7 @@ impl Pfs {
         };
         self.pool(pool)
             .account_remove(DataSize::from_bytes(on_disk));
-        self.shared.file_pools.remove(ino.0);
+        self.shared.file_pools.write().remove(&ino.0);
         Ok(attr)
     }
 
@@ -504,12 +509,8 @@ impl Pfs {
                 "restore_stub on {ino} in state {state} (need migrated)"
             )));
         }
-        let logical: u64 = self
-            .shared
-            .vfs
-            .get_xattr(ino, HsmState::XATTR_STUB_SIZE)?
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
+        // A migrated stub has no content, so this is its stub size.
+        let logical = self.logical_size(ino)?;
         if content.len() != logical {
             return Err(FsError::InvalidRange {
                 len: logical,
@@ -560,23 +561,25 @@ impl Pfs {
             .unwrap_or(1)
     }
 
-    /// Policy-visible record for one regular file, built straight from a
-    /// scan-time attr snapshot (stub-size overlay and HSM state come from
-    /// the xattrs already in hand — no second stat, no extra locks).
-    fn record_from(&self, path: &str, attr: &InodeAttr) -> FileRecord {
-        let hsm = attr
-            .xattr(HsmState::XATTR)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(HsmState::Resident);
-        FileRecord {
-            path: path.to_string(),
-            ino: attr.ino,
-            size: Self::overlay_size(attr),
-            uid: attr.uid,
-            mtime: attr.mtime,
-            atime: attr.atime,
-            pool: self.pool(self.pool_of(attr.ino)).name().to_string(),
-            hsm,
+    /// Policy-visible view of one regular file, straight from the scan's
+    /// borrowed inode: the stub-size overlay and HSM state come from the
+    /// xattrs in hand, the pool from the residency map the scan read-locked
+    /// once.
+    fn view_from<'a>(
+        &'a self,
+        path: &'a str,
+        inode: &InodeView<'_>,
+        file_pools: &FxHashMap<u64, PoolId>,
+    ) -> FileView<'a> {
+        FileView {
+            path,
+            ino: inode.ino,
+            size: Self::overlay_size(inode.xattrs, inode.size),
+            uid: inode.uid,
+            mtime: inode.mtime,
+            atime: inode.atime,
+            pool: self.pool(self.pool_in(file_pools, inode.ino)).name(),
+            hsm: Self::hsm_in(inode.xattrs),
         }
     }
 
@@ -593,24 +596,20 @@ impl Pfs {
         let tracer = self.tracer();
         let now = self.clock().now();
         let root = tracer.root("pfs.scan_records", threads as u64, now);
-        let record = |path: &str, attr: &InodeAttr| {
-            if attr.is_file() {
-                Some(self.record_from(path, attr))
-            } else {
-                None
-            }
-        };
-        let mut recs = match &root {
-            // Armed: the per-shard observer turns each shard's measured
-            // phases into closed spans (sim-zero-length — the sim clock is
-            // frozen during real scans — wall intervals carry the data).
-            Some(g) => self.shared.vfs.par_scan_observed(threads, record, |st| {
-                record_shard_spans(&tracer, g.ctx(), "scan.shard", now, &st);
-            }),
-            None => self.shared.vfs.par_scan(threads, record),
-        };
+        let file_pools = self.shared.file_pools.read();
+        let mut recs = self.shared.vfs.par_scan(
+            threads,
+            |inode, path| {
+                inode
+                    .is_file()
+                    .then(|| self.view_from(path.get(), inode, &file_pools).to_record())
+            },
+            |st| record_shard_spans(&tracer, root.as_ref(), "scan.shard", now, st),
+        );
+        drop(file_pools);
         let sort_start = tracer.wall_now_ns();
-        recs.sort_by(|a, b| a.path.cmp(&b.path));
+        // Paths are unique, so the unstable sort gives the same order.
+        recs.sort_unstable_by(|a, b| a.path.cmp(&b.path));
         if let Some(g) = root {
             tracer.record_closed(Some(g.ctx()), "scan.sort_merge", 0, now, now, sort_start);
             g.finish(now);
@@ -624,11 +623,11 @@ impl Pfs {
     }
 
     /// [`Pfs::run_policy`] at an explicit thread count. Rule evaluation is
-    /// fused into the sharded namespace scan: each scan thread classifies
-    /// files as it walks its shards and keeps only the matches, so no
-    /// global lock is held and no intermediate vector of all records is
-    /// ever built. [`PolicyEngine::assemble`] sorts the survivors, making
-    /// the report deterministic at every thread count.
+    /// fused into the sharded namespace scan: each scan thread classifies a
+    /// borrowed view of each file as it walks its shards and builds an
+    /// owned record only for a match. The path is built only for a match
+    /// too, unless a rule reads it. [`PolicyEngine::assemble`] sorts the
+    /// survivors, making the report deterministic at every thread count.
     pub fn run_policy_with(
         &self,
         engine: &PolicyEngine,
@@ -638,25 +637,32 @@ impl Pfs {
         let tracer = self.tracer();
         let root = tracer.root("pfs.run_policy", threads as u64, now);
         let t0 = std::time::Instant::now();
-        let scanned = AtomicUsize::new(0);
-        let classify = |path: &str, attr: &InodeAttr| {
-            if !attr.is_file() {
-                return None;
-            }
-            scanned.fetch_add(1, Ordering::Relaxed);
-            let rec = self.record_from(path, attr);
-            engine.classify(&rec, now).map(|idx| (idx, rec))
-        };
-        let tagged = match &root {
-            Some(g) => self.shared.vfs.par_scan_observed(threads, classify, |st| {
-                record_shard_spans(&tracer, g.ctx(), "policy.shard", now, &st);
-            }),
-            None => self.shared.vfs.par_scan(threads, classify),
-        };
+        let scanned = AtomicU64::new(0);
+        let reads_path = engine.reads_path();
+        let file_pools = self.shared.file_pools.read();
+        let tagged = self.shared.vfs.par_scan(
+            threads,
+            |inode, path| {
+                if !inode.is_file() {
+                    return None;
+                }
+                let rule_path = if reads_path { path.get() } else { "" };
+                let idx = engine.classify(&self.view_from(rule_path, inode, &file_pools), now)?;
+                Some((
+                    idx,
+                    self.view_from(path.get(), inode, &file_pools).to_record(),
+                ))
+            },
+            |st| {
+                scanned.fetch_add(st.files, Ordering::Relaxed);
+                record_shard_spans(&tracer, root.as_ref(), "policy.shard", now, st);
+            },
+        );
+        drop(file_pools);
         let assemble_start = tracer.wall_now_ns();
         let report = engine.assemble(
             tagged,
-            scanned.load(Ordering::Relaxed),
+            scanned.into_inner() as usize,
             t0.elapsed().as_secs_f64(),
         );
         if let Some(g) = root {
@@ -674,49 +680,28 @@ impl Pfs {
     }
 }
 
-/// Turn one shard's measured scan phases into closed spans: a `<name>`
-/// span per shard with `.snapshot` (under-lock copy-out) and `.walk`
-/// (path materialization + record build) children. Called 64 times per
-/// scan — the only wall-clock reads on the scan path, which is how armed
-/// tracing stays under its 5% overhead budget.
+/// Turn one shard's measured walk into closed spans under `root`, if the
+/// scan is traced: a `name` span per shard with a `<name>.walk` child.
+/// They are sim-zero-length (the sim clock is frozen during a scan); their
+/// wall intervals carry the data. Called 64 times per scan — the only wall-clock reads on the scan path,
+/// which is how armed tracing stays under its 5% overhead budget.
 fn record_shard_spans(
     tracer: &Tracer,
-    parent: copra_trace::SpanContext,
+    root: Option<&copra_trace::SpanGuard>,
     name: &'static str,
     now: SimInstant,
-    st: &copra_vfs::ShardScanStats,
+    st: copra_vfs::ShardScanStats,
 ) {
+    let Some(root) = root else { return };
+    let walk = match name {
+        "scan.shard" => "scan.shard.walk",
+        _ => "policy.shard.walk",
+    };
     let end = tracer.wall_now_ns().unwrap_or(0);
-    let walk_start = end.saturating_sub(st.walk_ns);
-    let start = walk_start.saturating_sub(st.snapshot_ns);
+    let start = end.saturating_sub(st.walk_ns);
     let key = st.shard as u64;
-    let shard = tracer.record_span(Some(parent), name, key, now, now, start, end);
-    match name {
-        "scan.shard" => {
-            tracer.record_span(
-                shard,
-                "scan.shard.snapshot",
-                key,
-                now,
-                now,
-                start,
-                walk_start,
-            );
-            tracer.record_span(shard, "scan.shard.walk", key, now, now, walk_start, end);
-        }
-        _ => {
-            tracer.record_span(
-                shard,
-                "policy.shard.snapshot",
-                key,
-                now,
-                now,
-                start,
-                walk_start,
-            );
-            tracer.record_span(shard, "policy.shard.walk", key, now, now, walk_start, end);
-        }
-    }
+    let shard = tracer.record_span(Some(root.ctx()), name, key, now, now, start, end);
+    tracer.record_span(shard, walk, key, now, now, start, end);
 }
 
 #[cfg(test)]
@@ -985,6 +970,103 @@ mod tests {
         // Sorted output, and the stub-size overlay survived the fused scan.
         assert!(base_recs.windows(2).all(|w| w[0].path < w[1].path));
         assert!(baseline.lists["stubs"].iter().all(|r| r.size >= 64));
+    }
+
+    /// A policy scan must report exactly what classifying every record of
+    /// `scan_records_with(1)` reports, whether or not a rule reads paths.
+    #[test]
+    fn policy_scan_equals_classify_over_scan_records() {
+        let pfs = archive_fs();
+        for (d, sub) in [(0, "a/x"), (1, "a/y/z"), (2, "b"), (3, "b/tmp/deep/er")] {
+            let dir = format!("/proj/{sub}");
+            pfs.mkdir_p(&dir).unwrap();
+            for i in 0..30u64 {
+                let name = if i % 4 == 0 {
+                    "scratch.tmp"
+                } else {
+                    "data.dat"
+                };
+                let path = format!("{dir}/f{i:02}-{name}");
+                let size = if i % 2 == 0 { 4096 + i } else { (2 << 20) + i };
+                let ino = pfs
+                    .create_file(&path, i as u32, Content::synthetic(d * 100 + i, size))
+                    .unwrap();
+                match i % 3 {
+                    1 => pfs.mark_premigrated(ino, d * 100 + i).unwrap(),
+                    2 => {
+                        pfs.mark_premigrated(ino, d * 100 + i).unwrap();
+                        pfs.punch_hole(ino).unwrap();
+                    }
+                    _ => {}
+                }
+                if i % 5 == 0 {
+                    pfs.move_to_pool(ino, "fast", SimInstant::EPOCH).unwrap();
+                }
+            }
+        }
+        pfs.clock().advance_to(SimInstant::from_secs(3600));
+        let path_free = vec![
+            Rule::exclude(
+                "skip-slow-stubs",
+                Predicate::InPool("slow".to_string()).and(Predicate::Hsm(HsmState::Migrated)),
+            ),
+            Rule::list("big", "big", Predicate::SizeBytes(Cmp::Ge, 1 << 20)),
+            Rule::migrate("rest", "tape", Predicate::Uid(Cmp::Lt, 20)),
+        ];
+        let with_paths = vec![
+            Rule::exclude("skip-tmp", Predicate::NameMatches("*.tmp".to_string())),
+            Rule::list(
+                "stubs",
+                "stubs",
+                Predicate::Hsm(HsmState::Migrated).and(Predicate::Under("/proj/a".to_string())),
+            ),
+            Rule::list(
+                "not-b",
+                "not-b",
+                Predicate::Not(Box::new(Predicate::Under("/proj/b".to_string()))),
+            ),
+            Rule::migrate("rest", "tape", Predicate::True),
+        ];
+        let records = pfs.scan_records_with(1);
+        assert_eq!(records.len(), 120);
+        for rules in [path_free, with_paths] {
+            let engine = PolicyEngine::new(rules);
+            let now = pfs.clock().now();
+            let tagged = records
+                .iter()
+                .filter_map(|r| engine.classify(&r.view(), now).map(|i| (i, r.clone())))
+                .collect();
+            let reference = engine.assemble(tagged, records.len(), 0.0);
+            assert!(reference
+                .lists
+                .values()
+                .chain(reference.migrations.values())
+                .all(|v| !v.is_empty()));
+            for threads in [1, 2, 4, 8] {
+                let report = pfs.run_policy_with(&engine, threads);
+                assert_eq!(report.scanned, reference.scanned);
+                assert_eq!(report.lists, reference.lists, "{threads} threads");
+                assert_eq!(report.migrations, reference.migrations, "{threads} threads");
+            }
+        }
+        // The reference agrees with the per-file accessors, and covers
+        // both pools, every state and the stub-size overlay.
+        for r in &records {
+            assert_eq!(r.path, pfs.path_of(r.ino).unwrap());
+            assert_eq!(r.pool, pfs.pool(pfs.pool_of(r.ino)).name());
+            assert_eq!(r.hsm, pfs.hsm_state(r.ino).unwrap());
+            assert_eq!(r.size, pfs.logical_size(r.ino).unwrap());
+        }
+        let stub = records
+            .iter()
+            .find(|r| r.hsm == HsmState::Migrated)
+            .unwrap();
+        assert!(stub.size >= 4096 && pfs.vfs().stat_ino(stub.ino).unwrap().size == 0);
+        for pool in ["fast", "slow"] {
+            assert!(records.iter().any(|r| r.pool == pool));
+        }
+        assert!(records.iter().any(|r| r.hsm == HsmState::Premigrated));
+        assert!(records.iter().any(|r| r.hsm == HsmState::Resident));
     }
 
     #[test]

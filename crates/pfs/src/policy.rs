@@ -18,7 +18,7 @@ use copra_vfs::Ino;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Everything a policy predicate can see about one file.
+/// One file as a policy scan reports it: the owned form of a [`FileView`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileRecord {
     pub path: String,
@@ -30,6 +30,51 @@ pub struct FileRecord {
     pub atime: SimInstant,
     pub pool: String,
     pub hsm: HsmState,
+}
+
+impl FileRecord {
+    pub fn view(&self) -> FileView<'_> {
+        FileView {
+            path: &self.path,
+            ino: self.ino,
+            size: self.size,
+            uid: self.uid,
+            mtime: self.mtime,
+            atime: self.atime,
+            pool: &self.pool,
+            hsm: self.hsm,
+        }
+    }
+}
+
+/// Everything a policy predicate can see about one file, borrowed: the scan
+/// evaluates rules on this and builds a [`FileRecord`] only for a match.
+#[derive(Debug, Clone, Copy)]
+pub struct FileView<'a> {
+    pub path: &'a str,
+    pub ino: Ino,
+    /// Logical size (stub files report their pre-punch size).
+    pub size: u64,
+    pub uid: u32,
+    pub mtime: SimInstant,
+    pub atime: SimInstant,
+    pub pool: &'a str,
+    pub hsm: HsmState,
+}
+
+impl FileView<'_> {
+    pub fn to_record(&self) -> FileRecord {
+        FileRecord {
+            path: self.path.to_string(),
+            ino: self.ino,
+            size: self.size,
+            uid: self.uid,
+            mtime: self.mtime,
+            atime: self.atime,
+            pool: self.pool.to_string(),
+            hsm: self.hsm,
+        }
+    }
 }
 
 /// Comparison operator for scalar predicates.
@@ -56,7 +101,7 @@ impl Cmp {
     }
 }
 
-/// Predicate tree over [`FileRecord`]s.
+/// Predicate tree over [`FileView`]s.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Predicate {
     /// Always true (`WHERE TRUE`).
@@ -83,23 +128,39 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    pub fn eval(&self, rec: &FileRecord, now: SimInstant) -> bool {
+    pub fn eval(&self, file: &FileView<'_>, now: SimInstant) -> bool {
         match self {
             Predicate::True => true,
-            Predicate::SizeBytes(cmp, v) => cmp.holds(rec.size, *v),
-            Predicate::MtimeAge(cmp, age) => cmp.holds(now.saturating_since(rec.mtime), *age),
-            Predicate::AtimeAge(cmp, age) => cmp.holds(now.saturating_since(rec.atime), *age),
-            Predicate::Uid(cmp, v) => cmp.holds(rec.uid, *v),
-            Predicate::Under(prefix) => copra_vfs::is_under(&rec.path, prefix),
+            Predicate::SizeBytes(cmp, v) => cmp.holds(file.size, *v),
+            Predicate::MtimeAge(cmp, age) => cmp.holds(now.saturating_since(file.mtime), *age),
+            Predicate::AtimeAge(cmp, age) => cmp.holds(now.saturating_since(file.atime), *age),
+            Predicate::Uid(cmp, v) => cmp.holds(file.uid, *v),
+            Predicate::Under(prefix) => copra_vfs::is_under(file.path, prefix),
             Predicate::NameMatches(pat) => {
-                let name = rec.path.rsplit('/').next().unwrap_or("");
+                let name = file.path.rsplit('/').next().unwrap_or("");
                 wildcard_match(pat, name)
             }
-            Predicate::InPool(p) => rec.pool == *p,
-            Predicate::Hsm(s) => rec.hsm == *s,
-            Predicate::Not(inner) => !inner.eval(rec, now),
-            Predicate::All(ps) => ps.iter().all(|p| p.eval(rec, now)),
-            Predicate::Any(ps) => ps.iter().any(|p| p.eval(rec, now)),
+            Predicate::InPool(p) => file.pool == p.as_str(),
+            Predicate::Hsm(s) => file.hsm == *s,
+            Predicate::Not(inner) => !inner.eval(file, now),
+            Predicate::All(ps) => ps.iter().all(|p| p.eval(file, now)),
+            Predicate::Any(ps) => ps.iter().any(|p| p.eval(file, now)),
+        }
+    }
+
+    /// True if evaluating this predicate may read the file's path.
+    pub fn reads_path(&self) -> bool {
+        match self {
+            Predicate::Under(_) | Predicate::NameMatches(_) => true,
+            Predicate::Not(inner) => inner.reads_path(),
+            Predicate::All(ps) | Predicate::Any(ps) => ps.iter().any(Predicate::reads_path),
+            Predicate::True
+            | Predicate::SizeBytes(..)
+            | Predicate::MtimeAge(..)
+            | Predicate::AtimeAge(..)
+            | Predicate::Uid(..)
+            | Predicate::InPool(_)
+            | Predicate::Hsm(_) => false,
         }
     }
 
@@ -195,18 +256,24 @@ impl PolicyEngine {
         PolicyEngine { rules }
     }
 
+    /// Whether any rule reads the path; if none does, a scan builds paths
+    /// only for the files that match.
+    pub fn reads_path(&self) -> bool {
+        self.rules.iter().any(|r| r.predicate.reads_path())
+    }
+
     pub fn rules(&self) -> &[Rule] {
         &self.rules
     }
 
-    /// Index of the first rule whose predicate holds for `rec`, if any
+    /// Index of the first rule whose predicate holds for `file`, if any
     /// (GPFS first-match-wins semantics). This is the per-file kernel that
     /// streaming scans fuse into their namespace traversal: callers tag
     /// matches as they go instead of materializing every record first.
-    pub fn classify(&self, rec: &FileRecord, now: SimInstant) -> Option<usize> {
+    pub fn classify(&self, file: &FileView<'_>, now: SimInstant) -> Option<usize> {
         self.rules
             .iter()
-            .position(|rule| rule.predicate.eval(rec, now))
+            .position(|rule| rule.predicate.eval(file, now))
     }
 
     /// Build a [`ScanReport`] from `(matched rule index, record)` pairs.
@@ -227,7 +294,8 @@ impl PolicyEngine {
             groups.entry(idx).or_default().push(rec);
         }
         for (idx, mut files) in groups {
-            files.sort_by(|a, b| a.path.cmp(&b.path));
+            // Paths are unique, so the unstable sort gives the same order.
+            files.sort_unstable_by(|a, b| a.path.cmp(&b.path));
             match &self.rules[idx].action {
                 Action::List { list } => {
                     report.lists.entry(list.clone()).or_default().extend(files)
@@ -252,9 +320,9 @@ impl PolicyEngine {
     /// Placement decision for a new file: the pool named by the first
     /// matching `Place` rule, if any. Non-`Place` rules are skipped (GPFS
     /// keeps placement and management policies separate).
-    pub fn place(&self, rec: &FileRecord, now: SimInstant) -> Option<&str> {
+    pub fn place(&self, file: &FileView<'_>, now: SimInstant) -> Option<&str> {
         self.rules.iter().find_map(|r| match &r.action {
-            Action::Place { pool } if r.predicate.eval(rec, now) => Some(pool.as_str()),
+            Action::Place { pool } if r.predicate.eval(file, now) => Some(pool.as_str()),
             _ => None,
         })
     }
@@ -283,7 +351,7 @@ mod tests {
             .iter()
             .filter_map(|r| {
                 engine
-                    .classify(r, SimInstant::EPOCH)
+                    .classify(&r.view(), SimInstant::EPOCH)
                     .map(|i| (i, r.clone()))
             })
             .collect();
@@ -292,7 +360,8 @@ mod tests {
 
     #[test]
     fn scalar_predicates() {
-        let r = rec("/data/a.dat", 500, "fast", HsmState::Resident);
+        let owned = rec("/data/a.dat", 500, "fast", HsmState::Resident);
+        let r = owned.view();
         let now = SimInstant::from_secs(100);
         assert!(Predicate::SizeBytes(Cmp::Lt, 1000).eval(&r, now));
         assert!(!Predicate::SizeBytes(Cmp::Gt, 1000).eval(&r, now));
@@ -308,7 +377,8 @@ mod tests {
 
     #[test]
     fn combinators() {
-        let r = rec("/data/a.dat", 500, "fast", HsmState::Resident);
+        let owned = rec("/data/a.dat", 500, "fast", HsmState::Resident);
+        let r = owned.view();
         let now = SimInstant::EPOCH;
         let p = Predicate::SizeBytes(Cmp::Lt, 1000).and(Predicate::InPool("fast".to_string()));
         assert!(p.eval(&r, now));
@@ -373,7 +443,41 @@ mod tests {
         ]);
         let small = rec("/s", 10, "", HsmState::Resident);
         let big = rec("/b", 1_000_000, "", HsmState::Resident);
-        assert_eq!(engine.place(&small, SimInstant::EPOCH), Some("slow"));
-        assert_eq!(engine.place(&big, SimInstant::EPOCH), Some("fast"));
+        assert_eq!(engine.place(&small.view(), SimInstant::EPOCH), Some("slow"));
+        assert_eq!(engine.place(&big.view(), SimInstant::EPOCH), Some("fast"));
+    }
+
+    #[test]
+    fn reads_path_sees_through_combinators() {
+        let size = || Predicate::SizeBytes(Cmp::Lt, 10);
+        let under = || Predicate::Under("/a".to_string());
+        let name = || Predicate::NameMatches("*.tmp".to_string());
+        for p in [
+            under(),
+            name(),
+            Predicate::Not(Box::new(under())),
+            size().and(name()),
+            Predicate::Any(vec![size(), Predicate::All(vec![size(), under()])]),
+            Predicate::Not(Box::new(Predicate::Any(vec![Predicate::Not(Box::new(
+                name(),
+            ))]))),
+        ] {
+            assert!(p.reads_path(), "{p:?}");
+        }
+        for p in [
+            Predicate::True,
+            size(),
+            Predicate::InPool("fast".to_string()),
+            Predicate::Hsm(HsmState::Migrated),
+            Predicate::Not(Box::new(size())),
+            Predicate::All(vec![]),
+            Predicate::Any(vec![size(), Predicate::All(vec![Predicate::True])]),
+        ] {
+            assert!(!p.reads_path(), "{p:?}");
+        }
+        let path_free = || Rule::list("l", "l", size());
+        assert!(!PolicyEngine::new(vec![path_free(), path_free()]).reads_path());
+        assert!(PolicyEngine::new(vec![path_free(), Rule::exclude("x", name())]).reads_path());
+        assert!(!PolicyEngine::default().reads_path());
     }
 }

@@ -8,6 +8,9 @@
 //! The inode table sits behind **one** `RwLock` (see DESIGN.md §10).
 //! Simulated time runs on one host thread, so writers never contend; the
 //! only parallel readers are the policy-scan threads of [`Vfs::par_scan`].
+//! A scan thread holds the read guard while its callback runs, so a
+//! `par_scan` callback must not call back into the same `Vfs`: with a
+//! writer queued, that second read lock would deadlock.
 //! Inside the lock, inodes are partitioned into `NSHARDS` maps selected by
 //! `ino & (NSHARDS-1)`: a shard is the parallel scan's unit of work. Inode
 //! numbers come from an `AtomicU64`.
@@ -17,13 +20,15 @@
 //!
 //! Path resolution keeps a dentry-style **resolve cache**: a map of
 //! `normalized path → (epoch, ino)` behind its own lock. Namespace-shape
-//! mutations (unlink, rmdir, rename) bump a global epoch, which invalidates
-//! every cached entry at once; entries are re-validated against the current
-//! epoch on every hit, so a stale binding can never be served.
+//! mutations (unlink, rmdir, rename) bump a global epoch under the write
+//! lock, which invalidates every cached entry at once; entries are
+//! re-validated against the current epoch on every hit, so a stale binding
+//! can never be served. The scan's directory-path memo is keyed on the same
+//! epoch.
 
 use crate::content::Content;
 use crate::error::{FsError, FsResult};
-use crate::inode::{FileType, Ino, InodeAttr};
+use crate::inode::{FileType, Ino, InodeAttr, InodeView};
 use crate::path::{is_normalized, is_under, join, normalize, parent_and_name, split};
 use copra_simtime::{Clock, SimInstant};
 use parking_lot::{Mutex, RwLock};
@@ -48,15 +53,73 @@ pub struct WalkEntry {
     pub attr: InodeAttr,
 }
 
-/// Per-shard timing reported by [`Vfs::par_scan_observed`]: how long the
-/// under-lock snapshot took, how long the unlocked path-reconstruction
-/// walk took, and how many inodes the shard held.
+/// Per-shard report of [`Vfs::par_scan`]: how long the walk of the shard
+/// took (under its read guard) and how many regular files it held.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardScanStats {
     pub shard: usize,
-    pub snapshot_ns: u64,
     pub walk_ns: u64,
-    pub visited: u64,
+    pub files: u64,
+}
+
+/// Per-thread state of a [`Vfs::par_scan`]: the paths of the directories
+/// resolved so far, valid for one namespace epoch, and the buffer that
+/// [`ScanPath::get`] builds paths in (empty until it does).
+#[derive(Default)]
+struct PathMemo {
+    epoch: u64,
+    dirs: FxHashMap<u64, String>,
+    buf: String,
+}
+
+/// The path of the inode a [`Vfs::par_scan`] callback is looking at, built
+/// only if the callback asks for it.
+pub struct ScanPath<'a> {
+    nodes: &'a Shards,
+    memo: &'a mut PathMemo,
+    parent: Option<Ino>,
+    name: &'a str,
+}
+
+impl ScanPath<'_> {
+    /// The inode's absolute path. The first call fills the scan thread's
+    /// buffer from its directory memo, resolving uncached ancestors under
+    /// the scan's read guard; later calls return the same buffer.
+    pub fn get(&mut self) -> &str {
+        if self.memo.buf.is_empty() {
+            let memo = &mut *self.memo;
+            match self.parent {
+                None => memo.buf.push('/'),
+                Some(parent) => {
+                    memo.buf
+                        .push_str(memo_dir_path(&mut memo.dirs, self.nodes, parent));
+                    if parent != ROOT {
+                        memo.buf.push('/');
+                    }
+                    memo.buf.push_str(self.name);
+                }
+            }
+        }
+        &self.memo.buf
+    }
+}
+
+/// Absolute path of directory `ino`, memoised in `dirs`. Ancestors missing
+/// from the memo are read from `nodes`, the scan's read guard, under which
+/// every live inode's ancestors are live too.
+fn memo_dir_path<'m>(dirs: &'m mut FxHashMap<u64, String>, nodes: &Shards, ino: Ino) -> &'m str {
+    if ino == ROOT {
+        return "/";
+    }
+    if !dirs.contains_key(&ino.0) {
+        let node = nodes.get(ino).expect("ancestor of a live inode");
+        let path = join(
+            memo_dir_path(dirs, nodes, node.parent.unwrap_or(ROOT)),
+            &node.name,
+        );
+        dirs.insert(ino.0, path);
+    }
+    &dirs[&ino.0]
 }
 
 #[derive(Debug)]
@@ -110,6 +173,18 @@ impl Node {
             atime: self.atime,
             ctime: self.ctime,
             xattrs: Arc::clone(&self.xattrs),
+        }
+    }
+
+    fn view(&self, ino: Ino) -> InodeView<'_> {
+        InodeView {
+            ino,
+            ftype: self.ftype(),
+            size: self.size(),
+            uid: self.uid,
+            mtime: self.mtime,
+            atime: self.atime,
+            xattrs: &self.xattrs,
         }
     }
 }
@@ -325,24 +400,21 @@ impl Vfs {
     /// Reconstruct the absolute path of a live inode by chasing parent
     /// edges.
     pub fn path_of(&self, ino: Ino) -> FsResult<String> {
-        let mut comps = Vec::new();
-        let mut cur = ino;
         let g = self.shared.nodes.read();
-        loop {
-            let node = g.get(cur).ok_or(FsError::StaleInode(ino))?;
-            match node.parent {
-                Some(p) => {
-                    comps.push(node.name.clone());
-                    cur = p;
-                }
-                None => break,
-            }
+        let mut node = g.get(ino).ok_or(FsError::StaleInode(ino))?;
+        let mut names = Vec::new();
+        while let Some(parent) = node.parent {
+            names.push(node.name.as_str());
+            node = g.get(parent).expect("ancestor of a live inode");
         }
-        if comps.is_empty() {
+        if names.is_empty() {
             return Ok("/".to_string());
         }
-        comps.reverse();
-        Ok(format!("/{}", comps.join("/")))
+        Ok(names.iter().rev().fold(String::new(), |mut path, name| {
+            path.push('/');
+            path.push_str(name);
+            path
+        }))
     }
 
     // ----- directory ops ------------------------------------------------
@@ -462,7 +534,6 @@ impl Vfs {
             NodeKind::File { .. } => return Err(FsError::NotADirectory(path.to_string())),
         }
         g.detach(parent_ino, &name, target, now);
-        drop(g);
         self.bump_epoch();
         Ok(())
     }
@@ -605,7 +676,6 @@ impl Vfs {
             return Err(FsError::IsADirectory(path.to_string()));
         }
         let node = g.detach(parent_ino, &name, target, now);
-        drop(g);
         self.bump_epoch();
         Ok(node.attr(target))
     }
@@ -653,7 +723,6 @@ impl Vfs {
         node.parent = Some(to_parent_ino);
         node.name = to_name;
         node.ctime = now;
-        drop(g);
         self.bump_epoch();
         Ok(())
     }
@@ -703,15 +772,6 @@ impl Vfs {
         })
     }
 
-    /// Backdate mtime/atime (workload generators age files for ILM tests).
-    pub fn utimes(&self, ino: Ino, mtime: SimInstant, atime: SimInstant) -> FsResult<()> {
-        self.with_node_mut(ino, |node| {
-            node.mtime = mtime;
-            node.atime = atime;
-            Ok(())
-        })
-    }
-
     // ----- traversal & accounting ----------------------------------------
 
     /// Depth-first recursive walk from `path` (inclusive), entries in
@@ -740,83 +800,64 @@ impl Vfs {
 
     /// Stream every live inode through `f` across `threads` worker threads,
     /// shard by shard — the policy-scan hot path. Unlike [`Vfs::walk`] this
-    /// never materializes the whole tree: each worker snapshots ONE shard
-    /// (≈ total/64 inodes) under the read lock, releases it, then
-    /// reconstructs paths one short read lock at a time with a per-thread
-    /// directory-path memo.
+    /// never materializes the tree: each worker takes the read guard once
+    /// per shard and walks that shard's nodes in place, handing `f` a
+    /// borrowed [`InodeView`] and a [`ScanPath`] that builds the inode's
+    /// path only if `f` asks for it. After each shard, `obs` receives that
+    /// shard's [`ShardScanStats`] (64 calls per scan; tracing hangs off
+    /// this hook instead of timing individual inodes).
     ///
-    /// Results are collected per shard and concatenated in shard order, so
-    /// on a quiescent tree the multiset of results is independent of
-    /// `threads` (callers needing a total order sort afterwards — shard
-    /// placement, not namespace order, dictates within-run ordering).
-    pub fn par_scan<R, F>(&self, threads: usize, f: F) -> Vec<R>
+    /// `f` runs under the read guard, so it must not call back into this
+    /// `Vfs` (see the module docs). Results are collected per shard and
+    /// concatenated in shard order, so on a quiescent tree the multiset of
+    /// results is independent of `threads` (callers needing a total order
+    /// sort afterwards).
+    pub fn par_scan<R, F, O>(&self, threads: usize, f: F, obs: O) -> Vec<R>
     where
         R: Send,
-        F: Fn(&str, &InodeAttr) -> Option<R> + Sync,
-    {
-        self.par_scan_observed(threads, f, |_| {})
-    }
-
-    /// [`Vfs::par_scan`] plus a per-shard observer: after each shard is
-    /// scanned, `obs` receives that shard's [`ShardScanStats`]. The
-    /// observer fires once per shard (64 times per scan), so its cost —
-    /// and the two wall-clock reads backing it — is invisible next to the
-    /// per-record work; tracing instrumentation hangs off this hook
-    /// instead of timing individual records.
-    pub fn par_scan_observed<R, F, O>(&self, threads: usize, f: F, obs: O) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&str, &InodeAttr) -> Option<R> + Sync,
+        F: Fn(&InodeView<'_>, &mut ScanPath<'_>) -> Option<R> + Sync,
         O: Fn(ShardScanStats) + Sync,
     {
         let nshards = NSHARDS;
         let threads = threads.max(1).min(nshards);
         let slots: Vec<Mutex<Vec<R>>> = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
-        let scan_shard = |shard_idx: usize, memo: &mut FxHashMap<u64, String>| {
+        let scan_shard = |shard_idx: usize, memo: &mut PathMemo| {
             let t0 = std::time::Instant::now();
-            // Phase 1: copy this shard's nodes out under a single read lock.
-            // Attrs are cheap now (Arc'd xattrs), so this buffer is small
-            // and bounded by the shard population, not the tree size.
-            let snapshot: Vec<(Ino, Option<Ino>, String, InodeAttr)> = {
-                let g = self.shared.nodes.read();
-                g.0[shard_idx]
-                    .iter()
-                    .map(|(&raw, node)| {
-                        let ino = Ino(raw);
-                        (ino, node.parent, node.name.clone(), node.attr(ino))
-                    })
-                    .collect()
-            };
-            let snapshot_ns = t0.elapsed().as_nanos() as u64;
-            let visited = snapshot.len() as u64;
-            // Phase 2: unlocked over the snapshot; parent chains are chased
-            // with one short read lock per uncached directory.
             let mut out = Vec::new();
-            for (ino, parent, name, attr) in snapshot {
-                let path = match parent {
-                    None => "/".to_string(),
-                    Some(p) => match self.dir_path(p, memo) {
-                        Ok(base) => join(&base, &name),
-                        Err(_) => continue, // parent vanished mid-scan
-                    },
-                };
-                if attr.is_dir() {
-                    memo.entry(ino.0).or_insert_with(|| path.clone());
+            let mut files = 0;
+            {
+                let g = self.shared.nodes.read();
+                // Writers bump the epoch under the write lock, so a memo
+                // resolved at this epoch is exact for the whole shard.
+                let epoch = self.shared.epoch.load(Ordering::Acquire);
+                if memo.epoch != epoch {
+                    memo.dirs.clear();
+                    memo.epoch = epoch;
                 }
-                if let Some(r) = f(&path, &attr) {
-                    out.push(r);
+                for (&raw, node) in &g.0[shard_idx] {
+                    let inode = node.view(Ino(raw));
+                    files += u64::from(inode.is_file());
+                    memo.buf.clear();
+                    let mut path = ScanPath {
+                        nodes: &g,
+                        memo: &mut *memo,
+                        parent: node.parent,
+                        name: &node.name,
+                    };
+                    if let Some(r) = f(&inode, &mut path) {
+                        out.push(r);
+                    }
                 }
             }
             *slots[shard_idx].lock() = out;
             obs(ShardScanStats {
                 shard: shard_idx,
-                snapshot_ns,
-                walk_ns: (t0.elapsed().as_nanos() as u64).saturating_sub(snapshot_ns),
-                visited,
+                walk_ns: t0.elapsed().as_nanos() as u64,
+                files,
             });
         };
         if threads == 1 {
-            let mut memo = FxHashMap::default();
+            let mut memo = PathMemo::default();
             for i in 0..nshards {
                 scan_shard(i, &mut memo);
             }
@@ -825,7 +866,7 @@ impl Vfs {
             std::thread::scope(|s| {
                 for _ in 0..threads {
                     s.spawn(|| {
-                        let mut memo = FxHashMap::default();
+                        let mut memo = PathMemo::default();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= nshards {
@@ -838,33 +879,6 @@ impl Vfs {
             });
         }
         slots.into_iter().flat_map(|m| m.into_inner()).collect()
-    }
-
-    /// Absolute path of a directory inode, memoized per scan thread.
-    fn dir_path(&self, ino: Ino, memo: &mut FxHashMap<u64, String>) -> FsResult<String> {
-        if ino == ROOT {
-            return Ok("/".to_string());
-        }
-        if let Some(p) = memo.get(&ino.0) {
-            return Ok(p.clone());
-        }
-        let (parent, name) = {
-            let g = self.shared.nodes.read();
-            let node = g.get(ino).ok_or(FsError::StaleInode(ino))?;
-            (node.parent.unwrap_or(ROOT), node.name.clone())
-        };
-        let base = self.dir_path(parent, memo)?;
-        let full = join(&base, &name);
-        memo.insert(ino.0, full.clone());
-        Ok(full)
-    }
-
-    /// Snapshot of every live inode's attributes plus its path — the input
-    /// to the ILM policy engine's parallel scan.
-    pub fn inode_snapshot(&self) -> Vec<(String, InodeAttr)> {
-        self.walk("/")
-            .map(|v| v.into_iter().map(|e| (e.path, e.attr)).collect())
-            .unwrap_or_default()
     }
 
     /// Number of live inodes (including directories).
@@ -1180,10 +1194,96 @@ mod tests {
             .collect();
         walked.sort();
         for threads in [1, 2, 4, 8] {
-            let mut scanned: Vec<String> =
-                v.par_scan(threads, |p, a| a.is_file().then(|| p.to_string()));
+            let files = AtomicU64::new(0);
+            let mut scanned: Vec<String> = v.par_scan(
+                threads,
+                |inode, path| inode.is_file().then(|| path.get().to_string()),
+                |st| {
+                    files.fetch_add(st.files, Ordering::Relaxed);
+                },
+            );
             scanned.sort();
             assert_eq!(scanned, walked, "par_scan({threads}) diverged from walk");
+            assert_eq!(files.into_inner(), walked.len() as u64);
         }
+        // Directories and the root get their paths too.
+        let mut dirs: Vec<String> = v.par_scan(
+            2,
+            |inode, path| (!inode.is_file()).then(|| path.get().to_string()),
+            |_| {},
+        );
+        dirs.sort();
+        assert_eq!(dirs, vec!["/", "/a", "/a/b", "/c"]);
+    }
+
+    /// Every file path of a scan, sorted.
+    fn scanned_files(v: &Vfs, threads: usize) -> Vec<String> {
+        let mut paths = v.par_scan(
+            threads,
+            |inode, path| inode.is_file().then(|| path.get().to_string()),
+            |_| {},
+        );
+        paths.sort();
+        paths
+    }
+
+    #[test]
+    fn par_scan_runs_beside_a_writer() {
+        let v = fs();
+        v.mkdir_p("/keep/deep/er").unwrap();
+        v.mkdir_p("/churn").unwrap();
+        let mut kept = Vec::new();
+        for i in 0..200u64 {
+            let p = format!("/keep/deep/er/f{i}");
+            v.create(&p, 0, Content::synthetic(i, 1)).unwrap();
+            kept.push(p);
+        }
+        kept.sort();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        let churned = std::thread::scope(|s| {
+            // Creates and unlinks until the scans are over (capped, so a
+            // failed scan cannot leave it spinning); returns how many of
+            // its files it left behind.
+            let writer = s.spawn(|| {
+                start.wait();
+                let mut left = 0;
+                for i in 0..200_000 {
+                    if i >= 100 && done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let p = format!("/churn/t{i}");
+                    v.create(&p, 0, Content::empty()).unwrap();
+                    if i % 3 == 0 {
+                        left += 1;
+                    } else {
+                        v.unlink(&p).unwrap();
+                    }
+                }
+                left
+            });
+            start.wait();
+            for _ in 0..20 {
+                let seen = scanned_files(&v, 4);
+                let stable: Vec<&String> =
+                    seen.iter().filter(|p| p.starts_with("/keep/")).collect();
+                assert_eq!(stable, kept.iter().collect::<Vec<_>>());
+                assert!(seen
+                    .iter()
+                    .all(|p| p.starts_with("/keep/") || p.starts_with("/churn/t")));
+            }
+            done.store(true, Ordering::Relaxed);
+            writer.join().unwrap()
+        });
+        let mut walked: Vec<String> = v
+            .walk("/")
+            .unwrap()
+            .into_iter()
+            .filter(|e| e.attr.is_file())
+            .map(|e| e.path)
+            .collect();
+        walked.sort();
+        assert_eq!(walked.len(), 200 + churned);
+        assert_eq!(scanned_files(&v, 4), walked);
     }
 }

@@ -63,6 +63,25 @@ impl InodeAttr {
     }
 }
 
+/// A borrowed view of one live inode, handed out by `Vfs::par_scan` while
+/// the scan holds the inode table's read guard: nothing is cloned.
+#[derive(Debug, Clone, Copy)]
+pub struct InodeView<'a> {
+    pub ino: Ino,
+    pub ftype: FileType,
+    pub size: u64,
+    pub uid: u32,
+    pub mtime: SimInstant,
+    pub atime: SimInstant,
+    pub xattrs: &'a BTreeMap<String, String>,
+}
+
+impl InodeView<'_> {
+    pub fn is_file(&self) -> bool {
+        self.ftype == FileType::Regular
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,11 +35,9 @@ pub mod error;
 pub mod fs;
 pub mod inode;
 pub mod path;
-pub mod striped;
 
 pub use content::{synth_byte, Content, Segment, SegmentData};
 pub use error::{FsError, FsResult};
-pub use fs::{DirEntry, ShardScanStats, Vfs, WalkEntry};
-pub use inode::{FileType, Ino, InodeAttr};
+pub use fs::{DirEntry, ScanPath, ShardScanStats, Vfs, WalkEntry};
+pub use inode::{FileType, Ino, InodeAttr, InodeView};
 pub use path::{is_normalized, is_under, join, normalize, parent_and_name, rebase, split};
-pub use striped::StripedU64Map;
