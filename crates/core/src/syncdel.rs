@@ -91,16 +91,12 @@ impl SyncDeleter {
         };
         // Object ids to kill: the live copy and any overwrite-orphan.
         let mut objids = Vec::new();
-        if let Ok(Some(id)) = pfs.hsm_objid(ino) {
-            objids.push(id);
-        }
-        if let Ok(Some(orphan)) = pfs.get_xattr(ino, "hsm.orphan.objid") {
-            if let Ok(id) = orphan.parse::<u64>() {
-                objids.push(id);
-            }
+        if let Ok(region) = pfs.region(ino) {
+            objids.extend(region.objid);
+            objids.extend(region.orphan_objid);
         }
         // Resolve through the catalog as well (covers exported state whose
-        // xattrs were lost, and verifies the GPFS-file-id → object mapping
+        // inode record was lost, and verifies the GPFS-file-id → object mapping
         // the paper's flow uses).
         for row in self.catalog.by_ino(ino.0) {
             if !objids.contains(&row.objid) {

@@ -340,11 +340,13 @@ impl StorageAgent {
     }
 
     /// Store many small files as **one aggregated container** — a single
-    /// tape transaction (§6.1's fix). Returns the member object ids (one
-    /// per input file, in order) and the completion instant.
+    /// tape transaction (§6.1's fix). Each member is (path, ino, content),
+    /// moved into the container image and its catalog row. Returns the
+    /// member object ids (one per input file, in order) and the completion
+    /// instant.
     pub fn store_container(
         &self,
-        members: &[(String, u64, Content)],
+        members: Vec<(String, u64, Content)>,
         ready: SimInstant,
         data_path: DataPath,
     ) -> HsmResult<(Vec<u64>, SimInstant)> {
@@ -352,12 +354,13 @@ impl StorageAgent {
         let server = &self.shared.server;
         let container_id = server.alloc_objid();
         let member_ids: Vec<u64> = members.iter().map(|_| server.alloc_objid()).collect();
+        let member_count = members.len() as u32;
         // Concatenate member payloads into the container image.
         let mut image = Content::empty();
-        let mut offsets = Vec::with_capacity(members.len());
-        for (_, _, c) in members {
-            offsets.push(image.len());
-            image.extend(c.clone());
+        let mut rows = Vec::with_capacity(members.len());
+        for (path, fs_ino, content) in members {
+            rows.push((path, fs_ino, image.len(), content.len()));
+            image.extend(content);
         }
         let len = DataSize::from_bytes(image.len());
         let t = server.meta_op(ready);
@@ -373,19 +376,15 @@ impl StorageAgent {
             addr,
             len: len.as_bytes(),
             stored_at,
-            kind: ObjectKind::Container {
-                member_count: members.len() as u32,
-            },
+            kind: ObjectKind::Container { member_count },
         });
-        for ((path, fs_ino, content), (objid, offset)) in
-            members.iter().zip(member_ids.iter().zip(offsets))
-        {
+        for ((path, fs_ino, offset, member_len), objid) in rows.into_iter().zip(&member_ids) {
             server.register(TsmObject {
                 objid: *objid,
-                path: path.clone(),
-                fs_ino: *fs_ino,
+                path,
+                fs_ino,
                 addr,
-                len: content.len(),
+                len: member_len,
                 stored_at,
                 kind: ObjectKind::Member {
                     container: container_id,
@@ -397,7 +396,7 @@ impl StorageAgent {
         server.obs().event(
             t,
             EventKind::ContainerFill {
-                members: members.len() as u32,
+                members: member_count,
                 bytes: len.as_bytes(),
             },
         );

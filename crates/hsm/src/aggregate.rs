@@ -13,7 +13,7 @@ use crate::hsm::Hsm;
 use copra_cluster::NodeId;
 use copra_pfs::HsmState;
 use copra_simtime::{DataSize, SimInstant};
-use copra_vfs::Ino;
+use copra_vfs::{Content, FsError, Ino};
 
 /// Outcome of an aggregated migration.
 #[derive(Debug, Clone)]
@@ -44,16 +44,17 @@ pub fn migrate_aggregated(
     );
     let pfs = hsm.pfs();
     let tracer = hsm.tracer();
-    let root = tracer.root("hsm.migrate_aggregated", files.len() as u64, ready);
+    let root = tracer.root_seq("hsm.migrate_aggregated", ready);
     let root_ctx = root.as_ref().map(|g| g.ctx());
     let mut members = Vec::with_capacity(files.len());
     let mut containers = 0usize;
     let mut cursor = ready;
 
-    let mut batch: Vec<(Ino, String, copra_vfs::Content)> = Vec::new();
+    // Container payloads: (path, ino, content), moved into the store.
+    let mut batch: Vec<(String, u64, Content)> = Vec::new();
     let mut batch_bytes = 0u64;
 
-    let flush = |batch: &mut Vec<(Ino, String, copra_vfs::Content)>,
+    let flush = |batch: &mut Vec<(String, u64, Content)>,
                  cursor: &mut SimInstant,
                  members: &mut Vec<(Ino, u64)>,
                  containers: &mut usize|
@@ -64,17 +65,16 @@ pub fn migrate_aggregated(
         // Charge the disk reads for every member, then one tape transaction.
         let w0 = tracer.wall_now_ns();
         let mut t = *cursor;
-        for (ino, _, c) in batch.iter() {
-            let r = pfs.charge_read(*ino, *cursor, DataSize::from_bytes(c.len()));
+        for (_, ino, c) in batch.iter() {
+            let r = pfs.charge_read(Ino(*ino), *cursor, DataSize::from_bytes(c.len()));
             t = t.max(r.end);
         }
         tracer.record_closed(root_ctx, "hsm.pfs.read", *containers as u64, *cursor, t, w0);
-        let payload: Vec<(String, u64, copra_vfs::Content)> = batch
-            .iter()
-            .map(|(ino, path, c)| (path.clone(), ino.0, c.clone()))
-            .collect();
+        let inos: Vec<Ino> = batch.iter().map(|(_, ino, _)| Ino(*ino)).collect();
         let w1 = tracer.wall_now_ns();
-        let (ids, end) = hsm.agent(node).store_container(&payload, t, data_path)?;
+        let (ids, end) = hsm
+            .agent(node)
+            .store_container(std::mem::take(batch), t, data_path)?;
         tracer.record_closed(
             root_ctx,
             "hsm.agent.store_container",
@@ -83,21 +83,21 @@ pub fn migrate_aggregated(
             end,
             w1,
         );
-        for ((ino, _, _), objid) in batch.iter().zip(&ids) {
-            pfs.mark_premigrated(*ino, *objid)?;
-            if punch {
-                pfs.punch_hole(*ino)?;
-            }
-            members.push((*ino, *objid));
+        for (ino, objid) in inos.into_iter().zip(ids) {
+            pfs.commit_tape_copy(ino, Some(objid), punch)?;
+            members.push((ino, objid));
         }
         *containers += 1;
         *cursor = end;
-        batch.clear();
         Ok(())
     };
 
-    for &ino in files {
-        let state = pfs.hsm_state(ino)?;
+    // Every member's state, path and content, read under one guard.
+    let reads = pfs.vfs().inspect_batch(files, |inode, path, content| {
+        let content = content.ok_or_else(|| FsError::IsADirectory(inode.ino.to_string()))?;
+        Ok((inode.region.state, path.get().to_string(), content.clone()))
+    })?;
+    for (&ino, (state, path, content)) in files.iter().zip(reads) {
         if state != HsmState::Resident {
             return Err(crate::error::HsmError::WrongState {
                 ino: ino.0,
@@ -105,15 +105,13 @@ pub fn migrate_aggregated(
                 needed: "resident".to_string(),
             });
         }
-        let path = pfs.path_of(ino)?;
-        let content = pfs.vfs().peek_content(ino)?;
         let len = content.len();
         if batch_bytes + len > container_cap.as_bytes() && !batch.is_empty() {
             flush(&mut batch, &mut cursor, &mut members, &mut containers)?;
             batch_bytes = 0;
         }
         batch_bytes += len;
-        batch.push((ino, path, content));
+        batch.push((path, ino.0, content));
     }
     flush(&mut batch, &mut cursor, &mut members, &mut containers)?;
     copra_trace::finish_opt(root, cursor);
@@ -134,7 +132,6 @@ mod tests {
     use copra_pfs::{PfsBuilder, PoolConfig};
     use copra_simtime::Clock;
     use copra_tape::{TapeLibrary, TapeTiming};
-    use copra_vfs::Content;
 
     fn setup() -> Hsm {
         let pfs = PfsBuilder::new("archive", Clock::new())
@@ -154,6 +151,98 @@ mod tests {
                     .unwrap()
             })
             .collect()
+    }
+
+    /// Both container callers move their payloads into `store_container`:
+    /// every member row still carries its file's path, length and offset,
+    /// and the container and fill counts are unchanged.
+    #[test]
+    fn container_members_carry_path_length_and_offset() {
+        use crate::object::ObjectKind;
+        use copra_obs::EventKind;
+        let hsm = setup();
+        let pfs = hsm.pfs();
+        pfs.mkdir_p("/mix").unwrap();
+        let sizes = [1u64 << 20, 3 << 20, 7, 2 << 20, 5 << 20];
+        let files: Vec<Ino> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let content = Content::synthetic(i as u64, len);
+                pfs.create_file(&format!("/mix/f{i}"), 0, content).unwrap()
+            })
+            .collect();
+        let cap = DataSize::mib(8);
+        let backup = hsm
+            .backup_files_aggregated(
+                &files[..3],
+                NodeId(0),
+                DataPath::LanFree,
+                cap,
+                SimInstant::EPOCH,
+                1,
+            )
+            .unwrap();
+        let migrated = migrate_aggregated(
+            &hsm,
+            &files[3..],
+            NodeId(1),
+            DataPath::LanFree,
+            cap,
+            backup.end,
+            true,
+        )
+        .unwrap();
+        assert_eq!((backup.transactions, migrated.containers), (1, 1));
+        let server = hsm.server();
+        for (members, count) in [(&backup.versions, 3), (&migrated.members, 2)] {
+            let mut offset = 0;
+            let mut container = None;
+            for &(ino, objid) in members.iter() {
+                let obj = server.get(objid).unwrap();
+                let i = files.iter().position(|&f| f == ino).unwrap();
+                assert_eq!(obj.path, format!("/mix/f{i}"));
+                assert_eq!((obj.fs_ino, obj.len), (ino.0, sizes[i]));
+                let ObjectKind::Member {
+                    container: c,
+                    offset: o,
+                } = obj.kind
+                else {
+                    panic!("{objid} is not a container member: {:?}", obj.kind)
+                };
+                assert_eq!(o, offset);
+                offset += sizes[i];
+                container = Some(c);
+            }
+            let whole = server.get(container.unwrap()).unwrap();
+            assert_eq!(
+                whole.kind,
+                ObjectKind::Container {
+                    member_count: count
+                }
+            );
+            assert_eq!(whole.len, offset);
+        }
+        let snap = server.obs().snapshot();
+        assert_eq!(snap.counter("hsm.container_fills"), 2);
+        let fills: Vec<u32> = snap
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ContainerFill { members, .. } => Some(members),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fills, vec![3, 2]);
+        // The moved payloads are what the members hold.
+        let versions = hsm.backup_versions(files[1]);
+        assert_eq!(versions.len(), 1);
+        assert_eq!(versions[0].len, sizes[1]);
+        let ino = files[4];
+        hsm.recall_file(ino, NodeId(0), DataPath::LanFree, migrated.end, None)
+            .unwrap();
+        let content = pfs.vfs().peek_content(ino).unwrap();
+        assert!(content.eq_content(&Content::synthetic(4, sizes[4])));
     }
 
     #[test]

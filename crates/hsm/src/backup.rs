@@ -83,11 +83,12 @@ impl Hsm {
             end: ready,
             ..BackupOutcome::default()
         };
-        let mut batch: Vec<(Ino, String, Content)> = Vec::new();
+        // Container payloads: (path, ino, content), moved into the store.
+        let mut batch: Vec<(String, u64, Content)> = Vec::new();
         let mut batch_bytes = 0u64;
         let mut cursor = ready;
 
-        let flush = |batch: &mut Vec<(Ino, String, Content)>,
+        let flush = |batch: &mut Vec<(String, u64, Content)>,
                      cursor: &mut SimInstant,
                      out: &mut BackupOutcome|
          -> HsmResult<()> {
@@ -95,25 +96,23 @@ impl Hsm {
                 return Ok(());
             }
             let mut t = *cursor;
-            for (ino, _, c) in batch.iter() {
+            for (_, ino, c) in batch.iter() {
                 let r = self
                     .pfs()
-                    .charge_read(*ino, *cursor, DataSize::from_bytes(c.len()));
+                    .charge_read(Ino(*ino), *cursor, DataSize::from_bytes(c.len()));
                 t = t.max(r.end);
             }
-            let payload: Vec<(String, u64, Content)> = batch
-                .iter()
-                .map(|(ino, path, c)| (path.clone(), ino.0, c.clone()))
-                .collect();
-            let (ids, end) = self.agent(node).store_container(&payload, t, data_path)?;
+            let inos: Vec<Ino> = batch.iter().map(|(_, ino, _)| Ino(*ino)).collect();
+            let (ids, end) =
+                self.agent(node)
+                    .store_container(std::mem::take(batch), t, data_path)?;
             let mut end = end;
-            for ((ino, _, _), objid) in batch.iter().zip(&ids) {
-                end = self.register_backup_version(*ino, *objid, end, retain)?;
-                out.versions.push((*ino, *objid));
+            for (ino, objid) in inos.into_iter().zip(ids) {
+                end = self.register_backup_version(ino, objid, end, retain)?;
+                out.versions.push((ino, objid));
             }
             out.transactions += 1;
             *cursor = end;
-            batch.clear();
             Ok(())
         };
 
@@ -134,7 +133,7 @@ impl Hsm {
                 batch_bytes = 0;
             }
             batch_bytes += len;
-            batch.push((ino, path, content));
+            batch.push((path, ino.0, content));
         }
         flush(&mut batch, &mut cursor, &mut out)?;
         out.end = cursor;

@@ -58,11 +58,7 @@ pub fn reconcile(
         }
         fs_files += 1;
         cursor = server.meta_op(cursor); // per-file compare transaction
-        if let Some(objid) = e
-            .attr
-            .xattr(copra_pfs::HsmState::XATTR_OBJID)
-            .and_then(|s| s.parse::<u64>().ok())
-        {
+        if let Some(objid) = e.attr.region.objid {
             referenced.insert(objid);
         }
     }
@@ -201,23 +197,14 @@ pub fn scrub(
         if !e.attr.is_file() {
             continue;
         }
-        let Some(objid) = e
-            .attr
-            .xattr(HsmState::XATTR_OBJID)
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
+        let Some(objid) = e.attr.region.objid else {
             continue;
         };
         if server.contains(objid) {
             continue;
         }
         cursor = server.meta_op(cursor);
-        let state: HsmState = e
-            .attr
-            .xattr(HsmState::XATTR)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(HsmState::Resident);
-        match state {
+        match e.attr.region.state {
             HsmState::Premigrated => {
                 pfs.mark_resident(e.attr.ino)?;
                 report.stubs_demoted.push(objid);

@@ -15,19 +15,20 @@
 //!   `bench/tbl_scan`.
 //! * **DMAPI managed regions** (§4.2.2): HSM punches holes in migrated
 //!   files, leaving a stub whose `stat` still reports the logical size;
-//!   reading a stub raises a recall event instead of returning data.
+//!   reading a stub raises a recall event instead of returning data. The
+//!   state lives in each inode's typed [`ManagedRegion`], and every
+//!   transition is one inode write.
 //!
 //! The scratch file system (PanFS in the paper) is the same type with
 //! different device parameters and no external pools.
 
 pub mod glob;
-pub mod hsmstate;
 pub mod pfs;
 pub mod policy;
 pub mod pool;
 
+pub use copra_vfs::{HsmState, ManagedRegion};
 pub use glob::wildcard_match;
-pub use hsmstate::HsmState;
 pub use pfs::{Pfs, PfsBuilder, ReadOutcome};
 pub use policy::{Action, Cmp, FileRecord, FileView, PolicyEngine, Predicate, Rule, ScanReport};
 pub use pool::{PoolConfig, PoolId, StoragePool};

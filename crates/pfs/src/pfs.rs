@@ -1,15 +1,15 @@
 //! The parallel file system proper: a [`copra_vfs::Vfs`] namespace plus
 //! storage pools, placement policy, and DMAPI-style managed regions.
 
-use crate::hsmstate::HsmState;
 use crate::policy::{FileRecord, FileView, PolicyEngine, Rule};
 use crate::pool::{PoolConfig, PoolId, StoragePool};
 use copra_simtime::{Clock, DataSize, Reservation, SimDuration, SimInstant, Timeline};
 use copra_trace::Tracer;
-use copra_vfs::{Content, FsError, FsResult, Ino, InodeAttr, InodeView, Vfs, WalkEntry};
+use copra_vfs::{
+    Content, FsError, FsResult, HsmState, Ino, InodeAttr, InodeView, ManagedRegion, Vfs, WalkEntry,
+};
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -202,11 +202,13 @@ impl Pfs {
             ));
         }
         // A punched stub occupies no disk: tiering it moves metadata only.
-        let on_disk = if self.hsm_state(ino)? == HsmState::Migrated {
-            0
-        } else {
-            self.shared.vfs.stat_ino(ino)?.size
-        };
+        let on_disk = self
+            .shared
+            .vfs
+            .inspect(ino, |inode| match inode.region.state {
+                HsmState::Migrated => 0,
+                _ => inode.size,
+            })?;
         let size = DataSize::from_bytes(on_disk);
         let from_id = self.pool_of(ino);
         if from_id == to_id {
@@ -269,10 +271,6 @@ impl Pfs {
         self.shared.vfs.rmdir(path)
     }
 
-    pub fn get_xattr(&self, ino: Ino, key: &str) -> FsResult<Option<String>> {
-        self.shared.vfs.get_xattr(ino, key)
-    }
-
     pub fn set_xattr(&self, ino: Ino, key: &str, value: &str) -> FsResult<()> {
         self.shared.vfs.set_xattr(ino, key, value)
     }
@@ -318,52 +316,40 @@ impl Pfs {
         Ok(ino)
     }
 
-    /// HSM residency state of a file (Resident if unannotated).
-    pub fn hsm_state(&self, ino: Ino) -> FsResult<HsmState> {
-        Ok(Self::hsm_in(&self.shared.vfs.stat_ino(ino)?.xattrs))
+    /// A file's DMAPI managed-region record (HSM state, tape object ids,
+    /// stub size), read under one guard.
+    pub fn region(&self, ino: Ino) -> FsResult<ManagedRegion> {
+        self.shared.vfs.inspect(ino, |inode| inode.region)
     }
 
-    fn hsm_in(xattrs: &BTreeMap<String, String>) -> HsmState {
-        xattrs
-            .get(HsmState::XATTR)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(HsmState::Resident)
+    /// HSM residency state of a file.
+    pub fn hsm_state(&self, ino: Ino) -> FsResult<HsmState> {
+        Ok(self.region(ino)?.state)
     }
 
     /// TSM object id recorded on the file, if any.
     pub fn hsm_objid(&self, ino: Ino) -> FsResult<Option<u64>> {
-        Ok(self
-            .shared
-            .vfs
-            .get_xattr(ino, HsmState::XATTR_OBJID)?
-            .and_then(|s| s.parse().ok()))
+        Ok(self.region(ino)?.objid)
     }
 
     /// Logical size: the pre-punch size for stubs, the on-disk size
     /// otherwise.
     pub fn logical_size(&self, ino: Ino) -> FsResult<u64> {
-        let attr = self.shared.vfs.stat_ino(ino)?;
-        Ok(Self::overlay_size(&attr.xattrs, attr.size))
-    }
-
-    /// The stub-size overlay: a punched stub's pre-punch size, else `size`.
-    fn overlay_size(xattrs: &BTreeMap<String, String>, size: u64) -> u64 {
-        xattrs
-            .get(HsmState::XATTR_STUB_SIZE)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(size)
+        self.shared
+            .vfs
+            .inspect(ino, |inode| inode.region.logical_size(inode.size))
     }
 
     /// `stat` with the stub-size overlay applied.
     pub fn stat(&self, path: &str) -> FsResult<InodeAttr> {
         let mut attr = self.shared.vfs.stat(path)?;
-        attr.size = Self::overlay_size(&attr.xattrs, attr.size);
+        attr.size = attr.region.logical_size(attr.size);
         Ok(attr)
     }
 
     pub fn stat_ino(&self, ino: Ino) -> FsResult<InodeAttr> {
         let mut attr = self.shared.vfs.stat_ino(ino)?;
-        attr.size = Self::overlay_size(&attr.xattrs, attr.size);
+        attr.size = attr.region.logical_size(attr.size);
         Ok(attr)
     }
 
@@ -371,7 +357,7 @@ impl Pfs {
     pub fn walk(&self, path: &str) -> FsResult<Vec<WalkEntry>> {
         let mut entries = self.shared.vfs.walk(path)?;
         for e in &mut entries {
-            e.attr.size = Self::overlay_size(&e.attr.xattrs, e.attr.size);
+            e.attr.size = e.attr.region.logical_size(e.attr.size);
         }
         Ok(entries)
     }
@@ -379,10 +365,11 @@ impl Pfs {
     /// Read file data, honouring managed regions: a migrated stub yields
     /// [`ReadOutcome::NeedsRecall`] (the DMAPI read event) instead of data.
     pub fn read(&self, ino: Ino, offset: u64, len: u64) -> FsResult<ReadOutcome> {
-        match self.hsm_state(ino)? {
+        let region = self.region(ino)?;
+        match region.state {
             HsmState::Migrated => {
-                let objid = self.hsm_objid(ino)?.ok_or_else(|| {
-                    FsError::PermissionDenied(format!("stub {ino} has no hsm.objid"))
+                let objid = region.objid.ok_or_else(|| {
+                    FsError::PermissionDenied(format!("stub {ino} has no tape object id"))
                 })?;
                 Ok(ReadOutcome::NeedsRecall { ino, objid })
             }
@@ -402,49 +389,45 @@ impl Pfs {
         }
     }
 
-    /// Overwrite part of a file. Mutating a premigrated/migrated file makes
-    /// the tape copy stale: the file returns to `Resident` and the old
-    /// object id is parked in `hsm.orphan.objid` — exactly the §6.3
-    /// situation the synchronous deleter cannot see and reconciliation (or
-    /// the FUSE truncate interceptor) must clean up.
+    /// Overwrite part of a file. Mutating a premigrated file makes the tape
+    /// copy stale: the file returns to `Resident` and the old object id is
+    /// parked as the region's `orphan_objid` — exactly the §6.3 situation
+    /// the synchronous deleter cannot see and reconciliation (or the FUSE
+    /// truncate interceptor) must clean up. A migrated stub refuses writes.
     pub fn write_at(&self, ino: Ino, offset: u64, patch: Content) -> FsResult<()> {
-        self.orphan_tape_copy_on_mutation(ino)?;
-        let old = self.shared.vfs.stat_ino(ino)?.size;
-        self.shared.vfs.write_at(ino, offset, patch)?;
-        let new = self.shared.vfs.stat_ino(ino)?.size;
-        self.pool(self.pool_of(ino))
-            .account_resize(DataSize::from_bytes(old), DataSize::from_bytes(new));
-        Ok(())
+        self.mutate(ino, |content| {
+            content.write_at(offset, patch);
+        })
     }
 
     /// Truncate; same staleness handling as [`Pfs::write_at`].
     pub fn truncate(&self, ino: Ino, new_len: u64) -> FsResult<()> {
-        self.orphan_tape_copy_on_mutation(ino)?;
-        let old = self.shared.vfs.stat_ino(ino)?.size;
-        self.shared.vfs.truncate(ino, new_len)?;
-        self.pool(self.pool_of(ino))
-            .account_resize(DataSize::from_bytes(old), DataSize::from_bytes(new_len));
-        Ok(())
+        self.mutate(ino, |content| content.truncate(new_len))
     }
 
-    fn orphan_tape_copy_on_mutation(&self, ino: Ino) -> FsResult<()> {
-        let state = self.hsm_state(ino)?;
-        if state == HsmState::Migrated {
-            return Err(FsError::PermissionDenied(format!(
-                "{ino} is a migrated stub; recall before writing"
-            )));
-        }
-        if state == HsmState::Premigrated {
-            if let Some(objid) = self.hsm_objid(ino)? {
-                self.shared
-                    .vfs
-                    .set_xattr(ino, "hsm.orphan.objid", &objid.to_string())?;
+    /// Apply a data change and its staleness handling in one inode write,
+    /// then re-account the file's pool.
+    fn mutate(&self, ino: Ino, change: impl FnOnce(&mut Content)) -> FsResult<()> {
+        let (old, new) = self.shared.vfs.update_region(ino, |file| {
+            let mut region = file.region();
+            if region.state == HsmState::Migrated {
+                return Err(FsError::PermissionDenied(format!(
+                    "{ino} is a migrated stub; recall before writing"
+                )));
             }
-            self.shared.vfs.remove_xattr(ino, HsmState::XATTR_OBJID)?;
-            self.shared
-                .vfs
-                .set_xattr(ino, HsmState::XATTR, HsmState::Resident.as_str())?;
-        }
+            let content = file.content_mut()?;
+            let old = content.len();
+            change(content);
+            let new = content.len();
+            if region.state == HsmState::Premigrated {
+                region.orphan_objid = region.objid.take().or(region.orphan_objid);
+                region.state = HsmState::Resident;
+                file.set_region(region);
+            }
+            Ok((old, new))
+        })?;
+        self.pool(self.pool_of(ino))
+            .account_resize(DataSize::from_bytes(old), DataSize::from_bytes(new));
         Ok(())
     }
 
@@ -453,15 +436,10 @@ impl Pfs {
         let ino = self.resolve(path)?;
         let pool = self.pool_of(ino);
         let mut attr = self.shared.vfs.unlink(path)?;
-        attr.size = Self::overlay_size(&attr.xattrs, attr.size);
-        // A punched stub occupies ~0 disk; account what was on disk.
-        let on_disk = if attr.xattr(HsmState::XATTR_STUB_SIZE).is_some() {
-            0
-        } else {
-            attr.size
-        };
+        // Account what was on disk (nothing, for a punched stub).
         self.pool(pool)
-            .account_remove(DataSize::from_bytes(on_disk));
+            .account_remove(DataSize::from_bytes(attr.size));
+        attr.size = attr.region.logical_size(attr.size);
         self.shared.file_pools.write().remove(&ino.0);
         Ok(attr)
     }
@@ -470,86 +448,104 @@ impl Pfs {
 
     /// Record that a valid tape copy exists (state → Premigrated).
     pub fn mark_premigrated(&self, ino: Ino, objid: u64) -> FsResult<()> {
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR_OBJID, &objid.to_string())?;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR, HsmState::Premigrated.as_str())
+        self.commit_tape_copy(ino, Some(objid), false)
     }
 
     /// Punch the managed region: drop on-disk data for a premigrated file,
     /// leaving a stub that still `stat`s at its logical size.
     pub fn punch_hole(&self, ino: Ino) -> FsResult<()> {
-        let state = self.hsm_state(ino)?;
-        if state != HsmState::Premigrated {
-            return Err(FsError::PermissionDenied(format!(
-                "punch_hole on {ino} in state {state} (need premigrated)"
-            )));
+        self.commit_tape_copy(ino, None, true)
+    }
+
+    /// [`Pfs::mark_premigrated`] with `objid`, if given, then, with
+    /// `punch`, [`Pfs::punch_hole`], in one inode write: how an aggregated
+    /// migrate commits each member.
+    pub fn commit_tape_copy(&self, ino: Ino, objid: Option<u64>, punch: bool) -> FsResult<()> {
+        let punched = self.shared.vfs.update_region(ino, |file| {
+            let mut region = file.region();
+            if let Some(objid) = objid {
+                region.state = HsmState::Premigrated;
+                region.objid = Some(objid);
+            }
+            if !punch {
+                file.set_region(region);
+                return Ok(None);
+            }
+            if region.state != HsmState::Premigrated {
+                return Err(FsError::PermissionDenied(format!(
+                    "punch_hole on {ino} in state {} (need premigrated)",
+                    region.state
+                )));
+            }
+            let size = std::mem::take(file.content_mut()?).len();
+            region.state = HsmState::Migrated;
+            region.stub_size = Some(size);
+            file.set_region(region);
+            Ok(Some(size))
+        })?;
+        if let Some(size) = punched {
+            self.pool(self.pool_of(ino))
+                .account_resize(DataSize::from_bytes(size), DataSize::ZERO);
         }
-        let size = self.shared.vfs.stat_ino(ino)?.size;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR_STUB_SIZE, &size.to_string())?;
-        self.shared.vfs.set_content(ino, Content::empty())?;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR, HsmState::Migrated.as_str())?;
-        self.pool(self.pool_of(ino))
-            .account_resize(DataSize::from_bytes(size), DataSize::ZERO);
         Ok(())
     }
 
     /// Refill a stub with data recalled from tape (state → Premigrated:
     /// disk and tape copies both valid).
     pub fn restore_stub(&self, ino: Ino, content: Content) -> FsResult<()> {
-        let state = self.hsm_state(ino)?;
-        if state != HsmState::Migrated {
-            return Err(FsError::PermissionDenied(format!(
-                "restore_stub on {ino} in state {state} (need migrated)"
-            )));
-        }
-        // A migrated stub has no content, so this is its stub size.
-        let logical = self.logical_size(ino)?;
-        if content.len() != logical {
-            return Err(FsError::InvalidRange {
-                len: logical,
-                offset: 0,
-                requested: content.len(),
-            });
-        }
         let size = content.len();
-        self.shared.vfs.set_content(ino, content)?;
-        self.shared
-            .vfs
-            .remove_xattr(ino, HsmState::XATTR_STUB_SIZE)?;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR, HsmState::Premigrated.as_str())?;
+        self.shared.vfs.update_region(ino, |file| {
+            let region = file.region();
+            if region.state != HsmState::Migrated {
+                return Err(FsError::PermissionDenied(format!(
+                    "restore_stub on {ino} in state {} (need migrated)",
+                    region.state
+                )));
+            }
+            // A migrated stub has no content, so this is its stub size.
+            let logical = region.logical_size(file.size());
+            if size != logical {
+                return Err(FsError::InvalidRange {
+                    len: logical,
+                    offset: 0,
+                    requested: size,
+                });
+            }
+            *file.content_mut()? = content;
+            file.set_region(ManagedRegion {
+                state: HsmState::Premigrated,
+                stub_size: None,
+                ..region
+            });
+            Ok(())
+        })?;
         self.pool(self.pool_of(ino))
             .account_resize(DataSize::ZERO, DataSize::from_bytes(size));
         Ok(())
     }
 
-    /// Sever the tape association: drop objid/stub xattrs and return the
-    /// file to Resident. Scrub uses this to repair a premigrated stub
+    /// Sever the tape association: drop the objid and stub size and return
+    /// the file to Resident. Scrub uses this to repair a premigrated stub
     /// whose tape object vanished in a crash — the disk copy is intact,
     /// so the file is simply no longer archived. Refuses migrated stubs
     /// (their disk copy is gone; dropping the objid would lose data).
     pub fn mark_resident(&self, ino: Ino) -> FsResult<()> {
-        let state = self.hsm_state(ino)?;
-        if state == HsmState::Migrated {
-            return Err(FsError::PermissionDenied(format!(
-                "mark_resident on {ino} in state {state}: stub has no disk copy"
-            )));
-        }
-        self.shared.vfs.remove_xattr(ino, HsmState::XATTR_OBJID)?;
-        self.shared
-            .vfs
-            .remove_xattr(ino, HsmState::XATTR_STUB_SIZE)?;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR, HsmState::Resident.as_str())
+        self.shared.vfs.update_region(ino, |file| {
+            let region = file.region();
+            if region.state == HsmState::Migrated {
+                return Err(FsError::PermissionDenied(format!(
+                    "mark_resident on {ino} in state {}: stub has no disk copy",
+                    region.state
+                )));
+            }
+            file.set_region(ManagedRegion {
+                state: HsmState::Resident,
+                objid: None,
+                stub_size: None,
+                ..region
+            });
+            Ok(())
+        })
     }
 
     // ----- policy scan -----------------------------------------------------
@@ -562,8 +558,8 @@ impl Pfs {
     }
 
     /// Policy-visible view of one regular file, straight from the scan's
-    /// borrowed inode: the stub-size overlay and HSM state come from the
-    /// xattrs in hand, the pool from the residency map the scan read-locked
+    /// borrowed inode: the stub-size overlay and HSM state come from its
+    /// managed region, the pool from the residency map the scan read-locked
     /// once.
     fn view_from<'a>(
         &'a self,
@@ -574,12 +570,12 @@ impl Pfs {
         FileView {
             path,
             ino: inode.ino,
-            size: Self::overlay_size(inode.xattrs, inode.size),
+            size: inode.region.logical_size(inode.size),
             uid: inode.uid,
             mtime: inode.mtime,
             atime: inode.atime,
             pool: self.pool(self.pool_in(file_pools, inode.ino)).name(),
-            hsm: Self::hsm_in(inode.xattrs),
+            hsm: inode.region.state,
         }
     }
 
@@ -595,7 +591,7 @@ impl Pfs {
     pub fn scan_records_with(&self, threads: usize) -> Vec<FileRecord> {
         let tracer = self.tracer();
         let now = self.clock().now();
-        let root = tracer.root("pfs.scan_records", threads as u64, now);
+        let root = tracer.root_seq("pfs.scan_records", now);
         let file_pools = self.shared.file_pools.read();
         let mut recs = self.shared.vfs.par_scan(
             threads,
@@ -635,7 +631,7 @@ impl Pfs {
     ) -> crate::policy::ScanReport {
         let now = self.clock().now();
         let tracer = self.tracer();
-        let root = tracer.root("pfs.run_policy", threads as u64, now);
+        let root = tracer.root_seq("pfs.run_policy", now);
         let t0 = std::time::Instant::now();
         let scanned = AtomicU64::new(0);
         let reads_path = engine.reads_path();
@@ -827,10 +823,7 @@ mod tests {
         pfs.write_at(ino, 0, Content::literal(&b"new"[..])).unwrap();
         assert_eq!(pfs.hsm_state(ino).unwrap(), HsmState::Resident);
         assert_eq!(pfs.hsm_objid(ino).unwrap(), None);
-        assert_eq!(
-            pfs.get_xattr(ino, "hsm.orphan.objid").unwrap().as_deref(),
-            Some("55")
-        );
+        assert_eq!(pfs.region(ino).unwrap().orphan_objid, Some(55));
     }
 
     #[test]
@@ -949,11 +942,7 @@ mod tests {
         clock.advance_to(SimInstant::from_secs(3600));
         let engine = PolicyEngine::new(vec![
             Rule::exclude("skip-slow", Predicate::InPool("slow".to_string())),
-            Rule::list(
-                "stubs",
-                "stubs",
-                Predicate::Hsm(crate::hsmstate::HsmState::Migrated),
-            ),
+            Rule::list("stubs", "stubs", Predicate::Hsm(HsmState::Migrated)),
             Rule::migrate("rest", "tape", Predicate::True),
         ]);
         let baseline = pfs.run_policy_with(&engine, 1);

@@ -12,9 +12,8 @@
 //! GPFS-driven migration can serve as the T-MIGR baseline.
 
 use crate::glob::wildcard_match;
-use crate::hsmstate::HsmState;
 use copra_simtime::{SimDuration, SimInstant};
-use copra_vfs::Ino;
+use copra_vfs::{HsmState, Ino};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

@@ -1,9 +1,9 @@
 //! Property tests: pool accounting and HSM state machine invariants under
 //! arbitrary operation sequences.
 
-use copra_pfs::{Cmp, HsmState, Pfs, PfsBuilder, PoolConfig, Predicate, Rule};
-use copra_simtime::{Clock, DataSize};
-use copra_vfs::{Content, Ino};
+use copra_pfs::{Cmp, HsmState, ManagedRegion, Pfs, PfsBuilder, PoolConfig, Predicate, Rule};
+use copra_simtime::{Clock, DataSize, SimDuration, SimInstant};
+use copra_vfs::{Content, FsError, FsResult, Ino};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -176,6 +176,247 @@ proptest! {
                     "pool {} accounting",
                     pool.name()
                 );
+            }
+        }
+    }
+}
+
+/// One DMAPI-level operation on file slot `.0` of the state-machine test.
+#[derive(Debug, Clone)]
+enum Dmapi {
+    Create(u8, u32),
+    Premigrate(u8),
+    Punch(u8),
+    /// Restore with the stub's length (`true`) or one byte too many.
+    Restore(u8, bool),
+    Demote(u8),
+    WriteAt(u8, u32, u32),
+    Truncate(u8, u32),
+    Unlink(u8),
+}
+
+impl Dmapi {
+    fn slot(&self) -> u8 {
+        match *self {
+            Dmapi::Create(f, _)
+            | Dmapi::Premigrate(f)
+            | Dmapi::Punch(f)
+            | Dmapi::Restore(f, _)
+            | Dmapi::Demote(f)
+            | Dmapi::WriteAt(f, ..)
+            | Dmapi::Truncate(f, _)
+            | Dmapi::Unlink(f) => f,
+        }
+    }
+}
+
+fn dmapi_ops() -> impl Strategy<Value = Vec<Dmapi>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0u8..4, 0u32..20_000).prop_map(|(f, s)| Dmapi::Create(f, s)),
+            (0u8..4).prop_map(Dmapi::Premigrate),
+            (0u8..4).prop_map(Dmapi::Punch),
+            (0u8..4, prop_oneof![Just(true), Just(true), Just(false)])
+                .prop_map(|(f, ok)| Dmapi::Restore(f, ok)),
+            (0u8..4).prop_map(Dmapi::Demote),
+            (0u8..4, 0u32..30_000, 0u32..10_000).prop_map(|(f, o, l)| Dmapi::WriteAt(f, o, l)),
+            (0u8..4, 0u32..30_000).prop_map(|(f, s)| Dmapi::Truncate(f, s)),
+            (0u8..4).prop_map(Dmapi::Unlink),
+        ],
+        1..80,
+    )
+}
+
+/// The reference model of one file: its managed region, bytes on disk
+/// and the two timestamps the transitions stamp.
+#[derive(Debug, Clone)]
+struct FileModel {
+    ino: Ino,
+    region: ManagedRegion,
+    disk: u64,
+    mtime: SimInstant,
+    ctime: SimInstant,
+}
+
+impl FileModel {
+    fn logical(&self) -> u64 {
+        self.region.stub_size.unwrap_or(self.disk)
+    }
+
+    /// A write or truncate to `len` bytes: refused on a stub; on a
+    /// premigrated file it orphans the tape copy (an attribute change).
+    fn mutate(&mut self, len: u64, now: SimInstant) -> FsResult<()> {
+        if self.region.state == HsmState::Migrated {
+            return Err(FsError::PermissionDenied(format!(
+                "{} is a migrated stub; recall before writing",
+                self.ino
+            )));
+        }
+        self.disk = len;
+        self.mtime = now;
+        if self.region.state == HsmState::Premigrated {
+            self.region.orphan_objid = self.region.objid.or(self.region.orphan_objid);
+            self.region.objid = None;
+            self.region.state = HsmState::Resident;
+            self.ctime = now;
+        }
+        Ok(())
+    }
+}
+
+/// Apply a transition, write or truncate to the model; returns the pfs
+/// call's expected result, or `None` if the file does not exist.
+fn model_step(
+    files: &mut HashMap<u8, FileModel>,
+    op: &Dmapi,
+    now: SimInstant,
+    objid: u64,
+) -> Option<FsResult<()>> {
+    let denied = |what: &str, m: &FileModel, why: &str| {
+        Err(FsError::PermissionDenied(format!(
+            "{what} on {} in state {}{why}",
+            m.ino, m.region.state
+        )))
+    };
+    let m = files.get_mut(&op.slot())?;
+    Some(match *op {
+        Dmapi::Premigrate(_) => {
+            m.region.state = HsmState::Premigrated;
+            m.region.objid = Some(objid);
+            m.ctime = now;
+            Ok(())
+        }
+        Dmapi::Punch(_) if m.region.state != HsmState::Premigrated => {
+            denied("punch_hole", m, " (need premigrated)")
+        }
+        Dmapi::Punch(_) => {
+            m.region.state = HsmState::Migrated;
+            m.region.stub_size = Some(m.disk);
+            m.disk = 0;
+            (m.mtime, m.ctime) = (now, now);
+            Ok(())
+        }
+        Dmapi::Restore(..) if m.region.state != HsmState::Migrated => {
+            denied("restore_stub", m, " (need migrated)")
+        }
+        Dmapi::Restore(_, false) => Err(FsError::InvalidRange {
+            len: m.logical(),
+            offset: 0,
+            requested: m.logical() + 1,
+        }),
+        Dmapi::Restore(_, true) => {
+            m.disk = m.logical();
+            m.region.state = HsmState::Premigrated;
+            m.region.stub_size = None;
+            (m.mtime, m.ctime) = (now, now);
+            Ok(())
+        }
+        Dmapi::Demote(_) if m.region.state == HsmState::Migrated => {
+            denied("mark_resident", m, ": stub has no disk copy")
+        }
+        Dmapi::Demote(_) => {
+            m.region.state = HsmState::Resident;
+            m.region.objid = None;
+            m.region.stub_size = None;
+            m.ctime = now;
+            Ok(())
+        }
+        Dmapi::WriteAt(_, off, len) => {
+            let end = m.disk.max(u64::from(off) + u64::from(len));
+            m.mutate(end, now)
+        }
+        Dmapi::Truncate(_, len) => m.mutate(u64::from(len), now),
+        Dmapi::Create(..) | Dmapi::Unlink(_) => unreachable!("handled by the caller"),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random create / premigrate / punch / restore / demote / write /
+    /// truncate / unlink sequences against a reference model of the DMAPI
+    /// transitions. After every step the pfs must agree with the model on
+    /// state, objid, orphan objid, logical and on-disk size, mtime and
+    /// ctime, pool accounting and the error of a refused transition (which
+    /// leaves the inode untouched); the policy scan's records must agree
+    /// with `hsm_state` and `logical_size`.
+    #[test]
+    fn dmapi_transitions_match_reference_model(ops in dmapi_ops()) {
+        let pfs = PfsBuilder::new("a", Clock::new())
+            .pool(PoolConfig::fast_disk("fast", 2, DataSize::tb(1)))
+            .build();
+        let mut files: HashMap<u8, FileModel> = HashMap::new();
+        let mut next_objid = 1u64;
+        for op in &ops {
+            let now = pfs.clock().now() + SimDuration::from_secs(1);
+            pfs.clock().advance_to(now);
+            let path = |f: &u8| format!("/f{f}");
+            match op {
+                Dmapi::Create(f, size) => {
+                    if files.contains_key(f) {
+                        continue;
+                    }
+                    let content = Content::synthetic(u64::from(*f), u64::from(*size));
+                    let ino = pfs.create_file(&path(f), 0, content).unwrap();
+                    let region = ManagedRegion::default();
+                    let disk = u64::from(*size);
+                    files.insert(*f, FileModel { ino, region, disk, mtime: now, ctime: now });
+                }
+                Dmapi::Unlink(f) => {
+                    let Some(m) = files.remove(f) else { continue };
+                    let attr = pfs.unlink(&path(f)).unwrap();
+                    prop_assert_eq!(attr.size, m.logical());
+                    prop_assert_eq!(attr.region, m.region);
+                }
+                op => {
+                    let objid = next_objid;
+                    let Some(want) = model_step(&mut files, op, now, objid) else { continue };
+                    let ino = files[&op.slot()].ino;
+                    let got = match *op {
+                        Dmapi::Premigrate(_) => {
+                            next_objid += 1;
+                            pfs.mark_premigrated(ino, objid)
+                        }
+                        Dmapi::Punch(_) => pfs.punch_hole(ino),
+                        Dmapi::Restore(_, ok) => {
+                            let len = pfs.logical_size(ino).unwrap() + u64::from(!ok);
+                            pfs.restore_stub(ino, Content::synthetic(3, len))
+                        }
+                        Dmapi::Demote(_) => pfs.mark_resident(ino),
+                        Dmapi::WriteAt(_, off, len) => pfs.write_at(
+                            ino,
+                            u64::from(off),
+                            Content::synthetic(9, u64::from(len)),
+                        ),
+                        Dmapi::Truncate(_, len) => pfs.truncate(ino, u64::from(len)),
+                        Dmapi::Create(..) | Dmapi::Unlink(_) => unreachable!(),
+                    };
+                    prop_assert_eq!(got, want, "{:?}", op);
+                }
+            }
+            // The pfs agrees with the model on every live file.
+            let mut on_disk = 0;
+            for (f, m) in &files {
+                prop_assert_eq!(pfs.region(m.ino).unwrap(), m.region, "f{} after {:?}", f, op);
+                prop_assert_eq!(pfs.hsm_state(m.ino).unwrap(), m.region.state);
+                prop_assert_eq!(pfs.hsm_objid(m.ino).unwrap(), m.region.objid);
+                prop_assert_eq!(pfs.logical_size(m.ino).unwrap(), m.logical());
+                prop_assert_eq!(pfs.stat(&path(f)).unwrap().size, m.logical());
+                let raw = pfs.vfs().stat_ino(m.ino).unwrap();
+                prop_assert_eq!(raw.size, m.disk);
+                prop_assert_eq!(raw.mtime, m.mtime, "mtime of f{} after {:?}", f, op);
+                prop_assert_eq!(raw.ctime, m.ctime, "ctime of f{} after {:?}", f, op);
+                on_disk += m.disk;
+            }
+            let usage = pfs.pool_by_name("fast").unwrap().usage();
+            prop_assert_eq!(usage.used.as_bytes(), on_disk);
+            prop_assert_eq!(usage.files as usize, files.len());
+            // So does the policy scan, record by record.
+            let records = pfs.scan_records_with(1);
+            prop_assert_eq!(records.len(), files.len());
+            for r in &records {
+                prop_assert_eq!(r.hsm, pfs.hsm_state(r.ino).unwrap());
+                prop_assert_eq!(r.size, pfs.logical_size(r.ino).unwrap());
             }
         }
     }

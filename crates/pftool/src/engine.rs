@@ -156,8 +156,10 @@ impl Engine<'_> {
         let tracer = self.tracer();
         // One root span covers the whole run; every request, copy and tape
         // restore hangs below it (directly or via contexts carried in the
-        // queued jobs).
-        let run_span = tracer.root("pftool.run", fnv64(self.src_root.as_bytes()), run_start);
+        // queued jobs). It is keyed by (op, source root): a pfcm of a tree
+        // just copied gets its own span, a restarted run overlays its first.
+        let key = fnv64(self.src_root.as_bytes()) ^ (self.op as u64).rotate_left(48);
+        let run_span = tracer.root("pftool.run", key, run_start);
         let world = self.config.world_size();
         let mut m = Manager {
             engine: self,
@@ -1374,7 +1376,7 @@ impl Manager<'_, '_> {
             .pfs
             .hsm_objid(ino)
             .map_err(|e| e.to_string())?
-            .ok_or_else(|| "stub without hsm.objid".to_string())?;
+            .ok_or_else(|| "stub without a tape object id".to_string())?;
         if let Some(catalog) = &eng.src.catalog {
             if let Some(row) = catalog.lookup(objid) {
                 return Ok((row.tape, row.seq));

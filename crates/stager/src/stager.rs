@@ -263,7 +263,8 @@ impl Stager {
         let pfs = self.hsm.pfs();
         let ino = pfs.resolve(&req.path)?;
         let tracer = self.tracer();
-        let guard = tracer.span(None, "stager.submit", ino.0, now);
+        // A file is submitted many times: key the root per call.
+        let guard = tracer.root_seq("stager.submit", now);
         let ctx = guard.as_ref().map(|g| g.ctx());
 
         let state = pfs.hsm_state(ino)?;

@@ -74,6 +74,15 @@ impl TraceReport {
             .filter(move |s| s.parent.is_none_or(|p| !have.contains(&p)))
     }
 
+    /// Spans whose id an earlier span already took. Children of colliding
+    /// ids merge in [`TraceReport::phase_table`], so a nonzero count means
+    /// some call site keys its spans by a value that repeats (or, by
+    /// design, that re-dispatched work overlaid its first attempt).
+    pub fn duplicate_ids(&self) -> u64 {
+        let mut seen = rustc_hash::FxHashSet::default();
+        self.spans.iter().filter(|s| !seen.insert(s.id)).count() as u64
+    }
+
     /// First span (canonical order) with the given name.
     pub fn find(&self, name: &str) -> Option<&Span> {
         self.spans.iter().find(|s| s.name == name)
@@ -182,6 +191,10 @@ impl TraceReport {
         }
         if self.dropped > 0 {
             let _ = writeln!(out, "(!) {} spans dropped at capacity", self.dropped);
+        }
+        let duplicates = self.duplicate_ids();
+        if duplicates > 0 {
+            let _ = writeln!(out, "(!) {duplicates} spans reuse an earlier span's id");
         }
         out
     }
@@ -346,6 +359,19 @@ mod tests {
         let root = t.root("run", 0, SimInstant::EPOCH).unwrap();
         root.finish(SimInstant::from_secs(10));
         assert_ne!(a.tree_digest(), t.report().unwrap().tree_digest());
+    }
+
+    #[test]
+    fn duplicate_ids_count_roots_keyed_alike() {
+        assert_eq!(demo_trace().report().unwrap().duplicate_ids(), 0);
+        let t = Tracer::armed(11);
+        for (key, at) in [(3, 0), (3, 5), (4, 9)] {
+            let root = t.root("call", key, SimInstant::from_secs(at)).unwrap();
+            root.finish(SimInstant::from_secs(at + 1));
+        }
+        let rep = t.report().unwrap();
+        assert_eq!(rep.duplicate_ids(), 1);
+        assert!(rep.phase_table_text().contains("1 spans reuse"));
     }
 
     #[test]

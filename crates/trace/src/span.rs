@@ -104,6 +104,15 @@ impl Tracer {
         Some(SpanGuard::open(store.clone(), id, None, name, key, sim_now))
     }
 
+    /// Open a root span keyed by the trace's count of roots opened this
+    /// way, for calls with no domain key that is unique per call (a policy
+    /// scan, an aggregated migrate, a stager submit). Such calls come from
+    /// the one simulation thread, so the keys are deterministic.
+    pub fn root_seq(&self, name: &'static str, sim_now: SimInstant) -> Option<SpanGuard> {
+        let key = self.inner.as_ref()?.next_root_seq();
+        self.root(name, key, sim_now)
+    }
+
     /// Open a span under a context received from elsewhere (a PFTool
     /// message, an HSM caller). Returns `None` when disabled.
     pub fn child_of(

@@ -46,6 +46,8 @@ pub struct TraceStore {
     spans: Mutex<Vec<Span>>,
     capacity: usize,
     dropped: AtomicU64,
+    /// Roots opened by [`crate::Tracer::root_seq`] so far.
+    root_seq: AtomicU64,
 }
 
 impl TraceStore {
@@ -57,6 +59,7 @@ impl TraceStore {
             spans: Mutex::new(Vec::new()),
             capacity,
             dropped: AtomicU64::new(0),
+            root_seq: AtomicU64::new(0),
         }
     }
 
@@ -80,6 +83,11 @@ impl TraceStore {
         } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// The key of the next [`crate::Tracer::root_seq`] root.
+    pub fn next_root_seq(&self) -> u64 {
+        self.root_seq.fetch_add(1, Ordering::Relaxed)
     }
 
     pub fn dropped(&self) -> u64 {

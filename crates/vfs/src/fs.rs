@@ -28,6 +28,7 @@
 
 use crate::content::Content;
 use crate::error::{FsError, FsResult};
+use crate::hsmstate::ManagedRegion;
 use crate::inode::{FileType, Ino, InodeAttr, InodeView};
 use crate::path::{is_normalized, is_under, join, normalize, parent_and_name, split};
 use copra_simtime::{Clock, SimInstant};
@@ -72,8 +73,8 @@ struct PathMemo {
     buf: String,
 }
 
-/// The path of the inode a [`Vfs::par_scan`] callback is looking at, built
-/// only if the callback asks for it.
+/// The path of the inode a [`Vfs::par_scan`] or [`Vfs::inspect_batch`]
+/// callback is looking at, built only if the callback asks for it.
 pub struct ScanPath<'a> {
     nodes: &'a Shards,
     memo: &'a mut PathMemo,
@@ -101,6 +102,41 @@ impl ScanPath<'_> {
             }
         }
         &self.memo.buf
+    }
+}
+
+/// One inode opened by [`Vfs::update_region`].
+pub struct RegionWrite<'a> {
+    node: &'a mut Node,
+    ino: Ino,
+    now: SimInstant,
+}
+
+impl RegionWrite<'_> {
+    pub fn region(&self) -> ManagedRegion {
+        self.node.region()
+    }
+
+    /// Bytes on disk (a stub's are 0).
+    pub fn size(&self) -> u64 {
+        self.node.size()
+    }
+
+    /// Replace the record: an attribute change, so it stamps ctime.
+    pub fn set_region(&mut self, region: ManagedRegion) {
+        **self.node.region.get_or_insert_with(Box::default) = region;
+        self.node.ctime = self.now;
+    }
+
+    /// The file's content for a data change, which stamps mtime.
+    pub fn content_mut(&mut self) -> FsResult<&mut Content> {
+        match &mut self.node.kind {
+            NodeKind::File { content } => {
+                self.node.mtime = self.now;
+                Ok(content)
+            }
+            NodeKind::Dir { .. } => Err(FsError::IsADirectory(format!("{}", self.ino))),
+        }
     }
 }
 
@@ -136,6 +172,8 @@ struct Node {
     mtime: SimInstant,
     atime: SimInstant,
     ctime: SimInstant,
+    /// Boxed on a file's first HSM transition: most inodes never have one.
+    region: Option<Box<ManagedRegion>>,
     /// Copy-on-write: `attr()` hands out a cheap `Arc` clone instead of
     /// deep-copying the map; xattr mutation uses `Arc::make_mut`.
     xattrs: Arc<BTreeMap<String, String>>,
@@ -149,6 +187,24 @@ fn empty_xattrs() -> Arc<BTreeMap<String, String>> {
 }
 
 impl Node {
+    fn new(parent: Option<Ino>, name: String, uid: u32, now: SimInstant, kind: NodeKind) -> Node {
+        Node {
+            parent,
+            name,
+            uid,
+            mtime: now,
+            atime: now,
+            ctime: now,
+            region: None,
+            xattrs: empty_xattrs(),
+            kind,
+        }
+    }
+
+    fn region(&self) -> ManagedRegion {
+        self.region.as_deref().copied().unwrap_or_default()
+    }
+
     fn ftype(&self) -> FileType {
         match self.kind {
             NodeKind::File { .. } => FileType::Regular,
@@ -172,6 +228,7 @@ impl Node {
             mtime: self.mtime,
             atime: self.atime,
             ctime: self.ctime,
+            region: self.region(),
             xattrs: Arc::clone(&self.xattrs),
         }
     }
@@ -184,6 +241,7 @@ impl Node {
             uid: self.uid,
             mtime: self.mtime,
             atime: self.atime,
+            region: self.region(),
             xattrs: &self.xattrs,
         }
     }
@@ -299,21 +357,10 @@ impl Vfs {
     pub fn new(name: impl Into<String>, clock: Clock) -> Self {
         let now = clock.now();
         let mut nodes = Shards::new();
-        nodes.insert(
-            ROOT,
-            Node {
-                parent: None,
-                name: String::new(),
-                uid: 0,
-                mtime: now,
-                atime: now,
-                ctime: now,
-                xattrs: empty_xattrs(),
-                kind: NodeKind::Dir {
-                    entries: BTreeMap::new(),
-                },
-            },
-        );
+        let root = NodeKind::Dir {
+            entries: BTreeMap::new(),
+        };
+        nodes.insert(ROOT, Node::new(None, String::new(), 0, now, root));
         Vfs {
             shared: Arc::new(Shared {
                 name: name.into(),
@@ -424,23 +471,11 @@ impl Vfs {
         let (parent, name) = parent_and_name(path)?;
         let now = self.now();
         let parent_ino = self.resolve(&parent)?;
-        self.insert_child(
-            parent_ino,
-            &name,
-            path,
-            Node {
-                parent: Some(parent_ino),
-                name: name.clone(),
-                uid: 0,
-                mtime: now,
-                atime: now,
-                ctime: now,
-                xattrs: empty_xattrs(),
-                kind: NodeKind::Dir {
-                    entries: BTreeMap::new(),
-                },
-            },
-        )
+        let dir = NodeKind::Dir {
+            entries: BTreeMap::new(),
+        };
+        let node = Node::new(Some(parent_ino), name.clone(), 0, now, dir);
+        self.insert_child(parent_ino, &name, path, node)
     }
 
     /// Create a directory and any missing ancestors. Tolerates concurrent
@@ -545,21 +580,14 @@ impl Vfs {
         let (parent, name) = parent_and_name(path)?;
         let now = self.now();
         let parent_ino = self.resolve(&parent)?;
-        self.insert_child(
-            parent_ino,
-            &name,
-            path,
-            Node {
-                parent: Some(parent_ino),
-                name: name.clone(),
-                uid,
-                mtime: now,
-                atime: now,
-                ctime: now,
-                xattrs: empty_xattrs(),
-                kind: NodeKind::File { content },
-            },
-        )
+        let node = Node::new(
+            Some(parent_ino),
+            name.clone(),
+            uid,
+            now,
+            NodeKind::File { content },
+        );
+        self.insert_child(parent_ino, &name, path, node)
     }
 
     /// Create or fully replace a file's content (open(O_TRUNC)+write+close).
@@ -665,7 +693,7 @@ impl Vfs {
     }
 
     /// Unlink a file, returning its final attributes (the synchronous
-    /// deleter needs the ino and HSM xattrs of what was just removed).
+    /// deleter needs the ino and HSM record of what was just removed).
     pub fn unlink(&self, path: &str) -> FsResult<InodeAttr> {
         let (parent, name) = parent_and_name(path)?;
         let now = self.now();
@@ -747,19 +775,53 @@ impl Vfs {
         })
     }
 
-    pub fn remove_xattr(&self, ino: Ino, key: &str) -> FsResult<()> {
-        let now = self.now();
-        self.with_node_mut(ino, |node| {
-            if node.xattrs.contains_key(key) {
-                Arc::make_mut(&mut node.xattrs).remove(key);
-            }
-            node.ctime = now;
-            Ok(())
-        })
+    /// Run `f` on a borrowed view of `ino` under one read guard.
+    pub fn inspect<R>(&self, ino: Ino, f: impl FnOnce(&InodeView<'_>) -> R) -> FsResult<R> {
+        self.with_node(ino, |node| Ok(f(&node.view(ino))))
     }
 
-    pub fn get_xattr(&self, ino: Ino, key: &str) -> FsResult<Option<String>> {
-        self.with_node(ino, |node| Ok(node.xattrs.get(key).cloned()))
+    /// Run `f` on each of `inos`, in order, under one read guard: a
+    /// borrowed view, a lazy [`ScanPath`] whose directory memo is shared
+    /// by the whole batch, and the file's content (`None` for a
+    /// directory). Stops at the first stale ino or error of `f`, which
+    /// must not call back into this `Vfs` (see the module docs).
+    pub fn inspect_batch<R>(
+        &self,
+        inos: &[Ino],
+        mut f: impl FnMut(&InodeView<'_>, &mut ScanPath<'_>, Option<&Content>) -> FsResult<R>,
+    ) -> FsResult<Vec<R>> {
+        let g = self.shared.nodes.read();
+        let mut memo = PathMemo::default();
+        inos.iter()
+            .map(|&ino| {
+                let node = g.get(ino).ok_or(FsError::StaleInode(ino))?;
+                memo.buf.clear();
+                let mut path = ScanPath {
+                    nodes: &g,
+                    memo: &mut memo,
+                    parent: node.parent,
+                    name: &node.name,
+                };
+                let content = match &node.kind {
+                    NodeKind::File { content } => Some(content),
+                    NodeKind::Dir { .. } => None,
+                };
+                f(&node.view(ino), &mut path, content)
+            })
+            .collect()
+    }
+
+    /// Apply one managed-region transition to `ino` under one write guard.
+    /// `f` reads the record and may replace it and the file's content
+    /// through [`RegionWrite`], which stamps ctime and mtime the way the
+    /// separate attribute and data writes would.
+    pub fn update_region<R>(
+        &self,
+        ino: Ino,
+        f: impl FnOnce(&mut RegionWrite<'_>) -> FsResult<R>,
+    ) -> FsResult<R> {
+        let now = self.now();
+        self.with_node_mut(ino, |node| f(&mut RegionWrite { node, ino, now }))
     }
 
     /// Set the owner uid.
@@ -978,11 +1040,21 @@ mod tests {
     fn unlink_returns_attrs_and_removes() {
         let v = fs();
         let ino = v.create("/f", 7, Content::literal(&b"abc"[..])).unwrap();
-        v.set_xattr(ino, "hsm.objid", "42").unwrap();
+        v.set_xattr(ino, "k", "v").unwrap();
+        v.update_region(ino, |file| {
+            let objid = Some(42);
+            file.set_region(ManagedRegion {
+                objid,
+                ..file.region()
+            });
+            Ok(())
+        })
+        .unwrap();
         let attr = v.unlink("/f").unwrap();
         assert_eq!(attr.ino, ino);
         assert_eq!(attr.uid, 7);
-        assert_eq!(attr.xattr("hsm.objid"), Some("42"));
+        assert_eq!(attr.xattr("k"), Some("v"));
+        assert_eq!(attr.region.objid, Some(42));
         assert!(!v.exists("/f"));
         assert!(matches!(v.stat_ino(ino), Err(FsError::StaleInode(_))));
     }
@@ -1067,10 +1139,9 @@ mod tests {
     fn xattrs_roundtrip() {
         let v = fs();
         let ino = v.create("/f", 0, Content::empty()).unwrap();
+        assert_eq!(v.stat_ino(ino).unwrap().xattr("k"), None);
         v.set_xattr(ino, "k", "v").unwrap();
-        assert_eq!(v.get_xattr(ino, "k").unwrap().as_deref(), Some("v"));
-        v.remove_xattr(ino, "k").unwrap();
-        assert_eq!(v.get_xattr(ino, "k").unwrap(), None);
+        assert_eq!(v.stat_ino(ino).unwrap().xattr("k"), Some("v"));
     }
 
     #[test]

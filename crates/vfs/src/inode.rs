@@ -1,5 +1,6 @@
 //! Inode identifiers and attributes.
 
+use crate::hsmstate::ManagedRegion;
 use copra_simtime::SimInstant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -41,11 +42,12 @@ pub struct InodeAttr {
     pub atime: SimInstant,
     /// Last attribute change.
     pub ctime: SimInstant,
-    /// Extended attributes. Higher layers use these for HSM state
-    /// (`hsm.state`, `hsm.objid`), pool placement and fuse chunk maps.
-    /// Shared with the live inode (copy-on-write): building an attr never
-    /// deep-copies the map, which keeps `stat`/`walk`/scan allocation-free
-    /// on the hot path.
+    /// DMAPI managed-region record: HSM state, tape object id, stub size.
+    pub region: ManagedRegion,
+    /// Extended attributes: PFTool and FUSE keys (chunk maps, restart
+    /// fingerprints). HSM state is not here but in `region`. Shared with
+    /// the live inode (copy-on-write): building an attr never deep-copies
+    /// the map.
     pub xattrs: Arc<BTreeMap<String, String>>,
 }
 
@@ -73,6 +75,7 @@ pub struct InodeView<'a> {
     pub uid: u32,
     pub mtime: SimInstant,
     pub atime: SimInstant,
+    pub region: ManagedRegion,
     pub xattrs: &'a BTreeMap<String, String>,
 }
 
@@ -96,14 +99,15 @@ mod tests {
             mtime: SimInstant::EPOCH,
             atime: SimInstant::EPOCH,
             ctime: SimInstant::EPOCH,
+            region: ManagedRegion::default(),
             xattrs: Arc::new(BTreeMap::from([(
-                "hsm.state".to_string(),
-                "migrated".to_string(),
+                "fuse.chunked".to_string(),
+                "1".to_string(),
             )])),
         };
         assert!(attr.is_file());
         assert!(!attr.is_dir());
-        assert_eq!(attr.xattr("hsm.state"), Some("migrated"));
+        assert_eq!(attr.xattr("fuse.chunked"), Some("1"));
         assert_eq!(attr.xattr("missing"), None);
         assert_eq!(Ino(7).to_string(), "ino:7");
     }

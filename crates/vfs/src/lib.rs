@@ -28,16 +28,20 @@
 //! A classic inode table + directory tree with POSIX-ish operations:
 //! `mkdir_p`, `create`, `read`, `write`, `truncate`, `unlink`, `rename`,
 //! `readdir`, `stat`, extended attributes, and a recursive walker. All
-//! timestamps are simulated ([`copra_simtime::SimInstant`]).
+//! timestamps are simulated ([`copra_simtime::SimInstant`]). Every inode
+//! also carries its DMAPI [`ManagedRegion`] (HSM state, tape object id,
+//! stub size) as typed fields.
 
 pub mod content;
 pub mod error;
 pub mod fs;
+pub mod hsmstate;
 pub mod inode;
 pub mod path;
 
 pub use content::{synth_byte, Content, Segment, SegmentData};
 pub use error::{FsError, FsResult};
-pub use fs::{DirEntry, ScanPath, ShardScanStats, Vfs, WalkEntry};
+pub use fs::{DirEntry, RegionWrite, ScanPath, ShardScanStats, Vfs, WalkEntry};
+pub use hsmstate::{HsmState, ManagedRegion};
 pub use inode::{FileType, Ino, InodeAttr, InodeView};
 pub use path::{is_normalized, is_under, join, normalize, parent_and_name, rebase, split};

@@ -1,0 +1,127 @@
+//! Span identity over whole traced runs: every span id is unique.
+//!
+//! Span ids are derived from (parent, name, key), so a root keyed by a
+//! value that repeats across calls (a batch size, a thread count, an ino
+//! submitted twice) collides with an earlier root, and the phase table
+//! merges the children of both. These runs repeat exactly those values —
+//! equal-sized waves, one scan width, a few files recalled many times —
+//! and must still record no duplicate id.
+
+use copra::cluster::NodeId;
+use copra::core::{migrate_candidates, ArchiveSystem, MigrationPolicy, SyncDeleter, SystemConfig};
+use copra::hsm::{DataPath, RecallPolicy, RecallRequest};
+use copra::pfs::{Cmp, HsmState, PolicyEngine, Predicate, Rule};
+use copra::simtime::{DataSize, SimDuration, SimInstant};
+use copra::stager::{MigrateRequest, StagerConfig};
+use copra::trace::Tracer;
+use copra::vfs::Content;
+
+const DAY: u64 = 86_400;
+const WAVES: u64 = 3;
+
+#[test]
+fn traced_ilm_rounds_record_no_duplicate_span_ids() {
+    let tracer = Tracer::armed(7);
+    let sys = ArchiveSystem::new(SystemConfig::test_small().with_tracer(tracer.clone()));
+    let pfs = sys.archive();
+    // Equal waves, one a day: 12 small files that aggregate, 2 that go solo.
+    for w in 0..WAVES {
+        sys.clock().advance_to(SimInstant::from_secs(w * DAY));
+        pfs.mkdir_p(&format!("/proj/w{w}")).unwrap();
+        for i in 0..14u64 {
+            let size = if i < 12 { 64 << 10 } else { 4 << 20 };
+            let path = format!("/proj/w{w}/f{i:02}");
+            pfs.create_file(&path, 0, Content::synthetic(w * 100 + i, size))
+                .unwrap();
+        }
+    }
+    let engine = PolicyEngine::new(vec![
+        Rule::list(
+            "aged-resident",
+            "migrate",
+            Predicate::Hsm(HsmState::Resident).and(Predicate::MtimeAge(
+                Cmp::Ge,
+                SimDuration::from_secs(3 * DAY / 2),
+            )),
+        ),
+        Rule::list("cold", "cold", Predicate::Hsm(HsmState::Migrated)),
+    ]);
+    let nodes: Vec<NodeId> = sys.cluster().nodes().collect();
+    let deleter = SyncDeleter::new(sys.hsm().clone(), sys.catalog().clone());
+    let mut cursor = SimInstant::EPOCH;
+    for round in 0..WAVES {
+        // Round r finds exactly wave r aged.
+        let now = cursor.max(SimInstant::from_secs((round + 2) * DAY));
+        sys.clock().advance_to(now);
+        let report = pfs.run_policy_with(&engine, 2);
+        let aged = &report.lists["migrate"];
+        assert_eq!(aged.len(), 14, "round {round}");
+        let mig = migrate_candidates(
+            sys.hsm(),
+            aged,
+            &nodes,
+            MigrationPolicy::SizeBalanced,
+            DataPath::LanFree,
+            now,
+            true,
+            Some((DataSize::mb(1), DataSize::mb(4))),
+        );
+        assert!(mig.errors.is_empty(), "{:?}", mig.errors);
+        sys.export_catalog();
+        // Recall one cold file, purge another.
+        let cold = pfs.run_policy_with(&engine, 2).lists["cold"].clone();
+        let requests = [RecallRequest { ino: cold[0].ino }];
+        let recalled = sys
+            .hsm()
+            .recall_batch(
+                &requests,
+                RecallPolicy::TapeAffinity,
+                DataPath::LanFree,
+                mig.makespan,
+            )
+            .unwrap();
+        let purged = deleter.purge(&cold[1..2], recalled.makespan);
+        assert!(purged.errors.is_empty(), "{:?}", purged.errors);
+        cursor = purged.end;
+    }
+    let report = tracer.report().unwrap();
+    assert_eq!(report.spans_named("pfs.run_policy").count(), 6);
+    assert!(report.spans_named("hsm.migrate_aggregated").count() >= WAVES as usize);
+    assert!(report.spans_named("hsm.migrate").count() >= 2 * WAVES as usize);
+    assert_eq!(report.duplicate_ids(), 0);
+}
+
+#[test]
+fn traced_stager_storm_records_no_duplicate_span_ids() {
+    let tracer = Tracer::armed(11);
+    let config = SystemConfig::test_small()
+        .with_stager(StagerConfig::default())
+        .with_tracer(tracer.clone());
+    let sys = ArchiveSystem::new(config);
+    let stager = sys.stager().expect("stager configured").clone();
+    sys.archive().mkdir_p("/camp").unwrap();
+    let mut t = SimInstant::EPOCH;
+    for i in 0..6u64 {
+        let path = format!("/camp/f{i}");
+        sys.archive()
+            .create_file(&path, 0, Content::synthetic(i, 8 << 20))
+            .unwrap();
+        t = sys
+            .migrate(&MigrateRequest::new(path).punch(true), t)
+            .unwrap();
+    }
+    // 60 recalls over 6 files: every file is submitted ten times, as a
+    // miss, a coalesced queue entry or a pool hit.
+    for i in 0..60u64 {
+        let at = t + SimDuration::from_secs(i * 5);
+        stager.dispatch_round(at).unwrap();
+        let req = copra::stager::RecallRequest::new(format!("/camp/f{}", (i * 7) % 6))
+            .user((i % 3) as u32);
+        stager.submit(req, at).unwrap();
+    }
+    stager.drain(t + SimDuration::from_secs(300)).unwrap();
+    let report = tracer.report().unwrap();
+    assert_eq!(report.spans_named("stager.submit").count(), 60);
+    assert!(report.spans_named("stager.dispatch").count() >= 6);
+    assert_eq!(report.duplicate_ids(), 0);
+}
