@@ -16,10 +16,18 @@
 //! metadata service from the moment they are ready, directory listings
 //! cost nothing, and every tape batch starts at the run's start (the
 //! drives and the tape library serialize the restores).
+//!
+//! Queue entries carry the inode the directory listing (or the tape
+//! restore) found, so a plain file is stated, read, written and compared
+//! by inode: its path is resolved at most once per run, when pfcp
+//! re-creates an existing destination or pfcm looks its destination up.
+//! Paths remain for output lines, errors, rebasing onto the destination
+//! and the fuse overlay, which reads chunked files by logical path.
 
 use crate::config::PftoolConfig;
 use crate::queues::{
-    CompareJob, CopyJob, DstMode, FileMeta, ManagerQueues, StatRequest, TapeEntry, WorkerJob,
+    CompareJob, CompareSide, CopyJob, DstMode, FileMeta, ManagerQueues, StatRequest, TapeEntry,
+    WorkerJob,
 };
 use crate::report::RunStats;
 use crate::view::FsView;
@@ -31,7 +39,7 @@ use copra_obs::{Counter, EventKind, Gauge, Registry};
 use copra_pfs::{HsmState, ReadOutcome};
 use copra_simtime::{DataSize, SimDuration, SimInstant};
 use copra_trace::{fnv64, SpanContext, Tracer};
-use copra_vfs::{Content, FsResult, Ino};
+use copra_vfs::{Content, FsError, FsResult, Ino, InodeAttr};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -77,8 +85,9 @@ enum Job {
     },
 }
 
-/// Sub-directories, plain files and fuse-chunked files of one directory.
-type Listing = (Vec<String>, Vec<String>, Vec<String>);
+/// Sub-directories, then the plain files and fuse-chunked files of one
+/// directory with the inodes the listing found.
+type Listing = (Vec<String>, Vec<(String, Ino)>, Vec<(String, Ino)>);
 
 /// What a rank reports when its assignment completes.
 enum Outcome {
@@ -89,8 +98,8 @@ enum Outcome {
     /// Source path, and (contents equal, bytes compared).
     Compare(String, Result<(bool, u64), String>),
     Tape {
-        /// (path, restore end, parent logical file) per restored file.
-        restored: Vec<(String, SimInstant, Option<String>)>,
+        /// Each restored entry with its restore end.
+        restored: Vec<(TapeEntry, SimInstant)>,
         /// Entries whose restore failed, with the error.
         failed: Vec<(TapeEntry, String)>,
     },
@@ -205,10 +214,10 @@ impl Engine<'_> {
         for entry in self.src.pfs.readdir(path)? {
             let full = copra_vfs::join(path, &entry.name);
             match entry.ftype {
-                copra_vfs::FileType::Regular => files.push(full),
+                copra_vfs::FileType::Regular => files.push((full, entry.ino)),
                 copra_vfs::FileType::Directory => {
                     if self.src.is_chunked(&full) {
-                        chunked.push(full);
+                        chunked.push((full, entry.ino));
                     } else {
                         dirs.push(full);
                     }
@@ -231,10 +240,7 @@ impl Engine<'_> {
             end,
             w0,
         );
-        let meta = self
-            .stat_file(&job.path, job.chunked)
-            .map_err(|e| format!("{}: {e}", job.path));
-        (end, Outcome::Stat(meta))
+        (end, Outcome::Stat(self.stat_file(job)))
     }
 
     /// Execute one CopyQ entry on a mover's serial pipeline: the job
@@ -294,48 +300,47 @@ impl Engine<'_> {
         }
     }
 
-    fn stat_file(&self, path: &str, chunked: bool) -> FsResult<FileMeta> {
-        if chunked {
-            let fuse = self.src.fuse.as_ref().expect("chunked stat without fuse");
-            let attr = fuse.stat(path)?;
-            // A chunked file is migrated only per-chunk; summarize: if any
-            // chunk is a stub the logical file needs recall.
-            let chunks = fuse.chunks(path)?;
-            let hsm = if chunks.iter().any(|c| c.hsm == HsmState::Migrated) {
-                HsmState::Migrated
-            } else {
-                HsmState::Resident
-            };
-            return Ok(FileMeta {
-                path: path.to_string(),
-                ino: attr.ino,
-                size: attr.size,
-                uid: attr.uid,
-                mtime: attr.mtime,
-                hsm,
-                chunked: true,
-            });
-        }
-        let attr = self.src.pfs.stat(path)?;
-        let hsm = self.src.pfs.hsm_state(attr.ino)?;
+    /// Stat one NameQ entry: a plain file by its inode, a fuse-chunked
+    /// file through the overlay by path.
+    fn stat_file(&self, job: StatRequest) -> Result<FileMeta, String> {
+        let stated = if job.chunked {
+            self.stat_chunked(&job.path)
+        } else {
+            let attr = self.src.pfs.stat_ino(job.ino);
+            attr.map(|attr| (attr.region.state, attr))
+        };
+        let (hsm, attr) = stated.map_err(|e| format!("{}: {e}", job.path))?;
         Ok(FileMeta {
-            path: path.to_string(),
+            path: job.path,
             ino: attr.ino,
             size: attr.size,
             uid: attr.uid,
             mtime: attr.mtime,
             hsm,
-            chunked: false,
+            chunked: job.chunked,
         })
+    }
+
+    fn stat_chunked(&self, path: &str) -> FsResult<(HsmState, InodeAttr)> {
+        let fuse = self.src.fuse.as_ref().expect("chunked stat without fuse");
+        let attr = fuse.stat(path)?;
+        // A chunked file is migrated only per-chunk; summarize: if any
+        // chunk is a stub the logical file needs recall.
+        let chunks = fuse.chunks(path)?;
+        let hsm = if chunks.iter().any(|c| c.hsm == HsmState::Migrated) {
+            HsmState::Migrated
+        } else {
+            HsmState::Resident
+        };
+        Ok((hsm, attr))
     }
 
     fn exec_copy(&self, job: &CopyJob, node: NodeId) -> FsResult<SimInstant> {
         let dst = self.dst.expect("copy without destination view");
-        let src_ino = self.src.pfs.resolve(&job.src_path)?;
-        let data = match self.src.pfs.read(src_ino, job.src_offset, job.len)? {
+        let data = match self.src.pfs.read(job.src_ino, job.src_offset, job.len)? {
             ReadOutcome::Data(c) => c,
             ReadOutcome::NeedsRecall { .. } => {
-                return Err(copra_vfs::FsError::PermissionDenied(format!(
+                return Err(FsError::PermissionDenied(format!(
                     "{} is migrated; manager should have routed it to tape",
                     job.src_path
                 )))
@@ -349,17 +354,16 @@ impl Engine<'_> {
         } else {
             job.ready
         };
-        let r1 = self.src.pfs.charge_read(src_ino, ready, len);
+        let r1 = self.src.pfs.charge_read(job.src_ino, ready, len);
         let r2 = self.src.cluster.charge_network(node, r1.end, len);
-        let end = match &job.dst_mode {
-            DstMode::WriteAt => {
-                let dst_ino = dst.pfs.resolve(&job.dst_path)?;
-                dst.pfs.write_at(dst_ino, job.dst_offset, data)?;
-                dst.pfs.charge_write(dst_ino, r2.end, len).end
+        let end = match job.dst_mode {
+            DstMode::WriteAt { ino } => {
+                dst.pfs.write_at(ino, job.dst_offset, data)?;
+                dst.pfs.charge_write(ino, r2.end, len).end
             }
             DstMode::CreateChunk { uid } => {
                 let fp = data.fingerprint();
-                let dst_ino = dst.pfs.create_file(&job.dst_path, *uid, data)?;
+                let dst_ino = dst.pfs.create_file(&job.dst_path, uid, data)?;
                 dst.pfs.set_xattr(dst_ino, XATTR_FPRINT, &fp.to_string())?;
                 dst.pfs.charge_write(dst_ino, r2.end, len).end
             }
@@ -367,52 +371,51 @@ impl Engine<'_> {
         Ok(end)
     }
 
-    fn read_logical(view: &FsView, path: &str, offset: u64, len: u64) -> FsResult<Content> {
-        if let Some(fuse) = &view.fuse {
-            if fuse.is_chunked(path)? {
-                return match fuse.read_file(path)? {
-                    FuseRead::Data(c) => Ok(c.slice(offset, len)),
-                    FuseRead::NeedsRecall(_) => Err(copra_vfs::FsError::PermissionDenied(format!(
-                        "{path} has migrated chunks; recall first"
-                    ))),
-                };
-            }
+    /// Look up the side of a comparison at `path`: a fuse-chunked file
+    /// keeps its logical path, a plain file is read by inode.
+    fn compare_side(view: &FsView, path: &str) -> FsResult<CompareSide> {
+        let attr = view.pfs.stat(path)?;
+        let chunked = view.fuse.is_some() && attr.is_dir() && attr.xattr(XATTR_CHUNKED).is_some();
+        Ok(CompareSide {
+            ino: attr.ino,
+            fuse_path: chunked.then(|| path.to_string()),
+        })
+    }
+
+    fn read_side(view: &FsView, side: &CompareSide, offset: u64, len: u64) -> FsResult<Content> {
+        if let Some(path) = &side.fuse_path {
+            let fuse = view.fuse.as_ref().expect("chunked side without fuse");
+            return match fuse.read_file(path)? {
+                FuseRead::Data(c) => Ok(c.slice(offset, len)),
+                FuseRead::NeedsRecall(_) => Err(FsError::PermissionDenied(format!(
+                    "{path} has migrated chunks; recall first"
+                ))),
+            };
         }
-        let ino = view.pfs.resolve(path)?;
-        match view.pfs.read(ino, offset, len)? {
+        match view.pfs.read(side.ino, offset, len)? {
             ReadOutcome::Data(c) => Ok(c),
-            ReadOutcome::NeedsRecall { .. } => Err(copra_vfs::FsError::PermissionDenied(format!(
-                "{path} is migrated; recall first"
-            ))),
+            ReadOutcome::NeedsRecall { .. } => {
+                let path = view.pfs.path_of(side.ino)?;
+                Err(FsError::PermissionDenied(format!(
+                    "{path} is migrated; recall first"
+                )))
+            }
         }
     }
 
     fn exec_compare(&self, job: &CompareJob, node: NodeId) -> FsResult<(bool, SimInstant)> {
         let dst = self.dst.expect("compare without destination view");
-        let a = Self::read_logical(self.src, &job.src_path, job.offset, job.len)?;
-        let b = match Self::read_logical(dst, &job.dst_path, job.offset, job.len) {
-            Ok(c) => c,
-            Err(copra_vfs::FsError::NotFound(_)) => {
-                return Ok((false, job.ready));
-            }
-            Err(e) => return Err(e),
+        let a = Self::read_side(self.src, &job.src, job.offset, job.len)?;
+        let Some(dst_side) = &job.dst else {
+            return Ok((false, job.ready));
         };
+        let b = Self::read_side(dst, dst_side, job.offset, job.len)?;
         let len = DataSize::from_bytes(job.len);
         // Both sides stream to the comparing node; the source side crosses
         // the trunk.
-        let src_ino = self.src.pfs.resolve(&job.src_path).ok();
-        let r1 = match src_ino {
-            Some(ino) => self.src.pfs.charge_read(ino, job.ready, len),
-            None => copra_simtime::Reservation {
-                start: job.ready,
-                end: job.ready,
-            },
-        };
+        let r1 = self.src.pfs.charge_read(job.src.ino, job.ready, len);
         let r2 = self.src.cluster.charge_network(node, r1.end, len);
-        let r3 = match dst.pfs.resolve(&job.dst_path).ok() {
-            Some(ino) => dst.pfs.charge_read(ino, job.ready, len),
-            None => r2,
-        };
+        let r3 = dst.pfs.charge_read(dst_side.ino, job.ready, len);
         let end = r2.end.max(r3.end);
         Ok((a.eq_content(&b), end))
     }
@@ -441,7 +444,7 @@ impl Engine<'_> {
             match hsm.recall_file(e.ino, node, self.config.data_path, cursor, span) {
                 Ok(end) => {
                     copra_trace::finish_opt(guard, end);
-                    restored.push((e.path, end, e.parent));
+                    restored.push((e, end));
                     cursor = end;
                 }
                 // A failed entry does not sink the batch: the rest of the
@@ -531,9 +534,10 @@ impl Manager<'_, '_> {
         match eng.src.pfs.stat(&root) {
             Ok(attr) if attr.is_dir() => {
                 if eng.src.is_chunked(&root) {
-                    self.prepare_dst_parent(&root);
+                    self.prepare_dst_parent();
                     self.q.nameq.push_back(StatRequest {
                         path: root,
+                        ino: attr.ino,
                         chunked: true,
                         ready: run_start,
                         ctx: self.run_ctx,
@@ -549,10 +553,11 @@ impl Manager<'_, '_> {
                     self.q.dirq.push_back((root, run_start));
                 }
             }
-            Ok(_) => {
-                self.prepare_dst_parent(&root);
+            Ok(attr) => {
+                self.prepare_dst_parent();
                 self.q.nameq.push_back(StatRequest {
                     path: root,
+                    ino: attr.ino,
                     chunked: false,
                     ready: run_start,
                     ctx: self.run_ctx,
@@ -564,7 +569,7 @@ impl Manager<'_, '_> {
 
     /// For a single-file operation, make sure the destination's parent
     /// directory exists.
-    fn prepare_dst_parent(&mut self, _src_path: &str) {
+    fn prepare_dst_parent(&mut self) {
         if let (Op::Copy, Some(dst), Some(dst_root)) = (
             self.engine.op,
             self.engine.dst,
@@ -769,7 +774,7 @@ impl Manager<'_, '_> {
                 let (end, outcome) = eng.exec_tape(entries, ctx, node, start, &self.tracer);
                 if let Outcome::Tape { restored, .. } = &outcome {
                     self.restores
-                        .extend(restored.iter().map(|&(_, end, _)| Reverse(end)));
+                        .extend(restored.iter().map(|&(_, end)| Reverse(end)));
                 }
                 (end, outcome)
             }
@@ -852,8 +857,8 @@ impl Manager<'_, '_> {
                     for (entry, emsg) in failed {
                         self.requeue_failed_restore(entry, emsg);
                     }
-                    for (path, end, parent) in restored {
-                        self.restored(path, end, parent);
+                    for (entry, end) in restored {
+                        self.restored(entry, end);
                     }
                 }
             }
@@ -864,8 +869,8 @@ impl Manager<'_, '_> {
     fn walked(
         &mut self,
         dirs: Vec<String>,
-        files: Vec<String>,
-        chunked: Vec<String>,
+        files: Vec<(String, Ino)>,
+        chunked: Vec<(String, Ino)>,
         ready: SimInstant,
     ) {
         self.stats.dirs += dirs.len() as u64;
@@ -887,9 +892,10 @@ impl Manager<'_, '_> {
             .into_iter()
             .map(|f| (f, false))
             .chain(chunked.into_iter().map(|c| (c, true)));
-        for (path, chunked) in stats {
+        for ((path, ino), chunked) in stats {
             self.q.nameq.push_back(StatRequest {
                 path,
+                ino,
                 chunked,
                 ready,
                 ctx: self.run_ctx,
@@ -898,22 +904,23 @@ impl Manager<'_, '_> {
     }
 
     /// One file came back from tape at `end`.
-    fn restored(&mut self, path: String, end: SimInstant, parent: Option<String>) {
+    fn restored(&mut self, entry: TapeEntry, end: SimInstant) {
         self.stats.tape_restores += 1;
         self.stats.sim_end = self.stats.sim_end.max(end);
-        match parent {
+        match entry.parent {
             // The restored file is readable now; re-stat it so it flows
             // into the copy queue ("additional restored tape file copy
             // request", §4.1.1 j).
             None => self.q.nameq.push_back(StatRequest {
-                path,
+                path: entry.path,
+                ino: entry.ino,
                 chunked: false,
                 ready: end,
                 ctx: self.run_ctx,
             }),
             // A fuse chunk: re-queue the logical file only when its last
             // chunk is back.
-            Some(logical) => {
+            Some((logical, ino)) => {
                 let entry = self
                     .pending_chunks
                     .entry(logical.clone())
@@ -925,6 +932,7 @@ impl Manager<'_, '_> {
                     self.pending_chunks.remove(&logical);
                     self.q.nameq.push_back(StatRequest {
                         path: logical,
+                        ino,
                         chunked: true,
                         ready,
                         ctx: self.run_ctx,
@@ -947,7 +955,7 @@ impl Manager<'_, '_> {
             // A permanently failed chunk also releases its logical file's
             // pending slot so the run can still finish (partially, with
             // the error on record).
-            if let Some(logical) = &parent {
+            if let Some((logical, _)) = &parent {
                 if let Some(slot) = self.pending_chunks.get_mut(logical) {
                     slot.0 = slot.0.saturating_sub(1);
                     if slot.0 == 0 {
@@ -1056,7 +1064,6 @@ impl Manager<'_, '_> {
             // Chunked file with migrated chunks: queue each migrated chunk
             // for restore; the logical file is re-queued (via
             // `pending_chunks`) once its last chunk lands.
-            let _ = ready;
             if eng.config.tape_procs == 0 {
                 self.record_error(
                     meta.path,
@@ -1087,7 +1094,7 @@ impl Manager<'_, '_> {
                                             seq,
                                             path: c.path,
                                             ino: c.ino,
-                                            parent: Some(meta.path.clone()),
+                                            parent: Some((meta.path.clone(), meta.ino)),
                                         },
                                     );
                                     queued += 1;
@@ -1133,19 +1140,23 @@ impl Manager<'_, '_> {
                 }
             }
         }
-        // Pre-create (or reset) the destination file.
-        let created = if dst.pfs.exists(&dst_path) {
-            dst.pfs
-                .resolve(&dst_path)
-                .and_then(|ino| dst.pfs.truncate(ino, 0).map(|_| ino))
-        } else {
-            dst.pfs
-                .create_file_with_hint(&dst_path, meta.uid, Content::empty(), meta.size)
+        // Pre-create the destination file, or reset the one already there.
+        let dpfs = &dst.pfs;
+        let created = dpfs
+            .create_file_with_hint(&dst_path, meta.uid, Content::empty(), meta.size)
+            .or_else(|e| match e {
+                FsError::AlreadyExists(_) => dpfs
+                    .resolve(&dst_path)
+                    .and_then(|ino| dpfs.truncate(ino, 0).map(|_| ino)),
+                e => Err(e),
+            });
+        let dst_ino = match created {
+            Ok(ino) => ino,
+            Err(e) => {
+                self.record_error(dst_path, e.to_string());
+                return;
+            }
         };
-        if let Err(e) = created {
-            self.record_error(dst_path, e.to_string());
-            return;
-        }
         if meta.size == 0 {
             // nothing to move; creation already happened
             return;
@@ -1160,11 +1171,12 @@ impl Manager<'_, '_> {
                     for c in chunks {
                         self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
                             src_path: c.path,
+                            src_ino: c.ino,
                             src_offset: 0,
                             len: c.len,
                             dst_path: dst_path.clone(),
                             dst_offset: off,
-                            dst_mode: DstMode::WriteAt,
+                            dst_mode: DstMode::WriteAt { ino: dst_ino },
                             ready,
                             ctx: req,
                         }));
@@ -1184,11 +1196,12 @@ impl Manager<'_, '_> {
                 let len = chunk.min(meta.size - off);
                 self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
                     src_path: meta.path.clone(),
+                    src_ino: meta.ino,
                     src_offset: off,
                     len,
                     dst_path: dst_path.clone(),
                     dst_offset: off,
-                    dst_mode: DstMode::WriteAt,
+                    dst_mode: DstMode::WriteAt { ino: dst_ino },
                     ready,
                     ctx: req,
                 }));
@@ -1197,11 +1210,12 @@ impl Manager<'_, '_> {
         } else {
             self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
                 src_path: meta.path,
+                src_ino: meta.ino,
                 src_offset: 0,
                 len: meta.size,
                 dst_path,
                 dst_offset: 0,
-                dst_mode: DstMode::WriteAt,
+                dst_mode: DstMode::WriteAt { ino: dst_ino },
                 ready,
                 ctx: req,
             }));
@@ -1222,15 +1236,15 @@ impl Manager<'_, '_> {
         let fuse = dst.fuse.as_ref().expect("checked by caller");
         let chunk_size = fuse.chunk_size().as_bytes();
 
-        // Build the source manifest: (src physical path, src offset, len,
-        // fingerprint) per destination chunk.
-        let mut manifest: Vec<(String, u64, u64, u64)> = Vec::new();
+        // Build the source manifest: (src physical path, its inode, src
+        // offset, len, fingerprint) per destination chunk.
+        let mut manifest: Vec<(String, Ino, u64, u64, u64)> = Vec::new();
         if meta.chunked {
             let sfuse = eng.src.fuse.as_ref().expect("chunked without fuse");
             match sfuse.chunks(&meta.path) {
                 Ok(chunks) => {
                     for c in chunks {
-                        manifest.push((c.path, 0, c.len, c.fingerprint));
+                        manifest.push((c.path, c.ino, 0, c.len, c.fingerprint));
                     }
                 }
                 Err(e) => {
@@ -1239,11 +1253,7 @@ impl Manager<'_, '_> {
                 }
             }
         } else {
-            let Ok(ino) = eng.src.pfs.resolve(&meta.path) else {
-                self.record_error(meta.path.clone(), "vanished during walk".to_string());
-                return;
-            };
-            let Ok(content) = eng.src.pfs.vfs().peek_content(ino) else {
+            let Ok(content) = eng.src.pfs.vfs().peek_content(meta.ino) else {
                 self.record_error(meta.path.clone(), "unreadable".to_string());
                 return;
             };
@@ -1251,7 +1261,7 @@ impl Manager<'_, '_> {
             while off < meta.size {
                 let len = chunk_size.min(meta.size - off);
                 let fp = content.slice(off, len).fingerprint();
-                manifest.push((meta.path.clone(), off, len, fp));
+                manifest.push((meta.path.clone(), meta.ino, off, len, fp));
                 off += len;
             }
         }
@@ -1261,7 +1271,7 @@ impl Manager<'_, '_> {
             let source_infos: Vec<ChunkInfo> = manifest
                 .iter()
                 .enumerate()
-                .map(|(i, (_, _, len, fp))| ChunkInfo {
+                .map(|(i, (_, _, _, len, fp))| ChunkInfo {
                     index: i as u32,
                     path: String::new(),
                     ino: Ino(0),
@@ -1295,7 +1305,7 @@ impl Manager<'_, '_> {
         }
 
         let stale_set: std::collections::HashSet<u32> = stale.iter().copied().collect();
-        for (i, (src_path, src_off, len, _)) in manifest.iter().enumerate() {
+        for (i, (src_path, src_ino, src_offset, len, _)) in manifest.into_iter().enumerate() {
             let idx = i as u32;
             let chunk_path = copra_vfs::join(dst_path, &format!("chunk.{idx:05}"));
             if !stale_set.contains(&idx) {
@@ -1310,9 +1320,10 @@ impl Manager<'_, '_> {
                 }
             }
             self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
-                src_path: src_path.clone(),
-                src_offset: *src_off,
-                len: *len,
+                src_path,
+                src_ino,
+                src_offset,
+                len,
                 dst_path: chunk_path,
                 dst_offset: 0,
                 dst_mode: DstMode::CreateChunk { uid: meta.uid },
@@ -1326,6 +1337,7 @@ impl Manager<'_, '_> {
     }
 
     fn route_compare(&mut self, meta: FileMeta, ready: SimInstant) {
+        let eng = self.engine;
         let Some(dst_path) = self.rebase(&meta.path) else {
             self.record_error(meta.path, "outside source root".to_string());
             return;
@@ -1339,15 +1351,32 @@ impl Manager<'_, '_> {
             );
             return;
         }
-        let threshold = self.engine.config.parallel_copy_threshold.as_bytes();
+        // The destination is looked up once, here; a missing one is a
+        // mismatch, not an error.
+        let dst = eng.dst.expect("compare without destination view");
+        let dst = match Engine::compare_side(dst, &dst_path) {
+            Ok(side) => Some(side),
+            Err(FsError::NotFound(_)) => None,
+            Err(e) => {
+                let msg = format!("{}: {e}", meta.path);
+                self.record_error(meta.path, msg);
+                return;
+            }
+        };
+        let src = CompareSide {
+            ino: meta.ino,
+            fuse_path: meta.chunked.then(|| meta.path.clone()),
+        };
+        let threshold = eng.config.parallel_copy_threshold.as_bytes();
         if meta.size >= threshold && !meta.chunked {
-            let chunk = self.engine.config.copy_chunk.as_bytes();
+            let chunk = eng.config.copy_chunk.as_bytes();
             let mut off = 0u64;
             while off < meta.size {
                 let len = chunk.min(meta.size - off);
                 self.q.copyq.push_back(WorkerJob::Compare(CompareJob {
                     src_path: meta.path.clone(),
-                    dst_path: dst_path.clone(),
+                    src: src.clone(),
+                    dst: dst.clone(),
                     offset: off,
                     len,
                     ready,
@@ -1358,7 +1387,8 @@ impl Manager<'_, '_> {
         } else {
             self.q.copyq.push_back(WorkerJob::Compare(CompareJob {
                 src_path: meta.path,
-                dst_path,
+                src,
+                dst,
                 offset: 0,
                 len: meta.size,
                 ready,

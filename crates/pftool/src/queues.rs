@@ -26,9 +26,9 @@ pub struct FileMeta {
 /// How the destination of a copy sub-job is materialized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DstMode {
-    /// Write into a pre-created file at `dst_offset` (plain-file chunk or
-    /// whole-file copy).
-    WriteAt,
+    /// Write at `dst_offset` into the file the Manager pre-created as
+    /// `ino` (plain-file chunk or whole-file copy).
+    WriteAt { ino: Ino },
     /// Create the destination file outright (fuse chunk files); the
     /// worker records the chunk fingerprint xattr.
     CreateChunk { uid: u32 },
@@ -37,11 +37,13 @@ pub enum DstMode {
 /// One unit of data movement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CopyJob {
-    /// Physical file to read (may be a fuse chunk file).
+    /// Physical file to read (may be a fuse chunk file), by path for
+    /// errors and by inode for the read.
     pub src_path: String,
+    pub src_ino: Ino,
     pub src_offset: u64,
     pub len: u64,
-    /// Physical file to write.
+    /// Physical file to write (its path keys the copy span).
     pub dst_path: String,
     pub dst_offset: u64,
     pub dst_mode: DstMode,
@@ -53,11 +55,24 @@ pub struct CopyJob {
     pub ctx: Option<SpanContext>,
 }
 
+/// One side of a comparison, looked up when the job is routed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompareSide {
+    /// The file, or the chunk directory of a fuse-chunked file; reads and
+    /// device charges go to this inode.
+    pub ino: Ino,
+    /// The logical path of a fuse-chunked file, read through the overlay.
+    pub fuse_path: Option<String>,
+}
+
 /// One unit of comparison (`pfcm`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompareJob {
+    /// Source path, for the output line and errors.
     pub src_path: String,
-    pub dst_path: String,
+    pub src: CompareSide,
+    /// `None` when the destination does not exist: a mismatch.
+    pub dst: Option<CompareSide>,
     pub offset: u64,
     pub len: u64,
     pub ready: SimInstant,
@@ -76,6 +91,9 @@ pub enum WorkerJob {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatRequest {
     pub path: String,
+    /// The inode the directory listing (or the tape restore) found: the
+    /// file, or the chunk directory of a fuse-chunked file.
+    pub ino: Ino,
     /// True for a fuse-chunked logical file.
     pub chunked: bool,
     pub ready: SimInstant,
@@ -90,9 +108,10 @@ pub struct TapeEntry {
     pub seq: u32,
     pub path: String,
     pub ino: Ino,
-    /// For a fuse chunk restore: the logical file the chunk belongs to.
-    /// The manager re-queues the logical file once every chunk is back.
-    pub parent: Option<String>,
+    /// For a fuse chunk restore: the logical file the chunk belongs to
+    /// (path and chunk-directory inode). The manager re-queues the logical
+    /// file once every chunk is back.
+    pub parent: Option<(String, Ino)>,
 }
 
 /// The per-tape restore queues (§4.1.2-2): entries for one tape are kept
@@ -253,6 +272,7 @@ mod tests {
         assert!(q.all_empty());
         q.nameq.push_back(StatRequest {
             path: "/f".into(),
+            ino: Ino(2),
             chunked: false,
             ready: SimInstant::EPOCH,
             ctx: None,

@@ -198,6 +198,84 @@ fn very_large_file_lands_fuse_chunked() {
     assert!(cmp.identical(), "{:?}", cmp.mismatches);
 }
 
+/// pfcm with a fuse-chunked archive file as its source (archive → scratch)
+/// reads that source through the overlay by logical path: a clean copy
+/// verifies, and one corrupted chunk is reported under the logical file.
+#[test]
+fn pfcm_reads_chunked_archive_source_through_fuse() {
+    let r = rig();
+    r.scratch.pfs.mkdir_p("/proj").unwrap();
+    r.scratch
+        .pfs
+        .create_file("/proj/huge.dat", 7, Content::synthetic(11, 250_000_000))
+        .unwrap();
+    let out = pfcp(&r.scratch, "/proj", &r.archive, "/arch", &cfg(), &[]);
+    assert!(out.stats.ok(), "{:?}", out.stats.errors);
+    let fuse = r.archive.fuse.as_ref().unwrap();
+    assert!(fuse.is_chunked("/arch/huge.dat").unwrap());
+    let back = pfcp(&r.archive, "/arch", &r.scratch, "/back", &cfg(), &[]);
+    assert!(back.stats.ok(), "{:?}", back.stats.errors);
+    assert_eq!(back.stats.bytes, 250_000_000);
+
+    let cmp = pfcm(&r.archive, "/arch", &r.scratch, "/back", &cfg(), &[]);
+    assert!(
+        cmp.identical(),
+        "{:?} / {:?}",
+        cmp.mismatches,
+        cmp.stats.errors
+    );
+    assert_eq!(cmp.stats.files, 1);
+    assert_eq!(cmp.stats.bytes, 250_000_000);
+
+    let chunk = r.archive.pfs.resolve("/arch/huge.dat/chunk.00002").unwrap();
+    r.archive
+        .pfs
+        .write_at(chunk, 1_000, Content::literal(&b"XYZZY"[..]))
+        .unwrap();
+    let cmp = pfcm(&r.archive, "/arch", &r.scratch, "/back", &cfg(), &[]);
+    assert_eq!(cmp.mismatches, vec!["/arch/huge.dat".to_string()]);
+    assert!(cmp.stats.errors.is_empty(), "{:?}", cmp.stats.errors);
+}
+
+/// pfcp onto an existing, larger destination file (restart off) truncates
+/// and rewrites it. pfcm looks each destination up when it routes the
+/// file, so one unlinked after the copy is a mismatch, not an error.
+#[test]
+fn pfcp_rewrites_existing_destination_and_pfcm_flags_unlinked_one() {
+    let r = rig();
+    let (files, bytes) = populate_tree(&r.scratch.pfs);
+    r.archive.pfs.mkdir_p("/arch/proj/run2").unwrap();
+    r.archive
+        .pfs
+        .create_file(
+            "/arch/proj/run2/d.dat",
+            0,
+            Content::synthetic(99, 9_000_000),
+        )
+        .unwrap();
+    let report = pfcp(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    assert!(report.stats.ok(), "{:?}", report.stats.errors);
+    assert_eq!(report.stats.files as usize, files);
+    assert_eq!(report.stats.bytes, bytes);
+    assert_eq!(
+        r.archive.pfs.stat("/arch/proj/run2/d.dat").unwrap().size,
+        7_000_000
+    );
+    let cmp = pfcm(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    assert!(
+        cmp.identical(),
+        "{:?} / {:?}",
+        cmp.mismatches,
+        cmp.stats.errors
+    );
+
+    r.archive.pfs.unlink("/arch/proj/run1/c.dat").unwrap();
+    let cmp = pfcm(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    assert_eq!(cmp.mismatches, vec!["/proj/run1/c.dat".to_string()]);
+    assert!(cmp.stats.errors.is_empty(), "{:?}", cmp.stats.errors);
+    assert_eq!(cmp.stats.files as usize, files);
+}
+
 /// Copy-back from the archive when files are migrated to tape: the manager
 /// routes them through the TapeCQs and TapeProcs, then copies.
 #[test]

@@ -3,7 +3,10 @@
 //! Models banks of interchangeable devices — 24 LTO-4 drives on the SAN, or
 //! the per-node NICs of an FTA cluster when a caller doesn't care which node
 //! serves it. Dispatch picks the member that can start the operation
-//! soonest, breaking ties by index (deterministic).
+//! soonest, breaking ties by index (deterministic). No member can start
+//! before `ready`, so the scan stops at the first member free at `ready`:
+//! every later member could at best tie, and ties go to the lower index.
+//! The early exit is exact, not a heuristic.
 
 use crate::rate::{Bandwidth, DataSize};
 use crate::time::{SimDuration, SimInstant};
@@ -48,7 +51,8 @@ impl TimelinePool {
     }
 
     /// Index of the member that could start an operation of `dur` soonest
-    /// if it were ready at `ready`.
+    /// if it were ready at `ready` (ties to the lowest index). Stops at the
+    /// first member that can start at `ready` itself.
     pub fn earliest_member(&self, ready: SimInstant, dur: SimDuration) -> usize {
         let mut best = 0usize;
         let mut best_start = SimInstant::from_nanos(u64::MAX);
@@ -57,6 +61,9 @@ impl TimelinePool {
             if start < best_start {
                 best_start = start;
                 best = i;
+                if start <= ready {
+                    break;
+                }
             }
         }
         best

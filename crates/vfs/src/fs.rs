@@ -505,8 +505,9 @@ impl Vfs {
         Ok(ino)
     }
 
-    /// Link `node` into `parent_ino` under `name`. Allocates the ino from
-    /// the atomic counter, then takes the write lock.
+    /// Link `node` into `parent_ino` under `name`. Takes the write lock,
+    /// then allocates the ino from the counter, so a create that fails
+    /// (the name exists, the parent is gone) consumes no inode number.
     fn insert_child(
         &self,
         parent_ino: Ino,
@@ -514,21 +515,22 @@ impl Vfs {
         full_path: &str,
         node: Node,
     ) -> FsResult<Ino> {
-        let ino = Ino(self.shared.next_ino.fetch_add(1, Ordering::Relaxed));
         let ctime = node.ctime;
         let mut g = self.shared.nodes.write();
         let parent = g
             .get_mut(parent_ino)
             .ok_or(FsError::StaleInode(parent_ino))?;
-        match &mut parent.kind {
+        let ino = match &mut parent.kind {
             NodeKind::Dir { entries } => {
                 if entries.contains_key(name) {
                     return Err(FsError::AlreadyExists(full_path.to_string()));
                 }
+                let ino = Ino(self.shared.next_ino.fetch_add(1, Ordering::Relaxed));
                 entries.insert(name.to_string(), ino);
+                ino
             }
             NodeKind::File { .. } => return Err(FsError::NotADirectory(full_path.to_string())),
-        }
+        };
         parent.mtime = ctime;
         g.insert(ino, node);
         Ok(ino)
@@ -972,6 +974,22 @@ mod tests {
         assert!(v.exists("/a/b"));
         assert!(!v.exists("/a/c"));
         assert_eq!(v.stat("/a/b").unwrap().ftype, FileType::Directory);
+    }
+
+    #[test]
+    fn failed_create_consumes_no_inode_number() {
+        let v = fs();
+        let a = v.create("/a", 0, Content::empty()).unwrap();
+        assert!(matches!(
+            v.create("/a", 0, Content::empty()),
+            Err(FsError::AlreadyExists(_))
+        ));
+        assert!(matches!(
+            v.create("/a/b", 0, Content::empty()),
+            Err(FsError::NotADirectory(_))
+        ));
+        let b = v.create("/b", 0, Content::empty()).unwrap();
+        assert_eq!(b.0, a.0 + 1);
     }
 
     #[test]
