@@ -11,13 +11,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use copra_cluster::NodeId;
 use copra_core::{migrator, MigrationPolicy};
 use copra_hsm::{ObjectKind, TsmObject, TsmServer};
 use copra_metadb::{TsmCatalog, TsmObjectRow};
 use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
-use copra_pftool::queues::{TapeEntry, TapeQueues};
+use copra_pftool::queues::{Entry, TapeEntry, TapeQueues, WalkDir};
 use copra_pftool::PftoolConfig;
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant, Timeline, TimelinePool};
 use copra_tape::{TapeAddress, TapeId, TapeLibrary, TapeTiming};
@@ -180,6 +181,11 @@ fn bench_tape_queues(c: &mut Criterion) {
     let mut g = c.benchmark_group("tape_queues");
     g.sample_size(20);
     g.bench_function("ordered_insert_10k", |b| {
+        let dir = Arc::new(WalkDir {
+            path: "/".to_string(),
+            dst: None,
+            dst_name: None,
+        });
         b.iter(|| {
             let mut tq = TapeQueues::new(true);
             for i in 0..10_000u32 {
@@ -188,8 +194,11 @@ fn bench_tape_queues(c: &mut Criterion) {
                     i % 24,
                     TapeEntry {
                         seq,
-                        path: String::new(),
                         ino: Ino(i as u64),
+                        file: Entry {
+                            dir: Arc::clone(&dir),
+                            name: String::new(),
+                        },
                         parent: None,
                     },
                 );

@@ -247,8 +247,16 @@ impl Pfs {
         self.shared.vfs.mkdir_p(path)
     }
 
+    pub fn mkdir_in(&self, parent: Ino, name: &str) -> FsResult<Ino> {
+        self.shared.vfs.mkdir_in(parent, name)
+    }
+
     pub fn exists(&self, path: &str) -> bool {
         self.shared.vfs.exists(path)
+    }
+
+    pub fn lookup(&self, parent: Ino, name: &str) -> FsResult<Ino> {
+        self.shared.vfs.lookup(parent, name)
     }
 
     pub fn resolve(&self, path: &str) -> FsResult<Ino> {
@@ -278,22 +286,38 @@ impl Pfs {
     /// Create a file, applying placement policy to choose its pool.
     pub fn create_file(&self, path: &str, uid: u32, content: Content) -> FsResult<Ino> {
         let size = content.len();
-        self.create_file_with_hint(path, uid, content, size)
+        let ino = self.shared.vfs.create(path, uid, content)?;
+        self.place_new(ino, path, uid, size, size);
+        Ok(ino)
     }
 
-    /// Create a file whose placement is decided by `size_hint` rather than
-    /// the initial content length. PFTool pre-creates destination files
-    /// empty (workers then fill chunks in parallel); the hint keeps the
-    /// placement rules seeing the eventual size.
-    pub fn create_file_with_hint(
+    /// Create file `name` in directory `parent`, placed by `size_hint`
+    /// rather than the initial content length. PFTool pre-creates
+    /// destination files empty (workers then fill chunks in parallel); the
+    /// hint keeps the placement rules seeing the eventual size. The file's
+    /// path is built only when a placement rule reads it.
+    pub fn create_in(
         &self,
-        path: &str,
+        parent: Ino,
+        name: &str,
         uid: u32,
         content: Content,
         size_hint: u64,
     ) -> FsResult<Ino> {
         let actual = content.len();
-        let ino = self.shared.vfs.create(path, uid, content)?;
+        let ino = self.shared.vfs.create_in(parent, name, uid, content)?;
+        let path = if self.shared.placement.reads_path() {
+            self.path_of(ino)?
+        } else {
+            String::new()
+        };
+        self.place_new(ino, &path, uid, actual, size_hint);
+        Ok(ino)
+    }
+
+    /// Put a new file of `actual` bytes in the pool the placement rules
+    /// pick for a file of `size_hint` bytes at `path`.
+    fn place_new(&self, ino: Ino, path: &str, uid: u32, actual: u64, size_hint: u64) {
         let now = self.clock().now();
         let file = FileView {
             path,
@@ -313,7 +337,6 @@ impl Pfs {
             .unwrap_or(self.shared.default_pool);
         self.pool(pool_id).account_add(DataSize::from_bytes(actual));
         self.shared.file_pools.write().insert(ino.0, pool_id);
-        Ok(ino)
     }
 
     /// A file's DMAPI managed-region record (HSM state, tape object ids,
@@ -748,6 +771,36 @@ mod tests {
             pfs.pool_by_name("fast").unwrap().usage().used,
             DataSize::from_bytes(10 << 20)
         );
+    }
+
+    #[test]
+    fn create_in_places_by_size_hint_and_by_path() {
+        let pfs = archive_fs();
+        let d = pfs.mkdir_p("/d").unwrap();
+        let hinted = pfs
+            .create_in(d, "big", 0, Content::empty(), 10 << 20)
+            .unwrap();
+        assert_eq!(pfs.pool(pfs.pool_of(hinted)).name(), "fast");
+        assert_eq!(pfs.resolve("/d/big").unwrap(), hinted);
+
+        // A rule that reads the path sees the one create_in builds.
+        let pfs = PfsBuilder::new("archive", Clock::new())
+            .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
+            .pool(PoolConfig::slow_disk("slow", 2, DataSize::tb(100)))
+            .placement(vec![Rule {
+                name: "cold-to-slow".to_string(),
+                action: Action::Place {
+                    pool: "slow".to_string(),
+                },
+                predicate: Predicate::Under("/cold".to_string()),
+            }])
+            .build();
+        let cold = pfs.mkdir_p("/cold/sub").unwrap();
+        let hot = pfs.mkdir_p("/hot").unwrap();
+        let a = pfs.create_in(cold, "a", 0, Content::empty(), 0).unwrap();
+        let b = pfs.create_in(hot, "b", 0, Content::empty(), 0).unwrap();
+        assert_eq!(pfs.pool(pfs.pool_of(a)).name(), "slow");
+        assert_eq!(pfs.pool(pfs.pool_of(b)).name(), "fast");
     }
 
     #[test]

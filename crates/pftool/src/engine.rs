@@ -18,16 +18,20 @@
 //! drives and the tape library serialize the restores).
 //!
 //! Queue entries carry the inode the directory listing (or the tape
-//! restore) found, so a plain file is stated, read, written and compared
-//! by inode: its path is resolved at most once per run, when pfcp
-//! re-creates an existing destination or pfcm looks its destination up.
-//! Paths remain for output lines, errors, rebasing onto the destination
-//! and the fuse overlay, which reads chunked files by logical path.
+//! restore) found, and a listed file is its name plus a directory record
+//! the whole listing shares. That record holds the destination
+//! directory's inode: pfcp gets it from the `mkdir` that mirrors the
+//! directory, pfcm from one lookup per directory. So a plain file is
+//! stated, read and compared by inode, and its destination is created or
+//! looked up by (directory inode, name): no path is joined, rebased or
+//! resolved per file. Spans are keyed by inode and offset. A path is built
+//! only for output lines, errors, the fuse overlay (which reads chunked
+//! files by logical path) and the root of a single-file run.
 
 use crate::config::PftoolConfig;
 use crate::queues::{
-    CompareJob, CompareSide, CopyJob, DstMode, FileMeta, ManagerQueues, StatRequest, TapeEntry,
-    WorkerJob,
+    CompareJob, CompareSide, CopyJob, DstMode, Entry, FileMeta, ManagerQueues, StatRequest,
+    TapeEntry, WalkDir, WorkerJob,
 };
 use crate::report::RunStats;
 use crate::view::FsView;
@@ -39,7 +43,7 @@ use copra_obs::{Counter, EventKind, Gauge, Registry};
 use copra_pfs::{HsmState, ReadOutcome};
 use copra_simtime::{DataSize, SimDuration, SimInstant};
 use copra_trace::{fnv64, SpanContext, Tracer};
-use copra_vfs::{Content, FsError, FsResult, Ino, InodeAttr};
+use copra_vfs::{Content, FileType, FsError, FsResult, Ino, InodeAttr};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -71,7 +75,7 @@ const FIRST_READDIR: usize = 3;
 /// An assignment the Manager gives to one rank.
 enum Job {
     ReadDir {
-        path: String,
+        dir: Arc<WalkDir>,
         ready: SimInstant,
     },
     Stat(StatRequest),
@@ -85,18 +89,19 @@ enum Job {
     },
 }
 
-/// Sub-directories, then the plain files and fuse-chunked files of one
-/// directory with the inodes the listing found.
+/// The sub-directories (by source path) of one directory, then its plain
+/// files and fuse-chunked files by name, with the inodes the listing
+/// found.
 type Listing = (Vec<String>, Vec<(String, Ino)>, Vec<(String, Ino)>);
 
 /// What a rank reports when its assignment completes.
 enum Outcome {
-    Dir(Result<Listing, String>),
+    Dir(Arc<WalkDir>, Result<Listing, String>),
     Stat(Result<FileMeta, String>),
     /// Bytes copied.
     Copy(Result<u64, String>),
-    /// Source path, and (contents equal, bytes compared).
-    Compare(String, Result<(bool, u64), String>),
+    /// Source inode, and (contents equal, bytes compared).
+    Compare(Ino, Result<(bool, u64), String>),
     Tape {
         /// Each restored entry with its restore end.
         restored: Vec<(TapeEntry, SimInstant)>,
@@ -212,12 +217,12 @@ impl Engine<'_> {
         let mut files = Vec::new();
         let mut chunked = Vec::new();
         for entry in self.src.pfs.readdir(path)? {
-            let full = copra_vfs::join(path, &entry.name);
             match entry.ftype {
-                copra_vfs::FileType::Regular => files.push((full, entry.ino)),
-                copra_vfs::FileType::Directory => {
+                FileType::Regular => files.push((entry.name, entry.ino)),
+                FileType::Directory => {
+                    let full = copra_vfs::join(path, &entry.name);
                     if self.src.is_chunked(&full) {
-                        chunked.push((full, entry.ino));
+                        chunked.push((entry.name, entry.ino));
                     } else {
                         dirs.push(full);
                     }
@@ -227,19 +232,20 @@ impl Engine<'_> {
         Ok((dirs, files, chunked))
     }
 
+    /// The path of source inode `ino`, built for an output line or error.
+    fn src_path(&self, ino: Ino) -> String {
+        self.src
+            .pfs
+            .path_of(ino)
+            .unwrap_or_else(|_| ino.to_string())
+    }
+
     // ================= Worker =================
 
     fn exec_stat(&self, job: StatRequest, tracer: &Tracer) -> (SimInstant, Outcome) {
         let w0 = tracer.wall_now_ns();
         let end = self.src.pfs.charge_meta(job.ready).end;
-        tracer.record_closed(
-            job.ctx,
-            "pftool.stat",
-            fnv64(job.path.as_bytes()),
-            job.ready,
-            end,
-            w0,
-        );
+        tracer.record_closed(job.ctx, "pftool.stat", job.ino.0, job.ready, end, w0);
         (end, Outcome::Stat(self.stat_file(job)))
     }
 
@@ -256,44 +262,36 @@ impl Engine<'_> {
         match job {
             WorkerJob::Copy(mut job) => {
                 job.ready = job.ready.max(*pipeline_free);
-                // Child of the manager-side request the job carries — the
-                // key is the destination identity, so a re-queued job keeps
-                // the same span id.
-                let guard = tracer.span(
-                    job.ctx,
-                    "pftool.copy",
-                    fnv64(job.dst_path.as_bytes()) ^ job.dst_offset,
-                    job.ready,
-                );
+                // Child of the manager-side request the job carries. Within
+                // one file's request the source (inode, offset) tells the
+                // jobs apart, and a re-queued job keeps the same span id.
+                let key = job.src_ino.0 ^ job.src_offset;
+                let guard = tracer.span(job.ctx, "pftool.copy", key, job.ready);
                 match self.exec_copy(&job, node) {
                     Ok(end) => {
                         copra_trace::finish_opt(guard, end);
                         *pipeline_free = end;
                         (end, Outcome::Copy(Ok(job.len)))
                     }
-                    Err(e) => (
-                        job.ready,
-                        Outcome::Copy(Err(format!("{}: {e}", job.src_path))),
-                    ),
+                    Err(e) => {
+                        let err = format!("{}: {e}", self.src_path(job.src_ino));
+                        (job.ready, Outcome::Copy(Err(err)))
+                    }
                 }
             }
             WorkerJob::Compare(mut job) => {
                 job.ready = job.ready.max(*pipeline_free);
-                let guard = tracer.span(
-                    job.ctx,
-                    "pftool.compare",
-                    fnv64(job.src_path.as_bytes()) ^ job.offset,
-                    job.ready,
-                );
+                let key = job.src.ino.0 ^ job.offset;
+                let guard = tracer.span(job.ctx, "pftool.compare", key, job.ready);
                 match self.exec_compare(&job, node) {
                     Ok((equal, end)) => {
                         copra_trace::finish_opt(guard, end);
                         *pipeline_free = end;
-                        (end, Outcome::Compare(job.src_path, Ok((equal, job.len))))
+                        (end, Outcome::Compare(job.src.ino, Ok((equal, job.len))))
                     }
                     Err(e) => {
-                        let err = format!("{}: {e}", job.src_path);
-                        (job.ready, Outcome::Compare(job.src_path, Err(err)))
+                        let err = format!("{}: {e}", self.src_path(job.src.ino));
+                        (job.ready, Outcome::Compare(job.src.ino, Err(err)))
                     }
                 }
             }
@@ -304,14 +302,14 @@ impl Engine<'_> {
     /// file through the overlay by path.
     fn stat_file(&self, job: StatRequest) -> Result<FileMeta, String> {
         let stated = if job.chunked {
-            self.stat_chunked(&job.path)
+            self.stat_chunked(&job.file.path())
         } else {
             let attr = self.src.pfs.stat_ino(job.ino);
             attr.map(|attr| (attr.region.state, attr))
         };
-        let (hsm, attr) = stated.map_err(|e| format!("{}: {e}", job.path))?;
+        let (hsm, attr) = stated.map_err(|e| format!("{}: {e}", job.file.path()))?;
         Ok(FileMeta {
-            path: job.path,
+            file: job.file,
             ino: attr.ino,
             size: attr.size,
             uid: attr.uid,
@@ -342,7 +340,7 @@ impl Engine<'_> {
             ReadOutcome::NeedsRecall { .. } => {
                 return Err(FsError::PermissionDenied(format!(
                     "{} is migrated; manager should have routed it to tape",
-                    job.src_path
+                    self.src_path(job.src_ino)
                 )))
             }
         };
@@ -361,9 +359,9 @@ impl Engine<'_> {
                 dst.pfs.write_at(ino, job.dst_offset, data)?;
                 dst.pfs.charge_write(ino, r2.end, len).end
             }
-            DstMode::CreateChunk { uid } => {
+            DstMode::CreateChunk { uid, ref path } => {
                 let fp = data.fingerprint();
-                let dst_ino = dst.pfs.create_file(&job.dst_path, uid, data)?;
+                let dst_ino = dst.pfs.create_file(path, uid, data)?;
                 dst.pfs.set_xattr(dst_ino, XATTR_FPRINT, &fp.to_string())?;
                 dst.pfs.charge_write(dst_ino, r2.end, len).end
             }
@@ -371,14 +369,20 @@ impl Engine<'_> {
         Ok(end)
     }
 
-    /// Look up the side of a comparison at `path`: a fuse-chunked file
-    /// keeps its logical path, a plain file is read by inode.
-    fn compare_side(view: &FsView, path: &str) -> FsResult<CompareSide> {
-        let attr = view.pfs.stat(path)?;
-        let chunked = view.fuse.is_some() && attr.is_dir() && attr.xattr(XATTR_CHUNKED).is_some();
+    /// The side of a comparison found at `ino`: a fuse-chunked file is
+    /// read through the overlay at `path`, a plain file by inode.
+    fn compare_side(
+        view: &FsView,
+        ino: Ino,
+        path: impl FnOnce() -> String,
+    ) -> FsResult<CompareSide> {
+        let chunked = view.fuse.is_some()
+            && view.pfs.vfs().inspect(ino, |v| {
+                v.ftype == FileType::Directory && v.xattrs.contains_key(XATTR_CHUNKED)
+            })?;
         Ok(CompareSide {
-            ino: attr.ino,
-            fuse_path: chunked.then(|| path.to_string()),
+            ino,
+            fuse_path: chunked.then(path),
         })
     }
 
@@ -513,12 +517,13 @@ struct Manager<'e, 'a> {
     lines: Vec<String>,
     watchdog: WatchDog,
     aborted: bool,
-    /// Logical fuse files waiting on chunk restores: path → (chunks left,
-    /// latest restore end).
-    pending_chunks: rustc_hash::FxHashMap<String, (usize, SimInstant)>,
-    /// How many times a migrated file has been routed to tape (guards
-    /// against re-queue loops when a restore keeps failing).
-    tape_attempts: rustc_hash::FxHashMap<String, u32>,
+    /// Logical fuse files waiting on chunk restores, by chunk-directory
+    /// inode: (chunks left, latest restore end).
+    pending_chunks: rustc_hash::FxHashMap<Ino, (usize, SimInstant)>,
+    /// How many times a migrated file (or chunk) has been routed to tape,
+    /// by inode (guards against re-queue loops when a restore keeps
+    /// failing).
+    tape_attempts: rustc_hash::FxHashMap<Ino, u32>,
     faults: Option<Arc<FaultPlane>>,
     /// Telemetry handles; absent when the run has no registry in reach.
     mobs: Option<ManagerObs>,
@@ -532,33 +537,22 @@ impl Manager<'_, '_> {
         let eng = self.engine;
         let root = eng.src_root.clone();
         match eng.src.pfs.stat(&root) {
-            Ok(attr) if attr.is_dir() => {
-                if eng.src.is_chunked(&root) {
-                    self.prepare_dst_parent();
-                    self.q.nameq.push_back(StatRequest {
-                        path: root,
-                        ino: attr.ino,
-                        chunked: true,
-                        ready: run_start,
-                        ctx: self.run_ctx,
-                    });
-                } else {
-                    if let (Op::Copy, Some(dst), Some(dst_root)) =
-                        (eng.op, eng.dst, eng.dst_root.as_deref())
-                    {
-                        if let Err(e) = dst.pfs.mkdir_p(dst_root) {
-                            self.record_error(dst_root.to_string(), e.to_string());
-                        }
-                    }
-                    self.q.dirq.push_back((root, run_start));
-                }
-            }
-            Ok(attr) => {
-                self.prepare_dst_parent();
-                self.q.nameq.push_back(StatRequest {
+            Ok(attr) if attr.is_dir() && !eng.src.is_chunked(&root) => {
+                let dst = eng.dst_root.as_deref().map(|r| self.dst_dir_at(r));
+                let dir = WalkDir {
                     path: root,
+                    dst,
+                    dst_name: None,
+                };
+                self.q.dirq.push_back((Arc::new(dir), run_start));
+            }
+            // A single file, or one fuse-chunked file.
+            Ok(attr) => {
+                let file = self.single_file(&root);
+                self.q.nameq.push_back(StatRequest {
+                    file,
                     ino: attr.ino,
-                    chunked: false,
+                    chunked: attr.is_dir(),
                     ready: run_start,
                     ctx: self.run_ctx,
                 });
@@ -567,19 +561,39 @@ impl Manager<'_, '_> {
         }
     }
 
-    /// For a single-file operation, make sure the destination's parent
-    /// directory exists.
-    fn prepare_dst_parent(&mut self) {
-        if let (Op::Copy, Some(dst), Some(dst_root)) = (
-            self.engine.op,
-            self.engine.dst,
-            self.engine.dst_root.as_deref(),
-        ) {
-            if let Ok((parent, _)) = copra_vfs::parent_and_name(dst_root) {
-                if let Err(e) = dst.pfs.mkdir_p(&parent) {
-                    self.record_error(parent, e.to_string());
-                }
+    /// The destination directory at `path`: pfcp makes it, recording a
+    /// failure and keeping whatever already holds the path, so each entry
+    /// below fails on its own; pfcm looks it up.
+    fn dst_dir_at(&mut self, path: &str) -> FsResult<Ino> {
+        let dst = self.engine.dst.expect("run has a destination");
+        if self.engine.op == Op::Copy {
+            match dst.pfs.mkdir_p(path) {
+                Ok(ino) => return Ok(ino),
+                Err(e) => self.record_error(path.to_string(), e.to_string()),
             }
+        }
+        dst.pfs.resolve(path)
+    }
+
+    /// The entry of a single-file run: the source file in its parent
+    /// directory, which maps onto the parent of the destination path,
+    /// under the destination path's last name.
+    fn single_file(&mut self, root: &str) -> Entry {
+        let (path, name) = copra_vfs::parent_and_name(root).expect("a file's path has a parent");
+        let dst_root = self.engine.dst_root.as_deref();
+        let (dst, dst_name) = match dst_root.map(copra_vfs::parent_and_name) {
+            Some(Ok((parent, dst_name))) => (Some(self.dst_dir_at(&parent)), Some(dst_name)),
+            Some(Err(e)) => (Some(Err(e)), None),
+            None => (None, None),
+        };
+        let dir = WalkDir {
+            path,
+            dst,
+            dst_name,
+        };
+        Entry {
+            dir: Arc::new(dir),
+            name,
         }
     }
 
@@ -702,7 +716,7 @@ impl Manager<'_, '_> {
                 .held
                 .iter()
                 .flatten()
-                .any(|o| matches!(o, Outcome::Dir(_) | Outcome::Stat(_)))
+                .any(|o| matches!(o, Outcome::Dir(..) | Outcome::Stat(_)))
     }
 
     fn dispatch(&mut self) {
@@ -713,8 +727,8 @@ impl Manager<'_, '_> {
             let Some(rank) = self.earliest_idle(eng.readdirs()) else {
                 break;
             };
-            let (path, ready) = self.q.dirq.pop_front().unwrap();
-            self.start(rank, Job::ReadDir { path, ready });
+            let (dir, ready) = self.q.dirq.pop_front().unwrap();
+            self.start(rank, Job::ReadDir { dir, ready });
         }
         // Workers <- NameQ (stats) first, then CopyQ (movement).
         while !self.q.nameq.is_empty() || !self.q.copyq.is_empty() {
@@ -763,9 +777,11 @@ impl Manager<'_, '_> {
         }
         let node = eng.node_of(rank);
         let (end, outcome) = match job {
-            Job::ReadDir { path, ready } => {
-                let listing = eng.expand_dir(&path).map_err(|e| format!("{path}: {e}"));
-                (ready, Outcome::Dir(listing))
+            Job::ReadDir { dir, ready } => {
+                let listing = eng
+                    .expand_dir(&dir.path)
+                    .map_err(|e| format!("{}: {e}", dir.path));
+                (ready, Outcome::Dir(dir, listing))
             }
             Job::Stat(stat) => eng.exec_stat(stat, &self.tracer),
             Job::Move(job) => eng.exec_move(job, node, &mut self.free[rank], &self.tracer),
@@ -827,13 +843,13 @@ impl Manager<'_, '_> {
     /// Fold one completed assignment, ending at `end`, into the run.
     fn commit(&mut self, end: SimInstant, outcome: Outcome) {
         match outcome {
-            Outcome::Dir(Err(e)) | Outcome::Stat(Err(e)) | Outcome::Copy(Err(e)) => {
+            Outcome::Dir(_, Err(e)) | Outcome::Stat(Err(e)) | Outcome::Copy(Err(e)) => {
                 self.record_error(String::new(), e)
             }
-            Outcome::Compare(path, Err(e)) => self.record_error(path, e),
-            Outcome::Dir(Ok((dirs, files, chunked))) => {
+            Outcome::Compare(src, Err(e)) => self.record_error(self.engine.src_path(src), e),
+            Outcome::Dir(dir, Ok(listing)) => {
                 if !self.aborted {
-                    self.walked(dirs, files, chunked, end);
+                    self.walked(&dir, listing, end);
                 }
             }
             Outcome::Stat(Ok(meta)) => {
@@ -845,11 +861,11 @@ impl Manager<'_, '_> {
                 self.stats.bytes += bytes;
                 self.stats.sim_end = self.stats.sim_end.max(end);
             }
-            Outcome::Compare(path, Ok((equal, bytes))) => {
+            Outcome::Compare(src, Ok((equal, bytes))) => {
                 self.stats.bytes += bytes;
                 self.stats.sim_end = self.stats.sim_end.max(end);
                 if !equal {
-                    self.lines.push(path);
+                    self.lines.push(self.engine.src_path(src));
                 }
             }
             Outcome::Tape { restored, failed } => {
@@ -865,42 +881,69 @@ impl Manager<'_, '_> {
         }
     }
 
-    /// Queue what one directory listing found.
-    fn walked(
-        &mut self,
-        dirs: Vec<String>,
-        files: Vec<(String, Ino)>,
-        chunked: Vec<(String, Ino)>,
-        ready: SimInstant,
-    ) {
+    /// Queue what the listing of `dir` found.
+    fn walked(&mut self, dir: &Arc<WalkDir>, listing: Listing, ready: SimInstant) {
+        let (dirs, files, chunked) = listing;
         self.stats.dirs += dirs.len() as u64;
-        for d in dirs {
-            // pfcp mirrors the directory structure as it walks.
-            if let (Op::Copy, Some(dst)) = (self.engine.op, self.engine.dst) {
-                if let Some(dp) = self.rebase(&d) {
-                    if let Err(e) = dst.pfs.mkdir_p(&dp) {
-                        self.record_error(dp, e.to_string());
-                    }
-                }
-            }
+        for path in dirs {
+            let dst = self.dst_dir(dir, &path);
             if self.engine.op == Op::List {
-                self.lines.push(format!("d {d}"));
+                self.lines.push(format!("d {path}"));
             }
-            self.q.dirq.push_back((d, ready));
+            let sub = WalkDir {
+                path,
+                dst,
+                dst_name: None,
+            };
+            self.q.dirq.push_back((Arc::new(sub), ready));
         }
         let stats = files
             .into_iter()
             .map(|f| (f, false))
             .chain(chunked.into_iter().map(|c| (c, true)));
-        for ((path, ino), chunked) in stats {
+        for ((name, ino), chunked) in stats {
             self.q.nameq.push_back(StatRequest {
-                path,
+                file: Entry {
+                    dir: Arc::clone(dir),
+                    name,
+                },
                 ino,
                 chunked,
                 ready,
                 ctx: self.run_ctx,
             });
         }
+    }
+
+    /// The destination directory of `parent`'s sub-directory at source
+    /// path `path`: pfcp mirrors it, pfcm looks it up once for every entry
+    /// below it. A regular file holding the name stays the directory's
+    /// inode, so each entry below it fails on its own.
+    fn dst_dir(&mut self, parent: &WalkDir, path: &str) -> Option<FsResult<Ino>> {
+        let eng = self.engine;
+        let dst = eng.dst?;
+        let name = &path[path.rfind('/').map_or(0, |i| i + 1)..];
+        let found = match parent.dst.as_ref()? {
+            Ok(p) if eng.op == Op::Copy => match dst.pfs.mkdir_in(*p, name) {
+                Err(FsError::AlreadyExists(dst_path)) => {
+                    let found = dst.pfs.lookup(*p, name);
+                    if let Ok(ino) = found {
+                        if matches!(dst.pfs.stat_ino(ino), Ok(a) if !a.is_dir()) {
+                            let e = FsError::NotADirectory(dst_path.clone());
+                            self.record_error(dst_path, e.to_string());
+                        }
+                    }
+                    found
+                }
+                made => made,
+            },
+            Ok(p) => dst.pfs.lookup(*p, name),
+            Err(e) => Err(e.clone()),
+        };
+        if let (Op::Copy, Err(e)) = (eng.op, &found) {
+            self.record_error(self.rebased(path), e.to_string());
+        }
+        Some(found)
     }
 
     /// One file came back from tape at `end`.
@@ -912,7 +955,7 @@ impl Manager<'_, '_> {
             // into the copy queue ("additional restored tape file copy
             // request", §4.1.1 j).
             None => self.q.nameq.push_back(StatRequest {
-                path: entry.path,
+                file: entry.file,
                 ino: entry.ino,
                 chunked: false,
                 ready: end,
@@ -920,19 +963,16 @@ impl Manager<'_, '_> {
             }),
             // A fuse chunk: re-queue the logical file only when its last
             // chunk is back.
-            Some((logical, ino)) => {
-                let entry = self
-                    .pending_chunks
-                    .entry(logical.clone())
-                    .or_insert((0, end));
-                entry.0 = entry.0.saturating_sub(1);
-                entry.1 = entry.1.max(end);
-                if entry.0 == 0 {
-                    let ready = entry.1;
+            Some(logical) => {
+                let slot = self.pending_chunks.entry(logical).or_insert((0, end));
+                slot.0 = slot.0.saturating_sub(1);
+                slot.1 = slot.1.max(end);
+                if slot.0 == 0 {
+                    let ready = slot.1;
                     self.pending_chunks.remove(&logical);
                     self.q.nameq.push_back(StatRequest {
-                        path: logical,
-                        ino,
+                        file: entry.file,
+                        ino: logical,
                         chunked: true,
                         ready,
                         ctx: self.run_ctx,
@@ -947,22 +987,23 @@ impl Manager<'_, '_> {
     /// queue or give up with a per-file error.
     fn requeue_failed_restore(&mut self, entry: TapeEntry, emsg: String) {
         let TapeEntry {
-            path, ino, parent, ..
+            ino, file, parent, ..
         } = entry;
-        let attempts = self.tape_attempts.entry(path.clone()).or_insert(0);
+        let attempts = self.tape_attempts.entry(ino).or_insert(0);
         *attempts += 1;
         if *attempts > 3 {
             // A permanently failed chunk also releases its logical file's
             // pending slot so the run can still finish (partially, with
             // the error on record).
-            if let Some((logical, _)) = &parent {
-                if let Some(slot) = self.pending_chunks.get_mut(logical) {
+            if let Some(logical) = parent {
+                if let Some(slot) = self.pending_chunks.get_mut(&logical) {
                     slot.0 = slot.0.saturating_sub(1);
                     if slot.0 == 0 {
-                        self.pending_chunks.remove(logical);
+                        self.pending_chunks.remove(&logical);
                     }
                 }
             }
+            let path = self.engine.src_path(ino);
             self.record_error(path, format!("restore keeps failing; giving up: {emsg}"));
             return;
         }
@@ -971,36 +1012,58 @@ impl Manager<'_, '_> {
                 tape,
                 TapeEntry {
                     seq,
-                    path,
                     ino,
+                    file,
                     parent,
                 },
             ),
-            Err(e) => self.record_error(path, e),
+            Err(e) => self.record_error(self.engine.src_path(ino), e),
         }
     }
 
-    fn rebase(&self, src_path: &str) -> Option<String> {
-        copra_vfs::rebase(
-            src_path,
-            &self.engine.src_root,
-            self.engine.dst_root.as_deref()?,
-        )
+    /// `src_path`, found by the walk under the source root, on the
+    /// destination: built for errors and the fuse overlay.
+    fn rebased(&self, src_path: &str) -> String {
+        let dst_root = self
+            .engine
+            .dst_root
+            .as_deref()
+            .expect("run has a destination");
+        copra_vfs::rebase(src_path, &self.engine.src_root, dst_root)
+            .unwrap_or_else(|| src_path.to_string())
+    }
+
+    /// The destination path of `file`, built for errors and the fuse
+    /// overlay.
+    fn dst_path(&self, file: &Entry) -> String {
+        match &file.dir.dst_name {
+            Some(_) => self.engine.dst_root.clone().expect("run has a destination"),
+            None => self.rebased(&file.path()),
+        }
+    }
+
+    /// The (offset, len) jobs a file of `size` bytes splits into: chunks
+    /// of `copy_chunk` from the parallel-copy threshold on when `split`
+    /// (§4.1.2-3), one job otherwise (an empty file's has length 0).
+    fn pieces(&self, size: u64, split: bool) -> impl Iterator<Item = (u64, u64)> {
+        let config = self.engine.config;
+        let chunk = if split && size >= config.parallel_copy_threshold.as_bytes() {
+            config.copy_chunk.as_bytes()
+        } else {
+            size.max(1)
+        };
+        (0..size.max(1))
+            .step_by(chunk as usize)
+            .map(move |off| (off, chunk.min(size - off)))
     }
 
     /// Per-file request span, recorded at routing time and keyed by the
-    /// source path: every copy, compare and re-dispatch of this file's
+    /// source inode: every copy, compare and re-dispatch of this file's
     /// work parents under it, so the file stays attributable across
     /// mover crashes.
-    fn request_ctx(&self, path: &str, ready: SimInstant) -> Option<SpanContext> {
-        self.tracer.record_closed(
-            self.run_ctx,
-            "pftool.request",
-            fnv64(path.as_bytes()),
-            ready,
-            ready,
-            None,
-        )
+    fn request_ctx(&self, ino: Ino, ready: SimInstant) -> Option<SpanContext> {
+        self.tracer
+            .record_closed(self.run_ctx, "pftool.request", ino.0, ready, ready, None)
     }
 
     /// Decide what to do with one stated file.
@@ -1013,7 +1076,10 @@ impl Manager<'_, '_> {
                 let tag = if meta.chunked { "F" } else { "f" };
                 self.lines.push(format!(
                     "{tag} {} {} uid={} {}",
-                    meta.path, meta.size, meta.uid, meta.hsm
+                    meta.file.path(),
+                    meta.size,
+                    meta.uid,
+                    meta.hsm
                 ));
             }
             Op::Copy => self.route_copy(meta, ready),
@@ -1024,24 +1090,23 @@ impl Manager<'_, '_> {
     fn route_copy(&mut self, meta: FileMeta, ready: SimInstant) {
         let eng = self.engine;
         let dst = eng.dst.expect("copy without dst");
-        let Some(dst_path) = self.rebase(&meta.path) else {
-            self.record_error(meta.path, "outside source root".to_string());
-            return;
-        };
-        let req = self.request_ctx(&meta.path, ready);
+        let req = self.request_ctx(meta.ino, ready);
         // Migrated source files go to the tape queues first.
         if meta.hsm == HsmState::Migrated && !meta.chunked {
             if eng.config.tape_procs == 0 {
                 self.record_error(
-                    meta.path,
+                    meta.file.path(),
                     "file is migrated to tape but run has no TapeProcs".to_string(),
                 );
                 return;
             }
-            let attempts = self.tape_attempts.entry(meta.path.clone()).or_insert(0);
+            let attempts = self.tape_attempts.entry(meta.ino).or_insert(0);
             *attempts += 1;
             if *attempts > 3 {
-                self.record_error(meta.path, "restore keeps failing; giving up".to_string());
+                self.record_error(
+                    meta.file.path(),
+                    "restore keeps failing; giving up".to_string(),
+                );
                 return;
             }
             match self.tape_address_of(meta.ino) {
@@ -1050,13 +1115,13 @@ impl Manager<'_, '_> {
                         tape,
                         TapeEntry {
                             seq,
-                            path: meta.path,
                             ino: meta.ino,
+                            file: meta.file,
                             parent: None,
                         },
                     );
                 }
-                Err(e) => self.record_error(meta.path, e),
+                Err(e) => self.record_error(meta.file.path(), e),
             }
             return;
         }
@@ -1066,22 +1131,22 @@ impl Manager<'_, '_> {
             // `pending_chunks`) once its last chunk lands.
             if eng.config.tape_procs == 0 {
                 self.record_error(
-                    meta.path,
+                    meta.file.path(),
                     "chunked file has migrated chunks but run has no TapeProcs".to_string(),
                 );
                 return;
             }
-            let attempts = self.tape_attempts.entry(meta.path.clone()).or_insert(0);
+            let attempts = self.tape_attempts.entry(meta.ino).or_insert(0);
             *attempts += 1;
             if *attempts > 3 {
                 self.record_error(
-                    meta.path,
+                    meta.file.path(),
                     "chunk restores keep failing; giving up".to_string(),
                 );
                 return;
             }
             let fuse = eng.src.fuse.as_ref().expect("chunked without fuse");
-            match fuse.chunks(&meta.path) {
+            match fuse.chunks(&meta.file.path()) {
                 Ok(chunks) => {
                     let mut queued = 0usize;
                     for c in chunks {
@@ -1092,9 +1157,9 @@ impl Manager<'_, '_> {
                                         tape,
                                         TapeEntry {
                                             seq,
-                                            path: c.path,
                                             ino: c.ino,
-                                            parent: Some((meta.path.clone(), meta.ino)),
+                                            file: meta.file.clone(),
+                                            parent: Some(meta.ino),
                                         },
                                     );
                                     queued += 1;
@@ -1106,12 +1171,12 @@ impl Manager<'_, '_> {
                     if queued > 0 {
                         let slot = self
                             .pending_chunks
-                            .entry(meta.path.clone())
+                            .entry(meta.ino)
                             .or_insert((0, self.stats.sim_start));
                         slot.0 += queued;
                     }
                 }
-                Err(e) => self.record_error(meta.path, e.to_string()),
+                Err(e) => self.record_error(meta.file.path(), e.to_string()),
             }
             return;
         }
@@ -1125,14 +1190,25 @@ impl Manager<'_, '_> {
             .unwrap_or(false);
 
         if use_fuse_dst {
+            let dst_path = self.dst_path(&meta.file);
             self.route_copy_fuse_dst(&meta, &dst_path, ready, req);
             return;
         }
 
+        let dst_dir = meta.file.dir.dst.as_ref();
+        let parent = match dst_dir.expect("a copy run maps every directory") {
+            Ok(parent) => *parent,
+            Err(e) => {
+                self.record_error(self.dst_path(&meta.file), e.to_string());
+                return;
+            }
+        };
+        let name = meta.file.dst_name();
         // Plain destination. Restart: skip an up-to-date file (§4.5's
         // date-based heuristic for regular files).
         if eng.config.restart {
-            if let Ok(dattr) = dst.pfs.stat(&dst_path) {
+            let found = dst.pfs.lookup(parent, name);
+            if let Ok(dattr) = found.and_then(|ino| dst.pfs.stat_ino(ino)) {
                 if dattr.size == meta.size && dattr.mtime >= meta.mtime {
                     self.stats.skipped_files += 1;
                     self.stats.skipped_bytes += meta.size;
@@ -1143,17 +1219,17 @@ impl Manager<'_, '_> {
         // Pre-create the destination file, or reset the one already there.
         let dpfs = &dst.pfs;
         let created = dpfs
-            .create_file_with_hint(&dst_path, meta.uid, Content::empty(), meta.size)
+            .create_in(parent, name, meta.uid, Content::empty(), meta.size)
             .or_else(|e| match e {
                 FsError::AlreadyExists(_) => dpfs
-                    .resolve(&dst_path)
+                    .lookup(parent, name)
                     .and_then(|ino| dpfs.truncate(ino, 0).map(|_| ino)),
                 e => Err(e),
             });
         let dst_ino = match created {
             Ok(ino) => ino,
             Err(e) => {
-                self.record_error(dst_path, e.to_string());
+                self.record_error(self.dst_path(&meta.file), e.to_string());
                 return;
             }
         };
@@ -1161,61 +1237,39 @@ impl Manager<'_, '_> {
             // nothing to move; creation already happened
             return;
         }
+        let dst_mode = DstMode::WriteAt { ino: dst_ino };
         if meta.chunked {
             // Physical source chunks each become one job writing at their
             // logical offset.
             let fuse = eng.src.fuse.as_ref().expect("chunked without fuse");
-            match fuse.chunks(&meta.path) {
+            match fuse.chunks(&meta.file.path()) {
                 Ok(chunks) => {
                     let mut off = 0u64;
                     for c in chunks {
                         self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
-                            src_path: c.path,
                             src_ino: c.ino,
                             src_offset: 0,
                             len: c.len,
-                            dst_path: dst_path.clone(),
                             dst_offset: off,
-                            dst_mode: DstMode::WriteAt { ino: dst_ino },
+                            dst_mode: dst_mode.clone(),
                             ready,
                             ctx: req,
                         }));
                         off += c.len;
                     }
                 }
-                Err(e) => self.record_error(meta.path, e.to_string()),
+                Err(e) => self.record_error(meta.file.path(), e.to_string()),
             }
             return;
         }
-        let threshold = eng.config.parallel_copy_threshold.as_bytes();
-        if meta.size >= threshold {
-            // N-to-1 chunked parallel copy (§4.1.2-3).
-            let chunk = eng.config.copy_chunk.as_bytes();
-            let mut off = 0u64;
-            while off < meta.size {
-                let len = chunk.min(meta.size - off);
-                self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
-                    src_path: meta.path.clone(),
-                    src_ino: meta.ino,
-                    src_offset: off,
-                    len,
-                    dst_path: dst_path.clone(),
-                    dst_offset: off,
-                    dst_mode: DstMode::WriteAt { ino: dst_ino },
-                    ready,
-                    ctx: req,
-                }));
-                off += len;
-            }
-        } else {
+        // One job, or N-to-1 chunked parallel copy (§4.1.2-3).
+        for (off, len) in self.pieces(meta.size, true) {
             self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
-                src_path: meta.path,
                 src_ino: meta.ino,
-                src_offset: 0,
-                len: meta.size,
-                dst_path,
-                dst_offset: 0,
-                dst_mode: DstMode::WriteAt { ino: dst_ino },
+                src_offset: off,
+                len,
+                dst_offset: off,
+                dst_mode: dst_mode.clone(),
                 ready,
                 ctx: req,
             }));
@@ -1236,32 +1290,32 @@ impl Manager<'_, '_> {
         let fuse = dst.fuse.as_ref().expect("checked by caller");
         let chunk_size = fuse.chunk_size().as_bytes();
 
-        // Build the source manifest: (src physical path, its inode, src
-        // offset, len, fingerprint) per destination chunk.
-        let mut manifest: Vec<(String, Ino, u64, u64, u64)> = Vec::new();
+        // Build the source manifest: (src physical inode, src offset, len,
+        // fingerprint) per destination chunk.
+        let mut manifest: Vec<(Ino, u64, u64, u64)> = Vec::new();
         if meta.chunked {
             let sfuse = eng.src.fuse.as_ref().expect("chunked without fuse");
-            match sfuse.chunks(&meta.path) {
+            match sfuse.chunks(&meta.file.path()) {
                 Ok(chunks) => {
                     for c in chunks {
-                        manifest.push((c.path, c.ino, 0, c.len, c.fingerprint));
+                        manifest.push((c.ino, 0, c.len, c.fingerprint));
                     }
                 }
                 Err(e) => {
-                    self.record_error(meta.path.clone(), e.to_string());
+                    self.record_error(meta.file.path(), e.to_string());
                     return;
                 }
             }
         } else {
             let Ok(content) = eng.src.pfs.vfs().peek_content(meta.ino) else {
-                self.record_error(meta.path.clone(), "unreadable".to_string());
+                self.record_error(meta.file.path(), "unreadable".to_string());
                 return;
             };
             let mut off = 0u64;
             while off < meta.size {
                 let len = chunk_size.min(meta.size - off);
                 let fp = content.slice(off, len).fingerprint();
-                manifest.push((meta.path.clone(), meta.ino, off, len, fp));
+                manifest.push((meta.ino, off, len, fp));
                 off += len;
             }
         }
@@ -1271,7 +1325,7 @@ impl Manager<'_, '_> {
             let source_infos: Vec<ChunkInfo> = manifest
                 .iter()
                 .enumerate()
-                .map(|(i, (_, _, _, len, fp))| ChunkInfo {
+                .map(|(i, (_, _, len, fp))| ChunkInfo {
                     index: i as u32,
                     path: String::new(),
                     ino: Ino(0),
@@ -1305,7 +1359,7 @@ impl Manager<'_, '_> {
         }
 
         let stale_set: std::collections::HashSet<u32> = stale.iter().copied().collect();
-        for (i, (src_path, src_ino, src_offset, len, _)) in manifest.into_iter().enumerate() {
+        for (i, (src_ino, src_offset, len, _)) in manifest.into_iter().enumerate() {
             let idx = i as u32;
             let chunk_path = copra_vfs::join(dst_path, &format!("chunk.{idx:05}"));
             if !stale_set.contains(&idx) {
@@ -1320,13 +1374,14 @@ impl Manager<'_, '_> {
                 }
             }
             self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
-                src_path,
                 src_ino,
                 src_offset,
                 len,
-                dst_path: chunk_path,
                 dst_offset: 0,
-                dst_mode: DstMode::CreateChunk { uid: meta.uid },
+                dst_mode: DstMode::CreateChunk {
+                    uid: meta.uid,
+                    path: chunk_path,
+                },
                 ready,
                 ctx: req,
             }));
@@ -1338,59 +1393,45 @@ impl Manager<'_, '_> {
 
     fn route_compare(&mut self, meta: FileMeta, ready: SimInstant) {
         let eng = self.engine;
-        let Some(dst_path) = self.rebase(&meta.path) else {
-            self.record_error(meta.path, "outside source root".to_string());
-            return;
-        };
-        let req = self.request_ctx(&meta.path, ready);
+        let req = self.request_ctx(meta.ino, ready);
         self.stats.files += 1;
         if meta.hsm == HsmState::Migrated {
             self.record_error(
-                meta.path,
+                meta.file.path(),
                 "migrated to tape; recall before comparing".to_string(),
             );
             return;
         }
-        // The destination is looked up once, here; a missing one is a
-        // mismatch, not an error.
+        // The destination is looked up once, here; a missing one (or one
+        // below a missing directory) is a mismatch, not an error.
         let dst = eng.dst.expect("compare without destination view");
-        let dst = match Engine::compare_side(dst, &dst_path) {
+        let dst_dir = meta.file.dir.dst.as_ref();
+        let found = match dst_dir.expect("a compare run maps every directory") {
+            Ok(parent) => dst.pfs.lookup(*parent, meta.file.dst_name()),
+            Err(e) => Err(e.clone()),
+        };
+        let side =
+            found.and_then(|ino| Engine::compare_side(dst, ino, || self.dst_path(&meta.file)));
+        let dst = match side {
             Ok(side) => Some(side),
             Err(FsError::NotFound(_)) => None,
             Err(e) => {
-                let msg = format!("{}: {e}", meta.path);
-                self.record_error(meta.path, msg);
+                let path = meta.file.path();
+                let msg = format!("{path}: {e}");
+                self.record_error(path, msg);
                 return;
             }
         };
         let src = CompareSide {
             ino: meta.ino,
-            fuse_path: meta.chunked.then(|| meta.path.clone()),
+            fuse_path: meta.chunked.then(|| meta.file.path()),
         };
-        let threshold = eng.config.parallel_copy_threshold.as_bytes();
-        if meta.size >= threshold && !meta.chunked {
-            let chunk = eng.config.copy_chunk.as_bytes();
-            let mut off = 0u64;
-            while off < meta.size {
-                let len = chunk.min(meta.size - off);
-                self.q.copyq.push_back(WorkerJob::Compare(CompareJob {
-                    src_path: meta.path.clone(),
-                    src: src.clone(),
-                    dst: dst.clone(),
-                    offset: off,
-                    len,
-                    ready,
-                    ctx: req,
-                }));
-                off += len;
-            }
-        } else {
+        for (offset, len) in self.pieces(meta.size, !meta.chunked) {
             self.q.copyq.push_back(WorkerJob::Compare(CompareJob {
-                src_path: meta.path,
-                src,
-                dst,
-                offset: 0,
-                len: meta.size,
+                src: src.clone(),
+                dst: dst.clone(),
+                offset,
+                len,
                 ready,
                 ctx: req,
             }));

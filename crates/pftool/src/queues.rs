@@ -4,14 +4,50 @@
 use copra_pfs::HsmState;
 use copra_simtime::SimInstant;
 use copra_trace::SpanContext;
-use copra_vfs::Ino;
-use serde::{Deserialize, Serialize};
+use copra_vfs::{FsResult, Ino};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
+
+/// A directory the walk found. Every entry its listing queues shares it
+/// behind an `Arc`, so no queue entry carries a joined path.
+#[derive(Debug)]
+pub struct WalkDir {
+    /// Source path.
+    pub path: String,
+    /// For copy and compare runs: the destination directory the entries
+    /// land in, or why there is none (`NotFound` when pfcm finds it
+    /// missing).
+    pub dst: Option<FsResult<Ino>>,
+    /// The destination name of the one file a single-file run lists (the
+    /// last component of the destination path); `None` keeps every
+    /// entry's source name.
+    pub dst_name: Option<String>,
+}
+
+/// A listed file (or fuse-chunked file): its directory and its name there.
+#[derive(Debug, Clone)]
+pub struct Entry {
+    pub dir: Arc<WalkDir>,
+    pub name: String,
+}
+
+impl Entry {
+    /// The full source path, built for output lines, errors and the fuse
+    /// overlay.
+    pub fn path(&self) -> String {
+        copra_vfs::join(&self.dir.path, &self.name)
+    }
+
+    /// The entry's name in its destination directory.
+    pub fn dst_name(&self) -> &str {
+        self.dir.dst_name.as_deref().unwrap_or(&self.name)
+    }
+}
 
 /// Stat output for one file, as Workers report it back to the Manager.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FileMeta {
-    pub path: String,
+    pub file: Entry,
     pub ino: Ino,
     /// Logical size (stub overlay applied).
     pub size: u64,
@@ -29,22 +65,19 @@ pub enum DstMode {
     /// Write at `dst_offset` into the file the Manager pre-created as
     /// `ino` (plain-file chunk or whole-file copy).
     WriteAt { ino: Ino },
-    /// Create the destination file outright (fuse chunk files); the
-    /// worker records the chunk fingerprint xattr.
-    CreateChunk { uid: u32 },
+    /// Create the fuse chunk file at `path` outright; the worker records
+    /// the chunk fingerprint xattr.
+    CreateChunk { uid: u32, path: String },
 }
 
 /// One unit of data movement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CopyJob {
-    /// Physical file to read (may be a fuse chunk file), by path for
-    /// errors and by inode for the read.
-    pub src_path: String,
+    /// Physical file to read (may be a fuse chunk file). Errors name it by
+    /// the path built from this inode.
     pub src_ino: Ino,
     pub src_offset: u64,
     pub len: u64,
-    /// Physical file to write (its path keys the copy span).
-    pub dst_path: String,
     pub dst_offset: u64,
     pub dst_mode: DstMode,
     /// Simulated instant the data became available (run start, or the end
@@ -65,11 +98,10 @@ pub struct CompareSide {
     pub fuse_path: Option<String>,
 }
 
-/// One unit of comparison (`pfcm`).
+/// One unit of comparison (`pfcm`). The output line and errors name the
+/// source by the path built from `src.ino`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompareJob {
-    /// Source path, for the output line and errors.
-    pub src_path: String,
     pub src: CompareSide,
     /// `None` when the destination does not exist: a mismatch.
     pub dst: Option<CompareSide>,
@@ -88,9 +120,9 @@ pub enum WorkerJob {
 }
 
 /// A file awaiting stat (the NameQ element type).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct StatRequest {
-    pub path: String,
+    pub file: Entry,
     /// The inode the directory listing (or the tape restore) found: the
     /// file, or the chunk directory of a fuse-chunked file.
     pub ino: Ino,
@@ -103,15 +135,17 @@ pub struct StatRequest {
 }
 
 /// One entry waiting in a tape queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct TapeEntry {
     pub seq: u32,
-    pub path: String,
+    /// The inode to restore: the file, or one chunk of a fuse-chunked file.
     pub ino: Ino,
-    /// For a fuse chunk restore: the logical file the chunk belongs to
-    /// (path and chunk-directory inode). The manager re-queues the logical
-    /// file once every chunk is back.
-    pub parent: Option<(String, Ino)>,
+    /// The logical file, stated again once it is back.
+    pub file: Entry,
+    /// For a fuse chunk restore: the chunk-directory inode of the logical
+    /// file the chunk belongs to. The manager re-queues the logical file
+    /// once every chunk is back.
+    pub parent: Option<Ino>,
 }
 
 /// The per-tape restore queues (§4.1.2-2): entries for one tape are kept
@@ -172,7 +206,7 @@ impl TapeQueues {
 #[derive(Debug)]
 pub struct ManagerQueues {
     /// Directories awaiting expansion.
-    pub dirq: VecDeque<(String, SimInstant)>,
+    pub dirq: VecDeque<(Arc<WalkDir>, SimInstant)>,
     /// Files awaiting stat.
     pub nameq: VecDeque<StatRequest>,
     /// Data-movement jobs awaiting a worker.
@@ -204,11 +238,23 @@ impl ManagerQueues {
 mod tests {
     use super::*;
 
+    fn file(name: &str) -> Entry {
+        let dir = Arc::new(WalkDir {
+            path: "/".into(),
+            dst: None,
+            dst_name: None,
+        });
+        Entry {
+            dir,
+            name: name.into(),
+        }
+    }
+
     fn entry(seq: u32) -> TapeEntry {
         TapeEntry {
             seq,
-            path: format!("/f{seq}"),
             ino: Ino(seq as u64 + 1),
+            file: file(&format!("f{seq}")),
             parent: None,
         }
     }
@@ -256,14 +302,14 @@ mod tests {
     fn duplicate_seqs_keep_stable_order() {
         let mut tq = TapeQueues::new(true);
         let mut a = entry(4);
-        a.path = "/first".into();
+        a.file = file("first");
         let mut b = entry(4);
-        b.path = "/second".into();
+        b.file = file("second");
         tq.push(0, a);
         tq.push(0, b);
         let (_, q) = tq.pop_tape().unwrap();
-        assert_eq!(q[0].path, "/first");
-        assert_eq!(q[1].path, "/second");
+        assert_eq!(q[0].file.path(), "/first");
+        assert_eq!(q[1].file.path(), "/second");
     }
 
     #[test]
@@ -271,7 +317,7 @@ mod tests {
         let mut q = ManagerQueues::new(true);
         assert!(q.all_empty());
         q.nameq.push_back(StatRequest {
-            path: "/f".into(),
+            file: file("f"),
             ino: Ino(2),
             chunked: false,
             ready: SimInstant::EPOCH,

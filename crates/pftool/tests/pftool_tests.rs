@@ -578,6 +578,28 @@ fn single_file_copy_works() {
     let got = r.archive.pfs.read_resident("/copied/one").unwrap();
     assert!(got.eq_content(&content));
     assert_eq!(r.archive.pfs.stat("/copied/one").unwrap().uid, 9);
+    let cmp = pfcm(&r.scratch, "/d/one", &r.archive, "/copied/one", &cfg(), &[]);
+    assert!(
+        cmp.identical(),
+        "{:?} / {:?}",
+        cmp.mismatches,
+        cmp.stats.errors
+    );
+
+    // The destination path names the copy, not the source's name.
+    let report = pfcp(&r.scratch, "/d/one", &r.archive, "/other/two", &cfg(), &[]);
+    assert!(report.stats.ok(), "{:?}", report.stats.errors);
+    let got = r.archive.pfs.read_resident("/other/two").unwrap();
+    assert!(got.eq_content(&content));
+    let cmp = pfcm(&r.scratch, "/d/one", &r.archive, "/other/two", &cfg(), &[]);
+    assert!(
+        cmp.identical(),
+        "{:?} / {:?}",
+        cmp.mismatches,
+        cmp.stats.errors
+    );
+    let cmp = pfcm(&r.scratch, "/d/one", &r.archive, "/other/none", &cfg(), &[]);
+    assert_eq!(cmp.mismatches, ["/d/one"]);
 }
 
 #[test]
@@ -819,4 +841,152 @@ fn worker_transitions_mark_idle_spells_not_jobs() {
             assert_eq!(busy.get(), 1);
         }
     }
+}
+
+fn errors_of(stats: &copra_pftool::RunStats) -> Vec<(String, String)> {
+    let mut errors = stats.errors.clone();
+    errors.sort();
+    errors
+}
+
+/// A destination directory that is gone makes every file below it, at any
+/// depth, a mismatch listed by its full source path; none is an error.
+#[test]
+fn pfcm_lists_every_file_under_a_missing_destination_directory() {
+    let r = rig();
+    let (files, _) = populate_tree(&r.scratch.pfs);
+    let copy = pfcp(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    assert!(copy.stats.ok(), "{:?}", copy.stats.errors);
+    r.archive
+        .pfs
+        .rename("/arch/proj/run2", "/arch/moved")
+        .unwrap();
+    let cmp = pfcm(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    let mut mismatches = cmp.mismatches.clone();
+    mismatches.sort();
+    assert_eq!(
+        mismatches,
+        [
+            "/proj/run2/d.dat",
+            "/proj/run2/deep/e.dat",
+            "/proj/run2/deep/empty"
+        ]
+    );
+    assert!(cmp.stats.errors.is_empty(), "{:?}", cmp.stats.errors);
+    assert_eq!(cmp.stats.files as usize, files);
+}
+
+/// A regular file where pfcm expects a destination directory: each file
+/// below it is an error naming its source path and its destination.
+#[test]
+fn pfcm_reports_files_under_a_destination_directory_that_is_a_file() {
+    let r = rig();
+    let (files, _) = populate_tree(&r.scratch.pfs);
+    pfcp(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    r.archive
+        .pfs
+        .rename("/arch/proj/run1", "/arch/moved")
+        .unwrap();
+    r.archive
+        .pfs
+        .create_file("/arch/proj/run1", 0, Content::synthetic(7, 10))
+        .unwrap();
+    let cmp = pfcm(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    assert!(cmp.mismatches.is_empty(), "{:?}", cmp.mismatches);
+    let expected: Vec<(String, String)> = ["b.dat", "c.dat"]
+        .iter()
+        .map(|name| {
+            (
+                format!("/proj/run1/{name}"),
+                format!("/proj/run1/{name}: not a directory: /arch/proj/run1/{name}"),
+            )
+        })
+        .collect();
+    assert_eq!(errors_of(&cmp.stats), expected);
+    assert_eq!(cmp.stats.files as usize, files);
+}
+
+/// pfcp cannot mirror a directory whose destination name a regular file
+/// holds: the directory and each file below it are errors naming their
+/// destination paths, and the rest of the tree still copies.
+#[test]
+fn pfcp_names_the_destination_when_a_file_holds_a_directory_name() {
+    let r = rig();
+    let (files, _) = populate_tree(&r.scratch.pfs);
+    r.archive.pfs.mkdir_p("/arch/proj").unwrap();
+    r.archive
+        .pfs
+        .create_file("/arch/proj/run1", 0, Content::synthetic(7, 10))
+        .unwrap();
+    let copy = pfcp(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    let expected: Vec<(String, String)> = ["", "/b.dat", "/c.dat"]
+        .iter()
+        .map(|rest| {
+            let path = format!("/arch/proj/run1{rest}");
+            let msg = format!("not a directory: {path}");
+            (path, msg)
+        })
+        .collect();
+    assert_eq!(errors_of(&copy.stats), expected);
+    assert_eq!(copy.stats.files as usize, files);
+    let cmp = pfcm(
+        &r.scratch,
+        "/proj/run2",
+        &r.archive,
+        "/arch/proj/run2",
+        &cfg(),
+        &[],
+    );
+    assert!(
+        cmp.identical(),
+        "{:?} / {:?}",
+        cmp.mismatches,
+        cmp.stats.errors
+    );
+}
+
+/// Mismatch lines and copy errors name the full source path of the file.
+#[test]
+fn mismatch_lines_and_copy_errors_carry_the_full_source_path() {
+    let r = rig();
+    populate_tree(&r.scratch.pfs);
+    pfcp(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    let ino = r.archive.pfs.resolve("/arch/proj/run2/deep/e.dat").unwrap();
+    r.archive
+        .pfs
+        .write_at(ino, 0, Content::literal(&b"XY"[..]))
+        .unwrap();
+    let cmp = pfcm(&r.scratch, "/proj", &r.archive, "/arch/proj", &cfg(), &[]);
+    assert_eq!(cmp.mismatches, ["/proj/run2/deep/e.dat"]);
+    assert!(cmp.stats.errors.is_empty(), "{:?}", cmp.stats.errors);
+
+    // Copying a tree onto itself truncates each destination, which is its
+    // own source, before the copy reads it: every non-empty file's copy
+    // fails, and the error starts with the file's source path.
+    let copy = pfcp(&r.scratch, "/proj", &r.scratch, "/proj", &cfg(), &[]);
+    let mut failed: Vec<&str> = copy
+        .stats
+        .errors
+        .iter()
+        .map(|(_, msg)| msg.split(": ").next().unwrap())
+        .collect();
+    failed.sort();
+    assert_eq!(
+        failed,
+        [
+            "/proj/a.dat",
+            "/proj/run1/b.dat",
+            "/proj/run1/c.dat",
+            "/proj/run2/d.dat",
+            "/proj/run2/deep/e.dat"
+        ]
+    );
+    assert!(
+        copy.stats
+            .errors
+            .iter()
+            .all(|(_, msg)| msg.contains("invalid range")),
+        "{:?}",
+        copy.stats.errors
+    );
 }

@@ -295,6 +295,32 @@ impl Shards {
         }
     }
 
+    /// Absolute path of a live inode, by chasing parent edges.
+    fn path_of(&self, ino: Ino) -> FsResult<String> {
+        let mut node = self.get(ino).ok_or(FsError::StaleInode(ino))?;
+        let mut names = Vec::new();
+        while let Some(parent) = node.parent {
+            names.push(node.name.as_str());
+            node = self.get(parent).expect("ancestor of a live inode");
+        }
+        if names.is_empty() {
+            return Ok("/".to_string());
+        }
+        Ok(names.iter().rev().fold(String::new(), |mut path, name| {
+            path.push('/');
+            path.push_str(name);
+            path
+        }))
+    }
+
+    /// The path `name` has (or would have) in `parent`, for errors.
+    fn child_path(&self, parent: Ino, name: &str) -> String {
+        match self.path_of(parent) {
+            Ok(dir) => join(&dir, name),
+            Err(_) => format!("{parent}/{name}"),
+        }
+    }
+
     /// Unbind `parent[name]` (bound to `target`) and drop `target`'s node.
     fn detach(&mut self, parent: Ino, name: &str, target: Ino, now: SimInstant) -> Node {
         let pnode = self.get_mut(parent).expect("bound above");
@@ -329,6 +355,15 @@ impl ResolveCache {
         }
         g.insert(path.into_owned(), (epoch, ino));
     }
+}
+
+/// Reject what cannot be one path component: an empty name, `.`, `..`,
+/// or a name containing `/`.
+fn check_name(name: &str) -> FsResult<()> {
+    if name.is_empty() || name == "." || name == ".." || name.contains('/') {
+        return Err(FsError::InvalidPath(name.to_string()));
+    }
+    Ok(())
 }
 
 // ----- the file system ----------------------------------------------------
@@ -447,21 +482,22 @@ impl Vfs {
     /// Reconstruct the absolute path of a live inode by chasing parent
     /// edges.
     pub fn path_of(&self, ino: Ino) -> FsResult<String> {
+        self.shared.nodes.read().path_of(ino)
+    }
+
+    /// The inode bound to `name` in directory `parent`. Errors name the
+    /// path `name` would have, built only when the lookup fails.
+    pub fn lookup(&self, parent: Ino, name: &str) -> FsResult<Ino> {
+        check_name(name)?;
         let g = self.shared.nodes.read();
-        let mut node = g.get(ino).ok_or(FsError::StaleInode(ino))?;
-        let mut names = Vec::new();
-        while let Some(parent) = node.parent {
-            names.push(node.name.as_str());
-            node = g.get(parent).expect("ancestor of a live inode");
+        let node = g.get(parent).ok_or(FsError::StaleInode(parent))?;
+        match &node.kind {
+            NodeKind::Dir { entries } => entries
+                .get(name)
+                .copied()
+                .ok_or_else(|| FsError::NotFound(g.child_path(parent, name))),
+            NodeKind::File { .. } => Err(FsError::NotADirectory(g.child_path(parent, name))),
         }
-        if names.is_empty() {
-            return Ok("/".to_string());
-        }
-        Ok(names.iter().rev().fold(String::new(), |mut path, name| {
-            path.push('/');
-            path.push_str(name);
-            path
-        }))
     }
 
     // ----- directory ops ------------------------------------------------
@@ -469,13 +505,20 @@ impl Vfs {
     /// Create a single directory; parent must exist.
     pub fn mkdir(&self, path: &str) -> FsResult<Ino> {
         let (parent, name) = parent_and_name(path)?;
-        let now = self.now();
         let parent_ino = self.resolve(&parent)?;
-        let dir = NodeKind::Dir {
+        self.insert_child(parent_ino, &name, Some(path), 0, Self::new_dir())
+    }
+
+    /// Create directory `name` in directory `parent`.
+    pub fn mkdir_in(&self, parent: Ino, name: &str) -> FsResult<Ino> {
+        check_name(name)?;
+        self.insert_child(parent, name, None, 0, Self::new_dir())
+    }
+
+    fn new_dir() -> NodeKind {
+        NodeKind::Dir {
             entries: BTreeMap::new(),
-        };
-        let node = Node::new(Some(parent_ino), name.clone(), 0, now, dir);
-        self.insert_child(parent_ino, &name, path, node)
+        }
     }
 
     /// Create a directory and any missing ancestors. Tolerates concurrent
@@ -505,33 +548,38 @@ impl Vfs {
         Ok(ino)
     }
 
-    /// Link `node` into `parent_ino` under `name`. Takes the write lock,
-    /// then allocates the ino from the counter, so a create that fails
-    /// (the name exists, the parent is gone) consumes no inode number.
+    /// Link a new `kind` node, owned by `uid`, into `parent_ino` under
+    /// `name`. Takes the write lock, then allocates the ino from the
+    /// counter, so a create that fails (the name exists, the parent is
+    /// gone) consumes no inode number. Errors name `full_path`, or the
+    /// path built from the parent when the caller has none.
     fn insert_child(
         &self,
         parent_ino: Ino,
         name: &str,
-        full_path: &str,
-        node: Node,
+        full_path: Option<&str>,
+        uid: u32,
+        kind: NodeKind,
     ) -> FsResult<Ino> {
-        let ctime = node.ctime;
+        let now = self.now();
         let mut g = self.shared.nodes.write();
-        let parent = g
-            .get_mut(parent_ino)
-            .ok_or(FsError::StaleInode(parent_ino))?;
-        let ino = match &mut parent.kind {
-            NodeKind::Dir { entries } => {
-                if entries.contains_key(name) {
-                    return Err(FsError::AlreadyExists(full_path.to_string()));
-                }
-                let ino = Ino(self.shared.next_ino.fetch_add(1, Ordering::Relaxed));
-                entries.insert(name.to_string(), ino);
-                ino
-            }
-            NodeKind::File { .. } => return Err(FsError::NotADirectory(full_path.to_string())),
+        let parent = g.get(parent_ino).ok_or(FsError::StaleInode(parent_ino))?;
+        let refused: Option<fn(String) -> FsError> = match &parent.kind {
+            NodeKind::Dir { entries } if entries.contains_key(name) => Some(FsError::AlreadyExists),
+            NodeKind::Dir { .. } => None,
+            NodeKind::File { .. } => Some(FsError::NotADirectory),
         };
-        parent.mtime = ctime;
+        if let Some(error) = refused {
+            let path = full_path.map_or_else(|| g.child_path(parent_ino, name), str::to_string);
+            return Err(error(path));
+        }
+        let ino = Ino(self.shared.next_ino.fetch_add(1, Ordering::Relaxed));
+        let parent = g.get_mut(parent_ino).expect("checked above");
+        if let NodeKind::Dir { entries } = &mut parent.kind {
+            entries.insert(name.to_string(), ino);
+        }
+        parent.mtime = now;
+        let node = Node::new(Some(parent_ino), name.to_string(), uid, now, kind);
         g.insert(ino, node);
         Ok(ino)
     }
@@ -580,16 +628,16 @@ impl Vfs {
     /// Create a new file with the given content; fails if the path exists.
     pub fn create(&self, path: &str, uid: u32, content: Content) -> FsResult<Ino> {
         let (parent, name) = parent_and_name(path)?;
-        let now = self.now();
         let parent_ino = self.resolve(&parent)?;
-        let node = Node::new(
-            Some(parent_ino),
-            name.clone(),
-            uid,
-            now,
-            NodeKind::File { content },
-        );
-        self.insert_child(parent_ino, &name, path, node)
+        let file = NodeKind::File { content };
+        self.insert_child(parent_ino, &name, Some(path), uid, file)
+    }
+
+    /// Create file `name` in directory `parent`; fails if the name is
+    /// taken. Errors name the path the file would have had.
+    pub fn create_in(&self, parent: Ino, name: &str, uid: u32, content: Content) -> FsResult<Ino> {
+        check_name(name)?;
+        self.insert_child(parent, name, None, uid, NodeKind::File { content })
     }
 
     /// Create or fully replace a file's content (open(O_TRUNC)+write+close).
@@ -989,6 +1037,64 @@ mod tests {
             Err(FsError::NotADirectory(_))
         ));
         let b = v.create("/b", 0, Content::empty()).unwrap();
+        assert_eq!(b.0, a.0 + 1);
+    }
+
+    #[test]
+    fn create_in_and_lookup_bind_names_in_a_directory() {
+        let v = fs();
+        let d = v.mkdir_p("/a/d").unwrap();
+        let f = v.create_in(d, "f", 7, Content::synthetic(1, 10)).unwrap();
+        let sub = v.mkdir_in(d, "sub").unwrap();
+        assert_eq!(v.resolve("/a/d/f").unwrap(), f);
+        assert_eq!(v.resolve("/a/d/sub").unwrap(), sub);
+        assert_eq!(v.lookup(d, "f").unwrap(), f);
+        assert_eq!(v.lookup(d, "sub").unwrap(), sub);
+        assert_eq!(v.stat_ino(f).unwrap().uid, 7);
+        assert_eq!(v.path_of(f).unwrap(), "/a/d/f");
+        assert_eq!(
+            v.lookup(d, "gone"),
+            Err(FsError::NotFound("/a/d/gone".to_string()))
+        );
+        assert_eq!(
+            v.create_in(d, "f", 0, Content::empty()),
+            Err(FsError::AlreadyExists("/a/d/f".to_string()))
+        );
+    }
+
+    #[test]
+    fn create_in_and_lookup_reject_invalid_names() {
+        let v = fs();
+        let d = v.mkdir_p("/d").unwrap();
+        for name in ["", ".", "..", "a/b", "/x"] {
+            let invalid = Err(FsError::InvalidPath(name.to_string()));
+            assert_eq!(v.create_in(d, name, 0, Content::empty()), invalid);
+            assert_eq!(v.mkdir_in(d, name), invalid);
+            assert_eq!(v.lookup(d, name), invalid);
+        }
+        assert_eq!(v.readdir("/d").unwrap(), vec![]);
+    }
+
+    #[test]
+    fn create_in_and_lookup_under_a_regular_file_are_not_a_directory() {
+        let v = fs();
+        let f = v.create("/f", 0, Content::empty()).unwrap();
+        let nad = Err(FsError::NotADirectory("/f/x".to_string()));
+        assert_eq!(v.create_in(f, "x", 0, Content::empty()), nad);
+        assert_eq!(v.mkdir_in(f, "x"), nad);
+        assert_eq!(v.lookup(f, "x"), nad);
+    }
+
+    #[test]
+    fn failed_create_in_consumes_no_inode_number() {
+        let v = fs();
+        let d = v.mkdir("/d").unwrap();
+        let a = v.create_in(d, "a", 0, Content::empty()).unwrap();
+        assert!(v.create_in(d, "a", 0, Content::empty()).is_err());
+        assert!(v.create_in(a, "b", 0, Content::empty()).is_err());
+        assert!(v.create_in(d, "..", 0, Content::empty()).is_err());
+        assert!(v.mkdir_in(d, "a").is_err());
+        let b = v.create_in(d, "b", 0, Content::empty()).unwrap();
         assert_eq!(b.0, a.0 + 1);
     }
 

@@ -27,7 +27,8 @@
 //!
 //! A classic inode table + directory tree with POSIX-ish operations:
 //! `mkdir_p`, `create`, `read`, `write`, `truncate`, `unlink`, `rename`,
-//! `readdir`, `stat`, extended attributes, and a recursive walker. All
+//! `readdir`, `stat`, extended attributes, and a recursive walker, plus
+//! `create_in`, `mkdir_in` and `lookup` by (directory inode, name). All
 //! timestamps are simulated ([`copra_simtime::SimInstant`]). Every inode
 //! also carries its DMAPI [`ManagedRegion`] (HSM state, tape object id,
 //! stub size) as typed fields.

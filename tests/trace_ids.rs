@@ -5,12 +5,15 @@
 //! submitted twice) collides with an earlier root, and the phase table
 //! merges the children of both. These runs repeat exactly those values —
 //! equal-sized waves, one scan width, a few files recalled many times —
-//! and must still record no duplicate id.
+//! and must still record no duplicate id. PFTool keys its per-file spans
+//! by inode and offset, so a copy and a compare of the same tree, with
+//! files split into chunks at several offsets, must not collide either.
 
 use copra::cluster::NodeId;
 use copra::core::{migrate_candidates, ArchiveSystem, MigrationPolicy, SyncDeleter, SystemConfig};
 use copra::hsm::{DataPath, RecallPolicy, RecallRequest};
 use copra::pfs::{Cmp, HsmState, PolicyEngine, Predicate, Rule};
+use copra::pftool::PftoolConfig;
 use copra::simtime::{DataSize, SimDuration, SimInstant};
 use copra::stager::{MigrateRequest, StagerConfig};
 use copra::trace::Tracer;
@@ -123,5 +126,58 @@ fn traced_stager_storm_records_no_duplicate_span_ids() {
     let report = tracer.report().unwrap();
     assert_eq!(report.spans_named("stager.submit").count(), 60);
     assert!(report.spans_named("stager.dispatch").count() >= 6);
+    assert_eq!(report.duplicate_ids(), 0);
+}
+
+#[test]
+fn traced_pfcp_pfcm_record_no_duplicate_span_ids() {
+    let tracer = Tracer::armed(13);
+    let sys = ArchiveSystem::new(SystemConfig::test_small().with_tracer(tracer.clone()));
+    let config = PftoolConfig::test_small();
+    let scratch = sys.scratch();
+    scratch.mkdir_p("/camp/a/deep").unwrap();
+    scratch.mkdir_p("/camp/b").unwrap();
+    let mut files = vec![
+        // Above the parallel-copy threshold: copies and compares at
+        // several offsets of one file.
+        (
+            "/camp/a/big".to_string(),
+            config.parallel_copy_threshold.as_bytes() + (40 << 20),
+        ),
+        // Above the archive's fuse threshold: chunk files that all start
+        // at destination offset 0.
+        ("/camp/b/huge".to_string(), 250 << 20),
+    ];
+    for i in 0..6u64 {
+        let dir = ["/camp", "/camp/a", "/camp/a/deep"][i as usize % 3];
+        files.push((format!("{dir}/f{i}"), 4096 * (i + 1)));
+    }
+    for (i, (path, size)) in files.iter().enumerate() {
+        scratch
+            .create_file(path, 0, Content::synthetic(i as u64, *size))
+            .unwrap();
+    }
+    let copy = sys.archive_tree("/camp", "/archive/camp", &config);
+    assert!(copy.stats.ok(), "{:?}", copy.stats.errors);
+    let cmp = sys.verify_tree("/camp", "/archive/camp", &config);
+    assert!(
+        cmp.identical(),
+        "{:?} / {:?}",
+        cmp.mismatches,
+        cmp.stats.errors
+    );
+
+    let report = tracer.report().unwrap();
+    let runs: Vec<_> = report.spans_named("pftool.run").map(|s| s.id).collect();
+    assert_eq!(runs.len(), 2);
+    for run in runs {
+        let requests = report
+            .spans_named("pftool.request")
+            .filter(|s| s.parent == Some(run))
+            .count();
+        assert_eq!(requests, files.len());
+    }
+    assert!(report.spans_named("pftool.copy").count() > files.len());
+    assert!(report.spans_named("pftool.compare").count() > files.len());
     assert_eq!(report.duplicate_ids(), 0);
 }
