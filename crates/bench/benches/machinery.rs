@@ -7,7 +7,8 @@
 //! (the reason the paper exported TSM's DB to MySQL, §4.2.5), the catalog
 //! export itself (full and incremental), the TapeCQ ordering structure,
 //! migrator partitioning, timeline reservations behind a full backfill gap
-//! list, and a small end-to-end `pfcp`.
+//! list, stager picks and evictions behind a long history, and a small
+//! end-to-end `pfcp`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -21,6 +22,7 @@ use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
 use copra_pftool::queues::{Entry, TapeEntry, TapeQueues, WalkDir};
 use copra_pftool::PftoolConfig;
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant, Timeline, TimelinePool};
+use copra_stager::{FairShareQueue, QueuedRecall, RecallRequest, StagerPool};
 use copra_tape::{TapeAddress, TapeId, TapeLibrary, TapeTiming};
 use copra_vfs::{Content, Ino};
 use copra_workloads::{mixed_tree, populate};
@@ -271,6 +273,55 @@ fn bench_timeline_backfill(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_stager_history(c: &mut Criterion) {
+    let mut g = c.benchmark_group("stager_history");
+    g.sample_size(10);
+    // One request pushed and picked after 100k users were served through
+    // cache hits: the pick looks only at queued users. One iteration is
+    // 1,000 ops: ms/iter reads as µs/op.
+    let mut q = FairShareQueue::new();
+    for user in 0..100_000u32 {
+        q.charge_served(user, user % 8, 1 << 20);
+    }
+    let aging = SimDuration::from_secs(60);
+    let mut seq_no = 0u64;
+    g.bench_function("push_select_after_100k_charged_users_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                seq_no += 1;
+                let user = (seq_no % 100_000) as u32;
+                q.push(QueuedRecall {
+                    seq_no,
+                    request: RecallRequest::new("/f").user(user).group(user % 8),
+                    ino: Ino(seq_no),
+                    bytes: 1 << 20,
+                    tape: TapeId(0),
+                    tape_seq: 0,
+                    submitted: SimInstant::EPOCH,
+                    ctx: None,
+                });
+                black_box(q.select_round(SimInstant::EPOCH, aging, 1));
+            }
+        })
+    });
+    // A fresh insert into a full pool of 10k unpinned entries evicts the
+    // least recently used one.
+    let mut pool = StagerPool::new(10_000);
+    for ino in 0..10_000 {
+        pool.insert(Ino(ino), 1, false).unwrap();
+    }
+    let mut next = 10_000u64;
+    g.bench_function("insert_evict_10k_pool_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                next += 1;
+                black_box(pool.insert(Ino(next), 1, false).unwrap());
+            }
+        })
+    });
+    g.finish();
+}
+
 fn bench_pfcp_e2e(c: &mut Criterion) {
     let mut g = c.benchmark_group("pfcp_e2e");
     g.sample_size(10);
@@ -299,6 +350,7 @@ criterion_group!(
     bench_tape_queues,
     bench_migrator_partition,
     bench_timeline_backfill,
+    bench_stager_history,
     bench_pfcp_e2e
 );
 criterion_main!(benches);

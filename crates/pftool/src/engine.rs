@@ -190,6 +190,7 @@ impl Engine<'_> {
                 ..RunStats::default()
             },
             lines: Vec::new(),
+            mismatched: rustc_hash::FxHashSet::default(),
             watchdog: WatchDog::new(self.config, run_start),
             aborted: false,
             pending_chunks: rustc_hash::FxHashMap::default(),
@@ -284,10 +285,10 @@ impl Engine<'_> {
                 let key = job.src.ino.0 ^ job.offset;
                 let guard = tracer.span(job.ctx, "pftool.compare", key, job.ready);
                 match self.exec_compare(&job, node) {
-                    Ok((equal, end)) => {
+                    Ok((equal, bytes, end)) => {
                         copra_trace::finish_opt(guard, end);
                         *pipeline_free = end;
-                        (end, Outcome::Compare(job.src.ino, Ok((equal, job.len))))
+                        (end, Outcome::Compare(job.src.ino, Ok((equal, bytes))))
                     }
                     Err(e) => {
                         let err = format!("{}: {e}", self.src_path(job.src.ino));
@@ -407,11 +408,13 @@ impl Engine<'_> {
         }
     }
 
-    fn exec_compare(&self, job: &CompareJob, node: NodeId) -> FsResult<(bool, SimInstant)> {
+    /// Compare one piece: (equal, bytes compared, end). A missing
+    /// destination compares no bytes.
+    fn exec_compare(&self, job: &CompareJob, node: NodeId) -> FsResult<(bool, u64, SimInstant)> {
         let dst = self.dst.expect("compare without destination view");
         let a = Self::read_side(self.src, &job.src, job.offset, job.len)?;
         let Some(dst_side) = &job.dst else {
-            return Ok((false, job.ready));
+            return Ok((false, 0, job.ready));
         };
         let b = Self::read_side(dst, dst_side, job.offset, job.len)?;
         let len = DataSize::from_bytes(job.len);
@@ -421,7 +424,7 @@ impl Engine<'_> {
         let r2 = self.src.cluster.charge_network(node, r1.end, len);
         let r3 = dst.pfs.charge_read(dst_side.ino, job.ready, len);
         let end = r2.end.max(r3.end);
-        Ok((a.eq_content(&b), end))
+        Ok((a.eq_content(&b), job.len, end))
     }
 
     // ================= TapeProc =================
@@ -515,6 +518,9 @@ struct Manager<'e, 'a> {
     stats: RunStats,
     /// OutPutProc: the run's output lines, in commit order.
     lines: Vec<String>,
+    /// Source inodes pfcm has listed: a file compared in several pieces
+    /// is listed once, however many of them differ.
+    mismatched: rustc_hash::FxHashSet<Ino>,
     watchdog: WatchDog,
     aborted: bool,
     /// Logical fuse files waiting on chunk restores, by chunk-directory
@@ -864,7 +870,7 @@ impl Manager<'_, '_> {
             Outcome::Compare(src, Ok((equal, bytes))) => {
                 self.stats.bytes += bytes;
                 self.stats.sim_end = self.stats.sim_end.max(end);
-                if !equal {
+                if !equal && self.mismatched.insert(src) {
                     self.lines.push(self.engine.src_path(src));
                 }
             }

@@ -990,3 +990,33 @@ fn mismatch_lines_and_copy_errors_carry_the_full_source_path() {
         copy.stats.errors
     );
 }
+
+/// pfcm lists a file compared in several pieces once, however many of its
+/// pieces differ, and counts no bytes for a destination that is missing.
+#[test]
+fn pfcm_lists_a_chunk_compared_file_once() {
+    let r = rig();
+    r.scratch.pfs.mkdir_p("/t").unwrap();
+    // 100 MB with a 64 MB threshold and 16 MB chunks → 7 compare pieces.
+    r.scratch
+        .pfs
+        .create_file("/t/big", 0, Content::synthetic(9, 100_000_000))
+        .unwrap();
+    let copy = pfcp(&r.scratch, "/t", &r.archive, "/dst", &cfg(), &[]);
+    assert!(copy.stats.ok(), "{:?}", copy.stats.errors);
+
+    r.archive.pfs.unlink("/dst/big").unwrap();
+    let cmp = pfcm(&r.scratch, "/t", &r.archive, "/dst", &cfg(), &[]);
+    assert_eq!(cmp.mismatches, ["/t/big"]);
+    assert!(cmp.stats.errors.is_empty(), "{:?}", cmp.stats.errors);
+    assert_eq!(cmp.stats.bytes, 0);
+
+    r.archive
+        .pfs
+        .create_file("/dst/big", 0, Content::synthetic(99, 100_000_000))
+        .unwrap();
+    let cmp = pfcm(&r.scratch, "/t", &r.archive, "/dst", &cfg(), &[]);
+    assert_eq!(cmp.mismatches, ["/t/big"]);
+    assert!(cmp.stats.errors.is_empty(), "{:?}", cmp.stats.errors);
+    assert_eq!(cmp.stats.bytes, 100_000_000);
+}

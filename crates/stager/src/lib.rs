@@ -33,3 +33,16 @@ pub use cache::{PoolReject, StagerPool};
 pub use queue::{FairShareQueue, QueuedRecall};
 pub use request::{MigrateRequest, Priority, RecallRequest};
 pub use stager::{DispatchReport, RecallCompletion, SchedulerMode, Stager, StagerConfig};
+
+/// A seeded splitmix64 stream for the randomized reference-model tests.
+#[cfg(test)]
+pub(crate) struct TestRng(pub u64);
+
+#[cfg(test)]
+impl TestRng {
+    /// A draw in `0..n`.
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        copra_trace::splitmix64(self.0) % n
+    }
+}

@@ -14,6 +14,11 @@
 //! over `(effective priority desc, group served asc, user served asc,
 //! user id asc, arrival seq asc)`, so hash-map iteration order can never
 //! leak into the schedule.
+//!
+//! A pick looks only at the lanes that hold queued requests: an ordered
+//! index of those users is kept by `push` and by the pop that empties a
+//! lane. So a pick costs O(queued users), however many users were served
+//! before; their served-bytes accounting stays in the lanes regardless.
 
 use crate::request::{Priority, RecallRequest};
 use copra_simtime::{SimDuration, SimInstant};
@@ -21,7 +26,7 @@ use copra_tape::TapeId;
 use copra_trace::SpanContext;
 use copra_vfs::Ino;
 use rustc_hash::FxHashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// The full deterministic selection order: effective priority (desc),
 /// group served bytes, user served bytes, user id, arrival seq.
@@ -69,8 +74,13 @@ struct UserLane {
 /// accounting per user and per group.
 #[derive(Debug, Default)]
 pub struct FairShareQueue {
+    /// Every user ever pushed or charged, queued or not: the served-bytes
+    /// accounting outlives the user's requests.
     lanes: FxHashMap<u32, UserLane>,
     group_served: FxHashMap<u32, u64>,
+    /// The users whose lane holds queued requests — the only lanes a pick
+    /// has to look at.
+    queued: BTreeSet<u32>,
     len: usize,
 }
 
@@ -90,16 +100,15 @@ impl FairShareQueue {
 
     /// Users with at least one parked request.
     pub fn active_users(&self) -> usize {
-        self.lanes
-            .values()
-            .filter(|l| !l.pending.is_empty())
-            .count()
+        self.queued.len()
     }
 
     pub fn push(&mut self, item: QueuedRecall) {
-        let lane = self.lanes.entry(item.request.user).or_default();
+        let user = item.request.user;
+        let lane = self.lanes.entry(user).or_default();
         lane.group = item.request.group;
         lane.pending.push_back(item);
+        self.queued.insert(user);
         self.len += 1;
     }
 
@@ -135,10 +144,9 @@ impl FairShareQueue {
         let mut picked = Vec::new();
         while picked.len() < max {
             let mut best: Option<(u32, SelectKey)> = None;
-            for (&user, lane) in &self.lanes {
-                let Some(head) = lane.pending.front() else {
-                    continue;
-                };
+            for &user in &self.queued {
+                let lane = &self.lanes[&user];
+                let head = lane.pending.front().expect("queued lane holds a request");
                 let key = (
                     std::cmp::Reverse(head.effective_priority(now, aging_step)),
                     self.group_served.get(&lane.group).copied().unwrap_or(0),
@@ -151,12 +159,7 @@ impl FairShareQueue {
                 }
             }
             let Some((user, _)) = best else { break };
-            let lane = self.lanes.get_mut(&user).expect("winning lane exists");
-            let item = lane.pending.pop_front().expect("winning head exists");
-            lane.served_bytes += item.bytes;
-            *self.group_served.entry(lane.group).or_default() += item.bytes;
-            self.len -= 1;
-            picked.push(item);
+            picked.push(self.take(user));
         }
         picked
     }
@@ -168,22 +171,34 @@ impl FairShareQueue {
         let mut picked = Vec::new();
         while picked.len() < max {
             let Some(user) = self
-                .lanes
+                .queued
                 .iter()
-                .filter_map(|(&u, l)| l.pending.front().map(|h| (h.seq_no, u)))
+                .map(|&u| (self.lanes[&u].pending[0].seq_no, u))
                 .min()
                 .map(|(_, u)| u)
             else {
                 break;
             };
-            let lane = self.lanes.get_mut(&user).expect("winning lane exists");
-            let item = lane.pending.pop_front().expect("winning head exists");
-            lane.served_bytes += item.bytes;
-            *self.group_served.entry(lane.group).or_default() += item.bytes;
-            self.len -= 1;
-            picked.push(item);
+            picked.push(self.take(user));
         }
         picked
+    }
+
+    /// Pop the head of `user`'s queued lane and charge its bytes; a lane
+    /// left empty leaves the queued index.
+    fn take(&mut self, user: u32) -> QueuedRecall {
+        let lane = self.lanes.get_mut(&user).expect("queued lane exists");
+        let item = lane
+            .pending
+            .pop_front()
+            .expect("queued lane holds a request");
+        lane.served_bytes += item.bytes;
+        *self.group_served.entry(lane.group).or_default() += item.bytes;
+        if lane.pending.is_empty() {
+            self.queued.remove(&user);
+        }
+        self.len -= 1;
+        item
     }
 }
 
@@ -271,5 +286,145 @@ mod tests {
         let seqs: Vec<u64> = round.iter().map(|i| i.seq_no).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert!(q.is_empty());
+    }
+
+    /// The full-scan scheduler the queue must agree with: every lane ever
+    /// seen, its head keyed by the same order, no queued index.
+    #[derive(Default)]
+    struct Reference {
+        lanes: std::collections::BTreeMap<u32, (u32, VecDeque<QueuedRecall>, u64)>,
+        group_served: FxHashMap<u32, u64>,
+    }
+
+    impl Reference {
+        fn push(&mut self, item: QueuedRecall) {
+            let lane = self.lanes.entry(item.request.user).or_default();
+            lane.0 = item.request.group;
+            lane.1.push_back(item);
+        }
+
+        fn charge_served(&mut self, user: u32, group: u32, bytes: u64) {
+            let lane = self.lanes.entry(user).or_default();
+            lane.0 = group;
+            lane.2 += bytes;
+            *self.group_served.entry(group).or_default() += bytes;
+        }
+
+        /// Pop the lane whose head has the least `key` until `max` are
+        /// picked or every lane is empty.
+        fn select<K: Ord>(
+            &mut self,
+            key: impl Fn(&Self, u32) -> Option<K>,
+            max: usize,
+        ) -> Vec<u64> {
+            let mut picked = Vec::new();
+            while picked.len() < max {
+                let Some((_, user)) = self
+                    .lanes
+                    .keys()
+                    .filter_map(|&u| Some((key(self, u)?, u)))
+                    .min()
+                else {
+                    break;
+                };
+                let lane = self.lanes.get_mut(&user).unwrap();
+                let item = lane.1.pop_front().unwrap();
+                lane.2 += item.bytes;
+                *self.group_served.entry(lane.0).or_default() += item.bytes;
+                picked.push(item.seq_no);
+            }
+            picked
+        }
+
+        fn select_round(
+            &mut self,
+            now: SimInstant,
+            aging_step: SimDuration,
+            max: usize,
+        ) -> Vec<u64> {
+            let key = |r: &Self, user: u32| {
+                let (group, pending, served) = &r.lanes[&user];
+                let head = pending.front()?;
+                Some((
+                    std::cmp::Reverse(head.effective_priority(now, aging_step)),
+                    r.group_served.get(group).copied().unwrap_or(0),
+                    *served,
+                    user,
+                    head.seq_no,
+                ))
+            };
+            self.select(key, max)
+        }
+
+        fn select_fifo(&mut self, max: usize) -> Vec<u64> {
+            self.select(|r, user| Some(r.lanes[&user].1.front()?.seq_no), max)
+        }
+
+        fn active_users(&self) -> usize {
+            self.lanes.values().filter(|l| !l.1.is_empty()).count()
+        }
+    }
+
+    #[test]
+    fn picks_match_a_full_scan_reference() {
+        const PRIOS: [Priority; 4] = [
+            Priority::Batch,
+            Priority::Normal,
+            Priority::High,
+            Priority::Urgent,
+        ];
+        let aging = SimDuration::from_secs(60);
+        for seed in 0..8 {
+            let mut rng = crate::TestRng(seed);
+            let (mut q, mut r) = (FairShareQueue::new(), Reference::default());
+            let (mut seq, mut now) = (0u64, 0u64);
+            for step in 0..4_000 {
+                // Alternate filling and draining spells, so lanes both pile
+                // up and empty out.
+                let filling = step / 500 % 2 == 0;
+                let user = rng.below(200) as u32;
+                // Mostly a fixed group per user, sometimes a move.
+                let group = if rng.below(10) == 0 {
+                    rng.below(4)
+                } else {
+                    user as u64 % 4
+                } as u32;
+                now += rng.below(30);
+                match rng.below(10) + if filling { 0 } else { 3 } {
+                    0..=5 => {
+                        let prio = PRIOS[rng.below(4) as usize];
+                        let mut it = item(seq, user, group, prio, 1 + rng.below(1 << 20));
+                        it.submitted = SimInstant::EPOCH + SimDuration::from_secs(now);
+                        seq += 1;
+                        q.push(it.clone());
+                        r.push(it);
+                    }
+                    6..=7 => {
+                        let bytes = rng.below(1 << 22);
+                        q.charge_served(user, group, bytes);
+                        r.charge_served(user, group, bytes);
+                    }
+                    8..=10 => {
+                        // A pick may land well after the submits it sees.
+                        let at = SimInstant::EPOCH + SimDuration::from_secs(now + rng.below(1_200));
+                        let max = rng.below(4) as usize;
+                        let got: Vec<u64> = q
+                            .select_round(at, aging, max)
+                            .iter()
+                            .map(|i| i.seq_no)
+                            .collect();
+                        assert_eq!(got, r.select_round(at, aging, max), "seed {seed}");
+                    }
+                    _ => {
+                        let max = rng.below(4) as usize;
+                        let got: Vec<u64> = q.select_fifo(max).iter().map(|i| i.seq_no).collect();
+                        assert_eq!(got, r.select_fifo(max), "seed {seed}");
+                    }
+                }
+                assert_eq!(q.active_users(), r.active_users());
+                assert_eq!(q.len(), r.lanes.values().map(|l| l.1.len()).sum::<usize>());
+                assert_eq!(q.served_bytes(user), r.lanes.get(&user).map_or(0, |l| l.2));
+            }
+        }
     }
 }
