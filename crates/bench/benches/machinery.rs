@@ -62,24 +62,33 @@ fn scan_fixture(files: usize) -> Pfs {
     pfs
 }
 
+/// `ilm_scan` lists aged files and excludes `*.tmp` by name, so it builds
+/// every file's path and most files match. `ilm_scan_in_pool` is a GPFS
+/// `FROM POOL ... WHERE FILE_SIZE >= 10 MB` rule: it reads no path, tests
+/// every file's pool first, and matches about 1 % of the files, so the
+/// per-inode pool read is a visible share of its cost.
 fn bench_policy_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("policy_scan");
     g.sample_size(10);
-    let engine = PolicyEngine::new(vec![
+    let aged = Predicate::MtimeAge(Cmp::Ge, SimDuration::from_secs(60))
+        .and(Predicate::SizeBytes(Cmp::Lt, 100_000_000));
+    let ilm = PolicyEngine::new(vec![
         Rule::exclude("tmp", Predicate::NameMatches("*.tmp".to_string())),
-        Rule::list(
-            "aged",
-            "candidates",
-            Predicate::MtimeAge(Cmp::Ge, SimDuration::from_secs(60))
-                .and(Predicate::SizeBytes(Cmp::Lt, 100_000_000)),
-        ),
+        Rule::list("aged", "candidates", aged),
     ]);
+    let in_pool = PolicyEngine::new(vec![Rule::list(
+        "big",
+        "candidates",
+        Predicate::InPool("scratch".to_string()).and(Predicate::SizeBytes(Cmp::Ge, 10_000_000)),
+    )]);
     for files in [10_000usize, 100_000] {
         let pfs = scan_fixture(files);
         g.throughput(Throughput::Elements(files as u64));
-        g.bench_with_input(BenchmarkId::new("ilm_scan", files), &pfs, |b, pfs| {
-            b.iter(|| black_box(pfs.run_policy(&engine).scanned))
-        });
+        for (name, engine) in [("ilm_scan", &ilm), ("ilm_scan_in_pool", &in_pool)] {
+            g.bench_with_input(BenchmarkId::new(name, files), &pfs, |b, pfs| {
+                b.iter(|| black_box(pfs.run_policy(engine).scanned))
+            });
+        }
     }
     g.finish();
 }

@@ -63,35 +63,36 @@ fn physical_cores() -> usize {
 }
 
 /// Wall-clock exclusive-time breakdown of the record phase at one thread
-/// count: the `pfs.scan_records` root is keyed by the thread count, so
-/// its subtree is exactly that run's shard scans. The two timing passes
-/// share deterministic span ids; keep the faster occurrence of each id
-/// (matching the best-of-two timing the table reports).
+/// count. Scan roots are keyed by the trace's root sequence, so the
+/// `pfs.scan_records` roots in key order are the two timing passes of
+/// each entry of `THREADS` in turn; keep the faster pass (matching the
+/// best-of-two timing the table reports) and its subtree.
 fn print_record_breakdown(report: &TraceReport, threads: usize) {
-    let Some(root) = report
+    let pass = THREADS
+        .iter()
+        .position(|&t| t == threads)
+        .expect("a THREADS entry");
+    let mut roots: Vec<&copra_trace::Span> = report
         .spans
         .iter()
-        .find(|s| s.name == "pfs.scan_records" && s.key == threads as u64)
+        .filter(|s| s.name == "pfs.scan_records")
+        .collect();
+    roots.sort_by_key(|s| s.key);
+    let Some(root) = roots
+        .into_iter()
+        .skip(2 * pass)
+        .take(2)
+        .min_by_key(|s| s.wall_duration_ns())
     else {
         return;
     };
-    let mut best: HashMap<u64, &copra_trace::Span> = HashMap::new();
-    for s in &report.spans {
-        best.entry(s.id.0)
-            .and_modify(|cur| {
-                if s.wall_duration_ns() < cur.wall_duration_ns() {
-                    *cur = s;
-                }
-            })
-            .or_insert(s);
-    }
     let mut kids: HashMap<u64, Vec<&copra_trace::Span>> = HashMap::new();
-    for s in best.values() {
+    for s in &report.spans {
         if let Some(p) = s.parent {
             kids.entry(p.0).or_default().push(s);
         }
     }
-    let mut subtree = vec![*best.get(&root.id.0).unwrap_or(&root)];
+    let mut subtree = vec![root];
     let mut queue = vec![root.id.0];
     while let Some(id) = queue.pop() {
         for child in kids.get(&id).into_iter().flatten() {

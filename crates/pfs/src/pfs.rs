@@ -28,9 +28,9 @@ struct PfsShared {
     pools: Vec<StoragePool>,
     pool_by_name: FxHashMap<String, PoolId>,
     placement: PolicyEngine,
-    /// Per-file pool residency (absent: the default pool). A policy scan
-    /// read-locks it once and shares the map with its threads.
-    file_pools: RwLock<FxHashMap<u64, PoolId>>,
+    /// A file's pool lives on its inode as a one-byte tag: the pool's
+    /// index XOR this pool's, so tag 0, which a file created straight
+    /// through the `Vfs` has, names this pool.
     default_pool: PoolId,
     /// The metadata service path: file create/stat/unlink transactions
     /// serialize here in simulated time. GPFS's own benchmark claim — one
@@ -93,6 +93,7 @@ impl PfsBuilder {
             self.pools.iter().any(|p| !p.external),
             "a Pfs needs at least one internal pool"
         );
+        assert!(self.pools.len() < 256, "a pool tag is one byte");
         let pools: Vec<StoragePool> = self
             .pools
             .into_iter()
@@ -115,7 +116,6 @@ impl PfsBuilder {
                 pools,
                 pool_by_name,
                 placement: PolicyEngine::new(self.placement),
-                file_pools: RwLock::default(),
                 default_pool,
                 meta,
                 tracer: RwLock::new(Tracer::disabled()),
@@ -175,16 +175,20 @@ impl Pfs {
         self.shared.pool_by_name.get(name).map(|id| self.pool(*id))
     }
 
-    /// Pool a file currently resides in.
+    /// Pool a file currently resides in (the default pool once it is gone).
     pub fn pool_of(&self, ino: Ino) -> PoolId {
-        self.pool_in(&self.shared.file_pools.read(), ino)
+        self.shared
+            .vfs
+            .inspect(ino, |inode| self.tag_pool(inode.pool))
+            .unwrap_or(self.shared.default_pool)
     }
 
-    fn pool_in(&self, file_pools: &FxHashMap<u64, PoolId>, ino: Ino) -> PoolId {
-        file_pools
-            .get(&ino.0)
-            .copied()
-            .unwrap_or(self.shared.default_pool)
+    fn tag_pool(&self, tag: u8) -> PoolId {
+        PoolId(u32::from(tag) ^ self.shared.default_pool.0)
+    }
+
+    fn pool_tag(&self, id: PoolId) -> u8 {
+        u8::try_from(id.0 ^ self.shared.default_pool.0).expect("a Pfs has under 256 pools")
     }
 
     /// Move a file's *placement* between internal pools (ILM tiering within
@@ -201,16 +205,18 @@ impl Pfs {
                 "use the HSM to migrate to external pools".to_string(),
             ));
         }
-        // A punched stub occupies no disk: tiering it moves metadata only.
-        let on_disk = self
-            .shared
-            .vfs
-            .inspect(ino, |inode| match inode.region.state {
+        let (from_tag, on_disk) = self.shared.vfs.update_region(ino, |file| {
+            let from = file.pool();
+            file.set_pool(self.pool_tag(to_id));
+            // A punched stub occupies no disk: tiering it moves metadata only.
+            let on_disk = match file.region().state {
                 HsmState::Migrated => 0,
-                _ => inode.size,
-            })?;
+                _ => file.size(),
+            };
+            Ok((from, on_disk))
+        })?;
         let size = DataSize::from_bytes(on_disk);
-        let from_id = self.pool_of(ino);
+        let from_id = self.tag_pool(from_tag);
         if from_id == to_id {
             return Ok(Reservation {
                 start: ready,
@@ -221,7 +227,6 @@ impl Pfs {
         let r_write = self.pool(to_id).charge_io(r_read.end, size);
         self.pool(from_id).account_remove(size);
         self.pool(to_id).account_add(size);
-        self.shared.file_pools.write().insert(ino.0, to_id);
         Ok(r_write)
     }
 
@@ -286,8 +291,10 @@ impl Pfs {
     /// Create a file, applying placement policy to choose its pool.
     pub fn create_file(&self, path: &str, uid: u32, content: Content) -> FsResult<Ino> {
         let size = content.len();
-        let ino = self.shared.vfs.create(path, uid, content)?;
-        self.place_new(ino, path, uid, size, size);
+        let pool = self.place(path, uid, size);
+        let tag = self.pool_tag(pool);
+        let ino = self.shared.vfs.create(path, uid, tag, content)?;
+        self.pool(pool).account_add(DataSize::from_bytes(size));
         Ok(ino)
     }
 
@@ -304,39 +311,39 @@ impl Pfs {
         content: Content,
         size_hint: u64,
     ) -> FsResult<Ino> {
-        let actual = content.len();
-        let ino = self.shared.vfs.create_in(parent, name, uid, content)?;
         let path = if self.shared.placement.reads_path() {
-            self.path_of(ino)?
+            copra_vfs::join(&self.path_of(parent)?, name)
         } else {
             String::new()
         };
-        self.place_new(ino, &path, uid, actual, size_hint);
+        let pool = self.place(&path, uid, size_hint);
+        let actual = DataSize::from_bytes(content.len());
+        let tag = self.pool_tag(pool);
+        let ino = self.shared.vfs.create_in(parent, name, uid, tag, content)?;
+        self.pool(pool).account_add(actual);
         Ok(ino)
     }
 
-    /// Put a new file of `actual` bytes in the pool the placement rules
-    /// pick for a file of `size_hint` bytes at `path`.
-    fn place_new(&self, ino: Ino, path: &str, uid: u32, actual: u64, size_hint: u64) {
+    /// The pool the placement rules pick for a new file of `size` bytes at
+    /// `path`, decided before the create. No predicate reads the ino,
+    /// which the file does not have yet.
+    fn place(&self, path: &str, uid: u32, size: u64) -> PoolId {
         let now = self.clock().now();
         let file = FileView {
             path,
-            ino,
-            size: size_hint,
+            ino: Ino(0),
+            size,
             uid,
             mtime: now,
             atime: now,
             pool: "",
             hsm: HsmState::Resident,
         };
-        let pool_id = self
-            .shared
+        self.shared
             .placement
             .place(&file, now)
             .and_then(|name| self.shared.pool_by_name.get(name).copied())
-            .unwrap_or(self.shared.default_pool);
-        self.pool(pool_id).account_add(DataSize::from_bytes(actual));
-        self.shared.file_pools.write().insert(ino.0, pool_id);
+            .unwrap_or(self.shared.default_pool)
     }
 
     /// A file's DMAPI managed-region record (HSM state, tape object ids,
@@ -431,7 +438,7 @@ impl Pfs {
     /// Apply a data change and its staleness handling in one inode write,
     /// then re-account the file's pool.
     fn mutate(&self, ino: Ino, change: impl FnOnce(&mut Content)) -> FsResult<()> {
-        let (old, new) = self.shared.vfs.update_region(ino, |file| {
+        let (old, new, pool) = self.shared.vfs.update_region(ino, |file| {
             let mut region = file.region();
             if region.state == HsmState::Migrated {
                 return Err(FsError::PermissionDenied(format!(
@@ -447,23 +454,20 @@ impl Pfs {
                 region.state = HsmState::Resident;
                 file.set_region(region);
             }
-            Ok((old, new))
+            Ok((old, new, file.pool()))
         })?;
-        self.pool(self.pool_of(ino))
+        self.pool(self.tag_pool(pool))
             .account_resize(DataSize::from_bytes(old), DataSize::from_bytes(new));
         Ok(())
     }
 
     /// Unlink, returning the final attributes (pool accounting updated).
     pub fn unlink(&self, path: &str) -> FsResult<InodeAttr> {
-        let ino = self.resolve(path)?;
-        let pool = self.pool_of(ino);
         let mut attr = self.shared.vfs.unlink(path)?;
         // Account what was on disk (nothing, for a punched stub).
-        self.pool(pool)
+        self.pool(self.tag_pool(attr.pool))
             .account_remove(DataSize::from_bytes(attr.size));
         attr.size = attr.region.logical_size(attr.size);
-        self.shared.file_pools.write().remove(&ino.0);
         Ok(attr)
     }
 
@@ -504,10 +508,10 @@ impl Pfs {
             region.state = HsmState::Migrated;
             region.stub_size = Some(size);
             file.set_region(region);
-            Ok(Some(size))
+            Ok(Some((size, file.pool())))
         })?;
-        if let Some(size) = punched {
-            self.pool(self.pool_of(ino))
+        if let Some((size, pool)) = punched {
+            self.pool(self.tag_pool(pool))
                 .account_resize(DataSize::from_bytes(size), DataSize::ZERO);
         }
         Ok(())
@@ -517,7 +521,7 @@ impl Pfs {
     /// disk and tape copies both valid).
     pub fn restore_stub(&self, ino: Ino, content: Content) -> FsResult<()> {
         let size = content.len();
-        self.shared.vfs.update_region(ino, |file| {
+        let pool = self.shared.vfs.update_region(ino, |file| {
             let region = file.region();
             if region.state != HsmState::Migrated {
                 return Err(FsError::PermissionDenied(format!(
@@ -540,9 +544,9 @@ impl Pfs {
                 stub_size: None,
                 ..region
             });
-            Ok(())
+            Ok(file.pool())
         })?;
-        self.pool(self.pool_of(ino))
+        self.pool(self.tag_pool(pool))
             .account_resize(DataSize::ZERO, DataSize::from_bytes(size));
         Ok(())
     }
@@ -582,14 +586,8 @@ impl Pfs {
 
     /// Policy-visible view of one regular file, straight from the scan's
     /// borrowed inode: the stub-size overlay and HSM state come from its
-    /// managed region, the pool from the residency map the scan read-locked
-    /// once.
-    fn view_from<'a>(
-        &'a self,
-        path: &'a str,
-        inode: &InodeView<'_>,
-        file_pools: &FxHashMap<u64, PoolId>,
-    ) -> FileView<'a> {
+    /// managed region, the pool from its pool tag.
+    fn view_from<'a>(&'a self, path: &'a str, inode: &InodeView<'_>) -> FileView<'a> {
         FileView {
             path,
             ino: inode.ino,
@@ -597,7 +595,7 @@ impl Pfs {
             uid: inode.uid,
             mtime: inode.mtime,
             atime: inode.atime,
-            pool: self.pool(self.pool_in(file_pools, inode.ino)).name(),
+            pool: self.pool(self.tag_pool(inode.pool)).name(),
             hsm: inode.region.state,
         }
     }
@@ -615,17 +613,15 @@ impl Pfs {
         let tracer = self.tracer();
         let now = self.clock().now();
         let root = tracer.root_seq("pfs.scan_records", now);
-        let file_pools = self.shared.file_pools.read();
         let mut recs = self.shared.vfs.par_scan(
             threads,
             |inode, path| {
                 inode
                     .is_file()
-                    .then(|| self.view_from(path.get(), inode, &file_pools).to_record())
+                    .then(|| self.view_from(path.get(), inode).to_record())
             },
             |st| record_shard_spans(&tracer, root.as_ref(), "scan.shard", now, st),
         );
-        drop(file_pools);
         let sort_start = tracer.wall_now_ns();
         // Paths are unique, so the unstable sort gives the same order.
         recs.sort_unstable_by(|a, b| a.path.cmp(&b.path));
@@ -658,7 +654,6 @@ impl Pfs {
         let t0 = std::time::Instant::now();
         let scanned = AtomicU64::new(0);
         let reads_path = engine.reads_path();
-        let file_pools = self.shared.file_pools.read();
         let tagged = self.shared.vfs.par_scan(
             threads,
             |inode, path| {
@@ -666,18 +661,14 @@ impl Pfs {
                     return None;
                 }
                 let rule_path = if reads_path { path.get() } else { "" };
-                let idx = engine.classify(&self.view_from(rule_path, inode, &file_pools), now)?;
-                Some((
-                    idx,
-                    self.view_from(path.get(), inode, &file_pools).to_record(),
-                ))
+                let idx = engine.classify(&self.view_from(rule_path, inode), now)?;
+                Some((idx, self.view_from(path.get(), inode).to_record()))
             },
             |st| {
                 scanned.fetch_add(st.files, Ordering::Relaxed);
                 record_shard_spans(&tracer, root.as_ref(), "policy.shard", now, st);
             },
         );
-        drop(file_pools);
         let assemble_start = tracer.wall_now_ns();
         let report = engine.assemble(
             tagged,
@@ -1109,6 +1100,71 @@ mod tests {
         }
         assert!(records.iter().any(|r| r.hsm == HsmState::Premigrated));
         assert!(records.iter().any(|r| r.hsm == HsmState::Resident));
+    }
+
+    /// The one scan path that reads the pool: an `InPool` rule, alone and
+    /// beside an age rule, lists at every thread count exactly what a
+    /// filter over `scan_records` keeps. The external pool comes first, so
+    /// the default pool is not pool 0, and a file created straight through
+    /// the `Vfs` reads as the default pool.
+    #[test]
+    fn in_pool_rules_list_what_a_filter_over_scan_records_keeps() {
+        let pfs = PfsBuilder::new("archive", Clock::new())
+            .pool(PoolConfig::external("tape"))
+            .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
+            .pool(PoolConfig::slow_disk("slow", 2, DataSize::tb(100)))
+            .placement(archive_fs().shared.placement.rules().to_vec())
+            .build();
+        pfs.mkdir_p("/d").unwrap();
+        for i in 0..120u64 {
+            let size = if i % 3 == 0 { 4096 } else { 2 << 20 };
+            let path = format!("/d/f{i:03}");
+            let ino = pfs
+                .create_file(&path, 0, Content::synthetic(i, size))
+                .unwrap();
+            if let Some(to) = ["slow", "fast"].get(i as usize % 7) {
+                pfs.move_to_pool(ino, to, SimInstant::EPOCH).unwrap();
+            }
+            if i == 60 {
+                pfs.clock().advance_to(SimInstant::from_secs(3600));
+            }
+        }
+        let raw = pfs.vfs().create("/d/raw", 0, 0, Content::empty()).unwrap();
+        assert_eq!(pfs.pool(pfs.pool_of(raw)).name(), "fast");
+        pfs.clock().advance_to(SimInstant::from_secs(5400));
+        let records = pfs.scan_records();
+        let hour = SimDuration::from_secs(3600);
+        let in_pool = |pool: &str| Predicate::InPool(pool.to_string());
+        // (rule, the pool it keeps, whether it keeps only files over an hour old)
+        let cases = [
+            (in_pool("slow"), "slow", false),
+            (
+                in_pool("slow").and(Predicate::MtimeAge(Cmp::Ge, hour)),
+                "slow",
+                true,
+            ),
+            (
+                Predicate::MtimeAge(Cmp::Ge, hour).and(in_pool("fast")),
+                "fast",
+                true,
+            ),
+        ];
+        for (predicate, pool, aged) in cases {
+            let want: Vec<FileRecord> = records
+                .iter()
+                .filter(|r| r.pool == pool && (!aged || r.mtime < SimInstant::from_secs(3600)))
+                .cloned()
+                .collect();
+            assert!(!want.is_empty() && want.len() < records.len());
+            let engine = PolicyEngine::new(vec![Rule::list("hit", "hit", predicate)]);
+            for threads in [1, 2, 4] {
+                let report = pfs.run_policy_with(&engine, threads);
+                assert_eq!(report.lists["hit"], want, "{threads} threads");
+            }
+        }
+        assert!(records
+            .iter()
+            .any(|r| r.path == "/d/raw" && r.pool == "fast"));
     }
 
     #[test]

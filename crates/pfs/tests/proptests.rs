@@ -33,6 +33,9 @@ fn archive() -> Pfs {
 #[derive(Debug, Clone)]
 enum Op {
     Create(u8, u32),
+    /// Unlink the file, then create a new one under the same name.
+    Recreate(u8, u32),
+    Rename(u8, u8),
     WriteAt(u8, u32, u32),
     Truncate(u8, u32),
     Unlink(u8),
@@ -46,6 +49,8 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
             (0u8..12, 0u32..100_000).prop_map(|(f, s)| Op::Create(f, s)),
+            (0u8..12, 0u32..2_000).prop_map(|(f, s)| Op::Recreate(f, s)),
+            (0u8..12, 0u8..12).prop_map(|(f, g)| Op::Rename(f, g)),
             (0u8..12, 0u32..50_000, 0u32..50_000).prop_map(|(f, o, l)| Op::WriteAt(f, o, l)),
             (0u8..12, 0u32..120_000).prop_map(|(f, s)| Op::Truncate(f, s)),
             (0u8..12).prop_map(Op::Unlink),
@@ -58,115 +63,148 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// One file of the accounting model: its ino, logical size, HSM state and
+/// the pool it must be in.
+struct Placed {
+    ino: Ino,
+    logical: u64,
+    state: HsmState,
+    pool: &'static str,
+}
+
+/// Create `/f{f}` in `pfs` and return its model, placed the way
+/// [`archive`]'s rules place a file of `size` bytes.
+fn place(pfs: &Pfs, f: u8, size: u32) -> Placed {
+    let content = Content::synthetic(u64::from(f), u64::from(size));
+    Placed {
+        ino: pfs.create_file(&format!("/f{f}"), 0, content).unwrap(),
+        logical: u64::from(size),
+        state: HsmState::Resident,
+        pool: if size < 1000 { "slow" } else { "fast" },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After any sequence of namespace + DMAPI operations:
+    /// After any sequence of namespace + DMAPI operations, against a model
+    /// that owns each file's pool (placed by size at create, toggled by a
+    /// pool move, placed afresh on re-create):
+    /// * `pool_of` and the scan records' `pool`, at 1 and 4 threads, name
+    ///   the model's pool;
     /// * per-pool `used` equals the sum of on-disk bytes of its files;
-    /// * logical sizes survive punch/restore;
+    /// * logical sizes survive punch/restore and rename;
     /// * the HSM state machine only takes legal transitions.
     #[test]
     fn pool_accounting_matches_reality(ops in ops()) {
         let pfs = archive();
-        let mut files: HashMap<u8, (Ino, u64 /*logical*/, HsmState)> = HashMap::new();
+        let mut files: HashMap<u8, Placed> = HashMap::new();
         let mut next_objid = 1u64;
         for op in ops {
             match op {
                 Op::Create(f, size) => {
-                    if files.contains_key(&f) {
-                        continue;
+                    files.entry(f).or_insert_with(|| place(&pfs, f, size));
+                }
+                Op::Recreate(f, size) => {
+                    if let Some(m) = files.remove(&f) {
+                        prop_assert_eq!(pfs.unlink(&format!("/f{f}")).unwrap().size, m.logical);
+                        files.insert(f, place(&pfs, f, size));
                     }
-                    let ino = pfs
-                        .create_file(&format!("/f{f}"), 0, Content::synthetic(f as u64, size as u64))
-                        .unwrap();
-                    files.insert(f, (ino, size as u64, HsmState::Resident));
+                }
+                Op::Rename(f, g) => {
+                    if files.contains_key(&f) && !files.contains_key(&g) {
+                        pfs.rename(&format!("/f{f}"), &format!("/f{g}")).unwrap();
+                        let m = files.remove(&f).unwrap();
+                        files.insert(g, m);
+                    }
                 }
                 Op::WriteAt(f, off, len) => {
-                    if let Some((ino, logical, state)) = files.get_mut(&f) {
-                        if *state == HsmState::Migrated {
-                            prop_assert!(pfs
-                                .write_at(*ino, off as u64, Content::synthetic(9, len as u64))
-                                .is_err());
+                    if let Some(m) = files.get_mut(&f) {
+                        let patch = Content::synthetic(9, len as u64);
+                        if m.state == HsmState::Migrated {
+                            prop_assert!(pfs.write_at(m.ino, off as u64, patch).is_err());
                             continue;
                         }
-                        pfs.write_at(*ino, off as u64, Content::synthetic(9, len as u64))
-                            .unwrap();
-                        *logical = (*logical).max(off as u64 + len as u64);
-                        *state = HsmState::Resident; // mutation orphans tape copy
+                        pfs.write_at(m.ino, off as u64, patch).unwrap();
+                        m.logical = m.logical.max(off as u64 + len as u64);
+                        m.state = HsmState::Resident; // mutation orphans tape copy
                     }
                 }
                 Op::Truncate(f, size) => {
-                    if let Some((ino, logical, state)) = files.get_mut(&f) {
-                        if *state == HsmState::Migrated {
-                            prop_assert!(pfs.truncate(*ino, size as u64).is_err());
+                    if let Some(m) = files.get_mut(&f) {
+                        if m.state == HsmState::Migrated {
+                            prop_assert!(pfs.truncate(m.ino, size as u64).is_err());
                             continue;
                         }
-                        pfs.truncate(*ino, size as u64).unwrap();
-                        *logical = size as u64;
-                        *state = HsmState::Resident;
+                        pfs.truncate(m.ino, size as u64).unwrap();
+                        m.logical = size as u64;
+                        m.state = HsmState::Resident;
                     }
                 }
                 Op::Unlink(f) => {
-                    if let Some((_, logical, _)) = files.get(&f) {
+                    if let Some(m) = files.remove(&f) {
                         let attr = pfs.unlink(&format!("/f{f}")).unwrap();
-                        prop_assert_eq!(attr.size, *logical);
-                        files.remove(&f);
+                        prop_assert_eq!(attr.size, m.logical);
                     }
                 }
                 Op::Premigrate(f) => {
-                    if let Some((ino, _, state)) = files.get_mut(&f) {
-                        if *state == HsmState::Resident {
-                            pfs.mark_premigrated(*ino, next_objid).unwrap();
+                    if let Some(m) = files.get_mut(&f) {
+                        if m.state == HsmState::Resident {
+                            pfs.mark_premigrated(m.ino, next_objid).unwrap();
                             next_objid += 1;
-                            *state = HsmState::Premigrated;
+                            m.state = HsmState::Premigrated;
                         }
                     }
                 }
                 Op::Punch(f) => {
-                    if let Some((ino, _, state)) = files.get_mut(&f) {
-                        let r = pfs.punch_hole(*ino);
-                        if *state == HsmState::Premigrated {
+                    if let Some(m) = files.get_mut(&f) {
+                        let r = pfs.punch_hole(m.ino);
+                        if m.state == HsmState::Premigrated {
                             r.unwrap();
-                            *state = HsmState::Migrated;
+                            m.state = HsmState::Migrated;
                         } else {
                             prop_assert!(r.is_err());
                         }
                     }
                 }
                 Op::Restore(f) => {
-                    if let Some((ino, logical, state)) = files.get_mut(&f) {
-                        let content = Content::synthetic(1, *logical);
-                        let r = pfs.restore_stub(*ino, content);
-                        if *state == HsmState::Migrated {
+                    if let Some(m) = files.get_mut(&f) {
+                        let r = pfs.restore_stub(m.ino, Content::synthetic(1, m.logical));
+                        if m.state == HsmState::Migrated {
                             r.unwrap();
-                            *state = HsmState::Premigrated;
+                            m.state = HsmState::Premigrated;
                         } else {
                             prop_assert!(r.is_err());
                         }
                     }
                 }
                 Op::MovePool(f) => {
-                    if let Some((ino, _, _)) = files.get(&f) {
-                        let target = if pfs.pool(pfs.pool_of(*ino)).name() == "fast" {
-                            "slow"
-                        } else {
-                            "fast"
-                        };
-                        pfs.move_to_pool(*ino, target, copra_simtime::SimInstant::EPOCH)
-                            .unwrap();
+                    if let Some(m) = files.get_mut(&f) {
+                        m.pool = if m.pool == "fast" { "slow" } else { "fast" };
+                        pfs.move_to_pool(m.ino, m.pool, SimInstant::EPOCH).unwrap();
                     }
                 }
             }
             // Invariants after every step.
-            let mut per_pool: HashMap<String, u64> = HashMap::new();
-            for (f, (ino, logical, state)) in &files {
-                let attr = pfs.stat(&format!("/f{f}")).unwrap();
-                prop_assert_eq!(attr.size, *logical, "logical size of f{}", f);
-                prop_assert_eq!(pfs.hsm_state(*ino).unwrap(), *state);
-                let on_disk = if *state == HsmState::Migrated { 0 } else { *logical };
-                *per_pool
-                    .entry(pfs.pool(pfs.pool_of(*ino)).name().to_string())
-                    .or_default() += on_disk;
+            let mut per_pool: HashMap<&str, u64> = HashMap::new();
+            let mut want: Vec<(String, Ino, String)> = Vec::new();
+            for (f, m) in &files {
+                let path = format!("/f{f}");
+                prop_assert_eq!(pfs.stat(&path).unwrap().size, m.logical, "logical size of f{}", f);
+                prop_assert_eq!(pfs.hsm_state(m.ino).unwrap(), m.state);
+                prop_assert_eq!(pfs.pool(pfs.pool_of(m.ino)).name(), m.pool, "pool of f{}", f);
+                let on_disk = if m.state == HsmState::Migrated { 0 } else { m.logical };
+                *per_pool.entry(m.pool).or_default() += on_disk;
+                want.push((path, m.ino, m.pool.to_string()));
+            }
+            want.sort();
+            for threads in [1, 4] {
+                let got: Vec<(String, Ino, String)> = pfs
+                    .scan_records_with(threads)
+                    .into_iter()
+                    .map(|r| (r.path, r.ino, r.pool))
+                    .collect();
+                prop_assert_eq!(&got, &want, "scan records at {} threads", threads);
             }
             for pool in pfs.pools() {
                 let want = per_pool.get(pool.name()).copied().unwrap_or(0);

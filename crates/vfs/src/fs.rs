@@ -122,6 +122,15 @@ impl RegionWrite<'_> {
         self.node.size()
     }
 
+    pub fn pool(&self) -> u8 {
+        self.node.pool
+    }
+
+    /// Re-tag the file's storage pool. No timestamp moves.
+    pub fn set_pool(&mut self, pool: u8) {
+        self.node.pool = pool;
+    }
+
     /// Replace the record: an attribute change, so it stamps ctime.
     pub fn set_region(&mut self, region: ManagedRegion) {
         **self.node.region.get_or_insert_with(Box::default) = region;
@@ -169,6 +178,8 @@ struct Node {
     parent: Option<Ino>,
     name: String,
     uid: u32,
+    /// Storage-pool tag: opaque here, given by the creator.
+    pool: u8,
     mtime: SimInstant,
     atime: SimInstant,
     ctime: SimInstant,
@@ -192,6 +203,7 @@ impl Node {
             parent,
             name,
             uid,
+            pool: 0,
             mtime: now,
             atime: now,
             ctime: now,
@@ -229,6 +241,7 @@ impl Node {
             atime: self.atime,
             ctime: self.ctime,
             region: self.region(),
+            pool: self.pool,
             xattrs: Arc::clone(&self.xattrs),
         }
     }
@@ -242,6 +255,7 @@ impl Node {
             mtime: self.mtime,
             atime: self.atime,
             region: self.region(),
+            pool: self.pool,
             xattrs: &self.xattrs,
         }
     }
@@ -506,13 +520,13 @@ impl Vfs {
     pub fn mkdir(&self, path: &str) -> FsResult<Ino> {
         let (parent, name) = parent_and_name(path)?;
         let parent_ino = self.resolve(&parent)?;
-        self.insert_child(parent_ino, &name, Some(path), 0, Self::new_dir())
+        self.insert_child(parent_ino, &name, Some(path), 0, 0, Self::new_dir())
     }
 
     /// Create directory `name` in directory `parent`.
     pub fn mkdir_in(&self, parent: Ino, name: &str) -> FsResult<Ino> {
         check_name(name)?;
-        self.insert_child(parent, name, None, 0, Self::new_dir())
+        self.insert_child(parent, name, None, 0, 0, Self::new_dir())
     }
 
     fn new_dir() -> NodeKind {
@@ -548,17 +562,18 @@ impl Vfs {
         Ok(ino)
     }
 
-    /// Link a new `kind` node, owned by `uid`, into `parent_ino` under
-    /// `name`. Takes the write lock, then allocates the ino from the
-    /// counter, so a create that fails (the name exists, the parent is
-    /// gone) consumes no inode number. Errors name `full_path`, or the
-    /// path built from the parent when the caller has none.
+    /// Link a new `kind` node, owned by `uid` and tagged `pool`, into
+    /// `parent_ino` under `name`. Takes the write lock, then allocates the
+    /// ino from the counter, so a create that fails (the name exists, the
+    /// parent is gone) consumes no inode number. Errors name `full_path`,
+    /// or the path built from the parent when the caller has none.
     fn insert_child(
         &self,
         parent_ino: Ino,
         name: &str,
         full_path: Option<&str>,
         uid: u32,
+        pool: u8,
         kind: NodeKind,
     ) -> FsResult<Ino> {
         let now = self.now();
@@ -580,6 +595,7 @@ impl Vfs {
         }
         parent.mtime = now;
         let node = Node::new(Some(parent_ino), name.to_string(), uid, now, kind);
+        let node = Node { pool, ..node };
         g.insert(ino, node);
         Ok(ino)
     }
@@ -625,31 +641,27 @@ impl Vfs {
 
     // ----- file ops -----------------------------------------------------
 
-    /// Create a new file with the given content; fails if the path exists.
-    pub fn create(&self, path: &str, uid: u32, content: Content) -> FsResult<Ino> {
+    /// Create a new file with the given content and storage-pool tag;
+    /// fails if the path exists.
+    pub fn create(&self, path: &str, uid: u32, pool: u8, content: Content) -> FsResult<Ino> {
         let (parent, name) = parent_and_name(path)?;
         let parent_ino = self.resolve(&parent)?;
         let file = NodeKind::File { content };
-        self.insert_child(parent_ino, &name, Some(path), uid, file)
+        self.insert_child(parent_ino, &name, Some(path), uid, pool, file)
     }
 
     /// Create file `name` in directory `parent`; fails if the name is
     /// taken. Errors name the path the file would have had.
-    pub fn create_in(&self, parent: Ino, name: &str, uid: u32, content: Content) -> FsResult<Ino> {
+    pub fn create_in(
+        &self,
+        parent: Ino,
+        name: &str,
+        uid: u32,
+        pool: u8,
+        content: Content,
+    ) -> FsResult<Ino> {
         check_name(name)?;
-        self.insert_child(parent, name, None, uid, NodeKind::File { content })
-    }
-
-    /// Create or fully replace a file's content (open(O_TRUNC)+write+close).
-    pub fn write_file(&self, path: &str, uid: u32, content: Content) -> FsResult<Ino> {
-        match self.resolve(path) {
-            Ok(ino) => {
-                self.set_content(ino, content)?;
-                Ok(ino)
-            }
-            Err(FsError::NotFound(_)) => self.create(path, uid, content),
-            Err(e) => Err(e),
-        }
+        self.insert_child(parent, name, None, uid, pool, NodeKind::File { content })
     }
 
     /// Run `f` on the (mutable) node for `ino` under the write lock.
@@ -686,13 +698,6 @@ impl Vfs {
         })
     }
 
-    /// Read a whole file.
-    pub fn read_all(&self, path: &str) -> FsResult<Content> {
-        let ino = self.resolve(path)?;
-        let size = self.stat_ino(ino)?.size;
-        self.read(ino, 0, size)
-    }
-
     /// Overwrite `[offset, offset+patch.len())`, extending the file as
     /// needed. Updates mtime.
     pub fn write_at(&self, ino: Ino, offset: u64, patch: Content) -> FsResult<()> {
@@ -700,19 +705,6 @@ impl Vfs {
         self.with_node_mut(ino, |node| match &mut node.kind {
             NodeKind::File { content } => {
                 content.write_at(offset, patch);
-                node.mtime = now;
-                Ok(())
-            }
-            NodeKind::Dir { .. } => Err(FsError::IsADirectory(format!("{ino}"))),
-        })
-    }
-
-    /// Replace the entire content (used by HSM stub/recall and fuse).
-    pub fn set_content(&self, ino: Ino, content: Content) -> FsResult<()> {
-        let now = self.now();
-        self.with_node_mut(ino, |node| match &mut node.kind {
-            NodeKind::File { content: c } => {
-                *c = content;
                 node.mtime = now;
                 Ok(())
             }
@@ -1027,16 +1019,16 @@ mod tests {
     #[test]
     fn failed_create_consumes_no_inode_number() {
         let v = fs();
-        let a = v.create("/a", 0, Content::empty()).unwrap();
+        let a = v.create("/a", 0, 0, Content::empty()).unwrap();
         assert!(matches!(
-            v.create("/a", 0, Content::empty()),
+            v.create("/a", 0, 0, Content::empty()),
             Err(FsError::AlreadyExists(_))
         ));
         assert!(matches!(
-            v.create("/a/b", 0, Content::empty()),
+            v.create("/a/b", 0, 0, Content::empty()),
             Err(FsError::NotADirectory(_))
         ));
-        let b = v.create("/b", 0, Content::empty()).unwrap();
+        let b = v.create("/b", 0, 0, Content::empty()).unwrap();
         assert_eq!(b.0, a.0 + 1);
     }
 
@@ -1044,7 +1036,9 @@ mod tests {
     fn create_in_and_lookup_bind_names_in_a_directory() {
         let v = fs();
         let d = v.mkdir_p("/a/d").unwrap();
-        let f = v.create_in(d, "f", 7, Content::synthetic(1, 10)).unwrap();
+        let f = v
+            .create_in(d, "f", 7, 0, Content::synthetic(1, 10))
+            .unwrap();
         let sub = v.mkdir_in(d, "sub").unwrap();
         assert_eq!(v.resolve("/a/d/f").unwrap(), f);
         assert_eq!(v.resolve("/a/d/sub").unwrap(), sub);
@@ -1057,7 +1051,7 @@ mod tests {
             Err(FsError::NotFound("/a/d/gone".to_string()))
         );
         assert_eq!(
-            v.create_in(d, "f", 0, Content::empty()),
+            v.create_in(d, "f", 0, 0, Content::empty()),
             Err(FsError::AlreadyExists("/a/d/f".to_string()))
         );
     }
@@ -1068,7 +1062,7 @@ mod tests {
         let d = v.mkdir_p("/d").unwrap();
         for name in ["", ".", "..", "a/b", "/x"] {
             let invalid = Err(FsError::InvalidPath(name.to_string()));
-            assert_eq!(v.create_in(d, name, 0, Content::empty()), invalid);
+            assert_eq!(v.create_in(d, name, 0, 0, Content::empty()), invalid);
             assert_eq!(v.mkdir_in(d, name), invalid);
             assert_eq!(v.lookup(d, name), invalid);
         }
@@ -1078,9 +1072,9 @@ mod tests {
     #[test]
     fn create_in_and_lookup_under_a_regular_file_are_not_a_directory() {
         let v = fs();
-        let f = v.create("/f", 0, Content::empty()).unwrap();
+        let f = v.create("/f", 0, 0, Content::empty()).unwrap();
         let nad = Err(FsError::NotADirectory("/f/x".to_string()));
-        assert_eq!(v.create_in(f, "x", 0, Content::empty()), nad);
+        assert_eq!(v.create_in(f, "x", 0, 0, Content::empty()), nad);
         assert_eq!(v.mkdir_in(f, "x"), nad);
         assert_eq!(v.lookup(f, "x"), nad);
     }
@@ -1089,12 +1083,12 @@ mod tests {
     fn failed_create_in_consumes_no_inode_number() {
         let v = fs();
         let d = v.mkdir("/d").unwrap();
-        let a = v.create_in(d, "a", 0, Content::empty()).unwrap();
-        assert!(v.create_in(d, "a", 0, Content::empty()).is_err());
-        assert!(v.create_in(a, "b", 0, Content::empty()).is_err());
-        assert!(v.create_in(d, "..", 0, Content::empty()).is_err());
+        let a = v.create_in(d, "a", 0, 0, Content::empty()).unwrap();
+        assert!(v.create_in(d, "a", 0, 0, Content::empty()).is_err());
+        assert!(v.create_in(a, "b", 0, 0, Content::empty()).is_err());
+        assert!(v.create_in(d, "..", 0, 0, Content::empty()).is_err());
         assert!(v.mkdir_in(d, "a").is_err());
-        let b = v.create_in(d, "b", 0, Content::empty()).unwrap();
+        let b = v.create_in(d, "b", 0, 0, Content::empty()).unwrap();
         assert_eq!(b.0, a.0 + 1);
     }
 
@@ -1113,7 +1107,7 @@ mod tests {
         let v = fs();
         v.mkdir("/data").unwrap();
         let ino = v
-            .create("/data/f", 1000, Content::literal(&b"hello"[..]))
+            .create("/data/f", 1000, 0, Content::literal(&b"hello"[..]))
             .unwrap();
         let c = v.read(ino, 1, 3).unwrap();
         assert_eq!(&c.materialize()[..], b"ell");
@@ -1125,17 +1119,17 @@ mod tests {
     fn create_refuses_duplicates_and_bad_parents() {
         let v = fs();
         v.mkdir("/d").unwrap();
-        v.create("/d/f", 0, Content::empty()).unwrap();
+        v.create("/d/f", 0, 0, Content::empty()).unwrap();
         assert!(matches!(
-            v.create("/d/f", 0, Content::empty()),
+            v.create("/d/f", 0, 0, Content::empty()),
             Err(FsError::AlreadyExists(_))
         ));
         assert!(matches!(
-            v.create("/d/f/g", 0, Content::empty()),
+            v.create("/d/f/g", 0, 0, Content::empty()),
             Err(FsError::NotADirectory(_))
         ));
         assert!(matches!(
-            v.create("/nodir/f", 0, Content::empty()),
+            v.create("/nodir/f", 0, 0, Content::empty()),
             Err(FsError::NotFound(_))
         ));
     }
@@ -1143,7 +1137,7 @@ mod tests {
     #[test]
     fn read_past_eof_rejected() {
         let v = fs();
-        let ino = v.create("/f", 0, Content::literal(&b"abc"[..])).unwrap();
+        let ino = v.create("/f", 0, 0, Content::literal(&b"abc"[..])).unwrap();
         assert!(matches!(
             v.read(ino, 2, 5),
             Err(FsError::InvalidRange { .. })
@@ -1153,17 +1147,19 @@ mod tests {
     #[test]
     fn write_at_and_truncate() {
         let v = fs();
-        let ino = v.create("/f", 0, Content::literal(&b"aaaaaa"[..])).unwrap();
+        let ino = v
+            .create("/f", 0, 0, Content::literal(&b"aaaaaa"[..]))
+            .unwrap();
         v.write_at(ino, 2, Content::literal(&b"XX"[..])).unwrap();
-        assert_eq!(&v.read_all("/f").unwrap().materialize()[..], b"aaXXaa");
+        assert_eq!(&v.peek_content(ino).unwrap().materialize()[..], b"aaXXaa");
         v.truncate(ino, 3).unwrap();
-        assert_eq!(&v.read_all("/f").unwrap().materialize()[..], b"aaX");
+        assert_eq!(&v.peek_content(ino).unwrap().materialize()[..], b"aaX");
     }
 
     #[test]
     fn unlink_returns_attrs_and_removes() {
         let v = fs();
-        let ino = v.create("/f", 7, Content::literal(&b"abc"[..])).unwrap();
+        let ino = v.create("/f", 7, 0, Content::literal(&b"abc"[..])).unwrap();
         v.set_xattr(ino, "k", "v").unwrap();
         v.update_region(ino, |file| {
             let objid = Some(42);
@@ -1205,7 +1201,8 @@ mod tests {
     fn rename_moves_subtree() {
         let v = fs();
         v.mkdir_p("/a/b").unwrap();
-        v.create("/a/b/f", 0, Content::literal(&b"x"[..])).unwrap();
+        v.create("/a/b/f", 0, 0, Content::literal(&b"x"[..]))
+            .unwrap();
         v.mkdir("/dst").unwrap();
         v.rename("/a/b", "/dst/b2").unwrap();
         assert!(v.exists("/dst/b2/f"));
@@ -1236,7 +1233,7 @@ mod tests {
         let v = fs();
         v.mkdir("/d").unwrap();
         for name in ["zz", "aa", "mm"] {
-            v.create(&format!("/d/{name}"), 0, Content::empty())
+            v.create(&format!("/d/{name}"), 0, 0, Content::empty())
                 .unwrap();
         }
         let names: Vec<_> = v
@@ -1253,8 +1250,8 @@ mod tests {
         let v = fs();
         v.mkdir_p("/a/x").unwrap();
         v.mkdir_p("/b").unwrap();
-        v.create("/a/f", 0, Content::empty()).unwrap();
-        v.create("/a/x/g", 0, Content::empty()).unwrap();
+        v.create("/a/f", 0, 0, Content::empty()).unwrap();
+        v.create("/a/x/g", 0, 0, Content::empty()).unwrap();
         let paths: Vec<_> = v.walk("/").unwrap().into_iter().map(|e| e.path).collect();
         assert_eq!(paths, vec!["/", "/a", "/a/f", "/a/x", "/a/x/g", "/b"]);
     }
@@ -1262,7 +1259,7 @@ mod tests {
     #[test]
     fn xattrs_roundtrip() {
         let v = fs();
-        let ino = v.create("/f", 0, Content::empty()).unwrap();
+        let ino = v.create("/f", 0, 0, Content::empty()).unwrap();
         assert_eq!(v.stat_ino(ino).unwrap().xattr("k"), None);
         v.set_xattr(ino, "k", "v").unwrap();
         assert_eq!(v.stat_ino(ino).unwrap().xattr("k"), Some("v"));
@@ -1271,7 +1268,7 @@ mod tests {
     #[test]
     fn attr_xattrs_are_cow_snapshots() {
         let v = fs();
-        let ino = v.create("/f", 0, Content::empty()).unwrap();
+        let ino = v.create("/f", 0, 0, Content::empty()).unwrap();
         v.set_xattr(ino, "k", "v1").unwrap();
         let snap = v.stat_ino(ino).unwrap();
         v.set_xattr(ino, "k", "v2").unwrap();
@@ -1284,7 +1281,7 @@ mod tests {
     fn times_update_as_expected() {
         let clock = Clock::new();
         let v = Vfs::new("t", clock.clone());
-        let ino = v.create("/f", 0, Content::literal(&b"abc"[..])).unwrap();
+        let ino = v.create("/f", 0, 0, Content::literal(&b"abc"[..])).unwrap();
         let t0 = v.stat_ino(ino).unwrap();
         clock.advance_to(SimInstant::from_secs(100));
         v.read(ino, 0, 1).unwrap();
@@ -1300,8 +1297,8 @@ mod tests {
     fn accounting() {
         let v = fs();
         v.mkdir("/d").unwrap();
-        v.create("/d/a", 0, Content::synthetic(1, 1000)).unwrap();
-        v.create("/d/b", 0, Content::synthetic(2, 500)).unwrap();
+        v.create("/d/a", 0, 0, Content::synthetic(1, 1000)).unwrap();
+        v.create("/d/b", 0, 0, Content::synthetic(2, 500)).unwrap();
         assert_eq!(v.total_bytes(), 1500);
         assert_eq!(v.inode_count(), 4); // root, /d, two files
     }
@@ -1310,28 +1307,43 @@ mod tests {
     fn peek_does_not_touch_atime() {
         let clock = Clock::new();
         let v = Vfs::new("t", clock.clone());
-        let ino = v.create("/f", 0, Content::literal(&b"abc"[..])).unwrap();
+        let ino = v.create("/f", 0, 0, Content::literal(&b"abc"[..])).unwrap();
         clock.advance_to(SimInstant::from_secs(5));
         v.peek_content(ino).unwrap();
         assert_eq!(v.stat_ino(ino).unwrap().atime, SimInstant::EPOCH);
     }
 
     #[test]
-    fn write_file_creates_or_replaces() {
+    fn pool_tag_is_set_at_create_and_moves_no_timestamp() {
         let v = fs();
-        v.write_file("/f", 0, Content::literal(&b"one"[..]))
-            .unwrap();
-        v.write_file("/f", 0, Content::literal(&b"two!"[..]))
-            .unwrap();
-        assert_eq!(&v.read_all("/f").unwrap().materialize()[..], b"two!");
-        assert_eq!(v.stat("/f").unwrap().size, 4);
+        let d = v.mkdir("/d").unwrap();
+        let a = v.create("/d/a", 0, 3, Content::synthetic(1, 10)).unwrap();
+        let b = v.create_in(d, "b", 0, 0, Content::empty()).unwrap();
+        let tag = |ino| v.inspect(ino, |inode| inode.pool).unwrap();
+        assert_eq!((tag(a), tag(b)), (3, 0));
+        assert_eq!(v.stat_ino(a).unwrap().pool, 3);
+        let before = v.stat_ino(b).unwrap();
+        v.clock().advance_to(SimInstant::from_secs(5));
+        v.update_region(b, |file| {
+            file.set_pool(7);
+            Ok(())
+        })
+        .unwrap();
+        let after = v.stat_ino(b).unwrap();
+        assert_eq!(
+            (after.pool, after.ctime, after.mtime),
+            (7, before.ctime, before.mtime)
+        );
+        v.rename("/d/b", "/b").unwrap();
+        assert_eq!(tag(b), 7);
+        assert_eq!(v.unlink("/b").unwrap().pool, 7);
     }
 
     #[test]
     fn resolve_cache_never_serves_stale_bindings() {
         let v = fs();
         v.mkdir("/d").unwrap();
-        let a = v.create("/d/f", 0, Content::empty()).unwrap();
+        let a = v.create("/d/f", 0, 0, Content::empty()).unwrap();
         // prime the cache
         assert_eq!(v.resolve("/d/f").unwrap(), a);
         v.rename("/d/f", "/d/g").unwrap();
@@ -1341,7 +1353,7 @@ mod tests {
         assert!(matches!(v.resolve("/d/g"), Err(FsError::NotFound(_))));
         // re-create under a previously cached path: must see the new ino
         assert!(v.resolve("/d/f").is_err());
-        let b = v.create("/d/f", 0, Content::empty()).unwrap();
+        let b = v.create("/d/f", 0, 0, Content::empty()).unwrap();
         assert_ne!(a, b);
         assert_eq!(v.resolve("/d/f").unwrap(), b);
     }
@@ -1356,7 +1368,7 @@ mod tests {
                     v.mkdir_p(&format!("/shared/d{t}")).unwrap();
                     for i in 0..200u64 {
                         let p = format!("/shared/d{t}/f{i}");
-                        v.create(&p, t, Content::synthetic(i, 10)).unwrap();
+                        v.create(&p, t, 0, Content::synthetic(i, 10)).unwrap();
                         assert_eq!(v.stat(&p).unwrap().uid, t);
                     }
                     for i in 0..50u64 {
@@ -1376,9 +1388,10 @@ mod tests {
         v.mkdir_p("/a/b").unwrap();
         v.mkdir_p("/c").unwrap();
         for i in 0..100u64 {
-            v.create(&format!("/a/b/f{i}"), 0, Content::synthetic(i, i))
+            v.create(&format!("/a/b/f{i}"), 0, 0, Content::synthetic(i, i))
                 .unwrap();
-            v.create(&format!("/c/g{i}"), 0, Content::empty()).unwrap();
+            v.create(&format!("/c/g{i}"), 0, 0, Content::empty())
+                .unwrap();
         }
         let mut walked: Vec<String> = v
             .walk("/")
@@ -1430,7 +1443,7 @@ mod tests {
         let mut kept = Vec::new();
         for i in 0..200u64 {
             let p = format!("/keep/deep/er/f{i}");
-            v.create(&p, 0, Content::synthetic(i, 1)).unwrap();
+            v.create(&p, 0, 0, Content::synthetic(i, 1)).unwrap();
             kept.push(p);
         }
         kept.sort();
@@ -1448,7 +1461,7 @@ mod tests {
                         break;
                     }
                     let p = format!("/churn/t{i}");
-                    v.create(&p, 0, Content::empty()).unwrap();
+                    v.create(&p, 0, 0, Content::empty()).unwrap();
                     if i % 3 == 0 {
                         left += 1;
                     } else {

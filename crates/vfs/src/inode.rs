@@ -44,6 +44,9 @@ pub struct InodeAttr {
     pub ctime: SimInstant,
     /// DMAPI managed-region record: HSM state, tape object id, stub size.
     pub region: ManagedRegion,
+    /// Storage-pool tag, opaque to the `Vfs` (0 unless the creator or
+    /// [`crate::RegionWrite::set_pool`] set one).
+    pub pool: u8,
     /// Extended attributes: PFTool and FUSE keys (chunk maps, restart
     /// fingerprints). HSM state is not here but in `region`. Shared with
     /// the live inode (copy-on-write): building an attr never deep-copies
@@ -76,6 +79,7 @@ pub struct InodeView<'a> {
     pub mtime: SimInstant,
     pub atime: SimInstant,
     pub region: ManagedRegion,
+    pub pool: u8,
     pub xattrs: &'a BTreeMap<String, String>,
 }
 
@@ -100,6 +104,7 @@ mod tests {
             atime: SimInstant::EPOCH,
             ctime: SimInstant::EPOCH,
             region: ManagedRegion::default(),
+            pool: 0,
             xattrs: Arc::new(BTreeMap::from([(
                 "fuse.chunked".to_string(),
                 "1".to_string(),

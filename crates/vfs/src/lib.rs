@@ -31,7 +31,8 @@
 //! `create_in`, `mkdir_in` and `lookup` by (directory inode, name). All
 //! timestamps are simulated ([`copra_simtime::SimInstant`]). Every inode
 //! also carries its DMAPI [`ManagedRegion`] (HSM state, tape object id,
-//! stub size) as typed fields.
+//! stub size) as typed fields, and a one-byte storage-pool tag that the
+//! file system above gives it.
 
 pub mod content;
 pub mod error;

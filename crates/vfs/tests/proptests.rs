@@ -94,7 +94,7 @@ proptest! {
         ], 1..12))
     {
         let v = Vfs::new("p", Clock::new());
-        let ino = v.create("/f", 0, Content::empty()).unwrap();
+        let ino = v.create("/f", 0, 0, Content::empty()).unwrap();
         let mut model: Vec<u8> = Vec::new();
         for (kind, arg, c) in ops {
             match kind {
@@ -142,7 +142,7 @@ proptest! {
                 }
             } else {
                 let p = copra_vfs::join(&cur, &format!("f{i}_{n}"));
-                v.create(&p, 0, Content::empty()).unwrap();
+                v.create(&p, 0, 0, Content::empty()).unwrap();
                 expected.insert(p);
             }
         }
