@@ -185,6 +185,51 @@ fn bench_catalog_export(c: &mut Criterion) {
             black_box(server.export(&catalog))
         })
     });
+    // One ILM round's export: ten 1,000-member containers of fresh
+    // objects registered, then exported into a catalog synced at 60k rows
+    // (each iteration appends its 10k rows, so the catalog grows by 10k
+    // per iteration).
+    let server = TsmServer::roadrunner(TapeLibrary::new(1, 1, TapeTiming::lto4()));
+    for objid in 1..=60_000 {
+        server.register(object(objid, 0));
+    }
+    let catalog = TsmCatalog::new();
+    server.export(&catalog);
+    let mut next = 60_001u64;
+    g.throughput(Throughput::Elements(10_000));
+    g.bench_function("append_10k_members_60k", |b| {
+        b.iter(|| {
+            for c in 0..10u32 {
+                let container = next;
+                next += 1_001;
+                let addr = TapeAddress {
+                    tape: TapeId(c),
+                    seq: (container / 1_001) as u32,
+                };
+                server.register(TsmObject {
+                    path: format!("<aggregate:{container}>"),
+                    fs_ino: 0,
+                    addr,
+                    kind: ObjectKind::Container {
+                        member_count: 1_000,
+                    },
+                    ..object(container, 0)
+                });
+                for m in 1..=1_000u64 {
+                    let objid = container + m;
+                    server.register(TsmObject {
+                        addr,
+                        kind: ObjectKind::Member {
+                            container,
+                            offset: (m - 1) << 20,
+                        },
+                        ..object(objid, 0)
+                    });
+                }
+            }
+            black_box(server.export(&catalog))
+        })
+    });
     g.finish();
 }
 

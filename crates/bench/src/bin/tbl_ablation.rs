@@ -48,10 +48,11 @@ fn a1_container_size() -> Vec<A1Row> {
         let h = hsm(1, 1, 64);
         let tree = small_file_storm(200, 8_000_000, 3);
         populate(h.pfs(), "/data", &tree);
-        let inos: Vec<_> = h.pfs().scan_records().iter().map(|r| r.ino).collect();
+        let records = h.pfs().scan_records();
+        let files: Vec<_> = records.iter().map(|r| (r.ino, r.path.as_str())).collect();
         let out = migrate_aggregated(
             &h,
-            &inos,
+            &files,
             NodeId(0),
             DataPath::LanFree,
             DataSize::mb(container_mb),

@@ -46,12 +46,12 @@ fn migrate_rate(file_size: u64, count: usize, aggregated: bool) -> f64 {
     let tree = small_file_storm(count, file_size, 7);
     populate(hsm.pfs(), "/data", &tree);
     let records = hsm.pfs().scan_records();
-    let inos: Vec<_> = records.iter().map(|r| r.ino).collect();
+    let files: Vec<_> = records.iter().map(|r| (r.ino, r.path.as_str())).collect();
     let start = SimInstant::EPOCH;
     let end = if aggregated {
         migrate_aggregated(
             &hsm,
-            &inos,
+            &files,
             NodeId(0),
             DataPath::LanFree,
             DataSize::gb(1),
@@ -62,7 +62,7 @@ fn migrate_rate(file_size: u64, count: usize, aggregated: bool) -> f64 {
         .end
     } else {
         let mut cursor = start;
-        for ino in inos {
+        for &(ino, _) in &files {
             let (_, t) = hsm
                 .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                 .expect("migration");

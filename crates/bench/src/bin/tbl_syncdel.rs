@@ -42,10 +42,10 @@ fn build(files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
     let tree = mixed_tree(files, 20_000_000, 1.0, 16, 5);
     populate(&pfs, "/data", &tree);
     let records = pfs.scan_records();
-    let inos: Vec<_> = records.iter().map(|r| r.ino).collect();
+    let files: Vec<_> = records.iter().map(|r| (r.ino, r.path.as_str())).collect();
     let out = migrate_aggregated(
         &hsm,
-        &inos,
+        &files,
         NodeId(0),
         DataPath::LanFree,
         DataSize::gb(4),

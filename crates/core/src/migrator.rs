@@ -20,6 +20,7 @@ use copra_pfs::FileRecord;
 use copra_simtime::{DataSize, SimInstant};
 use copra_vfs::Ino;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// How candidates are spread across nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,19 +96,30 @@ pub fn partition<'a>(
             }
         }
         MigrationPolicy::SizeBalanced => {
-            // LPT: biggest first, each to the currently lightest bucket.
-            let mut order: Vec<&FileRecord> = candidates.iter().collect();
-            order.sort_by(|a, b| b.size.cmp(&a.size).then(a.path.cmp(&b.path)));
+            // LPT: biggest first (equal sizes by path), each to the
+            // currently lightest bucket. The sort moves compact (size,
+            // index) keys; only runs of equal size read the records' paths.
+            let mut order: Vec<(Reverse<u64>, usize)> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, rec)| (Reverse(rec.size), i))
+                .collect();
+            order.sort_unstable();
+            for run in order.chunk_by_mut(|a, b| a.0 == b.0) {
+                if run.len() > 1 {
+                    run.sort_by_key(|&(_, i)| &candidates[i].path);
+                }
+            }
             let mut loads = vec![0u64; nodes.len()];
-            for rec in order {
+            for (Reverse(size), i) in order {
                 let lightest = loads
                     .iter()
                     .enumerate()
                     .min_by_key(|(i, l)| (**l, *i))
                     .map(|(i, _)| i)
                     .expect("nodes non-empty");
-                loads[lightest] += rec.size;
-                buckets[lightest].push(rec);
+                loads[lightest] += size;
+                buckets[lightest].push(&candidates[i]);
             }
         }
     }
@@ -150,17 +162,19 @@ pub fn migrate_candidates(
         let mut files = 0usize;
         let mut bytes = 0u64;
         if let Some((cutoff, cap)) = aggregate_below {
-            // Split the bucket: small files aggregate, large files go solo.
-            let small: Vec<Ino> = bucket
-                .iter()
-                .filter(|r| r.size < cutoff.as_bytes())
-                .map(|r| r.ino)
-                .collect();
-            let small_bytes: u64 = bucket
-                .iter()
-                .filter(|r| r.size < cutoff.as_bytes())
-                .map(|r| r.size)
-                .sum();
+            // Split the bucket in one walk: small files aggregate under
+            // their records' paths, large files go solo.
+            let mut small: Vec<(Ino, &str)> = Vec::new();
+            let mut small_bytes = 0u64;
+            let mut large: Vec<&FileRecord> = Vec::new();
+            for &rec in &bucket {
+                if rec.size < cutoff.as_bytes() {
+                    small.push((rec.ino, &rec.path));
+                    small_bytes += rec.size;
+                } else {
+                    large.push(rec);
+                }
+            }
             if !small.is_empty() {
                 match migrate_aggregated(hsm, &small, *node, data_path, cap, cursor, punch) {
                     Ok(out) => {
@@ -176,7 +190,7 @@ pub fn migrate_candidates(
                     Err(e) => report.errors.push(format!("{node}: {e}")),
                 }
             }
-            for rec in bucket.iter().filter(|r| r.size >= cutoff.as_bytes()) {
+            for rec in large {
                 if report.aborted {
                     break;
                 }
@@ -289,6 +303,147 @@ mod tests {
         let buckets = partition(&cands, &nodes, MigrationPolicy::SingleNode);
         assert_eq!(buckets[0].len(), 2);
         assert!(buckets[1].is_empty() && buckets[2].is_empty());
+    }
+
+    /// LPT with the `(size desc, path)` comparator over whole records: the
+    /// reference the compact-key sort must reproduce bucket for bucket.
+    fn reference_size_balanced(candidates: &[FileRecord], nodes: usize) -> Vec<Vec<Ino>> {
+        let mut order: Vec<&FileRecord> = candidates.iter().collect();
+        order.sort_by(|a, b| b.size.cmp(&a.size).then(a.path.cmp(&b.path)));
+        let mut buckets = vec![Vec::new(); nodes];
+        let mut loads = vec![0u64; nodes];
+        for rec in order {
+            let lightest = (0..nodes).min_by_key(|&i| (loads[i], i)).unwrap();
+            loads[lightest] += rec.size;
+            buckets[lightest].push(rec.ino);
+        }
+        buckets
+    }
+
+    #[test]
+    fn size_balanced_matches_the_record_comparator_on_shuffled_ties() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(24);
+        for round in 0..40 {
+            // Few sizes and few paths: long runs of equal size, and equal
+            // (size, path) pairs that only input order separates. Each
+            // record's ino is unique, so buckets compare exactly.
+            let n = rng.gen_range(1..300u64);
+            let mut cands: Vec<FileRecord> = (0..n)
+                .map(|i| {
+                    let size = [1, 7, 4096, 1 << 20, 8 << 20][rng.gen_range(0..5usize)];
+                    let path = format!("/d{}/f{}", rng.gen_range(0..4), rng.gen_range(0..30));
+                    FileRecord {
+                        ino: Ino(i),
+                        ..rec(&path, size)
+                    }
+                })
+                .collect();
+            for i in (1..cands.len()).rev() {
+                cands.swap(i, rng.gen_range(0..=i));
+            }
+            for width in [1, 3, 10] {
+                let nodes: Vec<NodeId> = (0..width).map(NodeId).collect();
+                let got: Vec<Vec<Ino>> = partition(&cands, &nodes, MigrationPolicy::SizeBalanced)
+                    .iter()
+                    .map(|b| b.iter().map(|r| r.ino).collect())
+                    .collect();
+                let want = reference_size_balanced(&cands, nodes.len());
+                assert_eq!(got, want, "round {round}, {width} nodes");
+            }
+        }
+    }
+
+    /// Aggregated members take their paths from the LIST records: each
+    /// member's TSM object and exported catalog row carry its record's
+    /// path and length, at the offset its bucket predecessors fill.
+    #[test]
+    fn aggregated_members_carry_their_records_path_length_and_offset() {
+        use copra_cluster::{ClusterConfig, FtaCluster};
+        use copra_hsm::{ObjectKind, TsmServer};
+        use copra_metadb::TsmCatalog;
+        use copra_pfs::{PfsBuilder, PoolConfig};
+        use copra_simtime::Clock;
+        use copra_tape::{TapeLibrary, TapeTiming};
+        use copra_vfs::Content;
+
+        let pfs = PfsBuilder::new("archive", Clock::new())
+            .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(10)))
+            .build();
+        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
+        let hsm = Hsm::new(pfs.clone(), server, cluster);
+        for d in 0..3 {
+            pfs.mkdir_p(&format!("/proj/d{d}")).unwrap();
+        }
+        for i in 0..40u64 {
+            let size = if i % 10 == 0 {
+                20 << 20
+            } else {
+                (i % 7 + 1) << 18
+            };
+            let path = format!("/proj/d{}/f{i:02}", i % 3);
+            pfs.create_file(&path, 0, Content::synthetic(i, size))
+                .unwrap();
+        }
+        let records = pfs.scan_records();
+        let nodes = [NodeId(0), NodeId(1)];
+        let cutoff = DataSize::mib(8);
+        let report = migrate_candidates(
+            &hsm,
+            &records,
+            &nodes,
+            MigrationPolicy::SizeBalanced,
+            DataPath::LanFree,
+            SimInstant::EPOCH,
+            true,
+            Some((cutoff, DataSize::mib(4))),
+        );
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(report.files, records.len());
+        let catalog = TsmCatalog::new();
+        hsm.server().export(&catalog);
+
+        let mut members = 0;
+        for bucket in partition(&records, &nodes, MigrationPolicy::SizeBalanced) {
+            // Running fill of each container, in bucket order.
+            let mut fill = std::collections::BTreeMap::new();
+            for rec in bucket {
+                let objid = pfs.hsm_objid(rec.ino).unwrap().expect("migrated");
+                let obj = hsm.server().get(objid).unwrap();
+                assert_eq!(
+                    (obj.path.as_str(), obj.fs_ino),
+                    (rec.path.as_str(), rec.ino.0)
+                );
+                assert_eq!(obj.len, rec.size);
+                let row = catalog.lookup(objid).expect("exported");
+                assert_eq!(
+                    (row.path.as_str(), row.fs_ino),
+                    (rec.path.as_str(), rec.ino.0)
+                );
+                assert_eq!(
+                    (row.len, row.tape, row.seq),
+                    (rec.size, obj.addr.tape.0, obj.addr.seq)
+                );
+                match obj.kind {
+                    ObjectKind::Member { container, offset } => {
+                        assert!(rec.size < cutoff.as_bytes(), "{} aggregated", rec.path);
+                        let at = fill.entry(container).or_insert(0);
+                        assert_eq!(offset, *at, "{} offset", rec.path);
+                        *at += rec.size;
+                        members += 1;
+                    }
+                    ObjectKind::Simple => assert!(rec.size >= cutoff.as_bytes()),
+                    other => panic!("{} is a {other:?}", rec.path),
+                }
+            }
+            for (container, filled) in fill {
+                assert_eq!(hsm.server().get(container).unwrap().len, filled);
+            }
+        }
+        assert_eq!(members, 36);
+        assert!(report.transactions < records.len());
     }
 
     #[test]

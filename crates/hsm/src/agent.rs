@@ -341,7 +341,8 @@ impl StorageAgent {
 
     /// Store many small files as **one aggregated container** — a single
     /// tape transaction (§6.1's fix). Each member is (path, ino, content),
-    /// moved into the container image and its catalog row. Returns the
+    /// moved into the container image and its catalog row; the container
+    /// and its members are registered under one DB write. Returns the
     /// member object ids (one per input file, in order) and the completion
     /// instant.
     pub fn store_container(
@@ -369,7 +370,7 @@ impl StorageAgent {
         let (addr, t) =
             self.write_with_recovery(Volume::Agent, container_id, image, len, drive, stored_at)?;
         let t = server.meta_op(t);
-        server.register(TsmObject {
+        let container = TsmObject {
             objid: container_id,
             path: format!("<aggregate:{container_id}>"),
             fs_ino: 0,
@@ -377,10 +378,10 @@ impl StorageAgent {
             len: len.as_bytes(),
             stored_at,
             kind: ObjectKind::Container { member_count },
-        });
-        for ((path, fs_ino, offset, member_len), objid) in rows.into_iter().zip(&member_ids) {
-            server.register(TsmObject {
-                objid: *objid,
+        };
+        let members = rows.into_iter().zip(member_ids.iter()).map(
+            |((path, fs_ino, offset, member_len), &objid)| TsmObject {
+                objid,
                 path,
                 fs_ino,
                 addr,
@@ -390,8 +391,9 @@ impl StorageAgent {
                     container: container_id,
                     offset,
                 },
-            });
-        }
+            },
+        );
+        server.register_all(std::iter::once(container).chain(members));
         self.shared.metrics.container_fills.inc();
         server.obs().event(
             t,

@@ -11,7 +11,7 @@ use crate::agent::DataPath;
 use crate::error::HsmResult;
 use crate::hsm::Hsm;
 use copra_cluster::NodeId;
-use copra_pfs::HsmState;
+use copra_pfs::{HsmState, PoolId};
 use copra_simtime::{DataSize, SimInstant};
 use copra_vfs::{Content, FsError, Ino};
 
@@ -27,11 +27,13 @@ pub struct AggregateOutcome {
 }
 
 /// Migrate `files` as aggregated containers of up to `container_cap` bytes
-/// each, via the agent on `node`. Files must be `Resident`; each becomes
-/// `Premigrated` (and `Migrated` when `punch`).
+/// each, via the agent on `node`. Each file is an (ino, path) pair, the
+/// path as the LIST policy's record gives it; its member object carries
+/// that path. Files must be `Resident`; each becomes `Premigrated` (and
+/// `Migrated` when `punch`).
 pub fn migrate_aggregated(
     hsm: &Hsm,
-    files: &[Ino],
+    files: &[(Ino, &str)],
     node: NodeId,
     data_path: DataPath,
     container_cap: DataSize,
@@ -50,11 +52,14 @@ pub fn migrate_aggregated(
     let mut containers = 0usize;
     let mut cursor = ready;
 
-    // Container payloads: (path, ino, content), moved into the store.
+    // Container payloads: (path, ino, content), moved into the store, and
+    // beside them each member's ino and pool.
     let mut batch: Vec<(String, u64, Content)> = Vec::new();
+    let mut placed: Vec<(Ino, PoolId)> = Vec::new();
     let mut batch_bytes = 0u64;
 
     let flush = |batch: &mut Vec<(String, u64, Content)>,
+                 placed: &mut Vec<(Ino, PoolId)>,
                  cursor: &mut SimInstant,
                  members: &mut Vec<(Ino, u64)>,
                  containers: &mut usize|
@@ -65,12 +70,13 @@ pub fn migrate_aggregated(
         // Charge the disk reads for every member, then one tape transaction.
         let w0 = tracer.wall_now_ns();
         let mut t = *cursor;
-        for (_, ino, c) in batch.iter() {
-            let r = pfs.charge_read(Ino(*ino), *cursor, DataSize::from_bytes(c.len()));
+        for ((_, _, c), &(_, pool)) in batch.iter().zip(placed.iter()) {
+            let r = pfs
+                .pool(pool)
+                .charge_io(*cursor, DataSize::from_bytes(c.len()));
             t = t.max(r.end);
         }
         tracer.record_closed(root_ctx, "hsm.pfs.read", *containers as u64, *cursor, t, w0);
-        let inos: Vec<Ino> = batch.iter().map(|(_, ino, _)| Ino(*ino)).collect();
         let w1 = tracer.wall_now_ns();
         let (ids, end) = hsm
             .agent(node)
@@ -83,7 +89,7 @@ pub fn migrate_aggregated(
             end,
             w1,
         );
-        for (ino, objid) in inos.into_iter().zip(ids) {
+        for ((ino, _), objid) in placed.drain(..).zip(ids) {
             pfs.commit_tape_copy(ino, Some(objid), punch)?;
             members.push((ino, objid));
         }
@@ -92,12 +98,18 @@ pub fn migrate_aggregated(
         Ok(())
     };
 
-    // Every member's state, path and content, read under one guard.
-    let reads = pfs.vfs().inspect_batch(files, |inode, path, content| {
-        let content = content.ok_or_else(|| FsError::IsADirectory(inode.ino.to_string()))?;
-        Ok((inode.region.state, path.get().to_string(), content.clone()))
-    })?;
-    for (&ino, (state, path, content)) in files.iter().zip(reads) {
+    // Every member's state, pool and content, read under one guard.
+    let reads = pfs
+        .vfs()
+        .inspect_batch(files.iter().map(|&(ino, _)| ino), |inode, content| {
+            let content = content.ok_or_else(|| FsError::IsADirectory(inode.ino.to_string()))?;
+            Ok((
+                inode.region.state,
+                pfs.tag_pool(inode.pool),
+                content.clone(),
+            ))
+        })?;
+    for (&(ino, path), (state, pool, content)) in files.iter().zip(reads) {
         if state != HsmState::Resident {
             return Err(crate::error::HsmError::WrongState {
                 ino: ino.0,
@@ -107,13 +119,26 @@ pub fn migrate_aggregated(
         }
         let len = content.len();
         if batch_bytes + len > container_cap.as_bytes() && !batch.is_empty() {
-            flush(&mut batch, &mut cursor, &mut members, &mut containers)?;
+            flush(
+                &mut batch,
+                &mut placed,
+                &mut cursor,
+                &mut members,
+                &mut containers,
+            )?;
             batch_bytes = 0;
         }
         batch_bytes += len;
-        batch.push((path, ino.0, content));
+        batch.push((path.to_string(), ino.0, content));
+        placed.push((ino, pool));
     }
-    flush(&mut batch, &mut cursor, &mut members, &mut containers)?;
+    flush(
+        &mut batch,
+        &mut placed,
+        &mut cursor,
+        &mut members,
+        &mut containers,
+    )?;
     copra_trace::finish_opt(root, cursor);
 
     Ok(AggregateOutcome {
@@ -142,14 +167,25 @@ mod tests {
         Hsm::new(pfs, server, cluster)
     }
 
-    fn make_files(hsm: &Hsm, count: u64, size: u64) -> Vec<Ino> {
+    /// `count` files of `size` bytes, each with the path it was created at.
+    fn make_files(hsm: &Hsm, count: u64, size: u64) -> Vec<(Ino, String)> {
         let pfs = hsm.pfs();
         pfs.mkdir_p("/small").unwrap();
         (0..count)
             .map(|i| {
-                pfs.create_file(&format!("/small/f{i:04}"), 0, Content::synthetic(i, size))
-                    .unwrap()
+                let path = format!("/small/f{i:04}");
+                let ino = pfs
+                    .create_file(&path, 0, Content::synthetic(i, size))
+                    .unwrap();
+                (ino, path)
             })
+            .collect()
+    }
+
+    fn listed(files: &[(Ino, String)]) -> Vec<(Ino, &str)> {
+        files
+            .iter()
+            .map(|(ino, path)| (*ino, path.as_str()))
             .collect()
     }
 
@@ -164,13 +200,20 @@ mod tests {
         let pfs = hsm.pfs();
         pfs.mkdir_p("/mix").unwrap();
         let sizes = [1u64 << 20, 3 << 20, 7, 2 << 20, 5 << 20];
+        let paths: Vec<String> = (0..sizes.len()).map(|i| format!("/mix/f{i}")).collect();
         let files: Vec<Ino> = sizes
             .iter()
+            .zip(&paths)
             .enumerate()
-            .map(|(i, &len)| {
+            .map(|(i, (&len, path))| {
                 let content = Content::synthetic(i as u64, len);
-                pfs.create_file(&format!("/mix/f{i}"), 0, content).unwrap()
+                pfs.create_file(path, 0, content).unwrap()
             })
+            .collect();
+        let listed: Vec<(Ino, &str)> = files
+            .iter()
+            .copied()
+            .zip(paths.iter().map(String::as_str))
             .collect();
         let cap = DataSize::mib(8);
         let backup = hsm
@@ -185,7 +228,7 @@ mod tests {
             .unwrap();
         let migrated = migrate_aggregated(
             &hsm,
-            &files[3..],
+            &listed[3..],
             NodeId(1),
             DataPath::LanFree,
             cap,
@@ -251,7 +294,7 @@ mod tests {
         let files = make_files(&hsm, 100, 8 << 20); // 100 × 8 MiB
         let out = migrate_aggregated(
             &hsm,
-            &files,
+            &listed(&files),
             NodeId(0),
             DataPath::LanFree,
             DataSize::mib(256),
@@ -265,7 +308,7 @@ mod tests {
         let stats = hsm.server().library().stats();
         assert_eq!(stats.totals.backhitches, 4);
         // every file is a stub now
-        for &ino in &files {
+        for &(ino, _) in &files {
             assert_eq!(hsm.pfs().hsm_state(ino).unwrap(), HsmState::Migrated);
         }
     }
@@ -276,14 +319,14 @@ mod tests {
         let files = make_files(&hsm, 10, 1 << 20);
         let originals: Vec<Content> = files
             .iter()
-            .map(|&ino| {
+            .map(|&(ino, _)| {
                 // read before migration (still resident)
                 hsm.pfs().vfs().peek_content(ino).unwrap()
             })
             .collect();
         migrate_aggregated(
             &hsm,
-            &files,
+            &listed(&files),
             NodeId(0),
             DataPath::LanFree,
             DataSize::mib(4),
@@ -292,7 +335,7 @@ mod tests {
         )
         .unwrap();
         // recall the 7th file alone
-        let ino = files[7];
+        let ino = files[7].0;
         let t = hsm
             .recall_file(
                 ino,
@@ -315,7 +358,7 @@ mod tests {
             let hsm = setup();
             let files = make_files(&hsm, 200, 8 << 20);
             let mut cursor = SimInstant::EPOCH;
-            for &ino in &files {
+            for &(ino, _) in &files {
                 let (_, t) = hsm
                     .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
                     .unwrap();
@@ -328,7 +371,7 @@ mod tests {
             let files = make_files(&hsm, 200, 8 << 20);
             migrate_aggregated(
                 &hsm,
-                &files,
+                &listed(&files),
                 NodeId(0),
                 DataPath::LanFree,
                 DataSize::gib(1),
@@ -347,7 +390,7 @@ mod tests {
         let hsm = setup();
         let files = make_files(&hsm, 2, 1000);
         hsm.migrate_file(
-            files[0],
+            files[0].0,
             NodeId(0),
             DataPath::LanFree,
             SimInstant::EPOCH,
@@ -357,7 +400,7 @@ mod tests {
         .unwrap();
         assert!(migrate_aggregated(
             &hsm,
-            &files,
+            &listed(&files),
             NodeId(0),
             DataPath::LanFree,
             DataSize::mib(1),
@@ -376,7 +419,7 @@ mod tests {
             .unwrap();
         let out = migrate_aggregated(
             &hsm,
-            &[big],
+            &[(big, "/big")],
             NodeId(0),
             DataPath::LanFree,
             DataSize::mib(1), // cap smaller than the file

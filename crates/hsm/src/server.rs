@@ -152,6 +152,14 @@ impl TsmServer {
         self.shared.db.write().insert(obj);
     }
 
+    /// Register stored objects, in order, under one DB write.
+    pub fn register_all(&self, objs: impl IntoIterator<Item = TsmObject>) {
+        let mut db = self.shared.db.write();
+        for obj in objs {
+            db.insert(obj);
+        }
+    }
+
     pub fn get(&self, objid: u64) -> HsmResult<TsmObject> {
         self.shared
             .db

@@ -173,17 +173,18 @@ proptest! {
     ) {
         let hsm = setup(2);
         let pfs = hsm.pfs().clone();
-        let mut inos = Vec::new();
+        let paths: Vec<String> = (0..sizes.len()).map(|i| format!("/m{i:02}")).collect();
+        let mut files = Vec::new();
         let mut contents = Vec::new();
         for (i, size) in sizes.iter().enumerate() {
             let c = Content::synthetic(i as u64, *size);
-            let ino = pfs.create_file(&format!("/m{i:02}"), 0, c.clone()).unwrap();
-            inos.push(ino);
+            let ino = pfs.create_file(&paths[i], 0, c.clone()).unwrap();
+            files.push((ino, paths[i].as_str()));
             contents.push(c);
         }
         let out = migrate_aggregated(
             &hsm,
-            &inos,
+            &files,
             NodeId(0),
             DataPath::LanFree,
             DataSize::kb(cap_kb),
@@ -191,13 +192,13 @@ proptest! {
             true,
         )
         .unwrap();
-        prop_assert_eq!(out.members.len(), inos.len());
-        prop_assert!(out.containers >= 1 && out.containers <= inos.len());
+        prop_assert_eq!(out.members.len(), files.len());
+        prop_assert!(out.containers >= 1 && out.containers <= files.len());
         // DB: one member row per file plus one container row per container.
-        prop_assert_eq!(hsm.server().db_len(), inos.len() + out.containers);
+        prop_assert_eq!(hsm.server().db_len(), files.len() + out.containers);
         // Recall a pseudo-random subset individually.
         let mut cursor = out.end;
-        for (i, (&ino, content)) in inos.iter().zip(&contents).enumerate() {
+        for (i, (&(ino, _), content)) in files.iter().zip(&contents).enumerate() {
             if i % 2 == 0 {
                 cursor = hsm.recall_file(ino, NodeId(1), DataPath::LanFree, cursor, None).unwrap();
                 let got = pfs.vfs().peek_content(ino).unwrap();

@@ -7,10 +7,12 @@
 //! into tape order and to resolve file → TSM object id for the synchronous
 //! deleter (§4.2.6).
 //!
-//! This crate is that replica: a small embedded store offering typed tables
-//! with a primary key and any number of ordered secondary indexes
-//! ([`table::Table`]), plus the concrete exported-TSM schema
-//! ([`tsm::TsmCatalog`]) the integration uses.
+//! This crate is that replica. [`tsm::TsmCatalog`] is the exported-TSM
+//! schema the integration uses: its rows plus two typed ordered indexes,
+//! `(fs_ino, objid)` and `(tape, seq, objid)`. [`table::Table`] is a small
+//! generic store of typed tables with a primary key and any number of
+//! ordered secondary indexes; it serves the archive's metadata search
+//! (`ArchiveSearch` in `copra-core`).
 
 pub mod table;
 pub mod tsm;

@@ -6,10 +6,11 @@
 //! into tape order, and (b) resolve GPFS file id → TSM object id for the
 //! synchronous deleter.
 
-use crate::table::{IndexKey, Table};
 use copra_simtime::SimInstant;
 use parking_lot::{RwLock, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One exported TSM object row.
@@ -31,11 +32,14 @@ pub struct TsmObjectRow {
     pub stored_at: SimInstant,
 }
 
-fn key_ino(_: &u64, r: &TsmObjectRow) -> IndexKey {
-    vec![r.fs_ino.into()]
+/// A row's entry in the `by_ino` index.
+fn ino_key(r: &TsmObjectRow) -> (u64, u64) {
+    (r.fs_ino, r.objid)
 }
-fn key_tape_seq(_: &u64, r: &TsmObjectRow) -> IndexKey {
-    vec![r.tape.into(), r.seq.into()]
+
+/// A row's entry in the `by_tape_seq` index.
+fn tape_key(r: &TsmObjectRow) -> (u32, u32, u64) {
+    (r.tape, r.seq, r.objid)
 }
 
 /// Export-pass tokens, unique across every catalog in the process. A token
@@ -45,7 +49,12 @@ fn key_tape_seq(_: &u64, r: &TsmObjectRow) -> IndexKey {
 static NEXT_SYNC_TOKEN: AtomicU64 = AtomicU64::new(1);
 
 struct Replica {
-    table: Table<u64, TsmObjectRow>,
+    /// Rows by objid.
+    rows: BTreeMap<u64, TsmObjectRow>,
+    /// `(fs_ino, objid)` of every row.
+    by_ino: BTreeSet<(u64, u64)>,
+    /// `(tape, seq, objid)` of every row.
+    by_tape_seq: BTreeSet<(u32, u32, u64)>,
     /// Token of the last export pass; `None` before the first.
     synced: Option<u64>,
     /// Objids [`TsmCatalog::record`]/[`TsmCatalog::forget`] touched since
@@ -60,9 +69,67 @@ impl Replica {
             self.drift.push(objid);
         }
     }
+
+    /// Insert or replace a row, re-filing its index entries if they moved.
+    fn upsert(&mut self, row: TsmObjectRow) {
+        let (ino, tape) = (ino_key(&row), tape_key(&row));
+        if let Some(old) = self.rows.insert(row.objid, row) {
+            if ino_key(&old) != ino {
+                self.by_ino.remove(&ino_key(&old));
+            }
+            if tape_key(&old) != tape {
+                self.by_tape_seq.remove(&tape_key(&old));
+            }
+        }
+        self.by_ino.insert(ino);
+        self.by_tape_seq.insert(tape);
+    }
+
+    fn remove(&mut self, objid: u64) -> Option<TsmObjectRow> {
+        let row = self.rows.remove(&objid)?;
+        self.by_ino.remove(&ino_key(&row));
+        self.by_tape_seq.remove(&tape_key(&row));
+        Some(row)
+    }
+
+    /// Rows of index entries, in index order.
+    fn rows_of<'a>(&'a self, objids: impl Iterator<Item = u64> + 'a) -> Vec<TsmObjectRow> {
+        objids.map(|objid| self.rows[&objid].clone()).collect()
+    }
+
+    /// Every entry of `index` names a live row that files under exactly
+    /// that entry, and there are as many entries as rows.
+    fn check_index<K: Ord + Debug>(
+        &self,
+        name: &str,
+        index: &BTreeSet<K>,
+        objid_of: impl Fn(&K) -> u64,
+        key_of: impl Fn(&TsmObjectRow) -> K,
+    ) -> Result<(), String> {
+        for entry in index {
+            let Some(row) = self.rows.get(&objid_of(entry)) else {
+                return Err(format!("index {name:?}: entry {entry:?} has no row"));
+            };
+            let want = key_of(row);
+            if want != *entry {
+                return Err(format!(
+                    "index {name:?}: entry {entry:?} but its row files under {want:?}"
+                ));
+            }
+        }
+        if index.len() != self.rows.len() {
+            return Err(format!(
+                "index {name:?}: {} entries for {} rows",
+                index.len(),
+                self.rows.len()
+            ));
+        }
+        Ok(())
+    }
 }
 
-/// Thread-safe exported catalog.
+/// Thread-safe exported catalog: the rows plus two typed ordered indexes,
+/// `(fs_ino, objid)` and `(tape, seq, objid)`.
 pub struct TsmCatalog {
     replica: RwLock<Replica>,
     /// Bumped on every mutation. Recovery compares generations across a
@@ -78,12 +145,11 @@ impl Default for TsmCatalog {
 
 impl TsmCatalog {
     pub fn new() -> Self {
-        let mut table = Table::new("tsm_objects");
-        table.add_index("by_ino", key_ino);
-        table.add_index("by_tape_seq", key_tape_seq);
         TsmCatalog {
             replica: RwLock::new(Replica {
-                table,
+                rows: BTreeMap::new(),
+                by_ino: BTreeSet::new(),
+                by_tape_seq: BTreeSet::new(),
                 synced: None,
                 drift: Vec::new(),
             }),
@@ -104,14 +170,14 @@ impl TsmCatalog {
     pub fn record(&self, row: TsmObjectRow) {
         let mut r = self.replica.write();
         r.log(row.objid);
-        r.table.upsert(row.objid, row);
+        r.upsert(row);
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Drop a row (object deleted from TSM).
     pub fn forget(&self, objid: u64) -> Option<TsmObjectRow> {
         let mut r = self.replica.write();
-        let old = r.table.remove(&objid);
+        let old = r.remove(objid);
         if old.is_some() {
             r.log(objid);
             self.generation.fetch_add(1, Ordering::AcqRel);
@@ -128,68 +194,60 @@ impl TsmCatalog {
         }
     }
 
-    /// Run [`Table::verify_indexes`] on the replica — scrub's last step.
+    /// Check both indexes against the rows — scrub's last step. Returns
+    /// the first violation found.
     pub fn verify_indexes(&self) -> Result<(), String> {
-        self.replica.read().table.verify_indexes()
+        let r = self.replica.read();
+        r.check_index("by_ino", &r.by_ino, |e| e.1, ino_key)?;
+        r.check_index("by_tape_seq", &r.by_tape_seq, |e| e.2, tape_key)
     }
 
     pub fn lookup(&self, objid: u64) -> Option<TsmObjectRow> {
-        self.replica.read().table.get(&objid).cloned()
+        self.replica.read().rows.get(&objid).cloned()
     }
 
     pub fn len(&self) -> usize {
-        self.replica.read().table.len()
+        self.replica.read().rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.replica.read().table.len() == 0
+        self.replica.read().rows.is_empty()
     }
 
-    /// Objects recorded for a GPFS file id.
+    /// Objects recorded for a GPFS file id, in objid order.
     pub fn by_ino(&self, fs_ino: u64) -> Vec<TsmObjectRow> {
-        let replica = self.replica.read();
-        let t = &replica.table;
-        t.select("by_ino", &vec![fs_ino.into()])
-            .into_iter()
-            .filter_map(|k| t.get(&k).cloned())
-            .collect()
+        let r = self.replica.read();
+        let entries = r.by_ino.range((fs_ino, 0)..=(fs_ino, u64::MAX));
+        r.rows_of(entries.map(|e| e.1))
     }
 
     /// The paper's recall optimization (§4.2.5): given candidate object
     /// ids, return their rows sorted by (tape id, sequence id) so each tape
     /// reads front-to-back. Unknown ids are skipped.
     pub fn sort_for_recall(&self, objids: &[u64]) -> Vec<TsmObjectRow> {
-        let replica = self.replica.read();
-        let t = &replica.table;
-        let mut rows: Vec<TsmObjectRow> =
-            objids.iter().filter_map(|id| t.get(id).cloned()).collect();
-        rows.sort_by_key(|r| (r.tape, r.seq, r.objid));
-        rows
+        let r = self.replica.read();
+        let mut rows: Vec<((u32, u32, u64), &TsmObjectRow)> = objids
+            .iter()
+            .filter_map(|id| r.rows.get(id))
+            .map(|row| (tape_key(row), row))
+            .collect();
+        rows.sort_unstable_by_key(|&(key, _)| key);
+        rows.into_iter().map(|(_, row)| row.clone()).collect()
     }
 
     /// Everything on one volume in tape order (volume-drain recalls).
     pub fn on_tape(&self, tape: u32) -> Vec<TsmObjectRow> {
-        let replica = self.replica.read();
-        let t = &replica.table;
-        t.index_range(
-            "by_tape_seq",
-            &vec![tape.into(), 0u32.into()],
-            &vec![(tape + 1).into(), 0u32.into()],
-        )
-        .into_iter()
-        .filter_map(|(_, k)| t.get(&k).cloned())
-        .collect()
+        let r = self.replica.read();
+        let entries = r
+            .by_tape_seq
+            .range((tape, 0, 0)..=(tape, u32::MAX, u64::MAX));
+        r.rows_of(entries.map(|e| e.2))
     }
 
     /// Full dump in objid order (reconcile compares this against tape and
     /// file-system truth).
     pub fn dump(&self) -> Vec<TsmObjectRow> {
-        self.replica
-            .read()
-            .table
-            .scan()
-            .map(|(_, r)| r.clone())
-            .collect()
+        self.replica.read().rows.values().cloned().collect()
     }
 }
 
@@ -216,22 +274,22 @@ impl ExportPass<'_> {
 
     /// Every objid with a row, in objid order.
     pub fn objids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.replica.table.scan().map(|(&objid, _)| objid)
+        self.replica.rows.keys().copied()
     }
 
     pub fn row(&self, objid: u64) -> Option<&TsmObjectRow> {
-        self.replica.table.get(&objid)
+        self.replica.rows.get(&objid)
     }
 
     /// Insert or refresh one row.
     pub fn record(&mut self, row: TsmObjectRow) {
-        self.replica.table.upsert(row.objid, row);
+        self.replica.upsert(row);
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Drop a row if present.
     pub fn forget(&mut self, objid: u64) {
-        if self.replica.table.remove(&objid).is_some() {
+        if self.replica.remove(objid).is_some() {
             self.generation.fetch_add(1, Ordering::AcqRel);
         }
     }
@@ -331,6 +389,128 @@ mod tests {
         let sorted = c.sort_for_recall(&[1, 2, 3, 4, 999]);
         let order: Vec<u64> = sorted.iter().map(|r| r.objid).collect();
         assert_eq!(order, vec![2, 4, 3, 1]); // (0,3) (0,9) (2,1) (2,7)
+    }
+
+    /// Seeded random programs of `record`, `forget` and export passes
+    /// against a plain map: after every step each query equals a filter
+    /// over the map and both indexes verify.
+    #[test]
+    fn queries_match_a_reference_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        fn random_row(rng: &mut StdRng) -> TsmObjectRow {
+            let objid = rng.gen_range(0..48u64);
+            let ino = rng.gen_range(0..10u64);
+            let (tape, seq) = (rng.gen_range(0..5u32), rng.gen_range(0..16u32));
+            row(objid, &format!("/f{ino}"), ino, tape, seq)
+        }
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let c = TsmCatalog::new();
+            let mut model: BTreeMap<u64, TsmObjectRow> = BTreeMap::new();
+            let mut generation = 0;
+            for step in 0..300 {
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let r = random_row(&mut rng);
+                        model.insert(r.objid, r.clone());
+                        c.record(r);
+                        generation += 1;
+                    }
+                    5..=7 => {
+                        let objid = rng.gen_range(0..48u64);
+                        let want = model.remove(&objid);
+                        generation += u64::from(want.is_some());
+                        assert_eq!(c.forget(objid), want, "seed {seed} step {step}");
+                    }
+                    _ => {
+                        let mut pass = c.begin_export();
+                        for _ in 0..rng.gen_range(0..12u32) {
+                            if rng.gen_bool(0.6) {
+                                let r = random_row(&mut rng);
+                                model.insert(r.objid, r.clone());
+                                pass.record(r);
+                                generation += 1;
+                            } else {
+                                let objid = rng.gen_range(0..48u64);
+                                generation += u64::from(model.remove(&objid).is_some());
+                                pass.forget(objid);
+                            }
+                            assert!(pass.objids().eq(model.keys().copied()));
+                        }
+                        pass.finish();
+                    }
+                }
+                let at = format!("seed {seed} step {step}");
+                assert_eq!(c.verify_indexes(), Ok(()), "{at}");
+                assert_eq!(c.generation(), generation, "{at}");
+                assert_eq!(c.len(), model.len(), "{at}");
+                assert_eq!(
+                    c.dump(),
+                    model.values().cloned().collect::<Vec<_>>(),
+                    "{at}"
+                );
+                for ino in 0..10 {
+                    let want: Vec<TsmObjectRow> = model
+                        .values()
+                        .filter(|r| r.fs_ino == ino)
+                        .cloned()
+                        .collect();
+                    assert_eq!(c.by_ino(ino), want, "{at} ino {ino}");
+                }
+                for tape in 0..5 {
+                    let mut want: Vec<TsmObjectRow> =
+                        model.values().filter(|r| r.tape == tape).cloned().collect();
+                    want.sort_by_key(|r| (r.seq, r.objid));
+                    assert_eq!(c.on_tape(tape), want, "{at} tape {tape}");
+                }
+                let ask: Vec<u64> = (0..rng.gen_range(0..24))
+                    .map(|_| rng.gen_range(0..60u64))
+                    .collect();
+                let mut want: Vec<TsmObjectRow> =
+                    ask.iter().filter_map(|id| model.get(id).cloned()).collect();
+                want.sort_by_key(|r| (r.tape, r.seq, r.objid));
+                assert_eq!(c.sort_for_recall(&ask), want, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn verify_indexes_catches_deliberate_corruption() {
+        let corrupt = |f: fn(&mut Replica)| {
+            let c = TsmCatalog::new();
+            c.record(row(1, "/a", 10, 5, 2));
+            c.record(row(2, "/b", 11, 5, 3));
+            f(&mut c.replica.write());
+            c.verify_indexes().unwrap_err()
+        };
+        // Dangling entry: a row removed behind the indexes' back.
+        let err = corrupt(|r| {
+            r.rows.remove(&1);
+        });
+        assert!(err.contains("has no row"), "got: {err}");
+        // Stale key: a row rewritten without re-filing its entries.
+        let err = corrupt(|r| {
+            r.rows.insert(2, row(2, "/b", 12, 5, 3));
+        });
+        assert!(
+            err.contains("by_ino") && err.contains("files under"),
+            "got: {err}"
+        );
+        let err = corrupt(|r| {
+            r.rows.insert(2, row(2, "/b", 11, 6, 3));
+        });
+        assert!(
+            err.contains("by_tape_seq") && err.contains("files under"),
+            "got: {err}"
+        );
+        // Missing entry: a row that was never indexed.
+        let err = corrupt(|r| {
+            r.by_tape_seq.remove(&(5, 2, 1));
+        });
+        assert!(err.contains("1 entries for 2 rows"), "got: {err}");
     }
 
     #[test]

@@ -183,7 +183,8 @@ impl Pfs {
             .unwrap_or(self.shared.default_pool)
     }
 
-    fn tag_pool(&self, tag: u8) -> PoolId {
+    /// The pool an inode's pool tag ([`InodeView::pool`]) names.
+    pub fn tag_pool(&self, tag: u8) -> PoolId {
         PoolId(u32::from(tag) ^ self.shared.default_pool.0)
     }
 

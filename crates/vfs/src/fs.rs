@@ -73,8 +73,8 @@ struct PathMemo {
     buf: String,
 }
 
-/// The path of the inode a [`Vfs::par_scan`] or [`Vfs::inspect_batch`]
-/// callback is looking at, built only if the callback asks for it.
+/// The path of the inode a [`Vfs::par_scan`] callback is looking at,
+/// built only if the callback asks for it.
 pub struct ScanPath<'a> {
     nodes: &'a Shards,
     memo: &'a mut PathMemo,
@@ -823,32 +823,23 @@ impl Vfs {
     }
 
     /// Run `f` on each of `inos`, in order, under one read guard: a
-    /// borrowed view, a lazy [`ScanPath`] whose directory memo is shared
-    /// by the whole batch, and the file's content (`None` for a
-    /// directory). Stops at the first stale ino or error of `f`, which
-    /// must not call back into this `Vfs` (see the module docs).
+    /// borrowed view and the file's content (`None` for a directory).
+    /// Stops at the first stale ino or error of `f`, which must not call
+    /// back into this `Vfs` (see the module docs).
     pub fn inspect_batch<R>(
         &self,
-        inos: &[Ino],
-        mut f: impl FnMut(&InodeView<'_>, &mut ScanPath<'_>, Option<&Content>) -> FsResult<R>,
+        inos: impl IntoIterator<Item = Ino>,
+        mut f: impl FnMut(&InodeView<'_>, Option<&Content>) -> FsResult<R>,
     ) -> FsResult<Vec<R>> {
         let g = self.shared.nodes.read();
-        let mut memo = PathMemo::default();
-        inos.iter()
-            .map(|&ino| {
+        inos.into_iter()
+            .map(|ino| {
                 let node = g.get(ino).ok_or(FsError::StaleInode(ino))?;
-                memo.buf.clear();
-                let mut path = ScanPath {
-                    nodes: &g,
-                    memo: &mut memo,
-                    parent: node.parent,
-                    name: &node.name,
-                };
                 let content = match &node.kind {
                     NodeKind::File { content } => Some(content),
                     NodeKind::Dir { .. } => None,
                 };
-                f(&node.view(ino), &mut path, content)
+                f(&node.view(ino), content)
             })
             .collect()
     }

@@ -49,10 +49,10 @@ fn main() {
     let sys = ArchiveSystem::new(SystemConfig::test_small());
     populate(sys.archive(), "/data", &tree);
     let records = sys.archive().scan_records();
-    let inos: Vec<_> = records.iter().map(|r| r.ino).collect();
+    let files: Vec<_> = records.iter().map(|r| (r.ino, r.path.as_str())).collect();
     let out = migrate_aggregated(
         &sys.hsm().clone(),
-        &inos,
+        &files,
         NodeId(0),
         DataPath::LanFree,
         DataSize::gb(1),

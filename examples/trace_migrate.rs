@@ -44,7 +44,11 @@ fn main() {
 
     // The rest aggregated: containers of up to 8 MB, one transaction per
     // container (`hsm.migrate_aggregated` with per-container children).
-    let rest: Vec<_> = records.iter().skip(8).map(|r| r.ino).collect();
+    let rest: Vec<_> = records
+        .iter()
+        .skip(8)
+        .map(|r| (r.ino, r.path.as_str()))
+        .collect();
     let out = migrate_aggregated(
         sys.hsm(),
         &rest,
