@@ -11,15 +11,15 @@
 //! * **A5 — co-location** (§4 feature list item 5): mounts and makespan to
 //!   restore one project's files with and without co-location groups.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{bench_tracer, print_table, rig_library, write_json};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_core::{migrate_candidates, MigrationPolicy};
 use copra_fuse::ArchiveFuse;
 use copra_hsm::aggregate::migrate_aggregated;
-use copra_hsm::{reclaim_eligible, DataPath, Hsm, TsmServer};
+use copra_hsm::{reclaim_eligible, DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use copra_workloads::{populate, small_file_storm};
 use serde::Serialize;
@@ -27,10 +27,11 @@ use serde::Serialize;
 fn hsm(drives: usize, nodes: usize, tapes: usize) -> Hsm {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
+        .tracer(bench_tracer())
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
-    let server = TsmServer::roadrunner(TapeLibrary::new(drives, tapes, TapeTiming::lto4()));
-    let h = Hsm::new(pfs, server, cluster);
+    let server = TsmServer::roadrunner(rig_library(drives, tapes, TapeTiming::lto4()));
+    let h = Hsm::new(pfs, server, cluster, PlacementPolicy::Single);
     copra_bench::note_hsm(&h);
     h
 }

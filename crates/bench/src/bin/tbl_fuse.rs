@@ -10,14 +10,14 @@
 //! drive streams it all) and as fuse chunks spread across the drives by
 //! the migrator, for varying drive counts.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{bench_tracer, print_table, rig_library, write_json};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_core::{migrate_candidates, MigrationPolicy};
 use copra_fuse::ArchiveFuse;
-use copra_hsm::{DataPath, Hsm, TsmServer};
+use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use serde::Serialize;
 
@@ -34,6 +34,7 @@ struct Row {
 fn setup(drives: usize, nodes: usize) -> (Hsm, ArchiveFuse) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
+        .tracer(bench_tracer())
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
     // Large-capacity volumes so the single-object case fits on one tape.
@@ -41,8 +42,8 @@ fn setup(drives: usize, nodes: usize) -> (Hsm, ArchiveFuse) {
         capacity: DataSize::gb(800),
         ..TapeTiming::lto4()
     };
-    let server = TsmServer::roadrunner(TapeLibrary::new(drives, 64, timing));
-    let hsm = Hsm::new(pfs.clone(), server, cluster);
+    let server = TsmServer::roadrunner(rig_library(drives, 64, timing));
+    let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
     copra_bench::note_hsm(&hsm);
     let fuse = ArchiveFuse::new(pfs, DataSize::gb(100), DataSize::gb(10));
     (hsm, fuse)

@@ -10,12 +10,12 @@
 //! M nodes each migrate the same volume of data; we report aggregate rate
 //! for both paths.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{bench_tracer, print_table, rig_library, write_json};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
-use copra_hsm::{DataPath, Hsm, TsmServer};
+use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use serde::Serialize;
 
@@ -33,15 +33,21 @@ struct Row {
 fn run(nodes: usize, path: DataPath) -> f64 {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
+        .tracer(bench_tracer())
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
     // The paper-era server NIC: one 10GigE (derated like the trunk).
     let server = TsmServer::new(
-        TapeLibrary::new(nodes.max(4), 64, TapeTiming::lto4()),
+        rig_library(nodes.max(4), 64, TapeTiming::lto4()),
         Bandwidth::gbit_per_sec(10).scaled(0.75),
         SimDuration::from_millis(2),
     );
-    let hsm = Hsm::new(pfs.clone(), server, cluster.clone());
+    let hsm = Hsm::new(
+        pfs.clone(),
+        server,
+        cluster.clone(),
+        PlacementPolicy::Single,
+    );
     copra_bench::note_hsm(&hsm);
     // Build per-node file sets.
     let mut per_node_files: Vec<Vec<copra_vfs::Ino>> = Vec::new();

@@ -6,13 +6,13 @@
 //! migration process onto a single machine. The custom migrator sorts and
 //! distributes candidates **by size** so all machines finish together.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{bench_tracer, print_table, rig_library, write_json};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_core::{migrate_candidates, MigrationPolicy};
-use copra_hsm::{DataPath, Hsm, TsmServer};
+use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::TapeTiming;
 use copra_workloads::{mixed_tree, populate};
 use serde::Serialize;
 
@@ -28,10 +28,16 @@ struct Row {
 fn run(policy: MigrationPolicy) -> Row {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
+        .tracer(bench_tracer())
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(10));
-    let server = TsmServer::roadrunner(TapeLibrary::new(24, 128, TapeTiming::lto4()));
-    let hsm = Hsm::new(pfs.clone(), server, cluster.clone());
+    let server = TsmServer::roadrunner(rig_library(24, 128, TapeTiming::lto4()));
+    let hsm = Hsm::new(
+        pfs.clone(),
+        server,
+        cluster.clone(),
+        PlacementPolicy::Single,
+    );
     copra_bench::note_hsm(&hsm);
     // A heavy-tailed candidate list: mostly small files, a few huge ones —
     // exactly the mix that breaks count-balancing.

@@ -9,15 +9,15 @@
 //! Full-stack run: files are archived, migrated to tape, then copied back
 //! with `pfcp` with tape ordering on and off.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{bench_tracer, print_table, rig_library, write_json};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_fuse::ArchiveFuse;
-use copra_hsm::{DataPath, Hsm, TsmServer};
+use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
 use copra_pfs::{Pfs, PfsBuilder, PoolConfig};
 use copra_pftool::{pfcp, FsView, PftoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use serde::Serialize;
 use std::sync::Arc;
@@ -39,9 +39,15 @@ fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
     let scratch = Pfs::scratch("scratch", clock.clone(), 8);
     let archive = PfsBuilder::new("archive", clock.clone())
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
+        .tracer(bench_tracer())
         .build();
-    let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-    let hsm = Hsm::new(archive.clone(), server, cluster.clone());
+    let server = TsmServer::roadrunner(rig_library(2, 8, TapeTiming::lto4()));
+    let hsm = Hsm::new(
+        archive.clone(),
+        server,
+        cluster.clone(),
+        PlacementPolicy::Single,
+    );
     copra_bench::note_hsm(&hsm);
     let fuse = ArchiveFuse::paper_defaults(archive.clone());
     let catalog = Arc::new(TsmCatalog::new());

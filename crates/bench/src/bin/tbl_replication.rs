@@ -22,7 +22,7 @@
 //! bit-identically on a second run. `--quick` shrinks the campaign for CI
 //! smoke runs.
 
-use copra_bench::{mb_per_sec, print_table, write_json, EXPERIMENT_SEED};
+use copra_bench::{bench_tracer, mb_per_sec, print_table, write_json, EXPERIMENT_SEED};
 use copra_cluster::NodeId;
 use copra_core::{ArchiveSystem, SystemConfig};
 use copra_faults::FaultPlan;
@@ -67,6 +67,7 @@ fn run(libraries: usize, files: u64) -> Row {
         drives: 2,
         tapes: 64,
         placement: PlacementPolicy::Mirror { copies: 2 },
+        tracer: bench_tracer(),
         ..SystemConfig::test_small()
     };
     let sys = ArchiveSystem::new(config);
@@ -148,7 +149,7 @@ fn run(libraries: usize, files: u64) -> Row {
         "libraries={libraries}: re-silver left objects under target: {repair:?}"
     );
     sys.export_catalog();
-    let report = scrub(sys.archive(), sys.hsm().server(), sys.catalog(), repair.end).unwrap();
+    let report = scrub(sys.hsm(), sys.catalog(), repair.end).unwrap();
     assert!(
         report.under_replicated.is_empty() && report.diverged_replicas.is_empty(),
         "libraries={libraries}: scrub after re-silver: {report:?}"

@@ -13,7 +13,7 @@
 //! `--quick` shrinks the campaign to ~100k files for CI smoke runs.
 
 use copra_bench::{print_table, write_json};
-use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
+use copra_pfs::{Cmp, Pfs, PfsBuilder, PolicyEngine, Predicate, Rule};
 use copra_simtime::{Clock, SimDuration, SimInstant};
 use copra_trace::TraceReport;
 use copra_vfs::Content;
@@ -137,7 +137,9 @@ fn checksum(report: &copra_pfs::ScanReport) -> u64 {
 
 fn build_namespace(files: usize) -> (Clock, Pfs) {
     let clock = Clock::new();
-    let pfs = Pfs::scratch("archive", clock.clone(), 8);
+    let pfs = PfsBuilder::scratch("archive", clock.clone(), 8)
+        .tracer(copra_bench::bench_tracer())
+        .build();
     // 1000 directories of mixed content: sizes spread over three decades,
     // fifty owners, and ages fanned out so every rule below has real work.
     let dirs = 1000.min(files.max(1));
@@ -197,10 +199,6 @@ fn main() {
     let t0 = Instant::now();
     let (_clock, pfs) = build_namespace(files);
     let build_secs = t0.elapsed().as_secs_f64();
-    let tracer = copra_bench::bench_tracer();
-    if tracer.is_armed() {
-        pfs.arm_tracing(tracer.clone());
-    }
     let eng = engine();
 
     let mut rows: Vec<Row> = Vec::new();
@@ -295,7 +293,7 @@ usable (cgroup/affinity limit); scaling numbers recorded, not enforced"
         );
     }
 
-    if let Some(report) = tracer.report() {
+    if let Some(report) = pfs.tracer().report() {
         print_record_breakdown(&report, 1);
         print_record_breakdown(&report, 8);
     }

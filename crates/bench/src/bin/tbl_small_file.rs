@@ -11,13 +11,13 @@
 //! drive for (a) one-file-one-transaction HSM migration and (b) aggregated
 //! migration with 1 GB containers, plus the weekend arithmetic.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{bench_tracer, print_table, rig_library, write_json};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_hsm::aggregate::migrate_aggregated;
-use copra_hsm::{DataPath, Hsm, TsmServer};
+use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::TapeTiming;
 use copra_workloads::{populate, small_file_storm};
 use serde::Serialize;
 
@@ -33,10 +33,11 @@ struct Row {
 fn one_drive_hsm() -> Hsm {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
+        .tracer(bench_tracer())
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(1));
-    let server = TsmServer::roadrunner(TapeLibrary::new(1, 64, TapeTiming::lto4()));
-    let h = Hsm::new(pfs, server, cluster);
+    let server = TsmServer::roadrunner(rig_library(1, 64, TapeTiming::lto4()));
+    let h = Hsm::new(pfs, server, cluster, PlacementPolicy::Single);
     copra_bench::note_hsm(&h);
     h
 }

@@ -21,7 +21,7 @@
 //! goodput floor — while p99 stays within 1.5× of FIFO, and a cache-hot
 //! recall performs zero tape mounts.
 
-use copra_bench::{print_table, write_json, BenchCli, EXPERIMENT_SEED};
+use copra_bench::{bench_tracer, print_table, write_json, BenchCli, EXPERIMENT_SEED};
 use copra_core::{ArchiveSystem, SystemConfig};
 use copra_simtime::SimInstant;
 use copra_stager::{Priority, RecallRequest, SchedulerMode, StagerConfig};
@@ -117,7 +117,9 @@ fn priority_of(level: u8) -> Priority {
 /// Build a fresh system, archive the campaign file set, run the arrival
 /// stream through the configured stager, and fold the completions.
 fn run(label: &str, campaign: &StagerCampaign, stager_cfg: StagerConfig) -> Row {
-    let mut config = SystemConfig::test_small().with_stager(stager_cfg);
+    let mut config = SystemConfig::test_small()
+        .with_stager(stager_cfg)
+        .with_tracer(bench_tracer());
     config.drives = 8;
     config.tapes = 128;
     let sys = ArchiveSystem::new(config);

@@ -9,15 +9,15 @@
 //! of (a) unlink + reconcile-with-fix and (b) synchronous delete. Both
 //! must leave zero orphans.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{bench_tracer, print_table, rig_library, write_json};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_core::SyncDeleter;
 use copra_hsm::aggregate::migrate_aggregated;
-use copra_hsm::{reconcile, DataPath, Hsm, TsmServer};
+use copra_hsm::{reconcile, DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
 use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::TapeTiming;
 use copra_workloads::{mixed_tree, populate};
 use serde::Serialize;
 use std::sync::Arc;
@@ -34,10 +34,11 @@ struct Row {
 fn build(files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
+        .tracer(bench_tracer())
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(4));
-    let server = TsmServer::roadrunner(TapeLibrary::new(8, 256, TapeTiming::lto4()));
-    let hsm = Hsm::new(pfs.clone(), server, cluster);
+    let server = TsmServer::roadrunner(rig_library(8, 256, TapeTiming::lto4()));
+    let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
     copra_bench::note_hsm(&hsm);
     let tree = mixed_tree(files, 20_000_000, 1.0, 16, 5);
     populate(&pfs, "/data", &tree);

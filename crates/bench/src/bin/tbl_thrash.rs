@@ -9,12 +9,12 @@
 //! We migrate K files (one volume, ascending seq), then recall all of them
 //! under both policies across a varying node count.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{bench_tracer, print_table, rig_library, write_json};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
-use copra_hsm::{DataPath, Hsm, RecallPolicy, RecallRequest, TsmServer};
+use copra_hsm::{DataPath, Hsm, PlacementPolicy, RecallPolicy, RecallRequest, TsmServer};
 use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use serde::Serialize;
 
@@ -32,10 +32,11 @@ struct Row {
 fn run(nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
+        .tracer(bench_tracer())
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
-    let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-    let hsm = Hsm::new(pfs.clone(), server, cluster);
+    let server = TsmServer::roadrunner(rig_library(2, 8, TapeTiming::lto4()));
+    let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
     copra_bench::note_hsm(&hsm);
     let mut cursor = SimInstant::EPOCH;
     let mut inos = Vec::new();

@@ -23,8 +23,10 @@
 //! Criterion benches (in `benches/`) measure the *real* wall-time of the
 //! hot machinery.
 
-use copra_core::{ArchiveSystem, DeviceUtilization, SystemConfig, SystemSnapshot};
+use copra_core::{ArchiveSystem, SystemConfig, SystemSnapshot};
+use copra_obs::Registry;
 use copra_simtime::{achieved_rate, DataSize, SimInstant};
+use copra_tape::{TapeLibrary, TapeTiming};
 use copra_trace::Tracer;
 use serde::Serialize;
 use std::fmt::Display;
@@ -96,29 +98,24 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("  [json] {}", path.display());
 }
 
-/// The standard experiment rig: the Roadrunner-shaped system. Armed for
-/// tracing automatically when the binary was invoked with `--trace-out`.
+/// The standard experiment rig: the Roadrunner-shaped system, built with
+/// the [`bench_tracer`] (armed when the binary was invoked with
+/// `--trace-out`).
 pub fn roadrunner_rig() -> ArchiveSystem {
-    let sys = ArchiveSystem::new(SystemConfig::roadrunner());
-    arm_rig_tracing(&sys);
-    sys
+    ArchiveSystem::new(SystemConfig::roadrunner().with_tracer(bench_tracer()))
 }
 
 /// A smaller rig for sweeps that rebuild the system many times. Also
-/// auto-armed under `--trace-out`; all rebuilt rigs share one span store,
-/// so the dumped trace covers the whole sweep.
+/// built with the [`bench_tracer`]; all rebuilt rigs share one span
+/// store, so the dumped trace covers the whole sweep.
 pub fn small_rig() -> ArchiveSystem {
-    let sys = ArchiveSystem::new(SystemConfig::test_small());
-    arm_rig_tracing(&sys);
-    sys
+    ArchiveSystem::new(SystemConfig::test_small().with_tracer(bench_tracer()))
 }
 
-/// Arm `sys` with the process-wide bench tracer when one is active.
-pub fn arm_rig_tracing(sys: &ArchiveSystem) {
-    let tracer = bench_tracer();
-    if tracer.is_armed() {
-        sys.arm_tracing(tracer);
-    }
+/// A tape library for a hand-built HSM rig, whose registry records spans
+/// into the [`bench_tracer`] like the full-system rigs do.
+pub fn rig_library(drives: usize, tapes: usize, timing: TapeTiming) -> TapeLibrary {
+    TapeLibrary::with_obs(drives, tapes, timing, Registry::traced(bench_tracer()))
 }
 
 /// Fixed seed used across experiment binaries (reproducibility).
@@ -238,22 +235,14 @@ enum NotedRig {
 static LAST_RIG: Mutex<Option<NotedRig>> = Mutex::new(None);
 
 /// Remember `sys` as the system a later [`dump_metrics_if_requested`]
-/// snapshots. Cheap: an `ArchiveSystem` clone shares all state. Also
-/// arms tracing under `--trace-out` (idempotent with the rig helpers).
+/// snapshots. Cheap: an `ArchiveSystem` clone shares all state.
 pub fn note_rig(sys: &ArchiveSystem) {
-    arm_rig_tracing(sys);
     *LAST_RIG.lock().unwrap() = Some(NotedRig::System(Box::new(sys.clone())));
 }
 
 /// Remember an HSM-only rig (binaries that drive `Hsm` directly, without
-/// the full `ArchiveSystem` wiring). Under `--trace-out` the rig's
-/// registry and PFS are armed here, so hand-rolled binaries trace too.
+/// the full `ArchiveSystem` wiring).
 pub fn note_hsm(hsm: &copra_hsm::Hsm) {
-    let tracer = bench_tracer();
-    if tracer.is_armed() {
-        hsm.server().obs().set_tracer(tracer.clone());
-        hsm.pfs().arm_tracing(tracer);
-    }
     *LAST_RIG.lock().unwrap() = Some(NotedRig::Hsm(hsm.clone()));
 }
 
@@ -261,25 +250,7 @@ fn snapshot_noted() -> SystemSnapshot {
     match &*LAST_RIG.lock().unwrap() {
         Some(NotedRig::System(sys)) => sys.snapshot(),
         Some(NotedRig::Hsm(hsm)) => {
-            let now = hsm.pfs().clock().now();
-            let server = hsm.server();
-            let mut devices = vec![DeviceUtilization::from_stats(
-                "server.nic",
-                &server.nic_stats(),
-                now,
-            )];
-            for (i, stats) in server.library().drive_timeline_stats().iter().enumerate() {
-                devices.push(DeviceUtilization::from_stats(
-                    format!("tape.drive{i}"),
-                    stats,
-                    now,
-                ));
-            }
-            SystemSnapshot {
-                sim_now_ns: now.as_nanos(),
-                devices,
-                metrics: server.obs().snapshot(),
-            }
+            SystemSnapshot::of_server(hsm.server(), hsm.pfs().clock().now(), Vec::new())
         }
         None => SystemSnapshot {
             sim_now_ns: 0,

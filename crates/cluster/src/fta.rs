@@ -5,7 +5,6 @@ use copra_simtime::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// FTA node identifier.
@@ -68,7 +67,6 @@ impl Default for ClusterConfig {
 struct NodeDevices {
     nic: Timeline,
     hba: Timeline,
-    active_tasks: AtomicU64,
 }
 
 struct Shared {
@@ -89,7 +87,6 @@ impl FtaCluster {
             .map(|i| NodeDevices {
                 nic: Timeline::new(format!("fta{i:02}-nic"), config.nic, config.nic_latency),
                 hba: Timeline::new(format!("fta{i:02}-hba"), config.hba, config.hba_latency),
-                active_tasks: AtomicU64::new(0),
             })
             .collect();
         let trunk = TimelinePool::new(
@@ -153,24 +150,6 @@ impl FtaCluster {
         self.dev(node).hba.transfer(ready, bytes)
     }
 
-    // ----- load tracking --------------------------------------------------
-
-    /// Record a task starting on a node (LoadManager sorts on this).
-    pub fn begin_task(&self, node: NodeId) {
-        self.dev(node).active_tasks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a task finishing.
-    pub fn end_task(&self, node: NodeId) {
-        let prev = self.dev(node).active_tasks.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "end_task without begin_task on {node}");
-    }
-
-    /// Current task count on a node.
-    pub fn load(&self, node: NodeId) -> u64 {
-        self.dev(node).active_tasks.load(Ordering::Relaxed)
-    }
-
     /// Latest completion instant across all node devices and the trunk.
     pub fn drain_time(&self) -> SimInstant {
         let mut t = self.shared.trunk.drain_time();
@@ -216,18 +195,6 @@ mod tests {
         // FC4 = 0.5 GB/s → 2 s
         assert!(((r.end - r.start).as_secs_f64() - 2.0).abs() < 0.01);
         assert_eq!(c.trunk().total_busy(), copra_simtime::SimDuration::ZERO);
-    }
-
-    #[test]
-    fn load_tracking() {
-        let c = FtaCluster::new(ClusterConfig::tiny(2));
-        c.begin_task(NodeId(0));
-        c.begin_task(NodeId(0));
-        c.begin_task(NodeId(1));
-        assert_eq!(c.load(NodeId(0)), 2);
-        assert_eq!(c.load(NodeId(1)), 1);
-        c.end_task(NodeId(0));
-        assert_eq!(c.load(NodeId(0)), 1);
     }
 
     #[test]

@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn aggregated_members_carry_their_records_path_length_and_offset() {
         use copra_cluster::{ClusterConfig, FtaCluster};
-        use copra_hsm::{ObjectKind, TsmServer};
+        use copra_hsm::{ObjectKind, PlacementPolicy, TsmServer};
         use copra_metadb::TsmCatalog;
         use copra_pfs::{PfsBuilder, PoolConfig};
         use copra_simtime::Clock;
@@ -373,7 +373,7 @@ mod tests {
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
         let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-        let hsm = Hsm::new(pfs.clone(), server, cluster);
+        let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
         for d in 0..3 {
             pfs.mkdir_p(&format!("/proj/d{d}")).unwrap();
         }

@@ -11,6 +11,7 @@
 //! 8–11's framing) and "what did the software layers do?" (mounts,
 //! recalls, queue depths, worker churn).
 
+use copra_hsm::TsmServer;
 use copra_obs::MetricsSnapshot;
 use copra_simtime::{SimInstant, TimelineStats};
 
@@ -54,6 +55,33 @@ pub struct SystemSnapshot {
 }
 
 impl SystemSnapshot {
+    /// Capture the HSM side at `now`: `devices` (the cluster's rows, when
+    /// the caller has a cluster) followed by the server NIC and every
+    /// tape drive, plus the server's metrics registry.
+    pub fn of_server(
+        server: &TsmServer,
+        now: SimInstant,
+        mut devices: Vec<DeviceUtilization>,
+    ) -> Self {
+        devices.push(DeviceUtilization::from_stats(
+            "server.nic",
+            &server.nic_stats(),
+            now,
+        ));
+        for (i, stats) in server.library().drive_timeline_stats().iter().enumerate() {
+            devices.push(DeviceUtilization::from_stats(
+                format!("tape.drive{i}"),
+                stats,
+                now,
+            ));
+        }
+        SystemSnapshot {
+            sim_now_ns: now.as_nanos(),
+            devices,
+            metrics: server.obs().snapshot(),
+        }
+    }
+
     /// Look up one device row by its stable name.
     pub fn device(&self, name: &str) -> Option<&DeviceUtilization> {
         self.devices.iter().find(|d| d.name == name)

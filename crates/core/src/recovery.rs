@@ -238,7 +238,7 @@ pub fn recover(hsm: &Hsm, catalog: &TsmCatalog, ready: SimInstant) -> HsmResult<
     }
 
     let w0 = tracer.wall_now_ns();
-    report.scrub = copra_hsm::scrub(hsm.pfs(), hsm.server(), catalog, cursor)?;
+    report.scrub = copra_hsm::scrub(hsm, catalog, cursor)?;
     journal.truncate_sealed();
     report.end = report.scrub.end;
     tracer.record_closed(root_ctx, "recover.scrub", 0, cursor, report.end, w0);

@@ -197,7 +197,7 @@ impl SyncDeleter {
 mod tests {
     use super::*;
     use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
-    use copra_hsm::{reconcile, DataPath, TsmServer};
+    use copra_hsm::{reconcile, DataPath, PlacementPolicy, TsmServer};
     use copra_pfs::{PfsBuilder, PoolConfig};
     use copra_simtime::{Clock, DataSize};
     use copra_tape::{TapeLibrary, TapeTiming};
@@ -209,7 +209,7 @@ mod tests {
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
         let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-        let hsm = Hsm::new(pfs, server, cluster);
+        let hsm = Hsm::new(pfs, server, cluster, PlacementPolicy::Single);
         let catalog = Arc::new(TsmCatalog::new());
         let deleter = SyncDeleter::new(hsm.clone(), catalog.clone());
         (hsm, catalog, deleter)

@@ -1,7 +1,7 @@
 //! The assembled archive system.
 
-use copra_cluster::{ClusterConfig, FtaCluster, LoadManager};
-use copra_faults::{FaultPlan, FaultPlane, RetryPolicy};
+use copra_cluster::{ClusterConfig, FtaCluster};
+use copra_faults::{FaultPlan, FaultPlane};
 use copra_fuse::ArchiveFuse;
 use copra_hsm::{DataPath, Hsm, HsmResult, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
@@ -31,9 +31,6 @@ pub struct SystemConfig {
     /// Where migrated objects land across the libraries (replica count
     /// and steering) — see [`PlacementPolicy`].
     pub placement: PlacementPolicy,
-    /// Fallback retry policy the recovery paths use when no fault plane
-    /// is armed (an armed plane's policy always wins).
-    pub retry_policy: RetryPolicy,
     /// Fast FC disk pool capacity (archive first tier).
     pub fast_pool: DataSize,
     /// Devices (LUN groups) in the fast pool.
@@ -48,13 +45,9 @@ pub struct SystemConfig {
     /// ArchiveFUSE threshold and chunk size (§4.1.2-4).
     pub fuse_threshold: DataSize,
     pub fuse_chunk: DataSize,
-    /// LoadManager refresh period.
-    pub loadmgr_refresh: SimDuration,
-    /// Fault plan to arm at construction ([`SystemConfig::with_faults`]).
-    /// `None` builds a fault-free system with no `faults.*` metrics.
-    pub faults: Option<FaultPlan>,
-    /// Tracer to arm at construction ([`SystemConfig::with_tracer`]).
-    pub tracer: Option<copra_trace::Tracer>,
+    /// Span tracer the whole stack records into
+    /// ([`SystemConfig::with_tracer`]); disabled by default.
+    pub tracer: copra_trace::Tracer,
     /// Stager front end to build at construction
     /// ([`SystemConfig::with_stager`]). `None` leaves recalls unscheduled
     /// (the historical direct-to-HSM path).
@@ -72,7 +65,6 @@ impl SystemConfig {
             tapes: 512,
             tape_timing: TapeTiming::lto4(),
             placement: PlacementPolicy::Single,
-            retry_policy: RetryPolicy::immediate(8),
             fast_pool: DataSize::tb(100),
             fast_devices: 10,
             slow_pool: DataSize::tb(100),
@@ -81,9 +73,7 @@ impl SystemConfig {
             scratch_devices: 24,
             fuse_threshold: DataSize::gb(100),
             fuse_chunk: DataSize::gb(10),
-            loadmgr_refresh: SimDuration::from_secs(60),
-            faults: None,
-            tracer: None,
+            tracer: copra_trace::Tracer::disabled(),
             stager: None,
         }
     }
@@ -98,7 +88,6 @@ impl SystemConfig {
             tapes: 32,
             tape_timing: TapeTiming::lto4(),
             placement: PlacementPolicy::Single,
-            retry_policy: RetryPolicy::immediate(8),
             fast_pool: DataSize::tb(10),
             fast_devices: 4,
             slow_pool: DataSize::tb(10),
@@ -107,9 +96,7 @@ impl SystemConfig {
             scratch_devices: 8,
             fuse_threshold: DataSize::mb(200),
             fuse_chunk: DataSize::mb(50),
-            loadmgr_refresh: SimDuration::from_secs(60),
-            faults: None,
-            tracer: None,
+            tracer: copra_trace::Tracer::disabled(),
             stager: None,
         }
     }
@@ -124,42 +111,10 @@ impl SystemConfig {
         }
     }
 
-    // ----- fluent arming ---------------------------------------------------
-    //
-    // Historically faults, tracing, retry and the stager were armed by
-    // separate post-construction mutators; these builders let benches and
-    // tests produce a fully-armed system in one expression:
-    //
-    // ```ignore
-    // let sys = ArchiveSystem::new(
-    //     SystemConfig::test_small()
-    //         .with_faults(plan)
-    //         .with_tracer(tracer)
-    //         .with_retry(RetryPolicy::immediate(4))
-    //         .with_stager(StagerConfig::default()),
-    // );
-    // ```
-    //
-    // The old mutators ([`ArchiveSystem::arm_faults`],
-    // [`ArchiveSystem::arm_tracing`]) remain as thin shims — `new`
-    // delegates to them when these fields are set.
-
-    /// Arm this fault plan at construction.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Arm this tracer at construction.
+    /// Record spans from every layer (both file systems, the HSM, the
+    /// journal, recovery, PFTool, the stager) into `tracer`'s store.
     pub fn with_tracer(mut self, tracer: copra_trace::Tracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Use this fallback retry policy (what `TsmServer::set_default_retry`
-    /// applied post-construction).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry_policy = policy;
+        self.tracer = tracer;
         self
     }
 
@@ -187,12 +142,10 @@ pub struct ArchiveSystem {
     hsm: Hsm,
     fuse: ArchiveFuse,
     catalog: Arc<TsmCatalog>,
-    loadmgr: Arc<LoadManager>,
     scratch_view: FsView,
     archive_view: FsView,
     obs: Arc<Registry>,
     stager: Option<Arc<Stager>>,
-    fault_plane: Option<Arc<FaultPlane>>,
 }
 
 impl ArchiveSystem {
@@ -200,7 +153,9 @@ impl ArchiveSystem {
     pub fn new(config: SystemConfig) -> Self {
         let clock = Clock::new();
         let cluster = FtaCluster::new(config.cluster.clone());
-        let scratch = Pfs::scratch("scratch", clock.clone(), config.scratch_devices);
+        let scratch = PfsBuilder::scratch("scratch", clock.clone(), config.scratch_devices)
+            .tracer(config.tracer.clone())
+            .build();
         let archive = PfsBuilder::new("archive", clock.clone())
             .pool(PoolConfig::fast_disk(
                 "fast",
@@ -229,11 +184,12 @@ impl ArchiveSystem {
                     predicate: Predicate::True,
                 },
             ])
+            .tracer(config.tracer.clone())
             .build();
         // One registry for the whole stack: the tape fleet owns it, and
         // the server / agents / HSM / PFTool all reach it through the
         // fleet's libraries.
-        let obs = Registry::new();
+        let obs = Registry::traced(config.tracer);
         let fleet = TapeFleet::new_uniform(
             config.libraries.max(1),
             config.drives,
@@ -242,12 +198,9 @@ impl ArchiveSystem {
             obs.clone(),
         );
         let server = TsmServer::roadrunner(fleet);
-        server.set_default_retry(config.retry_policy);
-        let hsm = Hsm::new(archive.clone(), server, cluster.clone());
-        hsm.set_placement(config.placement);
+        let hsm = Hsm::new(archive.clone(), server, cluster.clone(), config.placement);
         let fuse = ArchiveFuse::new(archive.clone(), config.fuse_threshold, config.fuse_chunk);
         let catalog = Arc::new(TsmCatalog::new());
-        let loadmgr = Arc::new(LoadManager::new(cluster.clone(), config.loadmgr_refresh));
         let scratch_view = FsView::plain(scratch.clone(), cluster.clone());
         let archive_view = FsView::archive(
             archive.clone(),
@@ -258,7 +211,10 @@ impl ArchiveSystem {
         );
         // Standard trashcan root, present from day one (§4.2.7).
         archive.mkdir_p(crate::trashcan::TRASH_ROOT).unwrap();
-        let mut sys = ArchiveSystem {
+        let stager = config
+            .stager
+            .map(|cfg| Arc::new(Stager::new(hsm.clone(), cfg)));
+        ArchiveSystem {
             clock,
             cluster,
             scratch,
@@ -266,25 +222,11 @@ impl ArchiveSystem {
             hsm,
             fuse,
             catalog,
-            loadmgr,
             scratch_view,
             archive_view,
             obs,
-            stager: None,
-            fault_plane: None,
-        };
-        // Fluent arming: delegate to the historical mutators so the two
-        // surfaces cannot drift apart.
-        if let Some(tracer) = config.tracer {
-            sys.arm_tracing(tracer);
+            stager,
         }
-        if let Some(plan) = config.faults {
-            sys.fault_plane = Some(sys.arm_faults(plan));
-        }
-        if let Some(stager_cfg) = config.stager {
-            sys.stager = Some(Arc::new(Stager::new(sys.hsm.clone(), stager_cfg)));
-        }
-        sys
     }
 
     // ----- accessors -------------------------------------------------------
@@ -310,9 +252,6 @@ impl ArchiveSystem {
     pub fn catalog(&self) -> &Arc<TsmCatalog> {
         &self.catalog
     }
-    pub fn loadmgr(&self) -> &Arc<LoadManager> {
-        &self.loadmgr
-    }
     pub fn scratch_view(&self) -> &FsView {
         &self.scratch_view
     }
@@ -326,12 +265,6 @@ impl ArchiveSystem {
     /// The stager front end, when [`SystemConfig::with_stager`] built one.
     pub fn stager(&self) -> Option<&Arc<Stager>> {
         self.stager.as_ref()
-    }
-    /// The fault plane armed at construction by
-    /// [`SystemConfig::with_faults`] (post-construction
-    /// [`ArchiveSystem::arm_faults`] hands its plane back directly).
-    pub fn fault_plane(&self) -> Option<&Arc<FaultPlane>> {
-        self.fault_plane.as_ref()
     }
 
     // ----- typed request entry points ---------------------------------------
@@ -380,24 +313,13 @@ impl ArchiveSystem {
     /// tape library starts consulting it — which puts it in reach of the
     /// HSM agents and PFTool's movers too. Fault-free systems never arm a
     /// plane, so the `faults.*` metric family stays unregistered and a
-    /// snapshot reports zero for all of it.
+    /// snapshot reports zero for all of it. Unlike tracing and placement
+    /// this is a run-time call: a plan may name instants and tape
+    /// addresses that exist only after the first migrates.
     pub fn arm_faults(&self, plan: FaultPlan) -> Arc<FaultPlane> {
         let plane = plan.arm(self.obs.clone());
         self.hsm.server().library().arm_faults(plane.clone());
         plane
-    }
-
-    // ----- tracing ----------------------------------------------------------
-
-    /// Arm causal tracing across the whole stack: the obs registry's
-    /// tracer (consulted by the HSM, the journal, recovery and the fault
-    /// plane) and both Pfs instances all record into the one shared span
-    /// store. Un-armed systems pay nothing — every span call stays a
-    /// branch on `None`.
-    pub fn arm_tracing(&self, tracer: copra_trace::Tracer) {
-        self.obs.set_tracer(tracer.clone());
-        self.scratch.arm_tracing(tracer.clone());
-        self.archive.arm_tracing(tracer);
     }
 
     // ----- recovery ---------------------------------------------------------
@@ -445,30 +367,7 @@ impl ArchiveSystem {
                 now,
             ));
         }
-        devices.push(DeviceUtilization::from_stats(
-            "server.nic",
-            &self.hsm.server().nic_stats(),
-            now,
-        ));
-        for (i, stats) in self
-            .hsm
-            .server()
-            .library()
-            .drive_timeline_stats()
-            .iter()
-            .enumerate()
-        {
-            devices.push(DeviceUtilization::from_stats(
-                format!("tape.drive{i}"),
-                stats,
-                now,
-            ));
-        }
-        SystemSnapshot {
-            sim_now_ns: now.as_nanos(),
-            devices,
-            metrics: self.obs.snapshot(),
-        }
+        SystemSnapshot::of_server(self.hsm.server(), now, devices)
     }
 
     /// The plain-text campaign dashboard for the current snapshot.
@@ -527,9 +426,10 @@ impl ArchiveSystem {
 
     // ----- user-facing commands (launched via MOAB in the paper) -----------
 
-    /// Machine list for a run, from the LoadManager.
+    /// Machine list for a run: the first `k` nodes (at least one) in
+    /// node order.
     fn machines(&self, k: usize) -> Vec<copra_cluster::NodeId> {
-        self.loadmgr.least_loaded(self.clock.now(), k.max(1))
+        self.cluster.nodes().take(k.max(1)).collect()
     }
 
     /// `pfcp` scratch → archive.

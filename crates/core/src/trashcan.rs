@@ -172,7 +172,7 @@ mod tests {
     fn purge_of_chunked_trash_deletes_every_chunk() {
         use crate::syncdel::SyncDeleter;
         use copra_cluster::{ClusterConfig, FtaCluster};
-        use copra_hsm::{Hsm, TsmServer};
+        use copra_hsm::{Hsm, PlacementPolicy, TsmServer};
         use copra_metadb::TsmCatalog;
         use copra_tape::{TapeLibrary, TapeTiming};
         use std::sync::Arc;
@@ -193,7 +193,7 @@ mod tests {
         assert_eq!(cands.len(), 15, "one purge candidate per chunk");
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
         let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-        let hsm = Hsm::new(pfs.clone(), server, cluster);
+        let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
         let catalog = Arc::new(TsmCatalog::new());
         let deleter = SyncDeleter::new(hsm, catalog);
         let report = deleter.purge(&cands, SimInstant::EPOCH);

@@ -132,15 +132,13 @@ impl StorageAgent {
     }
 
     /// The armed fault plane (if any) and the retry policy recoveries use:
-    /// backoff-with-jitter under a plan, the server's configured default
-    /// otherwise (immediate bounded retries unless the system overrides
-    /// it — keeping the fault-free baseline's sim timings unchanged).
+    /// backoff-with-jitter under a plan, otherwise eight immediate
+    /// attempts — the fault-free baseline's sim timings.
     fn recovery(&self) -> (Option<Arc<FaultPlane>>, RetryPolicy) {
         let plane = self.shared.server.library().armed_faults();
         let policy = plane
             .as_ref()
-            .map(|p| p.retry())
-            .unwrap_or_else(|| self.shared.server.default_retry());
+            .map_or(RetryPolicy::immediate(8), |p| p.retry());
         (plane, policy)
     }
 
@@ -715,16 +713,12 @@ mod tests {
         use copra_faults::FaultPlan;
         let (cluster, server) = setup(1, 1, 2);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
-        // Unarmed: the server's configured default is the fallback.
+        // Unarmed: eight immediate attempts are the fallback.
         assert_eq!(agent.recovery().1, RetryPolicy::immediate(8));
-        server.set_default_retry(RetryPolicy::immediate(3));
-        assert_eq!(agent.recovery().1, RetryPolicy::immediate(3));
-        // Armed: the plane's policy wins over whatever the server holds.
+        // Armed: the plane's policy wins.
         let lib = server.library().clone();
         lib.arm_faults(FaultPlan::new(7).arm(lib.obs().clone()));
-        let armed = agent.recovery().1;
-        assert_eq!(armed, RetryPolicy::standard(7));
-        assert_ne!(armed, server.default_retry());
+        assert_eq!(agent.recovery().1, RetryPolicy::standard(7));
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub fn migrate_aggregated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hsm::Hsm;
+    use crate::hsm::{Hsm, PlacementPolicy};
     use crate::server::TsmServer;
     use copra_cluster::{ClusterConfig, FtaCluster};
     use copra_pfs::{PfsBuilder, PoolConfig};
@@ -164,7 +164,7 @@ mod tests {
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
         let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-        Hsm::new(pfs, server, cluster)
+        Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
     }
 
     /// `count` files of `size` bytes, each with the path it was created at.

@@ -193,6 +193,7 @@ impl Hsm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hsm::PlacementPolicy;
     use crate::server::TsmServer;
     use copra_cluster::{ClusterConfig, FtaCluster};
     use copra_pfs::{HsmState, PfsBuilder, PoolConfig};
@@ -205,7 +206,7 @@ mod tests {
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
         let server = TsmServer::roadrunner(TapeLibrary::new(2, 16, TapeTiming::lto4()));
-        Hsm::new(pfs, server, cluster)
+        Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
     }
 
     #[test]

@@ -12,7 +12,6 @@ use copra_simtime::{DataSize, SimInstant};
 use copra_tape::{LibraryId, TapeError, TapeId};
 use copra_trace::{finish_opt, SpanContext, Tracer};
 use copra_vfs::Ino;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -94,14 +93,20 @@ pub struct Hsm {
     /// Write-ahead intent log for multi-store mutations (migrate,
     /// sync-delete, purge, reclaim). Shared with the core layer.
     journal: Arc<Journal>,
-    /// Replica placement for migrates (shared across clones).
-    placement: Arc<RwLock<PlacementPolicy>>,
+    /// Replica placement for migrates; scrub and re-silver measure
+    /// under-replication against it too.
+    placement: PlacementPolicy,
 }
 
 impl Hsm {
     /// One storage agent (and recall daemon) per cluster node, as in the
-    /// paper's deployment.
-    pub fn new(pfs: Pfs, server: TsmServer, cluster: FtaCluster) -> Self {
+    /// paper's deployment, placing migrated objects per `placement`.
+    pub fn new(
+        pfs: Pfs,
+        server: TsmServer,
+        cluster: FtaCluster,
+        placement: PlacementPolicy,
+    ) -> Self {
         let agents = cluster
             .nodes()
             .map(|n| StorageAgent::new(n, cluster.clone(), server.clone()))
@@ -123,20 +128,13 @@ impl Hsm {
             agents,
             metrics,
             journal,
-            placement: Arc::new(RwLock::new(PlacementPolicy::Single)),
+            placement,
         }
     }
 
-    /// The active replica placement policy.
+    /// The replica placement policy.
     pub fn placement(&self) -> PlacementPolicy {
-        *self.placement.read()
-    }
-
-    /// Switch replica placement. The server's replica target follows, so
-    /// scrub and re-silver measure under-replication against the policy.
-    pub fn set_placement(&self, policy: PlacementPolicy) {
-        *self.placement.write() = policy;
-        self.server.set_replica_target(policy.total_copies());
+        self.placement
     }
 
     pub fn pfs(&self) -> &Pfs {
@@ -160,9 +158,9 @@ impl Hsm {
         &self.agents[node.0 as usize]
     }
 
-    /// The tracer armed on the obs registry (disabled until armed; read
-    /// lazily so arming after construction takes effect).
-    pub(crate) fn tracer(&self) -> Tracer {
+    /// The obs registry's tracer (disabled unless the registry was built
+    /// traced).
+    pub(crate) fn tracer(&self) -> &Tracer {
         self.server.obs().tracer()
     }
 
@@ -546,7 +544,7 @@ mod tests {
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
         let server = TsmServer::roadrunner(TapeLibrary::new(drives, tapes, TapeTiming::lto4()));
-        Hsm::new(pfs, server, cluster)
+        Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
     }
 
     #[test]

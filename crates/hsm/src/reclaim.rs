@@ -163,27 +163,27 @@ pub fn reclaim_eligible(
 mod tests {
     use super::*;
     use crate::agent::DataPath;
-    use crate::hsm::Hsm;
+    use crate::hsm::{Hsm, PlacementPolicy};
     use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
     use copra_pfs::{PfsBuilder, PoolConfig};
     use copra_simtime::{Clock, DataSize};
     use copra_tape::{TapeLibrary, TapeTiming};
     use copra_vfs::Content;
 
-    fn setup() -> Hsm {
+    fn setup(placement: PlacementPolicy) -> Hsm {
         let pfs = PfsBuilder::new("archive", Clock::new())
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
         let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-        Hsm::new(pfs, server, cluster)
+        Hsm::new(pfs, server, cluster, placement)
     }
 
     /// Migrate files onto one volume, delete most, reclaim, and verify the
     /// survivors still recall with correct bytes from their new home.
     #[test]
     fn reclaim_moves_live_data_and_recalls_still_work() {
-        let hsm = setup();
+        let hsm = setup(PlacementPolicy::Single);
         let pfs = hsm.pfs().clone();
         let mut cursor = SimInstant::EPOCH;
         let mut inos = Vec::new();
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn damage_is_lost_without_copies_survives_with() {
         // Without copies.
-        let hsm = setup();
+        let hsm = setup(PlacementPolicy::Single);
         let pfs = hsm.pfs().clone();
         let ino = pfs
             .create_file("/f", 0, Content::synthetic(1, 1_000_000))
@@ -265,8 +265,7 @@ mod tests {
         ));
 
         // With a second copy: the same damage is absorbed.
-        let hsm = setup();
-        hsm.set_placement(crate::PlacementPolicy::Mirror { copies: 2 });
+        let hsm = setup(PlacementPolicy::Mirror { copies: 2 });
         let pfs = hsm.pfs().clone();
         let content = Content::synthetic(2, 1_000_000);
         let ino = pfs.create_file("/g", 0, content.clone()).unwrap();
@@ -299,7 +298,7 @@ mod tests {
 
     #[test]
     fn reclaim_eligible_sweeps_by_threshold() {
-        let hsm = setup();
+        let hsm = setup(PlacementPolicy::Single);
         let pfs = hsm.pfs().clone();
         let mut cursor = SimInstant::EPOCH;
         for i in 0..4u64 {

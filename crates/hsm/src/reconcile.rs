@@ -169,12 +169,8 @@ fn replica_readable(server: &TsmServer, objid: u64) -> bool {
 ///
 /// Emits `scrub.*` counters and `Recovery` events; panics never, errors
 /// only on infrastructure failure.
-pub fn scrub(
-    pfs: &Pfs,
-    server: &TsmServer,
-    catalog: &TsmCatalog,
-    ready: SimInstant,
-) -> HsmResult<ScrubReport> {
+pub fn scrub(hsm: &Hsm, catalog: &TsmCatalog, ready: SimInstant) -> HsmResult<ScrubReport> {
+    let (pfs, server) = (hsm.pfs(), hsm.server());
     let obs = server.obs().clone();
     let mut report = ScrubReport::default();
 
@@ -260,10 +256,10 @@ pub fn scrub(
         .verify_indexes()
         .expect("catalog indexes consistent after scrub");
 
-    // Phase 5: replica audit. Gated on the fleet's replica target so
+    // Phase 5: replica audit. Gated on the placement's replica target so
     // unreplicated deployments keep the exact legacy scrub behaviour
     // (reports, counters, and sim-time charges all unchanged).
-    let target = server.replica_target();
+    let target = hsm.placement().total_copies();
     if target > 1 {
         let copy_ids: FxHashSet<u64> = server.all_copy_objids().into_iter().collect();
         for obj in server.objects() {
@@ -383,7 +379,7 @@ pub fn resilver(
     ready: SimInstant,
 ) -> HsmResult<ResilverReport> {
     let server = hsm.server();
-    let target = server.replica_target();
+    let target = hsm.placement().total_copies();
     let mut report = ResilverReport {
         end: ready,
         ..Default::default()
@@ -503,7 +499,7 @@ mod tests {
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
         let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-        Hsm::new(pfs, server, cluster)
+        Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
     }
 
     fn setup_mirrored(libraries: usize) -> Hsm {
@@ -519,9 +515,7 @@ mod tests {
             copra_obs::Registry::new(),
         );
         let server = TsmServer::roadrunner(fleet);
-        let hsm = Hsm::new(pfs, server, cluster);
-        hsm.set_placement(PlacementPolicy::Mirror { copies: 2 });
-        hsm
+        Hsm::new(pfs, server, cluster, PlacementPolicy::Mirror { copies: 2 })
     }
 
     #[test]
@@ -629,7 +623,7 @@ mod tests {
         // the server forgot the object but the stub and record remain.
         hsm.server().forget_object(pairs[1].1).unwrap();
 
-        let report = scrub(&pfs, hsm.server(), &catalog, cursor).unwrap();
+        let report = scrub(&hsm, &catalog, cursor).unwrap();
         assert_eq!(report.orphans_deleted, vec![pairs[0].1]);
         assert_eq!(report.stubs_demoted, vec![pairs[1].1]);
         assert!(report.lost_stubs.is_empty());
@@ -640,7 +634,7 @@ mod tests {
         assert_eq!(catalog.len(), hsm.server().db_len());
         assert_eq!(catalog.verify_indexes(), Ok(()));
         // A second pass finds nothing.
-        let again = scrub(&pfs, hsm.server(), &catalog, report.end).unwrap();
+        let again = scrub(&hsm, &catalog, report.end).unwrap();
         assert!(again.is_clean(), "{again:?}");
         let snap = hsm.server().obs().snapshot();
         assert_eq!(snap.counter("scrub.passes"), 2);
@@ -714,7 +708,7 @@ mod tests {
         );
         hsm.server().library().libraries()[1].set_offline(false);
 
-        let report = scrub(&pfs, hsm.server(), &catalog, cursor).unwrap();
+        let report = scrub(&hsm, &catalog, cursor).unwrap();
         assert_eq!(report.under_replicated, vec![objid]);
         assert!(report.diverged_replicas.is_empty());
         assert!(!report.is_clean());
@@ -730,7 +724,7 @@ mod tests {
 
         // Re-silver grew the DB; converge the catalog before the clean check.
         hsm.server().export(&catalog);
-        let again = scrub(&pfs, hsm.server(), &catalog, r.end).unwrap();
+        let again = scrub(&hsm, &catalog, r.end).unwrap();
         assert!(again.is_clean(), "{again:?}");
         let snap = hsm.server().obs().snapshot();
         assert_eq!(snap.counter("replication.resilver_passes"), 1);
@@ -761,7 +755,7 @@ mod tests {
         let addr = hsm.server().get(replica).unwrap().addr;
         hsm.server().library().damage_record(addr).unwrap();
 
-        let report = scrub(&pfs, hsm.server(), &catalog, t).unwrap();
+        let report = scrub(&hsm, &catalog, t).unwrap();
         assert_eq!(report.diverged_replicas, vec![replica]);
         assert_eq!(report.under_replicated, vec![objid]);
         let snap = hsm.server().obs().snapshot();
@@ -777,7 +771,7 @@ mod tests {
 
         // Re-silver rewrote the replica set; converge the catalog first.
         hsm.server().export(&catalog);
-        let again = scrub(&pfs, hsm.server(), &catalog, r.end).unwrap();
+        let again = scrub(&hsm, &catalog, r.end).unwrap();
         assert!(again.is_clean(), "{again:?}");
     }
 }

@@ -5,13 +5,12 @@ mod db;
 
 use crate::error::{HsmError, HsmResult};
 use crate::object::{ObjectKind, TsmObject};
-use copra_faults::RetryPolicy;
 use copra_metadb::TsmCatalog;
 use copra_simtime::{Bandwidth, DataSize, SimDuration, SimInstant, Timeline};
 use copra_tape::{LibraryId, TapeFleet, TapeId};
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct Shared {
@@ -33,12 +32,6 @@ struct Shared {
     /// Metadata transaction path (latency per operation). LAN-free movers
     /// still pay this for every object.
     meta: Timeline,
-    /// Retry policy handed to data movers when no fault plane is armed —
-    /// the single knob replacing the hardcoded per-callsite fallbacks.
-    default_retry: RwLock<RetryPolicy>,
-    /// Replica count the placement policy aims for (1 = unreplicated).
-    /// Scrub and re-silver measure under-replication against this.
-    replica_target: AtomicU32,
 }
 
 /// Handle to the server (cheap to clone).
@@ -62,8 +55,6 @@ impl TsmServer {
                 next_objid: AtomicU64::new(1),
                 nic: Timeline::new("tsm-server-nic", nic, SimDuration::from_micros(50)),
                 meta: Timeline::latency_only("tsm-server-meta", meta_latency),
-                default_retry: RwLock::new(RetryPolicy::immediate(8)),
-                replica_target: AtomicU32::new(1),
             }),
         }
     }
@@ -80,31 +71,6 @@ impl TsmServer {
 
     pub fn library(&self) -> &TapeFleet {
         &self.shared.library
-    }
-
-    /// The retry policy movers fall back to when no fault plane supplies
-    /// one. Defaults to [`RetryPolicy::immediate`] with an 8-attempt
-    /// budget — the historical hardcoded behaviour.
-    pub fn default_retry(&self) -> RetryPolicy {
-        *self.shared.default_retry.read()
-    }
-
-    /// Replace the fallback retry policy (system-level configuration).
-    pub fn set_default_retry(&self, policy: RetryPolicy) {
-        *self.shared.default_retry.write() = policy;
-    }
-
-    /// The replica count placement currently aims for (>= 1).
-    pub fn replica_target(&self) -> u32 {
-        self.shared.replica_target.load(Ordering::Relaxed)
-    }
-
-    /// Declare the replica count placement aims for; scrub and re-silver
-    /// measure under-replication against this.
-    pub fn set_replica_target(&self, copies: u32) {
-        self.shared
-            .replica_target
-            .store(copies.max(1), Ordering::Relaxed);
     }
 
     /// The observability registry this server reports into (shared with
@@ -597,19 +563,6 @@ mod tests {
             ),
             Err(HsmError::OutOfVolumes { .. })
         ));
-    }
-
-    #[test]
-    fn default_retry_and_replica_target_round_trip() {
-        let s = server();
-        assert_eq!(s.default_retry(), RetryPolicy::immediate(8));
-        s.set_default_retry(RetryPolicy::standard(99));
-        assert_eq!(s.default_retry(), RetryPolicy::standard(99));
-        assert_eq!(s.replica_target(), 1);
-        s.set_replica_target(3);
-        assert_eq!(s.replica_target(), 3);
-        s.set_replica_target(0);
-        assert_eq!(s.replica_target(), 1, "target is clamped to >= 1");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_hsm::aggregate::migrate_aggregated;
 use copra_hsm::{
-    DataPath, Hsm, HsmError, ObjectKind, RecallPolicy, RecallRequest, TsmObject, TsmServer,
+    DataPath, Hsm, HsmError, ObjectKind, PlacementPolicy, RecallPolicy, RecallRequest, TsmObject,
+    TsmServer,
 };
 use copra_metadb::{TsmCatalog, TsmObjectRow};
 use copra_pfs::{HsmState, PfsBuilder, PoolConfig};
@@ -21,7 +22,7 @@ fn setup(nodes: usize) -> Hsm {
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
     let server = TsmServer::roadrunner(TapeLibrary::new(3, 16, TapeTiming::lto4()));
-    Hsm::new(pfs, server, cluster)
+    Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
 }
 
 fn export_row(obj: &TsmObject) -> TsmObjectRow {

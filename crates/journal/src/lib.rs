@@ -149,7 +149,7 @@ pub struct Journal {
     next_seq: Mutex<u64>,
     metrics: JournalMetrics,
     /// Registry the journal reports through; also the source of the
-    /// tracer (read lazily — arming happens after construction).
+    /// tracer.
     obs: Arc<Registry>,
     /// Per-open-intent trace attribution: seq → (parent span at begin,
     /// wall-clock start). Drained at seal into one closed

@@ -24,16 +24,22 @@ pub struct Registry {
     gauges: RwLock<FxHashMap<String, Arc<Gauge>>>,
     histograms: RwLock<FxHashMap<String, Arc<Histogram>>>,
     events: EventRing,
-    /// Span tracer; disabled by default, armed post-construction via
-    /// [`Registry::set_tracer`]. Components must read it lazily (at use
-    /// time, through [`Registry::tracer`]) rather than caching at
-    /// construction, because arming happens after the system is built.
-    tracer: RwLock<Tracer>,
+    /// Span tracer, fixed at construction ([`Registry::traced`]);
+    /// disabled in a [`Registry::new`] registry.
+    tracer: Tracer,
 }
 
 impl Registry {
     pub fn new() -> Arc<Self> {
         Arc::new(Registry::default())
+    }
+
+    /// A registry whose components record spans through `tracer`.
+    pub fn traced(tracer: Tracer) -> Arc<Self> {
+        Arc::new(Registry {
+            tracer,
+            ..Registry::default()
+        })
     }
 
     /// Get or create the counter with this name.
@@ -71,16 +77,9 @@ impl Registry {
             .record_with_span(now, kind, ctx.map(|c| (c.trace, c.span)));
     }
 
-    /// Install (or replace) the span tracer. Arming is done once, after
-    /// system construction, by `ArchiveSystem::arm_tracing` or a bench rig.
-    pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.write() = tracer;
-    }
-
-    /// A clone of the current tracer handle (cheap: one `Arc` clone when
-    /// armed, a `None` copy when disabled).
-    pub fn tracer(&self) -> Tracer {
-        self.tracer.read().clone()
+    /// The span tracer (disabled unless built [`Registry::traced`]).
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 
     pub fn events(&self) -> &EventRing {
@@ -153,10 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn tracer_is_disabled_until_armed_and_events_link_spans() {
-        let reg = Registry::new();
-        assert!(!reg.tracer().is_armed());
-        reg.set_tracer(Tracer::armed(1));
+    fn traced_registry_links_events_to_spans_and_untraced_is_disarmed() {
+        assert!(!Registry::new().tracer().is_armed());
+        let reg = Registry::traced(Tracer::armed(1));
         let t = reg.tracer();
         assert!(t.is_armed());
         let g = t.root("r", 0, SimInstant::EPOCH).unwrap();

@@ -8,7 +8,6 @@ use copra_trace::Tracer;
 use copra_vfs::{
     Content, FsError, FsResult, HsmState, Ino, InodeAttr, InodeView, ManagedRegion, Vfs, WalkEntry,
 };
-use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,9 +37,9 @@ struct PfsShared {
     /// roughly 1.7k metadata ops/s, which the default latency reflects.
     meta: Timeline,
     /// Span tracer for scan/policy sub-phases. `Pfs` has no dependency on
-    /// the obs registry, so it carries its own handle; disabled until
-    /// [`Pfs::arm_tracing`] (read lazily at scan time).
-    tracer: RwLock<Tracer>,
+    /// the obs registry, so it carries its own handle, set by
+    /// [`PfsBuilder::tracer`] (disabled by default).
+    tracer: Tracer,
 }
 
 /// A mounted parallel file system (archive or scratch). Cheap to clone.
@@ -56,6 +55,7 @@ pub struct PfsBuilder {
     pools: Vec<PoolConfig>,
     placement: Vec<Rule>,
     meta_latency: SimDuration,
+    tracer: Tracer,
 }
 
 impl PfsBuilder {
@@ -66,7 +66,18 @@ impl PfsBuilder {
             pools: Vec::new(),
             placement: Vec::new(),
             meta_latency: SimDuration::from_micros(600),
+            tracer: Tracer::disabled(),
         }
+    }
+
+    /// A scratch-style file system: one big internal pool, no placement
+    /// rules (PanFS stand-in).
+    pub fn scratch(name: impl Into<String>, clock: Clock, devices: usize) -> Self {
+        PfsBuilder::new(name, clock).pool(PoolConfig::fast_disk(
+            "scratch",
+            devices,
+            DataSize::tb(2000),
+        ))
     }
 
     /// Per-metadata-transaction latency (create/stat/unlink).
@@ -85,6 +96,12 @@ impl PfsBuilder {
     /// Placement rules (only `Action::Place` rules are consulted).
     pub fn placement(mut self, rules: Vec<Rule>) -> Self {
         self.placement = rules;
+        self
+    }
+
+    /// Record scan and policy sub-phase spans through `tracer`.
+    pub fn tracer(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
         self
     }
 
@@ -118,23 +135,16 @@ impl PfsBuilder {
                 placement: PolicyEngine::new(self.placement),
                 default_pool,
                 meta,
-                tracer: RwLock::new(Tracer::disabled()),
+                tracer: self.tracer,
             }),
         }
     }
 }
 
 impl Pfs {
-    /// A scratch-style file system: one big internal pool, no placement
-    /// rules (PanFS stand-in).
+    /// An untraced [`PfsBuilder::scratch`] file system.
     pub fn scratch(name: &str, clock: Clock, devices: usize) -> Pfs {
-        PfsBuilder::new(name, clock)
-            .pool(PoolConfig::fast_disk(
-                "scratch",
-                devices,
-                DataSize::tb(2000),
-            ))
-            .build()
+        PfsBuilder::scratch(name, clock, devices).build()
     }
 
     pub fn name(&self) -> &str {
@@ -145,15 +155,9 @@ impl Pfs {
         self.shared.vfs.clock()
     }
 
-    /// Install a span tracer; scan and policy runs emit sub-phase spans
-    /// through it from then on.
-    pub fn arm_tracing(&self, tracer: Tracer) {
-        *self.shared.tracer.write() = tracer;
-    }
-
-    /// Current tracer handle (disabled unless armed).
-    pub fn tracer(&self) -> Tracer {
-        self.shared.tracer.read().clone()
+    /// The tracer this file system was built with (disabled by default).
+    pub fn tracer(&self) -> &Tracer {
+        &self.shared.tracer
     }
 
     /// Escape hatch to the raw namespace (tests and internal movers).
@@ -621,7 +625,7 @@ impl Pfs {
                     .is_file()
                     .then(|| self.view_from(path.get(), inode).to_record())
             },
-            |st| record_shard_spans(&tracer, root.as_ref(), "scan.shard", now, st),
+            |st| record_shard_spans(tracer, root.as_ref(), "scan.shard", now, st),
         );
         let sort_start = tracer.wall_now_ns();
         // Paths are unique, so the unstable sort gives the same order.
@@ -667,7 +671,7 @@ impl Pfs {
             },
             |st| {
                 scanned.fetch_add(st.files, Ordering::Relaxed);
-                record_shard_spans(&tracer, root.as_ref(), "policy.shard", now, st);
+                record_shard_spans(tracer, root.as_ref(), "policy.shard", now, st);
             },
         );
         let assemble_start = tracer.wall_now_ns();

@@ -142,10 +142,10 @@ impl Engine<'_> {
             .map(|h| h.server().obs())
     }
 
-    /// The span tracer, read lazily off the registry (disabled when the
-    /// run has no registry in reach, or none was armed).
+    /// The span tracer of the registry in reach (disabled when the run
+    /// has none, or it was built untraced).
     pub fn tracer(&self) -> Tracer {
-        self.obs().map(|o| o.tracer()).unwrap_or_default()
+        self.obs().map(|o| o.tracer().clone()).unwrap_or_default()
     }
 
     /// The armed fault plane, when this run can reach one: the plane rides

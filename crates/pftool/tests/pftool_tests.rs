@@ -2,7 +2,7 @@
 
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_fuse::ArchiveFuse;
-use copra_hsm::{DataPath, Hsm, TsmServer};
+use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
 use copra_pfs::{Pfs, PfsBuilder, PoolConfig};
 use copra_pftool::{pfcm, pfcp, pfls, FsView, PftoolConfig};
@@ -31,7 +31,12 @@ fn rig() -> Rig {
         .build();
     let library = TapeLibrary::new(4, 16, TapeTiming::lto4());
     let server = TsmServer::roadrunner(library);
-    let hsm = Hsm::new(archive_pfs.clone(), server, cluster.clone());
+    let hsm = Hsm::new(
+        archive_pfs.clone(),
+        server,
+        cluster.clone(),
+        PlacementPolicy::Single,
+    );
     // Small fuse threshold so tests exercise chunking cheaply.
     let fuse = ArchiveFuse::new(archive_pfs.clone(), DataSize::mb(200), DataSize::mb(50));
     let catalog = Arc::new(TsmCatalog::new());

@@ -1,7 +1,7 @@
 //! A shared monotone simulated clock.
 //!
 //! Components that need a loose notion of "now" (the WatchDog's stall
-//! detector, the LoadManager's refresh period, job arrival processes) read
+//! detector, the ILM policy's file ages, job arrival processes) read
 //! and advance a [`Clock`]. The clock is monotone: `advance_to` with an
 //! earlier instant is a no-op, so completion times may be published in any
 //! order.

@@ -200,7 +200,7 @@ impl Stager {
         &self.cfg
     }
 
-    fn tracer(&self) -> Tracer {
+    fn tracer(&self) -> &Tracer {
         self.hsm.server().obs().tracer()
     }
 
@@ -397,7 +397,7 @@ impl Stager {
                 } else {
                     self.metrics.cache_bypass.inc();
                 }
-                self.finish_item(&mut st, &tracer, &item, now, r.end, pooled);
+                self.finish_item(&mut st, tracer, &item, now, r.end, pooled);
                 report.coalesced += 1;
                 report.makespan = Some(report.makespan.map_or(r.end, |m| m.max(r.end)));
                 continue;
@@ -423,7 +423,7 @@ impl Stager {
             st.admission.launched(end);
             self.metrics.dispatched.inc();
             self.pool_admit(&mut st, item.ino, item.bytes, item.request.pin)?;
-            self.finish_item(&mut st, &tracer, &item, now, end, false);
+            self.finish_item(&mut st, tracer, &item, now, end, false);
             report.dispatched += 1;
             report.makespan = Some(report.makespan.map_or(end, |m| m.max(end)));
         }

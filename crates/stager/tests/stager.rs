@@ -3,7 +3,7 @@
 //! determinism of a full Zipf recall campaign.
 
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
-use copra_hsm::{DataPath, Hsm, TsmServer};
+use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_pfs::{HsmState, PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimDuration, SimInstant};
 use copra_stager::{Priority, RecallRequest, Stager, StagerConfig};
@@ -19,7 +19,7 @@ fn rig(nodes: usize, drives: usize, tapes: usize) -> Hsm {
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
     let server = TsmServer::roadrunner(TapeLibrary::new(drives, tapes, TapeTiming::lto4()));
-    Hsm::new(pfs, server, cluster)
+    Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
 }
 
 /// Create + migrate (punched) one file; returns the migration end time.

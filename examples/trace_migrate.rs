@@ -21,10 +21,9 @@ use copra::trace::Tracer;
 use copra::workloads::{populate, small_file_storm};
 
 fn main() {
-    let sys = ArchiveSystem::new(SystemConfig::test_small());
     // Same seed ⇒ same trace id ⇒ identical span tree, run after run.
     let tracer = Tracer::armed(2010);
-    sys.arm_tracing(tracer.clone());
+    let sys = ArchiveSystem::new(SystemConfig::test_small().with_tracer(tracer.clone()));
 
     let tree = small_file_storm(64, 512 * 1024, 7);
     populate(sys.archive(), "/small", &tree);

@@ -23,7 +23,7 @@
 //! * [`journal`] — write-ahead intent log making multi-store mutations
 //!   (namespace + TSM DB + catalog) crash-recoverable.
 //! * [`fuse`] — ArchiveFUSE chunking overlay (N-to-1 → N-to-N).
-//! * [`cluster`] — FTA cluster nodes, LoadManager, batch launcher.
+//! * [`cluster`] — FTA cluster nodes, their NIC/HBA devices and the trunk.
 //! * [`faults`] — seeded deterministic fault injection (drive/media/robot/
 //!   mover faults) and the retry/backoff machinery recovery paths use.
 //! * [`obs`] — metrics registry, event tracing, and the device-utilization

@@ -392,9 +392,8 @@ fn mirrored_sweep_recovers_with_no_half_replicated_objects() {
 /// replay/rollback/forward spans plus the trailing scrub pass.
 #[test]
 fn traced_crash_recovery_paints_recover_spans() {
-    let sys = ArchiveSystem::new(SystemConfig::test_small());
     let tracer = copra::trace::Tracer::armed(SEED);
-    sys.arm_tracing(tracer.clone());
+    let sys = ArchiveSystem::new(SystemConfig::test_small().with_tracer(tracer.clone()));
     sys.archive().mkdir_p("/data").unwrap();
     sys.archive()
         .create_file("/data/a", 0, Content::synthetic(1, 2_000_000))

@@ -3,7 +3,7 @@
 
 use copra::cluster::NodeId;
 use copra::core::{ArchiveSystem, SystemConfig};
-use copra::hsm::{reconcile, DataPath, HsmError, TsmServer};
+use copra::hsm::{reconcile, DataPath, HsmError, PlacementPolicy, TsmServer};
 use copra::pftool::PftoolConfig;
 use copra::simtime::{DataSize, SimInstant};
 use copra::tape::{TapeLibrary, TapeTiming};
@@ -120,7 +120,7 @@ fn out_of_volumes_is_explicit() {
     let server = TsmServer::roadrunner(TapeLibrary::new(1, 2, timing));
     let cluster = copra::cluster::FtaCluster::new(copra::cluster::ClusterConfig::tiny(1));
     let pfs = copra::pfs::Pfs::scratch("a", copra::simtime::Clock::new(), 2);
-    let hsm = copra::hsm::Hsm::new(pfs.clone(), server, cluster);
+    let hsm = copra::hsm::Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
     let mut cursor = SimInstant::EPOCH;
     let mut failed = None;
     for i in 0..4u64 {

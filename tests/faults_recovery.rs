@@ -57,16 +57,13 @@ struct Outcome {
 /// fault scenario (1 drive failure + 2 media errors + 1 mover crash), run
 /// the retrieval campaign, verify every byte, and report what happened.
 fn run_campaign(faulty: bool) -> Outcome {
-    run_campaign_with(faulty, None).0
+    run_campaign_with(faulty, Tracer::disabled()).0
 }
 
 /// The campaign proper; an armed [`Tracer`] rides along when the caller
 /// wants the causal span tree as well as the counters.
-fn run_campaign_with(faulty: bool, tracer: Option<Tracer>) -> (Outcome, MetricsSnapshot) {
-    let sys = ArchiveSystem::new(SystemConfig::test_small());
-    if let Some(t) = &tracer {
-        sys.arm_tracing(t.clone());
-    }
+fn run_campaign_with(faulty: bool, tracer: Tracer) -> (Outcome, MetricsSnapshot) {
+    let sys = ArchiveSystem::new(SystemConfig::test_small().with_tracer(tracer));
     sys.archive().mkdir_p("/arch").unwrap();
     let mut paths = Vec::new();
     for i in 0..8u64 {
@@ -168,7 +165,7 @@ fn faulty_campaign_is_deterministic() {
 fn worker_death_keeps_trace_connected() {
     let run = || {
         let tracer = Tracer::armed(42);
-        let (o, m) = run_campaign_with(true, Some(tracer.clone()));
+        let (o, m) = run_campaign_with(true, tracer.clone());
         assert_eq!(o.mover_crashes, 1, "{o:?}");
         assert_eq!(
             o.tape_restores, 10,

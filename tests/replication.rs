@@ -129,7 +129,7 @@ fn run_campaign() -> CampaignOutcome {
         );
     }
     sys.export_catalog();
-    let report = scrub(sys.archive(), sys.hsm().server(), sys.catalog(), repair.end).unwrap();
+    let report = scrub(sys.hsm(), sys.catalog(), repair.end).unwrap();
     assert!(
         report.under_replicated.is_empty(),
         "scrub after re-silver still sees under-replication: {report:?}"

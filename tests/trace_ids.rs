@@ -181,3 +181,42 @@ fn traced_pfcp_pfcm_record_no_duplicate_span_ids() {
     assert!(report.spans_named("pftool.compare").count() > files.len());
     assert_eq!(report.duplicate_ids(), 0);
 }
+
+/// One tracer given at construction reaches every layer: a policy run on
+/// the scratch file system, one on the archive and an HSM migrate all
+/// record into its one store.
+#[test]
+fn with_tracer_records_scratch_archive_and_hsm_spans_into_one_store() {
+    let tracer = Tracer::armed(17);
+    let sys = ArchiveSystem::new(SystemConfig::test_small().with_tracer(tracer.clone()));
+    let engine = PolicyEngine::new(vec![Rule::list("all", "all", Predicate::True)]);
+    sys.scratch()
+        .create_file("/s", 0, Content::synthetic(1, 4096))
+        .unwrap();
+    let ino = sys
+        .archive()
+        .create_file("/a", 0, Content::synthetic(2, 4 << 20))
+        .unwrap();
+    assert_eq!(sys.scratch().run_policy(&engine).lists["all"].len(), 1);
+    let scratch_runs = tracer
+        .report()
+        .unwrap()
+        .spans_named("pfs.run_policy")
+        .count();
+    assert_eq!(scratch_runs, 1, "the scratch file system records spans");
+    sys.archive().run_policy(&engine);
+    sys.hsm()
+        .migrate_file(
+            ino,
+            NodeId(0),
+            DataPath::LanFree,
+            SimInstant::EPOCH,
+            true,
+            None,
+        )
+        .unwrap();
+    let report = tracer.report().unwrap();
+    assert_eq!(report.spans_named("pfs.run_policy").count(), 2);
+    assert_eq!(report.spans_named("hsm.migrate").count(), 1);
+    assert_eq!(report.duplicate_ids(), 0);
+}
