@@ -12,10 +12,7 @@
 //! sample (see `JobSpec::materialize`); Figures 8/9/11 report the *spec*
 //! values, Figure 10 reports the *measured* rate of the driven job.
 
-use copra_bench::{
-    dump_metrics_if_requested, dump_trace_if_requested, note_rig, print_table, roadrunner_rig,
-    summarize, write_json, EXPERIMENT_SEED,
-};
+use copra_bench::{note_rig, print_table, roadrunner_rig, summarize, write_json, EXPERIMENT_SEED};
 use copra_pftool::PftoolConfig;
 use copra_simtime::DataSize;
 use copra_workloads::{populate, CampaignSpec, OpenScienceTrace, TreeSpec};
@@ -52,6 +49,7 @@ struct Output {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let trace = OpenScienceTrace::generate(CampaignSpec::roadrunner(), EXPERIMENT_SEED);
     let sys = roadrunner_rig();
     let config = PftoolConfig {
@@ -226,6 +224,5 @@ fn main() {
         "campaign moved bytes but trunk shows no busy time"
     );
     write_json("fig08_11", &out);
-    dump_metrics_if_requested();
-    dump_trace_if_requested();
+    cli.finish();
 }

@@ -290,6 +290,7 @@ fn a5_collocation() -> Vec<A5Row> {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let a1 = a1_container_size();
     print_table(
         "A1: aggregation container size (200 x 8 MB files, 1 drive)",
@@ -379,8 +380,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     write_json("tbl_ablation_a5", &a5);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
     println!("\n  A1: bigger containers amortize backhitches until streaming dominates.");
     println!("  A2: smaller chunks spread one file over more drives; too small adds");
     println!("      per-transaction overhead back in.");

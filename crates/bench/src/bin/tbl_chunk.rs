@@ -47,6 +47,7 @@ fn run(file_gb: u64, workers: usize) -> f64 {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let mut rows = Vec::new();
     for file_gb in [10u64, 40, 100] {
         let mut base = None;
@@ -85,6 +86,5 @@ fn main() {
     );
     println!("\n  Paper: N workers copy N chunks of one file in parallel; speedup\n  saturates at the 2x10GigE trunk (~1.9 GB/s achievable).");
     write_json("tbl_chunk", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

@@ -101,6 +101,7 @@ fn fuse_nton(drives: usize) -> f64 {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let mut rows = Vec::new();
     for drives in [1usize, 2, 4, 8, 16] {
         let single = single_object(drives);
@@ -129,6 +130,5 @@ fn main() {
     );
     println!("\n  Paper: a single object streams to ONE drive regardless of drive\n  count; fuse chunks scale with drives until the disk/SAN path saturates.");
     write_json("tbl_fuse", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

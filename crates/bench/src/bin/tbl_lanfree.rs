@@ -84,6 +84,7 @@ fn run(nodes: usize, path: DataPath) -> f64 {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let mut rows = Vec::new();
     for nodes in [2usize, 4, 8, 16, 24] {
         let lan = run(nodes, DataPath::Lan);
@@ -112,6 +113,5 @@ fn main() {
     );
     println!("\n  Paper: LAN saturates the single server NIC as nodes are added;\n  LAN-free scales per-node (FC4 HBA + its own drive) until drives run out.");
     write_json("tbl_lanfree", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

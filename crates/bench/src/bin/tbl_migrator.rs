@@ -73,6 +73,7 @@ fn run(policy: MigrationPolicy) -> Row {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let rows: Vec<Row> = [
         MigrationPolicy::SizeBalanced,
         MigrationPolicy::RoundRobin,
@@ -105,6 +106,5 @@ fn main() {
     );
     println!("\n  Paper: size-balanced distribution lets migrations 'complete at the\n  same time across machines'; count-balancing skews, single-node is worst.");
     write_json("tbl_migrator", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

@@ -108,6 +108,7 @@ fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let mut rows = Vec::new();
     for (files, file_mb) in [(16usize, 200u64), (32, 100), (64, 50)] {
         let (unordered_secs, unordered_locates) = run(files, file_mb, false);
@@ -150,6 +151,5 @@ fn main() {
     );
     println!("\n  Paper: sorting by (tape id, seq) enforces sequential reads and\n  'drastically reduce[s] tape drive thrashing overhead'.");
     write_json("tbl_order", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

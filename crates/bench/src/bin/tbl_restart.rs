@@ -75,6 +75,7 @@ fn run(failed_fraction: f64, marking: bool) -> f64 {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let mut rows = Vec::new();
     for pct in [25u64, 50, 75] {
         let f = pct as f64 / 100.0;
@@ -109,6 +110,5 @@ fn main() {
     );
     println!("\n  Paper: chunk good/bad marking means only unsent (and the one\n  partially-written) chunk(s) are re-sent — 'a unique incremental parallel\n  archive feature'.");
     write_json("tbl_restart", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

@@ -189,8 +189,8 @@ fn engine() -> PolicyEngine {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let files = if quick { 100_000 } else { 1_000_000 };
+    let cli = copra_bench::BenchCli::parse();
+    let files = if cli.quick { 100_000 } else { 1_000_000 };
     let usable_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -249,7 +249,7 @@ fn main() {
     let speedup_asserted = usable_cores >= 8;
     let s8 = rows.last().unwrap().speedup;
     if speedup_asserted {
-        let floor = if quick { 2.0 } else { 4.0 };
+        let floor = if cli.quick { 2.0 } else { 4.0 };
         assert!(
             s8 >= floor,
             "8-thread scan speedup {s8:.2}x fell below the {floor}x floor"
@@ -315,6 +315,5 @@ usable (cgroup/affinity limit); scaling numbers recorded, not enforced"
     )
     .expect("write BENCH_scale.json");
     println!("  [json] BENCH_scale.json");
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

@@ -66,6 +66,7 @@ fn run(files: usize) -> Row {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let mut rows = Vec::new();
     for files in [100_000usize, 1_000_000] {
         rows.push(run(files));
@@ -93,6 +94,5 @@ fn main() {
         600.0 / million.scan_secs.max(1e-9)
     );
     write_json("tbl_scan", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

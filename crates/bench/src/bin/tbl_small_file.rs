@@ -75,6 +75,7 @@ fn migrate_rate(file_size: u64, count: usize, aggregated: bool) -> f64 {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let sizes_mb: [(f64, usize); 5] = [
         (0.5, 400),
         (2.0, 300),
@@ -129,6 +130,5 @@ fn main() {
         "  2M x 8 MB files on 24 drives: {weekend_hours:.0} h per-file (paper: 'an entire weekend'), {agg_hours:.1} h aggregated."
     );
     write_json("tbl_small_file", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

@@ -65,6 +65,7 @@ fn build(files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let mut rows = Vec::new();
     for files in [2_000usize, 10_000, 40_000] {
         // (a) classic: plain unlink then reconcile cleans the orphans.
@@ -120,6 +121,5 @@ fn main() {
     );
     println!("\n  Paper: reconcile walks and compares EVERY file (O(N)); the\n  synchronous deleter pays only for what was deleted (O(deleted)).");
     write_json("tbl_syncdel", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

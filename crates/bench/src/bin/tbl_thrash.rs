@@ -64,6 +64,7 @@ fn run(nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64) {
 }
 
 fn main() {
+    let cli = copra_bench::BenchCli::parse();
     let mut rows = Vec::new();
     for nodes in [2usize, 4, 8] {
         let files = 24;
@@ -109,6 +110,5 @@ fn main() {
         "\n  Paper: hand-offs rewind + re-verify the label each time — 'a massive\n  performance hit'; same-machine affinity eliminates it (0 hand-offs)."
     );
     write_json("tbl_thrash", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish();
 }

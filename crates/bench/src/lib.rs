@@ -30,7 +30,7 @@ use copra_tape::{TapeLibrary, TapeTiming};
 use copra_trace::Tracer;
 use serde::Serialize;
 use std::fmt::Display;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 /// Pretty-print an aligned table.
@@ -130,9 +130,8 @@ pub fn mb_per_sec(bytes: u64, start: SimInstant, end: SimInstant) -> f64 {
 
 /// The CLI surface every experiment binary shares, parsed once up front:
 /// `--quick` (shrunken smoke-test workload), `--metrics-out <path>` and
-/// `--trace-out <path>`. Binaries used to re-parse these ad hoc; parse
-/// with [`BenchCli::parse`] at the top of `main` and call
-/// [`BenchCli::finish`] at the bottom instead.
+/// `--trace-out <path>`. Every binary calls [`BenchCli::parse`] at the
+/// top of `main` and [`BenchCli::finish`] at the bottom.
 #[derive(Debug, Clone)]
 pub struct BenchCli {
     /// `--quick`: run the smoke-test-sized version of the experiment.
@@ -147,7 +146,7 @@ impl BenchCli {
     pub fn parse() -> Self {
         BenchCli {
             quick: std::env::args().any(|a| a == "--quick"),
-            metrics_out: metrics_out_arg(),
+            metrics_out: path_flag("--metrics-out"),
             trace_out: trace_out_arg(),
         }
     }
@@ -155,23 +154,23 @@ impl BenchCli {
     /// The standard experiment epilogue: honor `--metrics-out` and
     /// `--trace-out` in the conventional order.
     pub fn finish(&self) {
-        dump_metrics_if_requested();
-        dump_trace_if_requested();
+        if let Some(path) = &self.metrics_out {
+            dump_metrics(path);
+        }
+        if let Some(path) = &self.trace_out {
+            dump_trace(path);
+        }
     }
-}
-
-/// `--metrics-out <path>` (or `--metrics-out=<path>`) from the command
-/// line; `None` when the flag is absent.
-pub fn metrics_out_arg() -> Option<PathBuf> {
-    path_flag("--metrics-out")
 }
 
 /// `--trace-out <path>` (or `--trace-out=<path>`): where to write the
 /// Chrome trace-event JSON. The flag also arms the bench tracer.
-pub fn trace_out_arg() -> Option<PathBuf> {
+fn trace_out_arg() -> Option<PathBuf> {
     path_flag("--trace-out")
 }
 
+/// `<flag> <path>` or `<flag>=<path>` from the command line; `None` when
+/// the flag is absent.
 fn path_flag(flag: &str) -> Option<PathBuf> {
     let eq = format!("{flag}=");
     let mut args = std::env::args();
@@ -204,16 +203,11 @@ pub fn bench_tracer() -> Tracer {
 
 /// Honor `--trace-out <path>`: write everything the bench tracer recorded
 /// as Chrome trace-event JSON (open in `chrome://tracing` / Perfetto).
-/// Call at the end of every experiment binary, next to
-/// [`dump_metrics_if_requested`].
-pub fn dump_trace_if_requested() {
-    let Some(path) = trace_out_arg() else {
-        return;
-    };
+fn dump_trace(path: &Path) {
     let Some(report) = bench_tracer().report() else {
         return;
     };
-    std::fs::write(&path, report.to_chrome_json()).expect("write trace json");
+    std::fs::write(path, report.to_chrome_json()).expect("write trace json");
     println!(
         "  [trace] {} ({} spans, {} dropped, digest {:016x})",
         path.display(),
@@ -234,7 +228,7 @@ enum NotedRig {
 
 static LAST_RIG: Mutex<Option<NotedRig>> = Mutex::new(None);
 
-/// Remember `sys` as the system a later [`dump_metrics_if_requested`]
+/// Remember `sys` as the system a later [`BenchCli::finish`]
 /// snapshots. Cheap: an `ArchiveSystem` clone shares all state.
 pub fn note_rig(sys: &ArchiveSystem) {
     *LAST_RIG.lock().unwrap() = Some(NotedRig::System(Box::new(sys.clone())));
@@ -261,13 +255,9 @@ fn snapshot_noted() -> SystemSnapshot {
 }
 
 /// Honor `--metrics-out <path>`: write the last noted rig's observability
-/// snapshot (device utilizations + metrics registry) as JSON. Call at the
-/// end of every experiment binary.
-pub fn dump_metrics_if_requested() {
-    let Some(path) = metrics_out_arg() else {
-        return;
-    };
-    std::fs::write(&path, snapshot_noted().to_json()).expect("write metrics snapshot");
+/// snapshot (device utilizations + metrics registry) as JSON.
+fn dump_metrics(path: &Path) {
+    std::fs::write(path, snapshot_noted().to_json()).expect("write metrics snapshot");
     println!("  [metrics] {}", path.display());
 }
 

@@ -9,11 +9,12 @@
 //! modification time, name pattern, residency and tape volume, and the
 //! planner picks the most selective index before filtering the rest.
 
-use copra_metadb::{IndexKey, Table, TsmCatalog};
+use copra_metadb::TsmCatalog;
 use copra_pfs::{wildcard_match, FileRecord, HsmState, Pfs};
 use copra_simtime::SimInstant;
 use copra_vfs::Ino;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One searchable entry: file metadata plus its tape location (if any).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,9 +112,15 @@ pub enum Plan {
     Full,
 }
 
-/// The indexed search snapshot.
+/// The indexed search snapshot: entries by ino, plus one typed ordered
+/// set of `(key, ino)` per indexed dimension.
 pub struct ArchiveSearch {
-    table: Table<u64, SearchEntry>,
+    entries: BTreeMap<u64, SearchEntry>,
+    by_uid: BTreeSet<(u32, u64)>,
+    by_hsm: BTreeSet<(HsmState, u64)>,
+    /// Only entries with a tape copy.
+    by_tape: BTreeSet<(u32, u64)>,
+    by_size: BTreeSet<(u64, u64)>,
     built_at: SimInstant,
 }
 
@@ -122,32 +129,35 @@ fn size_bucket(size: u64) -> u64 {
     64 - size.leading_zeros() as u64
 }
 
+/// The inos a `(key, ino)` set files under keys `first..=last`, in set
+/// order; none when `first > last`.
+fn inos_between<K: Ord + Copy>(set: &BTreeSet<(K, u64)>, first: K, last: K) -> Vec<u64> {
+    if first > last {
+        return Vec::new();
+    }
+    set.range((first, 0)..=(last, u64::MAX))
+        .map(|&(_, ino)| ino)
+        .collect()
+}
+
 impl ArchiveSearch {
     /// Build the snapshot from the archive namespace and catalog.
     pub fn build(pfs: &Pfs, catalog: &TsmCatalog) -> Self {
-        let mut table = Table::new("search");
-        table.add_index("by_uid", |_, e: &SearchEntry| vec![(e.uid as u64).into()]);
-        table.add_index("by_hsm", |_, e: &SearchEntry| vec![e.hsm.as_str().into()]);
-        table.add_index("by_tape", |_, e: &SearchEntry| {
-            vec![(e.tape.map(|t| t as u64).unwrap_or(u64::MAX)).into()]
-        });
-        table.add_index("by_size", |_, e: &SearchEntry| {
-            vec![size_bucket(e.size).into()]
-        });
-        for rec in pfs.scan_records() {
-            let FileRecord {
-                path,
-                ino,
-                size,
-                uid,
-                mtime,
-                hsm,
-                ..
-            } = rec;
-            let tape = catalog.by_ino(ino.0).first().map(|r| r.tape);
-            table.upsert(
-                ino.0,
-                SearchEntry {
+        let entries: BTreeMap<u64, SearchEntry> = pfs
+            .scan_records()
+            .into_iter()
+            .map(|rec| {
+                let FileRecord {
+                    path,
+                    ino,
+                    size,
+                    uid,
+                    mtime,
+                    hsm,
+                    ..
+                } = rec;
+                let tape = catalog.by_ino(ino.0).first().map(|r| r.tape);
+                let entry = SearchEntry {
                     path,
                     ino,
                     size,
@@ -155,21 +165,32 @@ impl ArchiveSearch {
                     mtime,
                     hsm,
                     tape,
-                },
-            );
-        }
+                };
+                (ino.0, entry)
+            })
+            .collect();
         ArchiveSearch {
-            table,
+            by_uid: entries.iter().map(|(&ino, e)| (e.uid, ino)).collect(),
+            by_hsm: entries.iter().map(|(&ino, e)| (e.hsm, ino)).collect(),
+            by_tape: entries
+                .iter()
+                .filter_map(|(&ino, e)| Some((e.tape?, ino)))
+                .collect(),
+            by_size: entries
+                .iter()
+                .map(|(&ino, e)| (size_bucket(e.size), ino))
+                .collect(),
+            entries,
             built_at: pfs.clock().now(),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.table.len() == 0
+        self.entries.is_empty()
     }
 
     pub fn built_at(&self) -> SimInstant {
@@ -193,31 +214,31 @@ impl ArchiveSearch {
 
     /// Run a query; results in path order.
     pub fn search(&self, q: &Query) -> Vec<SearchEntry> {
-        let keys: Vec<u64> = match self.plan(q) {
-            Plan::ByUid => self
-                .table
-                .select("by_uid", &vec![(q.uid.unwrap() as u64).into()]),
-            Plan::ByHsm => self
-                .table
-                .select("by_hsm", &vec![q.hsm.unwrap().as_str().into()]),
-            Plan::ByTape => self
-                .table
-                .select("by_tape", &vec![(q.tape.unwrap() as u64).into()]),
-            Plan::BySizeRange => {
-                let lo: IndexKey = vec![size_bucket(q.min_size.unwrap_or(0).max(1)).into()];
-                let hi: IndexKey = vec![(size_bucket(q.max_size.unwrap_or(u64::MAX)) + 1).into()];
-                self.table
-                    .index_range("by_size", &lo, &hi)
-                    .into_iter()
-                    .map(|(_, k)| k)
-                    .collect()
+        let inos = match self.plan(q) {
+            Plan::ByUid => {
+                let uid = q.uid.unwrap();
+                inos_between(&self.by_uid, uid, uid)
             }
-            Plan::Full => self.table.scan().map(|(k, _)| *k).collect(),
+            Plan::ByHsm => {
+                let hsm = q.hsm.unwrap();
+                inos_between(&self.by_hsm, hsm, hsm)
+            }
+            Plan::ByTape => {
+                let tape = q.tape.unwrap();
+                inos_between(&self.by_tape, tape, tape)
+            }
+            Plan::BySizeRange => inos_between(
+                &self.by_size,
+                size_bucket(q.min_size.unwrap_or(0)),
+                size_bucket(q.max_size.unwrap_or(u64::MAX)),
+            ),
+            Plan::Full => self.entries.keys().copied().collect(),
         };
-        let mut out: Vec<SearchEntry> = keys
+        let mut out: Vec<SearchEntry> = inos
             .into_iter()
-            .filter_map(|k| self.table.get(&k).cloned())
+            .map(|ino| &self.entries[&ino])
             .filter(|e| q.matches(e))
+            .cloned()
             .collect();
         out.sort_by(|a, b| a.path.cmp(&b.path));
         out
@@ -366,5 +387,101 @@ mod tests {
             .unwrap();
         assert_eq!(hit.hsm, HsmState::Migrated);
         assert_eq!(hit.size, 1000);
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        /// A draw in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            copra_trace::splitmix64(self.0) % n
+        }
+
+        /// A size spread over 40 powers of two.
+        fn size(&mut self) -> u64 {
+            let bits = self.below(40);
+            self.below(1 << bits)
+        }
+
+        /// True one draw in four.
+        fn pick(&mut self) -> bool {
+            self.below(4) == 0
+        }
+    }
+
+    #[test]
+    fn seeded_queries_agree_with_a_filtered_scan() {
+        let mut rng = Rng(0x5EA2_C400);
+        let clock = Clock::new();
+        let pfs = PfsBuilder::new("archive", clock.clone())
+            .pool(PoolConfig::fast_disk("fast", 2, DataSize::tb(1)))
+            .build();
+        let catalog = TsmCatalog::new();
+        let dirs = ["/proj/alpha", "/proj/beta", "/scratch/gamma"];
+        for dir in dirs {
+            pfs.mkdir_p(dir).unwrap();
+        }
+        for i in 0..300u64 {
+            clock.advance_to(SimInstant::from_secs(rng.below(100)));
+            let path = format!("{}/f{i:03}.dat", dirs[rng.below(3) as usize]);
+            let size = rng.size();
+            let uid = 1000 + rng.below(4) as u32;
+            let ino = pfs
+                .create_file(&path, uid, Content::synthetic(i, size))
+                .unwrap();
+            // Resident, premigrated or migrated; only the last two have a
+            // tape copy.
+            let residency = rng.below(3);
+            if residency > 0 {
+                pfs.mark_premigrated(ino, i + 1).unwrap();
+                catalog.record(TsmObjectRow {
+                    objid: i + 1,
+                    path,
+                    fs_ino: ino.0,
+                    tape: rng.below(5) as u32,
+                    seq: i as u32,
+                    len: size,
+                    stored_at: SimInstant::EPOCH,
+                });
+            }
+            if residency > 1 {
+                pfs.punch_hole(ino).unwrap();
+            }
+        }
+        let search = ArchiveSearch::build(&pfs, &catalog);
+        let all: Vec<SearchEntry> = search.search(&Query::default());
+        assert_eq!(all.len(), 300);
+        let residencies = [
+            HsmState::Resident,
+            HsmState::Premigrated,
+            HsmState::Migrated,
+        ];
+        let names = ["f1*.dat", "*7.dat", "f?0?.dat", "*"];
+        let unders = ["/proj", "/proj/beta", "/scratch", "/nowhere"];
+        let mut plans = Vec::new();
+        for _ in 0..400 {
+            let q = Query {
+                uid: rng.pick().then(|| 1000 + rng.below(5) as u32),
+                min_size: rng.pick().then(|| rng.size()),
+                max_size: rng.pick().then(|| rng.size()),
+                modified_after: rng.pick().then(|| SimInstant::from_secs(rng.below(100))),
+                modified_before: rng.pick().then(|| SimInstant::from_secs(rng.below(100))),
+                name: rng.pick().then(|| names[rng.below(4) as usize].to_string()),
+                under: rng
+                    .pick()
+                    .then(|| unders[rng.below(4) as usize].to_string()),
+                hsm: rng.pick().then(|| residencies[rng.below(3) as usize]),
+                tape: rng.pick().then(|| rng.below(6) as u32),
+            };
+            let plan = search.plan(&q);
+            if !plans.contains(&plan) {
+                plans.push(plan);
+            }
+            let want: Vec<SearchEntry> = all.iter().filter(|e| q.matches(e)).cloned().collect();
+            assert_eq!(search.search(&q), want, "{q:?}");
+        }
+        assert_eq!(plans.len(), 5, "every plan exercised: {plans:?}");
     }
 }

@@ -7,7 +7,7 @@ use copra_hsm::{DataPath, Hsm, HsmResult, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
 use copra_obs::Registry;
 use copra_pfs::{Cmp, HsmState, Pfs, PfsBuilder, PolicyEngine, PoolConfig, Predicate, Rule};
-use copra_pftool::{pfcm, pfcp, pfls, CompareReport, CopyReport, FsView, ListReport, PftoolConfig};
+use copra_pftool::{pfcm, pfcp, CompareReport, CopyReport, FsView, PftoolConfig};
 use copra_simtime::{Clock, DataSize, SimDuration, SimInstant};
 use copra_stager::{Admission, MigrateRequest, RecallRequest, Stager, StagerConfig};
 use copra_tape::{TapeFleet, TapeTiming};
@@ -458,12 +458,6 @@ impl ArchiveSystem {
             config,
             &nodes,
         )
-    }
-
-    /// `pfls` on the archive namespace.
-    pub fn list_archive(&self, path: &str, config: &PftoolConfig) -> ListReport {
-        let nodes = self.machines(config.workers);
-        pfls(&self.archive_view, path, config, &nodes)
     }
 
     /// `pfcm` scratch vs archive (post-archive integrity check).

@@ -1,4 +1,4 @@
-//! # copra-metadb — an embedded indexed table store (MySQL stand-in)
+//! # copra-metadb — the exported TSM catalog replica (MySQL stand-in)
 //!
 //! §4.2.5 of the paper: TSM ≤5.5 keeps its object catalog in a proprietary
 //! database whose (tape id, sequence id) fields are not indexed and cannot
@@ -7,15 +7,10 @@
 //! into tape order and to resolve file → TSM object id for the synchronous
 //! deleter (§4.2.6).
 //!
-//! This crate is that replica. [`tsm::TsmCatalog`] is the exported-TSM
-//! schema the integration uses: its rows plus two typed ordered indexes,
-//! `(fs_ino, objid)` and `(tape, seq, objid)`. [`table::Table`] is a small
-//! generic store of typed tables with a primary key and any number of
-//! ordered secondary indexes; it serves the archive's metadata search
-//! (`ArchiveSearch` in `copra-core`).
+//! This crate is that replica and nothing else. [`tsm::TsmCatalog`] is
+//! the exported-TSM schema the integration uses: its rows plus two typed
+//! ordered indexes, `(fs_ino, objid)` and `(tape, seq, objid)`.
 
-pub mod table;
 pub mod tsm;
 
-pub use table::{IndexKey, Table, Value};
 pub use tsm::{ExportPass, TsmCatalog, TsmObjectRow};

@@ -1,78 +1,10 @@
-//! Property tests: secondary indexes always agree with a full scan.
+//! Property tests: the catalog's recall order agrees with its rows.
 
-use copra_metadb::{Table, TsmCatalog, TsmObjectRow};
+use copra_metadb::{TsmCatalog, TsmObjectRow};
 use copra_simtime::SimInstant;
 use proptest::prelude::*;
 
-#[derive(Debug, Clone, PartialEq)]
-struct Row {
-    group: u64,
-    name: String,
-}
-
-#[derive(Debug, Clone)]
-enum Op {
-    Upsert(u64, u64, String),
-    Remove(u64),
-}
-
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0u64..40, 0u64..5, "[a-c]{1,3}").prop_map(|(k, g, n)| Op::Upsert(k, g, n)),
-            (0u64..40).prop_map(Op::Remove),
-        ],
-        1..80,
-    )
-}
-
 proptest! {
-    /// After any op sequence, `select` by index equals filtering a scan,
-    /// and `index_scan` is exactly the sorted multiset of live rows.
-    #[test]
-    fn index_agrees_with_scan(ops in ops()) {
-        let mut table: Table<u64, Row> = Table::new("t");
-        table.add_index("by_group", |_, r: &Row| vec![r.group.into()]);
-        table.add_index("by_name", |_, r: &Row| vec![r.name.as_str().into()]);
-        let mut model: std::collections::BTreeMap<u64, Row> = Default::default();
-        for op in ops {
-            match op {
-                Op::Upsert(k, group, name) => {
-                    let row = Row { group, name };
-                    table.upsert(k, row.clone());
-                    model.insert(k, row);
-                }
-                Op::Remove(k) => {
-                    prop_assert_eq!(table.remove(&k).is_some(), model.remove(&k).is_some());
-                }
-            }
-            prop_assert_eq!(table.len(), model.len());
-            // point lookups agree
-            for g in 0u64..5 {
-                let got = table.select("by_group", &vec![g.into()]);
-                let want: Vec<u64> = model
-                    .iter()
-                    .filter(|(_, r)| r.group == g)
-                    .map(|(k, _)| *k)
-                    .collect();
-                prop_assert_eq!(got, want);
-            }
-            // full index order agrees
-            let got: Vec<(u64, u64)> = table
-                .index_scan("by_group")
-                .into_iter()
-                .map(|(ik, k)| match &ik[0] {
-                    copra_metadb::Value::U64(g) => (*g, k),
-                    _ => unreachable!(),
-                })
-                .collect();
-            let mut want: Vec<(u64, u64)> =
-                model.iter().map(|(k, r)| (r.group, *k)).collect();
-            want.sort_unstable();
-            prop_assert_eq!(got, want);
-        }
-    }
-
     /// sort_for_recall returns rows sorted by (tape, seq) and exactly the
     /// known subset of the requested ids.
     #[test]

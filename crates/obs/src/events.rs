@@ -5,7 +5,6 @@ use copra_simtime::SimInstant;
 use copra_trace::{SpanId, TraceId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Default ring capacity; oldest events are evicted first.
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
@@ -61,13 +60,11 @@ pub enum EventKind {
     Marker { label: String },
 }
 
-/// One trace entry: the simulated instant it describes, the host wall
-/// clock when it was recorded (microseconds since the Unix epoch), and
-/// the typed payload.
+/// One trace entry: the simulated instant it describes and the typed
+/// payload.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Event {
     pub sim_ns: u64,
-    pub wall_us: u64,
     pub kind: EventKind,
     /// The trace span that was live when the event fired (fault-plane
     /// events record the span they interrupted). Absent unless a tracer
@@ -99,13 +96,6 @@ impl EventRing {
         }
     }
 
-    fn wall_us() -> u64 {
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0)
-    }
-
     pub fn record(&self, now: SimInstant, kind: EventKind) {
         self.record_with_span(now, kind, None);
     }
@@ -119,7 +109,6 @@ impl EventRing {
     ) {
         let event = Event {
             sim_ns: now.as_nanos(),
-            wall_us: Self::wall_us(),
             kind,
             span,
         };

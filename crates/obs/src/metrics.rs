@@ -93,10 +93,6 @@ impl Gauge {
         });
     }
 
-    pub fn sample_count(&self) -> usize {
-        self.samples.lock().len()
-    }
-
     pub fn snapshot(&self) -> GaugeSnapshot {
         GaugeSnapshot {
             value: self.get(),

@@ -119,7 +119,6 @@ mod tests {
             histograms,
             events: vec![EventSnapshot {
                 sim_ns: 42,
-                wall_us: 1_700_000_000_000_000,
                 kind: EventKind::RecallAssign {
                     tape: "T00007".into(),
                     node: 3,

@@ -6,7 +6,7 @@
 //! earlier instant is a no-op, so completion times may be published in any
 //! order.
 
-use crate::time::{SimDuration, SimInstant};
+use crate::time::SimInstant;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,13 +21,6 @@ impl Clock {
         Clock::default()
     }
 
-    /// Construct starting at a given instant.
-    pub fn starting_at(at: SimInstant) -> Self {
-        let c = Clock::new();
-        c.advance_to(at);
-        c
-    }
-
     pub fn now(&self) -> SimInstant {
         SimInstant::from_nanos(self.now_nanos.load(Ordering::Acquire))
     }
@@ -37,13 +30,6 @@ impl Clock {
     pub fn advance_to(&self, at: SimInstant) -> SimInstant {
         let prev = self.now_nanos.fetch_max(at.as_nanos(), Ordering::AcqRel);
         SimInstant::from_nanos(prev.max(at.as_nanos()))
-    }
-
-    /// Advance by a delta from the current reading.
-    pub fn advance_by(&self, delta: SimDuration) -> SimInstant {
-        // Not atomic w.r.t. concurrent advances, but monotonicity is
-        // preserved by advance_to.
-        self.advance_to(self.now() + delta)
     }
 }
 

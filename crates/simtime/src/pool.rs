@@ -28,12 +28,6 @@ impl TimelinePool {
         TimelinePool { members }
     }
 
-    /// Wrap existing timelines as a pool.
-    pub fn from_members(members: Vec<Timeline>) -> Self {
-        assert!(!members.is_empty(), "a pool needs at least one member");
-        TimelinePool { members }
-    }
-
     pub fn len(&self) -> usize {
         self.members.len()
     }

@@ -56,14 +56,6 @@ impl DataSize {
         self.0
     }
 
-    pub fn as_mb_f64(self) -> f64 {
-        self.0 as f64 / MB as f64
-    }
-
-    pub fn as_gb_f64(self) -> f64 {
-        self.0 as f64 / GB as f64
-    }
-
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }

@@ -219,10 +219,6 @@ impl Stager {
         )
     }
 
-    pub fn shed_count(&self) -> u64 {
-        self.metrics.shed.get()
-    }
-
     /// Is this path's disk copy currently held by the stager pool?
     pub fn pool_contains(&self, path: &str) -> HsmResult<bool> {
         let ino = self.hsm.pfs().resolve(path)?;

@@ -10,7 +10,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Residency state of a managed file.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub enum HsmState {
     /// Data lives only on file-system disk.
     #[default]
