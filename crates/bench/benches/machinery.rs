@@ -18,7 +18,7 @@ use copra_cluster::NodeId;
 use copra_core::{migrator, MigrationPolicy};
 use copra_hsm::{ObjectKind, TsmObject, TsmServer};
 use copra_metadb::{TsmCatalog, TsmObjectRow};
-use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
+use copra_pfs::{Cmp, Pfs, PfsBuilder, PolicyEngine, Predicate, Rule};
 use copra_pftool::queues::{Entry, TapeEntry, TapeQueues, WalkDir};
 use copra_pftool::PftoolConfig;
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant, Timeline, TimelinePool};
@@ -55,7 +55,7 @@ fn bench_content(c: &mut Criterion) {
 
 fn scan_fixture(files: usize) -> Pfs {
     let clock = Clock::new();
-    let pfs = Pfs::scratch("bench", clock.clone(), 4);
+    let pfs = PfsBuilder::scratch("bench", clock.clone(), 4).build();
     let tree = mixed_tree(files, 1_000_000, 1.5, 32, 42);
     populate(&pfs, "/data", &tree);
     clock.advance_to(SimInstant::from_secs(10_000));

@@ -14,7 +14,7 @@ use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_fuse::ArchiveFuse;
 use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
-use copra_pfs::{Pfs, PfsBuilder, PoolConfig};
+use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_pftool::{pfcp, FsView, PftoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
 use copra_tape::TapeTiming;
@@ -36,7 +36,7 @@ struct Row {
 fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
     let clock = Clock::new();
     let cluster = FtaCluster::new(ClusterConfig::tiny(4));
-    let scratch = Pfs::scratch("scratch", clock.clone(), 8);
+    let scratch = PfsBuilder::scratch("scratch", clock.clone(), 8).build();
     let archive = PfsBuilder::new("archive", clock.clone())
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
         .tracer(bench_tracer())

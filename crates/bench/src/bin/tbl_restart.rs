@@ -10,9 +10,8 @@
 //! off, and report the bytes re-sent.
 
 use copra_bench::{print_table, roadrunner_rig, write_json};
-use copra_fuse::XATTR_FPRINT;
 use copra_pftool::PftoolConfig;
-use copra_vfs::Content;
+use copra_vfs::{ChunkMark, Content};
 use serde::Serialize;
 
 // 120 GB stands in for the paper's 40 TB case: it is past the rig's
@@ -56,9 +55,9 @@ fn run(failed_fraction: f64, marking: bool) -> f64 {
         sys.archive().unlink(&c.path).unwrap();
     }
     if survive > 0 {
-        let victim = &chunks[survive - 1];
-        let ino = sys.archive().resolve(&victim.path).unwrap();
-        sys.archive().set_xattr(ino, XATTR_FPRINT, "0").unwrap();
+        let mark = ChunkMark::Chunk { fingerprint: 0 };
+        let victim = chunks[survive - 1].ino;
+        sys.archive().vfs().set_chunk_mark(victim, mark).unwrap();
     }
     // Restart.
     let second = sys.archive_tree("/src", "/dst", &config);

@@ -6,7 +6,7 @@
 //! sharded parallel `Vfs::par_scan`, wall-clock measured).
 
 use copra_bench::{print_table, write_json};
-use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
+use copra_pfs::{Cmp, PfsBuilder, PolicyEngine, Predicate, Rule};
 use copra_simtime::{Clock, SimDuration};
 use copra_vfs::Content;
 use serde::Serialize;
@@ -23,7 +23,7 @@ struct Row {
 
 fn run(files: usize) -> Row {
     let clock = Clock::new();
-    let pfs = Pfs::scratch("archive", clock.clone(), 8);
+    let pfs = PfsBuilder::scratch("archive", clock.clone(), 8).build();
     let t0 = Instant::now();
     // Build a namespace with a realistic directory shape (1000 dirs).
     let per_dir = files.div_ceil(1000);

@@ -17,22 +17,17 @@
 //!   so an interrupted transfer can tell good chunks (skip) from bad ones
 //!   (resend) without re-reading terabytes.
 //!
-//! Physical layout: a chunked file at `/p/f` is a directory `/p/f` with
-//! xattrs `fuse.chunked=1` and `fuse.logical_size=<bytes>`, containing
-//! `chunk.00000`, `chunk.00001`, … Plain files below the size threshold
-//! pass straight through.
+//! Physical layout: a chunked file at `/p/f` is a directory `/p/f`
+//! marked [`ChunkMark::Dir`] with the file's logical size, containing
+//! `chunk.00000`, `chunk.00001`, … each marked [`ChunkMark::Chunk`] with
+//! its content fingerprint. [`ArchiveFuse::make_chunk_dir`] and
+//! [`ArchiveFuse::create_chunk`] are the only writers of this layout.
+//! Plain files below the size threshold pass straight through.
 
 use copra_pfs::{HsmState, Pfs, ReadOutcome};
 use copra_simtime::DataSize;
-use copra_vfs::{Content, FsError, FsResult, Ino, InodeAttr};
+use copra_vfs::{ChunkMark, Content, FsError, FsResult, Ino, InodeAttr};
 use serde::{Deserialize, Serialize};
-
-/// xattr marking a chunked file's directory.
-pub const XATTR_CHUNKED: &str = "fuse.chunked";
-/// xattr carrying the logical size of a chunked file.
-pub const XATTR_LOGICAL: &str = "fuse.logical_size";
-/// xattr carrying a chunk's content fingerprint (restart marking).
-pub const XATTR_FPRINT: &str = "fuse.chunk.fprint";
 
 /// Result of reading through the overlay.
 #[derive(Debug, Clone)]
@@ -71,6 +66,15 @@ fn chunk_name(index: u32) -> String {
     format!("chunk.{index:05}")
 }
 
+/// The logical size of the chunked file whose directory `attr` describes;
+/// `None` for anything else.
+fn logical_size(attr: &InodeAttr) -> Option<u64> {
+    match attr.chunk_mark {
+        Some(ChunkMark::Dir { logical }) if attr.is_dir() => Some(logical),
+        _ => None,
+    }
+}
+
 impl ArchiveFuse {
     /// Mount the overlay over `pfs`. The paper's regime: threshold 100 GB,
     /// chunks sized so a file spreads across many tapes.
@@ -102,8 +106,7 @@ impl ArchiveFuse {
 
     /// Is the entry at `path` a chunked file?
     pub fn is_chunked(&self, path: &str) -> FsResult<bool> {
-        let attr = self.pfs.stat(path)?;
-        Ok(attr.is_dir() && attr.xattr(XATTR_CHUNKED).is_some())
+        Ok(logical_size(&self.pfs.stat(path)?).is_some())
     }
 
     /// Create (or replace) a file through the overlay. Large content is
@@ -118,34 +121,50 @@ impl ArchiveFuse {
             return Ok(());
         }
         let logical = content.len();
-        let dir_ino = self.pfs.mkdir_p(path)?;
-        self.pfs.vfs().chown(dir_ino, uid)?;
-        self.pfs.set_xattr(dir_ino, XATTR_CHUNKED, "1")?;
-        self.pfs
-            .set_xattr(dir_ino, XATTR_LOGICAL, &logical.to_string())?;
+        self.make_chunk_dir(path, uid, logical)?;
         let chunk = self.chunk_size.as_bytes();
         let mut index = 0u32;
         let mut off = 0u64;
         while off < logical {
             let take = chunk.min(logical - off);
-            let piece = content.slice(off, take);
-            let fp = piece.fingerprint();
-            let cpath = copra_vfs::join(path, &chunk_name(index));
-            let ino = self.pfs.create_file(&cpath, uid, piece)?;
-            self.pfs.set_xattr(ino, XATTR_FPRINT, &fp.to_string())?;
+            self.create_chunk(path, index, uid, content.slice(off, take))?;
             off += take;
             index += 1;
         }
         Ok(())
     }
 
+    /// Make (or re-mark) `path` the directory of a chunked file of
+    /// `logical` bytes owned by `uid`.
+    pub fn make_chunk_dir(&self, path: &str, uid: u32, logical: u64) -> FsResult<Ino> {
+        let ino = self.pfs.mkdir_p(path)?;
+        self.pfs.vfs().chown(ino, uid)?;
+        self.pfs
+            .vfs()
+            .set_chunk_mark(ino, ChunkMark::Dir { logical })?;
+        Ok(ino)
+    }
+
+    /// Write chunk `index` of the chunked file at `dir`, replacing any
+    /// chunk already there, and mark it with its content fingerprint.
+    pub fn create_chunk(&self, dir: &str, index: u32, uid: u32, content: Content) -> FsResult<Ino> {
+        let path = copra_vfs::join(dir, &chunk_name(index));
+        if self.pfs.exists(&path) {
+            self.pfs.unlink(&path)?;
+        }
+        let fingerprint = content.fingerprint();
+        let ino = self.pfs.create_file(&path, uid, content)?;
+        self.pfs
+            .vfs()
+            .set_chunk_mark(ino, ChunkMark::Chunk { fingerprint })?;
+        Ok(ino)
+    }
+
     /// Logical stat: chunked files report their full size.
     pub fn stat(&self, path: &str) -> FsResult<InodeAttr> {
         let mut attr = self.pfs.stat(path)?;
-        if attr.is_dir() {
-            if let Some(size) = attr.xattr(XATTR_LOGICAL).and_then(|s| s.parse().ok()) {
-                attr.size = size;
-            }
+        if let Some(size) = logical_size(&attr) {
+            attr.size = size;
         }
         Ok(attr)
     }
@@ -170,18 +189,17 @@ impl ArchiveFuse {
             };
             let cpath = copra_vfs::join(path, &entry.name);
             let attr = self.pfs.stat_ino(entry.ino)?;
-            let fingerprint = attr
-                .xattr(XATTR_FPRINT)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
-            let hsm = self.pfs.hsm_state(entry.ino)?;
+            let fingerprint = match attr.chunk_mark {
+                Some(ChunkMark::Chunk { fingerprint }) => fingerprint,
+                _ => 0,
+            };
             out.push(ChunkInfo {
                 index,
                 path: cpath,
                 ino: entry.ino,
                 len: attr.size,
                 fingerprint,
-                hsm,
+                hsm: attr.region.state,
             });
         }
         Ok(out)
@@ -224,7 +242,7 @@ impl ArchiveFuse {
         if attr.is_file() {
             return Ok(vec![self.pfs.unlink(path)?]);
         }
-        if attr.xattr(XATTR_CHUNKED).is_none() {
+        if logical_size(&attr).is_none() {
             return Err(FsError::IsADirectory(format!(
                 "{path} is a real directory, not a chunked file"
             )));
@@ -421,26 +439,17 @@ mod tests {
         assert_eq!(f.stale_chunks("/dst", &manifest), Ok(vec![0, 1, 2, 3, 4]));
 
         // Copy chunks 0,1,2 only (simulated partial transfer).
-        let dst_pfs = f.pfs();
-        dst_pfs.mkdir_p("/dst").unwrap();
-        let dino = dst_pfs.resolve("/dst").unwrap();
-        dst_pfs.set_xattr(dino, XATTR_CHUNKED, "1").unwrap();
-        dst_pfs
-            .set_xattr(dino, XATTR_LOGICAL, &20_000_000u64.to_string())
-            .unwrap();
+        f.make_chunk_dir("/dst", 0, 20_000_000).unwrap();
         for c in &manifest[..3] {
             let piece = f.pfs().read_resident(&c.path).unwrap();
-            let cpath = copra_vfs::join("/dst", &format!("chunk.{:05}", c.index));
-            let ino = dst_pfs.create_file(&cpath, 0, piece).unwrap();
-            dst_pfs
-                .set_xattr(ino, XATTR_FPRINT, &c.fingerprint.to_string())
-                .unwrap();
+            f.create_chunk("/dst", c.index, 0, piece).unwrap();
         }
         assert_eq!(f.stale_chunks("/dst", &manifest), Ok(vec![3, 4]));
 
         // Corrupt chunk 1's fingerprint: it becomes stale again.
-        let bad = dst_pfs.resolve("/dst/chunk.00001").unwrap();
-        dst_pfs.set_xattr(bad, XATTR_FPRINT, "12345").unwrap();
+        let bad = f.pfs().resolve("/dst/chunk.00001").unwrap();
+        let mark = ChunkMark::Chunk { fingerprint: 12345 };
+        f.pfs().vfs().set_chunk_mark(bad, mark).unwrap();
         assert_eq!(f.stale_chunks("/dst", &manifest), Ok(vec![1, 3, 4]));
     }
 

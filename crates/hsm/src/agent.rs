@@ -491,20 +491,17 @@ impl StorageAgent {
         let server = &self.shared.server;
         let obj = server.get(objid)?;
         let lib = server.library();
+        let range = match obj.kind {
+            ObjectKind::Simple | ObjectKind::Container { .. } => None,
+            ObjectKind::Member { offset, .. } => Some((offset, obj.len)),
+        };
         let (plane, policy) = self.recovery();
         let mut cursor = server.meta_op(ready);
         let mut attempt = 0u32;
         let (content, t) = loop {
             let read = lib
                 .ensure_mounted(obj.addr.tape, cursor)
-                .and_then(|(drive, t)| match obj.kind {
-                    ObjectKind::Simple | ObjectKind::Container { .. } => {
-                        lib.read_object(drive, self.agent_id(), obj.addr, t)
-                    }
-                    ObjectKind::Member { offset, .. } => {
-                        lib.read_object_range(drive, self.agent_id(), obj.addr, offset, obj.len, t)
-                    }
-                });
+                .and_then(|(drive, t)| lib.read_object(drive, self.agent_id(), obj.addr, range, t));
             match read {
                 Ok(ok) => {
                     if attempt > 0 {

@@ -69,7 +69,8 @@ pub fn reclaim_volume(
         for (seq, objid, len) in live {
             let old_addr = TapeAddress { tape, seq };
             // Read the record through the source drive.
-            let (content, t) = match lib.read_object(src_drive, RECLAIM_AGENT, old_addr, cursor) {
+            let read = lib.read_object(src_drive, RECLAIM_AGENT, old_addr, None, cursor);
+            let (content, t) = match read {
                 Ok(ok) => ok,
                 Err(TapeError::MediaError(_)) => {
                     // Unreadable: drop the record and every catalog object

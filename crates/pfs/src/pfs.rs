@@ -142,11 +142,6 @@ impl PfsBuilder {
 }
 
 impl Pfs {
-    /// An untraced [`PfsBuilder::scratch`] file system.
-    pub fn scratch(name: &str, clock: Clock, devices: usize) -> Pfs {
-        PfsBuilder::scratch(name, clock, devices).build()
-    }
-
     pub fn name(&self) -> &str {
         self.shared.vfs.name()
     }
@@ -287,10 +282,6 @@ impl Pfs {
 
     pub fn rmdir(&self, path: &str) -> FsResult<()> {
         self.shared.vfs.rmdir(path)
-    }
-
-    pub fn set_xattr(&self, ino: Ino, key: &str, value: &str) -> FsResult<()> {
-        self.shared.vfs.set_xattr(ino, key, value)
     }
 
     /// Create a file, applying placement policy to choose its pool.
@@ -592,7 +583,7 @@ impl Pfs {
     /// Policy-visible view of one regular file, straight from the scan's
     /// borrowed inode: the stub-size overlay and HSM state come from its
     /// managed region, the pool from its pool tag.
-    fn view_from<'a>(&'a self, path: &'a str, inode: &InodeView<'_>) -> FileView<'a> {
+    fn view_from<'a>(&'a self, path: &'a str, inode: &InodeView) -> FileView<'a> {
         FileView {
             path,
             ino: inode.ino,

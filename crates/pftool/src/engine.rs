@@ -38,12 +38,12 @@ use crate::view::FsView;
 use crate::watchdog::WatchDog;
 use copra_cluster::NodeId;
 use copra_faults::FaultPlane;
-use copra_fuse::{ChunkInfo, FuseRead, XATTR_CHUNKED, XATTR_FPRINT, XATTR_LOGICAL};
+use copra_fuse::{ChunkInfo, FuseRead};
 use copra_obs::{Counter, EventKind, Gauge, Registry};
 use copra_pfs::{HsmState, ReadOutcome};
 use copra_simtime::{DataSize, SimDuration, SimInstant};
 use copra_trace::{fnv64, SpanContext, Tracer};
-use copra_vfs::{Content, FileType, FsError, FsResult, Ino, InodeAttr};
+use copra_vfs::{ChunkMark, Content, FileType, FsError, FsResult, Ino, InodeAttr};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -360,10 +360,13 @@ impl Engine<'_> {
                 dst.pfs.write_at(ino, job.dst_offset, data)?;
                 dst.pfs.charge_write(ino, r2.end, len).end
             }
-            DstMode::CreateChunk { uid, ref path } => {
-                let fp = data.fingerprint();
-                let dst_ino = dst.pfs.create_file(path, uid, data)?;
-                dst.pfs.set_xattr(dst_ino, XATTR_FPRINT, &fp.to_string())?;
+            DstMode::CreateChunk {
+                uid,
+                ref dir,
+                index,
+            } => {
+                let fuse = dst.fuse.as_ref().expect("chunk copy without fuse");
+                let dst_ino = fuse.create_chunk(dir, index, uid, data)?;
                 dst.pfs.charge_write(dst_ino, r2.end, len).end
             }
         };
@@ -379,7 +382,8 @@ impl Engine<'_> {
     ) -> FsResult<CompareSide> {
         let chunked = view.fuse.is_some()
             && view.pfs.vfs().inspect(ino, |v| {
-                v.ftype == FileType::Directory && v.xattrs.contains_key(XATTR_CHUNKED)
+                v.ftype == FileType::Directory
+                    && matches!(v.chunk_mark, Some(ChunkMark::Dir { .. }))
             })?;
         Ok(CompareSide {
             ino,
@@ -1351,33 +1355,17 @@ impl Manager<'_, '_> {
             (0..manifest.len() as u32).collect()
         };
 
-        // Materialize the chunk-dir shell.
-        let shell = (|| -> FsResult<()> {
-            let dino = fuse.pfs().mkdir_p(dst_path)?;
-            fuse.pfs().vfs().chown(dino, meta.uid)?;
-            fuse.pfs().set_xattr(dino, XATTR_CHUNKED, "1")?;
-            fuse.pfs()
-                .set_xattr(dino, XATTR_LOGICAL, &meta.size.to_string())
-        })();
-        if let Err(e) = shell {
+        if let Err(e) = fuse.make_chunk_dir(dst_path, meta.uid, meta.size) {
             self.record_error(dst_path.to_string(), e.to_string());
             return;
         }
 
         let stale_set: std::collections::HashSet<u32> = stale.iter().copied().collect();
         for (i, (src_ino, src_offset, len, _)) in manifest.into_iter().enumerate() {
-            let idx = i as u32;
-            let chunk_path = copra_vfs::join(dst_path, &format!("chunk.{idx:05}"));
-            if !stale_set.contains(&idx) {
+            let index = i as u32;
+            if !stale_set.contains(&index) {
                 self.stats.skipped_bytes += len;
                 continue;
-            }
-            // A stale chunk that exists must be replaced.
-            if fuse.pfs().exists(&chunk_path) {
-                if let Err(e) = fuse.pfs().unlink(&chunk_path) {
-                    self.record_error(chunk_path.clone(), e.to_string());
-                    continue;
-                }
             }
             self.q.copyq.push_back(WorkerJob::Copy(CopyJob {
                 src_ino,
@@ -1386,7 +1374,8 @@ impl Manager<'_, '_> {
                 dst_offset: 0,
                 dst_mode: DstMode::CreateChunk {
                     uid: meta.uid,
-                    path: chunk_path,
+                    dir: dst_path.to_string(),
+                    index,
                 },
                 ready,
                 ctx: req,

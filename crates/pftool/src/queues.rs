@@ -65,9 +65,10 @@ pub enum DstMode {
     /// Write at `dst_offset` into the file the Manager pre-created as
     /// `ino` (plain-file chunk or whole-file copy).
     WriteAt { ino: Ino },
-    /// Create the fuse chunk file at `path` outright; the worker records
-    /// the chunk fingerprint xattr.
-    CreateChunk { uid: u32, path: String },
+    /// Write chunk `index` of the fuse-chunked file at `dir` through
+    /// [`copra_fuse::ArchiveFuse::create_chunk`], which names the chunk,
+    /// replaces a stale one and marks it with its fingerprint.
+    CreateChunk { uid: u32, dir: String, index: u32 },
 }
 
 /// One unit of data movement.

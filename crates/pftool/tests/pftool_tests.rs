@@ -1,14 +1,14 @@
 //! End-to-end tests of the PFTool engine over the full substrate stack.
 
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
-use copra_fuse::ArchiveFuse;
+use copra_fuse::{ArchiveFuse, ChunkInfo};
 use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
 use copra_pfs::{Pfs, PfsBuilder, PoolConfig};
 use copra_pftool::{pfcm, pfcp, pfls, FsView, PftoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
 use copra_tape::{TapeLibrary, TapeTiming};
-use copra_vfs::Content;
+use copra_vfs::{ChunkMark, Content};
 use std::sync::Arc;
 
 /// A full test rig: scratch FS, archive FS with HSM + fuse + catalog, one
@@ -24,7 +24,7 @@ struct Rig {
 fn rig() -> Rig {
     let clock = Clock::new();
     let cluster = FtaCluster::new(ClusterConfig::tiny(4));
-    let scratch_pfs = Pfs::scratch("scratch", clock.clone(), 8);
+    let scratch_pfs = PfsBuilder::scratch("scratch", clock.clone(), 8).build();
     let archive_pfs = PfsBuilder::new("archive", clock.clone())
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
         .pool(PoolConfig::external("tape"))
@@ -396,10 +396,11 @@ fn restart_resends_only_stale_chunks() {
     // another — both must be re-sent, the other three skipped.
     let fuse = r.archive.fuse.as_ref().unwrap();
     let chunks = fuse.chunks("/dst/huge.dat").unwrap();
-    let corrupt = r.archive.pfs.resolve(&chunks[1].path).unwrap();
+    let mark = ChunkMark::Chunk { fingerprint: 999 };
     r.archive
         .pfs
-        .set_xattr(corrupt, copra_fuse::XATTR_FPRINT, "999")
+        .vfs()
+        .set_chunk_mark(chunks[1].ino, mark)
         .unwrap();
     r.archive.pfs.unlink(&chunks[3].path).unwrap();
 
@@ -415,6 +416,51 @@ fn restart_resends_only_stale_chunks() {
         copra_fuse::FuseRead::Data(c) => assert!(c.eq_content(&content)),
         other => panic!("{other:?}"),
     }
+}
+
+/// ArchiveFUSE's own write and pfcp's N-to-N copy lay a chunked file out
+/// alike: the same manifest, logical size and marks, so neither copy finds
+/// a chunk of the other stale.
+#[test]
+fn fuse_write_and_pfcp_lay_out_chunks_alike() {
+    let r = rig();
+    let content = Content::synthetic(33, 230_000_000); // 4 × 50 MB + 30 MB
+    r.scratch.pfs.mkdir_p("/proj").unwrap();
+    r.scratch
+        .pfs
+        .create_file("/proj/big.dat", 7, content.clone())
+        .unwrap();
+    let copied = pfcp(&r.scratch, "/proj", &r.archive, "/dst", &cfg(), &[]);
+    assert!(copied.stats.ok(), "{:?}", copied.stats.errors);
+    let fuse = r.archive.fuse.as_ref().unwrap();
+    fuse.pfs().mkdir_p("/direct").unwrap();
+    fuse.write_file("/direct/big.dat", 7, content).unwrap();
+
+    let (written, copied) = ("/direct/big.dat", "/dst/big.dat");
+    let (a, b) = (fuse.chunks(written).unwrap(), fuse.chunks(copied).unwrap());
+    let key = |c: &ChunkInfo| (c.index, c.len, c.fingerprint);
+    assert_eq!(a.len(), 5);
+    assert_eq!(
+        a.iter().map(key).collect::<Vec<_>>(),
+        b.iter().map(key).collect::<Vec<_>>()
+    );
+    assert_eq!(fuse.stat(written).unwrap().size, 230_000_000);
+    assert_eq!(fuse.stat(copied).unwrap().size, 230_000_000);
+    let mark = |path: &str| fuse.pfs().stat(path).unwrap().chunk_mark;
+    assert_eq!(
+        mark(written),
+        Some(ChunkMark::Dir {
+            logical: 230_000_000
+        })
+    );
+    assert_eq!(mark(copied), mark(written));
+    for (ca, cb) in a.iter().zip(&b) {
+        let fingerprint = ca.fingerprint;
+        assert_eq!(mark(&ca.path), Some(ChunkMark::Chunk { fingerprint }));
+        assert_eq!(mark(&cb.path), mark(&ca.path));
+    }
+    assert_eq!(fuse.stale_chunks(written, &b), Ok(vec![]));
+    assert_eq!(fuse.stale_chunks(copied, &a), Ok(vec![]));
 }
 
 /// One 1 MB copy's simulated duration on a fresh rig (stat included).

@@ -3,7 +3,7 @@
 //! accounting — across worker counts and chunking thresholds.
 
 use copra_cluster::{ClusterConfig, FtaCluster};
-use copra_pfs::Pfs;
+use copra_pfs::PfsBuilder;
 use copra_pftool::{pfcm, pfcp, FsView, PftoolConfig};
 use copra_simtime::{Clock, DataSize};
 use copra_vfs::Content;
@@ -42,8 +42,8 @@ proptest! {
     ) {
         let clock = Clock::new();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
-        let src_pfs = Pfs::scratch("src", clock.clone(), 4);
-        let dst_pfs = Pfs::scratch("dst", clock.clone(), 4);
+        let src_pfs = PfsBuilder::scratch("src", clock.clone(), 4).build();
+        let dst_pfs = PfsBuilder::scratch("dst", clock.clone(), 4).build();
 
         let mut expected_files = 0u64;
         let mut expected_bytes = 0u64;

@@ -212,28 +212,17 @@ impl TapeFleet {
             .write_object(drive, agent, objid, content, ready)
     }
 
+    /// [`TapeLibrary::read_object`] on the library that owns `drive`.
     pub fn read_object(
         &self,
         drive: DriveId,
         agent: u32,
         addr: TapeAddress,
+        range: Option<(u64, u64)>,
         ready: SimInstant,
     ) -> Result<(Content, SimInstant), TapeError> {
         self.library_for_drive(drive)?
-            .read_object(drive, agent, addr, ready)
-    }
-
-    pub fn read_object_range(
-        &self,
-        drive: DriveId,
-        agent: u32,
-        addr: TapeAddress,
-        offset: u64,
-        len: u64,
-        ready: SimInstant,
-    ) -> Result<(Content, SimInstant), TapeError> {
-        self.library_for_drive(drive)?
-            .read_object_range(drive, agent, addr, offset, len, ready)
+            .read_object(drive, agent, addr, range, ready)
     }
 
     pub fn delete_object(&self, addr: TapeAddress) -> Result<(), TapeError> {
@@ -326,7 +315,7 @@ mod tests {
         let content = Content::synthetic(5, 2 << 20);
         let (addr, t1) = f.write_object(d, 1, 77, content.clone(), t0).unwrap();
         assert_eq!(addr.tape, TapeId(5));
-        let (back, _) = f.read_object(d, 1, addr, t1).unwrap();
+        let (back, _) = f.read_object(d, 1, addr, None, t1).unwrap();
         assert!(back.eq_content(&content));
         assert_eq!(f.live_objects().len(), 1);
     }
@@ -383,7 +372,7 @@ mod tests {
             f.ensure_mounted(TapeId(0), t3),
             Err(TapeError::LibraryOffline { .. })
         ));
-        let (back, _) = f.read_object(d1, 1, a1, t3).unwrap();
+        let (back, _) = f.read_object(d1, 1, a1, None, t3).unwrap();
         assert!(back.eq_content(&Content::synthetic(2, 1 << 20)));
     }
 }

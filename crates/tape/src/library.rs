@@ -776,63 +776,18 @@ impl TapeLibrary {
         Ok((TapeAddress { tape, seq }, r.end))
     }
 
-    /// Read the object at `addr` through `drive` as storage agent `agent`.
+    /// Read the record at `addr` through `drive` as storage agent `agent`:
+    /// all of it, or with `range = Some((offset, len))` only those bytes
+    /// (a member of an aggregated container, §6.1), for which the drive
+    /// locates to the member's position inside the record and streams
+    /// only the member. A whole-record read returns the record's content
+    /// as written.
     pub fn read_object(
         &self,
         drive: DriveId,
         agent: u32,
         addr: TapeAddress,
-        ready: SimInstant,
-    ) -> Result<(Content, SimInstant), TapeError> {
-        self.check_online(ready)?;
-        let mut st = self.drive(drive)?.lock();
-        self.check_drive_health(&mut st, drive, ready)?;
-        let mounted = st.mounted;
-        if mounted != Some(addr.tape) {
-            return Err(TapeError::WrongTape {
-                drive,
-                mounted,
-                wanted: addr.tape,
-            });
-        }
-        self.check_transient_io(&mut st, drive, ready)?;
-        let t = &self.shared.timing;
-        let cursor = self.agent_handoff(&mut st, drive, agent, ready);
-
-        let cart = self.cartridge(addr.tape)?.lock();
-        let rec = cart.record(addr.seq).ok_or(TapeError::NoSuchRecord(addr))?;
-        let injected = self
-            .armed_faults()
-            .is_some_and(|p| p.take_media_error(addr.tape.0, addr.seq, cursor));
-        if rec.damaged || injected {
-            return Err(TapeError::MediaError(addr));
-        }
-        let content = rec.content.clone().ok_or(TapeError::ObjectDeleted(addr))?;
-        let dist = rec.start.abs_diff(st.head_bytes);
-        let locate = t.locate_time(DataSize::from_bytes(dist));
-        let r = st
-            .timeline
-            .transfer_with_overhead(cursor, DataSize::from_bytes(rec.len), locate);
-        st.head_bytes = rec.start + rec.len;
-        st.stats.locates += u64::from(dist > 0);
-        st.stats.bytes_read += rec.len;
-        let m = &self.shared.metrics;
-        m.locates.add(u64::from(dist > 0));
-        m.bytes_read.add(rec.len);
-        Ok((content, r.end))
-    }
-
-    /// Read `len` bytes starting at `offset` within the record at `addr`
-    /// (used for members of aggregated containers, §6.1): the drive locates
-    /// to the member's position inside the record and streams only the
-    /// member's bytes.
-    pub fn read_object_range(
-        &self,
-        drive: DriveId,
-        agent: u32,
-        addr: TapeAddress,
-        offset: u64,
-        len: u64,
+        range: Option<(u64, u64)>,
         ready: SimInstant,
     ) -> Result<(Content, SimInstant), TapeError> {
         self.check_online(ready)?;
@@ -859,10 +814,14 @@ impl TapeLibrary {
             return Err(TapeError::MediaError(addr));
         }
         let content = rec.content.as_ref().ok_or(TapeError::ObjectDeleted(addr))?;
+        let (offset, len) = range.unwrap_or((0, rec.len));
         if offset + len > rec.len {
             return Err(TapeError::NoSuchRecord(addr));
         }
-        let slice = content.slice(offset, len);
+        let data = match range {
+            Some(_) => content.slice(offset, len),
+            None => content.clone(),
+        };
         let target = rec.start + offset;
         let dist = target.abs_diff(st.head_bytes);
         let locate = t.locate_time(DataSize::from_bytes(dist));
@@ -875,7 +834,7 @@ impl TapeLibrary {
         let m = &self.shared.metrics;
         m.locates.add(u64::from(dist > 0));
         m.bytes_read.add(len);
-        Ok((slice, r.end))
+        Ok((data, r.end))
     }
 
     /// Delete an object's record (a TSM database operation — no drive time;
@@ -1076,7 +1035,7 @@ mod tests {
             }
         );
         assert!(t1 > t0);
-        let (back, t2) = l.read_object(DriveId(0), 1, addr, t1).unwrap();
+        let (back, t2) = l.read_object(DriveId(0), 1, addr, None, t1).unwrap();
         assert!(back.eq_content(&content));
         assert!(t2 > t1);
     }
@@ -1098,14 +1057,14 @@ mod tests {
         // Head is at EOD. Read in order: first read locates back to 0, then
         // the rest stream sequentially with no locate.
         for a in &addrs {
-            let (_, end) = l.read_object(DriveId(0), 1, *a, cursor).unwrap();
+            let (_, end) = l.read_object(DriveId(0), 1, *a, None, cursor).unwrap();
             cursor = end;
         }
         let s = l.stats();
         assert_eq!(s.totals.locates - locates_after_write, 1);
         // Reading backwards now seeks every time.
         for a in addrs.iter().rev() {
-            let (_, end) = l.read_object(DriveId(0), 1, *a, cursor).unwrap();
+            let (_, end) = l.read_object(DriveId(0), 1, *a, None, cursor).unwrap();
             cursor = end;
         }
         assert!(l.stats().totals.locates - s.totals.locates >= 3);
@@ -1119,10 +1078,10 @@ mod tests {
             .write_object(DriveId(0), 1, 1, Content::synthetic(1, 100 << 20), t0)
             .unwrap();
         // same agent reads: no handoff
-        let (_, t2) = l.read_object(DriveId(0), 1, a0, t1).unwrap();
+        let (_, t2) = l.read_object(DriveId(0), 1, a0, None, t1).unwrap();
         assert_eq!(l.stats().totals.handoffs, 0);
         // different agent: handoff penalty
-        let (_, t3) = l.read_object(DriveId(0), 2, a0, t2).unwrap();
+        let (_, t3) = l.read_object(DriveId(0), 2, a0, None, t2).unwrap();
         let s = l.stats();
         assert_eq!(s.totals.handoffs, 1);
         assert_eq!(s.totals.label_verifies, 2); // mount + handoff
@@ -1158,7 +1117,7 @@ mod tests {
         assert_eq!(live[0].0, a1);
         assert_eq!(live[0].1, 11);
         assert!(matches!(
-            l.read_object(DriveId(0), 1, a0, t1),
+            l.read_object(DriveId(0), 1, a0, None, t1),
             Err(TapeError::ObjectDeleted(_))
         ));
     }
@@ -1282,15 +1241,18 @@ mod tests {
                 .arm(l.obs().clone()),
         );
         // Before the window the read-path is untouched.
-        let (_, t2) = l.read_object(DriveId(0), 1, addr, t1).unwrap();
+        let (_, t2) = l.read_object(DriveId(0), 1, addr, None, t1).unwrap();
         // Inside the window every drive/robot operation is rejected.
         let off = SimInstant::from_secs(200);
         let want = TapeError::LibraryOffline {
             library: LibraryId(0),
         };
-        assert_eq!(l.read_object(DriveId(0), 1, addr, off).unwrap_err(), want);
         assert_eq!(
-            l.read_object_range(DriveId(0), 1, addr, 0, 100, off)
+            l.read_object(DriveId(0), 1, addr, None, off).unwrap_err(),
+            want
+        );
+        assert_eq!(
+            l.read_object(DriveId(0), 1, addr, Some((0, 100)), off)
                 .unwrap_err(),
             want
         );
@@ -1305,7 +1267,9 @@ mod tests {
         // After the window the mount survived and the data reads clean.
         let back = SimInstant::from_secs(600);
         assert!(!l.is_offline(back));
-        let (got, _) = l.read_object(DriveId(0), 1, addr, back.max(t2)).unwrap();
+        let (got, _) = l
+            .read_object(DriveId(0), 1, addr, None, back.max(t2))
+            .unwrap();
         assert!(got.eq_content(&content));
         // One outage observed, counted once despite many rejections.
         assert_eq!(l.obs().snapshot().counter("faults.library_outages"), 1);
@@ -1339,7 +1303,7 @@ mod tests {
             .unwrap();
         assert_eq!(addr.tape, TapeId(32));
         assert_eq!(l.drive_holding(TapeId(32)), Some(DriveId(4)));
-        let (back, _) = l.read_object(DriveId(4), 1, addr, t1).unwrap();
+        let (back, _) = l.read_object(DriveId(4), 1, addr, None, t1).unwrap();
         assert!(back.eq_content(&content));
         assert_eq!(l.tapes_with_space(DataSize::mb(1)).len(), 4);
         let (d, _) = l.ensure_mounted(TapeId(33), t1).unwrap();
@@ -1371,23 +1335,23 @@ mod tests {
             .unwrap();
         l.damage_record(a0).unwrap();
         assert_eq!(
-            l.read_object(DriveId(0), 1, a0, t2).unwrap_err(),
+            l.read_object(DriveId(0), 1, a0, None, t2).unwrap_err(),
             TapeError::MediaError(a0)
         );
         assert_eq!(
-            l.read_object_range(DriveId(0), 1, a0, 0, 100, t2)
+            l.read_object(DriveId(0), 1, a0, Some((0, 100)), t2)
                 .unwrap_err(),
             TapeError::MediaError(a0)
         );
         // The neighbor record is untouched.
-        let (_, t3) = l.read_object(DriveId(0), 1, a1, t2).unwrap();
+        let (_, t3) = l.read_object(DriveId(0), 1, a1, None, t2).unwrap();
         l.delete_object(a1).unwrap();
         assert_eq!(
-            l.read_object(DriveId(0), 1, a1, t3).unwrap_err(),
+            l.read_object(DriveId(0), 1, a1, None, t3).unwrap_err(),
             TapeError::ObjectDeleted(a1)
         );
         assert_eq!(
-            l.read_object_range(DriveId(0), 1, a1, 0, 100, t3)
+            l.read_object(DriveId(0), 1, a1, Some((0, 100)), t3)
                 .unwrap_err(),
             TapeError::ObjectDeleted(a1)
         );
@@ -1408,7 +1372,7 @@ mod tests {
             .unwrap();
         let late = SimInstant::from_secs(200);
         assert_eq!(
-            l.read_object(DriveId(0), 1, addr, late).unwrap_err(),
+            l.read_object(DriveId(0), 1, addr, None, late).unwrap_err(),
             TapeError::DriveFailed(DriveId(0))
         );
         assert!(l.is_fenced(DriveId(0)).unwrap());
@@ -1417,7 +1381,7 @@ mod tests {
         // object is readable again.
         let (d, t) = l.ensure_mounted(TapeId(0), late).unwrap();
         assert_eq!(d, DriveId(1));
-        let (back, _) = l.read_object(d, 1, addr, t).unwrap();
+        let (back, _) = l.read_object(d, 1, addr, None, t).unwrap();
         assert!(back.eq_content(&Content::synthetic(1, 1 << 20)));
         let snap = l.obs().snapshot();
         assert_eq!(snap.counter("faults.fences"), 1);
@@ -1498,15 +1462,15 @@ mod tests {
                 .arm(l.obs().clone()),
         );
         assert_eq!(
-            l.read_object(DriveId(0), 1, addr, t1).unwrap_err(),
+            l.read_object(DriveId(0), 1, addr, None, t1).unwrap_err(),
             TapeError::MediaError(addr)
         );
         assert_eq!(
-            l.read_object(DriveId(0), 1, addr, t1).unwrap_err(),
+            l.read_object(DriveId(0), 1, addr, None, t1).unwrap_err(),
             TapeError::MediaError(addr)
         );
         // Hits exhausted: the soft error clears and the data is intact.
-        let (back, _) = l.read_object(DriveId(0), 1, addr, t1).unwrap();
+        let (back, _) = l.read_object(DriveId(0), 1, addr, None, t1).unwrap();
         assert!(back.eq_content(&content));
         assert_eq!(l.obs().snapshot().counter("faults.media_errors"), 2);
     }

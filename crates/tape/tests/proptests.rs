@@ -103,7 +103,7 @@ proptest! {
                     }
                     let addr = written[nth as usize % written.len()];
                     let (objid, len, alive) = model[&addr];
-                    match lib.read_object(DriveId(drive as u32), agent as u32, addr, now) {
+                    match lib.read_object(DriveId(drive as u32), agent as u32, addr, None, now) {
                         Ok((content, t)) => {
                             now = now.max(t);
                             prop_assert!(alive, "read of deleted object succeeded");

@@ -29,7 +29,7 @@
 use crate::content::Content;
 use crate::error::{FsError, FsResult};
 use crate::hsmstate::ManagedRegion;
-use crate::inode::{FileType, Ino, InodeAttr, InodeView};
+use crate::inode::{ChunkMark, FileType, Ino, InodeAttr, InodeView};
 use crate::path::{is_normalized, is_under, join, normalize, parent_and_name, split};
 use copra_simtime::{Clock, SimInstant};
 use parking_lot::{Mutex, RwLock};
@@ -37,7 +37,7 @@ use rustc_hash::FxHashMap;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One entry returned by [`Vfs::readdir`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,16 +185,9 @@ struct Node {
     ctime: SimInstant,
     /// Boxed on a file's first HSM transition: most inodes never have one.
     region: Option<Box<ManagedRegion>>,
-    /// Copy-on-write: `attr()` hands out a cheap `Arc` clone instead of
-    /// deep-copying the map; xattr mutation uses `Arc::make_mut`.
-    xattrs: Arc<BTreeMap<String, String>>,
+    /// Boxed like `region`: only the pieces of a chunked file have one.
+    chunk_mark: Option<Box<ChunkMark>>,
     kind: NodeKind,
-}
-
-/// All fresh nodes share one static empty map until their first xattr write.
-fn empty_xattrs() -> Arc<BTreeMap<String, String>> {
-    static EMPTY: OnceLock<Arc<BTreeMap<String, String>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(BTreeMap::new())).clone()
 }
 
 impl Node {
@@ -208,7 +201,7 @@ impl Node {
             atime: now,
             ctime: now,
             region: None,
-            xattrs: empty_xattrs(),
+            chunk_mark: None,
             kind,
         }
     }
@@ -242,11 +235,11 @@ impl Node {
             ctime: self.ctime,
             region: self.region(),
             pool: self.pool,
-            xattrs: Arc::clone(&self.xattrs),
+            chunk_mark: self.chunk_mark.as_deref().copied(),
         }
     }
 
-    fn view(&self, ino: Ino) -> InodeView<'_> {
+    fn view(&self, ino: Ino) -> InodeView {
         InodeView {
             ino,
             ftype: self.ftype(),
@@ -256,7 +249,7 @@ impl Node {
             atime: self.atime,
             region: self.region(),
             pool: self.pool,
-            xattrs: &self.xattrs,
+            chunk_mark: self.chunk_mark.as_deref().copied(),
         }
     }
 }
@@ -808,17 +801,19 @@ impl Vfs {
         self.with_node(ino, |node| Ok(node.attr(ino)))
     }
 
-    pub fn set_xattr(&self, ino: Ino, key: &str, value: &str) -> FsResult<()> {
+    /// Mark `ino` as a piece of a chunked file: an attribute change, so it
+    /// stamps ctime.
+    pub fn set_chunk_mark(&self, ino: Ino, mark: ChunkMark) -> FsResult<()> {
         let now = self.now();
         self.with_node_mut(ino, |node| {
-            Arc::make_mut(&mut node.xattrs).insert(key.to_string(), value.to_string());
+            node.chunk_mark = Some(Box::new(mark));
             node.ctime = now;
             Ok(())
         })
     }
 
     /// Run `f` on a borrowed view of `ino` under one read guard.
-    pub fn inspect<R>(&self, ino: Ino, f: impl FnOnce(&InodeView<'_>) -> R) -> FsResult<R> {
+    pub fn inspect<R>(&self, ino: Ino, f: impl FnOnce(&InodeView) -> R) -> FsResult<R> {
         self.with_node(ino, |node| Ok(f(&node.view(ino))))
     }
 
@@ -829,7 +824,7 @@ impl Vfs {
     pub fn inspect_batch<R>(
         &self,
         inos: impl IntoIterator<Item = Ino>,
-        mut f: impl FnMut(&InodeView<'_>, Option<&Content>) -> FsResult<R>,
+        mut f: impl FnMut(&InodeView, Option<&Content>) -> FsResult<R>,
     ) -> FsResult<Vec<R>> {
         let g = self.shared.nodes.read();
         inos.into_iter()
@@ -910,7 +905,7 @@ impl Vfs {
     pub fn par_scan<R, F, O>(&self, threads: usize, f: F, obs: O) -> Vec<R>
     where
         R: Send,
-        F: Fn(&InodeView<'_>, &mut ScanPath<'_>) -> Option<R> + Sync,
+        F: Fn(&InodeView, &mut ScanPath<'_>) -> Option<R> + Sync,
         O: Fn(ShardScanStats) + Sync,
     {
         let nshards = NSHARDS;
@@ -1151,7 +1146,8 @@ mod tests {
     fn unlink_returns_attrs_and_removes() {
         let v = fs();
         let ino = v.create("/f", 7, 0, Content::literal(&b"abc"[..])).unwrap();
-        v.set_xattr(ino, "k", "v").unwrap();
+        let mark = ChunkMark::Chunk { fingerprint: 5 };
+        v.set_chunk_mark(ino, mark).unwrap();
         v.update_region(ino, |file| {
             let objid = Some(42);
             file.set_region(ManagedRegion {
@@ -1164,7 +1160,7 @@ mod tests {
         let attr = v.unlink("/f").unwrap();
         assert_eq!(attr.ino, ino);
         assert_eq!(attr.uid, 7);
-        assert_eq!(attr.xattr("k"), Some("v"));
+        assert_eq!(attr.chunk_mark, Some(mark));
         assert_eq!(attr.region.objid, Some(42));
         assert!(!v.exists("/f"));
         assert!(matches!(v.stat_ino(ino), Err(FsError::StaleInode(_))));
@@ -1245,27 +1241,6 @@ mod tests {
         v.create("/a/x/g", 0, 0, Content::empty()).unwrap();
         let paths: Vec<_> = v.walk("/").unwrap().into_iter().map(|e| e.path).collect();
         assert_eq!(paths, vec!["/", "/a", "/a/f", "/a/x", "/a/x/g", "/b"]);
-    }
-
-    #[test]
-    fn xattrs_roundtrip() {
-        let v = fs();
-        let ino = v.create("/f", 0, 0, Content::empty()).unwrap();
-        assert_eq!(v.stat_ino(ino).unwrap().xattr("k"), None);
-        v.set_xattr(ino, "k", "v").unwrap();
-        assert_eq!(v.stat_ino(ino).unwrap().xattr("k"), Some("v"));
-    }
-
-    #[test]
-    fn attr_xattrs_are_cow_snapshots() {
-        let v = fs();
-        let ino = v.create("/f", 0, 0, Content::empty()).unwrap();
-        v.set_xattr(ino, "k", "v1").unwrap();
-        let snap = v.stat_ino(ino).unwrap();
-        v.set_xattr(ino, "k", "v2").unwrap();
-        // the earlier snapshot must not observe the later write
-        assert_eq!(snap.xattr("k"), Some("v1"));
-        assert_eq!(v.stat_ino(ino).unwrap().xattr("k"), Some("v2"));
     }
 
     #[test]

@@ -3,9 +3,7 @@
 use crate::hsmstate::ManagedRegion;
 use copra_simtime::SimInstant;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Inode number. Unique within one file system for its lifetime (inode
 /// numbers are not reused; `(ino, generation)` is therefore globally unique
@@ -27,8 +25,19 @@ pub enum FileType {
     Directory,
 }
 
+/// ArchiveFUSE's mark on the pieces of a chunked file (§4.1.2-4): the
+/// directory that stands for the file, and each chunk in it with the
+/// fingerprint restart marking compares (§4.5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ChunkMark {
+    /// A chunked file's directory; `logical` is the file's size.
+    Dir { logical: u64 },
+    /// One chunk, with the fingerprint of the content written to it.
+    Chunk { fingerprint: u64 },
+}
+
 /// Stat-visible attributes of an inode.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InodeAttr {
     pub ino: Ino,
     pub ftype: FileType,
@@ -47,11 +56,8 @@ pub struct InodeAttr {
     /// Storage-pool tag, opaque to the `Vfs` (0 unless the creator or
     /// [`crate::RegionWrite::set_pool`] set one).
     pub pool: u8,
-    /// Extended attributes: PFTool and FUSE keys (chunk maps, restart
-    /// fingerprints). HSM state is not here but in `region`. Shared with
-    /// the live inode (copy-on-write): building an attr never deep-copies
-    /// the map.
-    pub xattrs: Arc<BTreeMap<String, String>>,
+    /// ArchiveFUSE's mark, if the inode is part of a chunked file.
+    pub chunk_mark: Option<ChunkMark>,
 }
 
 impl InodeAttr {
@@ -62,16 +68,13 @@ impl InodeAttr {
     pub fn is_file(&self) -> bool {
         self.ftype == FileType::Regular
     }
-
-    pub fn xattr(&self, key: &str) -> Option<&str> {
-        self.xattrs.get(key).map(|s| s.as_str())
-    }
 }
 
-/// A borrowed view of one live inode, handed out by `Vfs::par_scan` while
-/// the scan holds the inode table's read guard: nothing is cloned.
+/// The stat fields of one live inode, bar ctime, lent to `Vfs::par_scan`
+/// and `Vfs::inspect` callbacks under the inode table's read guard:
+/// nothing is allocated.
 #[derive(Debug, Clone, Copy)]
-pub struct InodeView<'a> {
+pub struct InodeView {
     pub ino: Ino,
     pub ftype: FileType,
     pub size: u64,
@@ -80,10 +83,10 @@ pub struct InodeView<'a> {
     pub atime: SimInstant,
     pub region: ManagedRegion,
     pub pool: u8,
-    pub xattrs: &'a BTreeMap<String, String>,
+    pub chunk_mark: Option<ChunkMark>,
 }
 
-impl InodeView<'_> {
+impl InodeView {
     pub fn is_file(&self) -> bool {
         self.ftype == FileType::Regular
     }
@@ -105,15 +108,11 @@ mod tests {
             ctime: SimInstant::EPOCH,
             region: ManagedRegion::default(),
             pool: 0,
-            xattrs: Arc::new(BTreeMap::from([(
-                "fuse.chunked".to_string(),
-                "1".to_string(),
-            )])),
+            chunk_mark: Some(ChunkMark::Chunk { fingerprint: 9 }),
         };
         assert!(attr.is_file());
         assert!(!attr.is_dir());
-        assert_eq!(attr.xattr("fuse.chunked"), Some("1"));
-        assert_eq!(attr.xattr("missing"), None);
+        assert_eq!(attr.chunk_mark, Some(ChunkMark::Chunk { fingerprint: 9 }));
         assert_eq!(Ino(7).to_string(), "ino:7");
     }
 }

@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn populate_builds_the_namespace() {
-        let pfs = Pfs::scratch("s", Clock::new(), 2);
+        let pfs = copra_pfs::PfsBuilder::scratch("s", Clock::new(), 2).build();
         let t = mixed_tree(200, 10_000, 1.0, 4, 3);
         let (files, bytes) = populate(&pfs, "/data", &t);
         assert_eq!(files, 200);

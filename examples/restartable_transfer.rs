@@ -9,9 +9,9 @@
 //! Run with: `cargo run --release --example restartable_transfer`
 
 use copra::core::{ArchiveSystem, SystemConfig};
-use copra::fuse::{FuseRead, XATTR_FPRINT};
+use copra::fuse::FuseRead;
 use copra::pftool::PftoolConfig;
-use copra::vfs::Content;
+use copra::vfs::{ChunkMark, Content};
 
 fn main() {
     let sys = ArchiveSystem::new(SystemConfig::test_small());
@@ -44,8 +44,9 @@ fn main() {
     for c in &chunks[survive..] {
         sys.archive().unlink(&c.path).unwrap();
     }
-    let wounded = sys.archive().resolve(&chunks[survive - 1].path).unwrap();
-    sys.archive().set_xattr(wounded, XATTR_FPRINT, "0").unwrap();
+    let wounded = chunks[survive - 1].ino;
+    let mark = ChunkMark::Chunk { fingerprint: 0 };
+    sys.archive().vfs().set_chunk_mark(wounded, mark).unwrap();
     println!(
         "failure injected: {} tail chunks lost, 1 chunk corrupted",
         chunks.len() - survive
