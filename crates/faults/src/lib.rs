@@ -28,21 +28,11 @@
 
 use copra_obs::{Counter, EventKind, Histogram, Registry};
 use copra_simtime::{SimDuration, SimInstant};
-use copra_trace::SpanContext;
+use copra_trace::{splitmix64, SpanContext};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// SplitMix64 — the one-shot mixer behind every fault draw. Good
-/// avalanche behavior, no state: ideal for hashing operation identity
-/// into an independent uniform draw.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A uniform draw in `[0, 1)` from hashed operation identity.
 fn unit_draw(seed: u64, key: u64) -> f64 {

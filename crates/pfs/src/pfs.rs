@@ -6,7 +6,7 @@ use crate::pool::{PoolConfig, PoolId, StoragePool};
 use copra_simtime::{Clock, DataSize, Reservation, SimDuration, SimInstant, Timeline};
 use copra_trace::Tracer;
 use copra_vfs::{
-    Content, FsError, FsResult, HsmState, Ino, InodeAttr, InodeView, ManagedRegion, Vfs, WalkEntry,
+    Content, FsError, FsResult, HsmState, Ino, InodeAttr, ManagedRegion, Vfs, WalkEntry,
 };
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,7 +182,7 @@ impl Pfs {
             .unwrap_or(self.shared.default_pool)
     }
 
-    /// The pool an inode's pool tag ([`InodeView::pool`]) names.
+    /// The pool an inode's pool tag ([`InodeAttr::pool`]) names.
     pub fn tag_pool(&self, tag: u8) -> PoolId {
         PoolId(u32::from(tag) ^ self.shared.default_pool.0)
     }
@@ -580,22 +580,6 @@ impl Pfs {
             .unwrap_or(1)
     }
 
-    /// Policy-visible view of one regular file, straight from the scan's
-    /// borrowed inode: the stub-size overlay and HSM state come from its
-    /// managed region, the pool from its pool tag.
-    fn view_from<'a>(&'a self, path: &'a str, inode: &InodeView) -> FileView<'a> {
-        FileView {
-            path,
-            ino: inode.ino,
-            size: inode.region.logical_size(inode.size),
-            uid: inode.uid,
-            mtime: inode.mtime,
-            atime: inode.atime,
-            pool: self.pool(self.tag_pool(inode.pool)).name(),
-            hsm: inode.region.state,
-        }
-    }
-
     /// Snapshot of every regular file as policy-visible records, sorted by
     /// path. Runs the sharded parallel scan at the default thread count.
     pub fn scan_records(&self) -> Vec<FileRecord> {
@@ -612,9 +596,10 @@ impl Pfs {
         let mut recs = self.shared.vfs.par_scan(
             threads,
             |inode, path| {
-                inode
-                    .is_file()
-                    .then(|| self.view_from(path.get(), inode).to_record())
+                inode.is_file().then(|| {
+                    let pool = self.pool(self.tag_pool(inode.pool)).name();
+                    FileView::of(path.get(), inode, pool).to_record()
+                })
             },
             |st| record_shard_spans(tracer, root.as_ref(), "scan.shard", now, st),
         );
@@ -656,9 +641,10 @@ impl Pfs {
                 if !inode.is_file() {
                     return None;
                 }
+                let pool = self.pool(self.tag_pool(inode.pool)).name();
                 let rule_path = if reads_path { path.get() } else { "" };
-                let idx = engine.classify(&self.view_from(rule_path, inode), now)?;
-                Some((idx, self.view_from(path.get(), inode).to_record()))
+                let idx = engine.classify(&FileView::of(rule_path, inode, pool), now)?;
+                Some((idx, FileView::of(path.get(), inode, pool).to_record()))
             },
             |st| {
                 scanned.fetch_add(st.files, Ordering::Relaxed);

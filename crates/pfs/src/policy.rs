@@ -13,7 +13,7 @@
 
 use crate::glob::wildcard_match;
 use copra_simtime::{SimDuration, SimInstant};
-use copra_vfs::{HsmState, Ino};
+use copra_vfs::{HsmState, Ino, InodeAttr};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -61,7 +61,22 @@ pub struct FileView<'a> {
     pub hsm: HsmState,
 }
 
-impl FileView<'_> {
+impl<'a> FileView<'a> {
+    /// A regular file as the policy scan sees it: the stub-size overlay and
+    /// HSM state come from its managed region; `pool` names its pool tag.
+    pub(crate) fn of(path: &'a str, inode: &InodeAttr, pool: &'a str) -> Self {
+        FileView {
+            path,
+            ino: inode.ino,
+            size: inode.region.logical_size(inode.size),
+            uid: inode.uid,
+            mtime: inode.mtime,
+            atime: inode.atime,
+            pool,
+            hsm: inode.region.state,
+        }
+    }
+
     pub fn to_record(&self) -> FileRecord {
         FileRecord {
             path: self.path.to_string(),

@@ -13,7 +13,6 @@ pub const KB: u64 = 1_000;
 pub const MB: u64 = 1_000_000;
 pub const GB: u64 = 1_000_000_000;
 pub const TB: u64 = 1_000_000_000_000;
-pub const KIB: u64 = 1 << 10;
 pub const MIB: u64 = 1 << 20;
 pub const GIB: u64 = 1 << 30;
 pub const TIB: u64 = 1 << 40;
@@ -41,9 +40,6 @@ impl DataSize {
     }
     pub const fn tb(n: u64) -> Self {
         DataSize(n * TB)
-    }
-    pub const fn kib(n: u64) -> Self {
-        DataSize(n * KIB)
     }
     pub const fn mib(n: u64) -> Self {
         DataSize(n * MIB)
@@ -131,13 +127,6 @@ impl Bandwidth {
     pub const fn mb_per_sec(n: u64) -> Self {
         Bandwidth {
             bytes_per_sec: n * MB,
-        }
-    }
-
-    /// Binary mebibytes per second.
-    pub const fn mib_per_sec(n: u64) -> Self {
-        Bandwidth {
-            bytes_per_sec: n * MIB,
         }
     }
 

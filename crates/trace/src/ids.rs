@@ -43,8 +43,8 @@ impl fmt::Display for SpanId {
     }
 }
 
-/// Sebastiano Vigna's splitmix64 finalizer — the same mixer the fault plane
-/// and workload generators use for seed derivation.
+/// Sebastiano Vigna's splitmix64 finalizer, the one mixer behind span ids
+/// and every fault-plane draw (no state, good avalanche behaviour).
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -29,7 +29,7 @@
 use crate::content::Content;
 use crate::error::{FsError, FsResult};
 use crate::hsmstate::ManagedRegion;
-use crate::inode::{ChunkMark, FileType, Ino, InodeAttr, InodeView};
+use crate::inode::{ChunkMark, FileType, Ino, InodeAttr};
 use crate::path::{is_normalized, is_under, join, normalize, parent_and_name, split};
 use copra_simtime::{Clock, SimInstant};
 use parking_lot::{Mutex, RwLock};
@@ -233,20 +233,6 @@ impl Node {
             mtime: self.mtime,
             atime: self.atime,
             ctime: self.ctime,
-            region: self.region(),
-            pool: self.pool,
-            chunk_mark: self.chunk_mark.as_deref().copied(),
-        }
-    }
-
-    fn view(&self, ino: Ino) -> InodeView {
-        InodeView {
-            ino,
-            ftype: self.ftype(),
-            size: self.size(),
-            uid: self.uid,
-            mtime: self.mtime,
-            atime: self.atime,
             region: self.region(),
             pool: self.pool,
             chunk_mark: self.chunk_mark.as_deref().copied(),
@@ -812,19 +798,19 @@ impl Vfs {
         })
     }
 
-    /// Run `f` on a borrowed view of `ino` under one read guard.
-    pub fn inspect<R>(&self, ino: Ino, f: impl FnOnce(&InodeView) -> R) -> FsResult<R> {
-        self.with_node(ino, |node| Ok(f(&node.view(ino))))
+    /// Run `f` on the attributes of `ino` under one read guard.
+    pub fn inspect<R>(&self, ino: Ino, f: impl FnOnce(&InodeAttr) -> R) -> FsResult<R> {
+        self.with_node(ino, |node| Ok(f(&node.attr(ino))))
     }
 
-    /// Run `f` on each of `inos`, in order, under one read guard: a
-    /// borrowed view and the file's content (`None` for a directory).
+    /// Run `f` on each of `inos`, in order, under one read guard: the
+    /// inode's attributes and the file's content (`None` for a directory).
     /// Stops at the first stale ino or error of `f`, which must not call
     /// back into this `Vfs` (see the module docs).
     pub fn inspect_batch<R>(
         &self,
         inos: impl IntoIterator<Item = Ino>,
-        mut f: impl FnMut(&InodeView, Option<&Content>) -> FsResult<R>,
+        mut f: impl FnMut(&InodeAttr, Option<&Content>) -> FsResult<R>,
     ) -> FsResult<Vec<R>> {
         let g = self.shared.nodes.read();
         inos.into_iter()
@@ -834,7 +820,7 @@ impl Vfs {
                     NodeKind::File { content } => Some(content),
                     NodeKind::Dir { .. } => None,
                 };
-                f(&node.view(ino), content)
+                f(&node.attr(ino), content)
             })
             .collect()
     }
@@ -892,7 +878,7 @@ impl Vfs {
     /// shard by shard — the policy-scan hot path. Unlike [`Vfs::walk`] this
     /// never materializes the tree: each worker takes the read guard once
     /// per shard and walks that shard's nodes in place, handing `f` a
-    /// borrowed [`InodeView`] and a [`ScanPath`] that builds the inode's
+    /// borrowed [`InodeAttr`] and a [`ScanPath`] that builds the inode's
     /// path only if `f` asks for it. After each shard, `obs` receives that
     /// shard's [`ShardScanStats`] (64 calls per scan; tracing hangs off
     /// this hook instead of timing individual inodes).
@@ -905,7 +891,7 @@ impl Vfs {
     pub fn par_scan<R, F, O>(&self, threads: usize, f: F, obs: O) -> Vec<R>
     where
         R: Send,
-        F: Fn(&InodeView, &mut ScanPath<'_>) -> Option<R> + Sync,
+        F: Fn(&InodeAttr, &mut ScanPath<'_>) -> Option<R> + Sync,
         O: Fn(ShardScanStats) + Sync,
     {
         let nshards = NSHARDS;
@@ -925,7 +911,7 @@ impl Vfs {
                     memo.epoch = epoch;
                 }
                 for (&raw, node) in &g.0[shard_idx] {
-                    let inode = node.view(Ino(raw));
+                    let inode = node.attr(Ino(raw));
                     files += u64::from(inode.is_file());
                     memo.buf.clear();
                     let mut path = ScanPath {
@@ -1354,11 +1340,27 @@ mod tests {
         v.mkdir_p("/a/b").unwrap();
         v.mkdir_p("/c").unwrap();
         for i in 0..100u64 {
-            v.create(&format!("/a/b/f{i}"), 0, 0, Content::synthetic(i, i))
+            v.clock().advance_to(SimInstant::from_secs(2 * i));
+            let f = v
+                .create(
+                    &format!("/a/b/f{i}"),
+                    0,
+                    i as u8 % 4,
+                    Content::synthetic(i, i),
+                )
                 .unwrap();
             v.create(&format!("/c/g{i}"), 0, 0, Content::empty())
                 .unwrap();
+            if i % 3 == 0 {
+                // A later mark moves ctime past mtime.
+                v.clock().advance_to(SimInstant::from_secs(2 * i + 1));
+                v.set_chunk_mark(f, ChunkMark::Chunk { fingerprint: i })
+                    .unwrap();
+            }
         }
+        let dir = v.resolve("/a/b").unwrap();
+        v.set_chunk_mark(dir, ChunkMark::Dir { logical: 7 })
+            .unwrap();
         let mut walked: Vec<String> = v
             .walk("/")
             .unwrap()
@@ -1369,25 +1371,30 @@ mod tests {
         walked.sort();
         for threads in [1, 2, 4, 8] {
             let files = AtomicU64::new(0);
-            let mut scanned: Vec<String> = v.par_scan(
+            let mut scanned: Vec<(String, InodeAttr)> = v.par_scan(
                 threads,
-                |inode, path| inode.is_file().then(|| path.get().to_string()),
+                |inode, path| Some((path.get().to_string(), *inode)),
                 |st| {
                     files.fetch_add(st.files, Ordering::Relaxed);
                 },
             );
-            scanned.sort();
-            assert_eq!(scanned, walked, "par_scan({threads}) diverged from walk");
+            scanned.sort_by(|a, b| a.0.cmp(&b.0));
+            // The scan lends each inode the attributes `stat_ino` returns.
+            for (path, attr) in &scanned {
+                assert_eq!(*attr, v.stat_ino(attr.ino).unwrap(), "{path}");
+            }
+            assert!(scanned
+                .iter()
+                .any(|(_, a)| a.ctime > a.mtime && a.pool != 0 && a.chunk_mark.is_some()));
+            let (dirs, files_seen): (Vec<_>, Vec<_>) =
+                scanned.into_iter().partition(|(_, a)| a.is_dir());
+            let paths = |seen: Vec<(String, InodeAttr)>| seen.into_iter().map(|(p, _)| p).collect();
+            let files_seen: Vec<String> = paths(files_seen);
+            assert_eq!(files_seen, walked, "par_scan({threads}) diverged from walk");
             assert_eq!(files.into_inner(), walked.len() as u64);
+            // Directories and the root get their paths too.
+            assert_eq!(paths(dirs), vec!["/", "/a", "/a/b", "/c"]);
         }
-        // Directories and the root get their paths too.
-        let mut dirs: Vec<String> = v.par_scan(
-            2,
-            |inode, path| (!inode.is_file()).then(|| path.get().to_string()),
-            |_| {},
-        );
-        dirs.sort();
-        assert_eq!(dirs, vec!["/", "/a", "/a/b", "/c"]);
     }
 
     /// Every file path of a scan, sorted.

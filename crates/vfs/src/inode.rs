@@ -36,7 +36,9 @@ pub enum ChunkMark {
     Chunk { fingerprint: u64 },
 }
 
-/// Stat-visible attributes of an inode.
+/// Stat-visible attributes of an inode. `Vfs::inspect` and `Vfs::par_scan`
+/// build one per inode under the inode table's read guard and lend it to
+/// their callbacks: nothing is allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InodeAttr {
     pub ino: Ino,
@@ -65,28 +67,6 @@ impl InodeAttr {
         self.ftype == FileType::Directory
     }
 
-    pub fn is_file(&self) -> bool {
-        self.ftype == FileType::Regular
-    }
-}
-
-/// The stat fields of one live inode, bar ctime, lent to `Vfs::par_scan`
-/// and `Vfs::inspect` callbacks under the inode table's read guard:
-/// nothing is allocated.
-#[derive(Debug, Clone, Copy)]
-pub struct InodeView {
-    pub ino: Ino,
-    pub ftype: FileType,
-    pub size: u64,
-    pub uid: u32,
-    pub mtime: SimInstant,
-    pub atime: SimInstant,
-    pub region: ManagedRegion,
-    pub pool: u8,
-    pub chunk_mark: Option<ChunkMark>,
-}
-
-impl InodeView {
     pub fn is_file(&self) -> bool {
         self.ftype == FileType::Regular
     }

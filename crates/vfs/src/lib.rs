@@ -45,5 +45,5 @@ pub use content::{synth_byte, Content, Segment, SegmentData};
 pub use error::{FsError, FsResult};
 pub use fs::{DirEntry, RegionWrite, ScanPath, ShardScanStats, Vfs, WalkEntry};
 pub use hsmstate::{HsmState, ManagedRegion};
-pub use inode::{ChunkMark, FileType, Ino, InodeAttr, InodeView};
+pub use inode::{ChunkMark, FileType, Ino, InodeAttr};
 pub use path::{is_normalized, is_under, join, normalize, parent_and_name, rebase, split};
