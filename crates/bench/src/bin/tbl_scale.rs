@@ -149,8 +149,7 @@ fn build_namespace(files: usize) -> (Clock, Pfs) {
         if made >= files {
             break;
         }
-        let dir = format!("/data/d{d:04}");
-        pfs.mkdir_p(&dir).unwrap();
+        let dir = pfs.mkdir_p(&format!("/data/d{d:04}")).unwrap();
         for i in 0..per_dir.min(files - made) {
             let n = made + i;
             let size = match n % 3 {
@@ -158,12 +157,9 @@ fn build_namespace(files: usize) -> (Clock, Pfs) {
                 1 => 4096 + (n % 65536) as u64,
                 _ => 1_000_000 + (n % 1_000_000) as u64,
             };
-            pfs.create_file(
-                &format!("{dir}/f{i:05}"),
-                (n % 50) as u32,
-                Content::synthetic(n as u64, size),
-            )
-            .unwrap();
+            let content = Content::synthetic(n as u64, size);
+            pfs.create_in(dir, &format!("f{i:05}"), (n % 50) as u32, content, size)
+                .unwrap();
         }
         made += per_dir.min(files - made);
     }

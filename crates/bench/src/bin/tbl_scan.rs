@@ -32,15 +32,12 @@ fn run(files: usize) -> Row {
         if made >= files {
             break;
         }
-        let dir = format!("/data/d{d:04}");
-        pfs.mkdir_p(&dir).unwrap();
+        let dir = pfs.mkdir_p(&format!("/data/d{d:04}")).unwrap();
         for i in 0..per_dir.min(files - made) {
-            pfs.create_file(
-                &format!("{dir}/f{i:05}"),
-                (i % 50) as u32,
-                Content::synthetic((made + i) as u64, ((made + i) % 4096) as u64),
-            )
-            .unwrap();
+            let size = ((made + i) % 4096) as u64;
+            let content = Content::synthetic((made + i) as u64, size);
+            pfs.create_in(dir, &format!("f{i:05}"), (i % 50) as u32, content, size)
+                .unwrap();
         }
         made += per_dir.min(files - made);
     }

@@ -468,10 +468,6 @@ impl Vfs {
         self.resolve(path).is_ok()
     }
 
-    fn ftype_of(&self, ino: Ino) -> FsResult<FileType> {
-        self.with_node(ino, |node| Ok(node.ftype()))
-    }
-
     /// Reconstruct the absolute path of a live inode by chasing parent
     /// edges.
     pub fn path_of(&self, ino: Ino) -> FsResult<String> {
@@ -514,31 +510,39 @@ impl Vfs {
         }
     }
 
-    /// Create a directory and any missing ancestors. Tolerates concurrent
-    /// creators racing on shared ancestors.
+    /// Create a directory and any missing ancestors, walking down from the
+    /// root by name. Tolerates concurrent creators racing on shared
+    /// ancestors. Errors name the path prefix the walk stopped at.
     pub fn mkdir_p(&self, path: &str) -> FsResult<Ino> {
         let norm = normalize(path)?;
-        let mut cur = "/".to_string();
         let mut ino = ROOT;
+        let mut end = 0;
         for comp in split(&norm) {
-            cur = join(&cur, comp);
-            ino = match self.resolve(&cur) {
-                Ok(i) => {
-                    if self.ftype_of(i)? != FileType::Directory {
-                        return Err(FsError::NotADirectory(cur.clone()));
+            end += 1 + comp.len();
+            let cur = &norm[..end];
+            ino = match self.child_dir(ino, comp, cur) {
+                Err(FsError::NotFound(_)) => {
+                    match self.insert_child(ino, comp, Some(cur), 0, 0, Self::new_dir()) {
+                        // another thread created it between our lookup and insert
+                        Err(FsError::AlreadyExists(_)) => self.child_dir(ino, comp, cur)?,
+                        made => made?,
                     }
-                    i
                 }
-                Err(FsError::NotFound(_)) => match self.mkdir(&cur) {
-                    Ok(i) => i,
-                    // another thread created it between our resolve and mkdir
-                    Err(FsError::AlreadyExists(_)) => self.resolve(&cur)?,
-                    Err(e) => return Err(e),
-                },
-                Err(e) => return Err(e),
+                found => found?,
             };
         }
         Ok(ino)
+    }
+
+    /// The directory bound to `name` in directory `parent`, whose path is
+    /// `path`.
+    fn child_dir(&self, parent: Ino, name: &str, path: &str) -> FsResult<Ino> {
+        let g = self.shared.nodes.read();
+        let child = g.child(parent, name, path)?;
+        match g.get(child).ok_or(FsError::StaleInode(child))?.kind {
+            NodeKind::Dir { .. } => Ok(child),
+            NodeKind::File { .. } => Err(FsError::NotADirectory(path.to_string())),
+        }
     }
 
     /// Link a new `kind` node, owned by `uid` and tagged `pool`, into
@@ -1072,6 +1076,20 @@ mod tests {
         assert!(v.exists("/a/b/c/d"));
         // mkdir_p is idempotent
         v.mkdir_p("/a/b/c/d").unwrap();
+    }
+
+    #[test]
+    fn mkdir_p_errors_name_the_prefix_it_stops_at() {
+        let v = fs();
+        let a = v.mkdir_p("/a/").unwrap();
+        v.create_in(a, "f", 0, 0, Content::empty()).unwrap();
+        let not_dir = Err(FsError::NotADirectory("/a/f".to_string()));
+        assert_eq!(v.mkdir_p("/a/f"), not_dir);
+        assert_eq!(v.mkdir_p("//a/f/x/y/"), not_dir);
+        let invalid = Err(FsError::InvalidPath("a/b".to_string()));
+        assert_eq!(v.mkdir_p("a/b"), invalid);
+        assert_eq!(v.mkdir_p("/"), Ok(v.root()));
+        assert_eq!(v.mkdir_p("/a"), Ok(a));
     }
 
     #[test]

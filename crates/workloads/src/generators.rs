@@ -1,11 +1,12 @@
 //! Parametric workload generators used across the experiments.
 
 use copra_pfs::Pfs;
-use copra_vfs::Content;
+use copra_vfs::{Content, Ino};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// One file to create.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,17 +91,18 @@ pub fn mixed_tree(count: usize, mean_size: u64, sigma: f64, fanout: usize, seed:
 }
 
 /// Create a tree's files under `root` on `pfs`. Returns (files, bytes).
+/// Each directory is made once, by `mkdir_p`, and each file is created
+/// by name in its directory's inode, so no file path is built.
 pub fn populate(pfs: &Pfs, root: &str, tree: &TreeSpec) -> (usize, u64) {
-    let mut made_dirs = std::collections::HashSet::new();
+    let mut dirs: HashMap<&str, Ino> = HashMap::new();
     let mut bytes = 0;
     for f in &tree.files {
-        let path = format!("{}/{}", root.trim_end_matches('/'), f.rel_path);
-        if let Ok((parent, _)) = copra_vfs::parent_and_name(&path) {
-            if made_dirs.insert(parent.clone()) {
-                pfs.mkdir_p(&parent).expect("mkdir");
-            }
-        }
-        pfs.create_file(&path, f.uid, Content::synthetic(f.seed, f.size))
+        let (dir, name) = f.rel_path.rsplit_once('/').unwrap_or(("", &f.rel_path));
+        let parent = *dirs
+            .entry(dir)
+            .or_insert_with(|| pfs.mkdir_p(&format!("{root}/{dir}")).expect("mkdir"));
+        let content = Content::synthetic(f.seed, f.size);
+        pfs.create_in(parent, name, f.uid, content, f.size)
             .expect("create");
         bytes += f.size;
     }
@@ -110,7 +112,8 @@ pub fn populate(pfs: &Pfs, root: &str, tree: &TreeSpec) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copra_simtime::Clock;
+    use copra_pfs::{Action, Cmp, PfsBuilder, PoolConfig, Predicate, Rule};
+    use copra_simtime::{Clock, DataSize, SimInstant};
 
     #[test]
     fn small_file_storm_is_uniform() {
@@ -139,7 +142,7 @@ mod tests {
 
     #[test]
     fn populate_builds_the_namespace() {
-        let pfs = copra_pfs::PfsBuilder::scratch("s", Clock::new(), 2).build();
+        let pfs = PfsBuilder::scratch("s", Clock::new(), 2).build();
         let t = mixed_tree(200, 10_000, 1.0, 4, 3);
         let (files, bytes) = populate(&pfs, "/data", &t);
         assert_eq!(files, 200);
@@ -152,6 +155,79 @@ mod tests {
             .filter(|e| e.attr.is_file())
             .count();
         assert_eq!(walked, 200);
+    }
+
+    /// The namespace build `populate` replaced: a full path and a
+    /// path-based create per file.
+    fn populate_by_path(pfs: &Pfs, root: &str, tree: &TreeSpec) -> (usize, u64) {
+        let mut made_dirs = std::collections::HashSet::new();
+        let mut bytes = 0;
+        for f in &tree.files {
+            let path = format!("{}/{}", root.trim_end_matches('/'), f.rel_path);
+            if let Ok((parent, _)) = copra_vfs::parent_and_name(&path) {
+                if made_dirs.insert(parent.clone()) {
+                    pfs.mkdir_p(&parent).expect("mkdir");
+                }
+            }
+            pfs.create_file(&path, f.uid, Content::synthetic(f.seed, f.size))
+                .expect("create");
+            bytes += f.size;
+        }
+        (tree.files.len(), bytes)
+    }
+
+    #[test]
+    fn populate_matches_the_path_based_build() {
+        let place = |pool: &str, predicate| Rule {
+            name: format!("to-{pool}"),
+            action: Action::Place {
+                pool: pool.to_string(),
+            },
+            predicate,
+        };
+        let by_size = place("slow", Predicate::SizeBytes(Cmp::Lt, 1 << 16));
+        let by_path = place("slow", Predicate::Under("/proj/w001".to_string()));
+        // The second half of `wave` lands in directories the first made.
+        let wave = mixed_tree(600, 50_000, 1.5, 4, 1);
+        let (first, second) = wave.files.split_at(300);
+        let part = |files: &[FileSpec]| TreeSpec {
+            files: files.to_vec(),
+        };
+        let steps = [
+            ("/proj/w000", part(first)),
+            ("/proj/w001", mixed_tree(300, 50_000, 1.5, 3, 2)),
+            ("/storm/", small_file_storm(200, 100_000, 3)),
+            ("/", huge_file("big.dat", 10 << 20, 4)),
+            ("/proj/w000", part(second)),
+        ];
+        for rules in [vec![by_size.clone()], vec![by_path, by_size]] {
+            let build = || {
+                let clock = Clock::new();
+                let pfs = PfsBuilder::new("archive", clock.clone())
+                    .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(1)))
+                    .pool(PoolConfig::slow_disk("slow", 2, DataSize::tb(1)))
+                    .placement(rules.clone())
+                    .build();
+                (clock, pfs)
+            };
+            let (new, old) = (build(), build());
+            for (at, (root, tree)) in steps.iter().enumerate() {
+                for (clock, _) in [&new, &old] {
+                    clock.advance_to(SimInstant::from_secs(60 * at as u64));
+                }
+                let made = populate(&new.1, root, tree);
+                assert_eq!(made, populate_by_path(&old.1, root, tree), "{root}");
+            }
+            let walk = |pfs: &Pfs| -> Vec<_> {
+                let walked = pfs.walk("/").unwrap().into_iter();
+                walked.map(|e| (e.path, e.attr)).collect()
+            };
+            assert_eq!(walk(&new.1), walk(&old.1));
+            for (a, b) in new.1.pools().iter().zip(old.1.pools()) {
+                assert_eq!(a.usage(), b.usage(), "pool {}", a.name());
+            }
+            assert!(new.1.pools().iter().all(|p| p.usage().files > 0));
+        }
     }
 
     #[test]
