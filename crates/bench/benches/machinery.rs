@@ -18,12 +18,13 @@ use copra_cluster::NodeId;
 use copra_core::{migrator, MigrationPolicy};
 use copra_hsm::{ObjectKind, TsmObject, TsmServer};
 use copra_metadb::{TsmCatalog, TsmObjectRow};
+use copra_obs::Registry;
 use copra_pfs::{Cmp, Pfs, PfsBuilder, PolicyEngine, Predicate, Rule};
 use copra_pftool::queues::{Entry, TapeEntry, TapeQueues, WalkDir};
 use copra_pftool::PftoolConfig;
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant, Timeline, TimelinePool};
 use copra_stager::{FairShareQueue, QueuedRecall, RecallRequest, StagerPool};
-use copra_tape::{TapeAddress, TapeId, TapeLibrary, TapeTiming};
+use copra_tape::{TapeAddress, TapeFleet, TapeId, TapeTiming};
 use copra_vfs::{Content, Ino};
 use copra_workloads::{mixed_tree, populate};
 
@@ -160,7 +161,8 @@ fn bench_catalog_export(c: &mut Criterion) {
         stored_at: SimInstant::EPOCH,
         kind: ObjectKind::Simple,
     };
-    let server = TsmServer::roadrunner(TapeLibrary::new(1, 1, TapeTiming::lto4()));
+    let server =
+        TsmServer::roadrunner(TapeFleet::new(1, 1, 1, TapeTiming::lto4(), Registry::new()));
     for objid in 1..=n {
         server.register(object(objid, 0));
     }
@@ -189,7 +191,8 @@ fn bench_catalog_export(c: &mut Criterion) {
     // objects registered, then exported into a catalog synced at 60k rows
     // (each iteration appends its 10k rows, so the catalog grows by 10k
     // per iteration).
-    let server = TsmServer::roadrunner(TapeLibrary::new(1, 1, TapeTiming::lto4()));
+    let server =
+        TsmServer::roadrunner(TapeFleet::new(1, 1, 1, TapeTiming::lto4(), Registry::new()));
     for objid in 1..=60_000 {
         server.register(object(objid, 0));
     }

@@ -26,7 +26,7 @@
 use copra_core::{ArchiveSystem, SystemConfig, SystemSnapshot};
 use copra_obs::Registry;
 use copra_simtime::{achieved_rate, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::{TapeFleet, TapeTiming};
 use copra_trace::Tracer;
 use serde::Serialize;
 use std::fmt::Display;
@@ -112,10 +112,10 @@ pub fn small_rig() -> ArchiveSystem {
     ArchiveSystem::new(SystemConfig::test_small().with_tracer(bench_tracer()))
 }
 
-/// A tape library for a hand-built HSM rig, whose registry records spans
-/// into the [`bench_tracer`] like the full-system rigs do.
-pub fn rig_library(drives: usize, tapes: usize, timing: TapeTiming) -> TapeLibrary {
-    TapeLibrary::with_obs(drives, tapes, timing, Registry::traced(bench_tracer()))
+/// A one-library tape fleet for a hand-built HSM rig, whose registry
+/// records spans into the [`bench_tracer`] like the full-system rigs do.
+pub fn rig_library(drives: usize, tapes: usize, timing: TapeTiming) -> TapeFleet {
+    TapeFleet::new(1, drives, tapes, timing, Registry::traced(bench_tracer()))
 }
 
 /// Fixed seed used across experiment binaries (reproducibility).

@@ -363,16 +363,18 @@ mod tests {
         use copra_cluster::{ClusterConfig, FtaCluster};
         use copra_hsm::{ObjectKind, PlacementPolicy, TsmServer};
         use copra_metadb::TsmCatalog;
+        use copra_obs::Registry;
         use copra_pfs::{PfsBuilder, PoolConfig};
         use copra_simtime::Clock;
-        use copra_tape::{TapeLibrary, TapeTiming};
+        use copra_tape::{TapeFleet, TapeTiming};
         use copra_vfs::Content;
 
         let pfs = PfsBuilder::new("archive", Clock::new())
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(10)))
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
-        let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
+        let server =
+            TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
         for d in 0..3 {
             pfs.mkdir_p(&format!("/proj/d{d}")).unwrap();

@@ -198,9 +198,10 @@ mod tests {
     use super::*;
     use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
     use copra_hsm::{reconcile, DataPath, PlacementPolicy, TsmServer};
+    use copra_obs::Registry;
     use copra_pfs::{PfsBuilder, PoolConfig};
     use copra_simtime::{Clock, DataSize};
-    use copra_tape::{TapeLibrary, TapeTiming};
+    use copra_tape::{TapeFleet, TapeTiming};
     use copra_vfs::Content;
 
     fn setup() -> (Hsm, Arc<TsmCatalog>, SyncDeleter) {
@@ -208,7 +209,8 @@ mod tests {
             .pool(PoolConfig::fast_disk("fast", 2, DataSize::tb(1)))
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
-        let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
+        let server =
+            TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         let hsm = Hsm::new(pfs, server, cluster, PlacementPolicy::Single);
         let catalog = Arc::new(TsmCatalog::new());
         let deleter = SyncDeleter::new(hsm.clone(), catalog.clone());

@@ -188,9 +188,9 @@ impl ArchiveSystem {
             .build();
         // One registry for the whole stack: the tape fleet owns it, and
         // the server / agents / HSM / PFTool all reach it through the
-        // fleet's libraries.
+        // fleet.
         let obs = Registry::traced(config.tracer);
-        let fleet = TapeFleet::new_uniform(
+        let fleet = TapeFleet::new(
             config.libraries.max(1),
             config.drives,
             config.tapes,

@@ -174,7 +174,8 @@ mod tests {
         use copra_cluster::{ClusterConfig, FtaCluster};
         use copra_hsm::{Hsm, PlacementPolicy, TsmServer};
         use copra_metadb::TsmCatalog;
-        use copra_tape::{TapeLibrary, TapeTiming};
+        use copra_obs::Registry;
+        use copra_tape::{TapeFleet, TapeTiming};
         use std::sync::Arc;
 
         let (_, trash) = setup();
@@ -192,7 +193,8 @@ mod tests {
         let cands = trash.purge_candidates(SimDuration::from_secs(86_400), 1_000_000);
         assert_eq!(cands.len(), 15, "one purge candidate per chunk");
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
-        let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
+        let server =
+            TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
         let catalog = Arc::new(TsmCatalog::new());
         let deleter = SyncDeleter::new(hsm, catalog);

@@ -109,7 +109,7 @@ pub enum ScheduledFault {
     /// Reads of record `seq` on tape `tape` fail with a media error for
     /// the next `hits` attempts, then the span reads clean again (a
     /// recoverable soft error; permanent damage is
-    /// `TapeLibrary::damage_record`).
+    /// `TapeFleet::damage_record`).
     MediaError { tape: u32, seq: u32, hits: u32 },
     /// The mount robot jams once: the first robot movement at or after
     /// `at` takes an extra `delay`.

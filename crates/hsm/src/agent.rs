@@ -168,7 +168,10 @@ impl StorageAgent {
         // place the write elsewhere.
         if let Some(st) = sticky.as_deref_mut() {
             if let Some((drive, tape)) = st.current {
-                if lib.tape_library_offline(tape, ready) {
+                if lib
+                    .library_of_tape(tape)
+                    .is_some_and(|l| lib.library_offline(l, ready))
+                {
                     st.current = None;
                 } else {
                     let has_space = lib.with_cartridge(tape, |c| c.remaining() >= len)?;
@@ -540,12 +543,19 @@ impl StorageAgent {
 mod tests {
     use super::*;
     use copra_cluster::ClusterConfig;
+    use copra_obs::Registry;
     use copra_simtime::Bandwidth;
-    use copra_tape::{TapeLibrary, TapeTiming};
+    use copra_tape::{TapeFleet, TapeTiming};
 
     fn setup(nodes: usize, drives: usize, tapes: usize) -> (FtaCluster, TsmServer) {
         let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
-        let server = TsmServer::roadrunner(TapeLibrary::new(drives, tapes, TapeTiming::lto4()));
+        let server = TsmServer::roadrunner(TapeFleet::new(
+            1,
+            drives,
+            tapes,
+            TapeTiming::lto4(),
+            Registry::new(),
+        ));
         (cluster, server)
     }
 
@@ -607,7 +617,7 @@ mod tests {
             ..TapeTiming::lto4()
         };
         let cluster = FtaCluster::new(ClusterConfig::tiny(1));
-        let server = TsmServer::roadrunner(TapeLibrary::new(2, 4, timing));
+        let server = TsmServer::roadrunner(TapeFleet::new(1, 2, 4, timing, Registry::new()));
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
         let mut cursor = SimInstant::EPOCH;
         for i in 0..4u64 {
@@ -622,10 +632,12 @@ mod tests {
     fn lan_path_is_bottlenecked_by_server_nic() {
         // Server NIC at 1 Gbit/s; two nodes with fast NICs both store 1 GB.
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
-        let lib = TapeLibrary::new(
+        let lib = TapeFleet::new(
+            1,
             2,
             4,
             TapeTiming::frictionless(Bandwidth::gb_per_sec(10), DataSize::tb(1)),
+            Registry::new(),
         );
         let server = TsmServer::new(
             lib,
@@ -642,10 +654,12 @@ mod tests {
         // LAN-free equivalents on fresh hardware finish much faster in
         // parallel (FC4 = 0.5 GB/s → ~2.1 s each, concurrent).
         let cluster2 = FtaCluster::new(ClusterConfig::tiny(2));
-        let lib2 = TapeLibrary::new(
+        let lib2 = TapeFleet::new(
+            1,
             2,
             4,
             TapeTiming::frictionless(Bandwidth::gb_per_sec(10), DataSize::tb(1)),
+            Registry::new(),
         );
         let server2 = TsmServer::new(
             lib2,
@@ -720,9 +734,8 @@ mod tests {
 
     #[test]
     fn fetch_fails_over_to_the_replica_when_a_library_is_offline() {
-        use copra_tape::{LibraryId, TapeFleet};
         let cluster = FtaCluster::new(ClusterConfig::tiny(1));
-        let fleet = TapeFleet::new_uniform(2, 2, 4, TapeTiming::lto4(), copra_obs::Registry::new());
+        let fleet = TapeFleet::new(2, 2, 4, TapeTiming::lto4(), Registry::new());
         let server = TsmServer::roadrunner(fleet);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
         let content = Content::synthetic(5, 30 << 20);
@@ -743,11 +756,11 @@ mod tests {
             "replica must land in the constrained library"
         );
         // Primary's library goes dark; the recall silently re-routes.
-        server.library().libraries()[0].set_offline(true);
+        server.library().set_library_offline(LibraryId(0), true);
         let (back, _) = agent.fetch(primary, t2, DataPath::LanFree).unwrap();
         assert!(back.eq_content(&content));
         // Both libraries dark: the primary's offline error surfaces.
-        server.library().libraries()[1].set_offline(true);
+        server.library().set_library_offline(LibraryId(1), true);
         let err = agent.fetch(primary, t2, DataPath::LanFree).unwrap_err();
         assert!(
             matches!(
@@ -765,9 +778,8 @@ mod tests {
     fn replica_store_re_places_within_its_library_after_a_drive_failure() {
         use copra_faults::FaultPlan;
         use copra_simtime::SimDuration;
-        use copra_tape::TapeFleet;
         let cluster = FtaCluster::new(ClusterConfig::tiny(1));
-        let fleet = TapeFleet::new_uniform(2, 2, 4, TapeTiming::lto4(), copra_obs::Registry::new());
+        let fleet = TapeFleet::new(2, 2, 4, TapeTiming::lto4(), Registry::new());
         let server = TsmServer::roadrunner(fleet);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
         let (_, t1) = put(&agent, 8, 20 << 20, SimInstant::EPOCH, DataPath::LanFree);

@@ -331,9 +331,8 @@ impl Hsm {
                 if occupied.contains(&lib.0) && !all_taken {
                     continue;
                 }
-                if fleet.libraries()[lib.0 as usize].is_offline(cursor) {
-                    // Routing around the outage still observes it.
-                    fleet.libraries()[lib.0 as usize].note_outage(cursor);
+                // Routing around an outage still observes it.
+                if fleet.note_outage(lib, cursor) {
                     continue;
                 }
                 let t0 = if from_disk {
@@ -531,9 +530,10 @@ impl Hsm {
 mod tests {
     use super::*;
     use copra_cluster::ClusterConfig;
+    use copra_obs::Registry;
     use copra_pfs::{PfsBuilder, PoolConfig, ReadOutcome};
     use copra_simtime::Clock;
-    use copra_tape::{TapeLibrary, TapeTiming};
+    use copra_tape::{TapeFleet, TapeTiming};
     use copra_vfs::Content;
 
     fn setup(nodes: usize, drives: usize, tapes: usize) -> Hsm {
@@ -543,7 +543,13 @@ mod tests {
             .pool(PoolConfig::external("tape"))
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
-        let server = TsmServer::roadrunner(TapeLibrary::new(drives, tapes, TapeTiming::lto4()));
+        let server = TsmServer::roadrunner(TapeFleet::new(
+            1,
+            drives,
+            tapes,
+            TapeTiming::lto4(),
+            Registry::new(),
+        ));
         Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
     }
 

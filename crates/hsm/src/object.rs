@@ -34,49 +34,3 @@ pub struct TsmObject {
     pub stored_at: SimInstant,
     pub kind: ObjectKind,
 }
-
-impl TsmObject {
-    /// True if deleting this object should drop the tape record itself.
-    /// Members never own the record; a container's record dies when the
-    /// container object is deleted.
-    pub fn owns_tape_record(&self) -> bool {
-        !matches!(self.kind, ObjectKind::Member { .. })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use copra_tape::TapeId;
-
-    #[test]
-    fn record_ownership() {
-        let addr = TapeAddress {
-            tape: TapeId(0),
-            seq: 0,
-        };
-        let simple = TsmObject {
-            objid: 1,
-            path: "/f".into(),
-            fs_ino: 9,
-            addr,
-            len: 10,
-            stored_at: SimInstant::EPOCH,
-            kind: ObjectKind::Simple,
-        };
-        assert!(simple.owns_tape_record());
-        let member = TsmObject {
-            kind: ObjectKind::Member {
-                container: 1,
-                offset: 0,
-            },
-            ..simple.clone()
-        };
-        assert!(!member.owns_tape_record());
-        let container = TsmObject {
-            kind: ObjectKind::Container { member_count: 3 },
-            ..simple
-        };
-        assert!(container.owns_tape_record());
-    }
-}

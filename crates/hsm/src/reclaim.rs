@@ -166,9 +166,10 @@ mod tests {
     use crate::agent::DataPath;
     use crate::hsm::{Hsm, PlacementPolicy};
     use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+    use copra_obs::Registry;
     use copra_pfs::{PfsBuilder, PoolConfig};
     use copra_simtime::{Clock, DataSize};
-    use copra_tape::{TapeLibrary, TapeTiming};
+    use copra_tape::{TapeFleet, TapeTiming};
     use copra_vfs::Content;
 
     fn setup(placement: PlacementPolicy) -> Hsm {
@@ -176,7 +177,8 @@ mod tests {
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
-        let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
+        let server =
+            TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         Hsm::new(pfs, server, cluster, placement)
     }
 

@@ -488,9 +488,10 @@ mod tests {
     use super::*;
     use crate::hsm::{Hsm, PlacementPolicy};
     use copra_cluster::{ClusterConfig, FtaCluster};
+    use copra_obs::Registry;
     use copra_pfs::{PfsBuilder, PoolConfig};
     use copra_simtime::{Clock, DataSize};
-    use copra_tape::{TapeFleet, TapeLibrary, TapeTiming};
+    use copra_tape::{LibraryId, TapeFleet, TapeTiming};
     use copra_vfs::Content;
 
     fn setup() -> Hsm {
@@ -498,7 +499,8 @@ mod tests {
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
-        let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
+        let server =
+            TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
     }
 
@@ -507,13 +509,7 @@ mod tests {
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
             .build();
         let cluster = FtaCluster::new(ClusterConfig::tiny(2));
-        let fleet = TapeFleet::new_uniform(
-            libraries,
-            2,
-            8,
-            TapeTiming::lto4(),
-            copra_obs::Registry::new(),
-        );
+        let fleet = TapeFleet::new(libraries, 2, 8, TapeTiming::lto4(), Registry::new());
         let server = TsmServer::roadrunner(fleet);
         Hsm::new(pfs, server, cluster, PlacementPolicy::Mirror { copies: 2 })
     }
@@ -694,7 +690,9 @@ mod tests {
             cursor = t;
         }
         // ...then one migrated while library 1 is down: degraded, no replica.
-        hsm.server().library().libraries()[1].set_offline(true);
+        hsm.server()
+            .library()
+            .set_library_offline(LibraryId(1), true);
         let ino = pfs
             .create_file("/degraded", 0, Content::synthetic(9, 1 << 20))
             .unwrap();
@@ -706,7 +704,9 @@ mod tests {
             hsm.server().copies_of(objid).is_empty(),
             "offline library must degrade the migrate, not block it"
         );
-        hsm.server().library().libraries()[1].set_offline(false);
+        hsm.server()
+            .library()
+            .set_library_offline(LibraryId(1), false);
 
         let report = scrub(&hsm, &catalog, cursor).unwrap();
         assert_eq!(report.under_replicated, vec![objid]);

@@ -41,13 +41,13 @@ pub struct TsmServer {
 }
 
 impl TsmServer {
-    /// A server fronting `library` (a single [`copra_tape::TapeLibrary`]
-    /// or a multi-library [`TapeFleet`]), with the given NIC rate and
-    /// per-transaction metadata latency.
-    pub fn new(library: impl Into<TapeFleet>, nic: Bandwidth, meta_latency: SimDuration) -> Self {
+    /// A server fronting the tape `library` (one or more failure-domain
+    /// libraries), with the given NIC rate and per-transaction metadata
+    /// latency.
+    pub fn new(library: TapeFleet, nic: Bandwidth, meta_latency: SimDuration) -> Self {
         TsmServer {
             shared: Arc::new(Shared {
-                library: library.into(),
+                library,
                 db: RwLock::default(),
                 copy_groups: RwLock::new(FxHashMap::default()),
                 backups: RwLock::new(FxHashMap::default()),
@@ -61,7 +61,7 @@ impl TsmServer {
 
     /// The paper's setup: one pSeries server with a 10GigE NIC and a
     /// few-millisecond object-transaction cost.
-    pub fn roadrunner(library: impl Into<TapeFleet>) -> Self {
+    pub fn roadrunner(library: TapeFleet) -> Self {
         TsmServer::new(
             library,
             Bandwidth::gbit_per_sec(10),
@@ -194,7 +194,12 @@ impl TsmServer {
         // to a surviving library instead of burning the mount-retry budget.
         let candidates: Vec<TapeId> = with_space
             .into_iter()
-            .filter(|id| !avoid.contains(id) && !fleet.tape_library_offline(*id, t))
+            .filter(|id| {
+                !avoid.contains(id)
+                    && !fleet
+                        .library_of_tape(*id)
+                        .is_some_and(|l| fleet.library_offline(l, t))
+            })
             .collect();
         if candidates.is_empty() {
             return Err(HsmError::OutOfVolumes {
@@ -218,14 +223,16 @@ impl TsmServer {
         ready: SimInstant,
     ) -> HsmResult<(TapeId, SimInstant)> {
         if let Some(tape) = self.shared.collocation.read().get(group).copied() {
-            let has_space = self
-                .shared
-                .library
+            let fleet = &self.shared.library;
+            let has_space = fleet
                 .with_cartridge(tape, |c| c.remaining() >= len)
                 .unwrap_or(false);
             // A group's volume stranded in an offline library is not
             // reusable right now; fall through and assign a fresh one.
-            if has_space && !self.shared.library.tape_library_offline(tape, ready) {
+            let stranded = fleet
+                .library_of_tape(tape)
+                .is_some_and(|l| fleet.library_offline(l, ready));
+            if has_space && !stranded {
                 return Ok((tape, self.meta_op(ready)));
             }
         }
@@ -412,11 +419,12 @@ impl TsmServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copra_tape::{DriveId, TapeAddress, TapeLibrary, TapeTiming};
+    use copra_obs::Registry;
+    use copra_tape::{DriveId, TapeAddress, TapeTiming};
     use copra_vfs::Content;
 
     fn server() -> TsmServer {
-        TsmServer::roadrunner(TapeLibrary::new(2, 4, TapeTiming::lto4()))
+        TsmServer::roadrunner(TapeFleet::new(1, 2, 4, TapeTiming::lto4(), Registry::new()))
     }
 
     fn simple(objid: u64, ino: u64, addr: TapeAddress, len: u64) -> TsmObject {
@@ -540,7 +548,7 @@ mod tests {
     #[test]
     fn assign_volume_avoiding_stays_inside_the_given_library() {
         use copra_tape::TapeFleet;
-        let fleet = TapeFleet::new_uniform(2, 2, 4, TapeTiming::lto4(), copra_obs::Registry::new());
+        let fleet = TapeFleet::new(2, 2, 4, TapeTiming::lto4(), Registry::new());
         let s = TsmServer::roadrunner(fleet);
         for lib in [LibraryId(0), LibraryId(1)] {
             let (tape, _) = s
@@ -571,7 +579,7 @@ mod tests {
             capacity: DataSize::mb(1),
             ..TapeTiming::lto4()
         };
-        let s = TsmServer::roadrunner(TapeLibrary::new(1, 1, timing));
+        let s = TsmServer::roadrunner(TapeFleet::new(1, 1, 1, timing, Registry::new()));
         assert!(matches!(
             s.assign_volume(DataSize::mb(2), SimInstant::EPOCH),
             Err(HsmError::OutOfVolumes { .. })
@@ -609,7 +617,7 @@ mod tests {
     #[test]
     fn meta_ops_serialize_on_the_server() {
         let s = TsmServer::new(
-            TapeLibrary::new(1, 1, TapeTiming::lto4()),
+            TapeFleet::new(1, 1, 1, TapeTiming::lto4(), Registry::new()),
             Bandwidth::gbit_per_sec(10),
             SimDuration::from_millis(2),
         );

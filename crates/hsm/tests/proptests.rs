@@ -10,9 +10,10 @@ use copra_hsm::{
     TsmServer,
 };
 use copra_metadb::{TsmCatalog, TsmObjectRow};
+use copra_obs::Registry;
 use copra_pfs::{HsmState, PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{DriveId, TapeAddress, TapeId, TapeLibrary, TapeTiming};
+use copra_tape::{DriveId, TapeAddress, TapeFleet, TapeId, TapeTiming};
 use copra_vfs::Content;
 use proptest::prelude::*;
 
@@ -21,7 +22,13 @@ fn setup(nodes: usize) -> Hsm {
         .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
-    let server = TsmServer::roadrunner(TapeLibrary::new(3, 16, TapeTiming::lto4()));
+    let server = TsmServer::roadrunner(TapeFleet::new(
+        1,
+        3,
+        16,
+        TapeTiming::lto4(),
+        Registry::new(),
+    ));
     Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
 }
 
@@ -69,7 +76,8 @@ struct ExportRig {
 
 impl ExportRig {
     fn new() -> Self {
-        let server = TsmServer::roadrunner(TapeLibrary::new(1, 2, TapeTiming::lto4()));
+        let server =
+            TsmServer::roadrunner(TapeFleet::new(1, 1, 2, TapeTiming::lto4(), Registry::new()));
         let cursor = server
             .library()
             .mount(DriveId(0), TapeId(0), SimInstant::EPOCH)

@@ -1,5 +1,6 @@
 //! Structured event trace: a bounded ring of typed events, each stamped
-//! with the simulated clock and host wall time.
+//! with the simulated clock only, so two runs of a deterministic workload
+//! record identical rings.
 
 use copra_simtime::SimInstant;
 use copra_trace::{SpanId, TraceId};

@@ -4,10 +4,11 @@ use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_fuse::{ArchiveFuse, ChunkInfo};
 use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
+use copra_obs::Registry;
 use copra_pfs::{Pfs, PfsBuilder, PoolConfig};
 use copra_pftool::{pfcm, pfcp, pfls, FsView, PftoolConfig};
 use copra_simtime::{Clock, DataSize, SimInstant};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::{TapeFleet, TapeTiming};
 use copra_vfs::{ChunkMark, Content};
 use std::sync::Arc;
 
@@ -29,7 +30,7 @@ fn rig() -> Rig {
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
         .pool(PoolConfig::external("tape"))
         .build();
-    let library = TapeLibrary::new(4, 16, TapeTiming::lto4());
+    let library = TapeFleet::new(1, 4, 16, TapeTiming::lto4(), Registry::new());
     let server = TsmServer::roadrunner(library);
     let hsm = Hsm::new(
         archive_pfs.clone(),

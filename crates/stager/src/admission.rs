@@ -8,7 +8,7 @@
 //! off and resubmits) rather than growing an unbounded backlog.
 
 use copra_simtime::SimInstant;
-use copra_tape::TapeFleet;
+use copra_tape::{LibraryId, TapeFleet};
 use serde::{Deserialize, Serialize};
 
 /// The typed verdict a submit receives.
@@ -50,16 +50,12 @@ impl AdmissionController {
     /// fault plan fencing half the drives halves the admission window,
     /// and the queue keeps draining (slower) instead of stalling.
     pub fn healthy_drives(fleet: &TapeFleet, now: SimInstant) -> usize {
-        fleet
-            .libraries()
-            .iter()
-            .filter(|lib| !lib.is_offline(now))
-            .map(|lib| {
-                lib.drives()
-                    .filter(|&d| !lib.is_fenced(d).unwrap_or(true))
-                    .count()
-            })
-            .sum()
+        (0..fleet.library_count() as u32)
+            .map(LibraryId)
+            .filter(|&lib| !fleet.library_offline(lib, now))
+            .flat_map(|lib| fleet.library_drives(lib))
+            .filter(|&d| !fleet.is_fenced(d).unwrap_or(true))
+            .count()
     }
 
     /// The current dispatch capacity: healthy drives × per-drive bound,
@@ -106,7 +102,7 @@ mod tests {
     use copra_tape::TapeTiming;
 
     fn fleet(libs: usize, drives: usize) -> TapeFleet {
-        TapeFleet::new_uniform(libs, drives, 8, TapeTiming::lto4(), Registry::new())
+        TapeFleet::new(libs, drives, 8, TapeTiming::lto4(), Registry::new())
     }
 
     #[test]
@@ -122,7 +118,7 @@ mod tests {
     #[test]
     fn offline_library_shrinks_capacity() {
         let f = fleet(2, 4);
-        f.libraries()[1].set_offline(true);
+        f.set_library_offline(LibraryId(1), true);
         assert_eq!(
             AdmissionController::healthy_drives(&f, SimInstant::EPOCH),
             4
@@ -145,7 +141,7 @@ mod tests {
     #[test]
     fn capacity_floor_is_one_slot() {
         let f = fleet(1, 2);
-        f.libraries()[0].set_offline(true);
+        f.set_library_offline(LibraryId(0), true);
         assert_eq!(
             AdmissionController::healthy_drives(&f, SimInstant::EPOCH),
             0

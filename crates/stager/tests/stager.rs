@@ -4,10 +4,11 @@
 
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
+use copra_obs::Registry;
 use copra_pfs::{HsmState, PfsBuilder, PoolConfig};
 use copra_simtime::{Clock, DataSize, SimDuration, SimInstant};
 use copra_stager::{Priority, RecallRequest, Stager, StagerConfig};
-use copra_tape::{TapeLibrary, TapeTiming};
+use copra_tape::{TapeFleet, TapeTiming};
 use copra_vfs::Content;
 use copra_workloads::{StagerCampaign, StagerCampaignSpec};
 
@@ -18,7 +19,13 @@ fn rig(nodes: usize, drives: usize, tapes: usize) -> Hsm {
         .pool(PoolConfig::external("tape"))
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
-    let server = TsmServer::roadrunner(TapeLibrary::new(drives, tapes, TapeTiming::lto4()));
+    let server = TsmServer::roadrunner(TapeFleet::new(
+        1,
+        drives,
+        tapes,
+        TapeTiming::lto4(),
+        Registry::new(),
+    ));
     Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
 }
 

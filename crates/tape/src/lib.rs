@@ -22,10 +22,8 @@
 
 pub mod cartridge;
 pub mod fleet;
-pub mod library;
 pub mod timing;
 
 pub use cartridge::{Cartridge, TapeAddress, TapeId, TapeRecord};
-pub use fleet::TapeFleet;
-pub use library::{DriveId, DriveStats, LibraryId, LibraryStats, TapeError, TapeLibrary};
+pub use fleet::{DriveId, DriveStats, FleetStats, LibraryId, TapeError, TapeFleet};
 pub use timing::TapeTiming;

@@ -4,9 +4,10 @@
 use copra::cluster::NodeId;
 use copra::core::{ArchiveSystem, SystemConfig};
 use copra::hsm::{reconcile, DataPath, HsmError, PlacementPolicy, TsmServer};
+use copra::obs::Registry;
 use copra::pftool::PftoolConfig;
 use copra::simtime::{DataSize, SimInstant};
-use copra::tape::{TapeLibrary, TapeTiming};
+use copra::tape::{TapeFleet, TapeTiming};
 use copra::vfs::Content;
 use copra::workloads::{mixed_tree, populate};
 
@@ -117,7 +118,7 @@ fn out_of_volumes_is_explicit() {
         capacity: DataSize::mb(10),
         ..TapeTiming::lto4()
     };
-    let server = TsmServer::roadrunner(TapeLibrary::new(1, 2, timing));
+    let server = TsmServer::roadrunner(TapeFleet::new(1, 1, 2, timing, Registry::new()));
     let cluster = copra::cluster::FtaCluster::new(copra::cluster::ClusterConfig::tiny(1));
     let pfs = copra::pfs::PfsBuilder::scratch("a", copra::simtime::Clock::new(), 2).build();
     let hsm = copra::hsm::Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
