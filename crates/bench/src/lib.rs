@@ -82,7 +82,7 @@ pub fn summarize(values: &[f64]) -> Summary {
 }
 
 /// Where experiment JSON dumps land.
-pub fn experiments_dir() -> PathBuf {
+fn experiments_dir() -> PathBuf {
     let dir =
         PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
             .join("experiments");

@@ -121,7 +121,6 @@ pub struct ArchiveSearch {
     /// Only entries with a tape copy.
     by_tape: BTreeSet<(u32, u64)>,
     by_size: BTreeSet<(u64, u64)>,
-    built_at: SimInstant,
 }
 
 /// Size values are indexed in log2 buckets so range queries touch few keys.
@@ -181,7 +180,6 @@ impl ArchiveSearch {
                 .map(|(&ino, e)| (size_bucket(e.size), ino))
                 .collect(),
             entries,
-            built_at: pfs.clock().now(),
         }
     }
 
@@ -191,10 +189,6 @@ impl ArchiveSearch {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    pub fn built_at(&self) -> SimInstant {
-        self.built_at
     }
 
     /// Choose the most selective available index for a query.

@@ -391,33 +391,6 @@ impl ArchiveSystem {
         )])
     }
 
-    /// Apply a policy scan's *internal* pool migrations (disk tiering,
-    /// e.g. aged small files from the fast FC pool to the slow pool).
-    /// External-pool rows are ignored here — tape movement goes through
-    /// the parallel migrator. Returns (files moved, completion instant).
-    pub fn apply_pool_migrations(
-        &self,
-        report: &copra_pfs::ScanReport,
-    ) -> (usize, copra_simtime::SimInstant) {
-        let mut moved = 0;
-        let mut end = self.clock.now();
-        for (pool, files) in &report.migrations {
-            let Some(target) = self.archive.pool_by_name(pool) else {
-                continue;
-            };
-            if target.is_external() {
-                continue;
-            }
-            for rec in files {
-                if let Ok(r) = self.archive.move_to_pool(rec.ino, pool, self.clock.now()) {
-                    moved += 1;
-                    end = end.max(r.end);
-                }
-            }
-        }
-        (moved, end)
-    }
-
     /// Export the TSM database into the indexed replica (§4.2.5's nightly
     /// MySQL dump). Returns rows exported.
     pub fn export_catalog(&self) -> usize {
@@ -530,44 +503,6 @@ mod tests {
             sys.archive().pool(sys.archive().pool_of(big)).name(),
             "fast"
         );
-    }
-
-    #[test]
-    fn internal_tiering_moves_aged_files_to_slow_pool() {
-        let sys = ArchiveSystem::new(SystemConfig::test_small());
-        sys.archive().mkdir_p("/data").unwrap();
-        // Big enough to land in the fast pool initially.
-        let inos: Vec<_> = (0..5u64)
-            .map(|i| {
-                sys.archive()
-                    .create_file(&format!("/data/f{i}"), 0, Content::synthetic(i, 5_000_000))
-                    .unwrap()
-            })
-            .collect();
-        sys.clock()
-            .advance_to(copra_simtime::SimInstant::from_secs(100_000));
-        let engine = PolicyEngine::new(vec![copra_pfs::Rule::migrate(
-            "age-out-to-slow",
-            "slow",
-            Predicate::All(vec![
-                Predicate::InPool("fast".to_string()),
-                Predicate::MtimeAge(Cmp::Ge, SimDuration::from_secs(86_400)),
-            ]),
-        )]);
-        let report = sys.archive().run_policy(&engine);
-        assert_eq!(report.migrations["slow"].len(), 5);
-        let (moved, end) = sys.apply_pool_migrations(&report);
-        assert_eq!(moved, 5);
-        assert!(end > sys.clock().now());
-        for ino in inos {
-            assert_eq!(
-                sys.archive().pool(sys.archive().pool_of(ino)).name(),
-                "slow"
-            );
-        }
-        // Second scan finds nothing left in the fast pool.
-        let report = sys.archive().run_policy(&engine);
-        assert!(report.migrations.is_empty());
     }
 
     #[test]

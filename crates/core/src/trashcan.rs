@@ -51,7 +51,7 @@ impl Trashcan {
 
     /// LIST policy selecting purgeable trash entries: everything under the
     /// trash root older than `min_age` or larger than `min_size` bytes.
-    pub fn purge_policy(min_age: SimDuration, min_size: u64) -> PolicyEngine {
+    fn purge_policy(min_age: SimDuration, min_size: u64) -> PolicyEngine {
         PolicyEngine::new(vec![Rule::list(
             "trash-purge",
             "purge",

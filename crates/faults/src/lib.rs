@@ -125,14 +125,13 @@ pub enum ScheduledFault {
     /// steps of migrate / sync-delete / reclaim.
     CrashPoint { site: String, occurrence: u32 },
     /// Whole-library outage (power, robot, site): every drive and the
-    /// robot of library `library` reject work from `at` until `until`
-    /// (forever when `None`). Unlike a drive fence, the outage is
-    /// reversible — mounts and media survive and serve again once the
-    /// window closes.
+    /// robot of library `library` reject work from `at` until `until`.
+    /// Unlike a drive fence, the outage is reversible — mounts and media
+    /// survive and serve again once the window closes.
     LibraryOffline {
         library: u32,
         at: SimInstant,
-        until: Option<SimInstant>,
+        until: SimInstant,
     },
 }
 
@@ -185,17 +184,6 @@ impl FaultPlan {
         self
     }
 
-    /// Take library `library` fully offline (all drives + robot) from
-    /// `at`, forever.
-    pub fn offline_library(mut self, library: u32, at: SimInstant) -> Self {
-        self.faults.push(ScheduledFault::LibraryOffline {
-            library,
-            at,
-            until: None,
-        });
-        self
-    }
-
     /// Take library `library` fully offline for the window `[at, until)`;
     /// at `until` the library returns with its mounts and media intact.
     pub fn offline_library_until(
@@ -204,11 +192,8 @@ impl FaultPlan {
         at: SimInstant,
         until: SimInstant,
     ) -> Self {
-        self.faults.push(ScheduledFault::LibraryOffline {
-            library,
-            at,
-            until: Some(until),
-        });
+        self.faults
+            .push(ScheduledFault::LibraryOffline { library, at, until });
         self
     }
 
@@ -230,7 +215,7 @@ impl FaultPlan {
         let mut jams = Vec::new();
         let mut movers = FxHashMap::default();
         let mut crashes = Vec::new();
-        let mut library_offline: FxHashMap<u32, Vec<(SimInstant, Option<SimInstant>)>> =
+        let mut library_offline: FxHashMap<u32, Vec<(SimInstant, SimInstant)>> =
             FxHashMap::default();
         for f in &self.faults {
             match f {
@@ -340,7 +325,7 @@ pub struct FaultPlane {
     /// crash-point space of a scenario.
     crash_log: Mutex<Vec<(String, u32)>>,
     /// library → scheduled outage windows `(at, until)`, sorted by start.
-    library_offline: FxHashMap<u32, Vec<(SimInstant, Option<SimInstant>)>>,
+    library_offline: FxHashMap<u32, Vec<(SimInstant, SimInstant)>>,
     transient_io_prob: f64,
     transient_delay: SimDuration,
     /// Per-drive operation ordinal feeding the transient-I/O draw.
@@ -377,7 +362,7 @@ impl FaultPlane {
         self.library_offline.get(&library).is_some_and(|windows| {
             windows
                 .iter()
-                .any(|(at, until)| now >= *at && until.is_none_or(|u| now < u))
+                .any(|&(at, until)| (at..until).contains(&now))
         })
     }
 
@@ -481,14 +466,10 @@ impl FaultPlane {
     }
 
     /// Count down the mover-crash fuse for `rank`: returns true exactly
-    /// once, on the assignment the mover dies holding.
-    pub fn take_mover_crash(&self, rank: u32, now: SimInstant) -> bool {
-        self.take_mover_crash_in(rank, now, None)
-    }
-
-    /// [`Self::take_mover_crash`] with the span the crash interrupts —
-    /// the FaultInjected / WorkerDied events carry it, so a trace viewer
-    /// can jump from the fault straight to the assignment it killed.
+    /// once, on the assignment the mover dies holding. `ctx` is the span
+    /// the crash interrupts — the FaultInjected / WorkerDied events carry
+    /// it, so a trace viewer can jump from the fault straight to the
+    /// assignment it killed.
     pub fn take_mover_crash_in(
         &self,
         rank: u32,
@@ -581,13 +562,8 @@ impl FaultPlane {
     }
 
     /// Record the manager re-dispatching `count` units of in-flight work
-    /// (`what` is a short label: "worker-death", "tape-requeue", ...).
-    pub fn note_redispatch(&self, what: &str, count: u64, now: SimInstant) {
-        self.note_redispatch_in(what, count, now, None);
-    }
-
-    /// [`Self::note_redispatch`] with the span the re-dispatch happens
-    /// under (normally the PFTool run root).
+    /// (`what` is a short label: "worker-death", "tape-requeue", ...)
+    /// under the span `ctx` (normally the PFTool run root).
     pub fn note_redispatch_in(
         &self,
         what: &str,
@@ -669,21 +645,17 @@ mod tests {
 
     #[test]
     fn library_outage_windows_are_pure_time_queries() {
-        let p = plane(
-            FaultPlan::new(1)
-                .offline_library_until(1, SimInstant::from_secs(10), SimInstant::from_secs(20))
-                .offline_library(2, SimInstant::from_secs(5)),
-        );
+        let p = plane(FaultPlan::new(1).offline_library_until(
+            1,
+            SimInstant::from_secs(10),
+            SimInstant::from_secs(20),
+        ));
         assert!(!p.library_offline_at(1, SimInstant::from_secs(9)));
         assert!(p.library_offline_at(1, SimInstant::from_secs(10)));
         assert!(p.library_offline_at(1, SimInstant::from_secs(19)));
         assert!(
             !p.library_offline_at(1, SimInstant::from_secs(20)),
             "window closed: the library is back"
-        );
-        assert!(
-            p.library_offline_at(2, SimInstant::from_secs(999)),
-            "no until: offline forever"
         );
         assert!(!p.library_offline_at(0, SimInstant::from_secs(999)));
         p.note_library_outage(1, SimInstant::from_secs(10));
@@ -706,12 +678,12 @@ mod tests {
     #[test]
     fn mover_crash_counts_assignments() {
         let p = plane(FaultPlan::new(1).crash_mover(4, 3));
-        let now = SimInstant::EPOCH;
-        assert!(!p.take_mover_crash(4, now));
-        assert!(!p.take_mover_crash(4, now));
-        assert!(p.take_mover_crash(4, now), "dies on the 3rd assignment");
-        assert!(!p.take_mover_crash(4, now), "a respawned mover lives on");
-        assert!(!p.take_mover_crash(5, now), "other ranks unaffected");
+        let take = |rank| p.take_mover_crash_in(rank, SimInstant::EPOCH, None);
+        assert!(!take(4));
+        assert!(!take(4));
+        assert!(take(4), "dies on the 3rd assignment");
+        assert!(!take(4), "a respawned mover lives on");
+        assert!(!take(5), "other ranks unaffected");
     }
 
     #[test]
@@ -762,7 +734,7 @@ mod tests {
         let p = FaultPlan::new(9).media_error(0, 0, 1).arm(obs.clone());
         assert!(p.take_media_error(0, 0, SimInstant::EPOCH));
         p.note_retry(SimDuration::from_millis(250));
-        p.note_redispatch("worker-death", 2, SimInstant::EPOCH);
+        p.note_redispatch_in("worker-death", 2, SimInstant::EPOCH, None);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("faults.injected"), 1);
         assert_eq!(snap.counter("faults.retries"), 1);

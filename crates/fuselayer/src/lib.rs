@@ -271,25 +271,6 @@ impl ArchiveFuse {
         Ok(dest)
     }
 
-    /// Overwrite interception (§6.3): replacing a file's content first
-    /// parks the old version (and therefore its tape objects) in the
-    /// trashcan, then writes fresh chunks — no orphans, no reconcile.
-    pub fn overwrite_file(
-        &self,
-        path: &str,
-        uid: u32,
-        content: Content,
-        trash_root: &str,
-    ) -> FsResult<Option<String>> {
-        let parked = if self.pfs.exists(path) {
-            Some(self.unlink_to_trash(path, trash_root)?)
-        } else {
-            None
-        };
-        self.write_file(path, uid, content)?;
-        Ok(parked)
-    }
-
     /// Restart support (§4.5): compare a destination file's chunks against
     /// a source manifest; return the chunk indices that must be re-sent
     /// (missing or fingerprint-mismatched). Good chunks are skipped.
@@ -401,31 +382,6 @@ mod tests {
             FuseRead::Data(c) => assert_eq!(c.len(), 12_000_000),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn overwrite_parks_old_version() {
-        let f = fuse(10, 4);
-        let v1 = Content::synthetic(1, 12_000_000);
-        let v2 = Content::synthetic(2, 16_000_000);
-        f.write_file("/data/f", 0, v1.clone()).unwrap();
-        let parked = f
-            .overwrite_file("/data/f", 0, v2.clone(), "/.trash")
-            .unwrap()
-            .expect("old version parked");
-        match f.read_file("/data/f").unwrap() {
-            FuseRead::Data(c) => assert!(c.eq_content(&v2)),
-            other => panic!("{other:?}"),
-        }
-        match f.read_file(&parked).unwrap() {
-            FuseRead::Data(c) => assert!(c.eq_content(&v1)),
-            other => panic!("{other:?}"),
-        }
-        // overwrite of a non-existent path parks nothing
-        assert!(f
-            .overwrite_file("/data/new", 0, Content::synthetic(9, 100), "/.trash")
-            .unwrap()
-            .is_none());
     }
 
     #[test]

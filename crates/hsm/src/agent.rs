@@ -431,7 +431,7 @@ impl StorageAgent {
     /// in an offline library ranks last) and tried cheapest-first. A
     /// replica failing with a media error, a deleted record, or a
     /// whole-library outage fails over to the next; transient errors
-    /// retry in place inside [`StorageAgent::fetch_exact`].
+    /// retry in place inside `fetch_exact`.
     pub fn fetch(
         &self,
         objid: u64,
@@ -485,7 +485,7 @@ impl StorageAgent {
     /// Fetch exactly this object id, no copy fallback. Fenced drives and
     /// transient I/O errors back off and retry under the budget — a fence
     /// is persistent, so the remount lands on a healthy drive.
-    pub fn fetch_exact(
+    fn fetch_exact(
         &self,
         objid: u64,
         ready: SimInstant,

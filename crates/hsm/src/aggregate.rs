@@ -191,9 +191,9 @@ mod tests {
             .collect()
     }
 
-    /// Both container callers move their payloads into `store_container`:
-    /// every member row still carries its file's path, length and offset,
-    /// and the container and fill counts are unchanged.
+    /// Two aggregated migrations fill one container each: every member row
+    /// carries its file's path, length and offset, and the container and
+    /// fill counts match.
     #[test]
     fn container_members_carry_path_length_and_offset() {
         use crate::object::ObjectKind;
@@ -218,29 +218,29 @@ mod tests {
             .zip(paths.iter().map(String::as_str))
             .collect();
         let cap = DataSize::mib(8);
-        let backup = hsm
-            .backup_files_aggregated(
-                &files[..3],
-                NodeId(0),
-                DataPath::LanFree,
-                cap,
-                SimInstant::EPOCH,
-                1,
-            )
-            .unwrap();
+        let first = migrate_aggregated(
+            &hsm,
+            &listed[..3],
+            NodeId(0),
+            DataPath::LanFree,
+            cap,
+            SimInstant::EPOCH,
+            true,
+        )
+        .unwrap();
         let migrated = migrate_aggregated(
             &hsm,
             &listed[3..],
             NodeId(1),
             DataPath::LanFree,
             cap,
-            backup.end,
+            first.end,
             true,
         )
         .unwrap();
-        assert_eq!((backup.transactions, migrated.containers), (1, 1));
+        assert_eq!((first.containers, migrated.containers), (1, 1));
         let server = hsm.server();
-        for (members, count) in [(&backup.versions, 3), (&migrated.members, 2)] {
+        for (members, count) in [(&first.members, 3), (&migrated.members, 2)] {
             let mut offset = 0;
             let mut container = None;
             for &(ino, objid) in members.iter() {
@@ -280,14 +280,15 @@ mod tests {
             .collect();
         assert_eq!(fills, vec![3, 2]);
         // The moved payloads are what the members hold.
-        let versions = hsm.backup_versions(files[1]);
-        assert_eq!(versions.len(), 1);
-        assert_eq!(versions[0].len, sizes[1]);
-        let ino = files[4];
-        hsm.recall_file(ino, NodeId(0), DataPath::LanFree, migrated.end, None)
-            .unwrap();
-        let content = pfs.vfs().peek_content(ino).unwrap();
-        assert!(content.eq_content(&Content::synthetic(4, sizes[4])));
+        let mut ready = migrated.end;
+        for i in [1, 4] {
+            let ino = files[i];
+            ready = hsm
+                .recall_file(ino, NodeId(0), DataPath::LanFree, ready, None)
+                .unwrap();
+            let content = pfs.vfs().peek_content(ino).unwrap();
+            assert!(content.eq_content(&Content::synthetic(i as u64, sizes[i])));
+        }
     }
 
     #[test]

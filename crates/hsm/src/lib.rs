@@ -26,7 +26,6 @@
 
 pub mod agent;
 pub mod aggregate;
-pub mod backup;
 pub mod error;
 pub mod hsm;
 pub mod object;
@@ -35,7 +34,6 @@ pub mod reconcile;
 pub mod server;
 
 pub use agent::{DataPath, StorageAgent, Volume};
-pub use backup::{BackupOutcome, BackupVersion};
 pub use error::{HsmError, HsmResult};
 pub use hsm::{Hsm, PlacementPolicy, RecallPolicy, RecallRequest};
 pub use object::{ObjectKind, TsmObject};

@@ -19,8 +19,6 @@ struct Shared {
     /// Copy storage groups: primary object → additional tape copies
     /// (§3.1-7's "multiple copies" ILM requirement).
     copy_groups: RwLock<FxHashMap<u64, Vec<u64>>>,
-    /// Backup version chains: file ino → version objids, oldest first.
-    backups: RwLock<FxHashMap<u64, Vec<u64>>>,
     /// Co-location groups (§4 feature list item 5): group key → the volume
     /// the group's objects are steered to, so one project's files restore
     /// from few mounts.
@@ -50,7 +48,6 @@ impl TsmServer {
                 library,
                 db: RwLock::default(),
                 copy_groups: RwLock::new(FxHashMap::default()),
-                backups: RwLock::new(FxHashMap::default()),
                 collocation: RwLock::new(FxHashMap::default()),
                 next_objid: AtomicU64::new(1),
                 nic: Timeline::new("tsm-server-nic", nic, SimDuration::from_micros(50)),
@@ -300,42 +297,6 @@ impl TsmServer {
             .get(&objid)
             .cloned()
             .unwrap_or_default()
-    }
-
-    // ----- backup version chains --------------------------------------------
-
-    /// Append a version to a file's backup chain.
-    pub fn push_backup_version(&self, ino: u64, objid: u64) {
-        self.shared
-            .backups
-            .write()
-            .entry(ino)
-            .or_default()
-            .push(objid);
-    }
-
-    /// Backup versions of a file, oldest first.
-    pub fn backup_versions(&self, ino: u64) -> Vec<u64> {
-        self.shared
-            .backups
-            .read()
-            .get(&ino)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Trim a file's chain to the newest `retain` versions, returning the
-    /// expired (oldest) object ids for deletion.
-    pub fn trim_backup_versions(&self, ino: u64, retain: usize) -> Vec<u64> {
-        let mut map = self.shared.backups.write();
-        let Some(chain) = map.get_mut(&ino) else {
-            return Vec::new();
-        };
-        if chain.len() <= retain {
-            return Vec::new();
-        }
-        let expired = chain.drain(..chain.len() - retain).collect();
-        expired
     }
 
     /// Move an object's record address (volume reclamation). Every object

@@ -91,7 +91,7 @@ impl IntentKind {
 
     /// Span name for the intent's begin→seal window (span names must be
     /// `'static`, so the label match is duplicated rather than formatted).
-    pub fn span_name(&self) -> &'static str {
+    fn span_name(&self) -> &'static str {
         match self {
             IntentKind::MigrateCommit { .. } => "journal.intent.migrate-commit",
             IntentKind::SyncDelete { .. } => "journal.intent.sync-delete",

@@ -142,7 +142,7 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    pub fn eval(&self, file: &FileView<'_>, now: SimInstant) -> bool {
+    fn eval(&self, file: &FileView<'_>, now: SimInstant) -> bool {
         match self {
             Predicate::True => true,
             Predicate::SizeBytes(cmp, v) => cmp.holds(file.size, *v),

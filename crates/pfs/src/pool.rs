@@ -86,21 +86,6 @@ pub struct PoolUsage {
     pub files: u64,
 }
 
-impl PoolUsage {
-    pub fn over_capacity(&self) -> bool {
-        !self.capacity.is_zero() && self.used > self.capacity
-    }
-
-    /// Occupancy in [0, ∞); >1 means over nominal capacity.
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity.is_zero() {
-            0.0
-        } else {
-            self.used.as_bytes() as f64 / self.capacity.as_bytes() as f64
-        }
-    }
-}
-
 /// A live pool: configuration + device bank + usage accounting.
 pub struct StoragePool {
     id: PoolId,
@@ -246,10 +231,9 @@ mod tests {
         p.account_add(DataSize::mb(6));
         let u = p.usage();
         assert_eq!(u.files, 2);
-        assert!(u.over_capacity());
-        assert!((u.occupancy() - 1.2).abs() < 1e-9);
+        assert_eq!(u.used, DataSize::mb(12));
         p.account_remove(DataSize::mb(6));
-        assert!(!p.usage().over_capacity());
+        assert_eq!(p.usage().used, DataSize::mb(6));
         p.account_resize(DataSize::mb(6), DataSize::mb(2));
         assert_eq!(p.usage().used, DataSize::mb(2));
     }

@@ -198,7 +198,8 @@ impl TapeQueues {
         self.len
     }
 
-    pub fn tape_count(&self) -> usize {
+    #[cfg(test)]
+    fn tape_count(&self) -> usize {
         self.queues.len()
     }
 }
@@ -224,14 +225,6 @@ impl ManagerQueues {
             copyq: VecDeque::new(),
             tapecq: TapeQueues::new(tape_ordering),
         }
-    }
-
-    /// True when nothing is queued anywhere.
-    pub fn all_empty(&self) -> bool {
-        self.dirq.is_empty()
-            && self.nameq.is_empty()
-            && self.copyq.is_empty()
-            && self.tapecq.is_empty()
     }
 }
 
@@ -311,19 +304,5 @@ mod tests {
         let (_, q) = tq.pop_tape().unwrap();
         assert_eq!(q[0].file.path(), "/first");
         assert_eq!(q[1].file.path(), "/second");
-    }
-
-    #[test]
-    fn manager_queues_emptiness() {
-        let mut q = ManagerQueues::new(true);
-        assert!(q.all_empty());
-        q.nameq.push_back(StatRequest {
-            file: file("f"),
-            ino: Ino(2),
-            chunked: false,
-            ready: SimInstant::EPOCH,
-            ctx: None,
-        });
-        assert!(!q.all_empty());
     }
 }

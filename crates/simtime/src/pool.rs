@@ -47,7 +47,7 @@ impl TimelinePool {
     /// Index of the member that could start an operation of `dur` soonest
     /// if it were ready at `ready` (ties to the lowest index). Stops at the
     /// first member that can start at `ready` itself.
-    pub fn earliest_member(&self, ready: SimInstant, dur: SimDuration) -> usize {
+    fn earliest_member(&self, ready: SimInstant, dur: SimDuration) -> usize {
         let mut best = 0usize;
         let mut best_start = SimInstant::from_nanos(u64::MAX);
         for (i, m) in self.members.iter().enumerate() {

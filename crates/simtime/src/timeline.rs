@@ -47,11 +47,6 @@ impl Reservation {
     pub fn duration(&self) -> SimDuration {
         self.end - self.start
     }
-
-    /// How long the operation waited in queue before being served.
-    pub fn queue_delay(&self, ready: SimInstant) -> SimDuration {
-        self.start.saturating_since(ready)
-    }
 }
 
 /// Aggregate accounting for a timeline, used for utilization reports.
@@ -315,35 +310,6 @@ impl State {
     }
 }
 
-/// Charge a transfer across a chain of resources in pipeline order: each leg
-/// begins once the previous leg has finished. This is a *store-and-forward*
-/// model (conservative vs. cut-through pipelining); the shapes we reproduce
-/// are insensitive to the difference and the model stays trivially correct.
-///
-/// Returns the reservation on the final leg (whose `end` is the transfer's
-/// completion time) and the overall start on the first leg.
-pub fn transfer_through(route: &[&Timeline], ready: SimInstant, bytes: DataSize) -> Reservation {
-    assert!(
-        !route.is_empty(),
-        "transfer_through requires at least one leg"
-    );
-    let mut cursor = ready;
-    let mut first_start = None;
-    let mut last = Reservation {
-        start: cursor,
-        end: cursor,
-    };
-    for leg in route {
-        last = leg.transfer(cursor, bytes);
-        first_start.get_or_insert(last.start);
-        cursor = last.end;
-    }
-    Reservation {
-        start: first_start.unwrap(),
-        end: last.end,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,7 +327,6 @@ mod tests {
         assert_eq!(a.end, SimInstant::from_secs(1));
         assert_eq!(b.start, SimInstant::from_secs(1));
         assert_eq!(b.end, SimInstant::from_secs(2));
-        assert_eq!(b.queue_delay(SimInstant::EPOCH), SimDuration::from_secs(1));
     }
 
     #[test]
@@ -409,16 +374,6 @@ mod tests {
         t.transfer(SimInstant::EPOCH, mb(800));
         assert_eq!(t.stats().utilization(SimInstant::from_secs(4)), 1.0);
         assert_eq!(t.stats().utilization(SimInstant::EPOCH), 0.0);
-    }
-
-    #[test]
-    fn route_charges_each_leg_in_sequence() {
-        let disk = Timeline::new("disk", Bandwidth::mb_per_sec(200), SimDuration::ZERO);
-        let nic = Timeline::new("nic", Bandwidth::mb_per_sec(100), SimDuration::ZERO);
-        let r = transfer_through(&[&disk, &nic], SimInstant::EPOCH, mb(100));
-        // 0.5 s on disk then 1.0 s on nic
-        assert_eq!(r.start, SimInstant::EPOCH);
-        assert_eq!(r.end, SimInstant::from_millis_test(1_500));
     }
 
     #[test]
@@ -477,11 +432,5 @@ mod tests {
         // A 20 s op fits gap 1, which survived: it still backfills.
         let r = t.reserve(SimInstant::EPOCH, secs(20));
         assert_eq!(r.start, SimInstant::from_secs(101));
-    }
-
-    impl SimInstant {
-        fn from_millis_test(ms: u64) -> SimInstant {
-            SimInstant::from_nanos(ms * 1_000_000)
-        }
     }
 }

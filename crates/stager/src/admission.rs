@@ -49,7 +49,7 @@ impl AdmissionController {
     /// are not offline. This is what makes the stager fault-aware — a
     /// fault plan fencing half the drives halves the admission window,
     /// and the queue keeps draining (slower) instead of stalling.
-    pub fn healthy_drives(fleet: &TapeFleet, now: SimInstant) -> usize {
+    fn healthy_drives(fleet: &TapeFleet, now: SimInstant) -> usize {
         (0..fleet.library_count() as u32)
             .map(LibraryId)
             .filter(|&lib| !fleet.library_offline(lib, now))

@@ -65,11 +65,8 @@ impl StagerPool {
         }
     }
 
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
-    pub fn used_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn used_bytes(&self) -> u64 {
         self.used
     }
 

@@ -54,7 +54,7 @@ pub struct QueuedRecall {
 impl QueuedRecall {
     /// Effective priority after aging: one level per `aging_step` waited,
     /// never above [`Priority::MAX_EFFECTIVE`].
-    pub fn effective_priority(&self, now: SimInstant, aging_step: SimDuration) -> u32 {
+    fn effective_priority(&self, now: SimInstant, aging_step: SimDuration) -> u32 {
         let base = self.request.priority.level();
         let step = aging_step.as_nanos().max(1);
         let waited = now.as_nanos().saturating_sub(self.submitted.as_nanos());
@@ -99,7 +99,8 @@ impl FairShareQueue {
     }
 
     /// Users with at least one parked request.
-    pub fn active_users(&self) -> usize {
+    #[cfg(test)]
+    fn active_users(&self) -> usize {
         self.queued.len()
     }
 
@@ -114,7 +115,8 @@ impl FairShareQueue {
 
     /// Bytes served so far on behalf of `user` (cache hits included —
     /// served is served, wherever the bytes came from).
-    pub fn served_bytes(&self, user: u32) -> u64 {
+    #[cfg(test)]
+    fn served_bytes(&self, user: u32) -> u64 {
         self.lanes.get(&user).map(|l| l.served_bytes).unwrap_or(0)
     }
 

@@ -87,10 +87,6 @@ impl StagerConfig {
         self.max_inflight_per_drive = n;
         self
     }
-    pub fn queue_high_watermark(mut self, n: usize) -> Self {
-        self.queue_high_watermark = n;
-        self
-    }
     pub fn cache_capacity(mut self, cap: DataSize) -> Self {
         self.cache_capacity = cap;
         self

@@ -83,10 +83,6 @@ impl Cartridge {
             .saturating_sub(DataSize::from_bytes(self.bytes_written))
     }
 
-    pub fn record_count(&self) -> u32 {
-        self.records.len() as u32
-    }
-
     pub fn records(&self) -> &[TapeRecord] {
         &self.records
     }
@@ -115,16 +111,6 @@ impl Cartridge {
         self.records.get(seq as usize)
     }
 
-    /// Byte position of a record's start (for seek-distance computation);
-    /// `seq == record_count()` addresses end-of-data.
-    pub fn position_of(&self, seq: u32) -> Option<u64> {
-        if seq == self.records.len() as u32 {
-            Some(self.bytes_written)
-        } else {
-            self.records.get(seq as usize).map(|r| r.start)
-        }
-    }
-
     /// Mark a record deleted (content dropped; span still occupied).
     /// Returns false if the seq is invalid or already deleted.
     pub fn delete(&mut self, seq: u32) -> bool {
@@ -147,7 +133,7 @@ impl Cartridge {
 
     /// Bytes occupied by deleted records (reclaimable only by volume
     /// reclamation).
-    pub fn dead_bytes(&self) -> u64 {
+    fn dead_bytes(&self) -> u64 {
         self.records
             .iter()
             .filter(|r| r.is_deleted())
@@ -201,8 +187,6 @@ mod tests {
         assert_eq!(c.record(0).unwrap().start, 0);
         assert_eq!(c.record(1).unwrap().start, 1_000_000);
         assert_eq!(c.bytes_written(), 3_000_000);
-        assert_eq!(c.position_of(2), Some(3_000_000)); // EOD
-        assert_eq!(c.position_of(3), None);
     }
 
     #[test]

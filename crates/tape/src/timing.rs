@@ -90,7 +90,8 @@ impl TapeTiming {
 
     /// Effective rate for a stream of `file_size` writes, one transaction
     /// each — the §6.1 small-file arithmetic.
-    pub fn effective_write_rate(&self, file_size: DataSize) -> Bandwidth {
+    #[cfg(test)]
+    fn effective_write_rate(&self, file_size: DataSize) -> Bandwidth {
         let per_file = self.backhitch + self.stream.time_for(file_size);
         copra_simtime::rate::achieved_rate(file_size, per_file)
     }

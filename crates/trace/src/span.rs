@@ -115,7 +115,7 @@ impl Tracer {
 
     /// Open a span under a context received from elsewhere (a PFTool
     /// message, an HSM caller). Returns `None` when disabled.
-    pub fn child_of(
+    fn child_of(
         &self,
         parent: SpanContext,
         name: &'static str,

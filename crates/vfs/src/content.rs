@@ -212,7 +212,7 @@ impl Content {
         Content::default()
     }
 
-    pub fn from_segment(seg: Segment) -> Self {
+    fn from_segment(seg: Segment) -> Self {
         let len = seg.len();
         let segments = if len == 0 { Vec::new() } else { vec![seg] };
         Content { segments, len }
@@ -435,7 +435,8 @@ impl Content {
 
     /// Number of stored segments (diagnostic; copies should not fragment
     /// content without bound).
-    pub fn segment_count(&self) -> usize {
+    #[cfg(test)]
+    fn segment_count(&self) -> usize {
         self.segments.len()
     }
 }

@@ -962,7 +962,8 @@ impl Vfs {
     }
 
     /// Number of live inodes (including directories).
-    pub fn inode_count(&self) -> usize {
+    #[cfg(test)]
+    fn inode_count(&self) -> usize {
         self.shared.nodes.read().0.iter().map(|m| m.len()).sum()
     }
 

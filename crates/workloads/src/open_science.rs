@@ -173,7 +173,8 @@ impl OpenScienceTrace {
         self.jobs.iter().map(|j| j.bytes as f64 / 1e9).collect()
     }
 
-    pub fn avg_file_mb_per_job(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn avg_file_mb_per_job(&self) -> Vec<f64> {
         self.jobs.iter().map(|j| j.avg_file_size() / 1e6).collect()
     }
 }

@@ -215,14 +215,6 @@ impl StagerCampaign {
     pub fn total_bytes(&self) -> u64 {
         self.file_sizes.iter().sum()
     }
-
-    /// Distinct requesting users (≪ the universe, ≫ a handful).
-    pub fn distinct_users(&self) -> usize {
-        let mut ids: Vec<u32> = self.requests.iter().map(|r| r.user).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
 }
 
 #[cfg(test)]
@@ -271,13 +263,13 @@ mod tests {
     #[test]
     fn users_span_a_wide_universe() {
         let c = StagerCampaign::generate(StagerCampaignSpec::castor_scale(), 3);
-        let distinct = c.distinct_users();
-        assert!(distinct > 100, "only {distinct} distinct users");
-        // And the heaviest user holds a meaningful share (Zipf head).
         let mut counts = std::collections::HashMap::new();
         for r in &c.requests {
             *counts.entry(r.user).or_insert(0usize) += 1;
         }
+        let distinct = counts.len();
+        assert!(distinct > 100, "only {distinct} distinct users");
+        // And the heaviest user holds a meaningful share (Zipf head).
         let top = counts.values().copied().max().unwrap();
         assert!(top * 20 > c.requests.len(), "top user only {top} requests");
     }
