@@ -12,7 +12,8 @@
 //! sample (see `JobSpec::materialize`); Figures 8/9/11 report the *spec*
 //! values, Figure 10 reports the *measured* rate of the driven job.
 
-use copra_bench::{note_rig, print_table, roadrunner_rig, summarize, write_json, EXPERIMENT_SEED};
+use copra_bench::{print_table, summarize, write_json, EXPERIMENT_SEED};
+use copra_core::SystemConfig;
 use copra_pftool::PftoolConfig;
 use copra_simtime::DataSize;
 use copra_workloads::{populate, CampaignSpec, OpenScienceTrace, TreeSpec};
@@ -51,7 +52,7 @@ struct Output {
 fn main() {
     let cli = copra_bench::BenchCli::parse();
     let trace = OpenScienceTrace::generate(CampaignSpec::roadrunner(), EXPERIMENT_SEED);
-    let sys = roadrunner_rig();
+    let sys = cli.system(SystemConfig::roadrunner());
     let config = PftoolConfig {
         workers: 32,
         readdir_procs: 2,
@@ -88,7 +89,7 @@ fn main() {
     }
 
     // Non-parallel baseline: one worker, one readdir, single stream.
-    let serial_sys = roadrunner_rig();
+    let serial_sys = cli.system(SystemConfig::roadrunner());
     let serial_cfg = PftoolConfig {
         workers: 1,
         readdir_procs: 1,
@@ -127,7 +128,6 @@ fn main() {
     // Figure 10's headline limit, checked against the *measured* trunk:
     // the two 10GigE links are modelled at 75% efficiency, so peak jobs
     // can reach at most ~75% of the raw 2×10GigE (2×1250 MB/s).
-    note_rig(&sys);
     let snap = sys.snapshot();
     let trunk_util = snap.mean_utilization("trunk.");
     let raw_trunk_mb_s = 2.0 * 1250.0;
@@ -224,5 +224,5 @@ fn main() {
         "campaign moved bytes but trunk shows no busy time"
     );
     write_json("fig08_11", &out);
-    cli.finish();
+    cli.finish(&sys);
 }

@@ -11,30 +11,17 @@
 //! * **A5 — co-location** (§4 feature list item 5): mounts and makespan to
 //!   restore one project's files with and without co-location groups.
 
-use copra_bench::{bench_tracer, print_table, rig_library, write_json};
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_cluster::NodeId;
 use copra_core::{migrate_candidates, MigrationPolicy};
 use copra_fuse::ArchiveFuse;
 use copra_hsm::aggregate::migrate_aggregated;
-use copra_hsm::{reclaim_eligible, DataPath, Hsm, PlacementPolicy, TsmServer};
-use copra_pfs::{PfsBuilder, PoolConfig};
-use copra_simtime::{Clock, DataSize, SimInstant};
+use copra_hsm::{reclaim_eligible, DataPath, Hsm};
+use copra_simtime::{DataSize, SimInstant};
 use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use copra_workloads::{populate, small_file_storm};
 use serde::Serialize;
-
-fn hsm(drives: usize, nodes: usize, tapes: usize) -> Hsm {
-    let pfs = PfsBuilder::new("archive", Clock::new())
-        .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
-        .tracer(bench_tracer())
-        .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
-    let server = TsmServer::roadrunner(rig_library(drives, tapes, TapeTiming::lto4()));
-    let h = Hsm::new(pfs, server, cluster, PlacementPolicy::Single);
-    copra_bench::note_hsm(&h);
-    h
-}
 
 #[derive(Serialize)]
 struct A1Row {
@@ -43,10 +30,10 @@ struct A1Row {
     mb_s: f64,
 }
 
-fn a1_container_size() -> Vec<A1Row> {
+fn a1_container_size(cli: &BenchCli) -> Vec<A1Row> {
     let mut rows = Vec::new();
     for container_mb in [16u64, 64, 256, 1024, 4096] {
-        let h = hsm(1, 1, 64);
+        let h = cli.hsm_rig(1, 1, 64, 16, TapeTiming::lto4());
         let tree = small_file_storm(200, 8_000_000, 3);
         populate(h.pfs(), "/data", &tree);
         let records = h.pfs().scan_records();
@@ -78,11 +65,11 @@ struct A2Row {
     makespan_s: f64,
 }
 
-fn a2_fuse_chunk_size() -> Vec<A2Row> {
+fn a2_fuse_chunk_size(cli: &BenchCli) -> Vec<A2Row> {
     let mut rows = Vec::new();
     for chunk_gb in [2u64, 5, 10, 25, 50] {
         for drives in [4usize, 8] {
-            let h = hsm(drives, drives, 64);
+            let h = cli.hsm_rig(drives, drives, 64, 16, TapeTiming::lto4());
             let fuse = ArchiveFuse::new(h.pfs().clone(), DataSize::gb(50), DataSize::gb(chunk_gb));
             h.pfs().mkdir_p("/data").unwrap();
             fuse.write_file("/data/big", 0, Content::synthetic(1, 100_000_000_000))
@@ -119,10 +106,10 @@ struct A3Row {
     scratch_recovered: usize,
 }
 
-fn a3_reclaim_threshold() -> Vec<A3Row> {
+fn a3_reclaim_threshold(cli: &BenchCli) -> Vec<A3Row> {
     let mut rows = Vec::new();
     for threshold_pct in [30u64, 50, 70, 90] {
-        let h = hsm(2, 2, 24);
+        let h = cli.hsm_rig(2, 2, 24, 16, TapeTiming::lto4());
         let pfs = h.pfs().clone();
         // Fill several volumes, then delete a varying share per volume by
         // deleting every file whose index hits a modulus.
@@ -178,11 +165,11 @@ struct A4Row {
 /// of small files in parallel (i.e. very large number grass files parallel
 /// copy problem)" — aggregation (A1) composed with the size-balanced
 /// migrator gives node-parallel aggregated migration.
-fn a4_grass_files() -> Vec<A4Row> {
+fn a4_grass_files(cli: &BenchCli) -> Vec<A4Row> {
     let mut rows = Vec::new();
     let mut base = None;
     for nodes in [1usize, 2, 4, 8] {
-        let h = hsm(nodes.max(2), nodes, 128);
+        let h = cli.hsm_rig(nodes, nodes.max(2), 128, 16, TapeTiming::lto4());
         let tree = small_file_storm(10_000, 4_000_000, 5); // 10k x 4 MB grass
         populate(h.pfs(), "/grass", &tree);
         let records = h.pfs().scan_records();
@@ -220,12 +207,14 @@ struct A5Row {
 }
 
 /// §4 feature list item 5: steer each project's objects to its own volume
-/// so restoring a project touches one cartridge instead of many.
-fn a5_collocation() -> Vec<A5Row> {
+/// so restoring a project touches one cartridge instead of many. Also
+/// returns the last rig it built.
+fn a5_collocation(cli: &BenchCli) -> (Vec<A5Row>, Option<Hsm>) {
     use copra_hsm::{RecallPolicy, RecallRequest};
     let mut rows = Vec::new();
+    let mut rig = None;
     for collocated in [false, true] {
-        let h = hsm(4, 4, 32);
+        let h = cli.hsm_rig(4, 4, 32, 16, TapeTiming::lto4());
         let pfs = h.pfs().clone();
         let projects = ["alpha", "beta", "gamma", "delta"];
         for p in projects {
@@ -285,13 +274,14 @@ fn a5_collocation() -> Vec<A5Row> {
             restore_mounts: mounts,
             restore_secs: out.makespan.saturating_since(cursor).as_secs_f64(),
         });
+        rig = Some(h);
     }
-    rows
+    (rows, rig)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
-    let a1 = a1_container_size();
+    let cli = BenchCli::parse();
+    let a1 = a1_container_size(&cli);
     print_table(
         "A1: aggregation container size (200 x 8 MB files, 1 drive)",
         &["container MB", "containers", "MB/s"],
@@ -307,7 +297,7 @@ fn main() {
     );
     write_json("tbl_ablation_a1", &a1);
 
-    let a2 = a2_fuse_chunk_size();
+    let a2 = a2_fuse_chunk_size(&cli);
     print_table(
         "A2: fuse chunk size x drives (one 100 GB file, N-to-N migration)",
         &["chunk GB", "drives", "chunks", "makespan s"],
@@ -324,7 +314,7 @@ fn main() {
     );
     write_json("tbl_ablation_a2", &a2);
 
-    let a3 = a3_reclaim_threshold();
+    let a3 = a3_reclaim_threshold(&cli);
     print_table(
         "A3: reclamation threshold (120 x 40 MB migrated, 2/3 deleted)",
         &[
@@ -346,7 +336,7 @@ fn main() {
     );
     write_json("tbl_ablation_a3", &a3);
 
-    let a4 = a4_grass_files();
+    let a4 = a4_grass_files(&cli);
     print_table(
         "A4: grass files in parallel (10k x 4 MB, aggregated, size-balanced)",
         &["nodes", "files", "makespan s", "MB/s", "speedup"],
@@ -364,7 +354,7 @@ fn main() {
     );
     write_json("tbl_ablation_a4", &a4);
 
-    let a5 = a5_collocation();
+    let (a5, rig) = a5_collocation(&cli);
     print_table(
         "A5: co-location (4 projects interleaved, restore one project)",
         &["mode", "project on N tapes", "restore mounts", "restore s"],
@@ -380,7 +370,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     write_json("tbl_ablation_a5", &a5);
-    cli.finish();
+    cli.finish(&rig);
     println!("\n  A1: bigger containers amortize backhitches until streaming dominates.");
     println!("  A2: smaller chunks spread one file over more drives; too small adds");
     println!("      per-transaction overhead back in.");

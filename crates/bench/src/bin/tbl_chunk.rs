@@ -7,7 +7,8 @@
 //! We copy one file of each size scratch→archive with 1..32 workers and
 //! report the achieved rate.
 
-use copra_bench::{print_table, roadrunner_rig, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_core::{ArchiveSystem, SystemConfig};
 use copra_pftool::PftoolConfig;
 use copra_simtime::DataSize;
 use copra_vfs::Content;
@@ -22,9 +23,8 @@ struct Row {
     speedup_vs_1: f64,
 }
 
-fn run(file_gb: u64, workers: usize) -> f64 {
-    let sys = roadrunner_rig();
-    copra_bench::note_rig(&sys);
+fn run(cli: &BenchCli, file_gb: u64, workers: usize) -> (f64, ArchiveSystem) {
+    let sys = cli.system(SystemConfig::roadrunner());
     sys.scratch().mkdir_p("/src").unwrap();
     sys.scratch()
         .create_file(
@@ -43,16 +43,18 @@ fn run(file_gb: u64, workers: usize) -> f64 {
     };
     let report = sys.archive_tree("/src", "/dst", &config);
     assert!(report.stats.ok(), "{:?}", report.stats.errors);
-    report.stats.sim_seconds()
+    (report.stats.sim_seconds(), sys)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut rig = None;
     for file_gb in [10u64, 40, 100] {
         let mut base = None;
         for workers in [1usize, 2, 4, 8, 16, 32] {
-            let secs = run(file_gb, workers);
+            let (secs, sys) = run(&cli, file_gb, workers);
+            rig = Some(sys);
             let rate = copra_simtime::achieved_rate(
                 DataSize::gb(file_gb),
                 copra_simtime::SimDuration::from_secs_f64(secs),
@@ -86,5 +88,5 @@ fn main() {
     );
     println!("\n  Paper: N workers copy N chunks of one file in parallel; speedup\n  saturates at the 2x10GigE trunk (~1.9 GB/s achievable).");
     write_json("tbl_chunk", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

@@ -13,8 +13,9 @@
 //! seed → same fault sequence → same simulated outcome), and the baseline
 //! row must leave the `faults.*` metric family empty.
 
-use copra_bench::{mb_per_sec, print_table, small_rig, write_json};
+use copra_bench::{mb_per_sec, print_table, write_json, BenchCli};
 use copra_cluster::NodeId;
+use copra_core::{ArchiveSystem, SystemConfig};
 use copra_faults::FaultPlan;
 use copra_hsm::DataPath;
 use copra_pftool::PftoolConfig;
@@ -60,9 +61,8 @@ struct Row {
 /// verify every byte, and report the row. `fail_at` gives the drive-kill
 /// instants as offsets into the campaign (taken from the baseline row's
 /// duration so they land mid-flight).
-fn run(failed_drives: usize, fail_at: &[SimDuration]) -> Row {
-    let sys = small_rig();
-    copra_bench::note_rig(&sys);
+fn run(cli: &BenchCli, failed_drives: usize, fail_at: &[SimDuration]) -> (Row, ArchiveSystem) {
+    let sys = cli.system(SystemConfig::test_small());
     sys.archive().mkdir_p("/camp").unwrap();
     let mut files = Vec::new();
     for i in 0..BIG_FILES {
@@ -126,7 +126,7 @@ fn run(failed_drives: usize, fail_at: &[SimDuration]) -> Row {
             "fault-free baseline must not touch the recovery machinery"
         );
     }
-    Row {
+    let row = Row {
         failed_drives,
         sim_seconds: report.stats.sim_seconds(),
         goodput_mb_s: mb_per_sec(
@@ -138,22 +138,23 @@ fn run(failed_drives: usize, fail_at: &[SimDuration]) -> Row {
         retries: m.counter("faults.retries"),
         fences: m.counter("faults.fences"),
         redispatches: m.counter("faults.redispatches"),
-    }
+    };
+    (row, sys)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     // Baseline first: its duration positions the drive kills mid-campaign.
-    let base = run(0, &[]);
+    let (base, _) = run(&cli, 0, &[]);
     let span = SimInstant::from_secs(0) + SimDuration::from_nanos((base.sim_seconds * 1e9) as u64);
     let kill = [
         SimDuration::from_nanos(span.as_nanos() / 5),
         SimDuration::from_nanos(span.as_nanos() / 2),
     ];
-    let one = run(1, &kill);
-    let two = run(2, &kill);
+    let (one, _) = run(&cli, 1, &kill);
+    let (two, _) = run(&cli, 2, &kill);
     // Same seed, same plan → the same simulated outcome, twice.
-    let again = run(1, &kill);
+    let (again, rig) = run(&cli, 1, &kill);
     assert_eq!(one, again, "fault scenario must be deterministic");
 
     let rows = vec![base, one, two];
@@ -192,5 +193,5 @@ fn main() {
         "\n  Every row completed with zero lost bytes (fingerprint-verified);\n  the 1-drive scenario reproduced bit-identically on a second run.\n  Fencing re-queues the dead drive's tape work onto healthy drives, so\n  goodput degrades instead of the campaign failing."
     );
     write_json("tbl_faults", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

@@ -10,13 +10,12 @@
 //! drive streams it all) and as fuse chunks spread across the drives by
 //! the migrator, for varying drive counts.
 
-use copra_bench::{bench_tracer, print_table, rig_library, write_json};
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_cluster::NodeId;
 use copra_core::{migrate_candidates, MigrationPolicy};
 use copra_fuse::ArchiveFuse;
-use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
-use copra_pfs::{PfsBuilder, PoolConfig};
-use copra_simtime::{Clock, DataSize, SimInstant};
+use copra_hsm::{DataPath, Hsm};
+use copra_simtime::{DataSize, SimInstant};
 use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use serde::Serialize;
@@ -31,26 +30,20 @@ struct Row {
     speedup: f64,
 }
 
-fn setup(drives: usize, nodes: usize) -> (Hsm, ArchiveFuse) {
-    let pfs = PfsBuilder::new("archive", Clock::new())
-        .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
-        .tracer(bench_tracer())
-        .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
+/// An HSM rig with one node per drive, and a fuse layer over its archive.
+fn setup(cli: &BenchCli, drives: usize) -> (Hsm, ArchiveFuse) {
     // Large-capacity volumes so the single-object case fits on one tape.
     let timing = TapeTiming {
         capacity: DataSize::gb(800),
         ..TapeTiming::lto4()
     };
-    let server = TsmServer::roadrunner(rig_library(drives, 64, timing));
-    let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
-    copra_bench::note_hsm(&hsm);
-    let fuse = ArchiveFuse::new(pfs, DataSize::gb(100), DataSize::gb(10));
+    let hsm = cli.hsm_rig(drives, drives, 64, 16, timing);
+    let fuse = ArchiveFuse::new(hsm.pfs().clone(), DataSize::gb(100), DataSize::gb(10));
     (hsm, fuse)
 }
 
-fn single_object(drives: usize) -> f64 {
-    let (hsm, _) = setup(drives, drives);
+fn single_object(cli: &BenchCli, drives: usize) -> f64 {
+    let (hsm, _) = setup(cli, drives);
     let ino = hsm
         .pfs()
         .create_file(
@@ -72,8 +65,8 @@ fn single_object(drives: usize) -> f64 {
     end.as_secs_f64()
 }
 
-fn fuse_nton(drives: usize) -> f64 {
-    let (hsm, fuse) = setup(drives, drives);
+fn fuse_nton(cli: &BenchCli, drives: usize) -> (f64, Hsm) {
+    let (hsm, fuse) = setup(cli, drives);
     hsm.pfs().mkdir_p("/data").unwrap();
     fuse.write_file(
         "/data/huge.dat",
@@ -97,15 +90,17 @@ fn fuse_nton(drives: usize) -> f64 {
     );
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(report.files, (FILE_GB / 10) as usize);
-    report.makespan.as_secs_f64()
+    (report.makespan.as_secs_f64(), hsm)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut rig = None;
     for drives in [1usize, 2, 4, 8, 16] {
-        let single = single_object(drives);
-        let nton = fuse_nton(drives);
+        let single = single_object(&cli, drives);
+        let (nton, hsm) = fuse_nton(&cli, drives);
+        rig = Some(hsm);
         rows.push(Row {
             drives,
             single_object_secs: single,
@@ -130,5 +125,5 @@ fn main() {
     );
     println!("\n  Paper: a single object streams to ONE drive regardless of drive\n  count; fuse chunks scale with drives until the disk/SAN path saturates.");
     write_json("tbl_fuse", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

@@ -10,12 +10,13 @@
 //! M nodes each migrate the same volume of data; we report aggregate rate
 //! for both paths.
 
-use copra_bench::{bench_tracer, print_table, rig_library, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
+use copra_obs::Registry;
 use copra_pfs::{PfsBuilder, PoolConfig};
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant};
-use copra_tape::TapeTiming;
+use copra_tape::{TapeFleet, TapeTiming};
 use copra_vfs::Content;
 use serde::Serialize;
 
@@ -30,15 +31,23 @@ struct Row {
     advantage: f64,
 }
 
-fn run(nodes: usize, path: DataPath) -> f64 {
+/// The one rig with a derated server NIC, so it is wired here rather
+/// than through [`BenchCli::hsm_rig`].
+fn run(cli: &BenchCli, nodes: usize, path: DataPath) -> (f64, Hsm) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
-        .tracer(bench_tracer())
+        .tracer(cli.tracer())
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
     // The paper-era server NIC: one 10GigE (derated like the trunk).
     let server = TsmServer::new(
-        rig_library(nodes.max(4), 64, TapeTiming::lto4()),
+        TapeFleet::new(
+            1,
+            nodes.max(4),
+            64,
+            TapeTiming::lto4(),
+            Registry::traced(cli.tracer()),
+        ),
         Bandwidth::gbit_per_sec(10).scaled(0.75),
         SimDuration::from_millis(2),
     );
@@ -48,7 +57,6 @@ fn run(nodes: usize, path: DataPath) -> f64 {
         cluster.clone(),
         PlacementPolicy::Single,
     );
-    copra_bench::note_hsm(&hsm);
     // Build per-node file sets.
     let mut per_node_files: Vec<Vec<copra_vfs::Ino>> = Vec::new();
     for n in 0..nodes {
@@ -80,15 +88,18 @@ fn run(nodes: usize, path: DataPath) -> f64 {
         makespan = makespan.max(cursor);
     }
     let total_bytes = (nodes * FILES_PER_NODE) as u64 * FILE_GB * 1_000_000_000;
-    copra_bench::mb_per_sec(total_bytes, start, makespan)
+    let rate = copra_bench::mb_per_sec(total_bytes, start, makespan);
+    (rate, hsm)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut rig = None;
     for nodes in [2usize, 4, 8, 16, 24] {
-        let lan = run(nodes, DataPath::Lan);
-        let lanfree = run(nodes, DataPath::LanFree);
+        let (lan, _) = run(&cli, nodes, DataPath::Lan);
+        let (lanfree, hsm) = run(&cli, nodes, DataPath::LanFree);
+        rig = Some(hsm);
         rows.push(Row {
             nodes,
             lan_mb_s: lan,
@@ -113,5 +124,5 @@ fn main() {
     );
     println!("\n  Paper: LAN saturates the single server NIC as nodes are added;\n  LAN-free scales per-node (FC4 HBA + its own drive) until drives run out.");
     write_json("tbl_lanfree", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

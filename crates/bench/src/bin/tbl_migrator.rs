@@ -6,12 +6,11 @@
 //! migration process onto a single machine. The custom migrator sorts and
 //! distributes candidates **by size** so all machines finish together.
 
-use copra_bench::{bench_tracer, print_table, rig_library, write_json};
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_cluster::NodeId;
 use copra_core::{migrate_candidates, MigrationPolicy};
-use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
-use copra_pfs::{PfsBuilder, PoolConfig};
-use copra_simtime::{Clock, DataSize, SimInstant};
+use copra_hsm::{DataPath, Hsm};
+use copra_simtime::SimInstant;
 use copra_tape::TapeTiming;
 use copra_workloads::{mixed_tree, populate};
 use serde::Serialize;
@@ -25,26 +24,15 @@ struct Row {
     fastest_node_gb: f64,
 }
 
-fn run(policy: MigrationPolicy) -> Row {
-    let pfs = PfsBuilder::new("archive", Clock::new())
-        .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
-        .tracer(bench_tracer())
-        .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(10));
-    let server = TsmServer::roadrunner(rig_library(24, 128, TapeTiming::lto4()));
-    let hsm = Hsm::new(
-        pfs.clone(),
-        server,
-        cluster.clone(),
-        PlacementPolicy::Single,
-    );
-    copra_bench::note_hsm(&hsm);
+fn run(cli: &BenchCli, policy: MigrationPolicy) -> (Row, Hsm) {
+    let hsm = cli.hsm_rig(10, 24, 128, 16, TapeTiming::lto4());
+    let pfs = hsm.pfs();
     // A heavy-tailed candidate list: mostly small files, a few huge ones —
     // exactly the mix that breaks count-balancing.
     let tree = mixed_tree(400, 2_000_000_000, 2.2, 8, 99);
-    populate(&pfs, "/data", &tree);
+    populate(pfs, "/data", &tree);
     let records = pfs.scan_records();
-    let nodes: Vec<NodeId> = cluster.nodes().collect();
+    let nodes: Vec<NodeId> = hsm.cluster().nodes().collect();
     let start = SimInstant::EPOCH;
     let report = migrate_candidates(
         &hsm,
@@ -63,25 +51,29 @@ fn run(policy: MigrationPolicy) -> Row {
         .filter(|(_, f, _, _)| *f > 0)
         .map(|(_, _, b, _)| *b as f64 / 1e9)
         .collect();
-    Row {
+    let row = Row {
         policy: format!("{policy:?}"),
         makespan_secs: report.makespan.saturating_since(start).as_secs_f64(),
         imbalance: report.imbalance(start),
         slowest_node_gb: busy.iter().cloned().fold(f64::MIN, f64::max),
         fastest_node_gb: busy.iter().cloned().fold(f64::MAX, f64::min),
-    }
+    };
+    (row, hsm)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
-    let rows: Vec<Row> = [
+    let cli = BenchCli::parse();
+    let mut rows = Vec::new();
+    let mut rig = None;
+    for policy in [
         MigrationPolicy::SizeBalanced,
         MigrationPolicy::RoundRobin,
         MigrationPolicy::SingleNode,
-    ]
-    .into_iter()
-    .map(run)
-    .collect();
+    ] {
+        let (row, hsm) = run(&cli, policy);
+        rows.push(row);
+        rig = Some(hsm);
+    }
     print_table(
         "T-MIGR (§4.2.4): 400-file heavy-tailed migration over 10 nodes / 24 drives",
         &[
@@ -106,5 +98,5 @@ fn main() {
     );
     println!("\n  Paper: size-balanced distribution lets migrations 'complete at the\n  same time across machines'; count-balancing skews, single-node is worst.");
     write_json("tbl_migrator", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

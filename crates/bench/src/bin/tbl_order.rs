@@ -9,14 +9,14 @@
 //! Full-stack run: files are archived, migrated to tape, then copied back
 //! with `pfcp` with tape ordering on and off.
 
-use copra_bench::{bench_tracer, print_table, rig_library, write_json};
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_cluster::NodeId;
 use copra_fuse::ArchiveFuse;
-use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
+use copra_hsm::{DataPath, Hsm};
 use copra_metadb::TsmCatalog;
-use copra_pfs::{PfsBuilder, PoolConfig};
+use copra_pfs::PfsBuilder;
 use copra_pftool::{pfcp, FsView, PftoolConfig};
-use copra_simtime::{Clock, DataSize, SimInstant};
+use copra_simtime::SimInstant;
 use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use serde::Serialize;
@@ -33,22 +33,12 @@ struct Row {
     speedup: f64,
 }
 
-fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
-    let clock = Clock::new();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(4));
+fn run(cli: &BenchCli, files: usize, file_mb: u64, ordering: bool) -> (f64, u64, Hsm) {
+    let hsm = cli.hsm_rig(4, 2, 8, 8, TapeTiming::lto4());
+    let archive = hsm.pfs().clone();
+    let clock = archive.clock().clone();
+    let cluster = hsm.cluster().clone();
     let scratch = PfsBuilder::scratch("scratch", clock.clone(), 8).build();
-    let archive = PfsBuilder::new("archive", clock.clone())
-        .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
-        .tracer(bench_tracer())
-        .build();
-    let server = TsmServer::roadrunner(rig_library(2, 8, TapeTiming::lto4()));
-    let hsm = Hsm::new(
-        archive.clone(),
-        server,
-        cluster.clone(),
-        PlacementPolicy::Single,
-    );
-    copra_bench::note_hsm(&hsm);
     let fuse = ArchiveFuse::paper_defaults(archive.clone());
     let catalog = Arc::new(TsmCatalog::new());
 
@@ -104,15 +94,17 @@ fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
     assert!(report.stats.ok(), "{:?}", report.stats.errors);
     assert_eq!(report.stats.tape_restores as usize, files);
     let locates = hsm.server().library().stats().totals.locates - locates_before;
-    (report.stats.sim_seconds(), locates)
+    (report.stats.sim_seconds(), locates, hsm)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut rig = None;
     for (files, file_mb) in [(16usize, 200u64), (32, 100), (64, 50)] {
-        let (unordered_secs, unordered_locates) = run(files, file_mb, false);
-        let (ordered_secs, ordered_locates) = run(files, file_mb, true);
+        let (unordered_secs, unordered_locates, _) = run(&cli, files, file_mb, false);
+        let (ordered_secs, ordered_locates, hsm) = run(&cli, files, file_mb, true);
+        rig = Some(hsm);
         rows.push(Row {
             files,
             file_mb,
@@ -151,5 +143,5 @@ fn main() {
     );
     println!("\n  Paper: sorting by (tape id, seq) enforces sequential reads and\n  'drastically reduce[s] tape drive thrashing overhead'.");
     write_json("tbl_order", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

@@ -16,8 +16,9 @@
 //!
 //! `--quick` trims the sweep for CI.
 
-use copra_bench::{print_table, small_rig, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::NodeId;
+use copra_core::{ArchiveSystem, SystemConfig};
 use copra_faults::FaultPlan;
 use copra_hsm::{DataPath, HsmError};
 use copra_simtime::SimInstant;
@@ -55,9 +56,8 @@ fn det(r: &Row) -> (usize, usize, usize, usize, usize, usize, u64, u64) {
 
 /// Build a system whose journal holds `sealed` sealed + `open` open
 /// intents (each open one genuinely torn), then time recovery.
-fn run(sealed: usize, open: usize) -> Row {
-    let sys = small_rig();
-    copra_bench::note_rig(&sys);
+fn run(cli: &BenchCli, sealed: usize, open: usize) -> (Row, ArchiveSystem) {
+    let sys = cli.system(SystemConfig::test_small());
     sys.archive().mkdir_p("/data").unwrap();
     let total = sealed + open;
     for i in 0..total {
@@ -127,7 +127,7 @@ fn run(sealed: usize, open: usize) -> Row {
     assert_eq!(sys.export_catalog(), 0, "catalog must match the server DB");
     sys.catalog().verify_indexes().expect("catalog indexes");
 
-    Row {
+    let row = Row {
         journal_len,
         sealed,
         open,
@@ -137,13 +137,14 @@ fn run(sealed: usize, open: usize) -> Row {
         records_dropped: report.scrub.tape_records_dropped,
         catalog_rows_fixed: report.scrub.catalog_rows_fixed,
         sim_end_ns: report.end.as_nanos(),
-    }
+    };
+    (row, sys)
 }
 
 /// Fault-free baseline: no plan armed, recovery never invoked — the
 /// `journal.recovered_*` family must snapshot zero.
-fn baseline() {
-    let sys = small_rig();
+fn baseline(cli: &BenchCli) {
+    let sys = cli.system(SystemConfig::test_small());
     sys.archive().mkdir_p("/data").unwrap();
     sys.archive()
         .create_file("/data/f", 0, Content::synthetic(SEED, 2_000_000))
@@ -168,14 +169,17 @@ fn baseline() {
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let quick = cli.quick;
-    baseline();
+    baseline(&cli);
     let lengths: &[usize] = if quick { &[8, 32] } else { &[8, 32, 128, 512] };
-    let rows: Vec<Row> = lengths.iter().map(|&n| run(n / 2, n - n / 2)).collect();
+    let rows: Vec<Row> = lengths
+        .iter()
+        .map(|&n| run(&cli, n / 2, n - n / 2).0)
+        .collect();
 
     // Same seed, same plan → same simulated outcome (wall time aside).
-    let again = run(lengths[0] / 2, lengths[0] - lengths[0] / 2);
+    let (again, rig) = run(&cli, lengths[0] / 2, lengths[0] - lengths[0] / 2);
     assert_eq!(
         det(&rows[0]),
         det(&again),
@@ -224,5 +228,5 @@ fn main() {
     )
     .expect("write BENCH_recovery.json");
     println!("  [json] BENCH_recovery.json");
-    cli.finish();
+    cli.finish(&rig);
 }

@@ -22,7 +22,7 @@
 //! bit-identically on a second run. `--quick` shrinks the campaign for CI
 //! smoke runs.
 
-use copra_bench::{bench_tracer, mb_per_sec, print_table, write_json, EXPERIMENT_SEED};
+use copra_bench::{mb_per_sec, print_table, write_json, BenchCli, EXPERIMENT_SEED};
 use copra_cluster::NodeId;
 use copra_core::{ArchiveSystem, SystemConfig};
 use copra_faults::FaultPlan;
@@ -61,17 +61,15 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[idx]
 }
 
-fn run(libraries: usize, files: u64) -> Row {
+fn run(cli: &BenchCli, libraries: usize, files: u64) -> (Row, ArchiveSystem) {
     let config = SystemConfig {
         libraries,
         drives: 2,
         tapes: 64,
         placement: PlacementPolicy::Mirror { copies: 2 },
-        tracer: bench_tracer(),
         ..SystemConfig::test_small()
     };
-    let sys = ArchiveSystem::new(config);
-    copra_bench::note_rig(&sys);
+    let sys = cli.system(config);
     sys.archive().mkdir_p("/camp").unwrap();
     let mut originals = Vec::new();
     for i in 0..files {
@@ -161,7 +159,7 @@ fn run(libraries: usize, files: u64) -> Row {
 
     durations_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let m = sys.snapshot().metrics;
-    Row {
+    let row = Row {
         libraries,
         files,
         outage,
@@ -172,7 +170,8 @@ fn run(libraries: usize, files: u64) -> Row {
         recall_goodput_mb_s: recall_goodput,
         resilvered: m.counter("replication.resilvered"),
         sim_seconds: report.end.as_secs_f64(),
-    }
+    };
+    (row, sys)
 }
 
 #[derive(Serialize)]
@@ -183,11 +182,15 @@ struct Bench {
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let quick = cli.quick;
     let files = if quick { 12 } else { 40 };
 
-    let rows = vec![run(1, files), run(2, files), run(4, files)];
+    let rows = vec![
+        run(&cli, 1, files).0,
+        run(&cli, 2, files).0,
+        run(&cli, 4, files).0,
+    ];
     // Every mirrored recall whose primary sat in the dead library must
     // have failed over; re-silver must repair exactly what degraded.
     for r in rows.iter().filter(|r| r.outage) {
@@ -208,7 +211,7 @@ fn main() {
     );
     assert_eq!(rows[2].degraded_migrates, 0, "{:?}", rows[2]);
     // Same seed, same fleet → the same simulated campaign, twice.
-    let again = run(2, files);
+    let (again, rig) = run(&cli, 2, files);
     assert_eq!(rows[1], again, "replication campaign must be deterministic");
 
     print_table(
@@ -254,5 +257,5 @@ fn main() {
     )
     .expect("write BENCH_replication.json");
     println!("  [json] BENCH_replication.json");
-    cli.finish();
+    cli.finish(&rig);
 }

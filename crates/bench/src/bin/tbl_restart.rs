@@ -9,7 +9,8 @@
 //! chunks have landed, then restart with chunk marking on and (baseline)
 //! off, and report the bytes re-sent.
 
-use copra_bench::{print_table, roadrunner_rig, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_core::{ArchiveSystem, SystemConfig};
 use copra_pftool::PftoolConfig;
 use copra_vfs::{ChunkMark, Content};
 use serde::Serialize;
@@ -27,9 +28,8 @@ struct Row {
     saved_pct: f64,
 }
 
-fn run(failed_fraction: f64, marking: bool) -> f64 {
-    let sys = roadrunner_rig();
-    copra_bench::note_rig(&sys);
+fn run(cli: &BenchCli, failed_fraction: f64, marking: bool) -> (f64, ArchiveSystem) {
+    let sys = cli.system(SystemConfig::roadrunner());
     let total = FILE_GB * 1_000_000_000;
     sys.scratch().mkdir_p("/src").unwrap();
     sys.scratch()
@@ -70,16 +70,18 @@ fn run(failed_fraction: f64, marking: bool) -> f64 {
         }
         other => panic!("{other:?}"),
     }
-    second.stats.bytes as f64 / 1e9
+    (second.stats.bytes as f64 / 1e9, sys)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut rig = None;
     for pct in [25u64, 50, 75] {
         let f = pct as f64 / 100.0;
-        let with_marking = run(f, true);
-        let without = run(f, false);
+        let (with_marking, _) = run(&cli, f, true);
+        let (without, sys) = run(&cli, f, false);
+        rig = Some(sys);
         rows.push(Row {
             failed_at_pct: pct,
             resent_with_marking_gb: with_marking,
@@ -109,5 +111,5 @@ fn main() {
     );
     println!("\n  Paper: chunk good/bad marking means only unsent (and the one\n  partially-written) chunk(s) are re-sent — 'a unique incremental parallel\n  archive feature'.");
     write_json("tbl_restart", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

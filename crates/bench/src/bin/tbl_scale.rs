@@ -15,7 +15,7 @@
 use copra_bench::{print_table, write_json};
 use copra_pfs::{Cmp, Pfs, PfsBuilder, PolicyEngine, Predicate, Rule};
 use copra_simtime::{Clock, SimDuration, SimInstant};
-use copra_trace::TraceReport;
+use copra_trace::{TraceReport, Tracer};
 use copra_vfs::Content;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -135,10 +135,10 @@ fn checksum(report: &copra_pfs::ScanReport) -> u64 {
     h
 }
 
-fn build_namespace(files: usize) -> (Clock, Pfs) {
+fn build_namespace(tracer: Tracer, files: usize) -> (Clock, Pfs) {
     let clock = Clock::new();
     let pfs = PfsBuilder::scratch("archive", clock.clone(), 8)
-        .tracer(copra_bench::bench_tracer())
+        .tracer(tracer)
         .build();
     // 1000 directories of mixed content: sizes spread over three decades,
     // fifty owners, and ages fanned out so every rule below has real work.
@@ -193,7 +193,7 @@ fn main() {
     let host_cores = physical_cores().max(usable_cores);
 
     let t0 = Instant::now();
-    let (_clock, pfs) = build_namespace(files);
+    let (_clock, pfs) = build_namespace(cli.tracer(), files);
     let build_secs = t0.elapsed().as_secs_f64();
     let eng = engine();
 
@@ -311,5 +311,5 @@ usable (cgroup/affinity limit); scaling numbers recorded, not enforced"
     )
     .expect("write BENCH_scale.json");
     println!("  [json] BENCH_scale.json");
-    cli.finish();
+    cli.finish(&());
 }

@@ -91,5 +91,5 @@ fn main() {
         600.0 / million.scan_secs.max(1e-9)
     );
     write_json("tbl_scan", &rows);
-    cli.finish();
+    cli.finish(&());
 }

@@ -11,12 +11,11 @@
 //! drive for (a) one-file-one-transaction HSM migration and (b) aggregated
 //! migration with 1 GB containers, plus the weekend arithmetic.
 
-use copra_bench::{bench_tracer, print_table, rig_library, write_json};
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_cluster::NodeId;
 use copra_hsm::aggregate::migrate_aggregated;
-use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
-use copra_pfs::{PfsBuilder, PoolConfig};
-use copra_simtime::{Clock, DataSize, SimInstant};
+use copra_hsm::{DataPath, Hsm};
+use copra_simtime::{DataSize, SimInstant};
 use copra_tape::TapeTiming;
 use copra_workloads::{populate, small_file_storm};
 use serde::Serialize;
@@ -30,20 +29,10 @@ struct Row {
     aggregation_speedup: f64,
 }
 
-fn one_drive_hsm() -> Hsm {
-    let pfs = PfsBuilder::new("archive", Clock::new())
-        .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
-        .tracer(bench_tracer())
-        .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(1));
-    let server = TsmServer::roadrunner(rig_library(1, 64, TapeTiming::lto4()));
-    let h = Hsm::new(pfs, server, cluster, PlacementPolicy::Single);
-    copra_bench::note_hsm(&h);
-    h
-}
-
-fn migrate_rate(file_size: u64, count: usize, aggregated: bool) -> f64 {
-    let hsm = one_drive_hsm();
+/// Migrate `count` files of `file_size` bytes on a one-node, one-drive
+/// rig and return the achieved MB/s with the rig.
+fn migrate_rate(cli: &BenchCli, file_size: u64, count: usize, aggregated: bool) -> (f64, Hsm) {
+    let hsm = cli.hsm_rig(1, 1, 64, 8, TapeTiming::lto4());
     let tree = small_file_storm(count, file_size, 7);
     populate(hsm.pfs(), "/data", &tree);
     let records = hsm.pfs().scan_records();
@@ -71,11 +60,12 @@ fn migrate_rate(file_size: u64, count: usize, aggregated: bool) -> f64 {
         }
         cursor
     };
-    copra_bench::mb_per_sec(tree.total_bytes(), start, end)
+    let rate = copra_bench::mb_per_sec(tree.total_bytes(), start, end);
+    (rate, hsm)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let sizes_mb: [(f64, usize); 5] = [
         (0.5, 400),
         (2.0, 300),
@@ -84,10 +74,12 @@ fn main() {
         (1000.0, 12),
     ];
     let mut rows = Vec::new();
+    let mut rig = None;
     for (mb, count) in sizes_mb {
         let size = (mb * 1e6) as u64;
-        let per_file = migrate_rate(size, count, false);
-        let agg = migrate_rate(size, count, true);
+        let (per_file, _) = migrate_rate(&cli, size, count, false);
+        let (agg, hsm) = migrate_rate(&cli, size, count, true);
+        rig = Some(hsm);
         rows.push(Row {
             file_size_mb: mb,
             files: count,
@@ -130,5 +122,5 @@ fn main() {
         "  2M x 8 MB files on 24 drives: {weekend_hours:.0} h per-file (paper: 'an entire weekend'), {agg_hours:.1} h aggregated."
     );
     write_json("tbl_small_file", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

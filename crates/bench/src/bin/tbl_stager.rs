@@ -21,7 +21,7 @@
 //! goodput floor — while p99 stays within 1.5× of FIFO, and a cache-hot
 //! recall performs zero tape mounts.
 
-use copra_bench::{bench_tracer, print_table, write_json, BenchCli, EXPERIMENT_SEED};
+use copra_bench::{print_table, write_json, BenchCli, EXPERIMENT_SEED};
 use copra_core::{ArchiveSystem, SystemConfig};
 use copra_simtime::SimInstant;
 use copra_stager::{Priority, RecallRequest, SchedulerMode, StagerConfig};
@@ -116,14 +116,16 @@ fn priority_of(level: u8) -> Priority {
 
 /// Build a fresh system, archive the campaign file set, run the arrival
 /// stream through the configured stager, and fold the completions.
-fn run(label: &str, campaign: &StagerCampaign, stager_cfg: StagerConfig) -> Row {
-    let mut config = SystemConfig::test_small()
-        .with_stager(stager_cfg)
-        .with_tracer(bench_tracer());
+fn run(
+    cli: &BenchCli,
+    label: &str,
+    campaign: &StagerCampaign,
+    stager_cfg: StagerConfig,
+) -> (Row, ArchiveSystem) {
+    let mut config = SystemConfig::test_small().with_stager(stager_cfg);
     config.drives = 8;
     config.tapes = 128;
-    let sys = ArchiveSystem::new(config);
-    copra_bench::note_rig(&sys);
+    let sys = cli.system(config);
     let stager = sys.stager().expect("stager configured").clone();
 
     // Archive the file set: create + migrate (hole punched — recalls hit
@@ -198,7 +200,7 @@ fn run(label: &str, campaign: &StagerCampaign, stager_cfg: StagerConfig) -> Row 
     let jain = goodputs.iter().sum::<f64>().powi(2)
         / (goodputs.len() as f64 * goodputs.iter().map(|g| g * g).sum::<f64>()).max(1e-12);
 
-    Row {
+    let row = Row {
         scheduler: label.to_string(),
         requests: campaign.requests.len(),
         users: per_user.len(),
@@ -212,7 +214,8 @@ fn run(label: &str, campaign: &StagerCampaign, stager_cfg: StagerConfig) -> Row 
         jain,
         makespan_s: makespan.saturating_since(t0).as_secs_f64(),
         sim_end_ns: makespan.as_nanos(),
-    }
+    };
+    (row, sys)
 }
 
 /// Prove the cache-hot path never mounts: recall the hottest file once
@@ -266,12 +269,12 @@ fn main() {
     let fair_cfg = StagerConfig::default();
     let unord_cfg = StagerConfig::default().tape_ordered(false);
 
-    let fifo = run("fifo", &campaign, fifo_cfg);
-    let fair = run("fair+tape", &campaign, fair_cfg.clone());
-    let unord = run("fair-unord", &campaign, unord_cfg);
+    let (fifo, _) = run(&cli, "fifo", &campaign, fifo_cfg);
+    let (fair, _) = run(&cli, "fair+tape", &campaign, fair_cfg.clone());
+    let (unord, _) = run(&cli, "fair-unord", &campaign, unord_cfg);
 
     // Run-twice determinism: the whole campaign reproduces to the nanosecond.
-    let fair_again = run("fair+tape", &campaign, fair_cfg);
+    let (fair_again, rig) = run(&cli, "fair+tape", &campaign, fair_cfg);
     assert_eq!(fair, fair_again, "stager campaign must be deterministic");
 
     assert_hot_recall_mounts_nothing(&campaign);
@@ -322,5 +325,5 @@ fn main() {
     )
     .expect("write BENCH_stager.json");
     println!("  [json] BENCH_stager.json");
-    cli.finish();
+    cli.finish(&rig);
 }

@@ -9,14 +9,13 @@
 //! of (a) unlink + reconcile-with-fix and (b) synchronous delete. Both
 //! must leave zero orphans.
 
-use copra_bench::{bench_tracer, print_table, rig_library, write_json};
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_cluster::NodeId;
 use copra_core::SyncDeleter;
 use copra_hsm::aggregate::migrate_aggregated;
-use copra_hsm::{reconcile, DataPath, Hsm, PlacementPolicy, TsmServer};
+use copra_hsm::{reconcile, DataPath, Hsm};
 use copra_metadb::TsmCatalog;
-use copra_pfs::{PfsBuilder, PoolConfig};
-use copra_simtime::{Clock, DataSize, SimInstant};
+use copra_simtime::{DataSize, SimInstant};
 use copra_tape::TapeTiming;
 use copra_workloads::{mixed_tree, populate};
 use serde::Serialize;
@@ -31,18 +30,11 @@ struct Row {
     advantage: f64,
 }
 
-fn build(files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
-    let pfs = PfsBuilder::new("archive", Clock::new())
-        .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
-        .tracer(bench_tracer())
-        .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(4));
-    let server = TsmServer::roadrunner(rig_library(8, 256, TapeTiming::lto4()));
-    let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
-    copra_bench::note_hsm(&hsm);
+fn build(cli: &BenchCli, files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
+    let hsm = cli.hsm_rig(4, 8, 256, 16, TapeTiming::lto4());
     let tree = mixed_tree(files, 20_000_000, 1.0, 16, 5);
-    populate(&pfs, "/data", &tree);
-    let records = pfs.scan_records();
+    populate(hsm.pfs(), "/data", &tree);
+    let records = hsm.pfs().scan_records();
     let files: Vec<_> = records.iter().map(|r| (r.ino, r.path.as_str())).collect();
     let out = migrate_aggregated(
         &hsm,
@@ -65,11 +57,12 @@ fn build(files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut rig = None;
     for files in [2_000usize, 10_000, 40_000] {
         // (a) classic: plain unlink then reconcile cleans the orphans.
-        let (hsm, _catalog, victims, t0) = build(files);
+        let (hsm, _catalog, victims, t0) = build(&cli, files);
         let n_victims = victims.len();
         for v in &victims {
             hsm.pfs().unlink(v).unwrap();
@@ -81,7 +74,7 @@ fn main() {
         assert!(verify.orphans.is_empty());
 
         // (b) synchronous delete.
-        let (hsm, catalog, victims, t0) = build(files);
+        let (hsm, catalog, victims, t0) = build(&cli, files);
         let deleter = SyncDeleter::new(hsm.clone(), catalog);
         let mut cursor = t0;
         let mut deleted = 0;
@@ -94,6 +87,7 @@ fn main() {
         let syncdel_secs = cursor.saturating_since(t0).as_secs_f64();
         let verify = reconcile(hsm.pfs(), hsm.server(), cursor, false).unwrap();
         assert!(verify.orphans.is_empty(), "syncdel left orphans");
+        rig = Some(hsm);
 
         rows.push(Row {
             files,
@@ -121,5 +115,5 @@ fn main() {
     );
     println!("\n  Paper: reconcile walks and compares EVERY file (O(N)); the\n  synchronous deleter pays only for what was deleted (O(deleted)).");
     write_json("tbl_syncdel", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

@@ -9,11 +9,10 @@
 //! We migrate K files (one volume, ascending seq), then recall all of them
 //! under both policies across a varying node count.
 
-use copra_bench::{bench_tracer, print_table, rig_library, write_json};
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
-use copra_hsm::{DataPath, Hsm, PlacementPolicy, RecallPolicy, RecallRequest, TsmServer};
-use copra_pfs::{PfsBuilder, PoolConfig};
-use copra_simtime::{Clock, DataSize, SimInstant};
+use copra_bench::{print_table, write_json, BenchCli};
+use copra_cluster::NodeId;
+use copra_hsm::{DataPath, Hsm, RecallPolicy, RecallRequest};
+use copra_simtime::SimInstant;
 use copra_tape::TapeTiming;
 use copra_vfs::Content;
 use serde::Serialize;
@@ -29,15 +28,9 @@ struct Row {
     penalty: f64,
 }
 
-fn run(nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64) {
-    let pfs = PfsBuilder::new("archive", Clock::new())
-        .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
-        .tracer(bench_tracer())
-        .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
-    let server = TsmServer::roadrunner(rig_library(2, 8, TapeTiming::lto4()));
-    let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
-    copra_bench::note_hsm(&hsm);
+fn run(cli: &BenchCli, nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64, Hsm) {
+    let hsm = cli.hsm_rig(nodes, 2, 8, 8, TapeTiming::lto4());
+    let pfs = hsm.pfs();
     let mut cursor = SimInstant::EPOCH;
     let mut inos = Vec::new();
     for i in 0..files as u64 {
@@ -60,16 +53,20 @@ fn run(nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64) {
         .recall_batch(&requests, policy, DataPath::LanFree, start)
         .unwrap();
     let handoffs = hsm.server().library().stats().totals.handoffs;
-    (out.makespan.saturating_since(start).as_secs_f64(), handoffs)
+    let secs = out.makespan.saturating_since(start).as_secs_f64();
+    (secs, handoffs, hsm)
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut rig = None;
     for nodes in [2usize, 4, 8] {
         let files = 24;
-        let (scatter_secs, scatter_handoffs) = run(nodes, files, RecallPolicy::Scatter);
-        let (affinity_secs, affinity_handoffs) = run(nodes, files, RecallPolicy::TapeAffinity);
+        let (scatter_secs, scatter_handoffs, _) = run(&cli, nodes, files, RecallPolicy::Scatter);
+        let (affinity_secs, affinity_handoffs, hsm) =
+            run(&cli, nodes, files, RecallPolicy::TapeAffinity);
+        rig = Some(hsm);
         rows.push(Row {
             nodes,
             files,
@@ -110,5 +107,5 @@ fn main() {
         "\n  Paper: hand-offs rewind + re-verify the label each time — 'a massive\n  performance hit'; same-machine affinity eliminates it (0 hand-offs)."
     );
     write_json("tbl_thrash", &rows);
-    cli.finish();
+    cli.finish(&rig);
 }

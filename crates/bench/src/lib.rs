@@ -17,21 +17,27 @@
 //! | `tbl_restart` | §4.5 restartable transfer chunk marking |
 //! | `tbl_faults` | retrieval goodput under injected drive/media/mover failures |
 //! | `tbl_stager` | fair-share stager vs unscheduled FIFO recall (T-STAGER) |
+//! | `tbl_ablation` | ablations A1–A5 of the design choices in `DESIGN.md` §6 |
+//! | `tbl_recovery` | journal replay + scrub cost vs journal length (T-RECOVERY) |
+//! | `tbl_replication` | mirrored placement under a drive kill + library outage |
+//! | `tbl_scale` | wall-clock scaling of the sharded-namespace policy scan (T-SCALE) |
 //!
 //! Each binary prints an aligned table and writes the same rows as JSON to
 //! `target/experiments/<name>.json`; `EXPERIMENTS.md` quotes these runs.
 //! Criterion benches (in `benches/`) measure the *real* wall-time of the
 //! hot machinery.
 
+use copra_cluster::{ClusterConfig, FtaCluster};
 use copra_core::{ArchiveSystem, SystemConfig, SystemSnapshot};
+use copra_hsm::{Hsm, PlacementPolicy, TsmServer};
 use copra_obs::Registry;
-use copra_simtime::{achieved_rate, DataSize, SimInstant};
+use copra_pfs::{PfsBuilder, PoolConfig};
+use copra_simtime::{achieved_rate, Clock, DataSize, SimInstant};
 use copra_tape::{TapeFleet, TapeTiming};
 use copra_trace::Tracer;
 use serde::Serialize;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
 
 /// Pretty-print an aligned table.
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {
@@ -98,26 +104,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("  [json] {}", path.display());
 }
 
-/// The standard experiment rig: the Roadrunner-shaped system, built with
-/// the [`bench_tracer`] (armed when the binary was invoked with
-/// `--trace-out`).
-pub fn roadrunner_rig() -> ArchiveSystem {
-    ArchiveSystem::new(SystemConfig::roadrunner().with_tracer(bench_tracer()))
-}
-
-/// A smaller rig for sweeps that rebuild the system many times. Also
-/// built with the [`bench_tracer`]; all rebuilt rigs share one span
-/// store, so the dumped trace covers the whole sweep.
-pub fn small_rig() -> ArchiveSystem {
-    ArchiveSystem::new(SystemConfig::test_small().with_tracer(bench_tracer()))
-}
-
-/// A one-library tape fleet for a hand-built HSM rig, whose registry
-/// records spans into the [`bench_tracer`] like the full-system rigs do.
-pub fn rig_library(drives: usize, tapes: usize, timing: TapeTiming) -> TapeFleet {
-    TapeFleet::new(1, drives, tapes, timing, Registry::traced(bench_tracer()))
-}
-
 /// Fixed seed used across experiment binaries (reproducibility).
 pub const EXPERIMENT_SEED: u64 = 0x0000_C075_2010;
 
@@ -130,50 +116,115 @@ pub fn mb_per_sec(bytes: u64, start: SimInstant, end: SimInstant) -> f64 {
 
 /// The CLI surface every experiment binary shares, parsed once up front:
 /// `--quick` (shrunken smoke-test workload), `--metrics-out <path>` and
-/// `--trace-out <path>`. Every binary calls [`BenchCli::parse`] at the
-/// top of `main` and [`BenchCli::finish`] at the bottom.
+/// `--trace-out <path>`. It owns the run's state: the tracer every rig
+/// records into (armed iff `--trace-out` was given) and the rig builders,
+/// so no bench state lives in a process global. Every binary calls
+/// [`BenchCli::parse`] at the top of `main` and [`BenchCli::finish`],
+/// with the rig to snapshot, at the bottom.
 #[derive(Debug, Clone)]
 pub struct BenchCli {
     /// `--quick`: run the smoke-test-sized version of the experiment.
     pub quick: bool,
-    /// `--metrics-out <path>`: dump the noted rig's metrics snapshot.
-    pub metrics_out: Option<PathBuf>,
-    /// `--trace-out <path>`: arm the bench tracer, dump Chrome JSON.
-    pub trace_out: Option<PathBuf>,
+    /// `--metrics-out <path>`: dump the finished rig's metrics snapshot.
+    metrics_out: Option<PathBuf>,
+    /// `--trace-out <path>`: dump the tracer's spans as Chrome JSON.
+    trace_out: Option<PathBuf>,
+    /// Seeded with [`EXPERIMENT_SEED`] when armed; disabled — and
+    /// therefore free — otherwise. Every rig built through this CLI
+    /// shares its span store, so a dumped trace covers the whole sweep.
+    tracer: Tracer,
 }
 
 impl BenchCli {
     pub fn parse() -> Self {
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    /// Parse `args` (without the program name). `<flag> <path>` and
+    /// `<flag>=<path>` are both accepted; the first occurrence wins.
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        let args: Vec<String> = args.into_iter().collect();
+        let trace_out = path_flag(&args, "--trace-out");
         BenchCli {
-            quick: std::env::args().any(|a| a == "--quick"),
-            metrics_out: path_flag("--metrics-out"),
-            trace_out: trace_out_arg(),
+            quick: args.iter().any(|a| a == "--quick"),
+            metrics_out: path_flag(&args, "--metrics-out"),
+            tracer: if trace_out.is_some() {
+                Tracer::armed(EXPERIMENT_SEED)
+            } else {
+                Tracer::disabled()
+            },
+            trace_out,
         }
     }
 
-    /// The standard experiment epilogue: honor `--metrics-out` and
-    /// `--trace-out` in the conventional order.
-    pub fn finish(&self) {
+    /// The run's tracer, for the rare rig a binary wires itself.
+    pub fn tracer(&self) -> Tracer {
+        self.tracer.clone()
+    }
+
+    /// A full system built from `config`, recording into the run's tracer.
+    pub fn system(&self, config: SystemConfig) -> ArchiveSystem {
+        ArchiveSystem::new(config.with_tracer(self.tracer()))
+    }
+
+    /// An HSM-only rig: an archive file system with one fast pool of
+    /// `disks` disks, a `nodes`-node tiny cluster, and a Roadrunner
+    /// TSM server over one library of `drives` drives and `tapes`
+    /// cartridges, placing single copies. The file system and the
+    /// library's registry record into the run's tracer.
+    pub fn hsm_rig(
+        &self,
+        nodes: usize,
+        drives: usize,
+        tapes: usize,
+        disks: usize,
+        timing: TapeTiming,
+    ) -> Hsm {
+        let pfs = PfsBuilder::new("archive", Clock::new())
+            .pool(PoolConfig::fast_disk("fast", disks, DataSize::tb(100)))
+            .tracer(self.tracer())
+            .build();
+        let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
+        let library = TapeFleet::new(1, drives, tapes, timing, Registry::traced(self.tracer()));
+        let server = TsmServer::roadrunner(library);
+        Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
+    }
+
+    /// The standard experiment epilogue: honor `--metrics-out` (a
+    /// snapshot of `rig`, the rig the binary's results came from) and
+    /// `--trace-out`, in that order.
+    pub fn finish(&self, rig: &impl Rig) {
         if let Some(path) = &self.metrics_out {
-            dump_metrics(path);
+            std::fs::write(path, rig.snapshot().to_json()).expect("write metrics snapshot");
+            println!("  [metrics] {}", path.display());
         }
         if let Some(path) = &self.trace_out {
-            dump_trace(path);
+            self.dump_trace(path);
         }
+    }
+
+    /// Write everything the tracer recorded as Chrome trace-event JSON
+    /// (open in `chrome://tracing` / Perfetto).
+    fn dump_trace(&self, path: &Path) {
+        let Some(report) = self.tracer.report() else {
+            return;
+        };
+        std::fs::write(path, report.to_chrome_json()).expect("write trace json");
+        println!(
+            "  [trace] {} ({} spans, {} dropped, digest {:016x})",
+            path.display(),
+            report.spans.len(),
+            report.dropped,
+            report.tree_digest()
+        );
     }
 }
 
-/// `--trace-out <path>` (or `--trace-out=<path>`): where to write the
-/// Chrome trace-event JSON. The flag also arms the bench tracer.
-fn trace_out_arg() -> Option<PathBuf> {
-    path_flag("--trace-out")
-}
-
-/// `<flag> <path>` or `<flag>=<path>` from the command line; `None` when
-/// the flag is absent.
-fn path_flag(flag: &str) -> Option<PathBuf> {
+/// `<flag> <path>` or `<flag>=<path>` in `args`; `None` when the flag is
+/// absent or has no value.
+fn path_flag(args: &[String], flag: &str) -> Option<PathBuf> {
     let eq = format!("{flag}=");
-    let mut args = std::env::args();
+    let mut args = args.iter();
     while let Some(a) = args.next() {
         if a == flag {
             return args.next().map(PathBuf::from);
@@ -185,80 +236,44 @@ fn path_flag(flag: &str) -> Option<PathBuf> {
     None
 }
 
-/// The process-wide bench tracer: armed (seeded with
-/// [`EXPERIMENT_SEED`]) iff the binary was invoked with `--trace-out`,
-/// disabled — and therefore free — otherwise.
-pub fn bench_tracer() -> Tracer {
-    static TRACER: OnceLock<Tracer> = OnceLock::new();
-    TRACER
-        .get_or_init(|| {
-            if trace_out_arg().is_some() {
-                Tracer::armed(EXPERIMENT_SEED)
-            } else {
-                Tracer::disabled()
-            }
-        })
-        .clone()
+/// A rig [`BenchCli::finish`] can snapshot for `--metrics-out`. A full
+/// system gives the complete device picture; an HSM-only rig still
+/// carries the registry, the server NIC and the drive timelines. `()` is
+/// the rig of a binary that builds none (its snapshot is empty), and a
+/// sweep's `Option` holds the last rig it built.
+pub trait Rig {
+    fn snapshot(&self) -> SystemSnapshot;
 }
 
-/// Honor `--trace-out <path>`: write everything the bench tracer recorded
-/// as Chrome trace-event JSON (open in `chrome://tracing` / Perfetto).
-fn dump_trace(path: &Path) {
-    let Some(report) = bench_tracer().report() else {
-        return;
-    };
-    std::fs::write(path, report.to_chrome_json()).expect("write trace json");
-    println!(
-        "  [trace] {} ({} spans, {} dropped, digest {:016x})",
-        path.display(),
-        report.spans.len(),
-        report.dropped,
-        report.tree_digest()
-    );
-}
-
-/// The most recently noted rig, kept alive so `--metrics-out` can snapshot
-/// it at exit (most binaries build systems inside sweep helpers). Full
-/// systems give the complete device picture; HSM-only rigs still carry
-/// the registry, the server NIC and the drive timelines.
-enum NotedRig {
-    System(Box<ArchiveSystem>),
-    Hsm(copra_hsm::Hsm),
-}
-
-static LAST_RIG: Mutex<Option<NotedRig>> = Mutex::new(None);
-
-/// Remember `sys` as the system a later [`BenchCli::finish`]
-/// snapshots. Cheap: an `ArchiveSystem` clone shares all state.
-pub fn note_rig(sys: &ArchiveSystem) {
-    *LAST_RIG.lock().unwrap() = Some(NotedRig::System(Box::new(sys.clone())));
-}
-
-/// Remember an HSM-only rig (binaries that drive `Hsm` directly, without
-/// the full `ArchiveSystem` wiring).
-pub fn note_hsm(hsm: &copra_hsm::Hsm) {
-    *LAST_RIG.lock().unwrap() = Some(NotedRig::Hsm(hsm.clone()));
-}
-
-fn snapshot_noted() -> SystemSnapshot {
-    match &*LAST_RIG.lock().unwrap() {
-        Some(NotedRig::System(sys)) => sys.snapshot(),
-        Some(NotedRig::Hsm(hsm)) => {
-            SystemSnapshot::of_server(hsm.server(), hsm.pfs().clock().now(), Vec::new())
-        }
-        None => SystemSnapshot {
-            sim_now_ns: 0,
-            devices: Vec::new(),
-            metrics: copra_obs::MetricsSnapshot::default(),
-        },
+impl Rig for ArchiveSystem {
+    fn snapshot(&self) -> SystemSnapshot {
+        ArchiveSystem::snapshot(self)
     }
 }
 
-/// Honor `--metrics-out <path>`: write the last noted rig's observability
-/// snapshot (device utilizations + metrics registry) as JSON.
-fn dump_metrics(path: &Path) {
-    std::fs::write(path, snapshot_noted().to_json()).expect("write metrics snapshot");
-    println!("  [metrics] {}", path.display());
+impl Rig for Hsm {
+    fn snapshot(&self) -> SystemSnapshot {
+        SystemSnapshot::of_server(self.server(), self.pfs().clock().now(), Vec::new())
+    }
+}
+
+impl Rig for () {
+    fn snapshot(&self) -> SystemSnapshot {
+        SystemSnapshot {
+            sim_now_ns: 0,
+            devices: Vec::new(),
+            metrics: copra_obs::MetricsSnapshot::default(),
+        }
+    }
+}
+
+impl<R: Rig> Rig for Option<R> {
+    fn snapshot(&self) -> SystemSnapshot {
+        match self {
+            Some(rig) => rig.snapshot(),
+            None => ().snapshot(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -273,9 +288,39 @@ mod tests {
         assert!((s.mean - 4.0).abs() < 1e-12);
     }
 
+    fn parsed(args: &[&str]) -> BenchCli {
+        BenchCli::from_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn trace_out_arms_the_tracer_in_both_spellings() {
+        for args in [&["--trace-out", "x"][..], &["--trace-out=x"]] {
+            let cli = parsed(args);
+            assert_eq!(cli.trace_out, Some(PathBuf::from("x")), "{args:?}");
+            assert!(cli.tracer.is_armed(), "{args:?}");
+        }
+        let cli = parsed(&[]);
+        assert_eq!(cli.trace_out, None);
+        assert!(!cli.tracer.is_armed());
+    }
+
+    #[test]
+    fn quick_and_metrics_out_parse() {
+        let cli = parsed(&["--quick", "--metrics-out", "m.json"]);
+        assert!(cli.quick);
+        assert_eq!(cli.metrics_out, Some(PathBuf::from("m.json")));
+        let cli = parsed(&["--metrics-out=m.json"]);
+        assert!(!cli.quick);
+        assert_eq!(cli.metrics_out, Some(PathBuf::from("m.json")));
+    }
+
     #[test]
     fn rigs_build() {
-        let rig = small_rig();
-        assert!(rig.archive().pool_by_name("tape").is_some());
+        let cli = parsed(&[]);
+        let sys = cli.system(SystemConfig::test_small());
+        assert!(sys.archive().pool_by_name("tape").is_some());
+        let hsm = cli.hsm_rig(2, 3, 4, 8, TapeTiming::lto4());
+        assert_eq!(hsm.cluster().nodes().count(), 2);
+        assert_eq!(hsm.server().library().drive_timeline_stats().len(), 3);
     }
 }

@@ -82,11 +82,6 @@ impl SystemSnapshot {
         }
     }
 
-    /// Look up one device row by its stable name.
-    pub fn device(&self, name: &str) -> Option<&DeviceUtilization> {
-        self.devices.iter().find(|d| d.name == name)
-    }
-
     /// All devices whose name starts with `prefix` (`"nic."`, `"tape."`).
     pub fn devices_with_prefix<'a>(
         &'a self,
@@ -199,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_lookup_and_mean() {
+    fn snapshot_mean_by_prefix() {
         let snap = SystemSnapshot {
             sim_now_ns: 100_000_000_000,
             devices: vec![
@@ -221,8 +216,6 @@ mod tests {
             ],
             metrics: MetricsSnapshot::default(),
         };
-        assert!(snap.device("trunk.link0").is_some());
-        assert!(snap.device("nope").is_none());
         assert!((snap.mean_utilization("nic.") - 0.4).abs() < 1e-12);
         assert_eq!(snap.mean_utilization("hba."), 0.0);
     }

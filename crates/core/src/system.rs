@@ -6,10 +6,10 @@ use copra_fuse::ArchiveFuse;
 use copra_hsm::{DataPath, Hsm, HsmResult, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
 use copra_obs::Registry;
-use copra_pfs::{Cmp, HsmState, Pfs, PfsBuilder, PolicyEngine, PoolConfig, Predicate, Rule};
+use copra_pfs::{Cmp, Pfs, PfsBuilder, PolicyEngine, PoolConfig, Predicate, Rule};
 use copra_pftool::{pfcm, pfcp, CompareReport, CopyReport, FsView, PftoolConfig};
 use copra_simtime::{Clock, DataSize, SimDuration, SimInstant};
-use copra_stager::{Admission, MigrateRequest, RecallRequest, Stager, StagerConfig};
+use copra_stager::{MigrateRequest, Stager, StagerConfig};
 use copra_tape::{TapeFleet, TapeTiming};
 use std::sync::Arc;
 
@@ -268,30 +268,6 @@ impl ArchiveSystem {
     }
 
     // ----- typed request entry points ---------------------------------------
-
-    /// Recall through the typed request surface. With a stager configured
-    /// this is a stager submit (fair-share scheduling, admission verdicts,
-    /// pool hits); without one it is the historical direct recall, eagerly
-    /// executed — the verdict is always `Accepted`. Both paths end in
-    /// `Hsm::recall_file`, the HSM's one single-file recall, which callers
-    /// holding an inode and a mover node use directly.
-    pub fn recall(&self, req: RecallRequest, now: SimInstant) -> HsmResult<Admission> {
-        if let Some(stager) = &self.stager {
-            return stager.submit(req, now);
-        }
-        let ino = self.archive.resolve(&req.path)?;
-        if self.archive.hsm_state(ino)? == HsmState::Migrated {
-            let nodes = self.cluster.node_count() as u32;
-            let node = copra_cluster::NodeId((ino.0 % nodes as u64) as u32);
-            self.hsm
-                .recall_file(ino, node, DataPath::LanFree, now, None)?;
-        } else {
-            let bytes = self.archive.logical_size(ino)?;
-            self.archive
-                .charge_read(ino, now, DataSize::from_bytes(bytes));
-        }
-        Ok(Admission::Accepted)
-    }
 
     /// Migrate through the typed request surface: resolves the path, picks
     /// a mover node, and runs the HSM migrate with the request's `punch`

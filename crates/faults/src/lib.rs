@@ -335,10 +335,6 @@ pub struct FaultPlane {
 }
 
 impl FaultPlane {
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     pub fn obs(&self) -> &Arc<Registry> {
         &self.obs
     }

@@ -118,10 +118,6 @@ impl StorageAgent {
         }
     }
 
-    pub fn node(&self) -> NodeId {
-        self.shared.node
-    }
-
     pub fn server(&self) -> &TsmServer {
         &self.shared.server
     }

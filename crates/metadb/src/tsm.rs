@@ -235,7 +235,8 @@ impl TsmCatalog {
         rows.into_iter().map(|(_, row)| row.clone()).collect()
     }
 
-    /// Everything on one volume in tape order (volume-drain recalls).
+    /// Everything on one volume in tape order.
+    #[cfg(test)]
     pub fn on_tape(&self, tape: u32) -> Vec<TsmObjectRow> {
         let r = self.replica.read();
         let entries = r

@@ -82,10 +82,6 @@ impl Registry {
         &self.tracer
     }
 
-    pub fn events(&self) -> &EventRing {
-        &self.events
-    }
-
     /// Freeze the registry into plain data.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {

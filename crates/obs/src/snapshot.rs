@@ -67,12 +67,12 @@ impl MetricsSnapshot {
         self.histograms.get(name)
     }
 
-    /// Serialize to pretty JSON.
+    #[cfg(test)]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("serialize metrics snapshot")
     }
 
-    /// Parse a snapshot back from JSON.
+    #[cfg(test)]
     pub fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|e| e.to_string())
     }

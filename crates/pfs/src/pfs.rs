@@ -54,7 +54,6 @@ pub struct PfsBuilder {
     clock: Clock,
     pools: Vec<PoolConfig>,
     placement: Vec<Rule>,
-    meta_latency: SimDuration,
     tracer: Tracer,
 }
 
@@ -65,7 +64,6 @@ impl PfsBuilder {
             clock,
             pools: Vec::new(),
             placement: Vec::new(),
-            meta_latency: SimDuration::from_micros(600),
             tracer: Tracer::disabled(),
         }
     }
@@ -78,12 +76,6 @@ impl PfsBuilder {
             devices,
             DataSize::tb(2000),
         ))
-    }
-
-    /// Per-metadata-transaction latency (create/stat/unlink).
-    pub fn meta_latency(mut self, latency: SimDuration) -> Self {
-        self.meta_latency = latency;
-        self
     }
 
     /// Add a pool. The first internal pool added becomes the default
@@ -126,7 +118,9 @@ impl PfsBuilder {
             .find(|p| !p.is_external())
             .expect("checked above")
             .id();
-        let meta = Timeline::latency_only(format!("{}-meta", self.name), self.meta_latency);
+        // One metadata transaction (create / stat / unlink) costs 600 µs.
+        let meta =
+            Timeline::latency_only(format!("{}-meta", self.name), SimDuration::from_micros(600));
         Pfs {
             shared: Arc::new(PfsShared {
                 vfs: Vfs::new(self.name, self.clock),
@@ -189,45 +183,6 @@ impl Pfs {
 
     fn pool_tag(&self, id: PoolId) -> u8 {
         u8::try_from(id.0 ^ self.shared.default_pool.0).expect("a Pfs has under 256 pools")
-    }
-
-    /// Move a file's *placement* between internal pools (ILM tiering within
-    /// the file system). Charges a read on the old pool and a write on the
-    /// new one; returns the write reservation.
-    pub fn move_to_pool(&self, ino: Ino, to: &str, ready: SimInstant) -> FsResult<Reservation> {
-        let to_id = *self
-            .shared
-            .pool_by_name
-            .get(to)
-            .ok_or_else(|| FsError::NotFound(format!("pool {to}")))?;
-        if self.pool(to_id).is_external() {
-            return Err(FsError::PermissionDenied(
-                "use the HSM to migrate to external pools".to_string(),
-            ));
-        }
-        let (from_tag, on_disk) = self.shared.vfs.update_region(ino, |file| {
-            let from = file.pool();
-            file.set_pool(self.pool_tag(to_id));
-            // A punched stub occupies no disk: tiering it moves metadata only.
-            let on_disk = match file.region().state {
-                HsmState::Migrated => 0,
-                _ => file.size(),
-            };
-            Ok((from, on_disk))
-        })?;
-        let size = DataSize::from_bytes(on_disk);
-        let from_id = self.tag_pool(from_tag);
-        if from_id == to_id {
-            return Ok(Reservation {
-                start: ready,
-                end: ready,
-            });
-        }
-        let r_read = self.pool(from_id).charge_io(ready, size);
-        let r_write = self.pool(to_id).charge_io(r_read.end, size);
-        self.pool(from_id).account_remove(size);
-        self.pool(to_id).account_add(size);
-        Ok(r_write)
     }
 
     /// Charge one metadata transaction (create / stat / unlink) on this
@@ -879,24 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn move_between_internal_pools() {
-        let pfs = archive_fs();
-        let ino = pfs
-            .create_file("/f", 0, Content::synthetic(1, 10 << 20))
-            .unwrap();
-        assert_eq!(pfs.pool(pfs.pool_of(ino)).name(), "fast");
-        let r = pfs.move_to_pool(ino, "slow", SimInstant::EPOCH).unwrap();
-        assert!(r.end > SimInstant::EPOCH);
-        assert_eq!(pfs.pool(pfs.pool_of(ino)).name(), "slow");
-        assert!(pfs.move_to_pool(ino, "tape", SimInstant::EPOCH).is_err());
-        // idempotent same-pool move is free
-        let r2 = pfs
-            .move_to_pool(ino, "slow", SimInstant::from_secs(5))
-            .unwrap();
-        assert_eq!(r2.start, r2.end);
-    }
-
-    #[test]
     fn scan_records_reflect_state() {
         let clock = Clock::new();
         let pfs = PfsBuilder::new("a", clock.clone())
@@ -942,9 +879,17 @@ mod tests {
     #[test]
     fn streaming_scan_is_thread_count_invariant() {
         let clock = Clock::new();
+        // The five smallest files of each directory land in the slow pool.
         let pfs = PfsBuilder::new("a", clock.clone())
             .pool(PoolConfig::fast_disk("fast", 1, DataSize::tb(1)))
             .pool(PoolConfig::slow_disk("slow", 1, DataSize::tb(1)))
+            .placement(vec![Rule {
+                name: "tiny-to-slow".to_string(),
+                action: Action::Place {
+                    pool: "slow".to_string(),
+                },
+                predicate: Predicate::SizeBytes(Cmp::Lt, 69),
+            }])
             .build();
         for d in 0..8 {
             pfs.mkdir_p(&format!("/d{d}")).unwrap();
@@ -956,9 +901,6 @@ mod tests {
                         Content::synthetic(u64::from(d * 100 + i), 64 + u64::from(i)),
                     )
                     .unwrap();
-                if i % 5 == 0 {
-                    pfs.move_to_pool(ino, "slow", SimInstant::EPOCH).unwrap();
-                }
                 if i % 7 == 0 {
                     pfs.mark_premigrated(ino, u64::from(d * 100 + i)).unwrap();
                     pfs.punch_hole(ino).unwrap();
@@ -1013,9 +955,6 @@ mod tests {
                         pfs.punch_hole(ino).unwrap();
                     }
                     _ => {}
-                }
-                if i % 5 == 0 {
-                    pfs.move_to_pool(ino, "fast", SimInstant::EPOCH).unwrap();
                 }
             }
         }
@@ -1101,12 +1040,8 @@ mod tests {
         for i in 0..120u64 {
             let size = if i % 3 == 0 { 4096 } else { 2 << 20 };
             let path = format!("/d/f{i:03}");
-            let ino = pfs
-                .create_file(&path, 0, Content::synthetic(i, size))
+            pfs.create_file(&path, 0, Content::synthetic(i, size))
                 .unwrap();
-            if let Some(to) = ["slow", "fast"].get(i as usize % 7) {
-                pfs.move_to_pool(ino, to, SimInstant::EPOCH).unwrap();
-            }
             if i == 60 {
                 pfs.clock().advance_to(SimInstant::from_secs(3600));
             }

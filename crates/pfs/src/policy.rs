@@ -32,6 +32,7 @@ pub struct FileRecord {
 }
 
 impl FileRecord {
+    #[cfg(test)]
     pub fn view(&self) -> FileView<'_> {
         FileView {
             path: &self.path,
@@ -276,6 +277,7 @@ impl PolicyEngine {
         self.rules.iter().any(|r| r.predicate.reads_path())
     }
 
+    #[cfg(test)]
     pub fn rules(&self) -> &[Rule] {
         &self.rules
     }

@@ -42,7 +42,6 @@ enum Op {
     Premigrate(u8),
     Punch(u8),
     Restore(u8),
-    MovePool(u8),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -57,7 +56,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             (0u8..12).prop_map(Op::Premigrate),
             (0u8..12).prop_map(Op::Punch),
             (0u8..12).prop_map(Op::Restore),
-            (0u8..12).prop_map(Op::MovePool),
         ],
         1..60,
     )
@@ -88,8 +86,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// After any sequence of namespace + DMAPI operations, against a model
-    /// that owns each file's pool (placed by size at create, toggled by a
-    /// pool move, placed afresh on re-create):
+    /// that owns each file's pool (placed by size at create, placed afresh
+    /// on re-create):
     /// * `pool_of` and the scan records' `pool`, at 1 and 4 threads, name
     ///   the model's pool;
     /// * per-pool `used` equals the sum of on-disk bytes of its files;
@@ -176,12 +174,6 @@ proptest! {
                         } else {
                             prop_assert!(r.is_err());
                         }
-                    }
-                }
-                Op::MovePool(f) => {
-                    if let Some(m) = files.get_mut(&f) {
-                        m.pool = if m.pool == "fast" { "slow" } else { "fast" };
-                        pfs.move_to_pool(m.ino, m.pool, SimInstant::EPOCH).unwrap();
                     }
                 }
             }

@@ -66,6 +66,7 @@ impl RunStats {
     }
 
     /// Average file size in MB (the Figure 11 metric).
+    #[cfg(test)]
     pub fn avg_file_mb(&self) -> f64 {
         if self.files == 0 {
             0.0

@@ -94,13 +94,6 @@ impl TimelinePool {
             .iter()
             .fold(SimInstant::EPOCH, |acc, m| acc.max(m.next_free()))
     }
-
-    /// Reset all members.
-    pub fn reset(&self) {
-        for m in &self.members {
-            m.reset();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -59,14 +59,6 @@ impl DataSize {
     pub fn saturating_sub(self, rhs: DataSize) -> DataSize {
         DataSize(self.0.saturating_sub(rhs.0))
     }
-
-    pub fn min(self, other: DataSize) -> DataSize {
-        DataSize(self.0.min(other.0))
-    }
-
-    pub fn max(self, other: DataSize) -> DataSize {
-        DataSize(self.0.max(other.0))
-    }
 }
 
 impl Add for DataSize {

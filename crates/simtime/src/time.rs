@@ -63,15 +63,6 @@ impl SimInstant {
             other
         }
     }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimInstant) -> SimInstant {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl SimDuration {
@@ -114,22 +105,9 @@ impl SimDuration {
         self.0 == 0
     }
 
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiply by an integer count (e.g. per-file fixed costs).
-    pub fn saturating_mul(self, count: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(count))
     }
 }
 

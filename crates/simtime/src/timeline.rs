@@ -222,11 +222,6 @@ impl Timeline {
     pub fn next_free(&self) -> SimInstant {
         SimInstant::from_nanos(self.shared.state.lock().next_free)
     }
-
-    /// Reset accounting and availability (used between benchmark runs).
-    pub fn reset(&self) {
-        *self.shared.state.lock() = State::default();
-    }
 }
 
 impl State {
@@ -374,16 +369,6 @@ mod tests {
         t.transfer(SimInstant::EPOCH, mb(800));
         assert_eq!(t.stats().utilization(SimInstant::from_secs(4)), 1.0);
         assert_eq!(t.stats().utilization(SimInstant::EPOCH), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_accounting() {
-        let t = Timeline::new("nic", Bandwidth::mb_per_sec(100), SimDuration::ZERO);
-        t.transfer(SimInstant::EPOCH, mb(100));
-        t.reset();
-        let s = t.stats();
-        assert_eq!(s.ops, 0);
-        assert_eq!(s.next_free, SimInstant::EPOCH);
     }
 
     #[test]

@@ -192,10 +192,6 @@ impl Stager {
         }
     }
 
-    pub fn config(&self) -> &StagerConfig {
-        &self.cfg
-    }
-
     fn tracer(&self) -> &Tracer {
         self.hsm.server().obs().tracer()
     }

@@ -70,10 +70,6 @@ impl Cartridge {
         self.id
     }
 
-    pub fn capacity(&self) -> DataSize {
-        self.capacity
-    }
-
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }

@@ -93,10 +93,6 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    pub fn store(&self) -> Option<&Arc<TraceStore>> {
-        self.inner.as_ref()
-    }
-
     /// Open a root span (no parent). Returns `None` when disabled.
     pub fn root(&self, name: &'static str, key: u64, sim_now: SimInstant) -> Option<SpanGuard> {
         let store = self.inner.as_ref()?;
@@ -283,12 +279,14 @@ impl SpanGuard {
         self.span.ctx()
     }
 
+    #[cfg(test)]
     pub fn id(&self) -> SpanId {
         self.span.id
     }
 
     /// Open a child span. Always succeeds (the parent proves the tracer
     /// is armed).
+    #[cfg(test)]
     pub fn child(&self, name: &'static str, key: u64, sim_now: SimInstant) -> SpanGuard {
         let id = derive_span_id(self.span.id.0, name, key);
         SpanGuard::open(

@@ -236,10 +236,6 @@ impl Content {
         self.len == 0
     }
 
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
     /// Append a segment, merging with the tail when the streams abut.
     pub fn push(&mut self, seg: Segment) {
         if seg.is_empty() {

@@ -126,11 +126,6 @@ impl RegionWrite<'_> {
         self.node.pool
     }
 
-    /// Re-tag the file's storage pool. No timestamp moves.
-    pub fn set_pool(&mut self, pool: u8) {
-        self.node.pool = pool;
-    }
-
     /// Replace the record: an attribute change, so it stamps ctime.
     pub fn set_region(&mut self, region: ManagedRegion) {
         **self.node.region.get_or_insert_with(Box::default) = region;
@@ -407,10 +402,6 @@ impl Vfs {
 
     pub fn clock(&self) -> &Clock {
         &self.shared.clock
-    }
-
-    pub fn root(&self) -> Ino {
-        ROOT
     }
 
     fn now(&self) -> SimInstant {
@@ -1089,7 +1080,7 @@ mod tests {
         assert_eq!(v.mkdir_p("//a/f/x/y/"), not_dir);
         let invalid = Err(FsError::InvalidPath("a/b".to_string()));
         assert_eq!(v.mkdir_p("a/b"), invalid);
-        assert_eq!(v.mkdir_p("/"), Ok(v.root()));
+        assert_eq!(v.mkdir_p("/"), Ok(ROOT));
         assert_eq!(v.mkdir_p("/a"), Ok(a));
     }
 
@@ -1285,26 +1276,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_tag_is_set_at_create_and_moves_no_timestamp() {
+    fn pool_tag_is_set_at_create_and_survives_rename() {
         let v = fs();
         let d = v.mkdir("/d").unwrap();
         let a = v.create("/d/a", 0, 3, Content::synthetic(1, 10)).unwrap();
-        let b = v.create_in(d, "b", 0, 0, Content::empty()).unwrap();
+        let b = v.create_in(d, "b", 0, 7, Content::empty()).unwrap();
         let tag = |ino| v.inspect(ino, |inode| inode.pool).unwrap();
-        assert_eq!((tag(a), tag(b)), (3, 0));
+        assert_eq!((tag(a), tag(b)), (3, 7));
         assert_eq!(v.stat_ino(a).unwrap().pool, 3);
-        let before = v.stat_ino(b).unwrap();
-        v.clock().advance_to(SimInstant::from_secs(5));
-        v.update_region(b, |file| {
-            file.set_pool(7);
-            Ok(())
-        })
-        .unwrap();
-        let after = v.stat_ino(b).unwrap();
-        assert_eq!(
-            (after.pool, after.ctime, after.mtime),
-            (7, before.ctime, before.mtime)
-        );
         v.rename("/d/b", "/b").unwrap();
         assert_eq!(tag(b), 7);
         assert_eq!(v.unlink("/b").unwrap().pool, 7);

@@ -55,8 +55,8 @@ pub struct InodeAttr {
     pub ctime: SimInstant,
     /// DMAPI managed-region record: HSM state, tape object id, stub size.
     pub region: ManagedRegion,
-    /// Storage-pool tag, opaque to the `Vfs` (0 unless the creator or
-    /// [`crate::RegionWrite::set_pool`] set one).
+    /// Storage-pool tag, opaque to the `Vfs` (0 unless the creator set
+    /// one).
     pub pool: u8,
     /// ArchiveFUSE's mark, if the inode is part of a chunked file.
     pub chunk_mark: Option<ChunkMark>,

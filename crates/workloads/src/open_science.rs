@@ -165,11 +165,13 @@ impl OpenScienceTrace {
 
     // --- the Figure 8/9/11 series, straight from the generated spec ---
 
-    pub fn files_per_job(&self) -> Vec<u64> {
+    #[cfg(test)]
+    fn files_per_job(&self) -> Vec<u64> {
         self.jobs.iter().map(|j| j.files).collect()
     }
 
-    pub fn gb_per_job(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn gb_per_job(&self) -> Vec<f64> {
         self.jobs.iter().map(|j| j.bytes as f64 / 1e9).collect()
     }
 
