@@ -138,10 +138,6 @@ fn bench_catalog(c: &mut Criterion) {
             )
         })
     });
-    let ids: Vec<u64> = (0..2_000).map(|i| i * 97 % n).collect();
-    g.bench_function("sort_for_recall_2k", |b| {
-        b.iter(|| black_box(catalog.sort_for_recall(&ids).len()))
-    });
     g.finish();
 }
 

@@ -11,7 +11,7 @@
 //! for both paths.
 
 use copra_bench::{print_table, write_json, BenchCli};
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_cluster::{FtaCluster, NodeId};
 use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_obs::Registry;
 use copra_pfs::{PfsBuilder, PoolConfig};
@@ -38,7 +38,7 @@ fn run(cli: &BenchCli, nodes: usize, path: DataPath) -> (f64, Hsm) {
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
         .tracer(cli.tracer())
         .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
+    let cluster = FtaCluster::new(nodes);
     // The paper-era server NIC: one 10GigE (derated like the trunk).
     let server = TsmServer::new(
         TapeFleet::new(

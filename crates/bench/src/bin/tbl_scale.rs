@@ -125,7 +125,7 @@ fn checksum(report: &copra_pfs::ScanReport) -> u64 {
         }
     };
     eat(&(report.scanned as u64).to_le_bytes());
-    for (name, recs) in report.lists.iter().chain(report.migrations.iter()) {
+    for (name, recs) in &report.lists {
         eat(name.as_bytes());
         for r in recs {
             eat(r.path.as_bytes());
@@ -176,7 +176,7 @@ fn engine() -> PolicyEngine {
             Predicate::MtimeAge(Cmp::Ge, SimDuration::from_secs(3600))
                 .and(Predicate::Uid(Cmp::Lt, 25)),
         ),
-        Rule::migrate(
+        Rule::list(
             "big-to-tape",
             "tape",
             Predicate::SizeBytes(Cmp::Ge, 1_000_000),
@@ -214,8 +214,7 @@ fn main() {
             }
         }
         let (scan_secs, report) = best.unwrap();
-        let matched = report.lists.values().map(Vec::len).sum::<usize>()
-            + report.migrations.values().map(Vec::len).sum::<usize>();
+        let matched = report.lists.values().map(Vec::len).sum::<usize>();
         let base = rows.first().map(|r: &Row| r.scan_secs).unwrap_or(scan_secs);
         rows.push(Row {
             threads,

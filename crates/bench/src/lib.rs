@@ -27,7 +27,7 @@
 //! Criterion benches (in `benches/`) measure the *real* wall-time of the
 //! hot machinery.
 
-use copra_cluster::{ClusterConfig, FtaCluster};
+use copra_cluster::FtaCluster;
 use copra_core::{ArchiveSystem, SystemConfig, SystemSnapshot};
 use copra_hsm::{Hsm, PlacementPolicy, TsmServer};
 use copra_obs::Registry;
@@ -168,7 +168,7 @@ impl BenchCli {
     }
 
     /// An HSM-only rig: an archive file system with one fast pool of
-    /// `disks` disks, a `nodes`-node tiny cluster, and a Roadrunner
+    /// `disks` disks, a `nodes`-node FTA cluster, and a Roadrunner
     /// TSM server over one library of `drives` drives and `tapes`
     /// cartridges, placing single copies. The file system and the
     /// library's registry record into the run's tracer.
@@ -184,7 +184,7 @@ impl BenchCli {
             .pool(PoolConfig::fast_disk("fast", disks, DataSize::tb(100)))
             .tracer(self.tracer())
             .build();
-        let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
+        let cluster = FtaCluster::new(nodes);
         let library = TapeFleet::new(1, drives, tapes, timing, Registry::traced(self.tracer()));
         let server = TsmServer::roadrunner(library);
         Hsm::new(pfs, server, cluster, PlacementPolicy::Single)

@@ -17,52 +17,22 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Cluster hardware description.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    pub nodes: usize,
-    /// Per-node Ethernet NIC.
-    pub nic: Bandwidth,
-    pub nic_latency: SimDuration,
-    /// Per-node FC HBA (SAN path for LAN-free movement).
-    pub hba: Bandwidth,
-    pub hba_latency: SimDuration,
-    /// Links in the trunk between scratch and archive networks.
-    pub trunk_links: usize,
-    pub trunk_link_rate: Bandwidth,
-}
+// The paper's Roadrunner archive hardware (§4.3.1, §5.1): every FTA mover
+// node has a 10GigE NIC and an FC4 HBA, and a 2×10GigE trunk joins the
+// scratch and archive networks.
 
-impl ClusterConfig {
-    /// The paper's Roadrunner archive setup: 10 mover nodes, 10GigE NICs,
-    /// FC4 HBAs, a 2×10GigE trunk (§4.3.1, §5.1).
-    pub fn roadrunner() -> Self {
-        ClusterConfig {
-            nodes: 10,
-            nic: Bandwidth::gbit_per_sec(10),
-            nic_latency: SimDuration::from_micros(50),
-            hba: Bandwidth::gbit_per_sec(4),
-            hba_latency: SimDuration::from_micros(20),
-            trunk_links: 2,
-            // 10GigE link derated to the ~75% the paper observes as peak
-            // achievable utilization (TCP/IP overheads, 2009-era stacks).
-            trunk_link_rate: Bandwidth::gbit_per_sec(10).scaled(0.75),
-        }
-    }
-
-    /// A small test cluster.
-    pub fn tiny(nodes: usize) -> Self {
-        ClusterConfig {
-            nodes,
-            ..ClusterConfig::roadrunner()
-        }
-    }
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig::roadrunner()
-    }
-}
+/// Per-node Ethernet NIC.
+const NIC: Bandwidth = Bandwidth::gbit_per_sec(10);
+const NIC_LATENCY: SimDuration = SimDuration::from_micros(50);
+/// Per-node FC HBA (SAN path for LAN-free movement).
+const HBA: Bandwidth = Bandwidth::gbit_per_sec(4);
+const HBA_LATENCY: SimDuration = SimDuration::from_micros(20);
+/// Links in the trunk between scratch and archive networks.
+const TRUNK_LINKS: usize = 2;
+/// 10GigE link derated to the ~75% the paper observes as peak achievable
+/// utilization (TCP/IP overheads, 2009-era stacks).
+const TRUNK_LINK_RATE: Bandwidth =
+    Bandwidth::from_bytes_per_sec(Bandwidth::gbit_per_sec(10).as_bytes_per_sec() / 4 * 3);
 
 struct NodeDevices {
     nic: Timeline,
@@ -81,18 +51,20 @@ pub struct FtaCluster {
 }
 
 impl FtaCluster {
-    pub fn new(config: ClusterConfig) -> Self {
-        assert!(config.nodes > 0, "cluster needs at least one node");
-        let nodes = (0..config.nodes)
+    /// A cluster of `nodes` FTA movers on the paper's hardware (10 in the
+    /// Roadrunner deployment).
+    pub fn new(nodes: usize) -> Self {
+        assert!(nodes > 0, "cluster needs at least one node");
+        let nodes = (0..nodes)
             .map(|i| NodeDevices {
-                nic: Timeline::new(format!("fta{i:02}-nic"), config.nic, config.nic_latency),
-                hba: Timeline::new(format!("fta{i:02}-hba"), config.hba, config.hba_latency),
+                nic: Timeline::new(format!("fta{i:02}-nic"), NIC, NIC_LATENCY),
+                hba: Timeline::new(format!("fta{i:02}-hba"), HBA, HBA_LATENCY),
             })
             .collect();
         let trunk = TimelinePool::new(
             "trunk",
-            config.trunk_links,
-            config.trunk_link_rate,
+            TRUNK_LINKS,
+            TRUNK_LINK_RATE,
             SimDuration::from_micros(10),
         );
         FtaCluster {
@@ -166,7 +138,7 @@ mod tests {
 
     #[test]
     fn network_charge_crosses_nic_and_trunk() {
-        let c = FtaCluster::new(ClusterConfig::tiny(2));
+        let c = FtaCluster::new(2);
         // 10 GB over 10GigE nic (1.25 GB/s) ≈ 8 s, then the derated trunk
         // (0.9375 GB/s) ≈ 10.67 s.
         let r = c.charge_network(NodeId(0), SimInstant::EPOCH, DataSize::gb(10));
@@ -176,7 +148,7 @@ mod tests {
 
     #[test]
     fn trunk_is_shared_across_nodes() {
-        let c = FtaCluster::new(ClusterConfig::tiny(4));
+        let c = FtaCluster::new(4);
         // 4 nodes each push 10 GB concurrently; 2 trunk links serve 2 each.
         let ends: Vec<_> = c
             .nodes()
@@ -190,7 +162,7 @@ mod tests {
 
     #[test]
     fn san_path_uses_hba_only() {
-        let c = FtaCluster::new(ClusterConfig::tiny(1));
+        let c = FtaCluster::new(1);
         let r = c.charge_san(NodeId(0), SimInstant::EPOCH, DataSize::gb(1));
         // FC4 = 0.5 GB/s → 2 s
         assert!(((r.end - r.start).as_secs_f64() - 2.0).abs() < 0.01);
@@ -199,7 +171,7 @@ mod tests {
 
     #[test]
     fn drain_time_covers_all_devices() {
-        let c = FtaCluster::new(ClusterConfig::tiny(2));
+        let c = FtaCluster::new(2);
         assert_eq!(c.drain_time(), SimInstant::EPOCH);
         let r = c.charge_san(NodeId(1), SimInstant::EPOCH, DataSize::gb(1));
         assert_eq!(c.drain_time(), r.end);

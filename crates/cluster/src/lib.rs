@@ -14,4 +14,4 @@
 
 pub mod fta;
 
-pub use fta::{ClusterConfig, FtaCluster, NodeId};
+pub use fta::{FtaCluster, NodeId};

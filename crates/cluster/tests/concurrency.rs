@@ -1,14 +1,14 @@
 //! Concurrency test for device charges: one NIC hammered from many
 //! threads must hand out disjoint reservations.
 
-use copra_cluster::{ClusterConfig, FtaCluster};
+use copra_cluster::FtaCluster;
 use copra_simtime::SimInstant;
 
 #[test]
 fn concurrent_device_charges_are_disjoint() {
     // Hammer one NIC from many threads; the timeline must hand out
     // non-overlapping reservations whose busy time sums exactly.
-    let cluster = FtaCluster::new(ClusterConfig::tiny(1));
+    let cluster = FtaCluster::new(1);
     let node = copra_cluster::NodeId(0);
     let reservations: Vec<(u64, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)

@@ -161,69 +161,52 @@ pub fn migrate_candidates(
         let mut cursor = start;
         let mut files = 0usize;
         let mut bytes = 0u64;
-        if let Some((cutoff, cap)) = aggregate_below {
-            // Split the bucket in one walk: small files aggregate under
-            // their records' paths, large files go solo.
-            let mut small: Vec<(Ino, &str)> = Vec::new();
-            let mut small_bytes = 0u64;
-            let mut large: Vec<&FileRecord> = Vec::new();
-            for &rec in &bucket {
-                if rec.size < cutoff.as_bytes() {
-                    small.push((rec.ino, &rec.path));
-                    small_bytes += rec.size;
-                } else {
-                    large.push(rec);
-                }
+        // Split the bucket in one walk: small files aggregate under their
+        // records' paths, large files go solo. Without aggregation every
+        // file is large.
+        let (cutoff, cap) = aggregate_below.unwrap_or((DataSize::ZERO, DataSize::ZERO));
+        let mut small: Vec<(Ino, &str)> = Vec::new();
+        let mut small_bytes = 0u64;
+        let mut large: Vec<&FileRecord> = Vec::new();
+        for &rec in &bucket {
+            if rec.size < cutoff.as_bytes() {
+                small.push((rec.ino, &rec.path));
+                small_bytes += rec.size;
+            } else {
+                large.push(rec);
             }
-            if !small.is_empty() {
-                match migrate_aggregated(hsm, &small, *node, data_path, cap, cursor, punch) {
-                    Ok(out) => {
-                        files += out.members.len();
-                        bytes += small_bytes;
-                        report.transactions += out.containers;
-                        cursor = cursor.max(out.end);
-                    }
-                    Err(e @ HsmError::Crashed { .. }) => {
-                        report.errors.push(format!("{node}: {e}"));
-                        report.aborted = true;
-                    }
-                    Err(e) => report.errors.push(format!("{node}: {e}")),
+        }
+        if !small.is_empty() {
+            match migrate_aggregated(hsm, &small, *node, data_path, cap, cursor, punch) {
+                Ok(out) => {
+                    files += out.members.len();
+                    bytes += small_bytes;
+                    report.transactions += out.containers;
+                    cursor = cursor.max(out.end);
                 }
+                Err(e @ HsmError::Crashed { .. }) => {
+                    report.errors.push(format!("{node}: {e}"));
+                    report.aborted = true;
+                }
+                Err(e) => report.errors.push(format!("{node}: {e}")),
             }
-            for rec in large {
-                if report.aborted {
-                    break;
-                }
-                match hsm.migrate_file(rec.ino, *node, data_path, cursor, punch, None) {
-                    Ok((_, end)) => {
-                        files += 1;
-                        bytes += rec.size;
-                        report.transactions += 1;
-                        cursor = end;
-                    }
-                    Err(e @ HsmError::Crashed { .. }) => {
-                        report.errors.push(format!("{}: {e}", rec.path));
-                        report.aborted = true;
-                    }
-                    Err(e) => report.errors.push(format!("{}: {e}", rec.path)),
-                }
+        }
+        for rec in large {
+            if report.aborted {
+                break;
             }
-        } else {
-            for rec in &bucket {
-                match hsm.migrate_file(rec.ino, *node, data_path, cursor, punch, None) {
-                    Ok((_, end)) => {
-                        files += 1;
-                        bytes += rec.size;
-                        report.transactions += 1;
-                        cursor = end;
-                    }
-                    Err(e @ HsmError::Crashed { .. }) => {
-                        report.errors.push(format!("{}: {e}", rec.path));
-                        report.aborted = true;
-                        break;
-                    }
-                    Err(e) => report.errors.push(format!("{}: {e}", rec.path)),
+            match hsm.migrate_file(rec.ino, *node, data_path, cursor, punch, None) {
+                Ok((_, end)) => {
+                    files += 1;
+                    bytes += rec.size;
+                    report.transactions += 1;
+                    cursor = end;
                 }
+                Err(e @ HsmError::Crashed { .. }) => {
+                    report.errors.push(format!("{}: {e}", rec.path));
+                    report.aborted = true;
+                }
+                Err(e) => report.errors.push(format!("{}: {e}", rec.path)),
             }
         }
         hsm.agent(*node).release_volume();
@@ -360,7 +343,7 @@ mod tests {
     /// path and length, at the offset its bucket predecessors fill.
     #[test]
     fn aggregated_members_carry_their_records_path_length_and_offset() {
-        use copra_cluster::{ClusterConfig, FtaCluster};
+        use copra_cluster::FtaCluster;
         use copra_hsm::{ObjectKind, PlacementPolicy, TsmServer};
         use copra_metadb::TsmCatalog;
         use copra_obs::Registry;
@@ -372,7 +355,7 @@ mod tests {
         let pfs = PfsBuilder::new("archive", Clock::new())
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(10)))
             .build();
-        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster = FtaCluster::new(2);
         let server =
             TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);

@@ -196,7 +196,7 @@ impl SyncDeleter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+    use copra_cluster::{FtaCluster, NodeId};
     use copra_hsm::{reconcile, DataPath, PlacementPolicy, TsmServer};
     use copra_obs::Registry;
     use copra_pfs::{PfsBuilder, PoolConfig};
@@ -208,7 +208,7 @@ mod tests {
         let pfs = PfsBuilder::new("archive", Clock::new())
             .pool(PoolConfig::fast_disk("fast", 2, DataSize::tb(1)))
             .build();
-        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster = FtaCluster::new(2);
         let server =
             TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         let hsm = Hsm::new(pfs, server, cluster, PlacementPolicy::Single);

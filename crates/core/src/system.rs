@@ -1,6 +1,6 @@
 //! The assembled archive system.
 
-use copra_cluster::{ClusterConfig, FtaCluster};
+use copra_cluster::FtaCluster;
 use copra_faults::{FaultPlan, FaultPlane};
 use copra_fuse::ArchiveFuse;
 use copra_hsm::{DataPath, Hsm, HsmResult, PlacementPolicy, TsmServer};
@@ -15,10 +15,15 @@ use std::sync::Arc;
 
 use crate::obs::{DeviceUtilization, SystemSnapshot};
 
-/// Deployment description (Figure 7 / §4.3.1 defaults).
+/// Files below this size are placed in the slow pool (small-file tier).
+const SMALL_FILE_CUTOFF: DataSize = DataSize::mb(1);
+
+/// Deployment description (Figure 7 / §4.3.1 defaults). Tapes are LTO-4
+/// ([`TapeTiming::lto4`]).
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    pub cluster: ClusterConfig,
+    /// FTA mover nodes (§4.3.1; ten in the paper's deployment).
+    pub nodes: usize,
     /// Tape libraries on the SAN (each with its own robot arm). The
     /// paper's deployment has one; replicated placements want two or more
     /// so a whole-library outage leaves every object recallable.
@@ -27,7 +32,6 @@ pub struct SystemConfig {
     pub drives: usize,
     /// Scratch volumes, **per library**.
     pub tapes: usize,
-    pub tape_timing: TapeTiming,
     /// Where migrated objects land across the libraries (replica count
     /// and steering) — see [`PlacementPolicy`].
     pub placement: PlacementPolicy,
@@ -38,8 +42,6 @@ pub struct SystemConfig {
     /// Slow pool capacity (small-file tier).
     pub slow_pool: DataSize,
     pub slow_devices: usize,
-    /// Files below this size are placed in the slow pool.
-    pub small_file_cutoff: DataSize,
     /// Scratch file system device count.
     pub scratch_devices: usize,
     /// ArchiveFUSE threshold and chunk size (§4.1.2-4).
@@ -49,8 +51,8 @@ pub struct SystemConfig {
     /// ([`SystemConfig::with_tracer`]); disabled by default.
     pub tracer: copra_trace::Tracer,
     /// Stager front end to build at construction
-    /// ([`SystemConfig::with_stager`]). `None` leaves recalls unscheduled
-    /// (the historical direct-to-HSM path).
+    /// ([`SystemConfig::with_stager`]). `None` builds none: callers drive
+    /// the HSM themselves.
     pub stager: Option<StagerConfig>,
 }
 
@@ -59,17 +61,15 @@ impl SystemConfig {
     /// nodes, 24 LTO-4 drives, 100 TB of FC4 disk, 2×10GigE trunk.
     pub fn roadrunner() -> Self {
         SystemConfig {
-            cluster: ClusterConfig::roadrunner(),
+            nodes: 10,
             libraries: 1,
             drives: 24,
             tapes: 512,
-            tape_timing: TapeTiming::lto4(),
             placement: PlacementPolicy::Single,
             fast_pool: DataSize::tb(100),
             fast_devices: 10,
             slow_pool: DataSize::tb(100),
             slow_devices: 4,
-            small_file_cutoff: DataSize::mb(1),
             scratch_devices: 24,
             fuse_threshold: DataSize::gb(100),
             fuse_chunk: DataSize::gb(10),
@@ -82,17 +82,15 @@ impl SystemConfig {
     /// 200 MB.
     pub fn test_small() -> Self {
         SystemConfig {
-            cluster: ClusterConfig::tiny(4),
+            nodes: 4,
             libraries: 1,
             drives: 4,
             tapes: 32,
-            tape_timing: TapeTiming::lto4(),
             placement: PlacementPolicy::Single,
             fast_pool: DataSize::tb(10),
             fast_devices: 4,
             slow_pool: DataSize::tb(10),
             slow_devices: 2,
-            small_file_cutoff: DataSize::mb(1),
             scratch_devices: 8,
             fuse_threshold: DataSize::mb(200),
             fuse_chunk: DataSize::mb(50),
@@ -152,7 +150,7 @@ impl ArchiveSystem {
     /// Build the full stack from a deployment description.
     pub fn new(config: SystemConfig) -> Self {
         let clock = Clock::new();
-        let cluster = FtaCluster::new(config.cluster.clone());
+        let cluster = FtaCluster::new(config.nodes);
         let scratch = PfsBuilder::scratch("scratch", clock.clone(), config.scratch_devices)
             .tracer(config.tracer.clone())
             .build();
@@ -174,7 +172,7 @@ impl ArchiveSystem {
                     action: copra_pfs::Action::Place {
                         pool: "slow".to_string(),
                     },
-                    predicate: Predicate::SizeBytes(Cmp::Lt, config.small_file_cutoff.as_bytes()),
+                    predicate: Predicate::SizeBytes(Cmp::Lt, SMALL_FILE_CUTOFF.as_bytes()),
                 },
                 Rule {
                     name: "default-fast".to_string(),
@@ -194,7 +192,7 @@ impl ArchiveSystem {
             config.libraries.max(1),
             config.drives,
             config.tapes,
-            config.tape_timing,
+            TapeTiming::lto4(),
             obs.clone(),
         );
         let server = TsmServer::roadrunner(fleet);

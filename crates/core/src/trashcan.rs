@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn purge_of_chunked_trash_deletes_every_chunk() {
         use crate::syncdel::SyncDeleter;
-        use copra_cluster::{ClusterConfig, FtaCluster};
+        use copra_cluster::FtaCluster;
         use copra_hsm::{Hsm, PlacementPolicy, TsmServer};
         use copra_metadb::TsmCatalog;
         use copra_obs::Registry;
@@ -192,7 +192,7 @@ mod tests {
         // removes them all (none ever migrated → no tape objects).
         let cands = trash.purge_candidates(SimDuration::from_secs(86_400), 1_000_000);
         assert_eq!(cands.len(), 15, "one purge candidate per chunk");
-        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster = FtaCluster::new(2);
         let server =
             TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         let hsm = Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);

@@ -538,13 +538,12 @@ impl StorageAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copra_cluster::ClusterConfig;
     use copra_obs::Registry;
     use copra_simtime::Bandwidth;
     use copra_tape::{TapeFleet, TapeTiming};
 
     fn setup(nodes: usize, drives: usize, tapes: usize) -> (FtaCluster, TsmServer) {
-        let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
+        let cluster = FtaCluster::new(nodes);
         let server = TsmServer::roadrunner(TapeFleet::new(
             1,
             drives,
@@ -612,7 +611,7 @@ mod tests {
             capacity: DataSize::mb(15),
             ..TapeTiming::lto4()
         };
-        let cluster = FtaCluster::new(ClusterConfig::tiny(1));
+        let cluster = FtaCluster::new(1);
         let server = TsmServer::roadrunner(TapeFleet::new(1, 2, 4, timing, Registry::new()));
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
         let mut cursor = SimInstant::EPOCH;
@@ -627,7 +626,7 @@ mod tests {
     #[test]
     fn lan_path_is_bottlenecked_by_server_nic() {
         // Server NIC at 1 Gbit/s; two nodes with fast NICs both store 1 GB.
-        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster = FtaCluster::new(2);
         let lib = TapeFleet::new(
             1,
             2,
@@ -649,7 +648,7 @@ mod tests {
         assert!(makespan > 15.0, "LAN makespan {makespan}");
         // LAN-free equivalents on fresh hardware finish much faster in
         // parallel (FC4 = 0.5 GB/s → ~2.1 s each, concurrent).
-        let cluster2 = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster2 = FtaCluster::new(2);
         let lib2 = TapeFleet::new(
             1,
             2,
@@ -730,7 +729,7 @@ mod tests {
 
     #[test]
     fn fetch_fails_over_to_the_replica_when_a_library_is_offline() {
-        let cluster = FtaCluster::new(ClusterConfig::tiny(1));
+        let cluster = FtaCluster::new(1);
         let fleet = TapeFleet::new(2, 2, 4, TapeTiming::lto4(), Registry::new());
         let server = TsmServer::roadrunner(fleet);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
@@ -774,7 +773,7 @@ mod tests {
     fn replica_store_re_places_within_its_library_after_a_drive_failure() {
         use copra_faults::FaultPlan;
         use copra_simtime::SimDuration;
-        let cluster = FtaCluster::new(ClusterConfig::tiny(1));
+        let cluster = FtaCluster::new(1);
         let fleet = TapeFleet::new(2, 2, 4, TapeTiming::lto4(), Registry::new());
         let server = TsmServer::roadrunner(fleet);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());

@@ -153,7 +153,7 @@ mod tests {
     use super::*;
     use crate::hsm::{Hsm, PlacementPolicy};
     use crate::server::TsmServer;
-    use copra_cluster::{ClusterConfig, FtaCluster};
+    use copra_cluster::FtaCluster;
     use copra_obs::Registry;
     use copra_pfs::{PfsBuilder, PoolConfig};
     use copra_simtime::Clock;
@@ -163,7 +163,7 @@ mod tests {
         let pfs = PfsBuilder::new("archive", Clock::new())
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
             .build();
-        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster = FtaCluster::new(2);
         let server =
             TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         Hsm::new(pfs, server, cluster, PlacementPolicy::Single)

@@ -529,7 +529,6 @@ impl Hsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copra_cluster::ClusterConfig;
     use copra_obs::Registry;
     use copra_pfs::{PfsBuilder, PoolConfig, ReadOutcome};
     use copra_simtime::Clock;
@@ -542,7 +541,7 @@ mod tests {
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
             .pool(PoolConfig::external("tape"))
             .build();
-        let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
+        let cluster = FtaCluster::new(nodes);
         let server = TsmServer::roadrunner(TapeFleet::new(
             1,
             drives,

@@ -487,7 +487,7 @@ pub fn resilver(
 mod tests {
     use super::*;
     use crate::hsm::{Hsm, PlacementPolicy};
-    use copra_cluster::{ClusterConfig, FtaCluster};
+    use copra_cluster::FtaCluster;
     use copra_obs::Registry;
     use copra_pfs::{PfsBuilder, PoolConfig};
     use copra_simtime::{Clock, DataSize};
@@ -498,7 +498,7 @@ mod tests {
         let pfs = PfsBuilder::new("archive", Clock::new())
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
             .build();
-        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster = FtaCluster::new(2);
         let server =
             TsmServer::roadrunner(TapeFleet::new(1, 2, 8, TapeTiming::lto4(), Registry::new()));
         Hsm::new(pfs, server, cluster, PlacementPolicy::Single)
@@ -508,7 +508,7 @@ mod tests {
         let pfs = PfsBuilder::new("archive", Clock::new())
             .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
             .build();
-        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster = FtaCluster::new(2);
         let fleet = TapeFleet::new(libraries, 2, 8, TapeTiming::lto4(), Registry::new());
         let server = TsmServer::roadrunner(fleet);
         Hsm::new(pfs, server, cluster, PlacementPolicy::Mirror { copies: 2 })

@@ -3,7 +3,7 @@
 //! aggregated containers; and the incremental catalog export matches a
 //! full-pass export under arbitrary server and catalog mutations.
 
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_cluster::{FtaCluster, NodeId};
 use copra_hsm::aggregate::migrate_aggregated;
 use copra_hsm::{
     DataPath, Hsm, HsmError, ObjectKind, PlacementPolicy, RecallPolicy, RecallRequest, TsmObject,
@@ -21,7 +21,7 @@ fn setup(nodes: usize) -> Hsm {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
         .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
+    let cluster = FtaCluster::new(nodes);
     let server = TsmServer::roadrunner(TapeFleet::new(
         1,
         3,

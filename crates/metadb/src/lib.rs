@@ -8,8 +8,10 @@
 //! deleter (§4.2.6).
 //!
 //! This crate is that replica and nothing else. [`tsm::TsmCatalog`] is
-//! the exported-TSM schema the integration uses: its rows plus two typed
-//! ordered indexes, `(fs_ino, objid)` and `(tape, seq, objid)`.
+//! the exported-TSM schema the integration uses: its rows by object id plus
+//! one typed ordered index, `(fs_ino, objid)`. PFTool reads each object's
+//! (tape, seq) by object id and orders restores in its own per-tape queues
+//! (`copra_pftool::queues`).
 
 pub mod tsm;
 

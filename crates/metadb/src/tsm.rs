@@ -2,15 +2,14 @@
 //!
 //! The TSM server owns the authoritative (proprietary) object database; the
 //! integration periodically exports rows into this indexed replica. PFTool
-//! queries it to (a) resolve file → (tape id, sequence id) and sort recalls
-//! into tape order, and (b) resolve GPFS file id → TSM object id for the
-//! synchronous deleter.
+//! queries it to (a) resolve an object id → (tape id, sequence id), which
+//! its per-tape restore queues sort by, and (b) resolve GPFS file id → TSM
+//! object id for the synchronous deleter.
 
 use copra_simtime::SimInstant;
 use parking_lot::{RwLock, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One exported TSM object row.
@@ -37,11 +36,6 @@ fn ino_key(r: &TsmObjectRow) -> (u64, u64) {
     (r.fs_ino, r.objid)
 }
 
-/// A row's entry in the `by_tape_seq` index.
-fn tape_key(r: &TsmObjectRow) -> (u32, u32, u64) {
-    (r.tape, r.seq, r.objid)
-}
-
 /// Export-pass tokens, unique across every catalog in the process. A token
 /// names one pass over one catalog, so an exporter that presents it learns
 /// whether anyone has synced the catalog since (an address would not do:
@@ -53,8 +47,6 @@ struct Replica {
     rows: BTreeMap<u64, TsmObjectRow>,
     /// `(fs_ino, objid)` of every row.
     by_ino: BTreeSet<(u64, u64)>,
-    /// `(tape, seq, objid)` of every row.
-    by_tape_seq: BTreeSet<(u32, u32, u64)>,
     /// Token of the last export pass; `None` before the first.
     synced: Option<u64>,
     /// Objids [`TsmCatalog::record`]/[`TsmCatalog::forget`] touched since
@@ -70,66 +62,26 @@ impl Replica {
         }
     }
 
-    /// Insert or replace a row, re-filing its index entries if they moved.
+    /// Insert or replace a row, re-filing its index entry if it moved.
     fn upsert(&mut self, row: TsmObjectRow) {
-        let (ino, tape) = (ino_key(&row), tape_key(&row));
+        let ino = ino_key(&row);
         if let Some(old) = self.rows.insert(row.objid, row) {
             if ino_key(&old) != ino {
                 self.by_ino.remove(&ino_key(&old));
             }
-            if tape_key(&old) != tape {
-                self.by_tape_seq.remove(&tape_key(&old));
-            }
         }
         self.by_ino.insert(ino);
-        self.by_tape_seq.insert(tape);
     }
 
     fn remove(&mut self, objid: u64) -> Option<TsmObjectRow> {
         let row = self.rows.remove(&objid)?;
         self.by_ino.remove(&ino_key(&row));
-        self.by_tape_seq.remove(&tape_key(&row));
         Some(row)
-    }
-
-    /// Rows of index entries, in index order.
-    fn rows_of<'a>(&'a self, objids: impl Iterator<Item = u64> + 'a) -> Vec<TsmObjectRow> {
-        objids.map(|objid| self.rows[&objid].clone()).collect()
-    }
-
-    /// Every entry of `index` names a live row that files under exactly
-    /// that entry, and there are as many entries as rows.
-    fn check_index<K: Ord + Debug>(
-        &self,
-        name: &str,
-        index: &BTreeSet<K>,
-        objid_of: impl Fn(&K) -> u64,
-        key_of: impl Fn(&TsmObjectRow) -> K,
-    ) -> Result<(), String> {
-        for entry in index {
-            let Some(row) = self.rows.get(&objid_of(entry)) else {
-                return Err(format!("index {name:?}: entry {entry:?} has no row"));
-            };
-            let want = key_of(row);
-            if want != *entry {
-                return Err(format!(
-                    "index {name:?}: entry {entry:?} but its row files under {want:?}"
-                ));
-            }
-        }
-        if index.len() != self.rows.len() {
-            return Err(format!(
-                "index {name:?}: {} entries for {} rows",
-                index.len(),
-                self.rows.len()
-            ));
-        }
-        Ok(())
     }
 }
 
-/// Thread-safe exported catalog: the rows plus two typed ordered indexes,
-/// `(fs_ino, objid)` and `(tape, seq, objid)`.
+/// Thread-safe exported catalog: the rows plus one typed ordered index,
+/// `(fs_ino, objid)`.
 pub struct TsmCatalog {
     replica: RwLock<Replica>,
     /// Bumped on every mutation. Recovery compares generations across a
@@ -149,7 +101,6 @@ impl TsmCatalog {
             replica: RwLock::new(Replica {
                 rows: BTreeMap::new(),
                 by_ino: BTreeSet::new(),
-                by_tape_seq: BTreeSet::new(),
                 synced: None,
                 drift: Vec::new(),
             }),
@@ -194,12 +145,30 @@ impl TsmCatalog {
         }
     }
 
-    /// Check both indexes against the rows — scrub's last step. Returns
-    /// the first violation found.
+    /// Check the index against the rows — scrub's last step: every entry
+    /// names a live row that files under exactly that entry, and there are
+    /// as many entries as rows. Returns the first violation found.
     pub fn verify_indexes(&self) -> Result<(), String> {
         let r = self.replica.read();
-        r.check_index("by_ino", &r.by_ino, |e| e.1, ino_key)?;
-        r.check_index("by_tape_seq", &r.by_tape_seq, |e| e.2, tape_key)
+        for entry in &r.by_ino {
+            let Some(row) = r.rows.get(&entry.1) else {
+                return Err(format!("index \"by_ino\": entry {entry:?} has no row"));
+            };
+            let want = ino_key(row);
+            if want != *entry {
+                return Err(format!(
+                    "index \"by_ino\": entry {entry:?} but its row files under {want:?}"
+                ));
+            }
+        }
+        if r.by_ino.len() != r.rows.len() {
+            return Err(format!(
+                "index \"by_ino\": {} entries for {} rows",
+                r.by_ino.len(),
+                r.rows.len()
+            ));
+        }
+        Ok(())
     }
 
     pub fn lookup(&self, objid: u64) -> Option<TsmObjectRow> {
@@ -217,32 +186,10 @@ impl TsmCatalog {
     /// Objects recorded for a GPFS file id, in objid order.
     pub fn by_ino(&self, fs_ino: u64) -> Vec<TsmObjectRow> {
         let r = self.replica.read();
-        let entries = r.by_ino.range((fs_ino, 0)..=(fs_ino, u64::MAX));
-        r.rows_of(entries.map(|e| e.1))
-    }
-
-    /// The paper's recall optimization (§4.2.5): given candidate object
-    /// ids, return their rows sorted by (tape id, sequence id) so each tape
-    /// reads front-to-back. Unknown ids are skipped.
-    pub fn sort_for_recall(&self, objids: &[u64]) -> Vec<TsmObjectRow> {
-        let r = self.replica.read();
-        let mut rows: Vec<((u32, u32, u64), &TsmObjectRow)> = objids
-            .iter()
-            .filter_map(|id| r.rows.get(id))
-            .map(|row| (tape_key(row), row))
-            .collect();
-        rows.sort_unstable_by_key(|&(key, _)| key);
-        rows.into_iter().map(|(_, row)| row.clone()).collect()
-    }
-
-    /// Everything on one volume in tape order.
-    #[cfg(test)]
-    pub fn on_tape(&self, tape: u32) -> Vec<TsmObjectRow> {
-        let r = self.replica.read();
-        let entries = r
-            .by_tape_seq
-            .range((tape, 0, 0)..=(tape, u32::MAX, u64::MAX));
-        r.rows_of(entries.map(|e| e.2))
+        r.by_ino
+            .range((fs_ino, 0)..=(fs_ino, u64::MAX))
+            .map(|e| r.rows[&e.1].clone())
+            .collect()
     }
 
     /// Full dump in objid order (reconcile compares this against tape and
@@ -380,21 +327,9 @@ mod tests {
         pass.finish();
     }
 
-    #[test]
-    fn sort_for_recall_orders_by_tape_then_seq() {
-        let c = TsmCatalog::new();
-        c.record(row(1, "/a", 1, 2, 7));
-        c.record(row(2, "/b", 2, 0, 3));
-        c.record(row(3, "/c", 3, 2, 1));
-        c.record(row(4, "/d", 4, 0, 9));
-        let sorted = c.sort_for_recall(&[1, 2, 3, 4, 999]);
-        let order: Vec<u64> = sorted.iter().map(|r| r.objid).collect();
-        assert_eq!(order, vec![2, 4, 3, 1]); // (0,3) (0,9) (2,1) (2,7)
-    }
-
     /// Seeded random programs of `record`, `forget` and export passes
     /// against a plain map: after every step each query equals a filter
-    /// over the map and both indexes verify.
+    /// over the map and the index verifies.
     #[test]
     fn queries_match_a_reference_model() {
         use rand::rngs::StdRng;
@@ -461,19 +396,6 @@ mod tests {
                         .collect();
                     assert_eq!(c.by_ino(ino), want, "{at} ino {ino}");
                 }
-                for tape in 0..5 {
-                    let mut want: Vec<TsmObjectRow> =
-                        model.values().filter(|r| r.tape == tape).cloned().collect();
-                    want.sort_by_key(|r| (r.seq, r.objid));
-                    assert_eq!(c.on_tape(tape), want, "{at} tape {tape}");
-                }
-                let ask: Vec<u64> = (0..rng.gen_range(0..24))
-                    .map(|_| rng.gen_range(0..60u64))
-                    .collect();
-                let mut want: Vec<TsmObjectRow> =
-                    ask.iter().filter_map(|id| model.get(id).cloned()).collect();
-                want.sort_by_key(|r| (r.tape, r.seq, r.objid));
-                assert_eq!(c.sort_for_recall(&ask), want, "{at}");
             }
         }
     }
@@ -487,12 +409,12 @@ mod tests {
             f(&mut c.replica.write());
             c.verify_indexes().unwrap_err()
         };
-        // Dangling entry: a row removed behind the indexes' back.
+        // Dangling entry: a row removed behind the index's back.
         let err = corrupt(|r| {
             r.rows.remove(&1);
         });
         assert!(err.contains("has no row"), "got: {err}");
-        // Stale key: a row rewritten without re-filing its entries.
+        // Stale key: a row rewritten without re-filing its entry.
         let err = corrupt(|r| {
             r.rows.insert(2, row(2, "/b", 12, 5, 3));
         });
@@ -500,29 +422,10 @@ mod tests {
             err.contains("by_ino") && err.contains("files under"),
             "got: {err}"
         );
-        let err = corrupt(|r| {
-            r.rows.insert(2, row(2, "/b", 11, 6, 3));
-        });
-        assert!(
-            err.contains("by_tape_seq") && err.contains("files under"),
-            "got: {err}"
-        );
         // Missing entry: a row that was never indexed.
         let err = corrupt(|r| {
-            r.by_tape_seq.remove(&(5, 2, 1));
+            r.by_ino.remove(&(10, 1));
         });
         assert!(err.contains("1 entries for 2 rows"), "got: {err}");
-    }
-
-    #[test]
-    fn on_tape_is_volume_local_and_ordered() {
-        let c = TsmCatalog::new();
-        c.record(row(1, "/a", 1, 1, 5));
-        c.record(row(2, "/b", 2, 1, 2));
-        c.record(row(3, "/c", 3, 0, 0));
-        c.record(row(4, "/d", 4, 2, 0));
-        let t1 = c.on_tape(1);
-        let order: Vec<u64> = t1.iter().map(|r| r.objid).collect();
-        assert_eq!(order, vec![2, 1]);
     }
 }

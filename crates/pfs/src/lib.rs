@@ -8,7 +8,7 @@
 //!   a fast FC pool where data lands, a slow pool for small files, and
 //!   *external* pools that hand file lists to the tape backend.
 //! * **Placement rules**: evaluated at create time to choose a pool.
-//! * **ILM policy engine**: GPFS-style MIGRATE/LIST rules with a predicate
+//! * **ILM policy engine**: GPFS-style LIST rules (§4.2.4) with a predicate
 //!   language (size, mtime/atime age, uid, path globs, pool, HSM state),
 //!   evaluated by a sharded parallel inode scan. GPFS's benchmark claim —
 //!   one million inodes scanned in ten minutes — is reproduced by

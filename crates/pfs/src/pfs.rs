@@ -911,7 +911,7 @@ mod tests {
         let engine = PolicyEngine::new(vec![
             Rule::exclude("skip-slow", Predicate::InPool("slow".to_string())),
             Rule::list("stubs", "stubs", Predicate::Hsm(HsmState::Migrated)),
-            Rule::migrate("rest", "tape", Predicate::True),
+            Rule::list("rest", "tape", Predicate::True),
         ]);
         let baseline = pfs.run_policy_with(&engine, 1);
         assert_eq!(baseline.scanned, 200);
@@ -921,7 +921,6 @@ mod tests {
             let report = pfs.run_policy_with(&engine, threads);
             assert_eq!(report.scanned, baseline.scanned);
             assert_eq!(report.lists, baseline.lists);
-            assert_eq!(report.migrations, baseline.migrations);
             assert_eq!(pfs.scan_records_with(threads), base_recs);
         }
         // Sorted output, and the stub-size overlay survived the fused scan.
@@ -965,7 +964,7 @@ mod tests {
                 Predicate::InPool("slow".to_string()).and(Predicate::Hsm(HsmState::Migrated)),
             ),
             Rule::list("big", "big", Predicate::SizeBytes(Cmp::Ge, 1 << 20)),
-            Rule::migrate("rest", "tape", Predicate::Uid(Cmp::Lt, 20)),
+            Rule::list("rest", "tape", Predicate::Uid(Cmp::Lt, 20)),
         ];
         let with_paths = vec![
             Rule::exclude("skip-tmp", Predicate::NameMatches("*.tmp".to_string())),
@@ -979,7 +978,7 @@ mod tests {
                 "not-b",
                 Predicate::Not(Box::new(Predicate::Under("/proj/b".to_string()))),
             ),
-            Rule::migrate("rest", "tape", Predicate::True),
+            Rule::list("rest", "tape", Predicate::True),
         ];
         let records = pfs.scan_records_with(1);
         assert_eq!(records.len(), 120);
@@ -991,16 +990,11 @@ mod tests {
                 .filter_map(|r| engine.classify(&r.view(), now).map(|i| (i, r.clone())))
                 .collect();
             let reference = engine.assemble(tagged, records.len(), 0.0);
-            assert!(reference
-                .lists
-                .values()
-                .chain(reference.migrations.values())
-                .all(|v| !v.is_empty()));
+            assert!(reference.lists.values().all(|v| !v.is_empty()));
             for threads in [1, 2, 4, 8] {
                 let report = pfs.run_policy_with(&engine, threads);
                 assert_eq!(report.scanned, reference.scanned);
                 assert_eq!(report.lists, reference.lists, "{threads} threads");
-                assert_eq!(report.migrations, reference.migrations, "{threads} threads");
             }
         }
         // The reference agrees with the per-file accessors, and covers

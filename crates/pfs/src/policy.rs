@@ -8,8 +8,8 @@
 //!
 //! §4.2.4 of the paper is explicit that the *migration* rules are used only
 //! in LIST mode by the integrated system (the custom parallel migrator does
-//! the actual movement); both modes are supported here so the naive
-//! GPFS-driven migration can serve as the T-MIGR baseline.
+//! the actual movement), so LIST, EXCLUDE and placement are the only
+//! actions modelled.
 
 use crate::glob::wildcard_match;
 use copra_simtime::{SimDuration, SimInstant};
@@ -196,8 +196,6 @@ impl Predicate {
 pub enum Action {
     /// Initial placement into a pool (evaluated at create time).
     Place { pool: String },
-    /// Move data to another (possibly external) pool.
-    Migrate { to_pool: String },
     /// Emit the file onto a named candidate list (the integration's
     /// preferred mode, §4.2.4).
     List { list: String },
@@ -225,16 +223,6 @@ impl Rule {
         }
     }
 
-    pub fn migrate(name: &str, to_pool: &str, predicate: Predicate) -> Rule {
-        Rule {
-            name: name.to_string(),
-            action: Action::Migrate {
-                to_pool: to_pool.to_string(),
-            },
-            predicate,
-        }
-    }
-
     pub fn exclude(name: &str, predicate: Predicate) -> Rule {
         Rule {
             name: name.to_string(),
@@ -249,8 +237,6 @@ impl Rule {
 pub struct ScanReport {
     /// Files matched per LIST rule, keyed by list name.
     pub lists: BTreeMap<String, Vec<FileRecord>>,
-    /// Files matched per MIGRATE rule, keyed by destination pool.
-    pub migrations: BTreeMap<String, Vec<FileRecord>>,
     /// Total regular files examined.
     pub scanned: usize,
     /// Wall-clock time of the scan (real time — this is the "1M inodes in
@@ -316,11 +302,6 @@ impl PolicyEngine {
                 Action::List { list } => {
                     report.lists.entry(list.clone()).or_default().extend(files)
                 }
-                Action::Migrate { to_pool } => report
-                    .migrations
-                    .entry(to_pool.clone())
-                    .or_default()
-                    .extend(files),
                 Action::Exclude | Action::Place { .. } => {}
             }
         }
@@ -409,7 +390,7 @@ mod tests {
         let engine = PolicyEngine::new(vec![
             Rule::exclude("skip-tmp", Predicate::NameMatches("*.tmp".to_string())),
             Rule::list("small", "small-files", Predicate::SizeBytes(Cmp::Lt, 1000)),
-            Rule::migrate("rest", "tape", Predicate::True),
+            Rule::list("rest", "tape", Predicate::True),
         ]);
         let records = vec![
             rec("/a/x.tmp", 10, "fast", HsmState::Resident),
@@ -420,8 +401,8 @@ mod tests {
         assert_eq!(report.scanned, 3);
         assert_eq!(report.lists["small-files"].len(), 1);
         assert_eq!(report.lists["small-files"][0].path, "/a/small");
-        assert_eq!(report.migrations["tape"].len(), 1);
-        assert_eq!(report.migrations["tape"][0].path, "/a/big");
+        assert_eq!(report.lists["tape"].len(), 1);
+        assert_eq!(report.lists["tape"][0].path, "/a/big");
     }
 
     #[test]

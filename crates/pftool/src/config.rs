@@ -1,6 +1,5 @@
 //! Runtime-tunable parameters (§4.1.2-5).
 
-use copra_hsm::{DataPath, RecallPolicy};
 use copra_simtime::DataSize;
 use std::time::Duration;
 
@@ -27,10 +26,6 @@ pub struct PftoolConfig {
     /// Skip files already present and up-to-date at the destination, and
     /// re-send only stale chunks of chunked files (§4.5).
     pub restart: bool,
-    /// Data path for HSM traffic driven by this run.
-    pub data_path: DataPath,
-    /// Recall-daemon assignment policy for restored files.
-    pub recall_policy: RecallPolicy,
     /// WatchDog: simulated-time interval between progress samples (and
     /// queue-depth samples).
     pub watchdog_interval: Duration,
@@ -50,8 +45,6 @@ impl Default for PftoolConfig {
             copy_chunk: DataSize::gb(1),
             tape_ordering: true,
             restart: false,
-            data_path: DataPath::LanFree,
-            recall_policy: RecallPolicy::TapeAffinity,
             watchdog_interval: Duration::from_millis(200),
             // One simulated hour: tape mounts, drive queueing and large chunk
             // copies put minutes between progress instants (111 s at most in

@@ -39,6 +39,7 @@ use crate::watchdog::WatchDog;
 use copra_cluster::NodeId;
 use copra_faults::FaultPlane;
 use copra_fuse::{ChunkInfo, FuseRead};
+use copra_hsm::DataPath;
 use copra_obs::{Counter, EventKind, Gauge, Registry};
 use copra_pfs::{HsmState, ReadOutcome};
 use copra_simtime::{DataSize, SimDuration, SimInstant};
@@ -433,7 +434,8 @@ impl Engine<'_> {
 
     // ================= TapeProc =================
 
-    /// Restore one tape's queue front to back from `start` on.
+    /// Restore one tape's queue front to back from `start` on, over the
+    /// mover's SAN path (LAN-free).
     fn exec_tape(
         &self,
         entries: Vec<TapeEntry>,
@@ -452,7 +454,7 @@ impl Engine<'_> {
             };
             let guard = tracer.span(ctx, "pftool.tape_restore", e.ino.0, cursor);
             let span = guard.as_ref().map(|g| g.ctx());
-            match hsm.recall_file(e.ino, node, self.config.data_path, cursor, span) {
+            match hsm.recall_file(e.ino, node, DataPath::LanFree, cursor, span) {
                 Ok(end) => {
                     copra_trace::finish_opt(guard, end);
                     restored.push((e, end));

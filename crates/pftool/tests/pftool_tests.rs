@@ -1,6 +1,6 @@
 //! End-to-end tests of the PFTool engine over the full substrate stack.
 
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_cluster::{FtaCluster, NodeId};
 use copra_fuse::{ArchiveFuse, ChunkInfo};
 use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
@@ -24,7 +24,7 @@ struct Rig {
 
 fn rig() -> Rig {
     let clock = Clock::new();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(4));
+    let cluster = FtaCluster::new(4);
     let scratch_pfs = PfsBuilder::scratch("scratch", clock.clone(), 8).build();
     let archive_pfs = PfsBuilder::new("archive", clock.clone())
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))

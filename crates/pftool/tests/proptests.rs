@@ -2,7 +2,7 @@
 //! destination that `pfcm` certifies identical, with exact file/byte
 //! accounting — across worker counts and chunking thresholds.
 
-use copra_cluster::{ClusterConfig, FtaCluster};
+use copra_cluster::FtaCluster;
 use copra_pfs::PfsBuilder;
 use copra_pftool::{pfcm, pfcp, FsView, PftoolConfig};
 use copra_simtime::{Clock, DataSize};
@@ -41,7 +41,7 @@ proptest! {
         chunk_kb in 64u64..4_096,
     ) {
         let clock = Clock::new();
-        let cluster = FtaCluster::new(ClusterConfig::tiny(2));
+        let cluster = FtaCluster::new(2);
         let src_pfs = PfsBuilder::scratch("src", clock.clone(), 4).build();
         let dst_pfs = PfsBuilder::scratch("dst", clock.clone(), 4).build();
 

@@ -35,6 +35,9 @@ pub enum SchedulerMode {
     FairShare,
 }
 
+/// Queue length at which new submits are shed.
+const QUEUE_HIGH_WATERMARK: usize = 4096;
+
 /// Stager tuning knobs. `Default` is the paper-scale deployment; use the
 /// builder-style setters to adjust.
 #[derive(Debug, Clone)]
@@ -46,8 +49,6 @@ pub struct StagerConfig {
     pub aging_step: SimDuration,
     /// In-flight recall bound per healthy drive (the admission window).
     pub max_inflight_per_drive: usize,
-    /// Queue length at which new submits are shed.
-    pub queue_high_watermark: usize,
     /// Stager pool (disk cache) capacity; zero disables caching.
     pub cache_capacity: DataSize,
     /// Sort each dispatch batch by (tape, on-tape seq) — §4.2.5 composed
@@ -63,7 +64,6 @@ impl Default for StagerConfig {
             batch_size: 32,
             aging_step: SimDuration::from_secs(30),
             max_inflight_per_drive: 2,
-            queue_high_watermark: 4096,
             cache_capacity: DataSize::gb(64),
             tape_ordered: true,
         }
@@ -301,7 +301,7 @@ impl Stager {
 
         let mut st = self.state.lock();
         let depth = st.queue.len();
-        if depth >= self.cfg.queue_high_watermark {
+        if depth >= QUEUE_HIGH_WATERMARK {
             self.metrics.shed.inc();
             tracer.record_closed(ctx, "stager.shed", depth as u64, now, now, None);
             finish_opt(guard, now);

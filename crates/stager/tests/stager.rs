@@ -2,7 +2,7 @@
 //! freedom under aging, pin semantics of the stager pool, and run-twice
 //! determinism of a full Zipf recall campaign.
 
-use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
+use copra_cluster::{FtaCluster, NodeId};
 use copra_hsm::{DataPath, Hsm, PlacementPolicy, TsmServer};
 use copra_obs::Registry;
 use copra_pfs::{HsmState, PfsBuilder, PoolConfig};
@@ -18,7 +18,7 @@ fn rig(nodes: usize, drives: usize, tapes: usize) -> Hsm {
         .pool(PoolConfig::fast_disk("fast", 4, DataSize::tb(100)))
         .pool(PoolConfig::external("tape"))
         .build();
-    let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
+    let cluster = FtaCluster::new(nodes);
     let server = TsmServer::roadrunner(TapeFleet::new(
         1,
         drives,

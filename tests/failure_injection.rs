@@ -119,7 +119,7 @@ fn out_of_volumes_is_explicit() {
         ..TapeTiming::lto4()
     };
     let server = TsmServer::roadrunner(TapeFleet::new(1, 1, 2, timing, Registry::new()));
-    let cluster = copra::cluster::FtaCluster::new(copra::cluster::ClusterConfig::tiny(1));
+    let cluster = copra::cluster::FtaCluster::new(1);
     let pfs = copra::pfs::PfsBuilder::scratch("a", copra::simtime::Clock::new(), 2).build();
     let hsm = copra::hsm::Hsm::new(pfs.clone(), server, cluster, PlacementPolicy::Single);
     let mut cursor = SimInstant::EPOCH;
