@@ -3,11 +3,12 @@
 //! The figure/table binaries report simulated time; these benches answer
 //! the complementary question — is the reproduction's own code fast? They
 //! cover the hot paths: content descriptor algebra, the sharded policy
-//! scan (the §4.2.1 claim), tree walking, the indexed catalog vs a full scan
-//! (the reason the paper exported TSM's DB to MySQL, §4.2.5), the catalog
-//! export itself (full and incremental), the TapeCQ ordering structure,
-//! migrator partitioning, timeline reservations behind a full backfill gap
-//! list, stager picks and evictions behind a long history, and a small
+//! scan (the §4.2.1 claim), inode-table creates, lookups and stats, tree
+//! walking, the indexed catalog vs a full scan (the reason the paper
+//! exported TSM's DB to MySQL, §4.2.5), the catalog export itself (full
+//! and incremental), the TapeCQ ordering structure, migrator
+//! partitioning, timeline reservations behind a full backfill gap list,
+//! stager picks and evictions behind a long history, and a small
 //! end-to-end `pfcp`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -25,7 +26,7 @@ use copra_pftool::PftoolConfig;
 use copra_simtime::{Bandwidth, Clock, DataSize, SimDuration, SimInstant, Timeline, TimelinePool};
 use copra_stager::{FairShareQueue, QueuedRecall, RecallRequest, StagerPool};
 use copra_tape::{TapeAddress, TapeFleet, TapeId, TapeTiming};
-use copra_vfs::{Content, Ino};
+use copra_vfs::{Content, Ino, Vfs};
 use copra_workloads::{mixed_tree, populate};
 
 fn bench_content(c: &mut Criterion) {
@@ -91,6 +92,44 @@ fn bench_policy_scan(c: &mut Criterion) {
             });
         }
     }
+    g.finish();
+}
+
+/// A fresh `Vfs` holding `names`, each a file name and the index of its
+/// directory of 200; returns the directory inodes.
+fn inode_table_fill(names: &[(usize, String)]) -> (Vfs, Vec<Ino>) {
+    let vfs = Vfs::new("bench", Clock::new());
+    let dirs: Vec<Ino> = (0..names.len().div_ceil(200))
+        .map(|d| vfs.mkdir(&format!("/d{d:03}")).unwrap())
+        .collect();
+    for (d, name) in names {
+        vfs.create_in(dirs[*d], name, 0, 0, Content::empty())
+            .unwrap();
+    }
+    (vfs, dirs)
+}
+
+/// The inode table's per-file costs: a create by (directory, name), and
+/// a lookup by name plus a stat by inode, each over 10k files.
+fn bench_inode_table(c: &mut Criterion) {
+    let mut g = c.benchmark_group("inode_table");
+    g.sample_size(20);
+    let names: Vec<(usize, String)> = (0..10_000).map(|i| (i / 200, format!("f{i:05}"))).collect();
+    g.throughput(Throughput::Elements(names.len() as u64));
+    g.bench_function("create_in_10k", |b| {
+        b.iter(|| black_box(inode_table_fill(&names).1.len()))
+    });
+    let (vfs, dirs) = inode_table_fill(&names);
+    g.bench_function("lookup_stat_10k", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            for (d, name) in &names {
+                let ino = vfs.lookup(dirs[*d], name).unwrap();
+                bytes += vfs.stat_ino(ino).unwrap().size;
+            }
+            black_box(bytes)
+        })
+    });
     g.finish();
 }
 
@@ -397,6 +436,7 @@ criterion_group!(
     benches,
     bench_content,
     bench_policy_scan,
+    bench_inode_table,
     bench_tree_walk,
     bench_catalog,
     bench_catalog_export,

@@ -6,9 +6,11 @@
 //! added, and the simulated results must be bit-identical at every thread
 //! count. It drives a million-file mixed namespace (varied sizes, owners,
 //! ages and residency) through `run_policy_with` and `scan_records_with`
-//! at 1/2/4/8 threads, reports inodes/s, self-asserts the speedup when
-//! the host actually has the cores, and leaves `BENCH_scale.json` behind
-//! as the perf trajectory for later PRs to defend.
+//! at 1/2/4/8 threads (after an untimed warm-up pass, twice each: in
+//! `THREADS` order, then in reverse), reports inodes/s, self-asserts the
+//! speedup when the host actually has the cores, and leaves
+//! `BENCH_scale.json` behind as the perf trajectory for later PRs to
+//! defend.
 //!
 //! `--quick` shrinks the campaign to ~100k files for CI smoke runs.
 
@@ -62,16 +64,19 @@ fn physical_cores() -> usize {
         .unwrap_or(0)
 }
 
+/// The timed passes in run order: every thread count once in `THREADS`
+/// order, then once in reverse, so no count always runs first or last.
+fn pass_order() -> impl Iterator<Item = usize> {
+    THREADS.into_iter().chain(THREADS.into_iter().rev())
+}
+
 /// Wall-clock exclusive-time breakdown of the record phase at one thread
 /// count. Scan roots are keyed by the trace's root sequence, so the
-/// `pfs.scan_records` roots in key order are the two timing passes of
-/// each entry of `THREADS` in turn; keep the faster pass (matching the
-/// best-of-two timing the table reports) and its subtree.
+/// `pfs.scan_records` roots in key order are the warm-up pass and then
+/// the timed passes in `pass_order`; keep the faster of the two passes at
+/// `threads` (matching the best-of-two timing the table reports) and its
+/// subtree.
 fn print_record_breakdown(report: &TraceReport, threads: usize) {
-    let pass = THREADS
-        .iter()
-        .position(|&t| t == threads)
-        .expect("a THREADS entry");
     let mut roots: Vec<&copra_trace::Span> = report
         .spans
         .iter()
@@ -80,8 +85,10 @@ fn print_record_breakdown(report: &TraceReport, threads: usize) {
     roots.sort_by_key(|s| s.key);
     let Some(root) = roots
         .into_iter()
-        .skip(2 * pass)
-        .take(2)
+        .skip(1)
+        .zip(pass_order())
+        .filter(|&(_, t)| t == threads)
+        .map(|(root, _)| root)
         .min_by_key(|s| s.wall_duration_ns())
     else {
         return;
@@ -197,34 +204,40 @@ fn main() {
     let build_secs = t0.elapsed().as_secs_f64();
     let eng = engine();
 
-    let mut rows: Vec<Row> = Vec::new();
-    for threads in THREADS {
-        // Best of two runs per thread count: the first touches cold
-        // caches, and a scan this short is allocator-noise sensitive.
-        let mut best: Option<(f64, copra_pfs::ScanReport)> = None;
-        let mut record_secs = f64::INFINITY;
-        for _ in 0..2 {
-            let r0 = Instant::now();
-            let recs = pfs.scan_records_with(threads);
-            record_secs = record_secs.min(r0.elapsed().as_secs_f64());
-            assert_eq!(recs.len(), files, "record stream must see every file");
-            let report = pfs.run_policy_with(&eng, threads);
-            if best.as_ref().map(|(s, _)| report.wall_seconds < *s) != Some(false) {
-                best = Some((report.wall_seconds, report));
-            }
-        }
-        let (scan_secs, report) = best.unwrap();
-        let matched = report.lists.values().map(Vec::len).sum::<usize>();
-        let base = rows.first().map(|r: &Row| r.scan_secs).unwrap_or(scan_secs);
-        rows.push(Row {
+    // One untimed pass first touches the whole table, so no timed pass
+    // runs on a cold one. Then best of two passes per thread count, in
+    // alternated order: a scan this short is allocator-noise sensitive.
+    assert_eq!(pfs.scan_records_with(1).len(), files);
+    pfs.run_policy_with(&eng, 1);
+    let mut rows: Vec<Row> = THREADS
+        .iter()
+        .map(|&threads| Row {
             threads,
-            scan_secs,
-            record_secs,
-            inodes_per_sec: files as f64 / scan_secs.max(1e-9),
-            speedup: base / scan_secs.max(1e-9),
-            matched,
-            checksum: checksum(&report),
-        });
+            scan_secs: f64::INFINITY,
+            record_secs: f64::INFINITY,
+            inodes_per_sec: 0.0,
+            speedup: 0.0,
+            matched: 0,
+            checksum: 0,
+        })
+        .collect();
+    for threads in pass_order() {
+        let r0 = Instant::now();
+        let recs = pfs.scan_records_with(threads);
+        let record_secs = r0.elapsed().as_secs_f64();
+        assert_eq!(recs.len(), files, "record stream must see every file");
+        let report = pfs.run_policy_with(&eng, threads);
+        let row = rows.iter_mut().find(|r| r.threads == threads);
+        let row = row.expect("a THREADS entry");
+        row.record_secs = row.record_secs.min(record_secs);
+        row.scan_secs = row.scan_secs.min(report.wall_seconds);
+        row.matched = report.lists.values().map(Vec::len).sum();
+        row.checksum = checksum(&report);
+    }
+    let base = rows[0].scan_secs;
+    for r in &mut rows {
+        r.inodes_per_sec = files as f64 / r.scan_secs.max(1e-9);
+        r.speedup = base / r.scan_secs.max(1e-9);
     }
 
     // Determinism gate: same simulated outcome at every thread count.

@@ -11,9 +11,10 @@
 //! A scan thread holds the read guard while its callback runs, so a
 //! `par_scan` callback must not call back into the same `Vfs`: with a
 //! writer queued, that second read lock would deadlock.
-//! Inside the lock, inodes are partitioned into `NSHARDS` maps selected by
-//! `ino & (NSHARDS-1)`: a shard is the parallel scan's unit of work. Inode
-//! numbers come from an `AtomicU64`.
+//! Inside the lock the table is one vector indexed by inode number: an
+//! inode's number is its slot. Numbers are handed out in order and never
+//! reused, so an unlinked inode leaves its slot empty. The parallel scan's
+//! unit of work is a contiguous range of slots.
 //!
 //! Writers take the write lock once and look up every binding they change
 //! under it, so a mutation always sees the namespace it validated.
@@ -76,7 +77,7 @@ struct PathMemo {
 /// The path of the inode a [`Vfs::par_scan`] callback is looking at,
 /// built only if the callback asks for it.
 pub struct ScanPath<'a> {
-    nodes: &'a Shards,
+    nodes: &'a Table,
     memo: &'a mut PathMemo,
     parent: Option<Ino>,
     name: &'a str,
@@ -147,7 +148,7 @@ impl RegionWrite<'_> {
 /// Absolute path of directory `ino`, memoised in `dirs`. Ancestors missing
 /// from the memo are read from `nodes`, the scan's read guard, under which
 /// every live inode's ancestors are live too.
-fn memo_dir_path<'m>(dirs: &'m mut FxHashMap<u64, String>, nodes: &Shards, ino: Ino) -> &'m str {
+fn memo_dir_path<'m>(dirs: &'m mut FxHashMap<u64, String>, nodes: &Table, ino: Ino) -> &'m str {
     if ino == ROOT {
         return "/";
     }
@@ -237,39 +238,38 @@ impl Node {
 
 // ----- inode table --------------------------------------------------------
 
-/// Number of inode shards. Power of two; 64 keeps per-shard populations
-/// around 16k even at the million-inode bench scale while staying cheap for
-/// tiny test trees.
+/// Number of [`Vfs::par_scan`] shards: contiguous ranges of inode numbers.
+/// 64 keeps per-shard populations around 16k even at the million-inode
+/// bench scale while staying cheap for tiny test trees.
 const NSHARDS: usize = 64;
 
-type NodeMap = FxHashMap<u64, Node>;
+/// The inode table: slot `i` holds inode `i`. Numbers are handed out in
+/// order and never reused, so an unlinked inode leaves its slot empty, and
+/// slot 0 (no inode has number 0) is always empty.
+struct Table(Vec<Option<Node>>);
 
-/// The inode table, partitioned by `ino & (NSHARDS-1)`.
-struct Shards(Vec<NodeMap>);
-
-impl Shards {
-    fn new() -> Self {
-        Shards((0..NSHARDS).map(|_| NodeMap::default()).collect())
-    }
-
-    fn map(&self, ino: Ino) -> &NodeMap {
-        &self.0[ino.0 as usize & (NSHARDS - 1)]
-    }
-
-    fn map_mut(&mut self, ino: Ino) -> &mut NodeMap {
-        &mut self.0[ino.0 as usize & (NSHARDS - 1)]
-    }
-
+impl Table {
     fn get(&self, ino: Ino) -> Option<&Node> {
-        self.map(ino).get(&ino.0)
+        self.0.get(ino.0 as usize)?.as_ref()
     }
 
     fn get_mut(&mut self, ino: Ino) -> Option<&mut Node> {
-        self.map_mut(ino).get_mut(&ino.0)
+        self.0.get_mut(ino.0 as usize)?.as_mut()
     }
 
-    fn insert(&mut self, ino: Ino, node: Node) {
-        self.map_mut(ino).insert(ino.0, node);
+    /// Store `node` in a new slot; its number is the slot's.
+    fn push(&mut self, node: Node) -> Ino {
+        self.0.push(Some(node));
+        Ino(self.0.len() as u64 - 1)
+    }
+
+    /// The inodes of scan shard `shard` of a table `len` slots long.
+    fn shard(&self, shard: usize, len: usize) -> impl Iterator<Item = (Ino, &Node)> {
+        let range = shard * len / NSHARDS..(shard + 1) * len / NSHARDS;
+        self.0[range.clone()]
+            .iter()
+            .zip(range)
+            .filter_map(|(slot, i)| Some((Ino(i as u64), slot.as_ref()?)))
     }
 
     /// The inode bound to `name` in directory `parent`.
@@ -316,7 +316,7 @@ impl Shards {
             entries.remove(name);
         }
         pnode.mtime = now;
-        self.map_mut(target).remove(&target.0).expect("bound above")
+        self.0[target.0 as usize].take().expect("bound above")
     }
 }
 
@@ -365,11 +365,10 @@ pub struct Vfs {
 struct Shared {
     name: String,
     clock: Clock,
-    next_ino: AtomicU64,
     /// Namespace epoch: bumped by unlink/rmdir/rename, validating every
     /// resolve-cache entry in O(1).
     epoch: AtomicU64,
-    nodes: RwLock<Shards>,
+    nodes: RwLock<Table>,
     rcache: ResolveCache,
 }
 
@@ -379,16 +378,12 @@ impl Vfs {
     /// Create an empty file system whose timestamps come from `clock`.
     pub fn new(name: impl Into<String>, clock: Clock) -> Self {
         let now = clock.now();
-        let mut nodes = Shards::new();
-        let root = NodeKind::Dir {
-            entries: BTreeMap::new(),
-        };
-        nodes.insert(ROOT, Node::new(None, String::new(), 0, now, root));
+        let root = Node::new(None, String::new(), 0, now, Self::new_dir());
+        let nodes = Table(vec![None, Some(root)]);
         Vfs {
             shared: Arc::new(Shared {
                 name: name.into(),
                 clock,
-                next_ino: AtomicU64::new(2),
                 epoch: AtomicU64::new(0),
                 nodes: RwLock::new(nodes),
                 rcache: ResolveCache(RwLock::default()),
@@ -537,10 +532,11 @@ impl Vfs {
     }
 
     /// Link a new `kind` node, owned by `uid` and tagged `pool`, into
-    /// `parent_ino` under `name`. Takes the write lock, then allocates the
-    /// ino from the counter, so a create that fails (the name exists, the
-    /// parent is gone) consumes no inode number. Errors name `full_path`,
-    /// or the path built from the parent when the caller has none.
+    /// `parent_ino` under `name`. Takes the write lock and checks the
+    /// binding before it takes the table's next slot, so a create that
+    /// fails (the name exists, the parent is gone) consumes no inode
+    /// number. Errors name `full_path`, or the path built from the parent
+    /// when the caller has none.
     fn insert_child(
         &self,
         parent_ino: Ino,
@@ -562,15 +558,13 @@ impl Vfs {
             let path = full_path.map_or_else(|| g.child_path(parent_ino, name), str::to_string);
             return Err(error(path));
         }
-        let ino = Ino(self.shared.next_ino.fetch_add(1, Ordering::Relaxed));
+        let node = Node::new(Some(parent_ino), name.to_string(), uid, now, kind);
+        let ino = g.push(Node { pool, ..node });
         let parent = g.get_mut(parent_ino).expect("checked above");
         if let NodeKind::Dir { entries } = &mut parent.kind {
             entries.insert(name.to_string(), ino);
         }
         parent.mtime = now;
-        let node = Node::new(Some(parent_ino), name.to_string(), uid, now, kind);
-        let node = Node { pool, ..node };
-        g.insert(ino, node);
         Ok(ino)
     }
 
@@ -870,13 +864,15 @@ impl Vfs {
     }
 
     /// Stream every live inode through `f` across `threads` worker threads,
-    /// shard by shard — the policy-scan hot path. Unlike [`Vfs::walk`] this
-    /// never materializes the tree: each worker takes the read guard once
-    /// per shard and walks that shard's nodes in place, handing `f` a
-    /// borrowed [`InodeAttr`] and a [`ScanPath`] that builds the inode's
-    /// path only if `f` asks for it. After each shard, `obs` receives that
-    /// shard's [`ShardScanStats`] (64 calls per scan; tracing hangs off
-    /// this hook instead of timing individual inodes).
+    /// shard by shard — the policy-scan hot path. The table's length is
+    /// read once, at scan start, and `[0, len)` is split into `NSHARDS`
+    /// contiguous inode ranges; an inode created after that may be missed.
+    /// Unlike [`Vfs::walk`] this never materializes the tree: each worker
+    /// takes the read guard once per shard and walks its slots in place,
+    /// handing `f` a borrowed [`InodeAttr`] and a [`ScanPath`] that builds
+    /// the inode's path only if `f` asks for it. After each shard, `obs`
+    /// receives that shard's [`ShardScanStats`] (64 calls per scan; tracing
+    /// hangs off this hook instead of timing individual inodes).
     ///
     /// `f` runs under the read guard, so it must not call back into this
     /// `Vfs` (see the module docs). Results are collected per shard and
@@ -889,9 +885,9 @@ impl Vfs {
         F: Fn(&InodeAttr, &mut ScanPath<'_>) -> Option<R> + Sync,
         O: Fn(ShardScanStats) + Sync,
     {
-        let nshards = NSHARDS;
-        let threads = threads.max(1).min(nshards);
-        let slots: Vec<Mutex<Vec<R>>> = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
+        let threads = threads.clamp(1, NSHARDS);
+        let slots: Vec<Mutex<Vec<R>>> = (0..NSHARDS).map(|_| Mutex::new(Vec::new())).collect();
+        let len = self.shared.nodes.read().0.len();
         let scan_shard = |shard_idx: usize, memo: &mut PathMemo| {
             let t0 = std::time::Instant::now();
             let mut out = Vec::new();
@@ -905,8 +901,8 @@ impl Vfs {
                     memo.dirs.clear();
                     memo.epoch = epoch;
                 }
-                for (&raw, node) in &g.0[shard_idx] {
-                    let inode = node.attr(Ino(raw));
+                for (ino, node) in g.shard(shard_idx, len) {
+                    let inode = node.attr(ino);
                     files += u64::from(inode.is_file());
                     memo.buf.clear();
                     let mut path = ScanPath {
@@ -929,7 +925,7 @@ impl Vfs {
         };
         if threads == 1 {
             let mut memo = PathMemo::default();
-            for i in 0..nshards {
+            for i in 0..NSHARDS {
                 scan_shard(i, &mut memo);
             }
         } else {
@@ -940,7 +936,7 @@ impl Vfs {
                         let mut memo = PathMemo::default();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= nshards {
+                            if i >= NSHARDS {
                                 break;
                             }
                             scan_shard(i, &mut memo);
@@ -955,13 +951,13 @@ impl Vfs {
     /// Number of live inodes (including directories).
     #[cfg(test)]
     fn inode_count(&self) -> usize {
-        self.shared.nodes.read().0.iter().map(|m| m.len()).sum()
+        self.shared.nodes.read().0.iter().flatten().count()
     }
 
     /// Total logical bytes across all regular files.
     pub fn total_bytes(&self) -> u64 {
         let g = self.shared.nodes.read();
-        g.0.iter().flat_map(|m| m.values()).map(Node::size).sum()
+        g.0.iter().flatten().map(Node::size).sum()
     }
 }
 
@@ -1393,6 +1389,80 @@ mod tests {
             // Directories and the root get their paths too.
             assert_eq!(paths(dirs), vec!["/", "/a", "/a/b", "/c"]);
         }
+    }
+
+    #[test]
+    fn par_scan_visits_every_live_inode_once_across_holes() {
+        let v = fs();
+        v.mkdir("/gone").unwrap();
+        for d in 0..7 {
+            let dir = v.mkdir_p(&format!("/d{d}")).unwrap();
+            for i in 0..150 {
+                v.create_in(dir, &format!("f{i}"), 0, 0, Content::empty())
+                    .unwrap();
+            }
+        }
+        for d in 0..7 {
+            for i in (d..150).step_by(7) {
+                v.unlink(&format!("/d{d}/f{i}")).unwrap();
+            }
+        }
+        v.rmdir("/gone").unwrap();
+        let len = v.shared.nodes.read().0.len();
+        assert_ne!(len % NSHARDS, 0, "the last shard must be a partial range");
+        let mut live: Vec<Ino> = v.walk("/").unwrap().iter().map(|e| e.attr.ino).collect();
+        live.sort();
+        let walked_files = live.len() as u64 - 8;
+        assert!(live.len() < len - 1, "the table must have holes");
+        for threads in [1, 2, 4, 8] {
+            let files = AtomicU64::new(0);
+            let shards = Mutex::new(Vec::new());
+            let mut seen = v.par_scan(
+                threads,
+                |inode, _| Some(inode.ino),
+                |st| {
+                    files.fetch_add(st.files, Ordering::Relaxed);
+                    shards.lock().push(st.shard);
+                },
+            );
+            seen.sort();
+            assert_eq!(
+                seen, live,
+                "par_scan({threads}) must visit each live inode once"
+            );
+            assert_eq!(files.into_inner(), walked_files);
+            let mut shards = shards.into_inner();
+            shards.sort();
+            assert_eq!(shards, (0..NSHARDS).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn inode_numbers_are_handed_out_in_order_and_never_reused() {
+        let v = fs();
+        let d = v.mkdir("/d").unwrap();
+        let a = v.create_in(d, "a", 0, 0, Content::empty()).unwrap();
+        let b = v.create_in(d, "b", 0, 0, Content::empty()).unwrap();
+        let e = v.mkdir_in(d, "e").unwrap();
+        assert_eq!((d.0, a.0, b.0, e.0), (2, 3, 4, 5));
+        v.unlink("/d/a").unwrap();
+        v.rmdir("/d/e").unwrap();
+        // Failed creates take no number either.
+        assert!(v.create_in(d, "b", 0, 0, Content::empty()).is_err());
+        assert!(v.create_in(e, "x", 0, 0, Content::empty()).is_err());
+        let mut next = Vec::new();
+        for name in ["a", "e", "c"] {
+            next.push(v.create_in(d, name, 0, 0, Content::empty()).unwrap().0);
+        }
+        assert_eq!(
+            next,
+            vec![6, 7, 8],
+            "freed numbers 3 and 5 are not handed out again"
+        );
+        for gone in [a, e] {
+            assert_eq!(v.stat_ino(gone), Err(FsError::StaleInode(gone)));
+        }
+        assert_eq!(v.inode_count(), 6); // root, /d, b and the three new files
     }
 
     /// Every file path of a scan, sorted.
