@@ -7,7 +7,7 @@
 //! walking, the indexed catalog vs a full scan (the reason the paper
 //! exported TSM's DB to MySQL, §4.2.5), the catalog export itself (full
 //! and incremental), the TapeCQ ordering structure, migrator
-//! partitioning, timeline reservations behind a full backfill gap list,
+//! partitioning, timeline reservations behind long backfill gap lists,
 //! stager picks and evictions behind a long history, and a small
 //! end-to-end `pfcp`.
 
@@ -331,13 +331,27 @@ fn skip_gaps(t: &Timeline, n: usize) -> SimInstant {
     t.next_free()
 }
 
+/// Split one long idle gap into `n + 1` gaps with `n` small backfills, as
+/// the backfills of a long PFTool or recall run do. A split does not check
+/// the 1,024-gap publish limit, so the list grows past it.
+fn split_gaps(t: &Timeline, n: u64) {
+    let base = t.next_free();
+    let step = |k: u64| SimDuration::from_micros(10) * k;
+    t.reserve(base + step(n + 1), SimDuration::from_micros(9));
+    for k in 1..=n {
+        t.reserve(base + step(k), SimDuration::from_micros(1));
+    }
+}
+
 fn bench_timeline_backfill(c: &mut Criterion) {
     let mut g = c.benchmark_group("timeline_backfill");
     g.sample_size(20);
-    // The gap list holds at most 1,024 gaps. Each op is ready just below
-    // the frontier and too long for any gap, so it looks for a backfill
-    // past every stale gap, then queues at the frontier and leaves the
-    // list as it was. One iteration is 1,000 ops: ms/iter reads as µs/op.
+    // `skip_gaps` only publishes, and publishing on a list of 1,024 gaps
+    // drops the earliest one, so the list stays at 1,024. Each op is ready
+    // just below the frontier and too long for any gap, so it looks for a
+    // backfill past every stale gap, then queues at the frontier and leaves
+    // the list as it was. One iteration is 1,000 ops: ms/iter reads as
+    // µs/op.
     let t = Timeline::new("disk", Bandwidth::mb_per_sec(500), SimDuration::ZERO);
     let ready = skip_gaps(&t, 1_024) - SimDuration::from_nanos(1);
     g.bench_function("reserve_behind_1024_stale_gaps_x1000", |b| {
@@ -359,6 +373,32 @@ fn bench_timeline_backfill(c: &mut Criterion) {
         b.iter(|| {
             for _ in 0..1_000 {
                 black_box(pool.transfer_earliest(black_box(ready), DataSize::mb(1)));
+            }
+        })
+    });
+    // Past 15k gaps, each op is ready just past the frontier: it starts at
+    // its ready time and publishes a gap, which drops the earliest one.
+    let t = Timeline::new("disk", Bandwidth::mb_per_sec(500), SimDuration::ZERO);
+    split_gaps(&t, 15_000);
+    let (skip, busy) = (SimDuration::from_micros(1), SimDuration::from_micros(9));
+    g.bench_function("reserve_at_frontier_over_15k_gaps_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                black_box(t.reserve(t.next_free() + skip, busy));
+            }
+        })
+    });
+    // Ready times that track the frontier: each op pair publishes a gap at
+    // the frontier, then backfills the head of that gap.
+    let t = Timeline::new("disk", Bandwidth::mb_per_sec(500), SimDuration::ZERO);
+    split_gaps(&t, 15_000);
+    let small = SimDuration::from_nanos(100);
+    g.bench_function("backfill_tracking_frontier_over_15k_gaps_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..500 {
+                let frontier = t.next_free();
+                black_box(t.reserve(frontier + skip, busy));
+                black_box(t.reserve(black_box(frontier), small));
             }
         })
     });

@@ -6,7 +6,8 @@
 //! soonest, breaking ties by index (deterministic). No member can start
 //! before `ready`, so the scan stops at the first member free at `ready`:
 //! every later member could at best tie, and ties go to the lower index.
-//! The early exit is exact, not a heuristic.
+//! The early exit is exact, not a heuristic, and that member is claimed
+//! under the lock its probe took.
 
 use crate::rate::{Bandwidth, DataSize};
 use crate::time::{SimDuration, SimInstant};
@@ -44,41 +45,22 @@ impl TimelinePool {
         &self.members[idx]
     }
 
-    /// Index of the member that could start an operation of `dur` soonest
-    /// if it were ready at `ready` (ties to the lowest index). Stops at the
-    /// first member that can start at `ready` itself.
-    fn earliest_member(&self, ready: SimInstant, dur: SimDuration) -> usize {
-        let mut best = 0usize;
-        let mut best_start = SimInstant::from_nanos(u64::MAX);
+    /// Transfer `bytes` on the earliest-available member; returns the
+    /// member index and the granted reservation. Each member is probed and,
+    /// if free at `ready`, claimed under one lock; with none free there,
+    /// the member with the earliest start is claimed.
+    pub fn transfer_earliest(&self, ready: SimInstant, bytes: DataSize) -> (usize, Reservation) {
+        let first = &self.members[0];
+        let dur = first.latency() + first.bandwidth().time_for(bytes);
+        let mut best = (SimInstant::from_nanos(u64::MAX), 0);
         for (i, m) in self.members.iter().enumerate() {
-            let start = m.earliest_start(ready, dur);
-            if start < best_start {
-                best_start = start;
-                best = i;
-                if start <= ready {
-                    break;
-                }
+            match m.reserve_if_free_at(ready, dur, bytes) {
+                Ok(r) => return (i, r),
+                Err(start) => best = best.min((start, i)),
             }
         }
-        best
-    }
-
-    /// Transfer `bytes` on the earliest-available member; returns the
-    /// member index and the granted reservation.
-    ///
-    /// Note: selection and reservation are not one atomic step across the
-    /// pool, so under real-thread races two callers may pick the same
-    /// member; gap-filling on that member keeps the result valid (just
-    /// possibly not optimal), matching how a real mover races for drives.
-    pub fn transfer_earliest(&self, ready: SimInstant, bytes: DataSize) -> (usize, Reservation) {
-        let dur = self
-            .members
-            .first()
-            .map(|m| m.latency() + m.bandwidth().time_for(bytes))
-            .unwrap_or(SimDuration::ZERO);
-        let idx = self.earliest_member(ready, dur);
-        let r = self.members[idx].transfer(ready, bytes);
-        (idx, r)
+        let (_, idx) = best;
+        (idx, self.members[idx].reserve_accounted(ready, dur, bytes))
     }
 
     /// Aggregate busy time across members.

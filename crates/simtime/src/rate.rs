@@ -159,11 +159,16 @@ impl Bandwidth {
             self.bytes_per_sec > 0,
             "attempted to transfer {bytes} over a zero-bandwidth resource"
         );
-        // nanos = bytes * 1e9 / rate, in u128 to avoid overflow for TB-scale
-        // payloads.
-        let nanos = (bytes.as_bytes() as u128 * crate::time::NANOS_PER_SEC as u128)
-            / self.bytes_per_sec as u128;
-        SimDuration::from_nanos(nanos as u64)
+        // nanos = bytes * 1e9 / rate, exact in u64 up to ~18 GB and in u128
+        // above that, where the product overflows a u64.
+        let nanos = match bytes.as_bytes().checked_mul(crate::time::NANOS_PER_SEC) {
+            Some(scaled) => scaled / self.bytes_per_sec,
+            None => {
+                let scaled = bytes.as_bytes() as u128 * crate::time::NANOS_PER_SEC as u128;
+                (scaled / self.bytes_per_sec as u128) as u64
+            }
+        };
+        SimDuration::from_nanos(nanos)
     }
 
     /// Scale the rate by a factor (e.g. derate a trunk to its achievable
@@ -228,6 +233,24 @@ mod tests {
         let link = Bandwidth::mb_per_sec(100);
         let t = link.time_for(DataSize::tb(40)); // the paper's 40 TB restart case
         assert!((t.as_secs_f64() - 400_000.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn u64_and_u128_paths_agree_around_the_overflow_edge() {
+        let edge = u64::MAX / crate::time::NANOS_PER_SEC;
+        let rates = [
+            Bandwidth::mb_per_sec(1),
+            Bandwidth::mb_per_sec(120),
+            Bandwidth::gbit_per_sec(10),
+            Bandwidth::from_bytes_per_sec(999_983),
+        ];
+        for bytes in [edge - 1, edge, edge + 1, DataSize::tb(1_000).as_bytes()] {
+            for bw in rates {
+                let exact = bytes as u128 * 1_000_000_000 / bw.as_bytes_per_sec() as u128;
+                let got = bw.time_for(DataSize::from_bytes(bytes)).as_nanos();
+                assert_eq!(got as u128, exact, "{bytes} bytes at {bw}");
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,17 @@
 //! those gaps (the behaviour the `backfill_uses_idle_gaps` property test
 //! pins down). The gaps are disjoint and sorted by start, so their ends
 //! ascend too: the first fit binary-searches past every gap that ends too
-//! early instead of rescanning the stale ones a long run leaves behind. The
-//! deque holds at most `MAX_GAPS`; a full list drops its earliest gap.
+//! early instead of rescanning the stale ones a long run leaves behind.
+//! Every gap ends at or below the frontier, so a request ready at or past it
+//! needs no search at all, and a newly published gap always goes at the
+//! back. A backfill search first tries where the previous one landed, since
+//! ready times mostly track the frontier.
+//!
+//! Only publishing checks `MAX_GAPS`: a gap published on a list of that
+//! length first drops the earliest gap. A backfill that lands inside a gap
+//! splits it in two without that check, so the list can grow past
+//! `MAX_GAPS` (to 14,670 gaps on perfbench's `pfcp_campaign` and 22,701 on
+//! its `recall_storm`).
 //!
 //! Simulated time is driven by one host thread (DESIGN.md §10), so the lock
 //! is uncontended; it keeps the handle `Send + Sync` and correct if several
@@ -73,9 +82,10 @@ impl TimelineStats {
     }
 }
 
-/// Bound on the backfill gap list. Gaps are an optimization: when the list
-/// is full the earliest gap is discarded, which can only delay a future
-/// backfill, never corrupt the schedule.
+/// List length at which publishing a gap drops the earliest one. Gaps are
+/// an optimization: a dropped gap can only delay a future backfill, never
+/// corrupt the schedule. Split carves do not check it, so this is not a
+/// bound on the list's length.
 const MAX_GAPS: usize = 1024;
 
 /// A named FIFO resource with an intrinsic bandwidth and per-operation
@@ -106,6 +116,17 @@ struct State {
     /// Free intervals strictly below the frontier, sorted by start,
     /// disjoint — hence sorted by end as well.
     gaps: VecDeque<(u64, u64)>,
+    /// Where the last first-fit search landed: the next one tries it
+    /// first. Only a hint; [`State::ending_before`] checks it.
+    hint: usize,
+}
+
+/// Where a request would be granted: at its ready time or the frontier, or
+/// inside the gap at this index.
+#[derive(Clone, Copy)]
+enum Slot {
+    Frontier,
+    Gap(usize),
 }
 
 impl fmt::Debug for Timeline {
@@ -177,33 +198,40 @@ impl Timeline {
         self.reserve_accounted(ready, dur, bytes)
     }
 
-    fn reserve_accounted(
+    pub(crate) fn reserve_accounted(
         &self,
         ready: SimInstant,
         duration: SimDuration,
         bytes: DataSize,
     ) -> Reservation {
-        let dur = duration.as_nanos();
         let mut st = self.shared.state.lock();
-        let start_ns = st.claim(ready.as_nanos(), dur);
-        st.busy_ns += dur;
-        st.ops += 1;
-        st.bytes += bytes.as_bytes();
-        Reservation {
-            start: SimInstant::from_nanos(start_ns),
-            end: SimInstant::from_nanos(start_ns + dur),
+        let (slot, start) = st.find(ready.as_nanos(), duration.as_nanos());
+        st.grant(slot, start, duration.as_nanos(), bytes)
+    }
+
+    /// Grant `duration` at `ready` itself if this resource is free then;
+    /// otherwise leave it untouched and return the earliest start it could
+    /// offer. One lock either way, so a pool can probe and claim in one step.
+    pub(crate) fn reserve_if_free_at(
+        &self,
+        ready: SimInstant,
+        duration: SimDuration,
+        bytes: DataSize,
+    ) -> Result<Reservation, SimInstant> {
+        let mut st = self.shared.state.lock();
+        match st.find(ready.as_nanos(), duration.as_nanos()) {
+            (slot, start) if start == ready.as_nanos() => {
+                Ok(st.grant(slot, start, duration.as_nanos(), bytes))
+            }
+            (_, start) => Err(SimInstant::from_nanos(start)),
         }
     }
 
     /// Probe: when could an operation of `duration` start if ready at
-    /// `ready`? (Used by pools to pick the best member.)
+    /// `ready`?
     pub fn earliest_start(&self, ready: SimInstant, duration: SimDuration) -> SimInstant {
-        let ready_ns = ready.as_nanos();
-        let st = self.shared.state.lock();
-        let start = match State::first_fit(&st.gaps, ready_ns, duration.as_nanos()) {
-            Some((_, s)) => s,
-            None => st.next_free.max(ready_ns),
-        };
+        let mut st = self.shared.state.lock();
+        let (_, start) = st.find(ready.as_nanos(), duration.as_nanos());
         SimInstant::from_nanos(start)
     }
 
@@ -225,30 +253,46 @@ impl Timeline {
 }
 
 impl State {
-    /// Grant `[start, start+dur)` with `start >= ready`. A device free at
-    /// `ready` starts there, publishing the skipped idle time as a gap; an
-    /// op ready below the frontier backfills a gap, else queues at the
-    /// frontier.
-    fn claim(&mut self, ready: u64, dur: u64) -> u64 {
-        let start = if ready >= self.next_free {
-            Self::insert_gap(&mut self.gaps, self.next_free, ready);
-            ready
-        } else if let Some(start) = Self::carve(&mut self.gaps, ready, dur) {
-            return start;
-        } else {
-            self.next_free
-        };
-        self.next_free = start + dur;
-        start
+    /// Where `[start, start+dur)` with `start >= ready` goes. A device free
+    /// at `ready` starts there; an op ready below the frontier backfills
+    /// the first gap that fits, else queues at the frontier.
+    fn find(&mut self, ready: u64, dur: u64) -> (Slot, u64) {
+        if ready >= self.next_free {
+            return (Slot::Frontier, ready);
+        }
+        match self.first_fit(ready, dur) {
+            Some((i, s)) => (Slot::Gap(i), s),
+            None => (Slot::Frontier, self.next_free),
+        }
     }
 
-    /// Earliest `[s, s+dur)` fitting inside a free gap with `s >= ready`;
-    /// carves it out of the list. Zero-duration ops fit without carving.
-    fn carve(gaps: &mut VecDeque<(u64, u64)>, ready: u64, dur: u64) -> Option<u64> {
-        let (i, s) = Self::first_fit(gaps, ready, dur)?;
-        if dur == 0 {
-            return Some(s);
+    /// Book `[start, start+dur)` where [`Self::find`] placed it. A start
+    /// past the frontier publishes the skipped idle time as a gap; a
+    /// backfill carves its interval out of gap `i`.
+    fn grant(&mut self, slot: Slot, start: u64, dur: u64, bytes: DataSize) -> Reservation {
+        match slot {
+            Slot::Frontier => {
+                self.publish_gap(self.next_free, start);
+                self.next_free = start + dur;
+            }
+            Slot::Gap(i) => self.carve(i, start, dur),
         }
+        self.busy_ns += dur;
+        self.ops += 1;
+        self.bytes += bytes.as_bytes();
+        Reservation {
+            start: SimInstant::from_nanos(start),
+            end: SimInstant::from_nanos(start + dur),
+        }
+    }
+
+    /// Remove `[s, s+dur)` from gap `i`, which holds it. Zero-duration ops
+    /// fit without carving.
+    fn carve(&mut self, i: usize, s: u64, dur: u64) {
+        if dur == 0 {
+            return;
+        }
+        let gaps = &mut self.gaps;
         let (a, b) = gaps[i];
         let e = s + dur;
         match (s > a, e < b) {
@@ -263,36 +307,51 @@ impl State {
             }
         }
         debug_assert!(Self::ordered_near(gaps, i));
-        Some(s)
     }
 
     /// Index and start of the first gap that holds `[s, s+dur)` with
     /// `s >= ready`. Gaps are disjoint and sorted by start, hence sorted by
     /// end too, and a gap ending before `ready + dur` can never fit: the
-    /// binary search skips exactly the gaps a linear scan would reject, so
-    /// the first fit is the same. Past that point only the gap's own
-    /// length can still rule it out.
-    fn first_fit(gaps: &VecDeque<(u64, u64)>, ready: u64, dur: u64) -> Option<(usize, u64)> {
+    /// search skips exactly the gaps a linear scan would reject, so the
+    /// first fit is the same. Past that point only the gap's own length can
+    /// still rule it out.
+    fn first_fit(&mut self, ready: u64, dur: u64) -> Option<(usize, u64)> {
         let need = ready.checked_add(dur)?;
-        let from = gaps.partition_point(|&(_, b)| b < need);
+        let from = self.ending_before(need);
+        let gaps = &self.gaps;
         gaps.range(from..)
             .position(|&(a, b)| dur <= b - a)
             .map(|k| (from + k, gaps[from + k].0.max(ready)))
     }
 
-    /// Insert `[start, end)` keeping the list sorted; drops the earliest
-    /// gap when full (bounded memory; losing a gap is only a missed
-    /// backfill opportunity).
-    fn insert_gap(gaps: &mut VecDeque<(u64, u64)>, start: u64, end: u64) {
+    /// The number of gaps ending before `need`. The hint, or the index
+    /// after it, is taken only where that split holds on both sides of it;
+    /// otherwise the whole list is binary-searched.
+    fn ending_before(&mut self, need: u64) -> usize {
+        let gaps = &self.gaps;
+        let splits_at =
+            |i: usize| (i == 0 || gaps[i - 1].1 < need) && gaps.get(i).is_none_or(|g| g.1 >= need);
+        let from = [self.hint, self.hint + 1]
+            .into_iter()
+            .find(|&i| i <= gaps.len() && splits_at(i))
+            .unwrap_or_else(|| gaps.partition_point(|&(_, b)| b < need));
+        self.hint = from;
+        from
+    }
+
+    /// Append the idle interval `[start, end)` skipped below the new
+    /// frontier. `start` is the old frontier, at or past every gap's end, so
+    /// the list stays sorted. Drops the earliest gap when the list has
+    /// `MAX_GAPS` (losing a gap is only a missed backfill opportunity).
+    fn publish_gap(&mut self, start: u64, end: u64) {
         if start >= end {
             return;
         }
-        if gaps.len() >= MAX_GAPS {
-            gaps.pop_front();
+        if self.gaps.len() >= MAX_GAPS {
+            self.gaps.pop_front();
         }
-        let pos = gaps.partition_point(|&(a, _)| a < start);
-        gaps.insert(pos, (start, end));
-        debug_assert!(Self::ordered_near(gaps, pos));
+        self.gaps.push_back((start, end));
+        debug_assert!(Self::ordered_near(&self.gaps, self.gaps.len() - 1));
     }
 
     /// The invariant [`Self::first_fit`] relies on — each gap ends at or

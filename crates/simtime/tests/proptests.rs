@@ -227,4 +227,33 @@ proptest! {
         }
         prop_assert!(reference.evicted > 0, "{} ops never filled the gap list", n);
     }
+
+    /// The backfill search starts where the previous one landed. Ready
+    /// times mostly track the frontier, so that hint usually holds; some
+    /// jump deep into the past, so it must be refused and the whole list
+    /// searched. Small backfills split long gaps, which grows the list past
+    /// `MAX_GAPS`. Every probe and every grant matches the linear first-fit
+    /// reference exactly.
+    #[test]
+    fn hinted_gap_search_matches_linear_first_fit(seed in any::<u64>(), n in 3_000usize..4_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = Timeline::new("r", Bandwidth::ZERO, SimDuration::ZERO);
+        let mut reference = LinearFirstFit { next_free: 0, gaps: Vec::new(), evicted: 0 };
+        let mut longest = 0;
+        for op in 0..n {
+            let frontier = t.next_free().as_nanos();
+            let (ready, dur) = match rng.gen_range(0..10u32) {
+                0..=3 => (frontier + rng.gen_range(1_000..5_000), rng.gen_range(0..200)),
+                4..=8 => (frontier.saturating_sub(rng.gen_range(0..8_000)), rng.gen_range(0..50)),
+                _ => (rng.gen_range(0..=frontier), rng.gen_range(0..1_500)),
+            };
+            let (ready_at, dur_for) = (SimInstant::from_nanos(ready), SimDuration::from_nanos(dur));
+            let probe = t.earliest_start(ready_at, dur_for).as_nanos();
+            prop_assert_eq!(probe, reference.earliest_start(ready, dur), "probe of op {}", op);
+            let granted = t.reserve(ready_at, dur_for).start.as_nanos();
+            prop_assert_eq!(granted, reference.reserve(ready, dur), "grant of op {}", op);
+            longest = longest.max(reference.gaps.len());
+        }
+        prop_assert!(longest > LinearFirstFit::MAX_GAPS, "the list peaked at {} gaps", longest);
+    }
 }
