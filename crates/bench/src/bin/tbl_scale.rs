@@ -226,11 +226,13 @@ fn main() {
         let recs = pfs.scan_records_with(threads);
         let record_secs = r0.elapsed().as_secs_f64();
         assert_eq!(recs.len(), files, "record stream must see every file");
+        let s0 = Instant::now();
         let report = pfs.run_policy_with(&eng, threads);
+        let scan_secs = s0.elapsed().as_secs_f64();
         let row = rows.iter_mut().find(|r| r.threads == threads);
         let row = row.expect("a THREADS entry");
         row.record_secs = row.record_secs.min(record_secs);
-        row.scan_secs = row.scan_secs.min(report.wall_seconds);
+        row.scan_secs = row.scan_secs.min(scan_secs);
         row.matched = report.lists.values().map(Vec::len).sum();
         row.checksum = checksum(&report);
     }

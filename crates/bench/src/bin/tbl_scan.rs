@@ -57,7 +57,7 @@ fn run(files: usize) -> Row {
         inodes: report.scanned,
         build_secs,
         scan_secs: report.wall_seconds,
-        inodes_per_sec: report.inodes_per_sec,
+        inodes_per_sec: report.scanned as f64 / report.wall_seconds,
         matched: report.lists.get("candidates").map(Vec::len).unwrap_or(0),
     }
 }

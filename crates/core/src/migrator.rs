@@ -228,7 +228,7 @@ pub type MigrateError = HsmError;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copra_pfs::HsmState;
+    use copra_pfs::{HsmState, PoolId};
 
     fn rec(path: &str, size: u64) -> FileRecord {
         FileRecord {
@@ -238,7 +238,7 @@ mod tests {
             uid: 0,
             mtime: SimInstant::EPOCH,
             atime: SimInstant::EPOCH,
-            pool: "fast".to_string(),
+            pool: PoolId(0),
             hsm: HsmState::Resident,
         }
     }

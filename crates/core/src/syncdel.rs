@@ -309,7 +309,7 @@ mod tests {
                 uid: 0,
                 mtime: SimInstant::EPOCH,
                 atime: SimInstant::EPOCH,
-                pool: "fast".to_string(),
+                pool: pfs.pool_of(ino),
                 hsm: copra_pfs::HsmState::Migrated,
             });
         }

@@ -1,7 +1,7 @@
 //! The parallel file system proper: a [`copra_vfs::Vfs`] namespace plus
 //! storage pools, placement policy, and DMAPI-style managed regions.
 
-use crate::policy::{FileRecord, FileView, PolicyEngine, Rule};
+use crate::policy::{merge_runs, tagged_order, FileRecord, FileView, PolicyEngine, Rule};
 use crate::pool::{PoolConfig, PoolId, StoragePool};
 use copra_simtime::{Clock, DataSize, Reservation, SimDuration, SimInstant, Timeline};
 use copra_trace::Tracer;
@@ -542,27 +542,29 @@ impl Pfs {
     }
 
     /// [`Pfs::scan_records`] at an explicit thread count. The result is
-    /// identical at any `threads` value: shards are scanned independently
-    /// and the merged records are sorted by path.
+    /// identical at any `threads` value: each scan thread sorts its own
+    /// records by path, and one merge of the threads' runs orders them all.
     pub fn scan_records_with(&self, threads: usize) -> Vec<FileRecord> {
         let tracer = self.tracer();
         let now = self.clock().now();
         let root = tracer.root_seq("pfs.scan_records", now);
-        let mut recs = self.shared.vfs.par_scan(
+        let by_path = |a: &FileRecord, b: &FileRecord| a.path.cmp(&b.path);
+        let runs = self.shared.vfs.par_scan(
             threads,
             |inode, path| {
                 inode.is_file().then(|| {
-                    let pool = self.pool(self.tag_pool(inode.pool)).name();
-                    FileView::of(path.get(), inode, pool).to_record()
+                    let pool = self.tag_pool(inode.pool);
+                    FileView::of(path.get(), inode, self.pool(pool).name()).to_record(pool)
                 })
             },
             |st| record_shard_spans(tracer, root.as_ref(), "scan.shard", now, st),
+            |t, run| self.sort_run(root.as_ref(), "scan.sort", now, t, run, by_path),
         );
-        let sort_start = tracer.wall_now_ns();
-        // Paths are unique, so the unstable sort gives the same order.
-        recs.sort_unstable_by(|a, b| a.path.cmp(&b.path));
+        let merge_start = tracer.wall_now_ns();
+        let mut recs = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        merge_runs(runs, by_path, |rec| recs.push(rec));
         if let Some(g) = root {
-            tracer.record_closed(Some(g.ctx()), "scan.sort_merge", 0, now, now, sort_start);
+            tracer.record_closed(Some(g.ctx()), "scan.sort_merge", 0, now, now, merge_start);
             g.finish(now);
         }
         recs
@@ -577,8 +579,9 @@ impl Pfs {
     /// fused into the sharded namespace scan: each scan thread classifies a
     /// borrowed view of each file as it walks its shards and builds an
     /// owned record only for a match. The path is built only for a match
-    /// too, unless a rule reads it. [`PolicyEngine::assemble`] sorts the
-    /// survivors, making the report deterministic at every thread count.
+    /// too, unless a rule reads it. Each thread sorts its matches by (rule,
+    /// path) and one merge of the runs builds the report, deterministic at
+    /// every thread count.
     pub fn run_policy_with(
         &self,
         engine: &PolicyEngine,
@@ -590,28 +593,26 @@ impl Pfs {
         let t0 = std::time::Instant::now();
         let scanned = AtomicU64::new(0);
         let reads_path = engine.reads_path();
-        let tagged = self.shared.vfs.par_scan(
+        let runs = self.shared.vfs.par_scan(
             threads,
             |inode, path| {
                 if !inode.is_file() {
                     return None;
                 }
-                let pool = self.pool(self.tag_pool(inode.pool)).name();
+                let pool = self.tag_pool(inode.pool);
+                let name = self.pool(pool).name();
                 let rule_path = if reads_path { path.get() } else { "" };
-                let idx = engine.classify(&FileView::of(rule_path, inode, pool), now)?;
-                Some((idx, FileView::of(path.get(), inode, pool).to_record()))
+                let idx = engine.classify(&FileView::of(rule_path, inode, name), now)?;
+                Some((idx, FileView::of(path.get(), inode, name).to_record(pool)))
             },
             |st| {
                 scanned.fetch_add(st.files, Ordering::Relaxed);
                 record_shard_spans(tracer, root.as_ref(), "policy.shard", now, st);
             },
+            |t, run| self.sort_run(root.as_ref(), "policy.sort", now, t, run, tagged_order),
         );
         let assemble_start = tracer.wall_now_ns();
-        let report = engine.assemble(
-            tagged,
-            scanned.into_inner() as usize,
-            t0.elapsed().as_secs_f64(),
-        );
+        let report = engine.assemble(runs, scanned.into_inner() as usize, t0);
         if let Some(g) = root {
             tracer.record_closed(
                 Some(g.ctx()),
@@ -625,12 +626,33 @@ impl Pfs {
         }
         report
     }
+
+    /// Sort a scan thread's run (paths are unique, so unstably) and, if
+    /// traced, record a `name` span keyed by the thread's index: every
+    /// thread sorts once, whichever shards it took, so the tree is fixed.
+    fn sort_run<T>(
+        &self,
+        root: Option<&copra_trace::SpanGuard>,
+        name: &'static str,
+        now: SimInstant,
+        thread: usize,
+        run: &mut [T],
+        order: impl Fn(&T, &T) -> std::cmp::Ordering,
+    ) {
+        let start = self.tracer().wall_now_ns();
+        run.sort_unstable_by(order);
+        if let Some(root) = root {
+            self.tracer()
+                .record_closed(Some(root.ctx()), name, thread as u64, now, now, start);
+        }
+    }
 }
 
 /// Turn one shard's measured walk into closed spans under `root`, if the
 /// scan is traced: a `name` span per shard with a `<name>.walk` child.
 /// They are sim-zero-length (the sim clock is frozen during a scan); their
-/// wall intervals carry the data. Called 64 times per scan — the only wall-clock reads on the scan path,
+/// wall intervals carry the data. Called 64 times per scan — with
+/// [`Pfs::sort_run`], the only wall-clock reads on the scan path,
 /// which is how armed tracing stays under its 5% overhead budget.
 fn record_shard_spans(
     tracer: &Tracer,
@@ -657,6 +679,7 @@ mod tests {
     use crate::policy::{Action, Cmp, Predicate};
     use copra_simtime::Bandwidth;
     use copra_simtime::SimDuration;
+    use std::collections::BTreeMap;
 
     fn archive_fs() -> Pfs {
         PfsBuilder::new("archive", Clock::new())
@@ -850,7 +873,7 @@ mod tests {
         assert_eq!(r.path, "/proj/x.dat");
         assert_eq!(r.uid, 42);
         assert_eq!(r.size, 1000);
-        assert_eq!(r.pool, "fast");
+        assert_eq!(pfs.pool(r.pool).name(), "fast");
         assert_eq!(r.hsm, HsmState::Premigrated);
     }
 
@@ -928,21 +951,27 @@ mod tests {
         assert!(baseline.lists["stubs"].iter().all(|r| r.size >= 64));
     }
 
-    /// A policy scan must report exactly what classifying every record of
-    /// `scan_records_with(1)` reports, whether or not a rule reads paths.
+    /// A policy scan must report exactly what a serial reference reports:
+    /// classify every record of `scan_records_with(1)`, group by rule, sort
+    /// each group by path, and fill the lists in rule order. The namespace
+    /// is created round-robin across directories, so inode order is not
+    /// path order; a list fed by two rules whose paths interleave is not in
+    /// path order either. Whether or not a rule reads paths.
     #[test]
-    fn policy_scan_equals_classify_over_scan_records() {
+    fn policy_scan_equals_a_serial_reference() {
         let pfs = archive_fs();
-        for (d, sub) in [(0, "a/x"), (1, "a/y/z"), (2, "b"), (3, "b/tmp/deep/er")] {
-            let dir = format!("/proj/{sub}");
-            pfs.mkdir_p(&dir).unwrap();
-            for i in 0..30u64 {
+        let dirs = [(0, "a/x"), (1, "a/y/z"), (2, "b"), (3, "b/tmp/deep/er")];
+        for (_, sub) in dirs {
+            pfs.mkdir_p(&format!("/proj/{sub}")).unwrap();
+        }
+        for i in 0..30u64 {
+            for (d, sub) in dirs {
                 let name = if i % 4 == 0 {
                     "scratch.tmp"
                 } else {
                     "data.dat"
                 };
-                let path = format!("{dir}/f{i:02}-{name}");
+                let path = format!("/proj/{sub}/f{i:02}-{name}");
                 let size = if i % 2 == 0 { 4096 + i } else { (2 << 20) + i };
                 let ino = pfs
                     .create_file(&path, i as u32, Content::synthetic(d * 100 + i, size))
@@ -963,7 +992,8 @@ mod tests {
                 "skip-slow-stubs",
                 Predicate::InPool("slow".to_string()).and(Predicate::Hsm(HsmState::Migrated)),
             ),
-            Rule::list("big", "big", Predicate::SizeBytes(Cmp::Ge, 1 << 20)),
+            Rule::list("stubs", "stubs", Predicate::Hsm(HsmState::Migrated)),
+            Rule::list("big", "tape", Predicate::SizeBytes(Cmp::Ge, 1 << 20)),
             Rule::list("rest", "tape", Predicate::Uid(Cmp::Lt, 20)),
         ];
         let with_paths = vec![
@@ -982,26 +1012,55 @@ mod tests {
         ];
         let records = pfs.scan_records_with(1);
         assert_eq!(records.len(), 120);
-        for rules in [path_free, with_paths] {
+        assert!(records.windows(2).all(|w| w[0].path < w[1].path));
+        assert!(records.windows(2).any(|w| w[0].ino > w[1].ino));
+        let now = pfs.clock().now();
+        for (rules, interleaved) in [(path_free, true), (with_paths, false)] {
             let engine = PolicyEngine::new(rules);
-            let now = pfs.clock().now();
-            let tagged = records
-                .iter()
-                .filter_map(|r| engine.classify(&r.view(), now).map(|i| (i, r.clone())))
+            let tagged: Vec<(usize, FileRecord)> = (records.iter())
+                .filter_map(|r| {
+                    let view = r.view(pfs.pool(r.pool).name());
+                    engine.classify(&view, now).map(|i| (i, r.clone()))
+                })
                 .collect();
-            let reference = engine.assemble(tagged, records.len(), 0.0);
-            assert!(reference.lists.values().all(|v| !v.is_empty()));
-            for threads in [1, 2, 4, 8] {
+            let mut groups: BTreeMap<usize, Vec<FileRecord>> = BTreeMap::new();
+            for (i, r) in &tagged {
+                groups.entry(*i).or_default().push(r.clone());
+            }
+            let mut reference: BTreeMap<String, Vec<FileRecord>> = BTreeMap::new();
+            for (i, mut files) in groups {
+                files.sort_by(|a, b| a.path.cmp(&b.path));
+                if let Action::List { list } = &engine.rules()[i].action {
+                    reference.entry(list.clone()).or_default().extend(files);
+                }
+            }
+            assert!(reference.values().all(|v| !v.is_empty()));
+            let tape = &reference["tape"];
+            assert_eq!(tape.windows(2).any(|w| w[0].path > w[1].path), interleaved);
+            for threads in [1, 2, 3, 8] {
                 let report = pfs.run_policy_with(&engine, threads);
-                assert_eq!(report.scanned, reference.scanned);
-                assert_eq!(report.lists, reference.lists, "{threads} threads");
+                assert_eq!(report.scanned, records.len());
+                assert_eq!(report.lists, reference, "{threads} threads");
+            }
+            // A scan this small may leave every run but one empty, so the
+            // merge also gets runs split by a fixed rule.
+            for k in [2, 3, 8] {
+                let mut runs = vec![Vec::new(); k];
+                for (n, t) in tagged.iter().enumerate() {
+                    runs[n % k].push(t.clone());
+                }
+                for run in &mut runs {
+                    run.sort_by(crate::policy::tagged_order);
+                }
+                let report = engine.assemble(runs, records.len(), std::time::Instant::now());
+                assert_eq!(report.lists, reference, "{k} runs");
             }
         }
-        // The reference agrees with the per-file accessors, and covers
-        // both pools, every state and the stub-size overlay.
+        // The records agree with the per-file accessors, and cover both
+        // pools, every state and the stub-size overlay.
         for r in &records {
             assert_eq!(r.path, pfs.path_of(r.ino).unwrap());
-            assert_eq!(r.pool, pfs.pool(pfs.pool_of(r.ino)).name());
+            assert_eq!(r.pool, pfs.pool_of(r.ino));
             assert_eq!(r.hsm, pfs.hsm_state(r.ino).unwrap());
             assert_eq!(r.size, pfs.logical_size(r.ino).unwrap());
         }
@@ -1011,7 +1070,7 @@ mod tests {
             .unwrap();
         assert!(stub.size >= 4096 && pfs.vfs().stat_ino(stub.ino).unwrap().size == 0);
         for pool in ["fast", "slow"] {
-            assert!(records.iter().any(|r| r.pool == pool));
+            assert!(records.iter().any(|r| pfs.pool(r.pool).name() == pool));
         }
         assert!(records.iter().any(|r| r.hsm == HsmState::Premigrated));
         assert!(records.iter().any(|r| r.hsm == HsmState::Resident));
@@ -1063,7 +1122,10 @@ mod tests {
         for (predicate, pool, aged) in cases {
             let want: Vec<FileRecord> = records
                 .iter()
-                .filter(|r| r.pool == pool && (!aged || r.mtime < SimInstant::from_secs(3600)))
+                .filter(|r| {
+                    pfs.pool(r.pool).name() == pool
+                        && (!aged || r.mtime < SimInstant::from_secs(3600))
+                })
                 .cloned()
                 .collect();
             assert!(!want.is_empty() && want.len() < records.len());
@@ -1075,7 +1137,7 @@ mod tests {
         }
         assert!(records
             .iter()
-            .any(|r| r.path == "/d/raw" && r.pool == "fast"));
+            .any(|r| r.path == "/d/raw" && pfs.pool(r.pool).name() == "fast"));
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! actions modelled.
 
 use crate::glob::wildcard_match;
+use crate::pool::PoolId;
 use copra_simtime::{SimDuration, SimInstant};
 use copra_vfs::{HsmState, Ino, InodeAttr};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// One file as a policy scan reports it: the owned form of a [`FileView`].
@@ -27,13 +29,13 @@ pub struct FileRecord {
     pub uid: u32,
     pub mtime: SimInstant,
     pub atime: SimInstant,
-    pub pool: String,
+    pub pool: PoolId,
     pub hsm: HsmState,
 }
 
 impl FileRecord {
     #[cfg(test)]
-    pub fn view(&self) -> FileView<'_> {
+    pub fn view<'a>(&'a self, pool: &'a str) -> FileView<'a> {
         FileView {
             path: &self.path,
             ino: self.ino,
@@ -41,7 +43,7 @@ impl FileRecord {
             uid: self.uid,
             mtime: self.mtime,
             atime: self.atime,
-            pool: &self.pool,
+            pool,
             hsm: self.hsm,
         }
     }
@@ -78,7 +80,8 @@ impl<'a> FileView<'a> {
         }
     }
 
-    pub fn to_record(&self) -> FileRecord {
+    /// The owned record of this file, which lies in pool `pool`.
+    pub fn to_record(&self, pool: PoolId) -> FileRecord {
         FileRecord {
             path: self.path.to_string(),
             ino: self.ino,
@@ -86,7 +89,7 @@ impl<'a> FileView<'a> {
             uid: self.uid,
             mtime: self.mtime,
             atime: self.atime,
-            pool: self.pool.to_string(),
+            pool,
             hsm: self.hsm,
         }
     }
@@ -233,17 +236,15 @@ impl Rule {
 }
 
 /// Result of a policy scan.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScanReport {
     /// Files matched per LIST rule, keyed by list name.
     pub lists: BTreeMap<String, Vec<FileRecord>>,
     /// Total regular files examined.
     pub scanned: usize,
-    /// Wall-clock time of the scan (real time — this is the "1M inodes in
-    /// 10 minutes" figure, which is about scan machinery, not device I/O).
+    /// Wall-clock time of the scan until its report is built (real time:
+    /// the "1M inodes in 10 minutes" figure is about scan machinery).
     pub wall_seconds: f64,
-    /// Scan rate in inodes per wall second.
-    pub inodes_per_sec: f64,
 }
 
 /// The scanning engine.
@@ -278,40 +279,36 @@ impl PolicyEngine {
             .position(|rule| rule.predicate.eval(file, now))
     }
 
-    /// Build a [`ScanReport`] from `(matched rule index, record)` pairs.
-    /// Each group is sorted by path, so the report is identical no matter
-    /// how many threads produced the tags or in what order they arrived.
-    pub fn assemble(
+    /// Build a [`ScanReport`], timed from `started`, from runs of `(matched
+    /// rule index, record)` pairs, each sorted by [`tagged_order`]. One
+    /// merge pushes each record into the `Vec` of the first rule feeding
+    /// its list, so a list holds rule order, then path order. Paths are
+    /// unique, so the report does not depend on how the runs split.
+    pub(crate) fn assemble(
         &self,
-        tagged: Vec<(usize, FileRecord)>,
+        runs: Vec<Vec<(usize, FileRecord)>>,
         scanned: usize,
-        wall_seconds: f64,
+        started: std::time::Instant,
     ) -> ScanReport {
-        let mut report = ScanReport {
+        let rules = &self.rules;
+        let first_alike: Vec<usize> = (rules.iter())
+            .map(|r| rules.iter().take_while(|o| o.action != r.action).count())
+            .collect();
+        let mut groups = vec![Vec::new(); rules.len()];
+        merge_runs(runs, tagged_order, |(idx, rec)| {
+            groups[first_alike[idx]].push(rec)
+        });
+        let lists = (rules.iter().zip(groups))
+            .filter_map(|(rule, files)| match &rule.action {
+                Action::List { list } if !files.is_empty() => Some((list.clone(), files)),
+                Action::List { .. } | Action::Exclude | Action::Place { .. } => None,
+            })
+            .collect();
+        ScanReport {
+            lists,
             scanned,
-            ..ScanReport::default()
-        };
-        let mut groups: BTreeMap<usize, Vec<FileRecord>> = BTreeMap::new();
-        for (idx, rec) in tagged {
-            groups.entry(idx).or_default().push(rec);
+            wall_seconds: started.elapsed().as_secs_f64(),
         }
-        for (idx, mut files) in groups {
-            // Paths are unique, so the unstable sort gives the same order.
-            files.sort_unstable_by(|a, b| a.path.cmp(&b.path));
-            match &self.rules[idx].action {
-                Action::List { list } => {
-                    report.lists.entry(list.clone()).or_default().extend(files)
-                }
-                Action::Exclude | Action::Place { .. } => {}
-            }
-        }
-        report.wall_seconds = wall_seconds;
-        report.inodes_per_sec = if wall_seconds > 0.0 {
-            scanned as f64 / wall_seconds
-        } else {
-            f64::INFINITY
-        };
-        report
     }
 
     /// Placement decision for a new file: the pool named by the first
@@ -325,11 +322,42 @@ impl PolicyEngine {
     }
 }
 
+/// The order of a policy scan's tagged matches: by rule index, then path.
+pub(crate) fn tagged_order(a: &(usize, FileRecord), b: &(usize, FileRecord)) -> Ordering {
+    a.0.cmp(&b.0).then_with(|| a.1.path.cmp(&b.1.path))
+}
+
+/// Hand every item of `runs`, each sorted by `order`, to `emit` in `order`
+/// (items must be distinct). Runs are few, one per scan thread, so a
+/// linear pass over their heads finds the least.
+pub(crate) fn merge_runs<T>(
+    runs: Vec<Vec<T>>,
+    order: impl Fn(&T, &T) -> Ordering,
+    mut emit: impl FnMut(T),
+) {
+    let mut heads: Vec<(T, std::vec::IntoIter<T>)> = (runs.into_iter().map(Vec::into_iter))
+        .filter_map(|mut run| Some((run.next()?, run)))
+        .collect();
+    while heads.len() > 1 {
+        let least = (0..heads.len())
+            .min_by(|&a, &b| order(&heads[a].0, &heads[b].0))
+            .expect("two or more heads");
+        emit(match heads[least].1.next() {
+            Some(next) => std::mem::replace(&mut heads[least].0, next),
+            None => heads.swap_remove(least).0,
+        });
+    }
+    if let Some((head, rest)) = heads.pop() {
+        emit(head);
+        rest.for_each(emit);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(path: &str, size: u64, pool: &str, hsm: HsmState) -> FileRecord {
+    fn rec(path: &str, size: u64, hsm: HsmState) -> FileRecord {
         FileRecord {
             path: path.to_string(),
             ino: Ino(1),
@@ -337,28 +365,30 @@ mod tests {
             uid: 1000,
             mtime: SimInstant::EPOCH,
             atime: SimInstant::EPOCH,
-            pool: pool.to_string(),
+            pool: PoolId(0),
             hsm,
         }
     }
 
-    /// Serial classify + assemble over a slice of records.
+    /// Serial classify + assemble over a slice of records in pool `fast`,
+    /// as one sorted run.
     fn scan(engine: &PolicyEngine, records: &[FileRecord]) -> ScanReport {
-        let tagged = records
+        let mut tagged: Vec<_> = records
             .iter()
             .filter_map(|r| {
                 engine
-                    .classify(&r.view(), SimInstant::EPOCH)
+                    .classify(&r.view("fast"), SimInstant::EPOCH)
                     .map(|i| (i, r.clone()))
             })
             .collect();
-        engine.assemble(tagged, records.len(), 0.0)
+        tagged.sort_by(tagged_order);
+        engine.assemble(vec![tagged], records.len(), std::time::Instant::now())
     }
 
     #[test]
     fn scalar_predicates() {
-        let owned = rec("/data/a.dat", 500, "fast", HsmState::Resident);
-        let r = owned.view();
+        let owned = rec("/data/a.dat", 500, HsmState::Resident);
+        let r = owned.view("fast");
         let now = SimInstant::from_secs(100);
         assert!(Predicate::SizeBytes(Cmp::Lt, 1000).eval(&r, now));
         assert!(!Predicate::SizeBytes(Cmp::Gt, 1000).eval(&r, now));
@@ -374,8 +404,8 @@ mod tests {
 
     #[test]
     fn combinators() {
-        let owned = rec("/data/a.dat", 500, "fast", HsmState::Resident);
-        let r = owned.view();
+        let owned = rec("/data/a.dat", 500, HsmState::Resident);
+        let r = owned.view("fast");
         let now = SimInstant::EPOCH;
         let p = Predicate::SizeBytes(Cmp::Lt, 1000).and(Predicate::InPool("fast".to_string()));
         assert!(p.eval(&r, now));
@@ -393,9 +423,9 @@ mod tests {
             Rule::list("rest", "tape", Predicate::True),
         ]);
         let records = vec![
-            rec("/a/x.tmp", 10, "fast", HsmState::Resident),
-            rec("/a/small", 10, "fast", HsmState::Resident),
-            rec("/a/big", 10_000, "fast", HsmState::Resident),
+            rec("/a/x.tmp", 10, HsmState::Resident),
+            rec("/a/small", 10, HsmState::Resident),
+            rec("/a/big", 10_000, HsmState::Resident),
         ];
         let report = scan(&engine, &records);
         assert_eq!(report.scanned, 3);
@@ -410,7 +440,7 @@ mod tests {
         let engine = PolicyEngine::new(vec![Rule::list("all", "all", Predicate::True)]);
         let records: Vec<_> = (0..100)
             .rev()
-            .map(|i| rec(&format!("/f/{i:03}"), i, "fast", HsmState::Resident))
+            .map(|i| rec(&format!("/f/{i:03}"), i, HsmState::Resident))
             .collect();
         let report = scan(&engine, &records);
         let paths: Vec<_> = report.lists["all"].iter().map(|r| r.path.clone()).collect();
@@ -438,10 +468,13 @@ mod tests {
                 predicate: Predicate::True,
             },
         ]);
-        let small = rec("/s", 10, "", HsmState::Resident);
-        let big = rec("/b", 1_000_000, "", HsmState::Resident);
-        assert_eq!(engine.place(&small.view(), SimInstant::EPOCH), Some("slow"));
-        assert_eq!(engine.place(&big.view(), SimInstant::EPOCH), Some("fast"));
+        let small = rec("/s", 10, HsmState::Resident);
+        let big = rec("/b", 1_000_000, HsmState::Resident);
+        assert_eq!(
+            engine.place(&small.view(""), SimInstant::EPOCH),
+            Some("slow")
+        );
+        assert_eq!(engine.place(&big.view(""), SimInstant::EPOCH), Some("fast"));
     }
 
     #[test]

@@ -194,7 +194,7 @@ proptest! {
                 let got: Vec<(String, Ino, String)> = pfs
                     .scan_records_with(threads)
                     .into_iter()
-                    .map(|r| (r.path, r.ino, r.pool))
+                    .map(|r| (r.path, r.ino, pfs.pool(r.pool).name().to_string()))
                     .collect();
                 prop_assert_eq!(&got, &want, "scan records at {} threads", threads);
             }

@@ -33,7 +33,7 @@ use crate::hsmstate::ManagedRegion;
 use crate::inode::{ChunkMark, FileType, Ino, InodeAttr};
 use crate::path::{is_normalized, is_under, join, normalize, parent_and_name, split};
 use copra_simtime::{Clock, SimInstant};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -875,77 +875,74 @@ impl Vfs {
     /// hangs off this hook instead of timing individual inodes).
     ///
     /// `f` runs under the read guard, so it must not call back into this
-    /// `Vfs` (see the module docs). Results are collected per shard and
-    /// concatenated in shard order, so on a quiescent tree the multiset of
-    /// results is independent of `threads` (callers needing a total order
-    /// sort afterwards).
-    pub fn par_scan<R, F, O>(&self, threads: usize, f: F, obs: O) -> Vec<R>
+    /// `Vfs` (see the module docs). Each thread collects its shards' results
+    /// in one run and hands it, with its index, to `finish` on the thread
+    /// (a caller sorts there); the runs come back in thread order. Which
+    /// shards a thread takes depends on scheduling, so on a quiescent tree
+    /// only the multiset of all results is independent of `threads`.
+    pub fn par_scan<R, F, O, S>(&self, threads: usize, f: F, obs: O, finish: S) -> Vec<Vec<R>>
     where
         R: Send,
         F: Fn(&InodeAttr, &mut ScanPath<'_>) -> Option<R> + Sync,
         O: Fn(ShardScanStats) + Sync,
+        S: Fn(usize, &mut Vec<R>) + Sync,
     {
         let threads = threads.clamp(1, NSHARDS);
-        let slots: Vec<Mutex<Vec<R>>> = (0..NSHARDS).map(|_| Mutex::new(Vec::new())).collect();
         let len = self.shared.nodes.read().0.len();
-        let scan_shard = |shard_idx: usize, memo: &mut PathMemo| {
-            let t0 = std::time::Instant::now();
-            let mut out = Vec::new();
-            let mut files = 0;
-            {
-                let g = self.shared.nodes.read();
-                // Writers bump the epoch under the write lock, so a memo
-                // resolved at this epoch is exact for the whole shard.
-                let epoch = self.shared.epoch.load(Ordering::Acquire);
-                if memo.epoch != epoch {
-                    memo.dirs.clear();
-                    memo.epoch = epoch;
+        let next = AtomicUsize::new(0);
+        let scan_thread = |thread: usize| {
+            let mut memo = PathMemo::default();
+            let mut run = Vec::new();
+            loop {
+                let shard_idx = next.fetch_add(1, Ordering::Relaxed);
+                if shard_idx >= NSHARDS {
+                    break;
                 }
-                for (ino, node) in g.shard(shard_idx, len) {
-                    let inode = node.attr(ino);
-                    files += u64::from(inode.is_file());
-                    memo.buf.clear();
-                    let mut path = ScanPath {
-                        nodes: &g,
-                        memo: &mut *memo,
-                        parent: node.parent,
-                        name: &node.name,
-                    };
-                    if let Some(r) = f(&inode, &mut path) {
-                        out.push(r);
+                let t0 = std::time::Instant::now();
+                let mut files = 0;
+                {
+                    let g = self.shared.nodes.read();
+                    // Writers bump the epoch under the write lock, so a memo
+                    // resolved at this epoch is exact for the whole shard.
+                    let epoch = self.shared.epoch.load(Ordering::Acquire);
+                    if memo.epoch != epoch {
+                        memo.dirs.clear();
+                        memo.epoch = epoch;
+                    }
+                    for (ino, node) in g.shard(shard_idx, len) {
+                        let inode = node.attr(ino);
+                        files += u64::from(inode.is_file());
+                        memo.buf.clear();
+                        let mut path = ScanPath {
+                            nodes: &g,
+                            memo: &mut memo,
+                            parent: node.parent,
+                            name: &node.name,
+                        };
+                        if let Some(r) = f(&inode, &mut path) {
+                            run.push(r);
+                        }
                     }
                 }
+                obs(ShardScanStats {
+                    shard: shard_idx,
+                    walk_ns: t0.elapsed().as_nanos() as u64,
+                    files,
+                });
             }
-            *slots[shard_idx].lock() = out;
-            obs(ShardScanStats {
-                shard: shard_idx,
-                walk_ns: t0.elapsed().as_nanos() as u64,
-                files,
-            });
+            finish(thread, &mut run);
+            run
         };
-        if threads == 1 {
-            let mut memo = PathMemo::default();
-            for i in 0..NSHARDS {
-                scan_shard(i, &mut memo);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| {
-                        let mut memo = PathMemo::default();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= NSHARDS {
-                                break;
-                            }
-                            scan_shard(i, &mut memo);
-                        }
-                    });
-                }
-            });
-        }
-        slots.into_iter().flat_map(|m| m.into_inner()).collect()
+        let scan_thread = &scan_thread;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| s.spawn(move || scan_thread(t)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a scan thread panicked"))
+                .collect()
+        })
     }
 
     /// Number of live inodes (including directories).
@@ -965,6 +962,7 @@ impl Vfs {
 mod tests {
     use super::*;
     use crate::content::Content;
+    use parking_lot::Mutex;
 
     fn fs() -> Vfs {
         Vfs::new("test", Clock::new())
@@ -1365,13 +1363,16 @@ mod tests {
         walked.sort();
         for threads in [1, 2, 4, 8] {
             let files = AtomicU64::new(0);
-            let mut scanned: Vec<(String, InodeAttr)> = v.par_scan(
-                threads,
-                |inode, path| Some((path.get().to_string(), *inode)),
-                |st| {
-                    files.fetch_add(st.files, Ordering::Relaxed);
-                },
-            );
+            let mut scanned: Vec<(String, InodeAttr)> = v
+                .par_scan(
+                    threads,
+                    |inode, path| Some((path.get().to_string(), *inode)),
+                    |st| {
+                        files.fetch_add(st.files, Ordering::Relaxed);
+                    },
+                    |_, _| {},
+                )
+                .concat();
             scanned.sort_by(|a, b| a.0.cmp(&b.0));
             // The scan lends each inode the attributes `stat_ino` returns.
             for (path, attr) in &scanned {
@@ -1417,14 +1418,29 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let files = AtomicU64::new(0);
             let shards = Mutex::new(Vec::new());
-            let mut seen = v.par_scan(
+            let finished = Mutex::new(Vec::new());
+            let runs = v.par_scan(
                 threads,
                 |inode, _| Some(inode.ino),
                 |st| {
                     files.fetch_add(st.files, Ordering::Relaxed);
                     shards.lock().push(st.shard);
                 },
+                |thread, run| {
+                    // Runs are built in shard order; reversing shows that
+                    // what `finish` does to a run is what the caller gets.
+                    run.reverse();
+                    finished.lock().push(thread);
+                },
             );
+            // One run per thread, in thread-index order, each finished
+            // once by its own thread.
+            assert_eq!(runs.len(), threads);
+            let mut finished = finished.into_inner();
+            finished.sort();
+            assert_eq!(finished, (0..threads).collect::<Vec<_>>());
+            assert!(runs.iter().all(|r| r.windows(2).all(|w| w[0] > w[1])));
+            let mut seen = runs.concat();
             seen.sort();
             assert_eq!(
                 seen, live,
@@ -1467,11 +1483,14 @@ mod tests {
 
     /// Every file path of a scan, sorted.
     fn scanned_files(v: &Vfs, threads: usize) -> Vec<String> {
-        let mut paths = v.par_scan(
-            threads,
-            |inode, path| inode.is_file().then(|| path.get().to_string()),
-            |_| {},
-        );
+        let mut paths = v
+            .par_scan(
+                threads,
+                |inode, path| inode.is_file().then(|| path.get().to_string()),
+                |_| {},
+                |_, _| {},
+            )
+            .concat();
         paths.sort();
         paths
     }
