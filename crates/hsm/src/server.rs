@@ -81,7 +81,8 @@ impl TsmServer {
         self.shared.nic.stats()
     }
 
-    /// Allocate a fresh object id.
+    /// Allocate a fresh object id: densely from 1, so the exported catalog
+    /// can index its rows by objid.
     pub fn alloc_objid(&self) -> u64 {
         self.shared.next_objid.fetch_add(1, Ordering::Relaxed)
     }

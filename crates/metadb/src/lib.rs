@@ -8,8 +8,9 @@
 //! deleter (§4.2.6).
 //!
 //! This crate is that replica and nothing else. [`tsm::TsmCatalog`] is
-//! the exported-TSM schema the integration uses: its rows by object id plus
-//! one typed ordered index, `(fs_ino, objid)`. PFTool reads each object's
+//! the exported-TSM schema the integration uses: its rows in a slab indexed
+//! by object id plus one typed index, `by_ino`, each file id's objects in
+//! objid order. PFTool reads each object's
 //! (tape, seq) by object id and orders restores in its own per-tape queues
 //! (`copra_pftool::queues`).
 

@@ -9,7 +9,6 @@
 use copra_simtime::SimInstant;
 use parking_lot::{RwLock, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One exported TSM object row.
@@ -31,22 +30,33 @@ pub struct TsmObjectRow {
     pub stored_at: SimInstant,
 }
 
-/// A row's entry in the `by_ino` index.
-fn ino_key(r: &TsmObjectRow) -> (u64, u64) {
-    (r.fs_ino, r.objid)
-}
-
 /// Export-pass tokens, unique across every catalog in the process. A token
 /// names one pass over one catalog, so an exporter that presents it learns
 /// whether anyone has synced the catalog since (an address would not do:
 /// a dropped catalog's address can be reused).
 static NEXT_SYNC_TOKEN: AtomicU64 = AtomicU64::new(1);
 
+/// The end of an inode's list, and the head of an inode with no rows
+/// (objid 0 is a valid row).
+const NIL: u64 = u64::MAX;
+
+/// The rows in a slab indexed by objid, and the `by_ino` index as one
+/// singly linked list per inode, threaded through the slab in ascending
+/// objid order. The TSM server hands out objids densely from 1 and the
+/// file system numbers inodes densely, so every access is an array index.
+/// Slots are never shrunk: memory grows with the largest objid and inode
+/// number ever recorded, not with the live rows, as with the inode table
+/// (DESIGN §10).
 struct Replica {
-    /// Rows by objid.
-    rows: BTreeMap<u64, TsmObjectRow>,
-    /// `(fs_ino, objid)` of every row.
-    by_ino: BTreeSet<(u64, u64)>,
+    /// Slot `objid` holds that object's row, if it has one.
+    rows: Vec<Option<TsmObjectRow>>,
+    /// Live rows.
+    live: usize,
+    /// `heads[fs_ino]`: the least objid filed under `fs_ino`, or `NIL`.
+    heads: Vec<u64>,
+    /// `next[objid]`: the next objid filed under the same inode, or `NIL`.
+    /// As long as `rows`.
+    next: Vec<u64>,
     /// Token of the last export pass; `None` before the first.
     synced: Option<u64>,
     /// Objids [`TsmCatalog::record`]/[`TsmCatalog::forget`] touched since
@@ -62,26 +72,73 @@ impl Replica {
         }
     }
 
+    fn row(&self, objid: u64) -> Option<&TsmObjectRow> {
+        self.rows.get(objid as usize)?.as_ref()
+    }
+
     /// Insert or replace a row, re-filing its index entry if it moved.
     fn upsert(&mut self, row: TsmObjectRow) {
-        let ino = ino_key(&row);
-        if let Some(old) = self.rows.insert(row.objid, row) {
-            if ino_key(&old) != ino {
-                self.by_ino.remove(&ino_key(&old));
-            }
+        let (objid, fs_ino) = (row.objid, row.fs_ino);
+        assert_ne!(objid, NIL, "objid {NIL} is reserved");
+        let slot = objid as usize;
+        if slot >= self.rows.len() {
+            self.rows.resize_with(slot + 1, || None);
+            self.next.resize(slot + 1, NIL);
         }
-        self.by_ino.insert(ino);
+        match self.rows[slot].replace(row) {
+            Some(old) if old.fs_ino == fs_ino => return,
+            Some(old) => self.unlink(old.fs_ino, objid),
+            None => self.live += 1,
+        }
+        self.link(fs_ino, objid);
     }
 
     fn remove(&mut self, objid: u64) -> Option<TsmObjectRow> {
-        let row = self.rows.remove(&objid)?;
-        self.by_ino.remove(&ino_key(&row));
+        let row = self.rows.get_mut(objid as usize)?.take()?;
+        self.unlink(row.fs_ino, objid);
+        self.live -= 1;
         Some(row)
+    }
+
+    /// File `objid` under `fs_ino`, after every lesser objid there.
+    fn link(&mut self, fs_ino: u64, objid: u64) {
+        let ino = fs_ino as usize;
+        if ino >= self.heads.len() {
+            self.heads.resize(ino + 1, NIL);
+        }
+        let (mut prev, mut at) = (NIL, self.heads[ino]);
+        while at != NIL && at < objid {
+            (prev, at) = (at, self.next[at as usize]);
+        }
+        self.next[objid as usize] = at;
+        match prev {
+            NIL => self.heads[ino] = objid,
+            prev => self.next[prev as usize] = objid,
+        }
+    }
+
+    /// Take `objid` out of `fs_ino`'s list, which holds it.
+    fn unlink(&mut self, fs_ino: u64, objid: u64) {
+        let after = std::mem::replace(&mut self.next[objid as usize], NIL);
+        let ino = fs_ino as usize;
+        if self.heads[ino] == objid {
+            self.heads[ino] = after;
+            return;
+        }
+        let mut at = self.heads[ino];
+        while self.next[at as usize] != objid {
+            at = self.next[at as usize];
+        }
+        self.next[at as usize] = after;
     }
 }
 
-/// Thread-safe exported catalog: the rows plus one typed ordered index,
-/// `(fs_ino, objid)`.
+/// Thread-safe exported catalog: the rows by objid plus one typed index,
+/// `by_ino`: each GPFS file id's objids in ascending order.
+///
+/// Both are arrays indexed by objid and inode number (see `Replica`), so
+/// the catalog's memory grows with the objids and inode numbers ever
+/// recorded, the same trade-off the inode table makes (DESIGN §10).
 pub struct TsmCatalog {
     replica: RwLock<Replica>,
     /// Bumped on every mutation. Recovery compares generations across a
@@ -99,8 +156,10 @@ impl TsmCatalog {
     pub fn new() -> Self {
         TsmCatalog {
             replica: RwLock::new(Replica {
-                rows: BTreeMap::new(),
-                by_ino: BTreeSet::new(),
+                rows: Vec::new(),
+                live: 0,
+                heads: Vec::new(),
+                next: Vec::new(),
                 synced: None,
                 drift: Vec::new(),
             }),
@@ -146,56 +205,75 @@ impl TsmCatalog {
     }
 
     /// Check the index against the rows — scrub's last step: every entry
-    /// names a live row that files under exactly that entry, and there are
-    /// as many entries as rows. Returns the first violation found.
+    /// names a live row that files under exactly that entry, each inode's
+    /// entries ascend by objid, there are as many entries as rows, and the
+    /// live count is the number of rows. Returns the first violation found.
     pub fn verify_indexes(&self) -> Result<(), String> {
         let r = self.replica.read();
-        for entry in &r.by_ino {
-            let Some(row) = r.rows.get(&entry.1) else {
-                return Err(format!("index \"by_ino\": entry {entry:?} has no row"));
-            };
-            let want = ino_key(row);
-            if want != *entry {
-                return Err(format!(
-                    "index \"by_ino\": entry {entry:?} but its row files under {want:?}"
-                ));
+        let mut entries = 0;
+        for (ino, &head) in r.heads.iter().enumerate() {
+            let (mut prev, mut at) = (None, head);
+            while at != NIL {
+                let entry = (ino as u64, at);
+                let Some(row) = r.row(at) else {
+                    return Err(format!("index \"by_ino\": entry {entry:?} has no row"));
+                };
+                if row.fs_ino != entry.0 {
+                    let want = (row.fs_ino, at);
+                    return Err(format!(
+                        "index \"by_ino\": entry {entry:?} but its row files under {want:?}"
+                    ));
+                }
+                // Strictly ascending, so a cycle is caught here too.
+                if let Some(prev) = prev.filter(|&prev| prev >= at) {
+                    return Err(format!(
+                        "index \"by_ino\": entry {entry:?} follows objid {prev}, out of order"
+                    ));
+                }
+                entries += 1;
+                (prev, at) = (Some(at), r.next[at as usize]);
             }
         }
-        if r.by_ino.len() != r.rows.len() {
+        let rows = r.rows.iter().flatten().count();
+        if entries != rows {
             return Err(format!(
-                "index \"by_ino\": {} entries for {} rows",
-                r.by_ino.len(),
-                r.rows.len()
+                "index \"by_ino\": {entries} entries for {rows} rows"
             ));
+        }
+        if r.live != rows {
+            return Err(format!("live count {} for {rows} rows", r.live));
         }
         Ok(())
     }
 
     pub fn lookup(&self, objid: u64) -> Option<TsmObjectRow> {
-        self.replica.read().rows.get(&objid).cloned()
+        self.replica.read().row(objid).cloned()
     }
 
     pub fn len(&self) -> usize {
-        self.replica.read().rows.len()
+        self.replica.read().live
     }
 
     pub fn is_empty(&self) -> bool {
-        self.replica.read().rows.is_empty()
+        self.len() == 0
     }
 
     /// Objects recorded for a GPFS file id, in objid order.
     pub fn by_ino(&self, fs_ino: u64) -> Vec<TsmObjectRow> {
         let r = self.replica.read();
-        r.by_ino
-            .range((fs_ino, 0)..=(fs_ino, u64::MAX))
-            .map(|e| r.rows[&e.1].clone())
-            .collect()
+        let mut rows = Vec::new();
+        let mut at = r.heads.get(fs_ino as usize).copied().unwrap_or(NIL);
+        while at != NIL {
+            rows.push(r.row(at).cloned().expect("a by_ino entry has a row"));
+            at = r.next[at as usize];
+        }
+        rows
     }
 
     /// Full dump in objid order (reconcile compares this against tape and
     /// file-system truth).
     pub fn dump(&self) -> Vec<TsmObjectRow> {
-        self.replica.read().rows.values().cloned().collect()
+        self.replica.read().rows.iter().flatten().cloned().collect()
     }
 }
 
@@ -222,11 +300,11 @@ impl ExportPass<'_> {
 
     /// Every objid with a row, in objid order.
     pub fn objids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.replica.rows.keys().copied()
+        self.replica.rows.iter().flatten().map(|row| row.objid)
     }
 
     pub fn row(&self, objid: u64) -> Option<&TsmObjectRow> {
-        self.replica.rows.get(&objid)
+        self.replica.row(objid)
     }
 
     /// Insert or refresh one row.
@@ -327,75 +405,137 @@ mod tests {
         pass.finish();
     }
 
-    /// Seeded random programs of `record`, `forget` and export passes
-    /// against a plain map: after every step each query equals a filter
-    /// over the map and the index verifies.
+    /// A catalog beside a plain map of the rows it should hold.
+    struct Model {
+        catalog: TsmCatalog,
+        rows: std::collections::BTreeMap<u64, TsmObjectRow>,
+        generation: u64,
+    }
+
+    /// Objids and inode numbers the model programs draw from; queries go
+    /// past both, and past the end of either table.
+    const OBJIDS: u64 = 48;
+    const INOS: u64 = 10;
+
+    impl Model {
+        fn new() -> Model {
+            Model {
+                catalog: TsmCatalog::new(),
+                rows: Default::default(),
+                generation: 0,
+            }
+        }
+
+        fn record(&mut self, r: TsmObjectRow) {
+            self.rows.insert(r.objid, r.clone());
+            self.catalog.record(r);
+            self.generation += 1;
+        }
+
+        fn forget(&mut self, objid: u64) {
+            let want = self.rows.remove(&objid);
+            self.generation += u64::from(want.is_some());
+            assert_eq!(self.catalog.forget(objid), want, "forget {objid}");
+        }
+
+        /// Every query equals a filter over the map and the index verifies.
+        fn check(&self, at: &str) {
+            let c = &self.catalog;
+            assert_eq!(c.verify_indexes(), Ok(()), "{at}");
+            assert_eq!(c.generation(), self.generation, "{at}");
+            assert_eq!(c.len(), self.rows.len(), "{at}");
+            assert_eq!(c.is_empty(), self.rows.is_empty(), "{at}");
+            assert_eq!(
+                c.dump(),
+                self.rows.values().cloned().collect::<Vec<_>>(),
+                "{at}"
+            );
+            for objid in (0..OBJIDS + 4).chain([NIL - 1, NIL]) {
+                assert_eq!(c.lookup(objid).as_ref(), self.rows.get(&objid), "{at}");
+            }
+            for ino in (0..INOS + 4).chain([NIL - 1, NIL]) {
+                let want: Vec<TsmObjectRow> = (self.rows.values())
+                    .filter(|r| r.fs_ino == ino)
+                    .cloned()
+                    .collect();
+                assert_eq!(c.by_ino(ino), want, "{at} ino {ino}");
+            }
+        }
+    }
+
+    /// A fixed program over one inode's list, then seeded random programs
+    /// of `record`, `forget` and export passes, each checked against a
+    /// plain map after every step.
     #[test]
     fn queries_match_a_reference_model() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use std::collections::BTreeMap;
+
+        let mut m = Model::new();
+        // Several objids on inode 3, recorded out of objid order; one is
+        // re-filed to inode 4 and back; forgets take the list's head, a
+        // middle entry and its tail; forgets and queries run past the end
+        // of both tables.
+        type Step = (&'static str, fn(&mut Model));
+        let steps: [Step; 13] = [
+            ("record 5", |m| m.record(row(5, "/c", 3, 0, 5))),
+            ("record 2", |m| m.record(row(2, "/c", 3, 0, 2))),
+            ("record 9", |m| m.record(row(9, "/c", 3, 1, 0))),
+            ("record 7", |m| m.record(row(7, "/c", 3, 0, 7))),
+            ("refresh 7", |m| m.record(row(7, "/c", 3, 2, 7))),
+            ("re-file 7", |m| m.record(row(7, "/d", 4, 2, 7))),
+            ("re-file 7 back", |m| m.record(row(7, "/c", 3, 2, 7))),
+            ("forget head", |m| m.forget(2)),
+            ("record 0", |m| m.record(row(0, "/c", 3, 0, 0))),
+            ("forget middle", |m| m.forget(7)),
+            ("forget tail", |m| m.forget(9)),
+            ("forget past the end", |m| {
+                m.forget(OBJIDS + 2);
+                m.forget(NIL);
+            }),
+            ("forget the rest", |m| {
+                m.forget(5);
+                m.forget(0);
+            }),
+        ];
+        for (name, step) in steps {
+            step(&mut m);
+            m.check(name);
+        }
 
         fn random_row(rng: &mut StdRng) -> TsmObjectRow {
-            let objid = rng.gen_range(0..48u64);
-            let ino = rng.gen_range(0..10u64);
+            let objid = rng.gen_range(0..OBJIDS);
+            let ino = rng.gen_range(0..INOS);
             let (tape, seq) = (rng.gen_range(0..5u32), rng.gen_range(0..16u32));
             row(objid, &format!("/f{ino}"), ino, tape, seq)
         }
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let c = TsmCatalog::new();
-            let mut model: BTreeMap<u64, TsmObjectRow> = BTreeMap::new();
-            let mut generation = 0;
+            let mut m = Model::new();
             for step in 0..300 {
                 match rng.gen_range(0..10u32) {
-                    0..=4 => {
-                        let r = random_row(&mut rng);
-                        model.insert(r.objid, r.clone());
-                        c.record(r);
-                        generation += 1;
-                    }
-                    5..=7 => {
-                        let objid = rng.gen_range(0..48u64);
-                        let want = model.remove(&objid);
-                        generation += u64::from(want.is_some());
-                        assert_eq!(c.forget(objid), want, "seed {seed} step {step}");
-                    }
+                    0..=4 => m.record(random_row(&mut rng)),
+                    5..=7 => m.forget(rng.gen_range(0..OBJIDS + 4)),
                     _ => {
-                        let mut pass = c.begin_export();
+                        let mut pass = m.catalog.begin_export();
                         for _ in 0..rng.gen_range(0..12u32) {
                             if rng.gen_bool(0.6) {
                                 let r = random_row(&mut rng);
-                                model.insert(r.objid, r.clone());
+                                m.rows.insert(r.objid, r.clone());
                                 pass.record(r);
-                                generation += 1;
+                                m.generation += 1;
                             } else {
-                                let objid = rng.gen_range(0..48u64);
-                                generation += u64::from(model.remove(&objid).is_some());
+                                let objid = rng.gen_range(0..OBJIDS + 4);
+                                assert_eq!(pass.row(objid), m.rows.get(&objid));
+                                m.generation += u64::from(m.rows.remove(&objid).is_some());
                                 pass.forget(objid);
                             }
-                            assert!(pass.objids().eq(model.keys().copied()));
+                            assert!(pass.objids().eq(m.rows.keys().copied()));
                         }
                         pass.finish();
                     }
                 }
-                let at = format!("seed {seed} step {step}");
-                assert_eq!(c.verify_indexes(), Ok(()), "{at}");
-                assert_eq!(c.generation(), generation, "{at}");
-                assert_eq!(c.len(), model.len(), "{at}");
-                assert_eq!(
-                    c.dump(),
-                    model.values().cloned().collect::<Vec<_>>(),
-                    "{at}"
-                );
-                for ino in 0..10 {
-                    let want: Vec<TsmObjectRow> = model
-                        .values()
-                        .filter(|r| r.fs_ino == ino)
-                        .cloned()
-                        .collect();
-                    assert_eq!(c.by_ino(ino), want, "{at} ino {ino}");
-                }
+                m.check(&format!("seed {seed} step {step}"));
             }
         }
     }
@@ -406,26 +546,29 @@ mod tests {
             let c = TsmCatalog::new();
             c.record(row(1, "/a", 10, 5, 2));
             c.record(row(2, "/b", 11, 5, 3));
+            c.record(row(3, "/a", 10, 5, 4));
             f(&mut c.replica.write());
             c.verify_indexes().unwrap_err()
         };
         // Dangling entry: a row removed behind the index's back.
-        let err = corrupt(|r| {
-            r.rows.remove(&1);
-        });
-        assert!(err.contains("has no row"), "got: {err}");
+        let err = corrupt(|r| r.rows[1] = None);
+        assert!(err.contains("(10, 1) has no row"), "got: {err}");
         // Stale key: a row rewritten without re-filing its entry.
-        let err = corrupt(|r| {
-            r.rows.insert(2, row(2, "/b", 12, 5, 3));
-        });
+        let err = corrupt(|r| r.rows[2] = Some(row(2, "/b", 12, 5, 3)));
         assert!(
-            err.contains("by_ino") && err.contains("files under"),
+            err.contains("by_ino") && err.contains("files under (12, 2)"),
             "got: {err}"
         );
         // Missing entry: a row that was never indexed.
+        let err = corrupt(|r| r.heads[11] = NIL);
+        assert!(err.contains("2 entries for 3 rows"), "got: {err}");
+        // Unordered link: inode 10's list runs 3, 1.
         let err = corrupt(|r| {
-            r.by_ino.remove(&(10, 1));
+            (r.heads[10], r.next[3], r.next[1]) = (3, 1, NIL);
         });
-        assert!(err.contains("1 entries for 2 rows"), "got: {err}");
+        assert!(err.contains("(10, 1) follows objid 3"), "got: {err}");
+        // A live count that drifted from the rows.
+        let err = corrupt(|r| r.live += 1);
+        assert!(err.contains("live count 4 for 3 rows"), "got: {err}");
     }
 }

@@ -549,7 +549,7 @@ impl Pfs {
         let now = self.clock().now();
         let root = tracer.root_seq("pfs.scan_records", now);
         let by_path = |a: &FileRecord, b: &FileRecord| a.path.cmp(&b.path);
-        let runs = self.shared.vfs.par_scan(
+        let mut runs = self.shared.vfs.par_scan(
             threads,
             |inode, path| {
                 inode.is_file().then(|| {
@@ -561,8 +561,15 @@ impl Pfs {
             |t, run| self.sort_run(root.as_ref(), "scan.sort", now, t, run, by_path),
         );
         let merge_start = tracer.wall_now_ns();
-        let mut recs = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        merge_runs(runs, by_path, |rec| recs.push(rec));
+        runs.retain(|run| !run.is_empty());
+        // A lone run is already the answer; merging it would only copy it.
+        let recs = if runs.len() <= 1 {
+            runs.pop().unwrap_or_default()
+        } else {
+            let mut recs = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+            merge_runs(runs, by_path, |rec| recs.push(rec));
+            recs
+        };
         if let Some(g) = root {
             tracer.record_closed(Some(g.ctx()), "scan.sort_merge", 0, now, now, merge_start);
             g.finish(now);
@@ -581,7 +588,8 @@ impl Pfs {
     /// owned record only for a match. The path is built only for a match
     /// too, unless a rule reads it. Each thread sorts its matches by (rule,
     /// path) and one merge of the runs builds the report, deterministic at
-    /// every thread count.
+    /// every thread count. A file whose first matching rule lists nothing
+    /// (EXCLUDE) gets no record.
     pub fn run_policy_with(
         &self,
         engine: &PolicyEngine,
@@ -602,7 +610,7 @@ impl Pfs {
                 let pool = self.tag_pool(inode.pool);
                 let name = self.pool(pool).name();
                 let rule_path = if reads_path { path.get() } else { "" };
-                let idx = engine.classify(&FileView::of(rule_path, inode, name), now)?;
+                let idx = engine.classify_listed(&FileView::of(rule_path, inode, name), now)?;
                 Some((idx, FileView::of(path.get(), inode, name).to_record(pool)))
             },
             |st| {

@@ -279,6 +279,13 @@ impl PolicyEngine {
             .position(|rule| rule.predicate.eval(file, now))
     }
 
+    /// [`PolicyEngine::classify`], but `None` unless the first matching
+    /// rule is a LIST: only a listed match has a record in the report.
+    pub(crate) fn classify_listed(&self, file: &FileView<'_>, now: SimInstant) -> Option<usize> {
+        let idx = self.classify(file, now)?;
+        matches!(self.rules[idx].action, Action::List { .. }).then_some(idx)
+    }
+
     /// Build a [`ScanReport`], timed from `started`, from runs of `(matched
     /// rule index, record)` pairs, each sorted by [`tagged_order`]. One
     /// merge pushes each record into the `Vec` of the first rule feeding
