@@ -3,9 +3,10 @@
 //! PR-5's durability machinery must stay cheap: recovery replays sealed
 //! intents, rolls open ones back, and scrubs the stores back into
 //! agreement. This binary builds archives whose intent journal holds N
-//! records — half sealed (successful migrates awaiting truncation), half
-//! open (migrates killed at a scripted crash point, alternating between a
-//! torn tape record and a half-marked stub) — then times a full
+//! records — half sealed (migrates killed between their seal and their
+//! hole punch, which replay applies), half open (migrates killed at a
+//! scripted crash point, alternating between a torn tape record and a
+//! half-marked stub) — then times a full
 //! [`ArchiveSystem::recover`] pass at each N.
 //!
 //! Self-asserting: every row must recover with zero lost stubs, a drained
@@ -69,9 +70,10 @@ fn run(cli: &BenchCli, sealed: usize, open: usize) -> (Row, ArchiveSystem) {
             )
             .unwrap();
     }
-    // Files 1..=sealed migrate cleanly; each of the rest dies at its own
-    // occurrence of a crash site (conceptually each op is its own
-    // process). Alternating sites leave two distinct kinds of tear: a
+    // Every migrate dies at its own occurrence of a crash site
+    // (conceptually each op is its own process). Files 1..=sealed die
+    // after their seal, before the punch (a finished migrate leaves no
+    // intent); of the rest, alternating sites leave two kinds of tear: a
     // tape record the server DB never learned (scrub's job) and a
     // half-marked premigrated stub (rollback's job).
     // Occurrences are per-site consult counts: every attempt consults the
@@ -79,6 +81,9 @@ fn run(cli: &BenchCli, sealed: usize, open: usize) -> (Row, ArchiveSystem) {
     let mut plan = FaultPlan::new(SEED);
     let mut mark_occ = 0u32;
     for j in 1..=total {
+        if j <= sealed {
+            plan = plan.crash_at("migrate.after_seal", j as u32);
+        }
         let dies_in_store = j > sealed && j % 2 == 0;
         if dies_in_store {
             plan = plan.crash_at("agent.store.after_write", j as u32);
@@ -99,12 +104,22 @@ fn run(cli: &BenchCli, sealed: usize, open: usize) -> (Row, ArchiveSystem) {
             .hsm()
             .migrate_file(ino, NodeId(0), DataPath::LanFree, cursor, true, None)
         {
-            Ok((_, t)) => cursor = t,
-            Err(HsmError::Crashed { .. }) => crashes += 1,
+            Err(HsmError::Crashed { site }) => {
+                crashes += 1;
+                if site == "migrate.after_seal" {
+                    // Its tape work finished at its seal: go on from there.
+                    let sealed = sys.journal().sealed_intents();
+                    cursor = sealed.last().and_then(|r| r.sealed_at).unwrap();
+                }
+            }
+            Ok(_) => panic!("every migrate has a scripted crash"),
             Err(e) => panic!("unexpected migrate failure: {e}"),
         }
     }
-    assert_eq!(crashes, open, "every scripted crash must fire exactly once");
+    assert_eq!(
+        crashes, total,
+        "every scripted crash must fire exactly once"
+    );
     sys.export_catalog();
     let journal_len = sys.journal().len();
     assert_eq!(journal_len, total, "one intent per attempted migrate");

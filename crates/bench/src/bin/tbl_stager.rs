@@ -263,11 +263,16 @@ fn main() {
     };
     let campaign = StagerCampaign::generate(spec.clone(), EXPERIMENT_SEED);
 
-    let fifo_cfg = StagerConfig::default()
-        .mode(SchedulerMode::Fifo)
-        .cache_capacity(copra_simtime::DataSize::ZERO);
+    let fifo_cfg = StagerConfig {
+        mode: SchedulerMode::Fifo,
+        cache_capacity: copra_simtime::DataSize::ZERO,
+        ..StagerConfig::default()
+    };
     let fair_cfg = StagerConfig::default();
-    let unord_cfg = StagerConfig::default().tape_ordered(false);
+    let unord_cfg = StagerConfig {
+        tape_ordered: false,
+        ..StagerConfig::default()
+    };
 
     let (fifo, _) = run(&cli, "fifo", &campaign, fifo_cfg);
     let (fair, _) = run(&cli, "fair+tape", &campaign, fair_cfg.clone());

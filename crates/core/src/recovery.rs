@@ -6,8 +6,10 @@
 //! point recoverable:
 //!
 //! * **Sealed** intents are replayed forward — every store already
-//!   agreed, so the redo is idempotent (re-punching a punched stub,
-//!   re-deleting a deleted object).
+//!   agreed, so the redo is idempotent (re-deleting a deleted object). A
+//!   sealed `MigrateCommit` is one that died between its seal and its
+//!   punch: a finished migrate resolves its own intent, so replay never
+//!   re-punches a file that was recalled since.
 //! * **Open** intents are rolled back — unless the operation passed its
 //!   destructive point of no return (the unlink in a synchronous
 //!   delete), in which case recovery completes it *forward* using the
@@ -86,9 +88,8 @@ fn replay(
     let pfs = hsm.pfs();
     match &rec.kind {
         IntentKind::MigrateCommit { ino, punch, .. } => {
-            // The stores agreed; the only possibly-missing effect is the
-            // hole punch (sealed *before* punching). Idempotent: punching
-            // an already-punched stub is a no-op state change.
+            // The stores agreed; the only missing effect is the hole
+            // punch (sealed *before* punching, resolved after it).
             if *punch {
                 let ino = copra_vfs::Ino(*ino);
                 if pfs.hsm_state(ino) == Ok(HsmState::Premigrated) {
@@ -277,14 +278,80 @@ mod tests {
                 None,
             )
             .unwrap();
+        // The finished migrate resolved its own intent.
+        assert!(sys.hsm().journal().is_empty());
         sys.export_catalog();
         let report = sys.recover(sys.clock().now()).unwrap();
-        // The sealed migrate intent replays as a no-op; nothing else.
-        assert_eq!(report.replayed, 1);
-        assert_eq!(report.rolled_back, 0);
-        assert_eq!(report.forward_completed, 0);
-        assert!(report.scrub.is_clean(), "{:?}", report.scrub);
+        assert!(report.is_clean(), "{report:?}");
         assert!(sys.hsm().journal().is_empty());
+    }
+
+    /// Migrate `/d/f` with punch on `sys`; returns its ino and the
+    /// migrate's completion.
+    fn migrate_punched(sys: &crate::system::ArchiveSystem) -> (copra_vfs::Ino, SimInstant) {
+        let pfs = sys.archive();
+        pfs.mkdir_p("/d").unwrap();
+        let ino = pfs
+            .create_file("/d/f", 0, Content::synthetic(5, 2_000_000))
+            .unwrap();
+        let (_, t) = sys
+            .hsm()
+            .migrate_file(
+                ino,
+                NodeId(0),
+                DataPath::LanFree,
+                SimInstant::EPOCH,
+                true,
+                None,
+            )
+            .unwrap();
+        sys.export_catalog();
+        (ino, t)
+    }
+
+    #[test]
+    fn recovery_keeps_a_recall_made_after_the_migrate() {
+        let sys = system();
+        let (ino, t) = migrate_punched(&sys);
+        let t = sys
+            .hsm()
+            .recall_file(ino, NodeId(0), DataPath::LanFree, t, None)
+            .unwrap();
+        assert_eq!(sys.archive().hsm_state(ino).unwrap(), HsmState::Premigrated);
+        let report = sys.recover(t).unwrap();
+        assert_eq!(report.replayed, 0, "a finished migrate must not replay");
+        assert_eq!(sys.archive().hsm_state(ino).unwrap(), HsmState::Premigrated);
+        assert_eq!(
+            sys.archive().read_resident("/d/f").unwrap().len(),
+            2_000_000
+        );
+    }
+
+    #[test]
+    fn recovery_keeps_a_pinned_stager_pool_file_on_disk() {
+        let sys = crate::system::ArchiveSystem::new(
+            crate::system::SystemConfig::test_small()
+                .with_stager(copra_stager::StagerConfig::default()),
+        );
+        let (ino, t) = migrate_punched(&sys);
+        let stager = sys.stager().unwrap();
+        stager
+            .submit(copra_stager::RecallRequest::new("/d/f").pin(true), t)
+            .unwrap();
+        let t = stager.drain(t).unwrap();
+        assert!(stager.pool_contains("/d/f").unwrap());
+        assert_eq!(sys.archive().hsm_state(ino).unwrap(), HsmState::Premigrated);
+        let report = sys.recover(t).unwrap();
+        assert_eq!(report.replayed, 0, "a finished migrate must not replay");
+        assert_eq!(sys.archive().hsm_state(ino).unwrap(), HsmState::Premigrated);
+        assert!(stager.pool_contains("/d/f").unwrap());
+        // The pinned hit is served off disk: no tape mount.
+        let mounts = sys.hsm().server().library().stats().totals.mounts;
+        stager
+            .submit(copra_stager::RecallRequest::new("/d/f"), report.end)
+            .unwrap();
+        assert!(stager.take_completions().pop().unwrap().cache_hit);
+        assert_eq!(sys.hsm().server().library().stats().totals.mounts, mounts);
     }
 
     #[test]

@@ -435,21 +435,21 @@ impl StorageAgent {
         data_path: DataPath,
     ) -> HsmResult<(Content, SimInstant)> {
         let server = &self.shared.server;
-        let mut candidates: Vec<u64> = Vec::with_capacity(4);
-        candidates.push(objid);
-        candidates.extend(server.copies_of(objid));
-        if candidates.len() > 1 {
-            let lib = server.library();
-            // Stable sort: equal-cost replicas keep primary-first order,
-            // so the unreplicated single-library timings are unchanged.
-            candidates.sort_by_key(|id| {
-                server
-                    .get(*id)
-                    .ok()
-                    .and_then(|o| lib.recall_cost_estimate(o.addr, ready))
-                    .map_or(u64::MAX, |d| d.as_nanos())
-            });
+        let mut candidates = server.copies_of(objid);
+        if candidates.is_empty() {
+            // No replica to rank or fail over to: no allocation either.
+            return self.fetch_exact(objid, ready, data_path);
         }
+        candidates.insert(0, objid);
+        let lib = server.library();
+        // Stable sort: equal-cost replicas keep primary-first order.
+        candidates.sort_by_key(|id| {
+            server
+                .get(*id)
+                .ok()
+                .and_then(|o| lib.recall_cost_estimate(o.addr, ready))
+                .map_or(u64::MAX, |d| d.as_nanos())
+        });
         let mut primary_err = None;
         for id in candidates {
             match self.fetch_exact(id, ready, data_path) {
@@ -683,7 +683,7 @@ mod tests {
         let lib = server.library().clone();
         lib.arm_faults(FaultPlan::new(3).fail_drive(0, t1).arm(lib.obs().clone()));
         let (obj2, t2) = put(&agent, 2, 20 << 20, t1, DataPath::LanFree);
-        assert!(lib.is_fenced(DriveId(0)).unwrap());
+        assert_eq!(lib.healthy_drives(t2), 1, "drive 0 fenced");
         // The write landed on the healthy drive and the bytes are intact.
         let (back, _) = agent.fetch(obj2, t2, DataPath::LanFree).unwrap();
         assert!(back.eq_content(&Content::synthetic(2, 20 << 20)));
@@ -794,10 +794,7 @@ mod tests {
         let (replica, t2) = agent
             .store("/f8", 8, content.clone(), t1, DataPath::LanFree, volume)
             .unwrap();
-        assert!(
-            lib.is_fenced(DriveId(2)).unwrap(),
-            "the write hit the dead drive"
-        );
+        assert_eq!(lib.healthy_drives(t2), 3, "the write hit the dead drive");
         let tape = server.get(replica).unwrap().addr.tape;
         assert_eq!(lib.library_of_tape(tape), Some(LibraryId(1)));
         assert!(!avoid.contains(&tape), "landed on avoided {tape}");

@@ -264,6 +264,9 @@ impl Hsm {
         if punch {
             self.pfs.punch_hole(ino)?;
         }
+        // Every effect is applied: a record kept past here would let a
+        // later recovery re-punch the file after a recall.
+        self.journal.resolve(seq);
         self.metrics.migrate_ops.inc();
         self.server.obs().event_with_span(
             t,
@@ -414,7 +417,8 @@ impl Hsm {
         ready: SimInstant,
         parent: Option<SpanContext>,
     ) -> HsmResult<SimInstant> {
-        let state = self.pfs.hsm_state(ino)?;
+        let file = self.pfs.residency(ino)?;
+        let state = file.region.state;
         if state != HsmState::Migrated {
             return Err(HsmError::WrongState {
                 ino: ino.0,
@@ -425,13 +429,13 @@ impl Hsm {
         let tracer = self.tracer();
         let guard = tracer.span(parent, "hsm.recall", ino.0, ready);
         let gctx = guard.as_ref().map(|g| g.ctx());
-        let objid = self.pfs.hsm_objid(ino)?.ok_or(HsmError::NoSuchObject(0))?;
+        let objid = file.region.objid.ok_or(HsmError::NoSuchObject(0))?;
         let w0 = tracer.wall_now_ns();
         let (content, t) = self.agent(node).fetch(objid, ready, data_path)?;
         tracer.record_closed(gctx, "hsm.agent.fetch", objid, ready, t, w0);
         let len = DataSize::from_bytes(content.len());
         let w1 = tracer.wall_now_ns();
-        let w = self.pfs.charge_write(ino, t, len);
+        let w = self.pfs.pool(file.pool).charge_io(t, len);
         self.pfs.restore_stub(ino, content)?;
         tracer.record_closed(gctx, "hsm.pfs.write", ino.0, t, w.end, w1);
         self.metrics.recall_ops.inc();

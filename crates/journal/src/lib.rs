@@ -20,7 +20,10 @@
 //! are rolled back — unless the operation passed its destructive
 //! point-of-no-return (an unlink), in which case it is completed forward.
 //! Once an intent is recovered it is `resolve`d and eventually
-//! `truncate_sealed` reclaims the log.
+//! `truncate_sealed` reclaims the log. An operation whose last effect
+//! lands after its seal (a migrate's hole punch) resolves its own intent
+//! once that effect is applied, so recovery never replays a finished
+//! operation over later changes.
 //!
 //! The journal is in-memory (the whole archive is a simulation) but the
 //! protocol — ordering of journal writes relative to store mutations —
@@ -262,7 +265,8 @@ impl Journal {
         }
     }
 
-    /// Drop one record after recovery has redone/undone it.
+    /// Drop one record: after recovery has redone/undone it, or after
+    /// the operation itself applied its last effect.
     pub fn resolve(&self, seq: u64) {
         self.trace_ctx.lock().remove(&seq);
         let mut records = self.records.lock();

@@ -29,6 +29,6 @@ pub mod pool;
 
 pub use copra_vfs::{HsmState, ManagedRegion};
 pub use glob::wildcard_match;
-pub use pfs::{Pfs, PfsBuilder, ReadOutcome};
+pub use pfs::{Pfs, PfsBuilder, ReadOutcome, Residency};
 pub use policy::{Action, Cmp, FileRecord, FileView, PolicyEngine, Predicate, Rule, ScanReport};
 pub use pool::{PoolConfig, PoolId, StoragePool};

@@ -42,6 +42,18 @@ struct PfsShared {
     tracer: Tracer,
 }
 
+/// What a recall path needs of a file, read under one guard by
+/// [`Pfs::residency`].
+#[derive(Debug, Clone, Copy)]
+pub struct Residency {
+    /// The DMAPI managed-region record (HSM state, tape object id).
+    pub region: ManagedRegion,
+    /// Logical size: the pre-punch size for stubs.
+    pub size: u64,
+    /// The pool holding (or that will hold) the file's disk copy.
+    pub pool: PoolId,
+}
+
 /// A mounted parallel file system (archive or scratch). Cheap to clone.
 #[derive(Clone)]
 pub struct Pfs {
@@ -303,6 +315,15 @@ impl Pfs {
         self.shared.vfs.inspect(ino, |inode| inode.region)
     }
 
+    /// A file's managed region, logical size and pool under one guard.
+    pub fn residency(&self, ino: Ino) -> FsResult<Residency> {
+        self.shared.vfs.inspect(ino, |inode| Residency {
+            region: inode.region,
+            size: inode.region.logical_size(inode.size),
+            pool: self.tag_pool(inode.pool),
+        })
+    }
+
     /// HSM residency state of a file.
     pub fn hsm_state(&self, ino: Ino) -> FsResult<HsmState> {
         Ok(self.region(ino)?.state)
@@ -311,14 +332,6 @@ impl Pfs {
     /// TSM object id recorded on the file, if any.
     pub fn hsm_objid(&self, ino: Ino) -> FsResult<Option<u64>> {
         Ok(self.region(ino)?.objid)
-    }
-
-    /// Logical size: the pre-punch size for stubs, the on-disk size
-    /// otherwise.
-    pub fn logical_size(&self, ino: Ino) -> FsResult<u64> {
-        self.shared
-            .vfs
-            .inspect(ino, |inode| inode.region.logical_size(inode.size))
     }
 
     /// `stat` with the stub-size overlay applied.
@@ -1070,7 +1083,7 @@ mod tests {
             assert_eq!(r.path, pfs.path_of(r.ino).unwrap());
             assert_eq!(r.pool, pfs.pool_of(r.ino));
             assert_eq!(r.hsm, pfs.hsm_state(r.ino).unwrap());
-            assert_eq!(r.size, pfs.logical_size(r.ino).unwrap());
+            assert_eq!(r.size, pfs.residency(r.ino).unwrap().size);
         }
         let stub = records
             .iter()

@@ -409,7 +409,7 @@ proptest! {
                         }
                         Dmapi::Punch(_) => pfs.punch_hole(ino),
                         Dmapi::Restore(_, ok) => {
-                            let len = pfs.logical_size(ino).unwrap() + u64::from(!ok);
+                            let len = pfs.residency(ino).unwrap().size + u64::from(!ok);
                             pfs.restore_stub(ino, Content::synthetic(3, len))
                         }
                         Dmapi::Demote(_) => pfs.mark_resident(ino),
@@ -430,7 +430,11 @@ proptest! {
                 prop_assert_eq!(pfs.region(m.ino).unwrap(), m.region, "f{} after {:?}", f, op);
                 prop_assert_eq!(pfs.hsm_state(m.ino).unwrap(), m.region.state);
                 prop_assert_eq!(pfs.hsm_objid(m.ino).unwrap(), m.region.objid);
-                prop_assert_eq!(pfs.logical_size(m.ino).unwrap(), m.logical());
+                // One guard reads what the three accessors read one by one.
+                let res = pfs.residency(m.ino).unwrap();
+                prop_assert_eq!(res.region, m.region);
+                prop_assert_eq!(res.size, m.logical());
+                prop_assert_eq!(res.pool, pfs.pool_of(m.ino));
                 prop_assert_eq!(pfs.stat(&path(f)).unwrap().size, m.logical());
                 let raw = pfs.vfs().stat_ino(m.ino).unwrap();
                 prop_assert_eq!(raw.size, m.disk);
@@ -446,7 +450,7 @@ proptest! {
             prop_assert_eq!(records.len(), files.len());
             for r in &records {
                 prop_assert_eq!(r.hsm, pfs.hsm_state(r.ino).unwrap());
-                prop_assert_eq!(r.size, pfs.logical_size(r.ino).unwrap());
+                prop_assert_eq!(r.size, pfs.residency(r.ino).unwrap().size);
             }
         }
     }

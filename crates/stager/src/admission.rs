@@ -6,10 +6,18 @@
 //! requests pile up behind hardware that cannot serve them — and the
 //! queue has watermarks, so a flood is shed at the door (the client backs
 //! off and resubmits) rather than growing an unbounded backlog.
+//!
+//! No call walks the fleet's drives or the whole window: capacity reads
+//! the fleet's per-library fenced-drive counts
+//! ([`TapeFleet::healthy_drives`], no drive lock), and the in-flight
+//! window is a min-heap of completion instants, so a prune pops only
+//! what completed and the next completion is the heap's top.
 
 use copra_simtime::SimInstant;
-use copra_tape::{LibraryId, TapeFleet};
+use copra_tape::TapeFleet;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The typed verdict a submit receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,9 +43,9 @@ impl Admission {
 /// how many *healthy* drives.
 #[derive(Debug, Default)]
 pub struct AdmissionController {
-    /// Completion instants of dispatched recalls; an entry with
-    /// `end > now` is in flight.
-    inflight: Vec<SimInstant>,
+    /// Completion instants of dispatched recalls, earliest on top; an
+    /// entry with `end > now` is in flight.
+    inflight: BinaryHeap<Reverse<SimInstant>>,
 }
 
 impl AdmissionController {
@@ -45,52 +53,39 @@ impl AdmissionController {
         AdmissionController::default()
     }
 
-    /// Healthy-drive count: drives that are not fenced, in libraries that
-    /// are not offline. This is what makes the stager fault-aware — a
-    /// fault plan fencing half the drives halves the admission window,
-    /// and the queue keeps draining (slower) instead of stalling.
-    fn healthy_drives(fleet: &TapeFleet, now: SimInstant) -> usize {
-        (0..fleet.library_count() as u32)
-            .map(LibraryId)
-            .filter(|&lib| !fleet.library_offline(lib, now))
-            .flat_map(|lib| fleet.library_drives(lib))
-            .filter(|&d| !fleet.is_fenced(d).unwrap_or(true))
-            .count()
-    }
-
-    /// The current dispatch capacity: healthy drives × per-drive bound,
-    /// never below one slot so a fully-degraded fleet still drains once
-    /// drives recover (requests queue, they don't error).
-    pub fn capacity(fleet: &TapeFleet, now: SimInstant, max_inflight_per_drive: usize) -> usize {
-        (Self::healthy_drives(fleet, now) * max_inflight_per_drive).max(1)
-    }
-
     /// Recalls still in flight at `now` (prunes completed entries).
     pub fn inflight(&mut self, now: SimInstant) -> usize {
-        self.inflight.retain(|&end| end > now);
+        while self.inflight.peek().is_some_and(|&Reverse(end)| end <= now) {
+            self.inflight.pop();
+        }
         self.inflight.len()
     }
 
     /// Record a dispatched recall that will complete at `end`.
     pub fn launched(&mut self, end: SimInstant) {
-        self.inflight.push(end);
+        self.inflight.push(Reverse(end));
     }
 
-    /// Free dispatch slots at `now`.
-    pub fn open_slots(
-        &mut self,
-        fleet: &TapeFleet,
-        now: SimInstant,
-        max_inflight_per_drive: usize,
-    ) -> usize {
-        let cap = Self::capacity(fleet, now, max_inflight_per_drive);
+    /// Free dispatch slots at `now`. Capacity is healthy drives × the
+    /// per-drive bound, so a fault plan fencing half the drives halves the
+    /// window and the queue keeps draining (slower) instead of stalling.
+    /// It is never below one slot, so a fully-degraded fleet still drains
+    /// once drives recover (requests queue, they don't error).
+    pub fn open_slots(&mut self, fleet: &TapeFleet, now: SimInstant, per_drive: usize) -> usize {
+        let cap = (fleet.healthy_drives(now) * per_drive).max(1);
         cap.saturating_sub(self.inflight(now))
     }
 
     /// The earliest instant an in-flight recall completes after `now`
-    /// (when to try dispatching again while the window is closed).
+    /// (when to try dispatching again while the window is closed). The
+    /// heap's top once [`AdmissionController::inflight`] has pruned to
+    /// `now`; otherwise a search past the completed entries.
     pub fn next_completion(&self, now: SimInstant) -> Option<SimInstant> {
-        self.inflight.iter().copied().filter(|&e| e > now).min()
+        match self.inflight.peek() {
+            Some(&Reverse(end)) if end > now => Some(end),
+            Some(_) => self.inflight.iter().map(|r| r.0).filter(|&e| e > now).min(),
+            None => None,
+        }
     }
 }
 
@@ -99,20 +94,19 @@ mod tests {
     use super::*;
     use copra_obs::Registry;
     use copra_simtime::SimDuration;
-    use copra_tape::TapeTiming;
+    use copra_tape::{LibraryId, TapeTiming};
 
     fn fleet(libs: usize, drives: usize) -> TapeFleet {
         TapeFleet::new(libs, drives, 8, TapeTiming::lto4(), Registry::new())
     }
 
     #[test]
-    fn healthy_drives_counts_full_fleet() {
+    fn capacity_counts_full_fleet() {
         let f = fleet(2, 4);
-        assert_eq!(
-            AdmissionController::healthy_drives(&f, SimInstant::EPOCH),
-            8
-        );
-        assert_eq!(AdmissionController::capacity(&f, SimInstant::EPOCH, 2), 16);
+        let mut ac = AdmissionController::new();
+        assert_eq!(ac.open_slots(&f, SimInstant::EPOCH, 2), 16);
+        ac.launched(SimInstant::from_secs(1));
+        assert_eq!(ac.open_slots(&f, SimInstant::EPOCH, 2), 15);
     }
 
     #[test]
@@ -120,8 +114,8 @@ mod tests {
         let f = fleet(2, 4);
         f.set_library_offline(LibraryId(1), true);
         assert_eq!(
-            AdmissionController::healthy_drives(&f, SimInstant::EPOCH),
-            4
+            AdmissionController::new().open_slots(&f, SimInstant::EPOCH, 2),
+            8
         );
     }
 
@@ -138,14 +132,63 @@ mod tests {
         assert_eq!(ac.next_completion(t(25)), None);
     }
 
+    /// The window as a plain list: retain to prune, a filtered min for
+    /// the next completion.
+    #[derive(Default)]
+    struct VecWindow(Vec<SimInstant>);
+
+    impl VecWindow {
+        fn inflight(&mut self, now: SimInstant) -> usize {
+            self.0.retain(|&end| end > now);
+            self.0.len()
+        }
+        fn next_completion(&self, now: SimInstant) -> Option<SimInstant> {
+            self.0.iter().copied().filter(|&e| e > now).min()
+        }
+    }
+
+    #[test]
+    fn heap_window_matches_a_vec_reference() {
+        for (seed, monotone) in [(1u64, true), (2, true), (3, false), (4, false)] {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let (mut heap, mut reference) = (AdmissionController::new(), VecWindow::default());
+            let mut now = 0u64;
+            for step in 0..2000 {
+                now = if monotone { now + next(4) } else { next(400) };
+                let at = SimInstant::from_secs(now);
+                let ctx = format!("seed {seed} step {step} at {now}s");
+                match next(4) {
+                    0 | 1 => {
+                        // Completions may tie with each other and with `now`.
+                        let end = SimInstant::from_secs(now + next(40));
+                        heap.launched(end);
+                        reference.0.push(end);
+                    }
+                    2 => assert_eq!(heap.inflight(at), reference.inflight(at), "{ctx}"),
+                    _ => assert_eq!(
+                        heap.next_completion(at),
+                        reference.next_completion(at),
+                        "{ctx}"
+                    ),
+                }
+            }
+        }
+    }
+
     #[test]
     fn capacity_floor_is_one_slot() {
         let f = fleet(1, 2);
         f.set_library_offline(LibraryId(0), true);
-        assert_eq!(
-            AdmissionController::healthy_drives(&f, SimInstant::EPOCH),
-            0
-        );
-        assert_eq!(AdmissionController::capacity(&f, SimInstant::EPOCH, 4), 1);
+        assert_eq!(f.healthy_drives(SimInstant::EPOCH), 0);
+        let mut ac = AdmissionController::new();
+        assert_eq!(ac.open_slots(&f, SimInstant::EPOCH, 4), 1);
+        ac.launched(SimInstant::from_secs(1));
+        assert_eq!(ac.open_slots(&f, SimInstant::EPOCH, 4), 0);
     }
 }

@@ -17,7 +17,7 @@ use crate::request::RecallRequest;
 use copra_cluster::NodeId;
 use copra_hsm::{DataPath, Hsm, HsmResult};
 use copra_obs::{Counter, Gauge, Histogram};
-use copra_pfs::HsmState;
+use copra_pfs::{HsmState, PoolId};
 use copra_simtime::{DataSize, SimDuration, SimInstant};
 use copra_trace::{finish_opt, Tracer};
 use copra_vfs::Ino;
@@ -38,8 +38,8 @@ pub enum SchedulerMode {
 /// Queue length at which new submits are shed.
 const QUEUE_HIGH_WATERMARK: usize = 4096;
 
-/// Stager tuning knobs. `Default` is the paper-scale deployment; use the
-/// builder-style setters to adjust.
+/// Stager tuning knobs. `Default` is the paper-scale deployment; adjust
+/// a field with struct-update syntax (`..StagerConfig::default()`).
 #[derive(Debug, Clone)]
 pub struct StagerConfig {
     pub mode: SchedulerMode,
@@ -67,33 +67,6 @@ impl Default for StagerConfig {
             cache_capacity: DataSize::gb(64),
             tape_ordered: true,
         }
-    }
-}
-
-impl StagerConfig {
-    pub fn mode(mut self, mode: SchedulerMode) -> Self {
-        self.mode = mode;
-        self
-    }
-    pub fn batch_size(mut self, n: usize) -> Self {
-        self.batch_size = n;
-        self
-    }
-    pub fn aging_step(mut self, step: SimDuration) -> Self {
-        self.aging_step = step;
-        self
-    }
-    pub fn max_inflight_per_drive(mut self, n: usize) -> Self {
-        self.max_inflight_per_drive = n;
-        self
-    }
-    pub fn cache_capacity(mut self, cap: DataSize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-    pub fn tape_ordered(mut self, on: bool) -> Self {
-        self.tape_ordered = on;
-        self
     }
 }
 
@@ -255,22 +228,16 @@ impl Stager {
         let guard = tracer.root_seq("stager.submit", now);
         let ctx = guard.as_ref().map(|g| g.ctx());
 
-        let state = pfs.hsm_state(ino)?;
-        if state != HsmState::Migrated {
+        let file = pfs.residency(ino)?;
+        if file.region.state != HsmState::Migrated {
             // Data is on disk: a stager-pool hit (tracked) or a direct
             // disk serve (resident / pool-rejected premigrated).
-            let bytes = pfs.logical_size(ino)?;
+            let bytes = file.size;
             let mut st = self.state.lock();
-            let pooled = st.pool.touch(ino);
-            if pooled {
-                if req.pin {
-                    st.pool.set_pinned(ino, true);
-                }
-                self.metrics.cache_hits.inc();
-            } else {
-                self.metrics.cache_bypass.inc();
+            let (end, pooled) = self.serve_off_disk(&mut st, ino, file.pool, bytes, now);
+            if pooled && req.pin {
+                st.pool.set_pinned(ino, true);
             }
-            let r = pfs.charge_read(ino, now, DataSize::from_bytes(bytes));
             let seq_no = st.next_seq;
             st.next_seq += 1;
             st.queue.charge_served(req.user, req.group, bytes);
@@ -280,21 +247,22 @@ impl Stager {
                 group: req.group,
                 bytes,
                 submitted: now,
-                completed: r.end,
+                completed: end,
                 cache_hit: pooled,
             });
             drop(st);
             self.metrics.accepted.inc();
-            self.metrics.latency_ms.record(ms(r.end, now));
+            self.metrics.latency_ms.record(ms(end, now));
             self.metrics.wait_ms.record(0);
-            tracer.record_closed(ctx, "stager.cache.hit", ino.0, now, r.end, None);
-            finish_opt(guard, r.end);
+            tracer.record_closed(ctx, "stager.cache.hit", ino.0, now, end, None);
+            finish_opt(guard, end);
             return Ok(Admission::Accepted);
         }
 
         // Miss: resolve the tape address once, at submit time.
-        let objid = pfs
-            .hsm_objid(ino)?
+        let objid = file
+            .region
+            .objid
             .ok_or(copra_hsm::HsmError::NoSuchObject(0))?;
         let obj = self.hsm.server().get(objid)?;
         self.metrics.cache_misses.inc();
@@ -345,20 +313,25 @@ impl Stager {
     /// each recall through the HSM.
     pub fn dispatch_round(&self, now: SimInstant) -> HsmResult<DispatchReport> {
         self.metrics.rounds.inc();
-        let fleet = self.hsm.server().library();
-        let nodes = self.hsm.cluster().node_count() as u32;
-        let tracer = self.tracer();
         let mut st = self.state.lock();
-        let slots = st
-            .admission
-            .open_slots(fleet, now, self.cfg.max_inflight_per_drive);
+        // An empty queue reads no fleet health: it only prunes the window.
+        let slots = if st.queue.is_empty() {
+            st.admission.inflight(now);
+            0
+        } else {
+            let fleet = self.hsm.server().library();
+            st.admission
+                .open_slots(fleet, now, self.cfg.max_inflight_per_drive)
+        };
         let mut report = DispatchReport {
             next_completion: st.admission.next_completion(now),
             ..Default::default()
         };
-        if slots == 0 || st.queue.is_empty() {
+        if slots == 0 {
             return Ok(report);
         }
+        let nodes = self.hsm.cluster().node_count() as u32;
+        let tracer = self.tracer();
         let take = slots.min(self.cfg.batch_size);
         let mut batch = match self.cfg.mode {
             SchedulerMode::FairShare => st.queue.select_round(now, self.cfg.aging_step, take),
@@ -374,20 +347,13 @@ impl Stager {
         for item in batch {
             // Coalesce: an earlier entry for the same file may have
             // already recalled it — serve this one off disk, no slot.
-            if self.hsm.pfs().hsm_state(item.ino)? != HsmState::Migrated {
-                let r = self
-                    .hsm
-                    .pfs()
-                    .charge_read(item.ino, now, DataSize::from_bytes(item.bytes));
-                let pooled = st.pool.touch(item.ino);
-                if pooled {
-                    self.metrics.cache_hits.inc();
-                } else {
-                    self.metrics.cache_bypass.inc();
-                }
-                self.finish_item(&mut st, tracer, &item, now, r.end, pooled);
+            let file = self.hsm.pfs().residency(item.ino)?;
+            if file.region.state != HsmState::Migrated {
+                let (end, pooled) =
+                    self.serve_off_disk(&mut st, item.ino, file.pool, item.bytes, now);
+                self.finish_item(&mut st, tracer, &item, now, end, pooled);
                 report.coalesced += 1;
-                report.makespan = Some(report.makespan.map_or(r.end, |m| m.max(r.end)));
+                report.makespan = report.makespan.max(Some(end));
                 continue;
             }
             let node = NodeId(st.next_node % nodes);
@@ -413,12 +379,36 @@ impl Stager {
             self.pool_admit(&mut st, item.ino, item.bytes, item.request.pin)?;
             self.finish_item(&mut st, tracer, &item, now, end, false);
             report.dispatched += 1;
-            report.makespan = Some(report.makespan.map_or(end, |m| m.max(end)));
+            report.makespan = report.makespan.max(Some(end));
         }
         self.metrics.queue_depth.set(st.queue.len() as i64);
         self.metrics.inflight.set(st.admission.inflight(now) as i64);
         report.next_completion = st.admission.next_completion(now);
         Ok(report)
+    }
+
+    /// Serve `bytes` of `ino` off its disk `pool` at `now`, counting a
+    /// stager-pool hit or a bypass. Returns (completion, pooled).
+    fn serve_off_disk(
+        &self,
+        st: &mut StagerState,
+        ino: Ino,
+        pool: PoolId,
+        bytes: u64,
+        now: SimInstant,
+    ) -> (SimInstant, bool) {
+        let pooled = st.pool.touch(ino);
+        if pooled {
+            self.metrics.cache_hits.inc();
+        } else {
+            self.metrics.cache_bypass.inc();
+        }
+        let r = self
+            .hsm
+            .pfs()
+            .pool(pool)
+            .charge_io(now, DataSize::from_bytes(bytes));
+        (r.end, pooled)
     }
 
     /// Place a just-recalled file in the pool, punching holes for LRU

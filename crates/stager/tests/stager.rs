@@ -53,10 +53,12 @@ fn priority_mix(aging_step: SimDuration) -> (SimInstant, SimInstant) {
     }
     let stager = Stager::new(
         hsm,
-        StagerConfig::default()
-            .batch_size(1)
-            .max_inflight_per_drive(1)
-            .aging_step(aging_step),
+        StagerConfig {
+            batch_size: 1,
+            max_inflight_per_drive: 1,
+            aging_step,
+            ..StagerConfig::default()
+        },
     );
     stager
         .submit(
@@ -121,7 +123,10 @@ fn pinned_entries_survive_lru_pressure_and_unpin_then_evict() {
     // 48 MiB fillers — recalling four of them forces LRU evictions.
     let stager = Stager::new(
         hsm.clone(),
-        StagerConfig::default().cache_capacity(DataSize::mib(128)),
+        StagerConfig {
+            cache_capacity: DataSize::mib(128),
+            ..StagerConfig::default()
+        },
     );
     stager
         .submit(RecallRequest::new("/d/pinned").user(1).pin(true), t)
@@ -233,5 +238,52 @@ fn campaign_is_deterministic_run_twice() {
     assert!(
         log_a.iter().any(|c| c.4),
         "the Zipf hot head should produce pool hits"
+    );
+}
+
+/// A round over an empty queue skips the fleet and still reports when
+/// the window next opens, and counts as a round.
+#[test]
+fn empty_queue_round_reports_the_next_completion() {
+    let hsm = rig(2, 2, 32);
+    let obs = hsm.server().obs().clone();
+    hsm.pfs().mkdir_p("/d").unwrap();
+    let mut t = SimInstant::EPOCH;
+    for i in 0..3u64 {
+        t = archive_file(&hsm, &format!("/d/f{i}"), i, (8 + i) << 20, t);
+    }
+    let stager = Stager::new(hsm, StagerConfig::default());
+    for i in 0..3 {
+        stager
+            .submit(RecallRequest::new(format!("/d/f{i}")), t)
+            .unwrap();
+    }
+    assert_eq!(stager.dispatch_round(t).unwrap().dispatched, 3);
+    let mut ends: Vec<SimInstant> = stager
+        .take_completions()
+        .iter()
+        .map(|c| c.completed)
+        .collect();
+    ends.sort();
+    ends.dedup();
+    let rounds = || obs.snapshot().counter("stager.rounds");
+    assert_eq!(rounds(), 1);
+    // Probe before, at and between the completions, then past the last.
+    let mut probes = vec![t];
+    probes.extend(ends.iter().copied());
+    for (i, &now) in probes.iter().enumerate() {
+        let report = stager.dispatch_round(now).unwrap();
+        assert_eq!(report.dispatched + report.coalesced, 0);
+        assert!(report.makespan.is_none());
+        let want = ends.iter().copied().find(|&e| e > now);
+        assert_eq!(report.next_completion, want, "probe {i}");
+        assert_eq!(rounds(), 2 + i as u64);
+    }
+    assert_eq!(
+        stager
+            .dispatch_round(*ends.last().unwrap())
+            .unwrap()
+            .next_completion,
+        None
     );
 }

@@ -27,7 +27,7 @@ use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Drive identifier, global across the fleet.
@@ -225,6 +225,8 @@ struct Library {
     /// Whether the current outage has been counted (one injection per
     /// outage, not per rejected operation).
     outage_noted: AtomicBool,
+    /// Drives of this library fenced so far (a fence is permanent).
+    fenced: AtomicUsize,
     drives: Range<u32>,
     tapes: Range<u32>,
 }
@@ -291,6 +293,7 @@ impl TapeFleet {
                 robot: Timeline::latency_only(format!("robot-{l}"), SimDuration::ZERO),
                 forced_offline: AtomicBool::new(false),
                 outage_noted: AtomicBool::new(false),
+                fenced: AtomicUsize::new(0),
                 drives: l * d..(l + 1) * d,
                 tapes: l * t..(l + 1) * t,
             })
@@ -359,16 +362,6 @@ impl TapeFleet {
             .ok_or(TapeError::NoSuchTape(tape))
     }
 
-    /// The drives of library `lib`, in id order (none for an unknown
-    /// library).
-    pub fn library_drives(&self, lib: LibraryId) -> impl Iterator<Item = DriveId> {
-        self.shared
-            .libraries
-            .get(lib.0 as usize)
-            .map_or(0..0, |l| l.drives.clone())
-            .map(DriveId)
-    }
-
     /// Which library owns `tape`, if any.
     pub fn library_of_tape(&self, tape: TapeId) -> Option<LibraryId> {
         self.tape_owner(tape).ok().map(|l| l.id)
@@ -393,6 +386,17 @@ impl TapeFleet {
             .libraries
             .get(lib.0 as usize)
             .is_some_and(|l| self.is_offline(l, now))
+    }
+
+    /// Drives neither fenced nor in a library offline at `now`, from
+    /// each library's fence count (no drive lock).
+    pub fn healthy_drives(&self, now: SimInstant) -> usize {
+        self.shared
+            .libraries
+            .iter()
+            .filter(|l| !self.is_offline(l, now))
+            .map(|l| l.drives.len() - l.fenced.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Whether library `lib` is offline at `now`, counting the outage if
@@ -452,6 +456,9 @@ impl TapeFleet {
         if let Some(p) = plane {
             if p.drive_fails_by(drive.0, now) {
                 st.fenced = true;
+                self.drive_owner(drive)?
+                    .fenced
+                    .fetch_add(1, Ordering::Relaxed);
                 st.head_bytes = 0;
                 st.last_agent = None;
                 if let Some(tape) = st.mounted.take() {
@@ -494,11 +501,6 @@ impl TapeFleet {
             .cartridges
             .get(id.0 as usize)
             .ok_or(TapeError::NoSuchTape(id))
-    }
-
-    /// Whether a drive is fenced (hard-failed and withdrawn from service).
-    pub fn is_fenced(&self, drive: DriveId) -> Result<bool, TapeError> {
-        Ok(self.drive(drive)?.lock().fenced)
     }
 
     /// Inspect a cartridge (reconcile walks records this way).
@@ -1368,7 +1370,7 @@ mod tests {
             l.read_object(DriveId(0), 1, addr, None, late).unwrap_err(),
             TapeError::DriveFailed(DriveId(0))
         );
-        assert!(l.is_fenced(DriveId(0)).unwrap());
+        assert_eq!(l.healthy_drives(late), 1, "drive 0 fenced");
         assert_eq!(l.drive_holding(TapeId(0)), None, "volume freed at fence");
         // Recovery path: the tape remounts on the healthy drive and the
         // object is readable again.
@@ -1395,6 +1397,43 @@ mod tests {
             l.ensure_mounted(TapeId(0), SimInstant::from_secs(1)),
             Err(TapeError::NoHealthyDrive)
         );
+    }
+
+    #[test]
+    fn healthy_drives_matches_a_per_drive_scan() {
+        use copra_faults::FaultPlan;
+        let f = fleet(2, 3, 4);
+        let at = SimInstant::from_secs;
+        f.arm_faults(
+            FaultPlan::new(11)
+                .fail_drive(0, at(10))
+                .fail_drive(4, at(20))
+                .fail_drive(5, at(1000))
+                .offline_library_until(1, at(50), at(100))
+                .arm(f.obs().clone()),
+        );
+        let scan = |now| {
+            let libs = f.shared.libraries.iter();
+            libs.filter(|l| !f.is_offline(l, now))
+                .flat_map(|l| l.drives.clone())
+                .filter(|&g| !f.shared.drives[g as usize].lock().fenced)
+                .count()
+        };
+        // (instant, healthy drives after every drive's mount there): a
+        // fence lands when an operation consults the failed drive, and
+        // an offline library's mounts fail before any drive is consulted.
+        for (secs, want) in [(0, 6), (15, 5), (30, 4), (60, 2), (100, 4), (2000, 3)] {
+            let now = at(secs);
+            assert_eq!(f.healthy_drives(now), scan(now), "before {secs}s");
+            for g in 0..6 {
+                let _ = f.mount(DriveId(g), TapeId(g / 3 * 4 + g % 3), now);
+            }
+            assert_eq!(f.healthy_drives(now), scan(now), "at {secs}s");
+            assert_eq!(f.healthy_drives(now), want, "at {secs}s");
+        }
+        f.set_library_offline(LibraryId(0), true);
+        assert_eq!(f.healthy_drives(at(2000)), 1);
+        assert_eq!(f.healthy_drives(at(2000)), scan(at(2000)));
     }
 
     #[test]
@@ -1491,11 +1530,6 @@ mod tests {
         assert_eq!(f.library_of_tape(TapeId(5)), Some(LibraryId(1)));
         assert_eq!(f.library_of_tape(TapeId(11)), Some(LibraryId(2)));
         assert_eq!(f.library_of_tape(TapeId(12)), None);
-        assert_eq!(
-            f.library_drives(LibraryId(1)).collect::<Vec<_>>(),
-            vec![DriveId(2), DriveId(3)]
-        );
-        assert_eq!(f.library_drives(LibraryId(3)).count(), 0);
         // Unknown ids are rejected, the drive first; a drive mounts only
         // its own library's tapes.
         assert_eq!(

@@ -401,17 +401,24 @@ fn traced_crash_recovery_paints_recover_spans() {
     sys.archive()
         .create_file("/data/b", 0, Content::synthetic(2, 2_400_000))
         .unwrap();
-    // Second consult of migrate.after_store dies: the first migrate seals
-    // its intent (replayed at recovery), the second leaves an open intent
-    // the recovery pass must resolve.
-    sys.arm_faults(FaultPlan::new(SEED).crash_at("migrate.after_store", 2));
-    let mut end = sys.clock().now();
+    // The first migrate dies between its seal and its punch (a sealed
+    // intent, replayed at recovery); the second consult of
+    // migrate.after_store dies too, leaving an open intent the recovery
+    // pass must resolve.
+    sys.arm_faults(
+        FaultPlan::new(SEED)
+            .crash_at("migrate.after_seal", 1)
+            .crash_at("migrate.after_store", 2),
+    );
+    let end = sys.clock().now();
     let ino = sys.archive().resolve("/data/a").unwrap();
-    let (_, t) = sys
+    match sys
         .hsm()
         .migrate_file(ino, NodeId(0), DataPath::LanFree, end, true, None)
-        .unwrap();
-    end = t;
+    {
+        Err(HsmError::Crashed { site }) => assert_eq!(site, "migrate.after_seal"),
+        other => panic!("expected the armed crash, got {other:?}"),
+    }
     let ino = sys.archive().resolve("/data/b").unwrap();
     match sys
         .hsm()
@@ -446,7 +453,7 @@ fn traced_crash_recovery_paints_recover_spans() {
         "open intent must roll back or complete forward: {kids:?}"
     );
     assert!(kids.contains(&"recover.scrub"), "{kids:?}");
-    // The successful migrate's own tree is in the same report, with its
+    // The first migrate's own tree is in the same report, with its
     // intent sealed under it.
     assert!(report.find("hsm.migrate").is_some());
     assert!(report.find("journal.intent.migrate-commit").is_some());

@@ -22,7 +22,7 @@
 use copra::cluster::NodeId;
 use copra::core::{ArchiveSystem, SystemConfig};
 use copra::faults::FaultPlan;
-use copra::hsm::{resilver, scrub, DataPath, PlacementPolicy};
+use copra::hsm::{resilver, scrub, DataPath, HsmError, PlacementPolicy};
 use copra::journal::IntentKind;
 use copra::simtime::SimDuration;
 use copra::vfs::Content;
@@ -169,7 +169,9 @@ fn outage_campaign_fails_over_resilvers_and_is_deterministic() {
 
 /// A collocated migrate is a first-class mirrored migrate: the primary
 /// lands on the group's volume, one replica lands in the other library,
-/// and the migrate's journal intent is sealed.
+/// and the migrate's journal intent is sealed with the replica set. The
+/// migrate dies between its seal and its punch, the one window in which
+/// a sealed intent stays in the journal.
 #[test]
 fn collocated_migrate_is_mirrored_and_journaled() {
     let sys = ArchiveSystem::new(SystemConfig::test_replicated(2));
@@ -179,10 +181,13 @@ fn collocated_migrate_is_mirrored_and_journaled() {
         .create_file("/data/g", 0, Content::synthetic(7, 1_500_000))
         .unwrap();
     let now = sys.clock().now();
-    let (objid, _) = sys
+    sys.arm_faults(FaultPlan::new(7).crash_at("migrate.after_seal", 1));
+    let err = sys
         .hsm()
         .migrate_file(ino, NodeId(0), DataPath::LanFree, now, true, Some("proj"))
-        .unwrap();
+        .unwrap_err();
+    assert!(matches!(err, HsmError::Crashed { .. }), "{err}");
+    let objid = sys.archive().hsm_objid(ino).unwrap().unwrap();
     let server = sys.hsm().server();
     let library_of = |id: u64| {
         let tape = server.get(id).unwrap().addr.tape;
@@ -206,4 +211,13 @@ fn collocated_migrate_is_mirrored_and_journaled() {
         )),
         "no sealed MigrateCommit for the collocated migrate: {sealed:?}"
     );
+    // Recovery replays the punch the crash cut off, then the journal is
+    // empty.
+    let report = sys.recover(now).unwrap();
+    assert_eq!(report.replayed, 1);
+    assert_eq!(
+        sys.archive().hsm_state(ino).unwrap(),
+        copra::pfs::HsmState::Migrated
+    );
+    assert!(sys.journal().is_empty());
 }
