@@ -84,6 +84,10 @@ fn main() {
             deleted += r.files_deleted;
         }
         assert_eq!(deleted, n_victims);
+        assert!(
+            hsm.journal().is_empty(),
+            "a finished synchronous delete leaves no intent in the journal"
+        );
         let syncdel_secs = cursor.saturating_since(t0).as_secs_f64();
         let verify = reconcile(hsm.pfs(), hsm.server(), cursor, false).unwrap();
         assert!(verify.orphans.is_empty(), "syncdel left orphans");

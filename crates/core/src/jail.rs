@@ -101,10 +101,6 @@ impl Jail {
         }
         Ok(())
     }
-
-    pub fn installed(&self) -> impl Iterator<Item = &str> {
-        self.installed.iter().map(String::as_str)
-    }
 }
 
 impl Default for Jail {

@@ -25,15 +25,12 @@
 //!   JSON or the plain-text campaign dashboard.
 //! * [`search`] — multi-dimensional metadata search over namespace +
 //!   catalog (the paper's §7 future-work item, implemented).
-//! * [`shell`] — the jailed user shell: parse → jail-check → dispatch to
-//!   the real tools (the operational form of §4.2.3).
 
 pub mod jail;
 pub mod migrator;
 pub mod obs;
 pub mod recovery;
 pub mod search;
-pub mod shell;
 pub mod syncdel;
 pub mod system;
 pub mod trashcan;
@@ -43,7 +40,6 @@ pub use migrator::{migrate_candidates, MigrationPolicy, MigrationReport};
 pub use obs::{DeviceUtilization, SystemSnapshot};
 pub use recovery::{recover, RecoveryReport};
 pub use search::{ArchiveSearch, Plan, Query, SearchEntry};
-pub use shell::{Shell, ShellError, ShellOutput};
 pub use syncdel::{SyncDeleteError, SyncDeleteReport, SyncDeleter};
 pub use system::{ArchiveSystem, SystemConfig};
 pub use trashcan::Trashcan;

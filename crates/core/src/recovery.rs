@@ -1,19 +1,19 @@
-//! Crash recovery: journal replay + rollback, then a self-healing scrub.
+//! Crash recovery: journal rollback and replay, then a self-healing scrub.
 //!
 //! The custom layer mutates three stores per operation (GPFS namespace,
 //! TSM server DB, catalog replica) with no atomicity between them. The
 //! intent journal ([`copra_journal::Journal`]) makes a crash at *any*
-//! point recoverable:
+//! point recoverable. Every operation resolves its own intent once its
+//! last effect has landed, so the journal holds only what a crash cut
+//! short:
 //!
-//! * **Sealed** intents are replayed forward — every store already
-//!   agreed, so the redo is idempotent (re-deleting a deleted object). A
-//!   sealed `MigrateCommit` is one that died between its seal and its
-//!   punch: a finished migrate resolves its own intent, so replay never
-//!   re-punches a file that was recalled since.
 //! * **Open** intents are rolled back — unless the operation passed its
 //!   destructive point of no return (the unlink in a synchronous
 //!   delete), in which case recovery completes it *forward* using the
 //!   object ids recorded in the intent before the unlink.
+//! * A **sealed** intent can only be a `MigrateCommit` that died between
+//!   its seal and its punch: every store agrees, and replay does the
+//!   missing punch.
 //!
 //! Rollback of a `MigrateCommit` never loses data because migration
 //! seals the intent *before* punching the disk copy: an open migrate
@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// What one recovery pass did.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RecoveryReport {
-    /// Sealed intents replayed forward (idempotent redo).
+    /// Sealed migrates whose missing punch was replayed.
     pub replayed: usize,
     /// Open intents rolled back (nothing destructive had happened).
     pub rolled_back: usize,
@@ -78,32 +78,24 @@ fn delete_objects(
     Ok(cursor)
 }
 
-/// Replay one sealed intent forward.
-fn replay(
-    hsm: &Hsm,
-    catalog: &TsmCatalog,
-    rec: &IntentRecord,
-    cursor: SimInstant,
-) -> HsmResult<SimInstant> {
-    let pfs = hsm.pfs();
-    match &rec.kind {
-        IntentKind::MigrateCommit { ino, punch, .. } => {
-            // The stores agreed; the only missing effect is the hole
-            // punch (sealed *before* punching, resolved after it).
-            if *punch {
-                let ino = copra_vfs::Ino(*ino);
-                if pfs.hsm_state(ino) == Ok(HsmState::Premigrated) {
-                    pfs.punch_hole(ino)?;
-                }
-            }
-            Ok(cursor)
+/// Replay a sealed intent: a migrate that died between its seal and its
+/// punch. The stores agree; the only missing effect is the hole punch.
+fn replay(hsm: &Hsm, rec: &IntentRecord) -> HsmResult<()> {
+    debug_assert!(
+        matches!(rec.kind, IntentKind::MigrateCommit { .. }),
+        "only a migrate outlives its seal: {rec:?}"
+    );
+    if let IntentKind::MigrateCommit {
+        ino, punch: true, ..
+    } = rec.kind
+    {
+        let pfs = hsm.pfs();
+        let ino = copra_vfs::Ino(ino);
+        if pfs.hsm_state(ino) == Ok(HsmState::Premigrated) {
+            pfs.punch_hole(ino)?;
         }
-        IntentKind::SyncDelete { objids, .. } | IntentKind::TrashPurge { objids, .. } => {
-            // Re-issue the deletes; every one may already be applied.
-            delete_objects(hsm, catalog, objids, cursor)
-        }
-        IntentKind::Reclaim { .. } => Ok(cursor), // scrub verifies volume state
     }
+    Ok(())
 }
 
 /// Roll an open intent back, or — if its destructive step already ran —
@@ -165,8 +157,9 @@ fn undo_or_finish(
 }
 
 /// Recover the archive after a (simulated) crash: drain the intent
-/// journal — sealed intents forward, open intents back (or forward past
-/// the point of no return) — then scrub the stores back into agreement.
+/// journal — the punch of each sealed migrate, open intents back (or
+/// forward past the point of no return) — then scrub the stores back into
+/// agreement.
 ///
 /// Counters `journal.recovered_replayed` / `recovered_rolled_back` /
 /// `recovered_forward` are only ever incremented here, so a fault-free
@@ -191,12 +184,11 @@ pub fn recover(hsm: &Hsm, catalog: &TsmCatalog, ready: SimInstant) -> HsmResult<
 
     for rec in journal.sealed_intents() {
         let w0 = tracer.wall_now_ns();
-        let start = cursor;
-        cursor = replay(hsm, catalog, &rec, cursor)?;
+        replay(hsm, &rec)?;
         journal.resolve(rec.seq);
         report.replayed += 1;
         replayed_ctr.inc();
-        let span = tracer.record_closed(root_ctx, "recover.replay", rec.seq, start, cursor, w0);
+        let span = tracer.record_closed(root_ctx, "recover.replay", rec.seq, cursor, cursor, w0);
         obs.event_with_span(
             cursor,
             EventKind::Recovery {
@@ -240,7 +232,6 @@ pub fn recover(hsm: &Hsm, catalog: &TsmCatalog, ready: SimInstant) -> HsmResult<
 
     let w0 = tracer.wall_now_ns();
     report.scrub = copra_hsm::scrub(hsm, catalog, cursor)?;
-    journal.truncate_sealed();
     report.end = report.scrub.end;
     tracer.record_closed(root_ctx, "recover.scrub", 0, cursor, report.end, w0);
     finish_opt(root, report.end);

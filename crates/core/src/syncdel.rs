@@ -119,14 +119,16 @@ impl SyncDeleter {
                 objids: objids.clone(),
             }
         };
-        let seq = journal.begin_intent(kind, ready);
+        let seq = journal.begin_intent(kind, ready, None);
         let crashed = |site: String| SyncDeleteError::Crashed { site };
         server
             .crash_point("syncdel.begin", ready)
             .map_err(|_| crashed("syncdel.begin".into()))?;
-        let attr = pfs
-            .unlink(path)
-            .map_err(|e| SyncDeleteError::Failed(e.to_string()))?;
+        let attr = pfs.unlink(path).map_err(|e| {
+            // Nothing changed: a failed unlink leaves no intent behind.
+            journal.resolve(seq);
+            SyncDeleteError::Failed(e.to_string())
+        })?;
         report.files_deleted = 1;
         report.bytes = attr.size;
         let mut cursor = ready;
@@ -155,7 +157,10 @@ impl SyncDeleter {
                 .crash_point("syncdel.after_obj_delete", cursor)
                 .map_err(|_| crashed("syncdel.after_obj_delete".into()))?;
         }
+        // Every effect has landed: the delete resolves its own intent, so
+        // the journal keeps only in-flight work.
         journal.seal(seq, cursor);
+        journal.resolve(seq);
         report.errors.sort();
         report.end = cursor;
         Ok(report)
@@ -285,6 +290,12 @@ mod tests {
         assert_eq!(report.files_deleted, 1);
         assert_eq!(report.objects_deleted, 0);
         assert!(report.errors.is_empty());
+        // A directory resolves but does not unlink: the failed delete
+        // resolves the intent it began.
+        hsm.pfs().mkdir_p("/dir").unwrap();
+        let err = deleter.delete_file("/dir", SimInstant::EPOCH).unwrap_err();
+        assert!(matches!(err, SyncDeleteError::Failed(_)), "{err}");
+        assert!(hsm.journal().is_empty());
     }
 
     #[test]

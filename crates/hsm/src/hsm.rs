@@ -212,7 +212,7 @@ impl Hsm {
         // open MigrateCommit always still has its disk copy — rollback
         // never needs to un-punch.
         let extra = self.placement().total_copies() - 1;
-        let seq = self.journal.begin_intent_ctx(
+        let seq = self.journal.begin_intent(
             IntentKind::MigrateCommit {
                 ino: ino.0,
                 path: path.clone(),
@@ -391,7 +391,8 @@ impl Hsm {
     /// Space-reclaim `tape` under a journaled intent: live objects are
     /// copied to other volumes and the source is freed. A crash mid-move
     /// leaves an open `Reclaim` intent; recovery's scrub drops whichever
-    /// half-copied records diverge from the server DB.
+    /// half-copied records diverge from the server DB. A finished reclaim
+    /// resolves its own intent.
     pub fn reclaim_volume(
         &self,
         tape: TapeId,
@@ -399,9 +400,10 @@ impl Hsm {
     ) -> HsmResult<crate::reclaim::ReclaimReport> {
         let seq = self
             .journal
-            .begin_intent(IntentKind::Reclaim { tape: tape.0 }, ready);
+            .begin_intent(IntentKind::Reclaim { tape: tape.0 }, ready, None);
         let report = crate::reclaim::reclaim_volume(&self.server, tape, ready)?;
         self.journal.seal(seq, report.end);
+        self.journal.resolve(seq);
         Ok(report)
     }
 

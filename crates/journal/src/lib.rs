@@ -7,23 +7,24 @@
 //! middle leaves torn state: a stub whose tape object was never
 //! registered, a tape object whose file is gone, a catalog row the server
 //! no longer knows. This crate provides the intent journal that makes
-//! those operations recoverable:
+//! those operations recoverable. Every journaled operation runs one
+//! lifecycle:
 //!
-//! 1. `begin_intent(kind)` — durably records *what is about to happen*
+//! 1. `begin_intent(kind, now, ctx)` — records *what is about to happen*
 //!    before any store is touched, returning a sequence number.
 //! 2. apply the mutations, optionally annotating the intent with facts
 //!    learned along the way (e.g. the objid the server allocated).
 //! 3. `seal(seq)` — marks the intent complete once every store agrees.
+//! 4. `resolve(seq)` — the operation drops its own record once its last
+//!    effect has landed: right after the seal for a delete, a purge or a
+//!    reclaim, after the hole punch for a migrate.
 //!
-//! Recovery (in copra-core) scans the journal: *sealed* intents are
-//! replayed forward (all mutations are idempotent redo), *open* intents
-//! are rolled back — unless the operation passed its destructive
-//! point-of-no-return (an unlink), in which case it is completed forward.
-//! Once an intent is recovered it is `resolve`d and eventually
-//! `truncate_sealed` reclaims the log. An operation whose last effect
-//! lands after its seal (a migrate's hole punch) resolves its own intent
-//! once that effect is applied, so recovery never replays a finished
-//! operation over later changes.
+//! So the journal holds only in-flight work. What a crash leaves behind
+//! is an *open* intent (the operation died before its seal), or a
+//! *sealed* `MigrateCommit` (it died between its seal and its punch).
+//! Recovery (in copra-core) rolls open intents back — or completes them
+//! forward past a destructive point of no return (an unlink) — finishes
+//! the punch of a sealed one, and resolves each record it visits.
 //!
 //! The journal is in-memory (the whole archive is a simulation) but the
 //! protocol — ordering of journal writes relative to store mutations —
@@ -55,10 +56,8 @@ pub enum IntentKind {
         objid: Option<u64>,
         punch: bool,
         /// Extra replica objids written so far (beyond the primary).
-        #[serde(default)]
         replicas: Vec<u64>,
         /// Extra replicas the placement policy intended (0 = unreplicated).
-        #[serde(default)]
         replica_target: u32,
     },
     /// Synchronously delete a file and its tape objects (§4.2.6: "in the
@@ -109,7 +108,8 @@ impl IntentKind {
 pub enum IntentState {
     /// Begun but not sealed: the mutations may be partially applied.
     Open,
-    /// All stores agree; replayable forward as idempotent redo.
+    /// All stores agree; only effects after the seal (a migrate's hole
+    /// punch) may still be missing.
     Sealed,
 }
 
@@ -128,7 +128,6 @@ struct JournalMetrics {
     begun: Arc<Counter>,
     sealed: Arc<Counter>,
     resolved: Arc<Counter>,
-    truncated: Arc<Counter>,
     open_intents: Arc<Gauge>,
 }
 
@@ -138,7 +137,6 @@ impl JournalMetrics {
             begun: obs.counter("journal.begun"),
             sealed: obs.counter("journal.sealed"),
             resolved: obs.counter("journal.resolved"),
-            truncated: obs.counter("journal.truncated"),
             open_intents: obs.gauge("journal.open_intents"),
         }
     }
@@ -148,83 +146,75 @@ impl JournalMetrics {
 /// mutability makes it shareable across the HSM and core layers.
 #[derive(Debug)]
 pub struct Journal {
-    records: Mutex<BTreeMap<u64, IntentRecord>>,
-    next_seq: Mutex<u64>,
+    state: Mutex<State>,
     metrics: JournalMetrics,
     /// Registry the journal reports through; also the source of the
     /// tracer.
     obs: Arc<Registry>,
-    /// Per-open-intent trace attribution: seq → (parent span at begin,
-    /// wall-clock start). Drained at seal into one closed
-    /// `journal.intent.<label>` span covering the begin→seal window.
-    trace_ctx: Mutex<BTreeMap<u64, IntentTraceCtx>>,
 }
 
-/// Trace attribution stashed at `begin_intent`: the parent span the
-/// intent was opened under, and the wall-clock nanos when it opened.
-type IntentTraceCtx = (Option<SpanContext>, Option<u64>);
+/// Everything behind the journal's one lock.
+#[derive(Debug)]
+struct State {
+    records: BTreeMap<u64, Entry>,
+    next_seq: u64,
+}
+
+/// A record plus, until its seal, its trace attribution: the parent span
+/// the intent was opened under and the wall-clock nanos when it opened.
+/// Taken at seal into one closed `journal.intent.<label>` span covering
+/// the begin→seal window.
+#[derive(Debug)]
+struct Entry {
+    rec: IntentRecord,
+    trace: Option<(Option<SpanContext>, Option<u64>)>,
+}
 
 impl Journal {
     pub fn new(obs: &Arc<Registry>) -> Arc<Self> {
         Arc::new(Journal {
-            records: Mutex::new(BTreeMap::new()),
-            next_seq: Mutex::new(1),
+            state: Mutex::new(State {
+                records: BTreeMap::new(),
+                next_seq: 1,
+            }),
             metrics: JournalMetrics::new(obs),
             obs: obs.clone(),
-            trace_ctx: Mutex::new(BTreeMap::new()),
         })
     }
 
-    /// Phase one: record the intent before touching any store. Returns
-    /// the sequence number the caller threads through to [`seal`].
+    /// Phase one: record the intent before touching any store, under the
+    /// span the mutation runs in (`ctx`, e.g. an HSM migrate). Returns the
+    /// sequence number the caller threads through to [`seal`] and
+    /// [`resolve`]. When the tracer is armed, sealing the intent records
+    /// one closed `journal.intent.<label>` span — keyed by seq, parented
+    /// under `ctx` — covering begin→seal in both sim and wall time.
     ///
     /// [`seal`]: Journal::seal
-    pub fn begin_intent(&self, kind: IntentKind, now: SimInstant) -> u64 {
-        self.begin_intent_ctx(kind, now, None)
-    }
-
-    /// [`Journal::begin_intent`] with the span the mutation runs under
-    /// (an HSM migrate, a sync-delete). When the tracer is armed, sealing
-    /// the intent records one closed `journal.intent.<label>` span — keyed
-    /// by seq, parented under `ctx` — covering begin→seal in both sim and
-    /// wall time.
-    pub fn begin_intent_ctx(
-        &self,
-        kind: IntentKind,
-        now: SimInstant,
-        ctx: Option<SpanContext>,
-    ) -> u64 {
-        let seq = {
-            let mut next = self.next_seq.lock();
-            let seq = *next;
-            *next += 1;
-            seq
-        };
-        self.records.lock().insert(
+    /// [`resolve`]: Journal::resolve
+    pub fn begin_intent(&self, kind: IntentKind, now: SimInstant, ctx: Option<SpanContext>) -> u64 {
+        let wall = self.obs.tracer().wall_now_ns();
+        let trace = (wall.is_some() || ctx.is_some()).then_some((ctx, wall));
+        let mut st = self.state.lock();
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        let rec = IntentRecord {
             seq,
-            IntentRecord {
-                seq,
-                kind,
-                state: IntentState::Open,
-                begun_at: now,
-                sealed_at: None,
-            },
-        );
+            kind,
+            state: IntentState::Open,
+            begun_at: now,
+            sealed_at: None,
+        };
+        st.records.insert(seq, Entry { rec, trace });
         self.metrics.begun.inc();
         self.metrics.open_intents.add(1);
-        if let Some(wall) = self.obs.tracer().wall_now_ns() {
-            self.trace_ctx.lock().insert(seq, (ctx, Some(wall)));
-        } else if ctx.is_some() {
-            self.trace_ctx.lock().insert(seq, (ctx, None));
-        }
         seq
     }
 
     /// Annotate an open `MigrateCommit` with the objid the server
     /// allocated, so rollback/replay can find the tape object.
     pub fn annotate_objid(&self, seq: u64, objid: u64) {
-        if let Some(rec) = self.records.lock().get_mut(&seq) {
-            if let IntentKind::MigrateCommit { objid: slot, .. } = &mut rec.kind {
+        if let Some(e) = self.state.lock().records.get_mut(&seq) {
+            if let IntentKind::MigrateCommit { objid: slot, .. } = &mut e.rec.kind {
                 *slot = Some(objid);
             }
         }
@@ -234,91 +224,82 @@ impl Journal {
     /// completion set (journaled **after** the replica's tape record and
     /// DB row exist, like [`Journal::annotate_objid`] for the primary).
     pub fn annotate_replica(&self, seq: u64, objid: u64) {
-        if let Some(rec) = self.records.lock().get_mut(&seq) {
-            if let IntentKind::MigrateCommit { replicas, .. } = &mut rec.kind {
+        if let Some(e) = self.state.lock().records.get_mut(&seq) {
+            if let IntentKind::MigrateCommit { replicas, .. } = &mut e.rec.kind {
                 replicas.push(objid);
             }
         }
     }
 
-    /// Phase two: every store agrees — mark the intent replay-safe.
+    /// Phase two: every store agrees. The intent's span is recorded after
+    /// the lock is released.
     pub fn seal(&self, seq: u64, now: SimInstant) {
-        let mut sealed_span = None;
-        {
-            let mut records = self.records.lock();
-            if let Some(rec) = records.get_mut(&seq) {
-                if rec.state == IntentState::Open {
-                    rec.state = IntentState::Sealed;
-                    rec.sealed_at = Some(now);
-                    self.metrics.sealed.inc();
-                    self.metrics.open_intents.add(-1);
-                    sealed_span = Some((rec.kind.span_name(), rec.begun_at));
-                }
+        let span = {
+            let mut st = self.state.lock();
+            let Some(e) = st.records.get_mut(&seq) else {
+                return;
+            };
+            if e.rec.state != IntentState::Open {
+                return;
             }
-        }
-        if let Some((name, begun_at)) = sealed_span {
-            if let Some((ctx, wall_start)) = self.trace_ctx.lock().remove(&seq) {
-                self.obs
-                    .tracer()
-                    .record_closed(ctx, name, seq, begun_at, now, wall_start);
-            }
+            e.rec.state = IntentState::Sealed;
+            e.rec.sealed_at = Some(now);
+            self.metrics.sealed.inc();
+            self.metrics.open_intents.add(-1);
+            e.trace
+                .take()
+                .map(|trace| (e.rec.kind.span_name(), e.rec.begun_at, trace))
+        };
+        if let Some((name, begun_at, (ctx, wall_start))) = span {
+            self.obs
+                .tracer()
+                .record_closed(ctx, name, seq, begun_at, now, wall_start);
         }
     }
 
-    /// Drop one record: after recovery has redone/undone it, or after
-    /// the operation itself applied its last effect.
+    /// Drop one record: by the operation itself once its last effect has
+    /// landed, or by recovery once it has redone or undone the intent.
     pub fn resolve(&self, seq: u64) {
-        self.trace_ctx.lock().remove(&seq);
-        let mut records = self.records.lock();
-        if let Some(rec) = records.remove(&seq) {
-            if rec.state == IntentState::Open {
+        if let Some(e) = self.state.lock().records.remove(&seq) {
+            if e.rec.state == IntentState::Open {
                 self.metrics.open_intents.add(-1);
             }
             self.metrics.resolved.inc();
         }
     }
 
-    /// Checkpoint: discard all sealed records (their effects are fully
-    /// applied and verified). Returns how many were dropped.
-    pub fn truncate_sealed(&self) -> usize {
-        let mut records = self.records.lock();
-        let before = records.len();
-        records.retain(|_, r| r.state != IntentState::Sealed);
-        let dropped = before - records.len();
-        self.metrics.truncated.add(dropped as u64);
-        dropped
+    pub fn get(&self, seq: u64) -> Option<IntentRecord> {
+        self.state.lock().records.get(&seq).map(|e| e.rec.clone())
     }
 
-    pub fn get(&self, seq: u64) -> Option<IntentRecord> {
-        self.records.lock().get(&seq).cloned()
+    /// Records in `state`, in sequence order.
+    fn in_state(&self, state: IntentState) -> Vec<IntentRecord> {
+        self.state
+            .lock()
+            .records
+            .values()
+            .filter(|e| e.rec.state == state)
+            .map(|e| e.rec.clone())
+            .collect()
     }
 
     /// Open intents in sequence order (the rollback work-list).
     pub fn open_intents(&self) -> Vec<IntentRecord> {
-        self.records
-            .lock()
-            .values()
-            .filter(|r| r.state == IntentState::Open)
-            .cloned()
-            .collect()
+        self.in_state(IntentState::Open)
     }
 
-    /// Sealed intents in sequence order (the replay work-list).
+    /// Sealed intents in sequence order: migrates that died between their
+    /// seal and their punch (the replay work-list).
     pub fn sealed_intents(&self) -> Vec<IntentRecord> {
-        self.records
-            .lock()
-            .values()
-            .filter(|r| r.state == IntentState::Sealed)
-            .cloned()
-            .collect()
+        self.in_state(IntentState::Sealed)
     }
 
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.state.lock().records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.state.lock().records.is_empty()
     }
 }
 
@@ -345,6 +326,7 @@ mod tests {
                 replica_target: 1,
             },
             t,
+            None,
         );
         assert_eq!(seq, 1);
         assert_eq!(j.open_intents().len(), 1);
@@ -382,7 +364,7 @@ mod tests {
     fn open_gauge_tracks_unsealed_intents() {
         let (j, obs) = journal();
         let t = SimInstant::EPOCH;
-        let a = j.begin_intent(IntentKind::Reclaim { tape: 3 }, t);
+        let a = j.begin_intent(IntentKind::Reclaim { tape: 3 }, t, None);
         let b = j.begin_intent(
             IntentKind::SyncDelete {
                 ino: 1,
@@ -390,6 +372,7 @@ mod tests {
                 objids: vec![9],
             },
             t,
+            None,
         );
         assert_eq!(
             obs.snapshot()
@@ -414,18 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_drops_only_sealed() {
-        let (j, _obs) = journal();
-        let t = SimInstant::EPOCH;
-        let a = j.begin_intent(IntentKind::Reclaim { tape: 1 }, t);
-        let _b = j.begin_intent(IntentKind::Reclaim { tape: 2 }, t);
-        j.seal(a, t);
-        assert_eq!(j.truncate_sealed(), 1);
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.open_intents().len(), 1);
-    }
-
-    #[test]
     fn records_round_trip_through_serde() {
         let (j, _obs) = journal();
         let t = SimInstant::from_secs(5);
@@ -436,6 +407,7 @@ mod tests {
                 objids: vec![1, 2, 3],
             },
             t,
+            None,
         );
         let rec = j.get(seq).unwrap();
         let json = serde_json::to_string(&rec).unwrap();
@@ -444,29 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_migrate_commit_json_decodes_with_empty_replica_set() {
-        // A journal written before replication has no replica fields;
-        // serde(default) must decode it as an unreplicated intent.
-        let json = r#"{"MigrateCommit":{"ino":7,"path":"/a","objid":42,"punch":true}}"#;
-        let kind: IntentKind = serde_json::from_str(json).unwrap();
-        assert_eq!(
-            kind,
-            IntentKind::MigrateCommit {
-                ino: 7,
-                path: "/a".into(),
-                objid: Some(42),
-                punch: true,
-                replicas: Vec::new(),
-                replica_target: 0,
-            }
-        );
-    }
-
-    #[test]
     fn double_seal_is_idempotent() {
         let (j, obs) = journal();
         let t = SimInstant::EPOCH;
-        let seq = j.begin_intent(IntentKind::Reclaim { tape: 1 }, t);
+        let seq = j.begin_intent(IntentKind::Reclaim { tape: 1 }, t, None);
         j.seal(seq, t);
         j.seal(seq, t);
         assert_eq!(obs.snapshot().counter("journal.sealed"), 1);

@@ -77,15 +77,11 @@ impl AdmissionController {
     }
 
     /// The earliest instant an in-flight recall completes after `now`
-    /// (when to try dispatching again while the window is closed). The
-    /// heap's top once [`AdmissionController::inflight`] has pruned to
-    /// `now`; otherwise a search past the completed entries.
-    pub fn next_completion(&self, now: SimInstant) -> Option<SimInstant> {
-        match self.inflight.peek() {
-            Some(&Reverse(end)) if end > now => Some(end),
-            Some(_) => self.inflight.iter().map(|r| r.0).filter(|&e| e > now).min(),
-            None => None,
-        }
+    /// (when to try dispatching again while the window is closed): the
+    /// heap's top once the window is pruned to `now`.
+    pub fn next_completion(&mut self, now: SimInstant) -> Option<SimInstant> {
+        self.inflight(now);
+        self.inflight.peek().map(|&Reverse(end)| end)
     }
 }
 
@@ -132,8 +128,8 @@ mod tests {
         assert_eq!(ac.next_completion(t(25)), None);
     }
 
-    /// The window as a plain list: retain to prune, a filtered min for
-    /// the next completion.
+    /// The window as a plain list: retain to prune, then a min for the
+    /// next completion.
     #[derive(Default)]
     struct VecWindow(Vec<SimInstant>);
 
@@ -142,8 +138,9 @@ mod tests {
             self.0.retain(|&end| end > now);
             self.0.len()
         }
-        fn next_completion(&self, now: SimInstant) -> Option<SimInstant> {
-            self.0.iter().copied().filter(|&e| e > now).min()
+        fn next_completion(&mut self, now: SimInstant) -> Option<SimInstant> {
+            self.inflight(now);
+            self.0.iter().copied().min()
         }
     }
 

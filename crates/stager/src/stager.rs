@@ -314,9 +314,9 @@ impl Stager {
     pub fn dispatch_round(&self, now: SimInstant) -> HsmResult<DispatchReport> {
         self.metrics.rounds.inc();
         let mut st = self.state.lock();
-        // An empty queue reads no fleet health: it only prunes the window.
+        // An empty queue reads no fleet health: `next_completion` below
+        // prunes the window.
         let slots = if st.queue.is_empty() {
-            st.admission.inflight(now);
             0
         } else {
             let fleet = self.hsm.server().library();

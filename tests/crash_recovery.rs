@@ -470,4 +470,11 @@ fn fault_free_baseline_snapshots_zero_recovery_counters() {
     assert_eq!(m.counter("journal.recovered_forward"), 0);
     assert_eq!(m.counter("scrub.passes"), 0);
     assert_eq!(m.counter("faults.crash_points"), 0);
+    // Every migrate, purge, delete and reclaim resolved its own intent:
+    // the journal holds only in-flight work, and none is left.
+    assert!(
+        scen.sys.journal().is_empty(),
+        "{:?}",
+        scen.sys.journal().sealed_intents()
+    );
 }
